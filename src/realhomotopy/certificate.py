@@ -29,6 +29,21 @@ class Certificate:
         return min(self.margins) if self.margins else math.inf
 
 
+def vacuous_certificate(
+    inequalities: Sequence[CircuitInequality], m: int
+) -> Certificate | None:
+    """The pass of a configuration with nothing to test, else None.
+
+    With no excluded points anywhere (every support is already an edge) there
+    are no circuit inequalities: such systems are solved exactly by the
+    binomial solver, tracking is a no-op, and the certificate passes
+    vacuously.  Callers fall back to ``certify`` when this returns None.
+    """
+    if inequalities:
+        return None
+    return Certificate(margins=(), verdict=True, m=m)
+
+
 def certify(
     lifting: Lifting, inequalities: Sequence[CircuitInequality], m: int
 ) -> Certificate:
@@ -49,13 +64,13 @@ def certify(
 def certify_system(system: SupportSystem) -> tuple[Certificate, MixedCellSet]:
     """Lift by log-coefficients, enumerate cells, and certify in one shot.
 
-    A configuration with no excluded points anywhere (every support is already
-    an edge) has nothing to test and passes vacuously: such systems are solved
-    exactly by the binomial solver and tracking is a no-op.
+    A system without circuit inequalities passes vacuously (see
+    ``vacuous_certificate``).
     """
     config = build_cayley(system)
     lifting = log_abs_lifting(system)
     cells = enumerate_mixed_cells(config, lifting)
-    if not cells.inequalities:
-        return Certificate(margins=(), verdict=True, m=config.m), cells
-    return certify(lifting, cells.inequalities, config.m), cells
+    cert = vacuous_certificate(cells.inequalities, config.m) or certify(
+        lifting, cells.inequalities, config.m
+    )
+    return cert, cells

@@ -21,11 +21,15 @@ from pathlib import Path
 
 from .certificate import certify_system
 from .errors import RealHomotopyError, TieDegenerate
-from .lattice import Scalar, SupportSystem, support_system
-from .mixed_cells import MixedCell, circuit_inequalities
+from .lattice import (
+    Scalar,
+    SupportSystem,
+    build_cayley,
+    log_abs_lifting,
+    support_system,
+)
+from .mixed_cells import MixedCell, MixedCellSet, enumerate_mixed_cells
 from .pipeline import SolverConfig, solve
-from .lattice import build_cayley, log_abs_lifting
-from .mixed_cells import enumerate_mixed_cells
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -70,6 +74,13 @@ def _cell_doc(cell: MixedCell, inequality_count: int) -> dict:
     }
 
 
+def _cell_docs(cells: MixedCellSet) -> list[dict]:
+    # Every cell excludes the same number of Cayley points and contributes one
+    # inequality per excluded point, so each holds an even share.
+    per_cell = len(cells.inequalities) // len(cells.cells) if cells.cells else 0
+    return [_cell_doc(c, per_cell) for c in cells.cells]
+
+
 def cmd_mixed_cells(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     config = build_cayley(system)
@@ -79,9 +90,7 @@ def cmd_mixed_cells(args: argparse.Namespace) -> int:
         "m": config.m,
         "cell_count": len(cells.cells),
         "total_volume": cells.total_volume(),
-        "cells": [
-            _cell_doc(c, len(circuit_inequalities(c, config))) for c in cells.cells
-        ],
+        "cells": _cell_docs(cells),
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -108,15 +117,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         t0=args.t0, tol=args.tol, force=args.force, threads=args.threads
     )
     report = solve(system, cfg)
-    config = build_cayley(system)
     doc = {
         "verdict": "pass" if report.verdict else "fail",
         "uncertified": report.uncertified,
         "cell_count": len(report.cells.cells),
-        "cells": [
-            _cell_doc(c, len(circuit_inequalities(c, config)))
-            for c in report.cells.cells
-        ],
+        "cells": _cell_docs(report.cells),
         "margins": sorted(report.certificate.margins),
         "start_solution_counts": report.start_solutions,
         "solutions": [

@@ -361,17 +361,3 @@ def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]
     rank = len(pivots)
     return [u[i] for i in range(rank, cols)], rank
 
-
-def signed_minor_dependence(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The affine-dependence vector of d+2 points given as homogenized rows.
-
-    For a (d+1) x d integer matrix of rank d, the vector of alternating maximal
-    minors spans its left kernel; entries are signed simplex volumes.
-    """
-    k = len(rows)
-    out: list[int] = []
-    for drop in range(k):
-        sub = [list(rows[i]) for i in range(k) if i != drop]
-        sign = -1 if drop % 2 else 1
-        out.append(sign * int_det(sub))
-    return out

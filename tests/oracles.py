@@ -1,8 +1,14 @@
 """Independent reference computations the unit and acceptance tests pin against.
 
-Nothing here shares code with the solver's decision paths: mixed cells are
+The oracles share no code with the solver's decision paths: mixed cells are
 re-derived by LP feasibility, binomial systems by per-orthant grid search with
 Newton polish, and quadratic root counts by the closed formula.
+
+The loop references are the plain versions that faster code must reproduce
+exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
+edge tuple with no float screen, and ``reference_circuit_inequalities`` takes
+each dependence as alternating maximal minors.  They reuse the exact lattice
+primitives (Bareiss determinant, adjugate solve) on purpose.
 """
 
 from __future__ import annotations
@@ -13,7 +19,22 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from realhomotopy import CayleyConfig, Lifting
+from realhomotopy import (
+    CayleyConfig,
+    EmptySupport,
+    Lifting,
+    MixedCell,
+    MixedCellSet,
+    SingularExponentMatrix,
+    TieDegenerate,
+)
+from realhomotopy.lattice import int_det, solve_exact
+from realhomotopy.mixed_cells import (
+    TIE_RTOL,
+    CircuitInequality,
+    _order_edge,
+    _primitive_direction,
+)
 
 LP_MARGIN = 1e-10
 
@@ -67,6 +88,118 @@ def lp_mixed_cells(
         )
         out.append((edges, gamma, volume))
     return out
+
+
+def signed_minor_dependence(rows: list[list[int]]) -> list[int]:
+    """The affine-dependence vector of d+2 points given as homogenized rows.
+
+    For a (d+1) x d integer matrix of rank d, the vector of alternating maximal
+    minors spans its left kernel; entries are signed simplex volumes.
+    """
+    k = len(rows)
+    out: list[int] = []
+    for drop in range(k):
+        sub = [list(rows[i]) for i in range(k) if i != drop]
+        sign = -1 if drop % 2 else 1
+        out.append(sign * int_det(sub))
+    return out
+
+
+def reference_circuit_inequalities(
+    cell: MixedCell, config: CayleyConfig
+) -> list[CircuitInequality]:
+    """Circuit inequalities with one signed-minor dependence per excluded point."""
+    cell_idx = cell.cayley_indices(config)
+    cell_rows = [list(config.points[k]) + [1] for k in cell_idx]
+    out: list[CircuitInequality] = []
+    cell_set = set(cell_idx)
+    for alpha in range(config.m):
+        if alpha in cell_set:
+            continue
+        rows = cell_rows + [list(config.points[alpha]) + [1]]
+        dep = signed_minor_dependence(rows)
+        g = math.gcd(*dep)
+        if g == 0:
+            raise SingularExponentMatrix("cell points are affinely dependent")
+        dep = [v // g for v in dep]
+        if dep[-1] > 0:
+            dep = [-v for v in dep]
+        coeffs = {k: v for k, v in zip(cell_idx + [alpha], dep) if v != 0}
+        out.append(CircuitInequality(coeffs=coeffs, witness=alpha))
+    return out
+
+
+def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
+    """The exact per-candidate test on every per-block edge tuple, in order.
+
+    Same decisions, normals, tie handling and output order as
+    ``enumerate_mixed_cells``, without its float screen.
+    """
+    n = config.n
+    values = list(lifting.values)
+    exact = lifting.is_exact()
+    scale = 1.0 + max(abs(float(v)) for v in values)
+    blocks = [config.block_indices(i) for i in range(n)]
+    for i, blk in enumerate(blocks):
+        if len(blk) < 2:
+            raise EmptySupport(f"support {i} has fewer than 2 points")
+    base = [config.base_point(k) for k in range(config.m)]
+    cells: list[MixedCell] = []
+    for cand in itertools.product(
+        *(itertools.combinations(range(len(blk)), 2) for blk in blocks)
+    ):
+        edges = tuple(
+            _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
+        )
+        rows = [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
+        det = int_det(rows)
+        if det == 0:
+            continue
+        gamma = solve_exact(rows, [values[b] - values[a] for a, b in edges])
+        feasible = True
+        tied_point = None
+        for i, blk in enumerate(blocks):
+            a_top, _ = edges[i]
+            face = sum(g * c for g, c in zip(gamma, base[a_top])) + values[a_top]
+            for k in blk:
+                if k in edges[i]:
+                    continue
+                margin = face - (sum(g * c for g, c in zip(gamma, base[k])) + values[k])
+                if exact:
+                    tie = margin == 0
+                else:
+                    tie = abs(float(margin)) < TIE_RTOL * scale
+                if tie:
+                    tied_point = k
+                elif margin < 0:
+                    feasible = False
+                    break
+            if not feasible:
+                break
+        if not feasible:
+            continue
+        if tied_point is not None:
+            raise TieDegenerate(
+                f"lifting ties on point {tied_point} against cell {edges}"
+            )
+        normal = tuple(-g for g in gamma)
+        cells.append(
+            MixedCell(
+                edges=tuple(
+                    (config.origin_index[a], config.origin_index[b]) for a, b in edges
+                ),
+                normal=normal,
+                volume=abs(det),
+                primitive_normal=_primitive_direction(normal),
+            )
+        )
+    cells.sort(key=lambda c: c.edges)
+    inequalities = [
+        zeta for cell in cells for zeta in reference_circuit_inequalities(cell, config)
+    ]
+    return MixedCellSet(
+        cells=tuple(cells), inequalities=tuple(inequalities), lifting=lifting
+    )
 
 
 def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +10,15 @@ import pytest
 from helpers import (
     KNOWN_CELL_EDGES_1BASED,
     KNOWN_CELL_PRIMITIVE_NORMAL,
+    dense_support,
     dense_system,
     random_sparse_system,
 )
-from oracles import lp_mixed_cells
+from oracles import (
+    brute_force_mixed_cells,
+    lp_mixed_cells,
+    reference_circuit_inequalities,
+)
 from realhomotopy import (
     EmptySupport,
     TieDegenerate,
@@ -22,7 +29,8 @@ from realhomotopy import (
     mixed_cell_count_bound,
     support_system,
 )
-from realhomotopy.lattice import Lifting
+from realhomotopy.lattice import Lifting, int_det
+from realhomotopy.mixed_cells import SCREEN_CHUNK, _FloatScreen
 
 
 def _lifted(config, lifting, gamma, k):
@@ -144,7 +152,114 @@ class TestOracleAgreement:
                 )
 
 
+def _outcome(fn, *args):
+    """The result of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except TieDegenerate as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_brute_force(system, lifting=None):
+    config = build_cayley(system)
+    lifting = lifting or log_abs_lifting(system)
+    got = _outcome(enumerate_mixed_cells, config, lifting)
+    assert got == _outcome(brute_force_mixed_cells, config, lifting)
+    return got
+
+
+def _scaled(system, factor):
+    return support_system(
+        [[[factor * c for c in p] for p in s.points] for s in system.supports],
+        system.coefficients,
+    )
+
+
+class TestScreenEquivalence:
+    """The float screen only drops candidates the exact test rejects."""
+
+    def test_random_sparse_n2(self, rng):
+        for _ in range(25):
+            _assert_matches_brute_force(
+                random_sparse_system(rng, n=2, min_terms=3, max_terms=7)
+            )
+
+    def test_random_sparse_n3(self, rng):
+        for _ in range(8):
+            _assert_matches_brute_force(
+                random_sparse_system(rng, n=3, min_terms=3, max_terms=5)
+            )
+
+    def test_dense_3_3(self, rng):
+        for _ in range(3):
+            cells = _assert_matches_brute_force(dense_system(3, 3, rng))
+            assert cells.total_volume() == 9
+
+    def test_exact_liftings(self, rng):
+        for _ in range(10):
+            system = random_sparse_system(rng, n=2, min_terms=3, max_terms=6)
+            m = sum(len(s) for s in system.supports)
+            ints = tuple(int(v) for v in rng.integers(-50, 51, size=m))
+            nums = rng.integers(-500, 501, size=m)
+            dens = rng.integers(1, 40, size=m)
+            fracs = tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+            _assert_matches_brute_force(system, Lifting(values=ints))
+            _assert_matches_brute_force(system, Lifting(values=fracs))
+
+    def test_supports_scaled_by_2_40(self, rng):
+        for _ in range(6):
+            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
+            system = _scaled(system, 2**40)
+            _assert_matches_brute_force(system)
+            # Hadamard bounds are far above the singular guard's, so no
+            # singular candidate is dropped as singular: all reach the exact test.
+            config = build_cayley(system)
+            blocks = [config.block_indices(i) for i in range(config.n)]
+            base = [config.base_point(k) for k in range(config.m)]
+            screen = _FloatScreen(blocks, base, log_abs_lifting(system).values)
+            kept = set(screen.candidates())
+            for cand in itertools.product(
+                *(itertools.combinations(range(len(b)), 2) for b in blocks)
+            ):
+                rows = [
+                    [base[blk[p]][j] - base[blk[q]][j] for j in range(config.n)]
+                    for blk, (p, q) in zip(blocks, cand)
+                ]
+                if int_det(rows) == 0:
+                    assert cand in kept
+
+    def test_more_candidates_than_one_chunk(self, rng):
+        system = dense_system(4, 4, rng)
+        total = math.comb(len(dense_support(4)), 2) ** 2
+        assert total > SCREEN_CHUNK and total % SCREEN_CHUNK != 0
+        cells = _assert_matches_brute_force(system)
+        assert cells.total_volume() == 16
+
+    def test_tie_on_infeasible_candidate_does_not_raise(self):
+        # Edges (0, 1), (0, 2) and (1, 2) tie with the other one of points
+        # 0-2 but leave point 3 above their face; only (0, 3) is a cell.
+        system = support_system([[[0], [1], [2], [3]]], [[1.0, 1.0, 1.0, 1.0]])
+        for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
+            cells = _assert_matches_brute_force(system, Lifting(values=values))
+            assert [c.edges for c in cells.cells] == [((0, 3),)]
+
+
 class TestCircuits:
+    def test_matches_signed_minors(self, cubic_conic, rng):
+        systems = [cubic_conic]
+        systems += [random_sparse_system(rng, n=2) for _ in range(10)]
+        systems += [random_sparse_system(rng, n=3, max_terms=4) for _ in range(5)]
+        for system in systems:
+            config = build_cayley(system)
+            cells = enumerate_mixed_cells(config, log_abs_lifting(system))
+            assert cells.cells
+            for cell in cells.cells:
+                got = circuit_inequalities(cell, config)
+                ref = reference_circuit_inequalities(cell, config)
+                assert [(z.coeffs, z.witness) for z in got] == [
+                    (z.coeffs, z.witness) for z in ref
+                ]
+
     def test_unique_univariate_circuit(self):
         system = support_system([[[0], [1], [2]]], [[1.0, 0.2, 1.0]])
         config = build_cayley(system)
