@@ -1,96 +1,38 @@
-"""Hot evaluation kernels for the deformed system, on flattened term arrays.
+"""Evaluation kernels for the deformed system, on flattened term arrays.
 
 The deformation is evaluated in the log parameter ``lam = -log t``; term k of
 equation i contributes ``coeffs[k] * exp(-lam * vexp[k]) * x**exps[k]``.
 Equations are stored back to back: equation i owns terms
 ``offs[i] : offs[i+1]``.
 
-Two interchangeable backends live here.  The default compiles the scalar
-loops with numba's ``@njit``; setting the environment variable
-``REALHOMOTOPY_NO_NUMBA=1`` (or running without numba installed) selects the
-vectorized pure-numpy path instead.  ``benchmarks/bench_kernels.py`` compares
-the two.
+Each kernel evaluates every term in one numpy expression and reduces per
+equation with ``reduceat``.  ``BACKEND`` names this implementation for the
+benchmark's environment record; the number and cost of kernel calls per
+solve are the ``kernels.*`` metrics of ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _loops_h_scale(coeffs, exps, vexp, offs, lam, x):
-    n_eq = offs.shape[0] - 1
-    h = np.zeros(n_eq)
-    scale = np.zeros(n_eq)
-    for i in range(n_eq):
-        acc = 0.0
-        big = 0.0
-        for k in range(offs[i], offs[i + 1]):
-            term = coeffs[k] * np.exp(-lam * vexp[k])
-            for j in range(x.shape[0]):
-                e = exps[k, j]
-                if e != 0:
-                    term *= x[j] ** e
-            acc += term
-            mag = abs(term)
-            if mag > big:
-                big = mag
-        h[i] = acc
-        scale[i] = big
-    return h, scale
+BACKEND = "numpy"
 
 
-def _loops_jac_dlam(coeffs, exps, vexp, offs, lam, x):
-    n_eq = offs.shape[0] - 1
-    n_var = x.shape[0]
-    jac = np.zeros((n_eq, n_var))
-    dlam = np.zeros(n_eq)
-    for i in range(n_eq):
-        for k in range(offs[i], offs[i + 1]):
-            term = coeffs[k] * np.exp(-lam * vexp[k])
-            for j in range(n_var):
-                e = exps[k, j]
-                if e != 0:
-                    term *= x[j] ** e
-            dlam[i] -= vexp[k] * term
-            for j in range(n_var):
-                e = exps[k, j]
-                if e != 0:
-                    jac[i, j] += term * e / x[j]
-    return jac, dlam
+def _terms(coeffs, exps, vexp, lam, x):
+    return coeffs * np.exp(-lam * vexp) * np.prod(x[None, :] ** exps, axis=1)
 
 
-def _numpy_h_scale(coeffs, exps, vexp, offs, lam, x):
-    terms = coeffs * np.exp(-lam * vexp) * np.prod(x[None, :] ** exps, axis=1)
+def h_scale(coeffs, exps, vexp, offs, lam, x):
+    """Residual of each equation and its largest term magnitude."""
+    terms = _terms(coeffs, exps, vexp, lam, x)
     h = np.add.reduceat(terms, offs[:-1])
     scale = np.maximum.reduceat(np.abs(terms), offs[:-1])
     return h, scale
 
 
-def _numpy_jac_dlam(coeffs, exps, vexp, offs, lam, x):
-    terms = coeffs * np.exp(-lam * vexp) * np.prod(x[None, :] ** exps, axis=1)
+def jac_dlam(coeffs, exps, vexp, offs, lam, x):
+    """Jacobian in x and derivative in lam; x must have no zero coordinate."""
+    terms = _terms(coeffs, exps, vexp, lam, x)
     dlam = np.add.reduceat(-vexp * terms, offs[:-1])
     jac = np.add.reduceat(terms[:, None] * exps / x[None, :], offs[:-1], axis=0)
     return jac, dlam
-
-
-_DISABLED = os.environ.get("REALHOMOTOPY_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-BACKEND = "numpy"
-h_scale = _numpy_h_scale
-jac_dlam = _numpy_jac_dlam
-
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        h_scale = njit(cache=True)(_loops_h_scale)
-        jac_dlam = njit(cache=True)(_loops_jac_dlam)
-        BACKEND = "numba"

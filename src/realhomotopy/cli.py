@@ -18,6 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .certificate import certify_system
 from .errors import RealHomotopyError, TieDegenerate
@@ -113,9 +114,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     system = load_system(args.input)
-    cfg = SolverConfig(
-        t0=args.t0, tol=args.tol, force=args.force, threads=args.threads
-    )
+    cfg = SolverConfig(t0=args.t0, tol=args.tol, force=args.force)
     report = solve(system, cfg)
     doc = {
         "verdict": "pass" if report.verdict else "fail",
@@ -158,8 +157,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own 2 is EXIT_CERTIFICATE."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realhomotopy",
         description="Count and compute real zeros of sparse polynomial systems.",
     )
@@ -178,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--t0", type=float, default=None)
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--force", action="store_true")
-    p_solve.add_argument("--threads", type=int, default=None)
     p_solve.set_defaults(func=cmd_solve)
     return parser
 

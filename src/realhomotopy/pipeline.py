@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -11,7 +12,6 @@ from .errors import RealHomotopyError
 from .lattice import SupportSystem, build_cayley, log_abs_lifting
 from .mixed_cells import MixedCellSet, enumerate_mixed_cells, mixed_cell_count_bound
 from .tracker import (
-    HomotopySystem,
     PathState,
     TrackedSolution,
     make_homotopy,
@@ -26,7 +26,6 @@ class SolverConfig:
     t0: float | None = None
     tol: float = 1e-8
     force: bool = False
-    threads: int | None = None
 
 
 @dataclass
@@ -68,6 +67,10 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     for heuristic tracking, in which case the result is marked uncertified.
     """
     cfg = config or SolverConfig()
+    if cfg.t0 is not None and not 0.0 < cfg.t0 <= 1.0:
+        raise ValueError(f"t0 must lie in (0, 1], got {cfg.t0!r}")
+    if not 0.0 < cfg.tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
     report = SolveReport()
 
     clock = time.perf_counter
@@ -96,8 +99,6 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     report.uncertified = not report.certificate.verdict
 
     t = clock()
-    homotopy: HomotopySystem | None = None
-    paths: list[PathState] = []
     cell_starts: list[list[RealOrthantSolution]] = []
     for cell in cells.cells:
         try:
@@ -107,34 +108,20 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
         cell_starts.append(starts)
         report.start_solutions.append(len(starts))
 
-    t0s: list[float] = []
-    for cell, starts in zip(cells.cells, cell_starts):
-        if not starts:
-            t0s.append(0.0)
-            continue
-        if homotopy is None:
-            homotopy = make_homotopy(system, lifting, t_start=cfg.t0 or 0.1)
-        t0s.append(cfg.t0 if cfg.t0 is not None else select_t0(homotopy, cell, starts))
-    if homotopy is not None:
-        for (cell, starts), t0 in zip(zip(cells.cells, cell_starts), t0s):
-            for sol in starts:
-                paths.append(make_path(cell, sol, t0))
-        solutions = track(homotopy, paths, tol=cfg.tol, threads=cfg.threads)
-        report.solutions = solutions
-        path_idx = 0
-        for ci, starts in enumerate(cell_starts):
-            for _ in starts:
-                p = paths[path_idx]
-                if p.status != "converged":
-                    report.failures.append(
-                        PathFailure(
-                            cell_index=ci,
-                            path_index=path_idx,
-                            status=p.status,
-                            message=p.message,
-                        )
-                    )
-                path_idx += 1
+    if any(cell_starts):
+        homotopy = make_homotopy(system, lifting)
+        paths: list[tuple[int, PathState]] = []
+        for ci, (cell, starts) in enumerate(zip(cells.cells, cell_starts)):
+            if not starts:
+                continue
+            t0 = cfg.t0 if cfg.t0 is not None else select_t0(homotopy, cell, starts)
+            paths.extend((ci, make_path(cell, sol, t0)) for sol in starts)
+        report.solutions = track(homotopy, [p for _, p in paths], tol=cfg.tol)
+        report.failures = [
+            PathFailure(ci, pi, p.status, p.message)
+            for pi, (ci, p) in enumerate(paths)
+            if p.status != "converged"
+        ]
     report.timings["tracking"] = clock() - t
 
     n = system.n

@@ -12,7 +12,6 @@ a Newton corrector, entirely in real arithmetic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,33 +40,25 @@ START_RESIDUAL_THRESHOLD = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class HomotopySystem:
-    """The deformed system with flattened term arrays for the kernels.
+    """The deformed system as flattened term arrays for the kernels.
 
-    ``v`` lists the per-term deformation exponents over all Cayley points in
-    block-major order; all entries are nonnegative and each equation has at
-    least one zero entry (its dominant term).
+    ``vexp`` lists the per-term deformation exponents over all Cayley points
+    in block-major order; all entries are nonnegative and each equation has
+    at least one zero entry (its dominant term).
     """
 
-    system: SupportSystem
-    v: tuple[float, ...]
-    t_start: float
-    t_end: float = 1.0
-    coeffs: np.ndarray = field(repr=False, default=None)
-    exps: np.ndarray = field(repr=False, default=None)
-    vexp: np.ndarray = field(repr=False, default=None)
-    offs: np.ndarray = field(repr=False, default=None)
+    coeffs: np.ndarray = field(repr=False)
+    exps: np.ndarray = field(repr=False)
+    vexp: np.ndarray = field(repr=False)
+    offs: np.ndarray = field(repr=False)
 
 
-def make_homotopy(
-    system: SupportSystem, lifting: Lifting, t_start: float = 0.1
-) -> HomotopySystem:
+def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     """Assemble the deformation induced by a lifting.
 
     Exponents are normalized per equation so the dominant term carries t**0;
     per-equation shifts only rescale equations and leave the zero set alone.
     """
-    if not 0.0 < t_start <= 1.0:
-        raise ValueError("t_start must lie in (0, 1]")
     w = lifting.as_floats()
     coeffs: list[float] = []
     exps: list[tuple[int, ...]] = []
@@ -84,9 +75,6 @@ def make_homotopy(
         pos += len(sup)
         offs.append(len(coeffs))
     return HomotopySystem(
-        system=system,
-        v=tuple(vexp),
-        t_start=float(t_start),
         coeffs=np.array(coeffs, dtype=np.float64),
         exps=np.array(exps, dtype=np.int64),
         vexp=np.array(vexp, dtype=np.float64),
@@ -173,6 +161,10 @@ def _newton(h: HomotopySystem, lam: float, x0: np.ndarray, ctol: float, max_iter
         res = float(np.max(np.abs(hv) / np.maximum(sc, 1e-300)))
         if res < ctol:
             return True, x, it
+        if not np.all(x):
+            # The Jacobian divides by x, and no real path into the torus
+            # reaches a coordinate hyperplane.
+            return False, x, it
         jac, _ = _kernels.jac_dlam(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
         try:
             dx = np.linalg.solve(jac, -hv)
@@ -268,37 +260,29 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
 
 
 def track(
-    h: HomotopySystem,
-    paths: Sequence[PathState],
-    tol: float = 1e-8,
-    threads: int | None = None,
+    h: HomotopySystem, paths: Sequence[PathState], tol: float = 1e-8
 ) -> list[TrackedSolution]:
-    """Continue every path to t = 1; failures are recorded, never raised.
+    """Continue the paths to t = 1 one by one; failures are recorded, never raised.
 
-    Path states are updated in place (status, final point, step count) and the
-    converged endpoints are returned in path order regardless of scheduling.
+    Path states are updated in place (status and message; on convergence also
+    the final point and step count) and the converged endpoints are returned
+    in path order.
     """
-
-    def run(path: PathState) -> TrackedSolution | None:
+    solutions = []
+    for path in paths:
         try:
             sol = _track_one(h, path, tol)
         except PathDiverged as exc:
             path.status = "diverged"
             path.message = str(exc)
-            return None
+            continue
         except CorrectorStalled as exc:
             path.status = "failed"
             path.message = str(exc)
-            return None
+            continue
         path.status = "converged"
         path.t = 1.0
         path.x = np.array(sol.point)
         path.steps = sol.steps
-        return sol
-
-    if threads is not None and threads == 1:
-        results = [run(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, paths))
-    return [r for r in results if r is not None]
+        solutions.append(sol)
+    return solutions

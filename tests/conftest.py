@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import cubic_conic_system
-from realhomotopy import SolverConfig, solve
 
 
 @pytest.fixture(scope="session")
 def cubic_conic():
     return cubic_conic_system()
-
-
-@pytest.fixture(scope="session")
-def warm_kernels(cubic_conic):
-    # First kernel call may trigger jit compilation; keep it out of timings.
-    solve(cubic_conic, SolverConfig(force=True))
-    return True
 
 
 @pytest.fixture

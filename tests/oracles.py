@@ -8,7 +8,9 @@ The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
 edge tuple with no float screen, and ``reference_circuit_inequalities`` takes
 each dependence as alternating maximal minors.  They reuse the exact lattice
-primitives (Bareiss determinant, adjugate solve) on purpose.
+primitives (Bareiss determinant, adjugate solve) on purpose.  ``loop_h_scale``
+and ``loop_jac_dlam`` evaluate the deformed system term by term in scalar
+loops, the reference for the vectorized kernels.
 """
 
 from __future__ import annotations
@@ -277,6 +279,48 @@ def grid_binomial_solutions(
             solutions.append(s * np.exp(u))
     solutions.sort(key=lambda x: tuple(x))
     return solutions
+
+
+def loop_h_scale(coeffs, exps, vexp, offs, lam, x):
+    """Residual and largest term magnitude per equation, one term at a time."""
+    n_eq = offs.shape[0] - 1
+    h = np.zeros(n_eq)
+    scale = np.zeros(n_eq)
+    for i in range(n_eq):
+        acc = 0.0
+        big = 0.0
+        for k in range(offs[i], offs[i + 1]):
+            term = coeffs[k] * np.exp(-lam * vexp[k])
+            for j in range(x.shape[0]):
+                e = exps[k, j]
+                if e != 0:
+                    term *= x[j] ** e
+            acc += term
+            big = max(big, abs(term))
+        h[i] = acc
+        scale[i] = big
+    return h, scale
+
+
+def loop_jac_dlam(coeffs, exps, vexp, offs, lam, x):
+    """Jacobian in x and derivative in lam, one term at a time."""
+    n_eq = offs.shape[0] - 1
+    n_var = x.shape[0]
+    jac = np.zeros((n_eq, n_var))
+    dlam = np.zeros(n_eq)
+    for i in range(n_eq):
+        for k in range(offs[i], offs[i + 1]):
+            term = coeffs[k] * np.exp(-lam * vexp[k])
+            for j in range(n_var):
+                e = exps[k, j]
+                if e != 0:
+                    term *= x[j] ** e
+            dlam[i] -= vexp[k] * term
+            for j in range(n_var):
+                e = exps[k, j]
+                if e != 0:
+                    jac[i, j] += term * e / x[j]
+    return jac, dlam
 
 
 def finite_difference_jacobian(fun, x: np.ndarray, h: float = 1e-7) -> np.ndarray:

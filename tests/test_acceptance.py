@@ -43,7 +43,7 @@ def _report(criterion: int, text: str) -> None:
     print(f"[acceptance {criterion}] PASS: {text}")
 
 
-def test_criterion_1_reference_instance_end_to_end(cubic_conic, warm_kernels):
+def test_criterion_1_reference_instance_end_to_end(cubic_conic):
     config = build_cayley(cubic_conic)
     lifting = log_abs_lifting(cubic_conic)
     cells = enumerate_mixed_cells(config, lifting)
@@ -128,7 +128,7 @@ def test_criterion_3_mixed_volume_conservation():
     _report(3, "cell volumes sum to d1*d2 for degrees (1,1),(2,1),(2,2),(3,2)")
 
 
-def test_criterion_4_certificate_soundness_quadratics(warm_kernels):
+def test_criterion_4_certificate_soundness_quadratics():
     c2_values = [0.25, 0.5, 1.0, 4.0]
     c1_values = list(np.geomspace(1.05, 105.0, 25))
     passing = 0
@@ -209,7 +209,7 @@ def test_criterion_6_binomial_oracle_equivalence():
     _report(6, f"{checked} exponent matrices agreed with the grid-search oracle")
 
 
-def test_criterion_7_fewnomial_bound(cubic_conic, warm_kernels):
+def test_criterion_7_fewnomial_bound(cubic_conic):
     assert mixed_cell_count_bound(2, 8) == 728
     assert mixed_cell_count_bound(2, 8) < 2**12
     instances = [

@@ -104,7 +104,7 @@ class TestCertifyCommand:
 
 
 class TestSolveCommand:
-    def test_cubic_conic_forced(self, tmp_path, capsys, warm_kernels):
+    def test_cubic_conic_forced(self, tmp_path, capsys):
         code = main(["solve", "--force", _write(tmp_path, _cubic_conic_doc())])
         captured = capsys.readouterr()
         assert code == 0
@@ -168,3 +168,23 @@ class TestSolveCommand:
         assert code == 4
         doc = json.loads(capsys.readouterr().out)
         assert doc["failures"][0]["status"] == "diverged"
+
+    @pytest.mark.parametrize(
+        "flags", [["--t0", "0"], ["--t0", "5"], ["--tol", "-1"]]
+    )
+    def test_invalid_config_exit_1(self, tmp_path, capsys, flags):
+        path = _write(tmp_path, _quadratic_doc(1, 10, 1))
+        assert main(["solve", path, *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags", [["--threads", "4"], ["--bogus"], ["--t0", "abc"]]
+    )
+    def test_usage_error_exit_1(self, tmp_path, capsys, flags):
+        path = _write(tmp_path, _quadratic_doc(1, 10, 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, *flags])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err

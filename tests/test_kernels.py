@@ -1,20 +1,9 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from realhomotopy import _kernels
-from realhomotopy._kernels import (
-    _loops_h_scale,
-    _loops_jac_dlam,
-    _numpy_h_scale,
-    _numpy_jac_dlam,
-)
-from oracles import finite_difference_jacobian
+from realhomotopy._kernels import h_scale, jac_dlam
+from oracles import finite_difference_jacobian, loop_h_scale, loop_jac_dlam
 
 
 def _random_flat_system(rng, n_eq=2, n_var=2, terms=6):
@@ -27,28 +16,39 @@ def _random_flat_system(rng, n_eq=2, n_var=2, terms=6):
     return coeffs, exps, vexp, offs, lam, x
 
 
+def _per_equation(kernel, coeffs, exps, vexp, offs, lam, x):
+    """Run a kernel on each equation alone and stack the rows."""
+    rows = [
+        kernel(coeffs[a:b], exps[a:b], vexp[a:b], np.array([0, b - a]), lam, x)
+        for a, b in zip(offs[:-1], offs[1:])
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+
 class TestBackendAgreement:
+    """The kernels against the scalar loops and against themselves per equation."""
+
     def test_h_scale_three_ways(self, rng):
         for _ in range(25):
             args = _random_flat_system(rng)
-            h_py, s_py = _loops_h_scale(*args)
-            h_np, s_np = _numpy_h_scale(*args)
-            h_sel, s_sel = _kernels.h_scale(*args)
-            assert np.allclose(h_py, h_np, rtol=1e-12, atol=1e-12)
-            assert np.allclose(s_py, s_np, rtol=1e-12, atol=1e-12)
-            assert np.allclose(h_py, h_sel, rtol=1e-12, atol=1e-12)
-            assert np.allclose(s_py, s_sel, rtol=1e-12, atol=1e-12)
+            h_ref, s_ref = loop_h_scale(*args)
+            h, s = h_scale(*args)
+            h_eq, s_eq = _per_equation(h_scale, *args)
+            assert np.allclose(h, h_ref, rtol=1e-12, atol=1e-12)
+            assert np.allclose(s, s_ref, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(h, h_eq)
+            assert np.array_equal(s, s_eq)
 
     def test_jac_dlam_three_ways(self, rng):
         for _ in range(25):
             args = _random_flat_system(rng)
-            j_py, d_py = _loops_jac_dlam(*args)
-            j_np, d_np = _numpy_jac_dlam(*args)
-            j_sel, d_sel = _kernels.jac_dlam(*args)
-            assert np.allclose(j_py, j_np, rtol=1e-12, atol=1e-12)
-            assert np.allclose(d_py, d_np, rtol=1e-12, atol=1e-12)
-            assert np.allclose(j_py, j_sel, rtol=1e-12, atol=1e-12)
-            assert np.allclose(d_py, d_sel, rtol=1e-12, atol=1e-12)
+            j_ref, d_ref = loop_jac_dlam(*args)
+            j, d = jac_dlam(*args)
+            j_eq, d_eq = _per_equation(jac_dlam, *args)
+            assert np.allclose(j, j_ref, rtol=1e-12, atol=1e-12)
+            assert np.allclose(d, d_ref, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(j, j_eq)
+            assert np.array_equal(d, d_eq)
 
 
 class TestDerivatives:
@@ -56,42 +56,17 @@ class TestDerivatives:
         coeffs, exps, vexp, offs, lam, x = _random_flat_system(rng, terms=4)
 
         def fun(y):
-            h, _ = _numpy_h_scale(coeffs, exps, vexp, offs, lam, y)
+            h, _ = h_scale(coeffs, exps, vexp, offs, lam, y)
             return h
 
-        jac, _ = _numpy_jac_dlam(coeffs, exps, vexp, offs, lam, x)
+        jac, _ = jac_dlam(coeffs, exps, vexp, offs, lam, x)
         ref = finite_difference_jacobian(fun, x)
         assert np.allclose(jac, ref, rtol=1e-5, atol=1e-6)
 
     def test_dlam_matches_finite_differences(self, rng):
         coeffs, exps, vexp, offs, lam, x = _random_flat_system(rng, terms=4)
-        h_hi, _ = _numpy_h_scale(coeffs, exps, vexp, offs, lam + 1e-6, x)
-        h_lo, _ = _numpy_h_scale(coeffs, exps, vexp, offs, lam - 1e-6, x)
+        h_hi, _ = h_scale(coeffs, exps, vexp, offs, lam + 1e-6, x)
+        h_lo, _ = h_scale(coeffs, exps, vexp, offs, lam - 1e-6, x)
         ref = (h_hi - h_lo) / 2e-6
-        _, dlam = _numpy_jac_dlam(coeffs, exps, vexp, offs, lam, x)
+        _, dlam = jac_dlam(coeffs, exps, vexp, offs, lam, x)
         assert np.allclose(dlam, ref, rtol=1e-5, atol=1e-7)
-
-
-class TestBackendSelection:
-    def test_default_backend_prefers_numba(self):
-        if os.environ.get("REALHOMOTOPY_NO_NUMBA", "").strip():
-            pytest.skip("numba disabled by environment flag")
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("numba not installed")
-        assert _kernels.BACKEND == "numba"
-
-    def test_env_flag_forces_numpy(self):
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from realhomotopy import _kernels; print(_kernels.BACKEND)",
-            ],
-            env={**os.environ, "REALHOMOTOPY_NO_NUMBA": "1"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"

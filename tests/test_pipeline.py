@@ -18,7 +18,7 @@ def _match(points, expected, tol):
 
 
 class TestFullSolve:
-    def test_cubic_conic_forced(self, cubic_conic, warm_kernels):
+    def test_cubic_conic_forced(self, cubic_conic):
         report = solve(cubic_conic, SolverConfig(force=True))
         assert len(report.cells.cells) == 6
         assert report.start_solutions == [1] * 6
@@ -92,8 +92,3 @@ class TestStability:
         report = solve(cubic_conic, SolverConfig(force=True))
         t = max(len(s) for s in cubic_conic.supports)
         assert len(report.solutions) <= mixed_cell_count_bound(2, t)
-
-    def test_threads_setting_matches_sequential(self, cubic_conic):
-        seq = solve(cubic_conic, SolverConfig(force=True, threads=1))
-        par = solve(cubic_conic, SolverConfig(force=True, threads=4))
-        assert [s.point for s in seq.solutions] == [s.point for s in par.solutions]

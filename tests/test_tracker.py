@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import quadratic_system
+from helpers import quadratic_system, random_sparse_system
 from oracles import quadratic_real_roots
 from realhomotopy import (
+    SolverConfig,
     build_cayley,
     binomial_from_cell,
     enumerate_mixed_cells,
@@ -15,6 +16,7 @@ from realhomotopy import (
     make_homotopy,
     make_path,
     scaled_residual,
+    solve,
     solve_real,
     start_point,
     support_system,
@@ -118,16 +120,21 @@ class TestTracking:
         assert bad.status in ("failed", "diverged")
         assert good.status == "converged"
 
-    def test_threads_give_identical_results(self, cubic_conic):
-        cells, homotopy = _cells_and_homotopy(cubic_conic)
-        def build():
-            paths = []
-            for cell in cells.cells:
-                for sol in solve_real(binomial_from_cell(cell, cubic_conic)):
-                    paths.append(
-                        make_path(cell, sol, select_t0(homotopy, cell, [sol]))
-                    )
-            return paths
-        seq = track(homotopy, build(), threads=1)
-        par = track(homotopy, build(), threads=4)
-        assert [s.point for s in seq] == [s.point for s in par]
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_newton_iterate_on_coordinate_hyperplane(self):
+        # A corrector iterate of the second path lands exactly on x2 = 0,
+        # where the Jacobian would divide by zero.  That step must fail
+        # cleanly and the path still converge; the first path diverges.
+        rng = np.random.default_rng(9)
+        for _ in range(18):
+            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
+        system = support_system(
+            [s.points for s in system.supports],
+            [[math.copysign(abs(c) ** 8, c) for c in row] for row in system.coefficients],
+        )
+        report = solve(system, SolverConfig())
+        assert report.verdict is True
+        assert report.start_solutions == [1, 1, 1]
+        assert len(report.solutions) == 2
+        assert [f.path_index for f in report.failures] == [0]
+        assert all(s.residual < 1e-8 for s in report.solutions)
