@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SingularExponentMatrix
-from .lattice import (
-    Scalar,
-    SupportSystem,
-    hermite_normal_form,
-    int_det,
-    log_abs,
-)
+from .lattice import Scalar, SupportSystem, hermite_normal_form, log_abs
 from .mixed_cells import MixedCell
 
 RESIDUAL_RTOL = 1e-10
@@ -89,13 +82,11 @@ def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
     while enumerating consistent sign branches: an even pivot needs a positive
     right-hand side and doubles the branch, an odd pivot determines the sign.
     Returns the possibly empty solution list, lexicographic by sign vector
-    then coordinates.
+    then coordinates.  A singular D raises SingularExponentMatrix from the
+    Hermite reduction.
     """
     n = bsys.n
-    d = [list(r) for r in bsys.exponents]
-    if int_det(d) == 0:
-        raise SingularExponentMatrix("binomial exponent matrix is singular")
-    h, u = hermite_normal_form(d)
+    h, u = hermite_normal_form([list(r) for r in bsys.exponents])
 
     log_rhs = [log_abs(r) for r in bsys.rhs]
     sign_rhs = [_sign(r) for r in bsys.rhs]

@@ -8,7 +8,8 @@ Input documents are JSON objects with:
                   exact rationals
 
 Exit codes: 0 success, 1 input error, 2 certificate fail, 3 degenerate
-lifting, 4 tracking failures present.
+lifting, 4 tracking failures present or a start point outside the float
+range.
 """
 
 from __future__ import annotations
@@ -115,7 +116,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     cfg = SolverConfig(t0=args.t0, tol=args.tol, force=args.force)
-    report = solve(system, cfg)
+    try:
+        report = solve(system, cfg)
+    except OverflowError as exc:
+        print(
+            f"tracking failed: start point outside the float range: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_TRACKING
     doc = {
         "verdict": "pass" if report.verdict else "fail",
         "uncertified": report.uncertified,

@@ -3,7 +3,10 @@
 Everything combinatorial downstream (cell enumeration, circuit vectors, Gale
 duals, binomial normal forms) routes its integer linear algebra through this
 module.  All of it runs on Python ints, so exponent arithmetic is exact at any
-magnitude; numpy never touches these code paths.
+magnitude; numpy never touches these code paths.  Determinants, adjugates and
+exact solves all come from one fraction-free Gauss-Jordan elimination
+(``det_adjugate``); Hermite forms and kernel bases come from unimodular row
+reduction.
 """
 
 from __future__ import annotations
@@ -207,60 +210,57 @@ def log_abs_lifting(system: SupportSystem) -> Lifting:
 # Exact integer linear algebra
 # ---------------------------------------------------------------------------
 
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix | None]:
+    """Exact determinant and adjugate, ``adj @ M == M @ adj == det * I``.
+
+    One fraction-free (Bareiss) Gauss-Jordan pass over ``[M | I]``: step k
+    eliminates column k from every other row, and each division is by the
+    previous pivot and exact, so every entry stays a minor of ``[M | I]``.
+    The left block ends as ``p * I`` and the right block as ``p * M^-1``,
+    with p the determinant of the row-swapped matrix.  A zero pivot swaps in
+    a lower row and flips the sign.  A singular matrix returns ``(0, None)``.
+    """
     n = len(matrix)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in matrix]
+    a = [
+        [int(x) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0, None
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(a):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, 2 * n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def _minor(matrix: Sequence[Sequence[int]], drop_row: int, drop_col: int) -> IntMatrix:
-    return [
-        [matrix[i][j] for j in range(len(matrix)) if j != drop_col]
-        for i in range(len(matrix))
-        if i != drop_row
-    ]
-
-
-def adjugate(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact adjugate; ``adjugate(D) @ D == det(D) * I``."""
-    n = len(matrix)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sign = -1 if (i + j) % 2 else 1
-            adj[j][i] = sign * int_det(_minor(matrix, i, j))
-    return adj
+def int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant, the first half of ``det_adjugate``."""
+    return det_adjugate(matrix)[0]
 
 
 def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[Scalar]) -> list[Scalar]:
     """Solve an integer square system for a rational or float right-hand side.
 
-    Uses the exact adjugate so that the only rounding is one multiply-add per
-    entry when the right-hand side is float; Fraction input stays exact.
+    Takes det and the exact adjugate from one ``det_adjugate`` pass, so the
+    only rounding is one multiply-add per entry when the right-hand side is
+    float; Fraction input stays exact.
     """
-    det = int_det(matrix)
+    det, adj = det_adjugate(matrix)
     if det == 0:
         raise SingularExponentMatrix("singular exponent matrix")
-    adj = adjugate(matrix)
     n = len(matrix)
     out: list[Scalar] = []
     for i in range(n):
@@ -337,12 +337,12 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, Int
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    if int_det(matrix) == 0:
-        raise SingularExponentMatrix("singular exponent matrix")
     # Conjugating by the order-reversing permutation swaps upper and lower
     # triangular forms: H_lower = J (upper HNF of J D J) J.
     rev = [[int(matrix[n - 1 - i][n - 1 - j]) for j in range(n)] for i in range(n)]
-    h_up, u_up, _ = _row_hnf_upper(rev)
+    h_up, u_up, pivots = _row_hnf_upper(rev)
+    if len(pivots) < n:
+        raise SingularExponentMatrix("singular exponent matrix")
     h = [[h_up[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
     u = [[u_up[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
     return h, u

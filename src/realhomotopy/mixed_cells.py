@@ -9,10 +9,11 @@ Candidates are the per-block edge tuples in ``itertools.product`` order.  A
 batched float screen in numpy looks at them a chunk at a time and discards
 those that are provably singular or whose float gamma leaves some point
 clearly above its block's face.  Floats only ever discard: every survivor is
-decided by the exact test (integer determinant, exact adjugate solve for
-gamma, margin and tie checks), and the screen's tolerances make each
-candidate it drops one the exact test rejects.  Cells, normals and
-TieDegenerate are therefore those of the exact test run on every candidate.
+decided by the exact test (integer determinant, exact solve for gamma from
+the fraction-free determinant and adjugate, margin and tie checks), and the
+screen's tolerances make each candidate it drops one the exact test rejects.
+Cells, normals and TieDegenerate are therefore those of the exact test run on
+every candidate.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -34,7 +35,7 @@ from .lattice import (
     CayleyConfig,
     Lifting,
     Scalar,
-    adjugate,
+    det_adjugate,
     int_det,
     solve_exact,
 )
@@ -369,17 +370,17 @@ def circuit_inequalities(
     Each vector is the unique affine dependence of the 2n cell points plus the
     excluded point, reduced to a primitive integer vector and oriented so the
     excluded point's entry is negative.  With M the homogenized 2n x 2n cell
-    matrix, d = det M and ``adj M @ M == d * I``, the dependence of an
-    excluded point p is ``(p @ adj M, -d)``: the cell rows weighted by
-    ``p @ adj M`` sum to ``d * p``.  The kernel is one-dimensional, so this
-    is the vector of alternating maximal minors up to scale.
+    matrix, d = det M and ``adj M @ M == d * I`` (both from one
+    ``det_adjugate`` pass), the dependence of an excluded point p is
+    ``(p @ adj M, -d)``: the cell rows weighted by ``p @ adj M`` sum to
+    ``d * p``.  The kernel is one-dimensional, so this is the vector of
+    alternating maximal minors up to scale.
     """
     cell_idx = cell.cayley_indices(config)
     matrix = [list(config.points[k]) + [1] for k in cell_idx]
-    det = int_det(matrix)
+    det, adj = det_adjugate(matrix)
     if det == 0:
         raise SingularExponentMatrix("cell points are affinely dependent")
-    adj = adjugate(matrix)
     size = len(matrix)
     out: list[CircuitInequality] = []
     cell_set = set(cell_idx)

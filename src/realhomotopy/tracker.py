@@ -89,10 +89,8 @@ class PathState:
     t: float
     x: np.ndarray
     cell: MixedCell
-    zeta: tuple[float, ...]
     status: str = "tracking"
     message: str = ""
-    steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,19 +110,18 @@ def start_point(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> np.ndar
 
 
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
-    return PathState(
-        t=t0,
-        x=start_point(cell, sol, t0),
-        cell=cell,
-        zeta=tuple(float(z) for z in cell.normal),
-    )
+    return PathState(t=t0, x=start_point(cell, sol, t0), cell=cell)
+
+
+def _residual(h: HomotopySystem, lam: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Scaled max-norm residual at ``lam`` and the raw residual vector."""
+    hv, sc = _kernels.h_scale(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
+    return float(np.max(np.abs(hv) / np.maximum(sc, 1e-300))), hv
 
 
 def scaled_residual(h: HomotopySystem, t: float, x: np.ndarray) -> float:
     """Max-norm residual, each equation scaled by its largest term magnitude."""
-    lam = -math.log(t)
-    hv, sc = _kernels.h_scale(h.coeffs, h.exps, h.vexp, h.offs, lam, np.asarray(x, dtype=np.float64))
-    return float(np.max(np.abs(hv) / np.maximum(sc, 1e-300)))
+    return _residual(h, -math.log(t), np.asarray(x, dtype=np.float64))[0]
 
 
 def select_t0(
@@ -157,8 +154,7 @@ def select_t0(
 def _newton(h: HomotopySystem, lam: float, x0: np.ndarray, ctol: float, max_iters: int):
     x = x0.copy()
     for it in range(max_iters):
-        hv, sc = _kernels.h_scale(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
-        res = float(np.max(np.abs(hv) / np.maximum(sc, 1e-300)))
+        res, hv = _residual(h, lam, x)
         if res < ctol:
             return True, x, it
         if not np.all(x):
@@ -173,9 +169,7 @@ def _newton(h: HomotopySystem, lam: float, x0: np.ndarray, ctol: float, max_iter
         if not np.all(np.isfinite(dx)):
             return False, x, it
         x = x + dx
-    hv, sc = _kernels.h_scale(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
-    res = float(np.max(np.abs(hv) / np.maximum(sc, 1e-300)))
-    return res < ctol, x, max_iters
+    return _residual(h, lam, x)[0] < ctol, x, max_iters
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
@@ -189,7 +183,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
             raise CorrectorStalled("start point correction failed")
         x = corrected
     if lam > 0.0:
-        pace = max(float(np.max(np.abs(np.asarray(path.zeta)))), 1.0)
+        pace = max(max(abs(float(z)) for z in path.cell.normal), 1.0)
         dlam = min(0.1 * lam, MAX_LOG_MOVE / pace)
         easy = 0
         while lam > 0.0:
@@ -264,9 +258,8 @@ def track(
 ) -> list[TrackedSolution]:
     """Continue the paths to t = 1 one by one; failures are recorded, never raised.
 
-    Path states are updated in place (status and message; on convergence also
-    the final point and step count) and the converged endpoints are returned
-    in path order.
+    Each path's status (and, on failure, message) is set in place; the
+    converged endpoints are returned in path order.
     """
     solutions = []
     for path in paths:
@@ -281,8 +274,5 @@ def track(
             path.message = str(exc)
             continue
         path.status = "converged"
-        path.t = 1.0
-        path.x = np.array(sol.point)
-        path.steps = sol.steps
         solutions.append(sol)
     return solutions

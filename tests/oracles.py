@@ -7,16 +7,20 @@ Newton polish, and quadratic root counts by the closed formula.
 The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
 edge tuple with no float screen, and ``reference_circuit_inequalities`` takes
-each dependence as alternating maximal minors.  They reuse the exact lattice
-primitives (Bareiss determinant, adjugate solve) on purpose.  ``loop_h_scale``
-and ``loop_jac_dlam`` evaluate the deformed system term by term in scalar
-loops, the reference for the vectorized kernels.
+each dependence as alternating maximal minors.  Their exact arithmetic has its
+own elimination, independent of ``lattice.det_adjugate``: ``bareiss_det`` is
+forward fraction-free elimination, ``cofactor_adjugate`` takes one such
+determinant per minor, and ``adjugate_solve`` divides by the determinant with
+the same rounding as ``lattice.solve_exact``.  ``loop_h_scale`` and
+``loop_jac_dlam`` evaluate the deformed system term by term in scalar loops,
+the reference for the vectorized kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -30,7 +34,6 @@ from realhomotopy import (
     SingularExponentMatrix,
     TieDegenerate,
 )
-from realhomotopy.lattice import int_det, solve_exact
 from realhomotopy.mixed_cells import (
     TIE_RTOL,
     CircuitInequality,
@@ -92,6 +95,55 @@ def lp_mixed_cells(
     return out
 
 
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Exact determinant by forward fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def cofactor_adjugate(matrix: list[list[int]]) -> list[list[int]]:
+    """Exact adjugate as the transposed matrix of signed cofactors."""
+    n = len(matrix)
+    if n == 1:
+        return [[1]]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [matrix[r][c] for c in range(n) if c != j] for r in range(n) if r != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * bareiss_det(minor)
+    return adj
+
+
+def adjugate_solve(matrix: list[list[int]], rhs: list) -> list:
+    """``matrix^-1 @ rhs`` as ``adj @ rhs / det``; exact for rational rhs."""
+    det = bareiss_det(matrix)
+    adj = cofactor_adjugate(matrix)
+    out = []
+    for row in adj:
+        acc = sum(a * r for a, r in zip(row, rhs))
+        out.append(Fraction(acc, det) if isinstance(acc, (int, Fraction)) else acc / det)
+    return out
+
+
 def signed_minor_dependence(rows: list[list[int]]) -> list[int]:
     """The affine-dependence vector of d+2 points given as homogenized rows.
 
@@ -103,7 +155,7 @@ def signed_minor_dependence(rows: list[list[int]]) -> list[int]:
     for drop in range(k):
         sub = [list(rows[i]) for i in range(k) if i != drop]
         sign = -1 if drop % 2 else 1
-        out.append(sign * int_det(sub))
+        out.append(sign * bareiss_det(sub))
     return out
 
 
@@ -154,10 +206,10 @@ def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCell
             _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
         )
         rows = [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
-        det = int_det(rows)
+        det = bareiss_det(rows)
         if det == 0:
             continue
-        gamma = solve_exact(rows, [values[b] - values[a] for a, b in edges])
+        gamma = adjugate_solve(rows, [values[b] - values[a] for a, b in edges])
         feasible = True
         tied_point = None
         for i, blk in enumerate(blocks):

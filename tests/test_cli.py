@@ -24,8 +24,8 @@ def _write(tmp_path, doc, name="input.json"):
     return str(path)
 
 
-def _cubic_conic_doc():
-    base = Fraction(9, 20)
+def _cubic_conic_doc(power=1):
+    base = Fraction(9, 20) ** power
     return {
         "n": 2,
         "supports": [CUBIC_SUPPORT, CONIC_SUPPORT],
@@ -168,6 +168,18 @@ class TestSolveCommand:
         assert code == 4
         doc = json.loads(capsys.readouterr().out)
         assert doc["failures"][0]["status"] == "diverged"
+
+    def test_start_point_overflow_exit_4(self, tmp_path, capsys):
+        # Coefficients sign(c) |c|^14: the certificate passes, and a start
+        # point t0**normal of some cell leaves the float range.
+        path = _write(tmp_path, _cubic_conic_doc(power=14))
+        assert main(["certify", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracking failed: ")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "flags", [["--t0", "0"], ["--t0", "5"], ["--tol", "-1"]]

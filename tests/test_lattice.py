@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CUBIC_POWERS, CONIC_POWERS
+from oracles import bareiss_det, cofactor_adjugate
 from realhomotopy import (
     SingularExponentMatrix,
     build_cayley,
@@ -18,7 +19,7 @@ from realhomotopy import (
 )
 from realhomotopy.lattice import (
     _embed,
-    adjugate,
+    det_adjugate,
     int_det,
     kernel_basis,
     solve_exact,
@@ -168,10 +169,44 @@ class TestHermite:
 class TestExactLinearAlgebra:
     def test_adjugate_identity(self):
         d = [[3, 1], [4, 2]]
-        adj = adjugate(d)
-        det = int_det(d)
-        prod = _matmul(adj, d)
-        assert prod == [[det, 0], [0, det]]
+        det, adj = det_adjugate(d)
+        assert det == int_det(d) == 2
+        assert _matmul(adj, d) == [[det, 0], [0, det]]
+
+    def test_zero_pivot_and_singular(self):
+        # A zero leading entry forces a row swap, which flips the sign.
+        assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert det_adjugate([[0, 2], [0, 3]]) == (0, None)
+        assert det_adjugate([[1, 2], [2, 4]]) == (0, None)
+        assert det_adjugate([[5]]) == (5, [[1]])
+
+    def test_det_adjugate_matches_oracle(self, rng):
+        # n = 1..7, entries up to 2^40.  Half the matrices are sparse, so zero
+        # pivots force row swaps (and many are singular); every fifth has a
+        # row replaced by a combination of two others, so it is singular.
+        bound = 2**40
+        singular = 0
+        swapped = 0
+        for trial in range(3000):
+            n = 1 + trial % 7
+            mat = [[int(v) for v in rng.integers(-bound, bound + 1, size=n)] for _ in range(n)]
+            if trial % 2:
+                mat = [[v if rng.random() < 0.35 else 0 for v in row] for row in mat]
+            if trial % 5 == 0 and n >= 3:
+                a, b = int(rng.integers(1, 4)), int(rng.integers(-3, 4))
+                mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+            swapped += mat[0][0] == 0
+            det, adj = det_adjugate(mat)
+            assert det == bareiss_det(mat)
+            if det == 0:
+                singular += 1
+                assert adj is None
+                continue
+            assert adj == cofactor_adjugate(mat)
+            identity = [[det * (i == j) for j in range(n)] for i in range(n)]
+            assert _matmul(adj, mat) == identity
+            assert _matmul(mat, adj) == identity
+        assert singular > 300 and swapped > 300
 
     def test_solve_exact_fractions(self):
         sol = solve_exact([[2, 0], [1, 3]], [Fraction(4), Fraction(7)])
