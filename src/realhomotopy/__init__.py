@@ -11,7 +11,6 @@ from .certificate import Certificate, certify, certify_system
 from .errors import (
     CorrectorStalled,
     DegenerateConfiguration,
-    EmptyCertificate,
     EmptySupport,
     PathDiverged,
     RealHomotopyError,
@@ -26,7 +25,6 @@ from .lattice import (
     SupportSet,
     SupportSystem,
     build_cayley,
-    hermite_normal_form,
     log_abs_lifting,
     support_set,
     support_system,
@@ -61,7 +59,6 @@ __all__ = [
     "CircuitInequality",
     "CorrectorStalled",
     "DegenerateConfiguration",
-    "EmptyCertificate",
     "EmptySupport",
     "GaleDual",
     "HomotopySystem",
@@ -87,7 +84,6 @@ __all__ = [
     "circuit_inequalities",
     "enumerate_mixed_cells",
     "gale_dual",
-    "hermite_normal_form",
     "horn_kapranov",
     "log_abs_lifting",
     "make_homotopy",

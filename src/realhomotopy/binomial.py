@@ -1,13 +1,16 @@
 """Real solutions of binomial systems attached to mixed cells.
 
 A mixed cell restricts each equation to its two edge terms, giving
-``x**(a1 - a2) = -c2/c1`` per equation.  Hermite-reducing the exponent matrix
-turns this into a triangular system whose real solvability is decided by the
-parity of the pivots and the signs of the transformed right-hand sides.
+``x**D = r`` with row i of D the exponent difference ``a1 - a2`` and
+``r_i = -c2/c1``.  Writing ``x_j = (-1)**b_j * exp(y_j)`` splits the real
+solutions into two independent linear problems on the same matrix:
 
-Magnitudes are carried in log space throughout, so monomial transforms with
-large unimodular entries neither overflow nor underflow; signs are tracked
-separately as exact integers.
+- magnitudes, ``D @ y = log|r|``, one exact solve over the rationals;
+- signs, ``(D mod 2) @ b = [r < 0]`` over GF(2), so a cell has either no real
+  solution or ``2**(n - rank_2 D)`` of them.
+
+Magnitudes stay in log space until the end, so large exponents neither
+overflow nor underflow; signs are exact bits.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Scalar, SupportSystem, hermite_normal_form, log_abs
+from .lattice import Scalar, SupportSystem, log_abs, solve_exact
 from .mixed_cells import MixedCell
 
 RESIDUAL_RTOL = 1e-10
@@ -31,6 +34,9 @@ class BinomialSystem:
     rhs: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
+        n = self.n
+        if len(self.rhs) != n or any(len(row) != n for row in self.exponents):
+            raise ValueError("binomial systems need n rows of n exponents, n ratios")
         for r in self.rhs:
             if r == 0:
                 raise ValueError("binomial right-hand sides must be nonzero")
@@ -77,52 +83,58 @@ def _sign(value: Scalar) -> int:
 def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
     """All real solutions of ``x**D = rhs`` outside the coordinate hyperplanes.
 
-    Reduces D to lower-triangular Hermite form, transforms the right-hand side
-    monomially (signs exactly, magnitudes in log space), then back-substitutes
-    while enumerating consistent sign branches: an even pivot needs a positive
-    right-hand side and doubles the branch, an odd pivot determines the sign.
-    Returns the possibly empty solution list, lexicographic by sign vector
-    then coordinates.  A singular D raises SingularExponentMatrix from the
-    Hermite reduction.
+    The log-magnitudes come from one ``solve_exact`` call on D, which raises
+    SingularExponentMatrix for a singular D.  The sign vectors are the
+    solutions of the parity system (see ``_parity_solutions``).  Returns the
+    possibly empty solution list in ascending order of sign vectors.
     """
-    n = bsys.n
-    h, u = hermite_normal_form([list(r) for r in bsys.exponents])
-
-    log_rhs = [log_abs(r) for r in bsys.rhs]
-    sign_rhs = [_sign(r) for r in bsys.rhs]
-    lam_log = [
-        math.fsum(u[i][j] * log_rhs[j] for j in range(n)) for i in range(n)
-    ]
-    lam_sign = [
-        _sign_power_product(sign_rhs, u[i]) for i in range(n)
-    ]
-
-    branches: list[tuple[list[int], list[float]]] = [([], [])]
-    for i in range(n):
-        pivot = h[i][i]
-        new_branches: list[tuple[list[int], list[float]]] = []
-        for signs, logs in branches:
-            rem_log = lam_log[i] - math.fsum(
-                h[i][j] * logs[j] for j in range(i)
-            )
-            needed = lam_sign[i] * _sign_power_product(signs, h[i][:i])
-            log_xi = rem_log / pivot
-            if pivot % 2 == 0:
-                if needed < 0:
-                    continue
-                for s in (1, -1):
-                    new_branches.append((signs + [s], logs + [log_xi]))
-            else:
-                new_branches.append((signs + [needed], logs + [log_xi]))
-        branches = new_branches
-
+    logs = solve_exact(bsys.exponents, [log_abs(r) for r in bsys.rhs])
     solutions = []
-    for signs, logs in branches:
-        point = tuple(s * math.exp(v) for s, v in zip(signs, logs))
+    for signs in _parity_solutions(bsys.exponents, [r < 0 for r in bsys.rhs]):
         _check_residual(bsys, signs, logs)
-        solutions.append(RealOrthantSolution(point=point, signs=tuple(signs)))
-    solutions.sort(key=lambda s: (s.signs, s.point))
+        point = tuple(s * math.exp(v) for s, v in zip(signs, logs))
+        solutions.append(RealOrthantSolution(point=point, signs=signs))
     return solutions
+
+
+def _parity_solutions(
+    exponents: Sequence[Sequence[int]], negative: Sequence[bool]
+) -> list[tuple[int, ...]]:
+    """Sign vectors s with ``s**D[i] < 0`` exactly where ``negative[i]``.
+
+    Gauss-Jordan over GF(2) on bitmask rows (bit j is the parity of column
+    j), each pivot the highest column of its row.  A pivot column then
+    depends only on free columns to its left, so two solutions first differ
+    in a free column: counting the free bits down from all ones, leftmost
+    column most significant, lists the sign vectors in ascending order (-1
+    before +1).  An inconsistent system has no solution.
+    """
+    n = len(exponents)
+    pivots: dict[int, tuple[int, int]] = {}
+    for row, neg in zip(exponents, negative):
+        mask = sum(1 << j for j, e in enumerate(row) if e % 2)
+        bit = int(neg)
+        for col, (p_mask, p_bit) in pivots.items():
+            if mask >> col & 1:
+                mask ^= p_mask
+                bit ^= p_bit
+        if not mask:
+            if bit:
+                return []
+            continue
+        col = mask.bit_length() - 1
+        for c, (p_mask, p_bit) in pivots.items():
+            if p_mask >> col & 1:
+                pivots[c] = (p_mask ^ mask, p_bit ^ bit)
+        pivots[col] = (mask, bit)
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for k in range((1 << len(free)) - 1, -1, -1):
+        b = sum(1 << j for i, j in enumerate(reversed(free)) if k >> i & 1)
+        for c, (p_mask, p_bit) in pivots.items():
+            b |= (p_bit ^ (p_mask & b).bit_count() & 1) << c
+        out.append(tuple(-1 if b >> j & 1 else 1 for j in range(n)))
+    return out
 
 
 def _sign_power_product(signs: Sequence[int], exponents: Sequence[int]) -> int:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyCertificate
 from .lattice import Lifting, SupportSystem, build_cayley, log_abs_lifting
 from .mixed_cells import CircuitInequality, MixedCellSet, enumerate_mixed_cells
 
@@ -29,48 +28,29 @@ class Certificate:
         return min(self.margins) if self.margins else math.inf
 
 
-def vacuous_certificate(
-    inequalities: Sequence[CircuitInequality], m: int
-) -> Certificate | None:
-    """The pass of a configuration with nothing to test, else None.
-
-    With no excluded points anywhere (every support is already an edge) there
-    are no circuit inequalities: such systems are solved exactly by the
-    binomial solver, tracking is a no-op, and the certificate passes
-    vacuously.  Callers fall back to ``certify`` when this returns None.
-    """
-    if inequalities:
-        return None
-    return Certificate(margins=(), verdict=True, m=m)
-
-
 def certify(
     lifting: Lifting, inequalities: Sequence[CircuitInequality], m: int
 ) -> Certificate:
     """Check every circuit inequality with the log(m) slack.
 
     Margins are computed against the supplied lifting; the verdict is a pass
-    exactly when all margins are strictly positive.
+    exactly when all margins are strictly positive.  With no excluded points
+    anywhere (every support is already an edge) there are no inequalities:
+    such systems are solved exactly by the binomial solver, tracking is a
+    no-op, and the certificate passes vacuously.
     """
-    if not inequalities:
-        raise EmptyCertificate("no circuit inequalities to certify against")
     log_m = math.log(m)
     margins = tuple(
         float(zeta.dot(lifting.values)) - log_m * zeta.l1() for zeta in inequalities
     )
-    return Certificate(margins=margins, verdict=min(margins) > 0.0, m=m)
+    return Certificate(
+        margins=margins, verdict=min(margins, default=math.inf) > 0.0, m=m
+    )
 
 
 def certify_system(system: SupportSystem) -> tuple[Certificate, MixedCellSet]:
-    """Lift by log-coefficients, enumerate cells, and certify in one shot.
-
-    A system without circuit inequalities passes vacuously (see
-    ``vacuous_certificate``).
-    """
+    """Lift by log-coefficients, enumerate cells, and certify in one shot."""
     config = build_cayley(system)
     lifting = log_abs_lifting(system)
     cells = enumerate_mixed_cells(config, lifting)
-    cert = vacuous_certificate(cells.inequalities, config.m) or certify(
-        lifting, cells.inequalities, config.m
-    )
-    return cert, cells
+    return certify(lifting, cells.inequalities, config.m), cells

@@ -27,10 +27,6 @@ class SingularDirection(RealHomotopyError):
     """A contour-map direction annihilates a Gale dual row."""
 
 
-class EmptyCertificate(RealHomotopyError):
-    """No inequalities were supplied, so there is nothing to certify against."""
-
-
 class PathDiverged(RealHomotopyError):
     """A tracked path left the working region or the step size underflowed."""
 

@@ -1,12 +1,11 @@
 """Supports, coefficients, liftings, the Cayley embedding, and exact lattice arithmetic.
 
 Everything combinatorial downstream (cell enumeration, circuit vectors, Gale
-duals, binomial normal forms) routes its integer linear algebra through this
+duals, binomial start systems) routes its integer linear algebra through this
 module.  All of it runs on Python ints, so exponent arithmetic is exact at any
 magnitude; numpy never touches these code paths.  Determinants, adjugates and
 exact solves all come from one fraction-free Gauss-Jordan elimination
-(``det_adjugate``); Hermite forms and kernel bases come from unimodular row
-reduction.
+(``det_adjugate``); kernel bases come from a unimodular row echelon form.
 """
 
 from __future__ import annotations
@@ -182,8 +181,6 @@ def build_cayley(system: SupportSystem) -> CayleyConfig:
     equals the flat position of the matching coefficient.
     """
     n = system.n
-    if len(system.supports) != n:
-        raise ValueError("non-square system")
     points = _embed([s.points for s in system.supports])
     block: list[int] = []
     origin: list[int] = []
@@ -272,8 +269,10 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[Scalar]) -> list[
     return out
 
 
-def _row_hnf_upper(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, list[int]]:
-    """Row-style Hermite form: U @ M = H with H in echelon form, positive pivots.
+def _unimodular_row_echelon(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[IntMatrix, IntMatrix, list[int]]:
+    """Row echelon form with its unimodular transform: U @ M = H, |det U| = 1.
 
     Returns (H, U, pivot_columns).  Works for any rectangular integer matrix;
     zero rows of H sit at the bottom and the matching rows of U span the left
@@ -311,41 +310,9 @@ def _row_hnf_upper(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatri
                 break
         if h[r][c] == 0:
             continue
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q != 0:
-                for j in range(cols):
-                    h[i][j] -= q * h[r][j]
-                for j in range(rows):
-                    u[i][j] -= q * u[r][j]
         pivots.append(c)
         r += 1
     return h, u, pivots
-
-
-def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Lower-triangular Hermite form of a nonsingular square integer matrix.
-
-    Returns (H, U) with U @ matrix == H, |det U| == 1, H lower triangular with
-    positive diagonal.  All arithmetic is exact; a singular input raises
-    SingularExponentMatrix.
-    """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    # Conjugating by the order-reversing permutation swaps upper and lower
-    # triangular forms: H_lower = J (upper HNF of J D J) J.
-    rev = [[int(matrix[n - 1 - i][n - 1 - j]) for j in range(n)] for i in range(n)]
-    h_up, u_up, pivots = _row_hnf_upper(rev)
-    if len(pivots) < n:
-        raise SingularExponentMatrix("singular exponent matrix")
-    h = [[h_up[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    u = [[u_up[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    return h, u
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -357,7 +324,7 @@ def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     transposed = [[matrix[i][j] for i in range(rows)] for j in range(cols)]
-    _, u, pivots = _row_hnf_upper(transposed)
+    _, u, pivots = _unimodular_row_echelon(transposed)
     rank = len(pivots)
     return [u[i] for i in range(rank, cols)], rank
 

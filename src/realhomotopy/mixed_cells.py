@@ -100,7 +100,6 @@ class MixedCellSet:
 
     cells: tuple[MixedCell, ...]
     inequalities: tuple[CircuitInequality, ...]
-    lifting: Lifting
 
     def total_volume(self) -> int:
         return sum(c.volume for c in self.cells)
@@ -357,9 +356,7 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     inequalities: list[CircuitInequality] = []
     for cell in cells:
         inequalities.extend(circuit_inequalities(cell, config))
-    return MixedCellSet(
-        cells=tuple(cells), inequalities=tuple(inequalities), lifting=lifting
-    )
+    return MixedCellSet(cells=tuple(cells), inequalities=tuple(inequalities))
 
 
 def circuit_inequalities(

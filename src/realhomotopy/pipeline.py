@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from .binomial import RealOrthantSolution, binomial_from_cell, solve_real
-from .certificate import Certificate, certify, vacuous_certificate
+from .certificate import Certificate, certify
 from .errors import RealHomotopyError
 from .lattice import SupportSystem, build_cayley, log_abs_lifting
 from .mixed_cells import MixedCellSet, enumerate_mixed_cells, mixed_cell_count_bound
@@ -88,9 +88,7 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     report.timings["mixed_cells"] = clock() - t
 
     t = clock()
-    report.certificate = vacuous_certificate(cells.inequalities, cayley.m) or certify(
-        lifting, cells.inequalities, cayley.m
-    )
+    report.certificate = certify(lifting, cells.inequalities, cayley.m)
     report.timings["certificate"] = clock() - t
 
     if not report.certificate.verdict and not cfg.force:

@@ -125,16 +125,14 @@ def scaled_residual(h: HomotopySystem, t: float, x: np.ndarray) -> float:
 
 
 def select_t0(
-    h: HomotopySystem,
-    cell: MixedCell,
-    sols: Sequence[RealOrthantSolution],
-    threshold: float = START_RESIDUAL_THRESHOLD,
+    h: HomotopySystem, cell: MixedCell, sols: Sequence[RealOrthantSolution]
 ) -> float:
     """Largest candidate t0 whose start residuals all sit below the threshold.
 
-    Candidates whose start coordinates would trip the divergence guard are
-    skipped; when no candidate clears the threshold the one with the smallest
-    worst residual wins and the tracker corrects the start point by Newton.
+    The threshold is ``START_RESIDUAL_THRESHOLD``.  Candidates whose start
+    coordinates would trip the divergence guard are skipped; when no candidate
+    clears the threshold the one with the smallest worst residual wins and the
+    tracker corrects the start point by Newton.
     """
     best_t0 = T0_CANDIDATES[0]
     best_res = math.inf
@@ -143,7 +141,7 @@ def select_t0(
         if any(float(np.max(np.abs(p))) > START_COORD_BOUND for p in points):
             continue
         worst = max(scaled_residual(h, t0, p) for p in points)
-        if worst < threshold:
+        if worst < START_RESIDUAL_THRESHOLD:
             return t0
         if worst < best_res:
             best_res = worst
@@ -189,17 +187,20 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         while lam > 0.0:
             if float(np.max(np.abs(x))) > DIVERGENCE_BOUND:
                 raise PathDiverged(f"coordinate magnitude exceeded {DIVERGENCE_BOUND:g}")
+            # The Euler predictor's tangent depends only on (lam, x), so every
+            # halving below reuses it.
+            jac, dl = _kernels.jac_dlam(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
+            try:
+                xdot = np.linalg.solve(jac, -dl)
+            except np.linalg.LinAlgError:
+                tangent_ok = False
+            else:
+                tangent_ok = bool(np.all(np.isfinite(xdot)))
             step = min(dlam, lam)
             newton_failures = 0
             while True:
                 lam_new = lam - step
-                jac, dl = _kernels.jac_dlam(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
-                converged = True
-                try:
-                    xdot = np.linalg.solve(jac, -dl)
-                except np.linalg.LinAlgError:
-                    converged = False
-                if converged and np.all(np.isfinite(xdot)):
+                if tangent_ok:
                     predicted = x - step * xdot
                     converged, corrected, iters = _newton(
                         h, lam_new, predicted, CORRECTOR_TOL, CORRECTOR_ITERS

@@ -251,9 +251,7 @@ def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCell
     inequalities = [
         zeta for cell in cells for zeta in reference_circuit_inequalities(cell, config)
     ]
-    return MixedCellSet(
-        cells=tuple(cells), inequalities=tuple(inequalities), lifting=lifting
-    )
+    return MixedCellSet(cells=tuple(cells), inequalities=tuple(inequalities))
 
 
 def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:

@@ -11,7 +11,7 @@ from helpers import (
 )
 from oracles import quadratic_real_roots
 from realhomotopy import (
-    EmptyCertificate,
+    Certificate,
     Lifting,
     certify,
     certify_system,
@@ -67,9 +67,9 @@ class TestCertifyProperties:
         b, _ = certify_system(quadratic_system(1.0, 10.0, 1.0))
         assert a.margins == b.margins
 
-    def test_empty_inequalities_rejected(self):
-        with pytest.raises(EmptyCertificate):
-            certify(Lifting(values=(0.0, 0.0)), [], 2)
+    def test_empty_inequalities_pass_vacuously(self):
+        cert = certify(Lifting(values=(0.0, 0.0)), [], 2)
+        assert cert == Certificate(margins=(), verdict=True, m=2)
 
     def test_binomial_system_passes_vacuously(self):
         cert, cells = certify_system(

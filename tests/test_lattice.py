@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from helpers import CUBIC_POWERS, CONIC_POWERS
 from oracles import bareiss_det, cofactor_adjugate
 from realhomotopy import (
-    SingularExponentMatrix,
     build_cayley,
-    hermite_normal_form,
     log_abs_lifting,
     support_set,
     support_system,
 )
 from realhomotopy.lattice import (
     _embed,
+    _unimodular_row_echelon,
     det_adjugate,
     int_det,
     kernel_basis,
@@ -114,56 +113,34 @@ def _matmul(a, b):
     ]
 
 
-class TestHermite:
-    def test_identity(self):
-        h, u = hermite_normal_form([[1, 0], [0, 1]])
-        assert h == [[1, 0], [0, 1]]
-        assert u == [[1, 0], [0, 1]]
-
-    def test_reference_shape(self):
-        d = [[2, 1], [0, 1]]
-        h, u = hermite_normal_form(d)
-        assert _matmul(u, d) == h
-        assert abs(int_det(u)) == 1
-        assert h[0][1] == 0
-        assert h[0][0] > 0 and h[1][1] > 0
-
-    def test_permutation(self):
-        d = [[0, 1], [1, 0]]
-        h, u = hermite_normal_form(d)
-        assert _matmul(u, d) == h
-        assert abs(int_det(u)) == 1
-        assert h[0][1] == 0
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularExponentMatrix):
-            hermite_normal_form([[1, 2], [2, 4]])
-
+class TestRowEchelon:
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
             lambda n: st.lists(
                 st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
+                min_size=1,
+                max_size=4,
             )
         )
     )
-    def test_properties(self, d):
-        n = len(d)
-        det = int_det(d)
-        if det == 0:
-            with pytest.raises(SingularExponentMatrix):
-                hermite_normal_form(d)
-            return
-        h, u = hermite_normal_form(d)
-        assert _matmul(u, d) == h
+    def test_properties(self, m):
+        # kernel_basis's lattice claim rests on U being unimodular.
+        h, u, pivots = _unimodular_row_echelon(m)
+        rows, cols = len(m), len(m[0])
+        assert _matmul(u, m) == h
         assert abs(int_det(u)) == 1
-        assert abs(int_det(h)) == abs(det)
-        for i in range(n):
-            assert h[i][i] > 0
-            for j in range(i + 1, n):
-                assert h[i][j] == 0
+        rank = len(pivots)
+        assert pivots == sorted(set(pivots))
+        for r, row in enumerate(h):
+            if r >= rank:
+                assert not any(row)
+                continue
+            assert row[pivots[r]] != 0
+            assert not any(row[: pivots[r]])
+        if rows == cols:
+            assert abs(int_det(h)) == abs(int_det(m))
+            assert (rank == rows) == (int_det(m) != 0)
 
 
 class TestExactLinearAlgebra:
