@@ -1,9 +1,11 @@
-"""Evaluation kernels for the deformed system, on flattened term arrays.
+"""Evaluation kernels for the deformed system in log coordinates.
 
-The deformation is evaluated in the log parameter ``lam = -log t``; term k of
-equation i contributes ``coeffs[k] * exp(-lam * vexp[k]) * x**exps[k]``.
-Equations are stored back to back: equation i owns terms
-``offs[i] : offs[i+1]``.
+With ``x = s * exp(u)`` and ``lam = -log t``, term k of equation i is
+``signs[k] * exp(logc[k] + exps[k] . u - lam * vexp[k] - shift[i])``, where
+``signs[k] = sign(c_k) * prod_j s_j**exps[k, j]`` and ``shift[i]`` is the
+largest exponent in equation i.  Every term lies in [-1, 1], so nothing
+overflows, and dividing an equation by ``exp(shift[i]) > 0`` moves neither
+its zeros nor a Newton step.  Equation i owns terms ``offs[i] : offs[i+1]``.
 
 Each kernel evaluates every term in one numpy expression and reduces per
 equation with ``reduceat``.  ``BACKEND`` names this implementation for the
@@ -18,21 +20,21 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _terms(coeffs, exps, vexp, lam, x):
-    return coeffs * np.exp(-lam * vexp) * np.prod(x[None, :] ** exps, axis=1)
+def _terms(signs, logc, exps, vexp, offs, lam, u):
+    a = logc + exps @ u - lam * vexp
+    shift = np.maximum.reduceat(a, offs[:-1])
+    return signs * np.exp(a - np.repeat(shift, np.diff(offs))), shift
 
 
-def h_scale(coeffs, exps, vexp, offs, lam, x):
-    """Residual of each equation and its largest term magnitude."""
-    terms = _terms(coeffs, exps, vexp, lam, x)
-    h = np.add.reduceat(terms, offs[:-1])
-    scale = np.maximum.reduceat(np.abs(terms), offs[:-1])
-    return h, scale
+def h_scale(signs, logc, exps, vexp, offs, lam, u):
+    """Each equation over its largest term magnitude, and the log of that magnitude."""
+    terms, shift = _terms(signs, logc, exps, vexp, offs, lam, u)
+    return np.add.reduceat(terms, offs[:-1]), shift
 
 
-def jac_dlam(coeffs, exps, vexp, offs, lam, x):
-    """Jacobian in x and derivative in lam; x must have no zero coordinate."""
-    terms = _terms(coeffs, exps, vexp, lam, x)
+def jac_dlam(signs, logc, exps, vexp, offs, lam, u):
+    """Jacobian in u and derivative in lam of the shifted equations, shift held fixed."""
+    terms, _ = _terms(signs, logc, exps, vexp, offs, lam, u)
     dlam = np.add.reduceat(-vexp * terms, offs[:-1])
-    jac = np.add.reduceat(terms[:, None] * exps / x[None, :], offs[:-1], axis=0)
+    jac = np.add.reduceat(terms[:, None] * exps, offs[:-1], axis=0)
     return jac, dlam

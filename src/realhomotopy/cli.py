@@ -41,27 +41,27 @@ EXIT_TRACKING = 4
 
 
 def _parse_coefficient(raw: object) -> Scalar:
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise ValueError(f"bad coefficient {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    return float(raw)
+    return raw if isinstance(raw, float) else Fraction(raw)
 
 
 def load_system(path: str | Path) -> SupportSystem:
+    """Parse an input document; a malformed one raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
-    supports = doc["supports"]
-    coefficients = doc["coefficients"]
-    if len(supports) != n or len(coefficients) != n:
-        raise ValueError("need exactly n supports and n coefficient lists")
-    return support_system(
-        supports,
-        [[_parse_coefficient(c) for c in row] for row in coefficients],
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("input must be a JSON object")
+    n, supports, coefficients = doc["n"], doc["supports"], doc["coefficients"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    try:
+        if len(supports) != n or len(coefficients) != n:
+            raise ValueError("need exactly n supports and n coefficient lists")
+        rows = [[_parse_coefficient(c) for c in row] for row in coefficients]
+        return support_system(supports, rows)
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed system: {exc}") from None
 
 
 def _cell_doc(cell: MixedCell, inequality_count: int) -> dict:

@@ -28,7 +28,7 @@ class SingularDirection(RealHomotopyError):
 
 
 class PathDiverged(RealHomotopyError):
-    """A tracked path left the working region or the step size underflowed."""
+    """A path point fell outside the float range or the step size underflowed."""
 
 
 class CorrectorStalled(RealHomotopyError):

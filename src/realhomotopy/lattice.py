@@ -67,6 +67,8 @@ class SupportSet:
 def support_set(points: Sequence[Sequence[int]]) -> SupportSet:
     """Build a SupportSet, inferring the ambient dimension from the points."""
     pts = tuple(tuple(int(c) for c in p) for p in points)
+    if pts != tuple(tuple(p) for p in points):
+        raise ValueError("exponents must be integers")
     if not pts:
         raise ValueError("empty support")
     return SupportSet(points=pts, n=len(pts[0]))

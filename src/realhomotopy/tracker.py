@@ -6,26 +6,27 @@ its equation.  At t = 1 this is exactly the input system; as t -> 0 each
 equation degenerates to the two terms of a mixed cell's edge.  Paths start on
 the truncated branch ``sol * t0**normal`` and are continued in the log
 parameter ``lam = -log t`` with an Euler predictor on the Davidenko system and
-a Newton corrector, entirely in real arithmetic.
+a Newton corrector, entirely in real arithmetic.  A path keeps the orthant
+``s`` of its start and is tracked in ``u = log|x|`` (see ``_kernels``), where
+it can neither cross a coordinate hyperplane nor overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import CorrectorStalled, PathDiverged
-from .lattice import Lifting, SupportSystem
+from .lattice import Lifting, SupportSystem, log_abs
 from .mixed_cells import MixedCell
 from .binomial import RealOrthantSolution
 
 CORRECTOR_TOL = 1e-10
 CORRECTOR_ITERS = 3
-DIVERGENCE_BOUND = 1e12
 START_COORD_BOUND = 1e10
 MIN_STEP = 1e-14
 MAX_STEP = 2.0
@@ -42,12 +43,14 @@ START_RESIDUAL_THRESHOLD = 1e-3
 class HomotopySystem:
     """The deformed system as flattened term arrays for the kernels.
 
-    ``vexp`` lists the per-term deformation exponents over all Cayley points
-    in block-major order; all entries are nonnegative and each equation has
-    at least one zero entry (its dominant term).
+    ``logc`` and ``signs`` hold ``log|c|`` and ``sign(c)`` per term.  ``vexp``
+    lists the per-term deformation exponents over all Cayley points in
+    block-major order; all entries are nonnegative and each equation has at
+    least one zero entry (its dominant term).
     """
 
-    coeffs: np.ndarray = field(repr=False)
+    logc: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
     exps: np.ndarray = field(repr=False)
     vexp: np.ndarray = field(repr=False)
     offs: np.ndarray = field(repr=False)
@@ -60,22 +63,22 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     per-equation shifts only rescale equations and leave the zero set alone.
     """
     w = lifting.as_floats()
-    coeffs: list[float] = []
     exps: list[tuple[int, ...]] = []
     vexp: list[float] = []
     offs = [0]
     pos = 0
-    for sup, cs in zip(system.supports, system.coefficients):
+    for sup in system.supports:
         w_eq = w[pos : pos + len(sup)]
         w_max = max(w_eq)
-        for p, c, wv in zip(sup.points, cs, w_eq):
-            coeffs.append(float(c))
+        for p, wv in zip(sup.points, w_eq):
             exps.append(p)
             vexp.append(w_max - wv)
         pos += len(sup)
-        offs.append(len(coeffs))
+        offs.append(len(exps))
+    coeffs = [c for cs in system.coefficients for c in cs]
     return HomotopySystem(
-        coeffs=np.array(coeffs, dtype=np.float64),
+        logc=np.array([log_abs(c) for c in coeffs], dtype=np.float64),
+        signs=np.array([1.0 if c > 0 else -1.0 for c in coeffs], dtype=np.float64),
         exps=np.array(exps, dtype=np.int64),
         vexp=np.array(vexp, dtype=np.float64),
         offs=np.array(offs, dtype=np.int64),
@@ -113,15 +116,27 @@ def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState
     return PathState(t=t0, x=start_point(cell, sol, t0), cell=cell)
 
 
-def _residual(h: HomotopySystem, lam: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Scaled max-norm residual at ``lam`` and the raw residual vector."""
-    hv, sc = _kernels.h_scale(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
-    return float(np.max(np.abs(hv) / np.maximum(sc, 1e-300))), hv
+def _log_point(h: HomotopySystem, x: np.ndarray):
+    """h with the term signs of the orthant of x, and ``log|x|``; None if a
+    coordinate of x is zero or not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x) & (x != 0.0)):
+        return None
+    signs = h.signs * np.prod(np.sign(x) ** h.exps, axis=1)
+    return replace(h, signs=signs), np.log(np.abs(x))
+
+
+def _residual(h: HomotopySystem, lam: float, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """Scaled max-norm residual at ``lam`` and the scaled residual vector."""
+    hv, _ = _kernels.h_scale(h.signs, h.logc, h.exps, h.vexp, h.offs, lam, u)
+    return float(np.max(np.abs(hv))), hv
 
 
 def scaled_residual(h: HomotopySystem, t: float, x: np.ndarray) -> float:
-    """Max-norm residual, each equation scaled by its largest term magnitude."""
-    return _residual(h, -math.log(t), np.asarray(x, dtype=np.float64))[0]
+    """Max-norm residual, each equation scaled by its largest term magnitude;
+    ``inf`` if a coordinate of x is zero or not finite."""
+    point = _log_point(h, x)
+    return math.inf if point is None else _residual(point[0], -math.log(t), point[1])[0]
 
 
 def select_t0(
@@ -129,9 +144,10 @@ def select_t0(
 ) -> float:
     """Largest candidate t0 whose start residuals all sit below the threshold.
 
-    The threshold is ``START_RESIDUAL_THRESHOLD``.  Candidates whose start
-    coordinates would trip the divergence guard are skipped; when no candidate
-    clears the threshold the one with the smallest worst residual wins and the
+    The threshold is ``START_RESIDUAL_THRESHOLD``.  Candidates that put a
+    start coordinate above ``START_COORD_BOUND`` are skipped, and one that
+    underflows a coordinate to zero scores ``inf``; when no candidate clears
+    the threshold the one with the smallest worst residual wins and the
     tracker corrects the start point by Newton.
     """
     best_t0 = T0_CANDIDATES[0]
@@ -149,77 +165,60 @@ def select_t0(
     return best_t0
 
 
-def _newton(h: HomotopySystem, lam: float, x0: np.ndarray, ctol: float, max_iters: int):
-    x = x0.copy()
+def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters: int):
+    """Newton in u at fixed lam: final residual, final iterate and iterations taken."""
     for it in range(max_iters):
-        res, hv = _residual(h, lam, x)
+        res, hv = _residual(h, lam, u)
         if res < ctol:
-            return True, x, it
-        if not np.all(x):
-            # The Jacobian divides by x, and no real path into the torus
-            # reaches a coordinate hyperplane.
-            return False, x, it
-        jac, _ = _kernels.jac_dlam(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
+            return res, u, it
+        jac, _ = _kernels.jac_dlam(h.signs, h.logc, h.exps, h.vexp, h.offs, lam, u)
         try:
-            dx = np.linalg.solve(jac, -hv)
+            du = np.linalg.solve(jac, -hv)
         except np.linalg.LinAlgError:
-            return False, x, it
-        if not np.all(np.isfinite(dx)):
-            return False, x, it
-        x = x + dx
-    return _residual(h, lam, x)[0] < ctol, x, max_iters
+            return res, u, it
+        if not np.all(np.isfinite(du)):
+            return res, u, it
+        u = u + du
+    return _residual(h, lam, u)[0], u, max_iters
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
-    x = np.array(path.x, dtype=np.float64)
+    point = _log_point(h, path.x)
+    if point is None:
+        raise PathDiverged("start point outside the float range")
+    h, u = point
     lam = -math.log(path.t)
     steps = 0
-    if lam > 0.0 and scaled_residual(h, path.t, x) > CORRECTOR_TOL:
-        # Pull the truncated branch point onto the actual path before stepping.
-        ok, corrected, _ = _newton(h, lam, x, CORRECTOR_TOL, 12)
-        if not ok or not np.array_equal(np.sign(corrected), np.sign(x)):
-            raise CorrectorStalled("start point correction failed")
-        x = corrected
     if lam > 0.0:
+        # Pull the truncated branch point onto the actual path before stepping.
+        res, u, _ = _newton(h, lam, u, CORRECTOR_TOL, 12)
+        if res >= CORRECTOR_TOL:
+            raise CorrectorStalled("start point correction failed")
         pace = max(max(abs(float(z)) for z in path.cell.normal), 1.0)
         dlam = min(0.1 * lam, MAX_LOG_MOVE / pace)
         easy = 0
         while lam > 0.0:
-            if float(np.max(np.abs(x))) > DIVERGENCE_BOUND:
-                raise PathDiverged(f"coordinate magnitude exceeded {DIVERGENCE_BOUND:g}")
-            # The Euler predictor's tangent depends only on (lam, x), so every
+            # The Euler predictor's tangent depends only on (lam, u), so every
             # halving below reuses it.
-            jac, dl = _kernels.jac_dlam(h.coeffs, h.exps, h.vexp, h.offs, lam, x)
+            jac, dl = _kernels.jac_dlam(h.signs, h.logc, h.exps, h.vexp, h.offs, lam, u)
             try:
-                xdot = np.linalg.solve(jac, -dl)
+                udot = np.linalg.solve(jac, -dl)
             except np.linalg.LinAlgError:
                 tangent_ok = False
             else:
-                tangent_ok = bool(np.all(np.isfinite(xdot)))
+                tangent_ok = bool(np.all(np.isfinite(udot)))
             step = min(dlam, lam)
             newton_failures = 0
             while True:
                 lam_new = lam - step
+                res = math.inf
                 if tangent_ok:
-                    predicted = x - step * xdot
-                    converged, corrected, iters = _newton(
-                        h, lam_new, predicted, CORRECTOR_TOL, CORRECTOR_ITERS
+                    res, corrected, iters = _newton(
+                        h, lam_new, u - step * udot, CORRECTOR_TOL, CORRECTOR_ITERS
                     )
-                else:
-                    converged = False
-                accepted = converged
-                if converged:
-                    # A real path into the torus never crosses a coordinate
-                    # hyperplane, and it moves at a bounded log-space pace; a
-                    # sign flip or an oversized move marks an overlong step.
-                    if not np.array_equal(np.sign(corrected), np.sign(x)):
-                        accepted = False
-                    elif (
-                        float(np.max(np.abs(np.log(np.abs(corrected)) - np.log(np.abs(x)))))
-                        > MAX_LOG_MOVE
-                    ):
-                        accepted = False
-                if accepted:
+                converged = res < CORRECTOR_TOL
+                # An oversized log-space move marks an overlong step.
+                if converged and float(np.max(np.abs(corrected - u))) <= MAX_LOG_MOVE:
                     break
                 if not converged:
                     newton_failures += 1
@@ -230,7 +229,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                 step *= 0.5
                 if step < MIN_STEP:
                     raise PathDiverged("step size underflow")
-            x = corrected
+            u = corrected
             lam = lam_new
             steps += 1
             if steps > MAX_STEPS:
@@ -243,12 +242,13 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                     easy = 0
             else:
                 easy = 0
-    ok, x, _ = _newton(h, 0.0, x, max(tol * 1e-4, 1e-14), 25)
-    res = scaled_residual(h, 1.0, x)
+    res, u, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
-    if not np.all(x != 0.0):
-        raise PathDiverged("endpoint hit a coordinate hyperplane")
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.sign(path.x) * np.exp(u)
+    if not np.all(np.isfinite(x) & (x != 0.0)):
+        raise PathDiverged("endpoint outside the float range")
     return TrackedSolution(
         point=tuple(float(v) for v in x), residual=res, cell=path.cell, steps=steps
     )
@@ -265,15 +265,9 @@ def track(
     solutions = []
     for path in paths:
         try:
-            sol = _track_one(h, path, tol)
-        except PathDiverged as exc:
-            path.status = "diverged"
+            solutions.append(_track_one(h, path, tol))
+            path.status = "converged"
+        except (PathDiverged, CorrectorStalled) as exc:
+            path.status = "diverged" if isinstance(exc, PathDiverged) else "failed"
             path.message = str(exc)
-            continue
-        except CorrectorStalled as exc:
-            path.status = "failed"
-            path.message = str(exc)
-            continue
-        path.status = "converged"
-        solutions.append(sol)
     return solutions

@@ -11,9 +11,9 @@ each dependence as alternating maximal minors.  Their exact arithmetic has its
 own elimination, independent of ``lattice.det_adjugate``: ``bareiss_det`` is
 forward fraction-free elimination, ``cofactor_adjugate`` takes one such
 determinant per minor, and ``adjugate_solve`` divides by the determinant with
-the same rounding as ``lattice.solve_exact``.  ``loop_h_scale`` and
-``loop_jac_dlam`` evaluate the deformed system term by term in scalar loops,
-the reference for the vectorized kernels.
+the same rounding as ``lattice.solve_exact``.  ``loop_log_h_scale`` and
+``loop_log_jac_dlam`` evaluate the deformed system in log coordinates term by
+term in scalar loops, the reference for the vectorized kernels.
 """
 
 from __future__ import annotations
@@ -331,45 +331,42 @@ def grid_binomial_solutions(
     return solutions
 
 
-def loop_h_scale(coeffs, exps, vexp, offs, lam, x):
-    """Residual and largest term magnitude per equation, one term at a time."""
+def _loop_log_terms(signs, logc, exps, vexp, a, b, lam, u):
+    """Terms a..b-1 of one equation in log coordinates, over their largest exponent."""
+    expo = []
+    for k in range(a, b):
+        acc = logc[k] - lam * vexp[k]
+        for j in range(u.shape[0]):
+            acc += exps[k, j] * u[j]
+        expo.append(acc)
+    shift = max(expo)
+    return [signs[k] * math.exp(e - shift) for k, e in zip(range(a, b), expo)], shift
+
+
+def loop_log_h_scale(signs, logc, exps, vexp, offs, lam, u):
+    """Shifted residual and shift per equation, one term at a time."""
     n_eq = offs.shape[0] - 1
     h = np.zeros(n_eq)
-    scale = np.zeros(n_eq)
+    shift = np.zeros(n_eq)
     for i in range(n_eq):
-        acc = 0.0
-        big = 0.0
-        for k in range(offs[i], offs[i + 1]):
-            term = coeffs[k] * np.exp(-lam * vexp[k])
-            for j in range(x.shape[0]):
-                e = exps[k, j]
-                if e != 0:
-                    term *= x[j] ** e
-            acc += term
-            big = max(big, abs(term))
-        h[i] = acc
-        scale[i] = big
-    return h, scale
+        terms, shift[i] = _loop_log_terms(signs, logc, exps, vexp, offs[i], offs[i + 1], lam, u)
+        for term in terms:
+            h[i] += term
+    return h, shift
 
 
-def loop_jac_dlam(coeffs, exps, vexp, offs, lam, x):
-    """Jacobian in x and derivative in lam, one term at a time."""
+def loop_log_jac_dlam(signs, logc, exps, vexp, offs, lam, u):
+    """Jacobian in u and derivative in lam at a fixed shift, one term at a time."""
     n_eq = offs.shape[0] - 1
-    n_var = x.shape[0]
+    n_var = u.shape[0]
     jac = np.zeros((n_eq, n_var))
     dlam = np.zeros(n_eq)
     for i in range(n_eq):
-        for k in range(offs[i], offs[i + 1]):
-            term = coeffs[k] * np.exp(-lam * vexp[k])
-            for j in range(n_var):
-                e = exps[k, j]
-                if e != 0:
-                    term *= x[j] ** e
+        terms, _ = _loop_log_terms(signs, logc, exps, vexp, offs[i], offs[i + 1], lam, u)
+        for k, term in zip(range(offs[i], offs[i + 1]), terms):
             dlam[i] -= vexp[k] * term
             for j in range(n_var):
-                e = exps[k, j]
-                if e != 0:
-                    jac[i, j] += term * e / x[j]
+                jac[i, j] += term * exps[k, j]
     return jac, dlam
 
 

@@ -152,6 +152,36 @@ class TestSolveCommand:
     def test_zero_coefficient_rejected(self, tmp_path):
         assert main(["solve", _write(tmp_path, _quadratic_doc(1, 0, 1))]) == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "supports": 5, "coefficients": [[1, -2]]},
+            {"n": 1, "supports": [[0, [1]]], "coefficients": [[1, -2]]},
+            {"n": 1, "supports": [[[0], [1]]], "coefficients": [5]},
+            [{"n": 1, "supports": [[[0], [1]]], "coefficients": [[1, -2]]}],
+            {"n": 1, "supports": [[[0], [1]]], "coefficients": [["1/0", -2]]},
+            {"n": 1, "supports": [[[0], [1.5]]], "coefficients": [[1, -2]]},
+            {"n": 1.7, "supports": [[[0], [1]]], "coefficients": [[1, -2]]},
+            {"n": 1, "supports": [[[0], [float("inf")]]], "coefficients": [[1, -2]]},
+        ],
+        ids=[
+            "supports_number",
+            "point_number",
+            "coefficient_row_number",
+            "top_level_list",
+            "division_by_zero",
+            "fractional_exponent",
+            "fractional_n",
+            "infinite_exponent",
+        ],
+    )
+    def test_malformed_system_exit_1(self, tmp_path, capsys, doc):
+        assert main(["solve", _write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_tracking_failures_exit_4(self, tmp_path, capsys, monkeypatch):
         import realhomotopy.cli as cli_mod
         from realhomotopy.pipeline import PathFailure

@@ -3,23 +3,24 @@ from __future__ import annotations
 import numpy as np
 
 from realhomotopy._kernels import h_scale, jac_dlam
-from oracles import finite_difference_jacobian, loop_h_scale, loop_jac_dlam
+from oracles import finite_difference_jacobian, loop_log_h_scale, loop_log_jac_dlam
 
 
 def _random_flat_system(rng, n_eq=2, n_var=2, terms=6):
-    coeffs = rng.normal(size=n_eq * terms)
+    signs = rng.choice([-1.0, 1.0], n_eq * terms)
+    logc = rng.normal(size=n_eq * terms)
     exps = rng.integers(-3, 5, size=(n_eq * terms, n_var)).astype(np.int64)
     vexp = np.abs(rng.normal(size=n_eq * terms)) * 3.0
     offs = np.arange(0, n_eq * terms + 1, terms, dtype=np.int64)
-    x = rng.choice([-1.0, 1.0], n_var) * np.exp(rng.uniform(-1, 1, n_var))
+    u = rng.uniform(-1, 1, n_var)
     lam = float(np.abs(rng.normal()) + 0.1)
-    return coeffs, exps, vexp, offs, lam, x
+    return signs, logc, exps, vexp, offs, lam, u
 
 
-def _per_equation(kernel, coeffs, exps, vexp, offs, lam, x):
+def _per_equation(kernel, signs, logc, exps, vexp, offs, lam, u):
     """Run a kernel on each equation alone and stack the rows."""
     rows = [
-        kernel(coeffs[a:b], exps[a:b], vexp[a:b], np.array([0, b - a]), lam, x)
+        kernel(signs[a:b], logc[a:b], exps[a:b], vexp[a:b], np.array([0, b - a]), lam, u)
         for a, b in zip(offs[:-1], offs[1:])
     ]
     return tuple(np.concatenate(parts) for parts in zip(*rows))
@@ -31,7 +32,7 @@ class TestBackendAgreement:
     def test_h_scale_three_ways(self, rng):
         for _ in range(25):
             args = _random_flat_system(rng)
-            h_ref, s_ref = loop_h_scale(*args)
+            h_ref, s_ref = loop_log_h_scale(*args)
             h, s = h_scale(*args)
             h_eq, s_eq = _per_equation(h_scale, *args)
             assert np.allclose(h, h_ref, rtol=1e-12, atol=1e-12)
@@ -42,7 +43,7 @@ class TestBackendAgreement:
     def test_jac_dlam_three_ways(self, rng):
         for _ in range(25):
             args = _random_flat_system(rng)
-            j_ref, d_ref = loop_jac_dlam(*args)
+            j_ref, d_ref = loop_log_jac_dlam(*args)
             j, d = jac_dlam(*args)
             j_eq, d_eq = _per_equation(jac_dlam, *args)
             assert np.allclose(j, j_ref, rtol=1e-12, atol=1e-12)
@@ -50,23 +51,45 @@ class TestBackendAgreement:
             assert np.array_equal(j, j_eq)
             assert np.array_equal(d, d_eq)
 
+    def test_finite_far_outside_the_float_range(self, rng):
+        # exp(1000) overflows a float; the shifted terms stay in [-1, 1].
+        # Exponents reach ~1e4, so each term carries a relative error of a
+        # few 1e4 * eps ~ 1e-11 from rounding its exponent.
+        for _ in range(10):
+            signs, logc, exps, vexp, offs, lam, u = _random_flat_system(rng)
+            logc = rng.choice([-1.0, 1.0], logc.size) * rng.uniform(900, 1100, logc.size)
+            u = rng.choice([-1.0, 1.0], u.size) * rng.uniform(900, 1100, u.size)
+            args = (signs, logc, exps, vexp, offs, lam, u)
+            h, s = h_scale(*args)
+            j, d = jac_dlam(*args)
+            refs = loop_log_h_scale(*args) + loop_log_jac_dlam(*args)
+            for got, ref in zip((h, s, j, d), refs):
+                assert np.all(np.isfinite(got))
+                assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
+            assert np.all(np.abs(h) <= 6.0)
+
 
 class TestDerivatives:
+    """Finite differences of the shifted equations, with the shift held at its
+    value at the base point: the shift itself depends on u and lam."""
+
     def test_jacobian_matches_finite_differences(self, rng):
-        coeffs, exps, vexp, offs, lam, x = _random_flat_system(rng, terms=4)
+        signs, logc, exps, vexp, offs, lam, u = _random_flat_system(rng, terms=4)
+        _, shift0 = h_scale(signs, logc, exps, vexp, offs, lam, u)
 
         def fun(y):
-            h, _ = h_scale(coeffs, exps, vexp, offs, lam, y)
-            return h
+            h, shift = h_scale(signs, logc, exps, vexp, offs, lam, y)
+            return h * np.exp(shift - shift0)
 
-        jac, _ = jac_dlam(coeffs, exps, vexp, offs, lam, x)
-        ref = finite_difference_jacobian(fun, x)
+        jac, _ = jac_dlam(signs, logc, exps, vexp, offs, lam, u)
+        ref = finite_difference_jacobian(fun, u)
         assert np.allclose(jac, ref, rtol=1e-5, atol=1e-6)
 
     def test_dlam_matches_finite_differences(self, rng):
-        coeffs, exps, vexp, offs, lam, x = _random_flat_system(rng, terms=4)
-        h_hi, _ = h_scale(coeffs, exps, vexp, offs, lam + 1e-6, x)
-        h_lo, _ = h_scale(coeffs, exps, vexp, offs, lam - 1e-6, x)
-        ref = (h_hi - h_lo) / 2e-6
-        _, dlam = jac_dlam(coeffs, exps, vexp, offs, lam, x)
+        signs, logc, exps, vexp, offs, lam, u = _random_flat_system(rng, terms=4)
+        _, shift0 = h_scale(signs, logc, exps, vexp, offs, lam, u)
+        h_hi, s_hi = h_scale(signs, logc, exps, vexp, offs, lam + 1e-6, u)
+        h_lo, s_lo = h_scale(signs, logc, exps, vexp, offs, lam - 1e-6, u)
+        ref = (h_hi * np.exp(s_hi - shift0) - h_lo * np.exp(s_lo - shift0)) / 2e-6
+        _, dlam = jac_dlam(signs, logc, exps, vexp, offs, lam, u)
         assert np.allclose(dlam, ref, rtol=1e-5, atol=1e-7)

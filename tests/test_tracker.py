@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,21 +121,55 @@ class TestTracking:
         assert bad.status in ("failed", "diverged")
         assert good.status == "converged"
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_newton_iterate_on_coordinate_hyperplane(self):
-        # A corrector iterate of the second path lands exactly on x2 = 0,
-        # where the Jacobian would divide by zero.  That step must fail
-        # cleanly and the path still converge; the first path diverges.
-        rng = np.random.default_rng(9)
-        for _ in range(18):
-            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
-        system = support_system(
-            [s.points for s in system.supports],
-            [[math.copysign(abs(c) ** 8, c) for c in row] for row in system.coefficients],
-        )
-        report = solve(system, SolverConfig())
+    def test_start_coordinate_underflow_is_a_path_failure(self):
+        system = quadratic_system(1.0, 10.0, 1.0)
+        cells, homotopy = _cells_and_homotopy(system)
+        cell = cells.cells[0]
+        sol = solve_real(binomial_from_cell(cell, system))[0]
+        bad = make_path(cell, sol, 0.01)
+        bad.x = np.array([0.0])  # as a start sol * t0**normal that underflowed
+        assert scaled_residual(homotopy, 0.01, bad.x) == math.inf
+        assert track(homotopy, [bad]) == []
+        assert bad.status == "diverged"
+
+    def test_exact_coefficients_beyond_float_range(self):
+        # float(10**400) overflows; the homotopy only needs log|c| and sign(c).
+        big = Fraction(10**400)
+        report = solve(support_system([[[0], [1], [2]]], [[big, 10 * big, big]]))
         assert report.verdict is True
-        assert report.start_solutions == [1, 1, 1]
-        assert len(report.solutions) == 2
-        assert [f.path_index for f in report.failures] == [0]
-        assert all(s.residual < 1e-8 for s in report.solutions)
+        assert report.failures == []
+        got = sorted(s.point[0] for s in report.solutions)
+        assert got == pytest.approx(quadratic_real_roots(1.0, 10.0, 1.0), rel=1e-12)
+
+    def test_certified_seed9_corpus_tracks_every_start(self):
+        # The paper's promise at extreme coefficient scale: on a certificate
+        # pass every real start tracks to its own real zero.  System 17 once
+        # lost path 0 to a divergence bound in x and had a corrector iterate
+        # land exactly on x2 = 0; in log coordinates neither can happen.
+        rng = np.random.default_rng(9)
+        certified, paths = [], 0
+        for index in range(40):
+            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
+            system = support_system(
+                [s.points for s in system.supports],
+                [[math.copysign(abs(c) ** 8, c) for c in row] for row in system.coefficients],
+            )
+            if index in (14, 19):
+                # The start point sol * t0**normal still overflows in x.
+                with pytest.raises(OverflowError):
+                    solve(system, SolverConfig())
+                continue
+            report = solve(system, SolverConfig())
+            if not report.verdict:
+                continue
+            certified.append(index)
+            assert report.failures == []
+            assert len(report.solutions) == sum(report.start_solutions)
+            assert all(s.residual < SolverConfig().tol for s in report.solutions)
+            points = [np.array(s.point) for s in report.solutions]
+            for i, p in enumerate(points):
+                for q in points[:i]:
+                    assert np.max(np.abs(p - q) / np.maximum(np.abs(p), np.abs(q))) > 1e-6
+            paths += len(points)
+        assert certified == [11, 17, 24, 30, 38]
+        assert paths == 16
