@@ -35,6 +35,9 @@ MAX_STEPS = 50_000
 # drift like t**zeta, so this caps the pace at a factor e per step and keeps
 # the corrector from hopping to a neighboring solution branch.
 MAX_LOG_MOVE = 1.0
+# Endpoints in one orthant whose log|x| agree this closely in every
+# coordinate count as one zero reached twice (path jumping).
+DISTINCT_LOG_TOL = 1e-6
 T0_CANDIDATES = tuple(10.0 ** -k for k in range(1, 9))
 START_RESIDUAL_THRESHOLD = 1e-3
 
@@ -46,7 +49,8 @@ class HomotopySystem:
     ``logc`` and ``signs`` hold ``log|c|`` and ``sign(c)`` per term.  ``vexp``
     lists the per-term deformation exponents over all Cayley points in
     block-major order; all entries are nonnegative and each equation has at
-    least one zero entry (its dominant term).
+    least one zero entry (its dominant term).  ``exps`` holds the exponents
+    as floats; ``eq`` and ``weights`` are the kernels' ``_kernels.tables``.
     """
 
     logc: np.ndarray = field(repr=False)
@@ -54,6 +58,8 @@ class HomotopySystem:
     exps: np.ndarray = field(repr=False)
     vexp: np.ndarray = field(repr=False)
     offs: np.ndarray = field(repr=False)
+    eq: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
 
 def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
@@ -76,12 +82,18 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
         pos += len(sup)
         offs.append(len(exps))
     coeffs = [c for cs in system.coefficients for c in cs]
+    exps_f = np.array(exps, dtype=np.float64)
+    vexp_f = np.array(vexp, dtype=np.float64)
+    offs_i = np.array(offs, dtype=np.int64)
+    eq, weights = _kernels.tables(exps_f, vexp_f, offs_i)
     return HomotopySystem(
         logc=np.array([log_abs(c) for c in coeffs], dtype=np.float64),
         signs=np.array([1.0 if c > 0 else -1.0 for c in coeffs], dtype=np.float64),
-        exps=np.array(exps, dtype=np.int64),
-        vexp=np.array(vexp, dtype=np.float64),
-        offs=np.array(offs, dtype=np.int64),
+        exps=exps_f,
+        vexp=vexp_f,
+        offs=offs_i,
+        eq=eq,
+        weights=weights,
     )
 
 
@@ -126,17 +138,17 @@ def _log_point(h: HomotopySystem, x: np.ndarray):
     return replace(h, signs=signs), np.log(np.abs(x))
 
 
-def _residual(h: HomotopySystem, lam: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Scaled max-norm residual at ``lam`` and the scaled residual vector."""
-    hv, _ = _kernels.h_scale(h.signs, h.logc, h.exps, h.vexp, h.offs, lam, u)
-    return float(np.max(np.abs(hv))), hv
-
-
 def scaled_residual(h: HomotopySystem, t: float, x: np.ndarray) -> float:
     """Max-norm residual, each equation scaled by its largest term magnitude;
     ``inf`` if a coordinate of x is zero or not finite."""
     point = _log_point(h, x)
-    return math.inf if point is None else _residual(point[0], -math.log(t), point[1])[0]
+    if point is None:
+        return math.inf
+    hp, u = point
+    hv, _ = _kernels.h_scale(
+        hp.signs, hp.logc, hp.exps, hp.vexp, hp.offs, hp.eq, -math.log(t), u
+    )
+    return float(abs(hv).max())
 
 
 def select_t0(
@@ -166,20 +178,29 @@ def select_t0(
 
 
 def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters: int):
-    """Newton in u at fixed lam: final residual, final iterate and iterations taken."""
-    for it in range(max_iters):
-        res, hv = _residual(h, lam, u)
-        if res < ctol:
-            return res, u, it
-        jac, _ = _kernels.jac_dlam(h.signs, h.logc, h.exps, h.vexp, h.offs, lam, u)
+    """Newton in u at fixed lam with one fused kernel call per iterate.
+
+    Returns the final residual, the final iterate, the iterations taken, and
+    the Jacobian in u and derivative in lam at the final iterate: when the
+    tracker accepts that iterate, its Euler predictor starts from these.
+    """
+    it = 0
+    while True:
+        hv, jac, dl = _kernels.jac_dlam(
+            h.signs, h.logc, h.exps, h.vexp, h.offs, h.eq, h.weights, lam, u
+        )
+        res = float(abs(hv).max())
+        if res < ctol or it == max_iters:
+            break
         try:
             du = np.linalg.solve(jac, -hv)
         except np.linalg.LinAlgError:
-            return res, u, it
-        if not np.all(np.isfinite(du)):
-            return res, u, it
+            break
+        if not np.isfinite(du).all():
+            break
         u = u + du
-    return _residual(h, lam, u)[0], u, max_iters
+        it += 1
+    return res, u, it, (jac, dl)
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
@@ -191,34 +212,35 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     steps = 0
     if lam > 0.0:
         # Pull the truncated branch point onto the actual path before stepping.
-        res, u, _ = _newton(h, lam, u, CORRECTOR_TOL, 12)
+        res, u, _, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
         if res >= CORRECTOR_TOL:
             raise CorrectorStalled("start point correction failed")
         pace = max(max(abs(float(z)) for z in path.cell.normal), 1.0)
         dlam = min(0.1 * lam, MAX_LOG_MOVE / pace)
         easy = 0
         while lam > 0.0:
-            # The Euler predictor's tangent depends only on (lam, u), so every
-            # halving below reuses it.
-            jac, dl = _kernels.jac_dlam(h.signs, h.logc, h.exps, h.vexp, h.offs, lam, u)
+            # Euler predictor on the Davidenko system.  (lam, u) is the final
+            # Newton iterate of the last correction, whose Jacobian and
+            # lam-derivative came with it, and every halving below reuses the
+            # tangent.
             try:
                 udot = np.linalg.solve(jac, -dl)
             except np.linalg.LinAlgError:
                 tangent_ok = False
             else:
-                tangent_ok = bool(np.all(np.isfinite(udot)))
+                tangent_ok = bool(np.isfinite(udot).all())
             step = min(dlam, lam)
             newton_failures = 0
             while True:
                 lam_new = lam - step
                 res = math.inf
                 if tangent_ok:
-                    res, corrected, iters = _newton(
+                    res, corrected, iters, derivs = _newton(
                         h, lam_new, u - step * udot, CORRECTOR_TOL, CORRECTOR_ITERS
                     )
                 converged = res < CORRECTOR_TOL
                 # An oversized log-space move marks an overlong step.
-                if converged and float(np.max(np.abs(corrected - u))) <= MAX_LOG_MOVE:
+                if converged and abs(corrected - u).max() <= MAX_LOG_MOVE:
                     break
                 if not converged:
                     newton_failures += 1
@@ -231,6 +253,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                     raise PathDiverged("step size underflow")
             u = corrected
             lam = lam_new
+            jac, dl = derivs
             steps += 1
             if steps > MAX_STEPS:
                 raise CorrectorStalled("step budget exhausted")
@@ -242,7 +265,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                     easy = 0
             else:
                 easy = 0
-    res, u, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
+    res, u, _, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):
@@ -254,20 +277,43 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     )
 
 
+def _coinciding(points: Sequence[tuple[float, ...]]):
+    """Pairs (a, b), a < b, of points in one orthant whose ``log|x|`` agree
+    within ``DISTINCT_LOG_TOL`` in every coordinate."""
+    x = np.array(points)
+    signs, logs = np.sign(x), np.log(np.abs(x))
+    for a in range(len(points) - 1):
+        near = (signs[a + 1 :] == signs[a]).all(axis=1) & (
+            abs(logs[a + 1 :] - logs[a]) <= DISTINCT_LOG_TOL
+        ).all(axis=1)
+        for b in np.flatnonzero(near):
+            yield a, a + 1 + int(b)
+
+
 def track(
     h: HomotopySystem, paths: Sequence[PathState], tol: float = 1e-8
 ) -> list[TrackedSolution]:
     """Continue the paths to t = 1 one by one; failures are recorded, never raised.
 
     Each path's status (and, on failure, message) is set in place; the
-    converged endpoints are returned in path order.
+    converged endpoints are returned in path order.  Two paths whose
+    endpoints coincide have jumped onto one branch: both are recorded as
+    failed and neither endpoint is returned.
     """
-    solutions = []
-    for path in paths:
+    converged: list[tuple[int, TrackedSolution]] = []
+    for k, path in enumerate(paths):
         try:
-            solutions.append(_track_one(h, path, tol))
+            converged.append((k, _track_one(h, path, tol)))
             path.status = "converged"
         except (PathDiverged, CorrectorStalled) as exc:
             path.status = "diverged" if isinstance(exc, PathDiverged) else "failed"
             path.message = str(exc)
-    return solutions
+    clashes: dict[int, int] = {}
+    for a, b in _coinciding([s.point for _, s in converged]):
+        ka, kb = converged[a][0], converged[b][0]
+        clashes.setdefault(ka, kb)
+        clashes.setdefault(kb, ka)
+    for k, other in clashes.items():
+        paths[k].status = "failed"
+        paths[k].message = f"endpoint coincides with path {other}"
+    return [s for k, s in converged if k not in clashes]

@@ -2,19 +2,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from realhomotopy._kernels import h_scale, jac_dlam
+from realhomotopy._kernels import h_scale, jac_dlam, tables
 from oracles import finite_difference_jacobian, loop_log_h_scale, loop_log_jac_dlam
 
 
 def _random_flat_system(rng, n_eq=2, n_var=2, terms=6):
     signs = rng.choice([-1.0, 1.0], n_eq * terms)
     logc = rng.normal(size=n_eq * terms)
-    exps = rng.integers(-3, 5, size=(n_eq * terms, n_var)).astype(np.int64)
+    exps = rng.integers(-3, 5, size=(n_eq * terms, n_var)).astype(np.float64)
     vexp = np.abs(rng.normal(size=n_eq * terms)) * 3.0
     offs = np.arange(0, n_eq * terms + 1, terms, dtype=np.int64)
     u = rng.uniform(-1, 1, n_var)
     lam = float(np.abs(rng.normal()) + 0.1)
     return signs, logc, exps, vexp, offs, lam, u
+
+
+def _h_scale(signs, logc, exps, vexp, offs, lam, u):
+    """``h_scale`` on the flat arrays, with the index it precomputes."""
+    eq, _ = tables(exps, vexp, offs)
+    return h_scale(signs, logc, exps, vexp, offs, eq, lam, u)
+
+
+def _jac_dlam(signs, logc, exps, vexp, offs, lam, u):
+    """``jac_dlam`` on the flat arrays, with the tables it precomputes."""
+    eq, weights = tables(exps, vexp, offs)
+    return jac_dlam(signs, logc, exps, vexp, offs, eq, weights, lam, u)
 
 
 def _per_equation(kernel, signs, logc, exps, vexp, offs, lam, u):
@@ -33,8 +45,8 @@ class TestBackendAgreement:
         for _ in range(25):
             args = _random_flat_system(rng)
             h_ref, s_ref = loop_log_h_scale(*args)
-            h, s = h_scale(*args)
-            h_eq, s_eq = _per_equation(h_scale, *args)
+            h, s = _h_scale(*args)
+            h_eq, s_eq = _per_equation(_h_scale, *args)
             assert np.allclose(h, h_ref, rtol=1e-12, atol=1e-12)
             assert np.allclose(s, s_ref, rtol=1e-12, atol=1e-12)
             assert np.array_equal(h, h_eq)
@@ -43,13 +55,18 @@ class TestBackendAgreement:
     def test_jac_dlam_three_ways(self, rng):
         for _ in range(25):
             args = _random_flat_system(rng)
+            h_ref, _ = loop_log_h_scale(*args)
             j_ref, d_ref = loop_log_jac_dlam(*args)
-            j, d = jac_dlam(*args)
-            j_eq, d_eq = _per_equation(jac_dlam, *args)
+            h, j, d = _jac_dlam(*args)
+            h_eq, j_eq, d_eq = _per_equation(_jac_dlam, *args)
+            assert np.allclose(h, h_ref, rtol=1e-12, atol=1e-12)
             assert np.allclose(j, j_ref, rtol=1e-12, atol=1e-12)
             assert np.allclose(d, d_ref, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(h, h_eq)
             assert np.array_equal(j, j_eq)
             assert np.array_equal(d, d_eq)
+            # The fused residual is the residual kernel's, bit for bit.
+            assert np.array_equal(h, _h_scale(*args)[0])
 
     def test_finite_far_outside_the_float_range(self, rng):
         # exp(1000) overflows a float; the shifted terms stay in [-1, 1].
@@ -60,10 +77,11 @@ class TestBackendAgreement:
             logc = rng.choice([-1.0, 1.0], logc.size) * rng.uniform(900, 1100, logc.size)
             u = rng.choice([-1.0, 1.0], u.size) * rng.uniform(900, 1100, u.size)
             args = (signs, logc, exps, vexp, offs, lam, u)
-            h, s = h_scale(*args)
-            j, d = jac_dlam(*args)
-            refs = loop_log_h_scale(*args) + loop_log_jac_dlam(*args)
-            for got, ref in zip((h, s, j, d), refs):
+            h, s = _h_scale(*args)
+            hf, j, d = _jac_dlam(*args)
+            h_ref, s_ref = loop_log_h_scale(*args)
+            refs = (h_ref, s_ref, h_ref) + loop_log_jac_dlam(*args)
+            for got, ref in zip((h, s, hf, j, d), refs):
                 assert np.all(np.isfinite(got))
                 assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
             assert np.all(np.abs(h) <= 6.0)
@@ -75,21 +93,21 @@ class TestDerivatives:
 
     def test_jacobian_matches_finite_differences(self, rng):
         signs, logc, exps, vexp, offs, lam, u = _random_flat_system(rng, terms=4)
-        _, shift0 = h_scale(signs, logc, exps, vexp, offs, lam, u)
+        _, shift0 = _h_scale(signs, logc, exps, vexp, offs, lam, u)
 
         def fun(y):
-            h, shift = h_scale(signs, logc, exps, vexp, offs, lam, y)
+            h, shift = _h_scale(signs, logc, exps, vexp, offs, lam, y)
             return h * np.exp(shift - shift0)
 
-        jac, _ = jac_dlam(signs, logc, exps, vexp, offs, lam, u)
+        _, jac, _ = _jac_dlam(signs, logc, exps, vexp, offs, lam, u)
         ref = finite_difference_jacobian(fun, u)
         assert np.allclose(jac, ref, rtol=1e-5, atol=1e-6)
 
     def test_dlam_matches_finite_differences(self, rng):
         signs, logc, exps, vexp, offs, lam, u = _random_flat_system(rng, terms=4)
-        _, shift0 = h_scale(signs, logc, exps, vexp, offs, lam, u)
-        h_hi, s_hi = h_scale(signs, logc, exps, vexp, offs, lam + 1e-6, u)
-        h_lo, s_lo = h_scale(signs, logc, exps, vexp, offs, lam - 1e-6, u)
+        _, shift0 = _h_scale(signs, logc, exps, vexp, offs, lam, u)
+        h_hi, s_hi = _h_scale(signs, logc, exps, vexp, offs, lam + 1e-6, u)
+        h_lo, s_lo = _h_scale(signs, logc, exps, vexp, offs, lam - 1e-6, u)
         ref = (h_hi * np.exp(s_hi - shift0) - h_lo * np.exp(s_lo - shift0)) / 2e-6
-        _, dlam = jac_dlam(signs, logc, exps, vexp, offs, lam, u)
+        _, _, dlam = _jac_dlam(signs, logc, exps, vexp, offs, lam, u)
         assert np.allclose(dlam, ref, rtol=1e-5, atol=1e-7)

@@ -23,6 +23,7 @@ from realhomotopy import (
     support_system,
     track,
 )
+from realhomotopy import _kernels
 from realhomotopy.tracker import select_t0
 
 
@@ -120,6 +121,51 @@ class TestTracking:
         assert len(solutions) == 1
         assert bad.status in ("failed", "diverged")
         assert good.status == "converged"
+
+    def test_coinciding_endpoints_fail_both_paths(self):
+        # Two paths that end on one zero have jumped onto one branch.
+        system = quadratic_system(1.0, 10.0, 1.0)
+        cells, homotopy = _cells_and_homotopy(system)
+        cell = cells.cells[0]
+        sol = solve_real(binomial_from_cell(cell, system))[0]
+        twins = [make_path(cell, sol, 0.01), make_path(cell, sol, 0.01)]
+        assert track(homotopy, twins) == []
+        for k, path in enumerate(twins):
+            assert path.status == "failed"
+            assert path.message == f"endpoint coincides with path {1 - k}"
+        pair = [
+            make_path(c, s, 0.01)
+            for c in cells.cells
+            for s in solve_real(binomial_from_cell(c, system))
+        ]
+        assert len(pair) == 2
+        assert len(track(homotopy, pair)) == 2
+        assert [p.status for p in pair] == ["converged", "converged"]
+
+    def test_one_kernel_call_per_newton_iterate(self, cubic_conic, monkeypatch):
+        # The predictor reuses the Jacobian of the accepted Newton iterate, so
+        # a step costs its Newton iterates plus one evaluation, and no more.
+        cells, homotopy = _cells_and_homotopy(cubic_conic)
+        paths = []
+        for cell in cells.cells:
+            starts = solve_real(binomial_from_cell(cell, cubic_conic))
+            if starts:
+                t0 = select_t0(homotopy, cell, starts)
+                paths.extend(make_path(cell, s, t0) for s in starts)
+        assert len(paths) == 6
+        calls = []
+        for name in ("h_scale", "jac_dlam"):
+            kernel = getattr(_kernels, name)
+
+            def counted(*args, kernel=kernel):
+                calls.append(kernel)
+                return kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        solutions = track(homotopy, paths)
+        steps = sum(s.steps for s in solutions)
+        assert len(solutions) == 6
+        assert len(calls) <= 5 * steps
 
     def test_start_coordinate_underflow_is_a_path_failure(self):
         system = quadratic_system(1.0, 10.0, 1.0)
