@@ -5,15 +5,20 @@ regular subdivision exactly when some vector gamma makes the lifted values
 ``<gamma, a> + w(a)`` agree on the two edge points of every block and stay
 strictly below on all other points of that block (max / upper-face convention).
 
-Candidates are the per-block edge tuples in ``itertools.product`` order.  A
-batched float screen in numpy looks at them a chunk at a time and discards
-those that are provably singular or whose float gamma leaves some point
-clearly above its block's face.  Floats only ever discard: every survivor is
-decided by the exact test (integer determinant, exact solve for gamma from
-the fraction-free determinant and adjugate, margin and tie checks), and the
-screen's tolerances make each candidate it drops one the exact test rejects.
-Cells, normals and TieDegenerate are therefore those of the exact test run on
-every candidate.
+Candidates are the per-block edge tuples in ``itertools.product`` order.  Two
+batched float screens in numpy discard candidates before the exact test.  The
+first looks at each block alone: it keeps a point pair of the block only if
+some (n+1)-point simplex of the block through the pair has a float gamma that
+leaves no point of the block clearly above the simplex's face (an edge of the
+lifted upper hull lies in an upper facet, which supplies such a simplex).
+Candidates become the product of the kept pairs.  The second looks at them a
+chunk at a time and discards those that are provably singular or whose float
+gamma leaves some point clearly above its block's face.  Floats only ever
+discard: every survivor is decided by the exact test (integer determinant,
+exact solve for gamma from the fraction-free determinant and adjugate, margin
+and tie checks), and the screens' tolerances make each candidate they drop
+one the exact test rejects.  Cells, normals and TieDegenerate are therefore
+those of the exact test run on every candidate.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -22,6 +27,7 @@ double as the branch exponent vector of the toric deformation: the start curve
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +43,7 @@ from .lattice import (
     Scalar,
     det_adjugate,
     int_det,
+    kernel_basis,
     solve_exact,
 )
 
@@ -54,14 +61,18 @@ class MixedCell:
 
     ``edges`` holds per-block point index pairs (indices into the originating
     support, 0-based).  The first index of each pair is the point with the
-    smaller lifted value.  ``primitive_normal`` is the normal rescaled to a
-    primitive integer vector when its direction is rational, else None.
+    smaller lifted value.
     """
 
     edges: tuple[tuple[int, int], ...]
     normal: tuple[Scalar, ...]
     volume: int
-    primitive_normal: tuple[int, ...] | None = None
+
+    @functools.cached_property
+    def primitive_normal(self) -> tuple[int, ...] | None:
+        """The normal rescaled to a primitive integer vector when its
+        direction is rational, else None."""
+        return _primitive_direction(self.normal)
 
     def cayley_indices(self, config: CayleyConfig) -> list[int]:
         out: list[int] = []
@@ -157,12 +168,75 @@ def _order_edge(p: int, q: int, lifted: Sequence[Scalar]) -> tuple[int, int]:
     return q, p
 
 
-class _FloatScreen:
-    """Batched float test that discards edge tuples the exact test would reject.
+def _simplex_pairs(t: int, k: int) -> np.ndarray:
+    """The point pairs of every k-subset of ``range(t)``, one row per subset.
 
-    Per block it holds the local index pairs in ``combinations`` order, their
-    difference rows (exact integer differences, then rounded once) and the
-    float right-hand sides of the equality constraints for gamma.
+    Rows follow ``combinations(range(t), k)`` and hold the index of each pair
+    of the subset in ``combinations(range(t), 2)``, pairs in combinations
+    order, so the first ``k - 1`` pairs join the subset's smallest point to
+    each of its other points.
+    """
+    simplices = np.array(
+        list(itertools.combinations(range(t), k)), dtype=np.intp
+    ).reshape(-1, k)
+    firsts, seconds = zip(*itertools.combinations(range(k), 2))
+    a, b = simplices[:, list(firsts)], simplices[:, list(seconds)]
+    return a * (2 * t - a - 1) // 2 + (b - a - 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _tables(sizes: tuple[int, ...], screened: tuple[int, ...]) -> tuple:
+    """Index tables for blocks of the given sizes, stacked block by block.
+
+    Cached per block shape, so the tables are shared: callers only read them.
+
+    Returns the flat index of each block's first point; the flat indices of
+    both points of every pair, each block's pairs in combinations order; the
+    pairs as local index pairs; each block's first pair index and the total;
+    a mask of the pairs of blocks not in ``screened``; and the
+    ``(n+1)``-point simplices of the ``screened`` blocks as rows of pair
+    indices (``_simplex_pairs``), with the block of each row.
+    """
+    n = len(sizes)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    locals_ = [np.triu_indices(t, 1) for t in sizes]
+    pair_starts = list(itertools.accumulate((len(p) for p, _ in locals_), initial=0))
+    first = np.concatenate([p + s for (p, _), s in zip(locals_, starts)])
+    second = np.concatenate([q + s for (_, q), s in zip(locals_, starts)])
+    local = list(
+        zip(
+            np.concatenate([p for p, _ in locals_]).tolist(),
+            np.concatenate([q for _, q in locals_]).tolist(),
+        )
+    )
+    unscreened = np.ones(len(first), dtype=bool)
+    tables = [np.empty((0, n * (n + 1) // 2), dtype=np.intp)]
+    for i in screened:
+        unscreened[pair_starts[i] : pair_starts[i + 1]] = False
+        tables.append(_simplex_pairs(sizes[i], n + 1) + pair_starts[i])
+    simplices = np.concatenate(tables)
+    owner = np.repeat(screened, [len(t) for t in tables[1:]])[:, None]
+    return starts[:-1], first, second, local, pair_starts, unscreened, simplices, owner
+
+
+def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
+    """Whether the points affinely span R^n, decided exactly."""
+    origin = points[0]
+    rows = [[c - o for c, o in zip(p, origin)] for p in points[1:]]
+    return kernel_basis(rows)[1] == n
+
+
+class _FloatScreen:
+    """Batched float tests that discard what the exact test would reject.
+
+    Two passes share one test (``_witness``).  The first runs over the
+    ``(n+1)``-point simplices of every block and keeps a block's point pair
+    only if some simplex through it witnesses it.  Blocks of at most n + 1
+    points, and blocks that do not affinely span R^n, keep every pair.  The
+    second runs over the product of the kept pairs, one pair per block, in
+    ``itertools.product`` order.  ``pairs`` holds the kept local index pairs
+    of each block in ``combinations`` order and ``total`` the size of their
+    product.
     """
 
     def __init__(
@@ -173,107 +247,186 @@ class _FloatScreen:
     ) -> None:
         n = len(blocks)
         self.n = n
-        self.pairs = [
-            list(itertools.combinations(range(len(blk)), 2)) for blk in blocks
-        ]
-        values = np.array([float(v) for v in lifting])
-        self.shape = tuple(len(p) for p in self.pairs)
-        self.first: list[np.ndarray] = []
-        self.diff: list[np.ndarray] = []
-        self.rhs: list[np.ndarray] = []
-        self.points: list[np.ndarray] = []
-        self.lift: list[np.ndarray] = []
-        for blk, pairs in zip(blocks, self.pairs):
-            p_idx = np.array([p for p, _ in pairs], dtype=np.intp)
-            q_idx = np.array([q for _, q in pairs], dtype=np.intp)
-            self.first.append(p_idx)
-            self.diff.append(
-                np.array(
-                    [
-                        [base[blk[p]][j] - base[blk[q]][j] for j in range(n)]
-                        for p, q in pairs
-                    ],
-                    dtype=float,
-                )
-            )
-            w = values[blk]
-            self.rhs.append(w[q_idx] - w[p_idx])
-            self.points.append(np.array([base[k] for k in blk], dtype=float))
-            self.lift.append(w)
-        self.scale = 1.0 + float(np.max(np.abs(values)))
-        self.max_coord = max(float(np.max(np.abs(pts))) for pts in self.points)
+        flat = [k for blk in blocks for k in blk]
+        # A block of at most n + 1 points keeps every pair: it spans less
+        # than R^n, or it is one simplex, all of whose pairs are edges.
+        screened = tuple(
+            i
+            for i, blk in enumerate(blocks)
+            if len(blk) > n + 1 and _spans_space([base[k] for k in blk], n)
+        )
+        (
+            self.starts,
+            first,
+            second,
+            self.local,
+            pair_starts,
+            unscreened,
+            simplices,
+            owner,
+        ) = _tables(tuple(len(blk) for blk in blocks), screened)
+        # Points flat, block by block; per pair the exact integer difference
+        # row (rounded once) and the right-hand side of its equality
+        # constraint on gamma.
+        ints = np.array([base[k] for k in flat], dtype=object).reshape(-1, n)
+        exact_diff = ints[first] - ints[second]
+        self.coords = ints.astype(float)
+        self.lift = np.array([float(lifting[k]) for k in flat])
+        self.first = first
+        self.diff = exact_diff.astype(float)
+        self.rhs = self.lift[second] - self.lift[first]
+        self.scale = 1.0 + float(np.abs(self.lift).max())
+        self.max_coord = float(np.abs(self.coords).max())
+        self.reach = math.sqrt(float((self.diff * self.diff).sum(axis=1).max()))
+
+        # Simplex pass.  Take a candidate the exact test accepts or raises
+        # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
+        # exact gamma levels p and q and leaves every other point of the
+        # block at most e = ``_tie_slack`` above (lowering those points by at
+        # most e makes p, q an upper edge).  The gammas that level p, q with
+        # all lowered points on or below form a polyhedron without lines, as
+        # the block spans R^n, so it has a vertex: there n independent
+        # constraints hold with equality, p - q and n - 1 rows k_j - p.  The
+        # simplex S = {p, q, k_1, ..., k_{n-1}} is affinely independent, so
+        # never flagged singular, and its gamma for the lowered lifting is
+        # that vertex.  Undoing the lowering moves S's right-hand sides by at
+        # most e, hence its gamma by at most ||M_S^-1||_2 * sqrt(n) * e and
+        # each margin by at most e * (1 + sqrt(n) * reach * ||M_S^-1||_2),
+        # the slack ``_witness`` adds to tau.  So S is untrusted, or its float
+        # margins are within that widened tau, and either way S keeps p, q.
+        kept = unscreened.copy()
+        if screened:
+            slack = self._tie_slack(math.gcd(*exact_diff.ravel().tolist()))
+            for start in range(0, len(simplices), SCREEN_CHUNK):
+                rows = simplices[start : start + SCREEN_CHUNK]
+                blk = owner[start : start + SCREEN_CHUNK]
+                kept[rows[self._witness(rows[:, :n], rows[:, :1], blk, slack)]] = True
+        self.kept = np.flatnonzero(kept)
+        self.cuts = np.searchsorted(self.kept, pair_starts)
+        self.shape = tuple(np.diff(self.cuts).tolist())
         self.total = math.prod(self.shape)
+
+    @property
+    def pairs(self) -> list[list[tuple[int, int]]]:
+        ids = self.kept.tolist()
+        return [
+            [self.local[g] for g in ids[a:b]]
+            for a, b in zip(self.cuts[:-1], self.cuts[1:])
+        ]
+
+    def _tie_slack(self, grain: int) -> float:
+        """Bound on how far above its face the exact test lets a point sit.
+
+        The exact test accepts a candidate, or raises TieDegenerate on it,
+        when its margins computed in floats are above ``-TIE_RTOL * scale``.
+        Its matrix M has integer rows of norm at most ``reach`` whose entries
+        are multiples of ``grain``, so ``|det M| >= grain^n`` and every
+        cofactor is at most ``reach^(n-1)``: ``|M^-1|_max <= rho`` below.
+        Its float gamma rounds one multiply-add per entry of the exact
+        adjugate, and its float margins a dot product with that gamma, so the
+        exact gamma of the candidate (``|gamma|_1 <= 2 n^2 rho scale``)
+        levels the candidate's two points and leaves every other point at
+        most the returned bound above their face.
+        """
+        n = self.n
+        rho = (self.reach / grain) ** (n - 1) / grain
+        rounding = 8 * n * n * (n + 3) * _EPS * (1.0 + rho * (self.max_coord + self.reach))
+        return self.scale * (TIE_RTOL + rounding)
 
     def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
         """The surviving per-block local pairs, in ``itertools.product`` order."""
+        offsets = self.cuts[:-1]
+        blocks = np.arange(self.n)[None, :]
         for start in range(0, self.total, SCREEN_CHUNK):
             flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
-            idx = np.unravel_index(flat, self.shape)
-            with np.errstate(all="ignore"):
-                keep = self._keep(idx)
-            for c in np.flatnonzero(keep):
-                yield tuple(self.pairs[i][idx[i][c]] for i in range(self.n))
+            idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
+            pairs = self.kept[idx + offsets]
+            keep = self._witness(pairs, pairs, blocks, 0.0)
+            for row in pairs[keep].tolist():
+                yield tuple(self.local[g] for g in row)
 
-    def _keep(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
-        # Every comparison that drops a candidate is False on NaN, so values
-        # that overflow the float range leave the candidate to the exact test.
+    def _witness(
+        self, pairs: np.ndarray, faces: np.ndarray, blocks: np.ndarray, slack: float
+    ) -> np.ndarray:
+        """Rows of pair indices the float test cannot rule out.
+
+        Row r takes one gamma from the equality constraints of its n pairs
+        and asks, for each column j of ``faces`` and ``blocks``, whether a
+        point of block ``blocks[r, j]`` lies above the face through the first
+        point of pair ``faces[r, j]`` by more than tau.  A row is ruled out
+        when its matrix is provably singular, or when it is trusted and some
+        such point lies above.  ``slack`` widens tau for the simplex pass.
+        """
+        # Every comparison that drops a row is False on NaN, so values that
+        # overflow the float range leave the row to the exact test.
         n = self.n
-        count = len(idx[0])
-        mat = np.stack([self.diff[i][idx[i]] for i in range(n)], axis=1)
-        rhs = np.stack([self.rhs[i][idx[i]] for i in range(n)], axis=1)
-        row_norm = np.sqrt(np.sum(mat * mat, axis=2))
-        hadamard = np.prod(row_norm, axis=1)
-        det = np.abs(np.linalg.det(mat))
-        growth = n * 2.0**n
-        # Singular: with partial pivoting the float determinant of an integer
-        # matrix is off by about n * 2^n * eps * H at most (H the Hadamard
-        # bound), so below 2^-19 when H * n * 2^n <= 2^33 (H <= 2^30 at
-        # n = 2), and |det| < 0.5 means the integer determinant is 0.
-        singular = (det < 0.5) & (hadamard * growth <= 2.0**33)
-        # Margins are trusted only for well-conditioned matrices.  Every
-        # cofactor of an integer matrix is at most H / (smallest row norm), so
-        # cond_2 <= n^1.5 * H * (largest row norm) / (|det| * smallest row
-        # norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps the float gamma
-        # within 1e-9 * |gamma| of the exact-path gamma.  Rows are differences
-        # of distinct integer points, so the smallest norm is at least 1.
-        spread = np.max(row_norm, axis=1) / np.min(row_norm, axis=1)
-        cond_det = n**1.5 * hadamard * spread
-        trusted = cond_det * (growth * _EPS) <= 1e-9 * det
-        # Untrusted matrices may be singular, which would make the batched
-        # solve raise; an identity stands in and their margins go unused.
-        mat[~trusted] = np.eye(n)
-        rhs[~trusted] = 0.0
-        gamma = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
-        # A margin is a difference of two lifted values, each at most
-        # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding, the
-        # 1e-9 relative error of gamma spread over 2n * max|coord|, the
-        # rounding of the exact path's own float gamma and margins (at most
-        # about 1e-9 * scale at this conditioning), and its tie tolerance
-        # 1e-12 * scale all fit well inside tau.  So a float margin below
-        # -tau is an exact-path margin below the tie tolerance, and the exact
-        # test would reject the candidate without a tie.
-        gamma_l1 = np.sum(np.abs(gamma), axis=1)
-        tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + self.max_coord))
-        # The edge's own points sit within rounding of the face, far inside
-        # tau, so the highest lifted value of the block decides.
-        rows = np.arange(count)
-        infeasible = np.zeros(count, dtype=bool)
-        for i in range(n):
-            pts = self.points[i]
-            lifted = np.broadcast_to(self.lift[i], (count, len(pts))).copy()
-            for j in range(n):
-                lifted += gamma[:, j, None] * pts[None, :, j]
-            face = lifted[rows, self.first[i][idx[i]]]
-            infeasible |= np.max(lifted, axis=1) - face > tau
+        count = len(pairs)
+        with np.errstate(all="ignore"):
+            mat = self.diff[pairs]
+            rhs = self.rhs[pairs]
+            row_norm = np.sqrt(np.sum(mat * mat, axis=2))
+            hadamard = np.prod(row_norm, axis=1)
+            det = np.abs(np.linalg.det(mat))
+            growth = n * 2.0**n
+            # Singular: with partial pivoting the float determinant of an
+            # integer matrix is off by about n * 2^n * eps * H at most (H the
+            # Hadamard bound), so below 2^-19 when H * n * 2^n <= 2^33 (H <=
+            # 2^30 at n = 2), and |det| < 0.5 means the integer determinant
+            # is 0.
+            singular = (det < 0.5) & (hadamard * growth <= 2.0**33)
+            # Margins are trusted only for well-conditioned matrices.  Every
+            # cofactor of an integer matrix is at most H / (smallest row
+            # norm), so cond_2 <= n^1.5 * H * (largest row norm) / (|det| *
+            # smallest row norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps
+            # the float gamma within 1e-9 * |gamma| of the exact-path gamma.
+            # Rows are differences of distinct integer points, so the
+            # smallest norm is at least 1.
+            min_norm = np.min(row_norm, axis=1)
+            spread = np.max(row_norm, axis=1) / min_norm
+            cond_det = n**1.5 * hadamard * spread
+            trusted = cond_det * (growth * _EPS) <= 1e-9 * det
+            # Untrusted matrices may be singular, which would make the
+            # batched solve raise; an identity stands in and their margins go
+            # unused.
+            mat[~trusted] = np.eye(n)
+            rhs[~trusted] = 0.0
+            gamma = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
+            # A margin is a difference of two lifted values, each at most
+            # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
+            # the 1e-9 relative error of gamma spread over 2n * max|coord|,
+            # the rounding of the exact path's own float gamma and margins
+            # (at most about 1e-9 * scale at this conditioning), and its tie
+            # tolerance 1e-12 * scale all fit well inside tau.  So a float
+            # margin below -tau is an exact-path margin below the tie
+            # tolerance, and the exact test would reject the candidate
+            # without a tie.
+            gamma_l1 = np.sum(np.abs(gamma), axis=1)
+            tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + self.max_coord))
+            if slack:
+                # ||M^-1||_2 <= n * H / (|det| * smallest row norm) by the
+                # cofactor bound above.
+                inverse = n * hadamard / (det * min_norm)
+                tau += slack * (1.0 + math.sqrt(n) * self.reach * inverse)
+            # The face points sit within rounding of the face, far inside
+            # tau, so the highest lifted value of each block decides.
+            lifted = self.lift + gamma @ self.coords.T
+            top = np.maximum.reduceat(lifted, self.starts, axis=1)
+            rows = np.arange(count)[:, None]
+            excess = top[rows, blocks] - lifted[rows, self.first[faces]]
+            infeasible = np.any(excess > tau[:, None], axis=1)
         return ~(singular | (trusted & infeasible))
 
 
 def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
     """All mixed cells of the subdivision induced by ``lifting``.
 
-    Per-block edge tuples pass a batched float screen first, which discards
-    provably singular ones and ones whose float gamma puts some point of a
-    block clearly above the block's face.  Each survivor is decided exactly:
+    Two batched float screens run first.  The per-block screen keeps a point
+    pair of a block only if some simplex of the block through it has a float
+    gamma that leaves the block's points on or near its face; candidates are
+    the per-block products of the kept pairs.  The product screen then
+    discards provably singular candidates and ones whose float gamma puts
+    some point of a block clearly above the block's face.  Floats only
+    discard.  Each survivor is decided exactly:
     an integer determinant, an exact solve of the n equality constraints for
     gamma, then the strict exclusion margins.  A margin inside the tie
     tolerance raises TieDegenerate when no other margin rejects the
@@ -348,7 +501,6 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
                 ),
                 normal=normal,
                 volume=abs(det),
-                primitive_normal=_primitive_direction(normal),
             )
         )
 

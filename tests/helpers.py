@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -59,16 +60,24 @@ def quadratic_system(c0: float, c1: float, c2: float) -> SupportSystem:
     return support_system([[[0], [1], [2]]], [[c0, c1, c2]])
 
 
-def dense_support(degree: int) -> list[list[int]]:
+def dense_support(degree: int, n: int = 2) -> list[list[int]]:
+    """All exponent vectors in n variables of total degree at most ``degree``."""
     return [
-        [i, j]
-        for i, j in itertools.product(range(degree + 1), repeat=2)
-        if i + j <= degree
+        list(p)
+        for p in itertools.product(range(degree + 1), repeat=n)
+        if sum(p) <= degree
     ]
 
 
 def dense_system(d1: int, d2: int, rng: np.random.Generator) -> SupportSystem:
-    supports = [dense_support(d1), dense_support(d2)]
+    return dense_system_n((d1, d2), rng)
+
+
+def dense_system_n(
+    degrees: Sequence[int], rng: np.random.Generator
+) -> SupportSystem:
+    """Dense square system in ``len(degrees)`` variables, one support per degree."""
+    supports = [dense_support(d, len(degrees)) for d in degrees]
     coefficients = [
         [float(s) * float(np.exp(rng.uniform(-1.5, 1.5))) for s in rng.choice([-1.0, 1.0], len(sup))]
         for sup in supports

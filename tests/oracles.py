@@ -1,8 +1,9 @@
 """Independent reference computations the unit and acceptance tests pin against.
 
 The oracles share no code with the solver's decision paths: mixed cells are
-re-derived by LP feasibility, binomial systems by per-orthant grid search with
-Newton polish, and quadratic root counts by the closed formula.
+re-derived by LP feasibility (``lp_mixed_cells``, and the upper-hull edges of
+one block by ``lp_upper_edges``), binomial systems by per-orthant grid search
+with Newton polish, and quadratic root counts by the closed formula.
 
 The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
@@ -38,7 +39,6 @@ from realhomotopy.mixed_cells import (
     TIE_RTOL,
     CircuitInequality,
     _order_edge,
-    _primitive_direction,
 )
 
 LP_MARGIN = 1e-10
@@ -92,6 +92,35 @@ def lp_mixed_cells(
             for p, q in cand
         )
         out.append((edges, gamma, volume))
+    return out
+
+
+def lp_upper_edges(points, w, margin: float = LP_MARGIN) -> set[tuple[int, int]]:
+    """Point pairs on an edge of the upper hull of the lifted points.
+
+    For every pair p < q, maximize the worst exclusion margin s subject to
+    gamma levelling ``<gamma, a> + w(a)`` on p and q and keeping every other
+    point at least s below.  The pair counts when the optimum exceeds
+    ``margin``: a positive margin asks for an edge, a negative one also takes
+    pairs that share an upper face with other points (ties).
+    """
+    pts = np.array(points, dtype=float)
+    vals = np.array([float(v) for v in w])
+    n = pts.shape[1]
+    out = set()
+    for p, q in itertools.combinations(range(len(pts)), 2):
+        others = [k for k in range(len(pts)) if k not in (p, q)]
+        res = linprog(
+            c=[0.0] * n + [-1.0],
+            A_ub=[list(pts[k] - pts[p]) + [1.0] for k in others] or None,
+            b_ub=[vals[p] - vals[k] for k in others] or None,
+            A_eq=[list(pts[p] - pts[q]) + [0.0]],
+            b_eq=[vals[q] - vals[p]],
+            bounds=[(None, None)] * n + [(None, 1.0)],
+            method="highs",
+        )
+        if res.success and res.x[-1] > margin:
+            out.add((p, q))
     return out
 
 
@@ -244,7 +273,6 @@ def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCell
                 ),
                 normal=normal,
                 volume=abs(det),
-                primitive_normal=_primitive_direction(normal),
             )
         )
     cells.sort(key=lambda c: c.edges)

@@ -13,6 +13,7 @@ from helpers import (
     CUBIC_SIGNS,
     CUBIC_SUPPORT,
     KNOWN_CELL_PRIMITIVE_NORMAL,
+    dense_system_n,
 )
 from realhomotopy.cli import main
 from fractions import Fraction
@@ -56,6 +57,18 @@ class TestMixedCellsCommand:
             [scale * v for v in KNOWN_CELL_PRIMITIVE_NORMAL], rel=1e-12
         )
         assert all(c["inequalities"] == 12 for c in doc["cells"])
+
+    def test_dense_three_variables(self, tmp_path, capsys, rng):
+        system = dense_system_n((3, 3, 3), rng)
+        doc = {
+            "n": 3,
+            "supports": [[list(p) for p in s.points] for s in system.supports],
+            "coefficients": [list(row) for row in system.coefficients],
+        }
+        assert main(["mixed-cells", _write(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == 3
+        assert out["total_volume"] == 27
 
     def test_output_reparses(self, tmp_path, capsys):
         main(["mixed-cells", _write(tmp_path, _cubic_conic_doc())])

@@ -12,11 +12,14 @@ from helpers import (
     KNOWN_CELL_PRIMITIVE_NORMAL,
     dense_support,
     dense_system,
+    dense_system_n,
     random_sparse_system,
 )
 from oracles import (
+    LP_MARGIN,
     brute_force_mixed_cells,
     lp_mixed_cells,
+    lp_upper_edges,
     reference_circuit_inequalities,
 )
 from realhomotopy import (
@@ -29,8 +32,9 @@ from realhomotopy import (
     mixed_cell_count_bound,
     support_system,
 )
+from realhomotopy import mixed_cells
 from realhomotopy.lattice import Lifting, int_det
-from realhomotopy.mixed_cells import SCREEN_CHUNK, _FloatScreen
+from realhomotopy.mixed_cells import _FloatScreen
 
 
 def _lifted(config, lifting, gamma, k):
@@ -212,15 +216,14 @@ class TestScreenEquivalence:
             system = _scaled(system, 2**40)
             _assert_matches_brute_force(system)
             # Hadamard bounds are far above the singular guard's, so no
-            # singular candidate is dropped as singular: all reach the exact test.
+            # singular candidate built from the kept pairs is dropped as
+            # singular: all reach the exact test.
             config = build_cayley(system)
             blocks = [config.block_indices(i) for i in range(config.n)]
             base = [config.base_point(k) for k in range(config.m)]
-            screen = _FloatScreen(blocks, base, log_abs_lifting(system).values)
+            screen = _screen(config, log_abs_lifting(system))
             kept = set(screen.candidates())
-            for cand in itertools.product(
-                *(itertools.combinations(range(len(b)), 2) for b in blocks)
-            ):
+            for cand in itertools.product(*screen.pairs):
                 rows = [
                     [base[blk[p]][j] - base[blk[q]][j] for j in range(config.n)]
                     for blk, (p, q) in zip(blocks, cand)
@@ -228,10 +231,15 @@ class TestScreenEquivalence:
                 if int_det(rows) == 0:
                     assert cand in kept
 
-    def test_more_candidates_than_one_chunk(self, rng):
+    def test_more_candidates_than_one_chunk(self, rng, monkeypatch):
+        # Dense (4, 4) keeps fewer candidates than one default chunk; a small
+        # prime chunk makes both passes span several chunks, the last partial.
+        monkeypatch.setattr(mixed_cells, "SCREEN_CHUNK", 11)
         system = dense_system(4, 4, rng)
-        total = math.comb(len(dense_support(4)), 2) ** 2
-        assert total > SCREEN_CHUNK and total % SCREEN_CHUNK != 0
+        screen = _screen(build_cayley(system), log_abs_lifting(system))
+        simplices = 2 * math.comb(len(dense_support(4)), 3)
+        for rows in (screen.total, simplices):
+            assert rows > 11 and rows % 11 != 0
         cells = _assert_matches_brute_force(system)
         assert cells.total_volume() == 16
 
@@ -242,6 +250,111 @@ class TestScreenEquivalence:
         for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
             cells = _assert_matches_brute_force(system, Lifting(values=values))
             assert [c.edges for c in cells.cells] == [((0, 3),)]
+
+
+def _screen(config, lifting):
+    blocks = [config.block_indices(i) for i in range(config.n)]
+    base = [config.base_point(k) for k in range(config.m)]
+    return _FloatScreen(blocks, base, lifting.values)
+
+
+def _spans(points):
+    pts = np.array(points)
+    return np.linalg.matrix_rank(pts[1:] - pts[0]) == pts.shape[1]
+
+
+def _assert_keeps_upper_edges(system, lifting=None, generic=False, hull=None):
+    """The per-block kept pairs contain every LP upper edge, ties included.
+
+    With ``generic``, blocks that span R^n keep exactly the strict edges.
+    ``hull`` is the system whose supports give the LP its points (by default
+    ``system`` itself).
+    """
+    lifting = lifting or log_abs_lifting(system)
+    kept = _screen(build_cayley(system), lifting).pairs
+    config = build_cayley(hull or system)
+    for i, pairs in enumerate(kept):
+        blk = config.block_indices(i)
+        points = [config.base_point(k) for k in blk]
+        values = [lifting.values[k] for k in blk]
+        if generic:
+            edges = lp_upper_edges(points, values)
+            if _spans(points):
+                assert set(pairs) == edges
+        else:
+            edges = lp_upper_edges(points, values, margin=-LP_MARGIN)
+        assert edges <= set(pairs)
+    return kept
+
+
+class TestUpperEdgeScreen:
+    """The per-block pass keeps every upper-hull edge of every block."""
+
+    def test_random_n2_keeps_exactly_the_edges(self, rng):
+        for _ in range(25):
+            system = random_sparse_system(rng, n=2, min_terms=3, max_terms=7)
+            _assert_keeps_upper_edges(system, generic=True)
+
+    def test_random_n3_keeps_exactly_the_edges(self, rng):
+        for _ in range(8):
+            system = random_sparse_system(rng, n=3, min_terms=4, max_terms=7)
+            _assert_keeps_upper_edges(system, generic=True)
+
+    def test_exact_liftings(self, rng):
+        for _ in range(8):
+            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
+            m = sum(len(s) for s in system.supports)
+            ints = tuple(int(v) for v in rng.integers(-3, 4, size=m))
+            nums = rng.integers(-50, 51, size=m)
+            dens = rng.integers(1, 5, size=m)
+            fracs = tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+            _assert_keeps_upper_edges(system, Lifting(values=ints))
+            _assert_keeps_upper_edges(system, Lifting(values=fracs))
+
+    def test_supports_scaled_by_2_40(self, rng):
+        # Scaling the supports scales gamma and keeps the upper-hull edges.
+        for _ in range(6):
+            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
+            _assert_keeps_upper_edges(
+                _scaled(system, 2**40), log_abs_lifting(system), hull=system
+            )
+
+    def test_collinear_block_keeps_every_pair(self):
+        system = support_system(
+            [[[0, 0], [1, 1], [2, 2], [3, 3]], [[0, 0], [2, 0], [0, 1], [1, 1], [1, 3]]],
+            [[1.0, -2.5, 0.7, 3.0], [2.0, -0.3, 1.5, -4.0, 0.2]],
+        )
+        kept = _assert_keeps_upper_edges(system)
+        assert kept[0] == list(itertools.combinations(range(4), 2))
+        assert len(kept[1]) < math.comb(5, 2)
+        _assert_matches_brute_force(system)
+
+    def test_univariate_ties(self):
+        system = support_system([[[0], [1], [2], [3]]], [[1.0, 1.0, 1.0, 1.0]])
+        for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
+            _assert_keeps_upper_edges(system, Lifting(values=values))
+        # All four points tie, so every pair lies on the upper face.
+        kept = _assert_keeps_upper_edges(system, Lifting(values=(0, 0, 0, 0)))
+        assert kept == [list(itertools.combinations(range(4), 2))]
+
+
+class TestDenseHigherDimension:
+    """Dense systems in three variables: BKK equals Bezout, d^3."""
+
+    def test_dense_volumes(self, rng):
+        for d in (2, 3):
+            system = dense_system_n((d, d, d), rng)
+            cells = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
+            assert cells.total_volume() == d**3
+            for cell in cells.cells:
+                _check_cell_normal(build_cayley(system), log_abs_lifting(system), cell)
+
+    def test_pruning_on_dense_3_3_3(self, rng):
+        system = dense_system_n((3, 3, 3), rng)
+        product = math.comb(len(dense_support(3, 3)), 2) ** 3
+        assert product == 6_859_000
+        screen = _screen(build_cayley(system), log_abs_lifting(system))
+        assert screen.total < product // 100
 
 
 class TestCircuits:
