@@ -168,36 +168,14 @@ def _order_edge(p: int, q: int, lifted: Sequence[Scalar]) -> tuple[int, int]:
     return q, p
 
 
-def _simplex_pairs(t: int, k: int) -> np.ndarray:
-    """The point pairs of every k-subset of ``range(t)``, one row per subset.
-
-    Rows follow ``combinations(range(t), k)`` and hold the index of each pair
-    of the subset in ``combinations(range(t), 2)``, pairs in combinations
-    order, so the first ``k - 1`` pairs join the subset's smallest point to
-    each of its other points.
-    """
-    simplices = np.array(
-        list(itertools.combinations(range(t), k)), dtype=np.intp
-    ).reshape(-1, k)
-    firsts, seconds = zip(*itertools.combinations(range(k), 2))
-    a, b = simplices[:, list(firsts)], simplices[:, list(seconds)]
-    return a * (2 * t - a - 1) // 2 + (b - a - 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _tables(sizes: tuple[int, ...], screened: tuple[int, ...]) -> tuple:
+def _pair_tables(sizes: tuple[int, ...]) -> tuple:
     """Index tables for blocks of the given sizes, stacked block by block.
-
-    Cached per block shape, so the tables are shared: callers only read them.
 
     Returns the flat index of each block's first point; the flat indices of
     both points of every pair, each block's pairs in combinations order; the
-    pairs as local index pairs; each block's first pair index and the total;
-    a mask of the pairs of blocks not in ``screened``; and the
-    ``(n+1)``-point simplices of the ``screened`` blocks as rows of pair
-    indices (``_simplex_pairs``), with the block of each row.
+    pairs as local index pairs; and each block's first pair index and the
+    total.
     """
-    n = len(sizes)
     starts = list(itertools.accumulate(sizes, initial=0))
     locals_ = [np.triu_indices(t, 1) for t in sizes]
     pair_starts = list(itertools.accumulate((len(p) for p, _ in locals_), initial=0))
@@ -209,14 +187,57 @@ def _tables(sizes: tuple[int, ...], screened: tuple[int, ...]) -> tuple:
             np.concatenate([q for _, q in locals_]).tolist(),
         )
     )
-    unscreened = np.ones(len(first), dtype=bool)
-    tables = [np.empty((0, n * (n + 1) // 2), dtype=np.intp)]
-    for i in screened:
-        unscreened[pair_starts[i] : pair_starts[i + 1]] = False
-        tables.append(_simplex_pairs(sizes[i], n + 1) + pair_starts[i])
-    simplices = np.concatenate(tables)
-    owner = np.repeat(screened, [len(t) for t in tables[1:]])[:, None]
-    return starts[:-1], first, second, local, pair_starts, unscreened, simplices, owner
+    return starts[:-1], first, second, local, pair_starts
+
+
+# Small shapes recur across solves, so their tables are cached and shared:
+# callers only read them.  Only shapes with at most SCREEN_CHUNK pairs, or
+# simplices, are cached, which bounds the memory the caches keep.
+_cached_pair_tables = functools.lru_cache(maxsize=32)(_pair_tables)
+
+
+def _simplex_rows(
+    sizes: Sequence[int], screened: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (n+1)-point simplices of the ``screened`` blocks, a chunk at a time.
+
+    Yields at most SCREEN_CHUNK rows at a time, each with its block (a
+    column).  Rows follow ``combinations(range(t), n + 1)`` block by block
+    and hold the index of each pair of the simplex among all pairs (blocks'
+    pairs stacked as in ``_pair_tables``), pairs in combinations order, so
+    the first n pairs join the simplex's smallest point to each of its other
+    points.
+    """
+    k = len(sizes) + 1
+    pairs = (math.comb(t, 2) for t in sizes)
+    pair_starts = np.array(list(itertools.accumulate(pairs, initial=0)))
+    firsts, seconds = map(list, zip(*itertools.combinations(range(k), 2)))
+    # Simplices of flat point indices, so that a row's first point gives
+    # its block; streamed as plain ints for np.fromiter.
+    starts = np.array(list(itertools.accumulate(sizes, initial=0)))
+    points = itertools.chain.from_iterable(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(starts[i], starts[i + 1]), k)
+        )
+        for i in screened
+    )
+    while True:
+        flat = np.fromiter(itertools.islice(points, SCREEN_CHUNK * k), np.intp)
+        if not flat.size:
+            return
+        table = flat.reshape(-1, k)
+        owner = np.searchsorted(starts, table[:, :1], side="right") - 1
+        table -= starts[owner]
+        a, b = table[:, firsts], table[:, seconds]
+        t = starts[owner + 1] - starts[owner]
+        yield a * (2 * t - a - 1) // 2 + (b - a - 1) + pair_starts[owner], owner
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_simplex_rows(
+    sizes: tuple[int, ...], screened: tuple[int, ...]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    return list(_simplex_rows(sizes, screened))
 
 
 def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
@@ -232,11 +253,12 @@ class _FloatScreen:
     Two passes share one test (``_witness``).  The first runs over the
     ``(n+1)``-point simplices of every block and keeps a block's point pair
     only if some simplex through it witnesses it.  Blocks of at most n + 1
-    points, and blocks that do not affinely span R^n, keep every pair.  The
-    second runs over the product of the kept pairs, one pair per block, in
-    ``itertools.product`` order.  ``pairs`` holds the kept local index pairs
-    of each block in ``combinations`` order and ``total`` the size of their
-    product.
+    points, blocks that do not affinely span R^n, and blocks whose simplices
+    outnumber the candidates they could cut keep every pair; ``screened``
+    names the other blocks.  The second runs over the product of the kept
+    pairs, one pair per block, in ``itertools.product`` order.  ``pairs``
+    holds the kept local index pairs of each block in ``combinations`` order
+    and ``total`` the size of their product.
     """
 
     def __init__(
@@ -248,23 +270,26 @@ class _FloatScreen:
         n = len(blocks)
         self.n = n
         flat = [k for blk in blocks for k in blk]
-        # A block of at most n + 1 points keeps every pair: it spans less
-        # than R^n, or it is one simplex, all of whose pairs are edges.
-        screened = tuple(
-            i
-            for i, blk in enumerate(blocks)
-            if len(blk) > n + 1 and _spans_space([base[k] for k in blk], n)
-        )
-        (
-            self.starts,
-            first,
-            second,
-            self.local,
-            pair_starts,
-            unscreened,
-            simplices,
-            owner,
-        ) = _tables(tuple(len(blk) for blk in blocks), screened)
+        sizes = tuple(len(blk) for blk in blocks)
+        # Screening a block costs one float test per (n+1)-point simplex and
+        # saves at most the product screen's candidates, so blocks are
+        # screened, fewest points first, only while their simplices add up to
+        # no more than that product.  A block of at most n + 1 points keeps
+        # every pair: it spans less than R^n, or it is one simplex, all of
+        # whose pairs are edges.
+        budget = math.prod(math.comb(t, 2) for t in sizes)
+        screened = []
+        for i in sorted(range(n), key=sizes.__getitem__):
+            cost = math.comb(sizes[i], n + 1)
+            if cost > budget:
+                break
+            if sizes[i] > n + 1 and _spans_space([base[k] for k in blocks[i]], n):
+                screened.append(i)
+                budget -= cost
+        self.screened = tuple(sorted(screened))
+        pairs = sum(math.comb(t, 2) for t in sizes)
+        tables = _cached_pair_tables if pairs <= SCREEN_CHUNK else _pair_tables
+        self.starts, first, second, self.local, pair_starts = tables(sizes)
         # Points flat, block by block; per pair the exact integer difference
         # row (rounded once) and the right-hand side of its equality
         # constraint on gamma.
@@ -294,12 +319,14 @@ class _FloatScreen:
         # each margin by at most e * (1 + sqrt(n) * reach * ||M_S^-1||_2),
         # the slack ``_witness`` adds to tau.  So S is untrusted, or its float
         # margins are within that widened tau, and either way S keeps p, q.
-        kept = unscreened.copy()
+        kept = np.ones(pairs, dtype=bool)
         if screened:
             slack = self._tie_slack(math.gcd(*exact_diff.ravel().tolist()))
-            for start in range(0, len(simplices), SCREEN_CHUNK):
-                rows = simplices[start : start + SCREEN_CHUNK]
-                blk = owner[start : start + SCREEN_CHUNK]
+            for i in screened:
+                kept[pair_starts[i] : pair_starts[i + 1]] = False
+            small = sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK
+            rows_of = _cached_simplex_rows if small else _simplex_rows
+            for rows, blk in rows_of(sizes, self.screened):
                 kept[rows[self._witness(rows[:, :n], rows[:, :1], blk, slack)]] = True
         self.kept = np.flatnonzero(kept)
         self.cuts = np.searchsorted(self.kept, pair_starts)

@@ -338,6 +338,45 @@ class TestUpperEdgeScreen:
         assert kept == [list(itertools.combinations(range(4), 2))]
 
 
+def _unbalanced(rng, large, small):
+    """A system in two variables with a block of ``large`` random points and
+    a fixed block of ``small`` points."""
+    grid = [[i, j] for i in range(11) for j in range(11)]
+    chosen = sorted(rng.choice(len(grid), size=large, replace=False).tolist())
+    supports = [[grid[k] for k in chosen], [[0, 0], [1, 2], [2, 0], [0, 1]][:small]]
+    coefficients = [
+        [float(s) * float(np.exp(rng.uniform(-3.0, 3.0))) for s in signs]
+        for signs in (rng.choice([-1.0, 1.0], t) for t in (large, small))
+    ]
+    return support_system(supports, coefficients)
+
+
+class TestScreenCost:
+    """A block is screened only while its simplices cost no more than the
+    candidates they could cut."""
+
+    def test_unbalanced_supports(self, rng, monkeypatch):
+        rows = []
+        simplex_rows = mixed_cells._simplex_rows
+
+        def counting(*args):
+            for chunk in simplex_rows(*args):
+                rows.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(mixed_cells, "_simplex_rows", counting)
+        # 60 points have C(60, 3) = 34,220 simplices, more than the 1,770
+        # and 10,620 candidates; the spanning 4-point block has 4.
+        for small, screened in ((2, ()), (4, (1,))):
+            system = _unbalanced(rng, 60, small)
+            rows.clear()
+            screen = _screen(build_cayley(system), log_abs_lifting(system))
+            assert screen.screened == screened
+            assert sum(rows) == sum(math.comb(4, 3) for _ in screened)
+            assert sum(rows) <= math.comb(60, 2) * math.comb(small, 2)
+            _assert_matches_brute_force(system)
+
+
 class TestDenseHigherDimension:
     """Dense systems in three variables: BKK equals Bezout, d^3."""
 
