@@ -5,6 +5,13 @@ regular subdivision exactly when some vector gamma makes the lifted values
 ``<gamma, a> + w(a)`` agree on the two edge points of every block and stay
 strictly below on all other points of that block (max / upper-face convention).
 
+The circuit of an excluded point, the affine dependence of the 2n cell points
+and that point, evaluates on the lifting to the point's exclusion margin times
+the size of its coefficient.  So a cell is cut out by its circuit inequalities
+(the secondary fan of Gelfand, Kapranov and Zelevinsky): the exact test
+decides a candidate by the signs of its circuits, which are also the
+inequalities the certificate checks.
+
 Candidates are the per-block edge tuples in ``itertools.product`` order.  Two
 batched float screens in numpy discard candidates before the exact test.  The
 first looks at each block alone: it keeps a point pair of the block only if
@@ -15,10 +22,11 @@ Candidates become the product of the kept pairs.  The second looks at them a
 chunk at a time and discards those that are provably singular or whose float
 gamma leaves some point clearly above its block's face.  Floats only ever
 discard: every survivor is decided by the exact test (integer determinant,
-exact solve for gamma from the fraction-free determinant and adjugate, margin
-and tie checks), and the screens' tolerances make each candidate they drop
-one the exact test rejects.  Cells, normals and TieDegenerate are therefore
-those of the exact test run on every candidate.
+exact solve for gamma, and the signs and ties of its circuits, each from the
+fraction-free determinant and adjugate of the n x n edge matrix), and the
+screens' tolerances make each candidate they drop one the exact test
+rejects.  Cells, normals, circuits and TieDegenerate are therefore those of
+the exact test run on every candidate.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -73,13 +81,6 @@ class MixedCell:
         """The normal rescaled to a primitive integer vector when its
         direction is rational, else None."""
         return _primitive_direction(self.normal)
-
-    def cayley_indices(self, config: CayleyConfig) -> list[int]:
-        out: list[int] = []
-        for i, (p, q) in enumerate(self.edges):
-            blk = config.block_indices(i)
-            out.extend([blk[p], blk[q]])
-        return out
 
 
 @dataclass(frozen=True)
@@ -344,21 +345,23 @@ class _FloatScreen:
     def _tie_slack(self, grain: int) -> float:
         """Bound on how far above its face the exact test lets a point sit.
 
-        The exact test accepts a candidate, or raises TieDegenerate on it,
-        when its margins computed in floats are above ``-TIE_RTOL * scale``.
-        Its matrix M has integer rows of norm at most ``reach`` whose entries
-        are multiples of ``grain``, so ``|det M| >= grain^n`` and every
-        cofactor is at most ``reach^(n-1)``: ``|M^-1|_max <= rho`` below.
-        Its float gamma rounds one multiply-add per entry of the exact
-        adjugate, and its float margins a dot product with that gamma, so the
-        exact gamma of the candidate (``|gamma|_1 <= 2 n^2 rho scale``)
-        levels the candidate's two points and leaves every other point at
-        most the returned bound above their face.
+        The exact test rejects a candidate only when some excluded point k
+        has ``float(zeta . w) / |zeta[k]| <= -TIE_RTOL * scale``, zeta its
+        circuit; exactly, that quotient is k's margin.  The sum has 2n + 1
+        products of an integer and a lifting value below ``scale``, so with
+        the division the quotient is off by at most ``2 (n + 2) eps scale
+        |zeta|_1 / |zeta[k]|``.  Up to sign, zeta over ``|zeta[k]|`` is
+        ``lam_i`` on ``a_i``, ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with
+        ``lam_i`` (Cramer) the determinant of the edge matrix D with row i
+        replaced by ``k - b_j``, at most ``reach^n``, over ``det D``, at least
+        ``grain^n`` (rows are integer multiples of ``grain``).  So the ratio
+        is at most ``2 + 2 n (reach / grain)^n``, and a candidate the test
+        accepts or raises TieDegenerate on has every exact margin above minus
+        the returned bound.
         """
         n = self.n
-        rho = (self.reach / grain) ** (n - 1) / grain
-        rounding = 8 * n * n * (n + 3) * _EPS * (1.0 + rho * (self.max_coord + self.reach))
-        return self.scale * (TIE_RTOL + rounding)
+        ratio = 2.0 + 2.0 * n * (self.reach / grain) ** n
+        return self.scale * (TIE_RTOL + 2 * (n + 2) * _EPS * ratio)
 
     def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
         """The surviving per-block local pairs, in ``itertools.product`` order."""
@@ -420,19 +423,19 @@ class _FloatScreen:
             gamma = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
             # A margin is a difference of two lifted values, each at most
             # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
-            # the 1e-9 relative error of gamma spread over 2n * max|coord|,
-            # the rounding of the exact path's own float gamma and margins
-            # (at most about 1e-9 * scale at this conditioning), and its tie
-            # tolerance 1e-12 * scale all fit well inside tau.  So a float
-            # margin below -tau is an exact-path margin below the tie
-            # tolerance, and the exact test would reject the candidate
-            # without a tie.
+            # the 1e-9 relative error of gamma spread over 2n * max|coord|
+            # and the tie tolerance 1e-12 * scale fit well inside tau's first
+            # term.  The exact test's own rounding is at most 2 (n + 2) eps
+            # scale (2 + 2 sum_i |lam_i|) (``_tie_slack``), and by Cramer and
+            # Hadamard |lam_i| <= reach * H / (|det| * norm of row i), so the
+            # second term covers it.  So a float margin below -tau is one the
+            # exact test reads below the tie tolerance: it rejects, no tie.
+            inverse = n * hadamard / (det * min_norm)
             gamma_l1 = np.sum(np.abs(gamma), axis=1)
             tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + self.max_coord))
+            tau += 4 * (n + 2) * _EPS * self.scale * (1.0 + self.reach * inverse)
             if slack:
-                # ||M^-1||_2 <= n * H / (|det| * smallest row norm) by the
-                # cofactor bound above.
-                inverse = n * hadamard / (det * min_norm)
+                # ||M^-1||_2 <= ``inverse`` by the cofactor bound above.
                 tau += slack * (1.0 + math.sqrt(n) * self.reach * inverse)
             # The face points sit within rounding of the face, far inside
             # tau, so the highest lifted value of each block decides.
@@ -447,95 +450,70 @@ class _FloatScreen:
 def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
     """All mixed cells of the subdivision induced by ``lifting``.
 
-    Two batched float screens run first.  The per-block screen keeps a point
-    pair of a block only if some simplex of the block through it has a float
-    gamma that leaves the block's points on or near its face; candidates are
-    the per-block products of the kept pairs.  The product screen then
-    discards provably singular candidates and ones whose float gamma puts
-    some point of a block clearly above the block's face.  Floats only
-    discard.  Each survivor is decided exactly:
-    an integer determinant, an exact solve of the n equality constraints for
-    gamma, then the strict exclusion margins.  A margin inside the tie
-    tolerance raises TieDegenerate when no other margin rejects the
-    candidate; exact rational liftings use exact zero tests instead.
+    The per-block and product float screens (``_FloatScreen``) only discard.
+    Each survivor is decided exactly: an integer determinant, an exact solve
+    for gamma (the normal), then its circuit inequalities, one per excluded
+    point, whose value on the lifting is ``|zeta[witness]|`` times the
+    witness's exclusion margin.  The survivor is a cell when every circuit
+    is positive, and those circuits are its inequalities.  A negative one
+    rejects it; otherwise a margin inside the tie tolerance raises
+    TieDegenerate.  Exact (int or Fraction) liftings decide on the sign of
+    the exact circuit value instead.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
     n = config.n
     values = list(lifting.values)
     exact = lifting.is_exact()
-    scale = 1.0 + max(abs(float(v)) for v in values)
     blocks: list[list[int]] = [config.block_indices(i) for i in range(n)]
     for i, blk in enumerate(blocks):
         if len(blk) < 2:
             raise EmptySupport(f"support {i} has fewer than 2 points")
 
     base = [config.base_point(k) for k in range(config.m)]
-    cells: list[MixedCell] = []
-    for cand in _FloatScreen(blocks, base, values).candidates():
+    origin = config.origin_index
+    screen = _FloatScreen(blocks, base, values)
+    tie_tol = TIE_RTOL * screen.scale
+    found: list[tuple[MixedCell, list[CircuitInequality]]] = []
+    for cand in screen.candidates():
         edges = tuple(
-            _order_edge(
-                blk[p], blk[q], values
-            )
-            for blk, (p, q) in zip(blocks, cand)
+            _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
         )
-        rows = [
-            [base[a][j] - base[b][j] for j in range(n)] for a, b in edges
-        ]
+        rows = [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
         det = int_det(rows)
         if det == 0:
             continue
-        rhs = [values[b] - values[a] for a, b in edges]
-        gamma = solve_exact(rows, rhs)
+        gamma = solve_exact(rows, [values[b] - values[a] for a, b in edges])
+        local = tuple((origin[a], origin[b]) for a, b in edges)
+        cell = MixedCell(local, tuple(-g for g in gamma), abs(det))
+        circuits = circuit_inequalities(cell, config)
 
         # A violated margin rejects the candidate outright; a tie only makes
-        # the lifting degenerate when the candidate is otherwise feasible,
-        # i.e. the tied point sits exactly on the candidate's face.
-        feasible = True
+        # the lifting degenerate when the candidate is otherwise a cell, i.e.
+        # the tied point sits exactly on the candidate's face.
         tied_point: int | None = None
-        for i, blk in enumerate(blocks):
-            a_top, _ = edges[i]
-            face = sum(g * c for g, c in zip(gamma, base[a_top])) + values[a_top]
-            for k in blk:
-                if k == edges[i][0] or k == edges[i][1]:
-                    continue
-                margin = face - (
-                    sum(g * c for g, c in zip(gamma, base[k])) + values[k]
-                )
-                if exact:
-                    tie = margin == 0
-                else:
-                    tie = abs(float(margin)) < TIE_RTOL * scale
-                if tie:
-                    tied_point = k
-                elif margin < 0:
-                    feasible = False
-                    break
-            if not feasible:
+        for zeta in circuits:
+            margin = zeta.dot(values)
+            if not exact:
+                margin = float(margin) / -zeta.coeffs[zeta.witness]
+                if abs(margin) < tie_tol:
+                    margin = 0
+            if margin < 0:
                 break
-        if not feasible:
-            continue
-        if tied_point is not None:
-            raise TieDegenerate(
-                f"lifting ties on point {tied_point} against cell {edges}"
-            )
+            if margin == 0:
+                tied_point = zeta.witness
+        else:
+            if tied_point is not None:
+                raise TieDegenerate(
+                    f"lifting ties on point {tied_point} against cell {edges}"
+                )
+            found.append((cell, circuits))
 
-        normal = tuple(-g for g in gamma)
-        cells.append(
-            MixedCell(
-                edges=tuple(
-                    (config.origin_index[a], config.origin_index[b]) for a, b in edges
-                ),
-                normal=normal,
-                volume=abs(det),
-            )
-        )
-
-    cells.sort(key=lambda c: c.edges)
-    inequalities: list[CircuitInequality] = []
-    for cell in cells:
-        inequalities.extend(circuit_inequalities(cell, config))
-    return MixedCellSet(cells=tuple(cells), inequalities=tuple(inequalities))
+    found.sort(key=lambda item: item[0].edges)
+    return MixedCellSet(
+        cells=tuple(cell for cell, _ in found),
+        inequalities=tuple(zeta for _, circuits in found for zeta in circuits),
+    )
 
 
 def circuit_inequalities(
@@ -545,32 +523,43 @@ def circuit_inequalities(
 
     Each vector is the unique affine dependence of the 2n cell points plus the
     excluded point, reduced to a primitive integer vector and oriented so the
-    excluded point's entry is negative.  With M the homogenized 2n x 2n cell
-    matrix, d = det M and ``adj M @ M == d * I`` (both from one
-    ``det_adjugate`` pass), the dependence of an excluded point p is
-    ``(p @ adj M, -d)``: the cell rows weighted by ``p @ adj M`` sum to
-    ``d * p``.  The kernel is one-dimensional, so this is the vector of
-    alternating maximal minors up to scale.
+    excluded point's entry is negative.  The Cayley tags and the homogenizing
+    coordinate make each block's coefficients sum to zero, so only the n x n
+    edge matrix D (rows ``a_i - b_i``) is eliminated: for a point k of block
+    j, with ``d = det D`` and ``l = (k - b_j) @ adj D`` (one ``det_adjugate``
+    pass), the rows of D weighted by l sum to ``d * (k - b_j)``, and the
+    dependence is ``l_i`` on ``a_i``, ``d * [i = j] - l_i`` on ``b_i`` and
+    ``-d`` on k.  On a lifting it evaluates to ``|zeta[k]|`` times k's
+    exclusion margin: weighted by it, the cell points' lifted values are
+    their faces' heights, and the gamma terms cancel.
     """
-    cell_idx = cell.cayley_indices(config)
-    matrix = [list(config.points[k]) + [1] for k in cell_idx]
-    det, adj = det_adjugate(matrix)
+    n = config.n
+    blocks = [config.block_indices(i) for i in range(n)]
+    ends = [(blk[p], blk[q]) for blk, (p, q) in zip(blocks, cell.edges)]
+    cell_idx = [k for edge in ends for k in edge]
+    base = config.base_point
+    det, adj = det_adjugate(
+        [[x - y for x, y in zip(base(a), base(b))] for a, b in ends]
+    )
     if det == 0:
         raise SingularExponentMatrix("cell points are affinely dependent")
-    size = len(matrix)
     out: list[CircuitInequality] = []
     cell_set = set(cell_idx)
-    for alpha in range(config.m):
-        if alpha in cell_set:
-            continue
-        point = list(config.points[alpha]) + [1]
-        dep = [
-            sum(point[j] * adj[j][i] for j in range(size)) for i in range(size)
-        ] + [-det]
-        g = math.gcd(*dep)
-        dep = [v // g for v in dep]
-        if dep[-1] > 0:
-            dep = [-v for v in dep]
-        coeffs = {k: v for k, v in zip(cell_idx + [alpha], dep) if v != 0}
-        out.append(CircuitInequality(coeffs=coeffs, witness=alpha))
+    for j, blk in enumerate(blocks):
+        b_j = base(ends[j][1])
+        for k in blk:
+            if k in cell_set:
+                continue
+            diff = [x - y for x, y in zip(base(k), b_j)]
+            dep = []
+            for i in range(n):
+                l_i = sum(diff[r] * adj[r][i] for r in range(n))
+                dep += [l_i, det * (i == j) - l_i]
+            dep.append(-det)
+            g = math.gcd(*dep)
+            dep = [v // g for v in dep]
+            if dep[-1] > 0:
+                dep = [-v for v in dep]
+            coeffs = {k: v for k, v in zip(cell_idx + [k], dep) if v != 0}
+            out.append(CircuitInequality(coeffs=coeffs, witness=k))
     return out

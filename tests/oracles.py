@@ -8,11 +8,16 @@ with Newton polish, and quadratic root counts by the closed formula.
 The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
 edge tuple with no float screen, and ``reference_circuit_inequalities`` takes
-each dependence as alternating maximal minors.  Their exact arithmetic has its
-own elimination, independent of ``lattice.det_adjugate``: ``bareiss_det`` is
-forward fraction-free elimination, ``cofactor_adjugate`` takes one such
-determinant per minor, and ``adjugate_solve`` divides by the determinant with
-the same rounding as ``lattice.solve_exact``.  ``loop_log_h_scale`` and
+each dependence as alternating maximal minors of the homogenized Cayley
+points.  ``enumerate_mixed_cells`` decides a candidate by the signs of its
+circuit inequalities; ``brute_force_mixed_cells`` keeps the plain margin loop
+(solve for gamma, compare every excluded point's lifted value with its
+block's face) as the independent judge of that circuit-decided test.  Their
+exact arithmetic has its own elimination, independent of
+``lattice.det_adjugate``: ``bareiss_det`` is forward fraction-free
+elimination, ``cofactor_adjugate`` takes one such determinant per minor, and
+``adjugate_solve`` divides by the determinant with the same rounding as
+``lattice.solve_exact``.  ``loop_log_h_scale`` and
 ``loop_log_jac_dlam`` evaluate the deformed system in log coordinates term by
 term in scalar loops, the reference for the vectorized kernels.
 """
@@ -192,7 +197,11 @@ def reference_circuit_inequalities(
     cell: MixedCell, config: CayleyConfig
 ) -> list[CircuitInequality]:
     """Circuit inequalities with one signed-minor dependence per excluded point."""
-    cell_idx = cell.cayley_indices(config)
+    cell_idx = [
+        config.block_indices(i)[p]
+        for i, edge in enumerate(cell.edges)
+        for p in edge
+    ]
     cell_rows = [list(config.points[k]) + [1] for k in cell_idx]
     out: list[CircuitInequality] = []
     cell_set = set(cell_idx)
@@ -216,7 +225,9 @@ def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCell
     """The exact per-candidate test on every per-block edge tuple, in order.
 
     Same decisions, normals, tie handling and output order as
-    ``enumerate_mixed_cells``, without its float screen.
+    ``enumerate_mixed_cells``, without its float screen, and with each
+    exclusion margin taken from gamma and the block's face rather than from
+    a circuit.
     """
     n = config.n
     values = list(lifting.values)

@@ -17,6 +17,7 @@ from helpers import (
 )
 from oracles import (
     LP_MARGIN,
+    adjugate_solve,
     brute_force_mixed_cells,
     lp_mixed_cells,
     lp_upper_edges,
@@ -24,6 +25,7 @@ from oracles import (
 )
 from realhomotopy import (
     EmptySupport,
+    MixedCell,
     TieDegenerate,
     build_cayley,
     circuit_inequalities,
@@ -34,7 +36,7 @@ from realhomotopy import (
 )
 from realhomotopy import mixed_cells
 from realhomotopy.lattice import Lifting, int_det
-from realhomotopy.mixed_cells import _FloatScreen
+from realhomotopy.mixed_cells import TIE_RTOL, _FloatScreen
 
 
 def _lifted(config, lifting, gamma, k):
@@ -252,6 +254,107 @@ class TestScreenEquivalence:
             assert [c.edges for c in cells.cells] == [((0, 3),)]
 
 
+def _exclusion_margin(config, values, cell, k):
+    """How far Cayley point k lies below the face of ``cell``'s block of k,
+    from the oracle's solve for gamma."""
+    base = config.base_point
+    edges = [
+        tuple(config.block_indices(i)[p] for p in edge)
+        for i, edge in enumerate(cell.edges)
+    ]
+    rows = [[x - y for x, y in zip(base(a), base(b))] for a, b in edges]
+    gamma = adjugate_solve(rows, [values[b] - values[a] for a, b in edges])
+
+    def lifted(p):
+        return sum(g * c for g, c in zip(gamma, base(p))) + values[p]
+
+    return lifted(edges[config.block[k]][0]) - lifted(k)
+
+
+@pytest.fixture(params=[True, False], ids=["screened", "unscreened"])
+def screened(request, monkeypatch):
+    """Run with the float screens, or with both keeping every row so that
+    the exact test sees every candidate, as the brute-force loop does."""
+    if not request.param:
+        monkeypatch.setattr(
+            _FloatScreen, "_witness", lambda self, rows, *_: np.ones(len(rows), bool)
+        )
+    return request.param
+
+
+# Block 0 is a diamond: its middle row (0, 1), (1, 1), (2, 1) is lifted to 0
+# and its tips (1, 0), (1, 2) to 1.  A gamma that levels two middle-row points
+# levels the third (a tie) and puts a tip above their face, so every
+# candidate on a middle-row pair is an infeasible tie.
+DIAMOND = support_system(
+    [[[0, 1], [1, 1], [2, 1], [1, 0], [1, 2]], [[0, 0], [3, 1], [1, 3], [1, 1]]],
+    [[1.0] * 5, [1.0] * 4],
+)
+DIAMOND_VALUES = (0, 0, 0, 1, 1, 0, 7, 3, 11)
+
+
+class TestTiesInTwoVariables:
+    """TieDegenerate, its message and its point equal the brute-force loop's."""
+
+    def test_dense_all_ones(self, screened):
+        # Every float lift is 0, so every nonsingular candidate ties.
+        system = support_system([dense_support(2)] * 2, [[1.0] * 6] * 2)
+        got = _assert_matches_brute_force(system)
+        assert got[0] is TieDegenerate
+
+    def test_ties_on_infeasible_candidates_only(self, screened):
+        # The first candidate ties on point 2 with tip 3 or 4 above its face.
+        config = build_cayley(DIAMOND)
+        first = MixedCell(edges=((0, 1), (0, 1)), normal=(), volume=0)
+        margins = [_exclusion_margin(config, DIAMOND_VALUES, first, k) for k in (2, 3, 4)]
+        assert margins[0] == 0 and min(margins[1:]) < 0
+        cells = _assert_matches_brute_force(DIAMOND, Lifting(values=DIAMOND_VALUES))
+        assert cells.total_volume() == 8
+
+    def test_planted_tie_on_a_cell(self, screened):
+        config = build_cayley(DIAMOND)
+        cells = enumerate_mixed_cells(config, Lifting(values=DIAMOND_VALUES))
+        # Lift the last excluded point of block 1 onto the last cell's face.
+        cell = cells.cells[-1]
+        zeta = circuit_inequalities(cell, config)[-1]
+        k = zeta.witness
+        assert config.block[k] == 1 and zeta.coeffs[k] == -1
+        values = list(DIAMOND_VALUES)
+        values[k] += _exclusion_margin(config, values, cell, k)
+        assert isinstance(values[k], Fraction) and values[k].denominator == 1
+        values[k] = int(values[k])
+        got = _assert_matches_brute_force(DIAMOND, Lifting(values=tuple(values)))
+        assert got[0] is TieDegenerate
+
+    def test_float_tie_is_judged_by_the_margin(self, rng, screened):
+        # Put a point 0.5 * TIE_RTOL * scale below a cell's face, on a circuit
+        # whose witness coefficient is at least 3 in size: a tie by its
+        # margin, though the circuit's value is beyond the tie tolerance.
+        for _ in range(20):
+            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
+            config = build_cayley(system)
+            lifting = log_abs_lifting(system)
+            found = [
+                (cell, zeta)
+                for cell in enumerate_mixed_cells(config, lifting).cells
+                for zeta in circuit_inequalities(cell, config)
+                if zeta.coeffs[zeta.witness] <= -3
+            ]
+            if found:
+                break
+        cell, zeta = found[0]
+        k = zeta.witness
+        values = list(lifting.values)
+        scale = 1.0 + max(abs(v) for v in values)
+        values[k] += _exclusion_margin(config, values, cell, k) - 0.5 * TIE_RTOL * scale
+        planted = Lifting(values=tuple(values))
+        margin = _exclusion_margin(config, values, cell, k)
+        tie_tol = TIE_RTOL * (1.0 + max(abs(v) for v in values))
+        assert 0 < margin < tie_tol < abs(zeta.dot(values))
+        got = _assert_matches_brute_force(system, planted)
+        assert got[0] is TieDegenerate
+
+
 def _screen(config, lifting):
     blocks = [config.block_indices(i) for i in range(config.n)]
     base = [config.base_point(k) for k in range(config.m)]
@@ -450,6 +553,36 @@ class TestCircuits:
                             == 0
                         )
                     assert sum(zeta.coeffs.values()) == 0
+
+    def test_value_is_scaled_margin(self, rng):
+        # zeta . w / -zeta[witness] is the witness's exclusion margin,
+        # exactly for int and Fraction liftings.
+        for n, count in ((2, 8), (3, 4)):
+            for _ in range(count):
+                system = random_sparse_system(rng, n=n, min_terms=3, max_terms=5)
+                config = build_cayley(system)
+                m = config.m
+                ints = rng.integers(-10**6, 10**6, size=m).tolist()
+                dens = rng.integers(1, 1000, size=m).tolist()
+                liftings = [
+                    log_abs_lifting(system),
+                    Lifting(values=tuple(ints)),
+                    Lifting(values=tuple(Fraction(a, b) for a, b in zip(ints, dens))),
+                ]
+                for lifting in liftings:
+                    values = lifting.values
+                    scale = 1.0 + max(abs(float(v)) for v in values)
+                    cells = enumerate_mixed_cells(config, lifting).cells
+                    assert cells
+                    for cell in cells:
+                        for zeta in circuit_inequalities(cell, config):
+                            k = zeta.witness
+                            want = _exclusion_margin(config, values, cell, k)
+                            if lifting.is_exact():
+                                assert Fraction(zeta.dot(values), -zeta.coeffs[k]) == want
+                            else:
+                                got = zeta.dot(values) / -zeta.coeffs[k]
+                                assert abs(got - want) <= 1e-12 * scale
 
     def test_witness_entry_is_cell_volume(self, cubic_conic):
         # The excluded point's coefficient is the cell simplex volume up to
