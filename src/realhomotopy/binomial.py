@@ -5,7 +5,7 @@ A mixed cell restricts each equation to its two edge terms, giving
 ``r_i = -c2/c1``.  Writing ``x_j = (-1)**b_j * exp(y_j)`` splits the real
 solutions into two independent linear problems on the same matrix:
 
-- magnitudes, ``D @ y = log|r|``, one exact solve over the rationals;
+- magnitudes, ``D @ y = log|r|``, from one exact adjugate of D;
 - signs, ``(D mod 2) @ b = [r < 0]`` over GF(2), so a cell has either no real
   solution or ``2**(n - rank_2 D)`` of them.
 
@@ -16,11 +16,13 @@ overflow nor underflow; signs are exact bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Scalar, SupportSystem, log_abs, solve_exact
+from .errors import SingularExponentMatrix
+from .lattice import Scalar, SupportSystem, det_adjugate, log_abs
 from .mixed_cells import MixedCell
 
 RESIDUAL_RTOL = 1e-10
@@ -83,15 +85,16 @@ def _sign(value: Scalar) -> int:
 def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
     """All real solutions of ``x**D = rhs`` outside the coordinate hyperplanes.
 
-    The log-magnitudes come from one ``solve_exact`` call on D, which raises
-    SingularExponentMatrix for a singular D.  The sign vectors are the
-    solutions of the parity system (see ``_parity_solutions``).  Returns the
-    possibly empty solution list in ascending order of sign vectors.
+    The log-magnitudes come from one exact adjugate of D (see
+    ``_solve_logs``); a singular D raises SingularExponentMatrix.  The sign
+    vectors are the solutions of the parity system (see
+    ``_parity_solutions``).  Returns the possibly empty solution list in
+    ascending order of sign vectors.
     """
-    logs = solve_exact(bsys.exponents, [log_abs(r) for r in bsys.rhs])
+    logs, rtol = _solve_logs(bsys.exponents, [log_abs(r) for r in bsys.rhs])
     solutions = []
     for signs in _parity_solutions(bsys.exponents, [r < 0 for r in bsys.rhs]):
-        _check_residual(bsys, signs, logs)
+        _check_residual(bsys, signs, logs, rtol)
         point = tuple(s * math.exp(v) for s, v in zip(signs, logs))
         solutions.append(RealOrthantSolution(point=point, signs=signs))
     return solutions
@@ -145,15 +148,59 @@ def _sign_power_product(signs: Sequence[int], exponents: Sequence[int]) -> int:
     return out
 
 
+def _solve_logs(
+    exponents: Sequence[Sequence[int]], log_r: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """The float solution v of ``D @ v = log|r|`` from one exact adjugate,
+    and per row i the relative residual that this v may show.
+
+    Two float errors reach row i; write l = log|r|, u = eps / 2 and drop
+    u**2 terms.
+
+    - The solve.  In ``v_j = sum_k adj_jk l_k / det`` each term meets at
+      most n + 1 roundings, each a factor at most 1 + u: adj_jk as a float,
+      its product and up to n - 1 additions.  The division and det as a
+      float add two more.  So ``|v~_j - v_j| <= (n + 3) u S_j`` with
+      ``S_j = sum_k |adj_jk l_k| / |det|``.
+    - The check.  ``math.fsum`` of the products ``e_ij v~_j`` rounds each
+      product (after e_ij becomes a float) by ``2u |e_ij v~_j|`` and the sum
+      once by u times its size, which is at most ``sum_j |e_ij v~_j|``.
+
+    As ``sum_j e_ij v_j = l_i`` exactly, the log of row i is off by at most
+    ``u sum_j |e_ij| ((n + 3) S_j + 3 |v~_j|)``, which
+    ``(n + 3) eps sum_j |e_ij| (S_j + |v~_j|)`` covers twice over; the exp
+    and the subtraction of 1 add a few u.  With exponents near 10**6 and
+    det = -1 this reaches 1e-8 and more, far above ``RESIDUAL_RTOL``.
+    """
+    det, adj = det_adjugate(exponents)
+    if det == 0:
+        raise SingularExponentMatrix("singular exponent matrix")
+    logs = [sum(a * x for a, x in zip(row, log_r)) / det for row in adj]
+    size = [
+        math.fsum(abs(a * x) for a, x in zip(row, log_r)) / abs(det) + abs(v)
+        for row, v in zip(adj, logs)
+    ]
+    eps = (len(exponents) + 3) * sys.float_info.epsilon
+    rtol = [
+        RESIDUAL_RTOL + eps * math.fsum(abs(e) * z for e, z in zip(row, size))
+        for row in exponents
+    ]
+    return logs, rtol
+
+
 def _check_residual(
-    bsys: BinomialSystem, signs: Sequence[int], logs: Sequence[float]
+    bsys: BinomialSystem,
+    signs: Sequence[int],
+    logs: Sequence[float],
+    rtol: Sequence[float],
 ) -> None:
-    # Plug-in verification on the original, untransformed equations.
-    for row, r in zip(bsys.exponents, bsys.rhs):
+    # Plug-in verification on the original, untransformed equations, each
+    # row within the rounding that ``_solve_logs`` allows it.
+    for row, r, tol in zip(bsys.exponents, bsys.rhs, rtol):
         log_val = math.fsum(e * v for e, v in zip(row, logs))
         sign_val = _sign_power_product(signs, row)
         rel = abs(math.exp(log_val - log_abs(r)) - 1.0)
-        if sign_val != _sign(r) or rel > RESIDUAL_RTOL:
+        if sign_val != _sign(r) or rel > tol:
             raise AssertionError(
                 f"binomial residual check failed: relative error {rel:.3e}"
             )

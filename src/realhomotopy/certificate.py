@@ -28,10 +28,8 @@ class Certificate:
         return min(self.margins) if self.margins else math.inf
 
 
-def certify(
-    lifting: Lifting, inequalities: Sequence[CircuitInequality], m: int
-) -> Certificate:
-    """Check every circuit inequality with the log(m) slack.
+def certify(lifting: Lifting, inequalities: Sequence[CircuitInequality]) -> Certificate:
+    """Check every circuit inequality with the log(m) slack, m = len(lifting).
 
     Margins are computed against the supplied lifting; the verdict is a pass
     exactly when all margins are strictly positive.  With no excluded points
@@ -39,6 +37,7 @@ def certify(
     such systems are solved exactly by the binomial solver, tracking is a
     no-op, and the certificate passes vacuously.
     """
+    m = len(lifting)
     log_m = math.log(m)
     margins = tuple(
         float(zeta.dot(lifting.values)) - log_m * zeta.l1() for zeta in inequalities
@@ -53,4 +52,4 @@ def certify_system(system: SupportSystem) -> tuple[Certificate, MixedCellSet]:
     config = build_cayley(system)
     lifting = log_abs_lifting(system)
     cells = enumerate_mixed_cells(config, lifting)
-    return certify(lifting, cells.inequalities, config.m), cells
+    return certify(lifting, cells.inequalities), cells

@@ -7,6 +7,8 @@ Input documents are JSON objects with:
     coefficients  n lists of nonzero numbers; strings like "-3/4" parse as
                   exact rationals
 
+Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
+
 Exit codes: 0 success, 1 input error, 2 certificate fail, 3 degenerate
 lifting, 4 tracking failures present or a start point outside the float
 range.
@@ -115,7 +117,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     system = load_system(args.input)
-    cfg = SolverConfig(t0=args.t0, tol=args.tol, force=args.force)
+    cfg = SolverConfig(tol=args.tol, force=args.force)
     try:
         report = solve(system, cfg)
     except OverflowError as exc:
@@ -190,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="full solve with path tracking")
     p_solve.add_argument("input")
-    p_solve.add_argument("--t0", type=float, default=None)
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--force", action="store_true")
     p_solve.set_defaults(func=cmd_solve)

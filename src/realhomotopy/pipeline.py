@@ -23,7 +23,8 @@ from .tracker import (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    t0: float | None = None
+    """Endpoint tolerance and forced tracking; ``select_t0`` picks each t0."""
+
     tol: float = 1e-8
     force: bool = False
 
@@ -67,8 +68,6 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     for heuristic tracking, in which case the result is marked uncertified.
     """
     cfg = config or SolverConfig()
-    if cfg.t0 is not None and not 0.0 < cfg.t0 <= 1.0:
-        raise ValueError(f"t0 must lie in (0, 1], got {cfg.t0!r}")
     if not 0.0 < cfg.tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
     report = SolveReport()
@@ -88,7 +87,7 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     report.timings["mixed_cells"] = clock() - t
 
     t = clock()
-    report.certificate = certify(lifting, cells.inequalities, cayley.m)
+    report.certificate = certify(lifting, cells.inequalities)
     report.timings["certificate"] = clock() - t
 
     if not report.certificate.verdict and not cfg.force:
@@ -112,7 +111,7 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
         for ci, (cell, starts) in enumerate(zip(cells.cells, cell_starts)):
             if not starts:
                 continue
-            t0 = cfg.t0 if cfg.t0 is not None else select_t0(homotopy, cell, starts)
+            t0 = select_t0(homotopy, cell, starts)
             paths.extend((ci, make_path(cell, sol, t0)) for sol in starts)
         report.solutions = track(homotopy, [p for _, p in paths], tol=cfg.tol)
         report.failures = [

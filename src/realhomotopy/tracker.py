@@ -204,67 +204,66 @@ def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
+    """Continue one path from ``path.t`` < 1 to t = 1; a singular or
+    non-finite tangent, or a fourth corrector failure in one step, fails it."""
     point = _log_point(h, path.x)
     if point is None:
         raise PathDiverged("start point outside the float range")
     h, u = point
     lam = -math.log(path.t)
     steps = 0
-    if lam > 0.0:
-        # Pull the truncated branch point onto the actual path before stepping.
-        res, u, _, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
-        if res >= CORRECTOR_TOL:
-            raise CorrectorStalled("start point correction failed")
-        pace = max(max(abs(float(z)) for z in path.cell.normal), 1.0)
-        dlam = min(0.1 * lam, MAX_LOG_MOVE / pace)
-        easy = 0
-        while lam > 0.0:
-            # Euler predictor on the Davidenko system.  (lam, u) is the final
-            # Newton iterate of the last correction, whose Jacobian and
-            # lam-derivative came with it, and every halving below reuses the
-            # tangent.
-            try:
-                udot = np.linalg.solve(jac, -dl)
-            except np.linalg.LinAlgError:
-                tangent_ok = False
-            else:
-                tangent_ok = bool(np.isfinite(udot).all())
-            step = min(dlam, lam)
-            newton_failures = 0
-            while True:
-                lam_new = lam - step
-                res = math.inf
-                if tangent_ok:
-                    res, corrected, iters, derivs = _newton(
-                        h, lam_new, u - step * udot, CORRECTOR_TOL, CORRECTOR_ITERS
+    # Pull the truncated branch point onto the actual path before stepping.
+    res, u, _, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
+    if res >= CORRECTOR_TOL:
+        raise CorrectorStalled("start point correction failed")
+    pace = max(max(abs(float(z)) for z in path.cell.normal), 1.0)
+    dlam = min(0.1 * lam, MAX_LOG_MOVE / pace)
+    easy = 0
+    while lam > 0.0:
+        # Euler predictor on the Davidenko system.  (lam, u) is the final
+        # Newton iterate of the last correction, whose Jacobian and
+        # lam-derivative came with it, and every halving below reuses the
+        # tangent.
+        try:
+            udot = np.linalg.solve(jac, -dl)
+        except np.linalg.LinAlgError:
+            udot = None
+        if udot is None or not np.isfinite(udot).all():
+            raise CorrectorStalled(f"tangent solve failed at lam={lam:.3e}")
+        step = min(dlam, lam)
+        newton_failures = 0
+        while True:
+            lam_new = lam - step
+            res, corrected, iters, derivs = _newton(
+                h, lam_new, u - step * udot, CORRECTOR_TOL, CORRECTOR_ITERS
+            )
+            converged = res < CORRECTOR_TOL
+            # An oversized log-space move marks an overlong step.
+            if converged and abs(corrected - u).max() <= MAX_LOG_MOVE:
+                break
+            if not converged:
+                newton_failures += 1
+                if newton_failures > 3:
+                    raise CorrectorStalled(
+                        f"corrector failed after 3 halvings at lam={lam:.3e}"
                     )
-                converged = res < CORRECTOR_TOL
-                # An oversized log-space move marks an overlong step.
-                if converged and abs(corrected - u).max() <= MAX_LOG_MOVE:
-                    break
-                if not converged:
-                    newton_failures += 1
-                    if newton_failures > 3:
-                        raise CorrectorStalled(
-                            f"corrector failed after 3 halvings at lam={lam:.3e}"
-                        )
-                step *= 0.5
-                if step < MIN_STEP:
-                    raise PathDiverged("step size underflow")
-            u = corrected
-            lam = lam_new
-            jac, dl = derivs
-            steps += 1
-            if steps > MAX_STEPS:
-                raise CorrectorStalled("step budget exhausted")
-            dlam = step
-            if iters <= 2:
-                easy += 1
-                if easy >= 4:
-                    dlam = min(2.0 * dlam, MAX_STEP)
-                    easy = 0
-            else:
+            step *= 0.5
+            if step < MIN_STEP:
+                raise PathDiverged("step size underflow")
+        u = corrected
+        lam = lam_new
+        jac, dl = derivs
+        steps += 1
+        if steps > MAX_STEPS:
+            raise CorrectorStalled("step budget exhausted")
+        dlam = step
+        if iters <= 2:
+            easy += 1
+            if easy >= 4:
+                dlam = min(2.0 * dlam, MAX_STEP)
                 easy = 0
+        else:
+            easy = 0
     res, u, _, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,24 @@ class TestSolveReal:
     def test_singular_rejected(self):
         with pytest.raises(SingularExponentMatrix):
             solve_real(BinomialSystem(exponents=((1, 1), (2, 2)), rhs=(1.0, 2.0)))
+
+    def test_large_unimodular_exponents(self):
+        # det D = -1 with entries near 10**6: the float solve for log|x|
+        # carries about 1e-14, which row i multiplies by ~10**6.  The residual
+        # check allows for that instead of raising AssertionError.
+        exponents = ((1000001, 1000000), (1000000, 999999))
+        rhs = (Fraction(10001, 10000), Fraction(10002, 10000))
+        sols = solve_real(BinomialSystem(exponents=exponents, rhs=rhs))
+        assert [s.signs for s in sols] == [(1, 1)]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            l1, l2 = (Decimal(r.numerator) / Decimal(r.denominator) for r in rhs)
+            l1, l2 = l1.ln(), l2.ln()
+            expected = (float(l2 * 1000000 - l1 * 999999), float(l1 * 1000000 - l2 * 1000001))
+        # log_abs(10001/10000) = log(10001) - log(10000) is off by about
+        # 1e-15, and the adjugate's entries near 10**6 scale that up.
+        got = tuple(math.log(x) for x in sols[0].point)
+        assert got == pytest.approx(expected, abs=1e-8)
 
     def test_solution_count_and_order(self, rng):
         for _ in range(50):

@@ -68,7 +68,7 @@ class TestCertifyProperties:
         assert a.margins == b.margins
 
     def test_empty_inequalities_pass_vacuously(self):
-        cert = certify(Lifting(values=(0.0, 0.0)), [], 2)
+        cert = certify(Lifting(values=(0.0, 0.0)), [])
         assert cert == Certificate(margins=(), verdict=True, m=2)
 
     def test_binomial_system_passes_vacuously(self):

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +19,11 @@ from helpers import (
     KNOWN_CELL_PRIMITIVE_NORMAL,
     dense_system_n,
 )
+import realhomotopy
 from realhomotopy.cli import main
 from fractions import Fraction
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, doc, name="input.json"):
@@ -225,8 +232,26 @@ class TestSolveCommand:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "flags", [["--t0", "0"], ["--t0", "5"], ["--tol", "-1"]]
+        "coefficients",
+        [[["1", "-10001/10000"], ["1", "-10002/10000"]], [["1", "-2"], ["1", "-3"]]],
+        ids=["near_one", "small_integers"],
     )
+    def test_huge_binomial_exponents_exit_4(self, tmp_path, capsys, coefficients):
+        # det D = -1 with entries near 10**6: the float solve for log|x| is
+        # off by about 1e-8 and more (see binomial._solve_logs), the
+        # certificate passes vacuously, and the starts leave the float range.
+        doc = {
+            "n": 2,
+            "supports": [[[0, 0], [1000001, 1000000]], [[0, 0], [1000000, 999999]]],
+            "coefficients": coefficients,
+        }
+        assert main(["solve", _write(tmp_path, doc)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracking failed: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [["--tol", "-1"]])
     def test_invalid_config_exit_1(self, tmp_path, capsys, flags):
         path = _write(tmp_path, _quadratic_doc(1, 10, 1))
         assert main(["solve", path, *flags]) == 1
@@ -235,7 +260,8 @@ class TestSolveCommand:
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
-        "flags", [["--threads", "4"], ["--bogus"], ["--t0", "abc"]]
+        "flags",
+        [["--threads", "4"], ["--bogus"], ["--t0", "abc"], ["--t0", "0.1"]],
     )
     def test_usage_error_exit_1(self, tmp_path, capsys, flags):
         path = _write(tmp_path, _quadratic_doc(1, 10, 1))
@@ -243,3 +269,29 @@ class TestUsageErrors:
             main(["solve", path, *flags])
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_readme_commands_on_sample_input(self):
+        # The README's commands, run as ``python -m realhomotopy``.
+        env = dict(os.environ)
+        src = str(Path(realhomotopy.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        sample = str(REPO / "sample_inputs" / "cubic_conic.json")
+        docs = {}
+        for command, code in (
+            (["mixed-cells", sample], 0),
+            (["certify", sample], 2),
+            (["solve", sample, "--force"], 0),
+        ):
+            run = subprocess.run(
+                [sys.executable, "-m", "realhomotopy", *command],
+                cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == code, run.stderr
+            docs[command[0]] = json.loads(run.stdout)
+        assert docs["mixed-cells"]["cell_count"] == 6
+        assert docs["certify"]["verdict"] == "fail"
+        assert len(docs["solve"]["solutions"]) == 6

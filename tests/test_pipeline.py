@@ -4,10 +4,12 @@ import pytest
 
 from helpers import (
     EXPECTED_TRACKED_SOLUTIONS,
+    dense_support,
     quadratic_system,
 )
 from oracles import quadratic_real_roots
 from realhomotopy import SolverConfig, mixed_cell_count_bound, solve, support_system
+from realhomotopy.errors import TieDegenerate
 
 
 def _match(points, expected, tol):
@@ -69,6 +71,15 @@ class TestFullSolve:
         assert points[1] == pytest.approx((4.0, 2.0), rel=1e-12)
         for s in report.solutions:
             assert s.residual < 1e-12
+
+    def test_degenerate_lifting_names_its_stage(self):
+        # All-ones coefficients lift every point to 0, a tie that the cell
+        # enumeration refuses; the error carries the stage that raised it.
+        support = dense_support(2)
+        system = support_system([support, support], [[1] * len(support)] * 2)
+        with pytest.raises(TieDegenerate) as exc:
+            solve(system)
+        assert exc.value.stage == "mixed_cells"
 
 
 class TestStability:

@@ -23,7 +23,7 @@ from realhomotopy import (
     support_system,
     track,
 )
-from realhomotopy import _kernels
+from realhomotopy import _kernels, tracker
 from realhomotopy.tracker import select_t0
 
 
@@ -97,6 +97,28 @@ class TestTracking:
         for sol, start in zip(solutions, starts):
             assert sol.point == pytest.approx(start.point, rel=1e-12)
             assert sol.residual < 1e-12
+
+    @pytest.mark.parametrize("broken", ["singular", "nan"])
+    def test_tangent_failure_fails_the_path(self, monkeypatch, broken):
+        # On a binomial target the start lies on its path, so the start
+        # correction makes no linear solve and the first one is the tangent.
+        system = support_system(
+            [[[1, 1], [0, 0]], [[0, 2], [0, 0]]],
+            [[1.0, -6.0], [1.0, -4.0]],
+        )
+        cells, homotopy = _cells_and_homotopy(system)
+        cell = cells.cells[0]
+        path = make_path(cell, solve_real(binomial_from_cell(cell, system))[0], 0.1)
+
+        def solve_fails(a, b):
+            if broken == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(tracker.np.linalg, "solve", solve_fails)
+        assert track(homotopy, [path]) == []
+        assert path.status == "failed"
+        assert path.message == f"tangent solve failed at lam={-math.log(0.1):.3e}"
 
     def test_no_sign_crossing_and_determinism(self):
         system = quadratic_system(1.0, 10.0, 1.0)
@@ -192,6 +214,22 @@ class TestTracking:
         # pass every real start tracks to its own real zero.  System 17 once
         # lost path 0 to a divergence bound in x and had a corrector iterate
         # land exactly on x2 = 0; in log coordinates neither can happen.
+        #
+        # Exact real-zero counts in (R*)^2, computed once with sympy 1.14.
+        # f, g are the two equations of ``system`` below as sympy Polys in
+        # x, y over QQ, each float coefficient taken exactly, with monomial
+        # and integer content divided out (``terms_gcd()[1].primitive()[1]``);
+        #     def count(f, g, a, b):  # zeros with a, b != 0, projected to a
+        #         r = Poly(resultant(f, g, b), a).sqf_part()
+        #         axis = gcd(Poly(f.as_expr().subs(b, 0), a),
+        #                    Poly(g.as_expr().subs(b, 0), a)).sqf_part()
+        #         strip = lambda p: p.quo(Poly(a, a)) if p.eval(0) == 0 else p
+        #         return strip(r).count_roots() - strip(axis).count_roots()
+        # and count(f, g, x, y) == count(f, g, y, x) on 11, 17, 30 and 38
+        # (system 38 takes about a minute).  Not pinned: system 24 has y
+        # only as y**2, so a real root of the x-resultant can carry an
+        # imaginary pair (x, +-y); its two projections give 3 and 2.
+        exact_counts = {11: 4, 17: 3, 30: 3, 38: 4}
         rng = np.random.default_rng(9)
         certified, paths = [], 0
         for index in range(40):
@@ -211,6 +249,8 @@ class TestTracking:
             certified.append(index)
             assert report.failures == []
             assert len(report.solutions) == sum(report.start_solutions)
+            if index in exact_counts:
+                assert len(report.solutions) == exact_counts[index]
             assert all(s.residual < SolverConfig().tol for s in report.solutions)
             points = [np.array(s.point) for s in report.solutions]
             for i, p in enumerate(points):
