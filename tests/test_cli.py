@@ -251,7 +251,9 @@ class TestSolveCommand:
         assert captured.err.startswith("tracking failed: ")
         assert len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("flags", [["--tol", "-1"]])
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "0"], ["--tol", "inf"], ["--tol", "-1"]]
+    )
     def test_invalid_config_exit_1(self, tmp_path, capsys, flags):
         path = _write(tmp_path, _quadratic_doc(1, 10, 1))
         assert main(["solve", path, *flags]) == 1
