@@ -5,8 +5,9 @@ where w is the term's log-coefficient lifting and w_max the largest lifting in
 its equation.  At t = 1 this is exactly the input system; as t -> 0 each
 equation degenerates to the two terms of a mixed cell's edge.  Paths start on
 the truncated branch ``sol * t0**normal`` and are continued in the log
-parameter ``lam = -log t`` with an Euler predictor on the Davidenko system and
-a Newton corrector, entirely in real arithmetic.  A path keeps the orthant
+parameter ``lam = -log t``, entirely in real arithmetic: a cubic Hermite
+predictor through the last two points and their Davidenko tangents, a step
+sized by its predicted move, and a Newton corrector.  A path keeps the orthant
 ``s`` of its start and is tracked in ``u = log|x|`` (see ``_kernels``), where
 it can neither cross a coordinate hyperplane nor overflow.
 """
@@ -182,7 +183,7 @@ def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters
 
     Returns the final residual, the final iterate, the iterations taken, and
     the Jacobian in u and derivative in lam at the final iterate: when the
-    tracker accepts that iterate, its Euler predictor starts from these.
+    tracker accepts that iterate, its tangent for the predictor comes from these.
     """
     it = 0
     while True:
@@ -203,6 +204,20 @@ def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters
     return res, u, it, (jac, dl)
 
 
+def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
+    """u at ``lam - step`` on the cubic Hermite interpolant in lam through the last
+    point ``prev = (lam0, u0, udot0)`` and (lam, u, udot); the Euler step if None."""
+    euler = u - step * udot
+    if prev is None:
+        return euler
+    lam0, u0, udot0 = prev
+    gap = lam0 - lam
+    slope = (u0 - u) / gap
+    curve = (slope - udot) / gap
+    cubic = (udot0 - 2.0 * slope + udot) / gap**2
+    return euler + step**2 * (curve - (step + gap) * cubic)
+
+
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
     """Continue one path from ``path.t`` < 1 to t = 1; a singular or
     non-finite tangent, or a fourth corrector failure in one step, fails it."""
@@ -216,14 +231,12 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     res, u, _, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
     if res >= CORRECTOR_TOL:
         raise CorrectorStalled("start point correction failed")
-    pace = max(max(abs(float(z)) for z in path.cell.normal), 1.0)
-    dlam = min(0.1 * lam, MAX_LOG_MOVE / pace)
+    dlam = 0.1 * lam
+    prev = None
     easy = 0
     while lam > 0.0:
-        # Euler predictor on the Davidenko system.  (lam, u) is the final
-        # Newton iterate of the last correction, whose Jacobian and
-        # lam-derivative came with it, and every halving below reuses the
-        # tangent.
+        # The tangent at (lam, u) comes from the last correction's Jacobian
+        # and lam-derivative; every halving below reuses the same predictor.
         try:
             udot = np.linalg.solve(jac, -dl)
         except np.linalg.LinAlgError:
@@ -231,11 +244,17 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         if udot is None or not np.isfinite(udot).all():
             raise CorrectorStalled(f"tangent solve failed at lam={lam:.3e}")
         step = min(dlam, lam)
+        # Size the step by its predicted move.  The 0.9 leaves room for the
+        # predictor's error, so the corrected move rarely overshoots the cap.
+        speed = float(abs(udot).max())
+        if step * speed > 0.9 * MAX_LOG_MOVE:
+            step = 0.9 * MAX_LOG_MOVE / speed
         newton_failures = 0
         while True:
             lam_new = lam - step
+            guess = _predict(lam, u, udot, prev, step)
             res, corrected, iters, derivs = _newton(
-                h, lam_new, u - step * udot, CORRECTOR_TOL, CORRECTOR_ITERS
+                h, lam_new, guess, CORRECTOR_TOL, CORRECTOR_ITERS
             )
             converged = res < CORRECTOR_TOL
             # An oversized log-space move marks an overlong step.
@@ -250,6 +269,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
             step *= 0.5
             if step < MIN_STEP:
                 raise PathDiverged("step size underflow")
+        prev = (lam, u, udot)
         u = corrected
         lam = lam_new
         jac, dl = derivs

@@ -157,10 +157,10 @@ class TestSolveReal:
             l1, l2 = (Decimal(r.numerator) / Decimal(r.denominator) for r in rhs)
             l1, l2 = l1.ln(), l2.ln()
             expected = (float(l2 * 1000000 - l1 * 999999), float(l1 * 1000000 - l2 * 1000001))
-        # log_abs(10001/10000) = log(10001) - log(10000) is off by about
-        # 1e-15, and the adjugate's entries near 10**6 scale that up.
+        # log_abs(10001/10000) is log1p of the exact 1/10000 rounded once,
+        # so the adjugate's entries near 10**6 scale only that rounding up.
         got = tuple(math.log(x) for x in sols[0].point)
-        assert got == pytest.approx(expected, abs=1e-8)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_solution_count_and_order(self, rng):
         for _ in range(50):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import quadratic_system, random_sparse_system
+from helpers import cubic_conic_system, quadratic_system, random_sparse_system
 from oracles import quadratic_real_roots
 from realhomotopy import (
     SolverConfig,
@@ -32,6 +32,25 @@ def _cells_and_homotopy(system):
     lifting = log_abs_lifting(system)
     cells = enumerate_mixed_cells(config, lifting)
     return cells, make_homotopy(system, lifting)
+
+
+# Exact real-zero counts in (R*)^2 of the cubic/conic and of the 20
+# random_sparse_system(rng, n=2, min_terms=4, max_terms=5) from
+# np.random.default_rng(3), in that order: the forced-tracking corpus.
+# Computed once with the sympy recipe in
+# test_certified_seed9_corpus_tracks_every_start (at most a minute a system).
+# A system would be left out if its resultant were 0 or its two projections
+# disagreed; none of these 21 is.
+FORCED_EXACT_COUNTS = (6, 3, 3, 4, 2, 3, 4, 1, 4, 2, 2, 1, 1, 2, 2, 2, 2, 2, 2, 3, 1)
+
+
+def _forced_corpus():
+    rng = np.random.default_rng(3)
+    systems = [cubic_conic_system()]
+    systems += [
+        random_sparse_system(rng, n=2, min_terms=4, max_terms=5) for _ in range(20)
+    ]
+    return list(zip(systems, FORCED_EXACT_COUNTS))
 
 
 class TestStartPoint:
@@ -63,6 +82,30 @@ class TestStartPoint:
         sols = track(homotopy, [make_path(cell, sol, 0.1)])
         assert len(sols) == 1
         assert sols[0].point[0] == pytest.approx(-1.5, rel=1e-10)
+
+
+class TestPredictor:
+    def test_reproduces_a_cubic(self):
+        # u(lam) = sum_k c_k lam**k in each coordinate, with its derivative.
+        coeffs = np.array([[0.3, -1.2, 0.7, 0.25], [-2.0, 0.5, -0.1, 0.04]])
+        powers = np.arange(4)
+
+        def u(lam):
+            return coeffs @ lam**powers
+
+        def udot(lam):
+            return coeffs[:, 1:] @ (powers[1:] * lam ** powers[:-1])
+
+        lam0, lam = 2.5, 1.75
+        prev = (lam0, u(lam0), udot(lam0))
+        for step in (1e-3, 0.1, 0.75, 1.75):
+            got = tracker._predict(lam, u(lam), udot(lam), prev, step)
+            assert got == pytest.approx(u(lam - step), rel=1e-13, abs=1e-14)
+
+    def test_without_previous_point_is_the_euler_step(self):
+        u, udot = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+        got = tracker._predict(1.5, u, udot, None, 0.25)
+        assert np.array_equal(got, u - 0.25 * udot)
 
 
 class TestTracking:
@@ -187,7 +230,44 @@ class TestTracking:
         solutions = track(homotopy, paths)
         steps = sum(s.steps for s in solutions)
         assert len(solutions) == 6
-        assert len(calls) <= 5 * steps
+        assert len(calls) <= 4 * steps
+
+    def test_forced_tracking_finds_every_exact_zero(self):
+        # A step that jumps onto another branch loses a zero or reaches one
+        # twice; every forced path that converges here is one exact zero.
+        for system, count in _forced_corpus():
+            report = solve(system, SolverConfig(force=True))
+            assert len(report.solutions) == count
+
+    def test_no_corrector_starts_beyond_the_predicted_move_cap(self, monkeypatch):
+        # Replays each path from the recorded corrections: a step attempt
+        # (CORRECTOR_ITERS iterations) from the accepted point (lam, u) with
+        # tangent udot must keep (lam - lam_new) * max|udot| within
+        # 0.9 * MAX_LOG_MOVE, halvings included.
+        calls = []
+        newton = tracker._newton
+
+        def recording(h, lam, u, ctol, max_iters):
+            out = newton(h, lam, u, ctol, max_iters)
+            calls.append((lam, max_iters, out))
+            return out
+
+        monkeypatch.setattr(tracker, "_newton", recording)
+        for system, _ in _forced_corpus():
+            solve(system, SolverConfig(force=True))
+        cap, ctol = tracker.MAX_LOG_MOVE, tracker.CORRECTOR_TOL
+        attempts = 0
+        for lam, max_iters, (res, u, _, (jac, dl)) in calls:
+            if max_iters == tracker.CORRECTOR_ITERS:
+                attempts += 1
+                udot = np.linalg.solve(here_jac, -here_dl)
+                assert (here_lam - lam) * float(abs(udot).max()) <= 0.9 * cap + 1e-9
+                if res >= ctol or abs(u - here).max() > cap:
+                    continue
+            elif lam == 0.0 or res >= ctol:
+                continue  # an endgame, or a start correction that failed
+            here_lam, here, here_jac, here_dl = lam, u, jac, dl
+        assert attempts > 1000
 
     def test_start_coordinate_underflow_is_a_path_failure(self):
         system = quadratic_system(1.0, 10.0, 1.0)
