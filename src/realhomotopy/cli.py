@@ -120,11 +120,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = SolverConfig(tol=args.tol, force=args.force)
     try:
         report = solve(system, cfg)
-    except OverflowError as exc:
-        print(
-            f"tracking failed: start point outside the float range: {exc}",
-            file=sys.stderr,
-        )
+    except OverflowError:
+        print("tracking failed: start point outside the float range", file=sys.stderr)
         return EXIT_TRACKING
     doc = {
         "verdict": "pass" if report.verdict else "fail",

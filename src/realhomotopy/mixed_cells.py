@@ -292,14 +292,20 @@ class _FloatScreen:
         tables = _cached_pair_tables if pairs <= SCREEN_CHUNK else _pair_tables
         self.starts, first, second, self.local, pair_starts = tables(sizes)
         # Points flat, block by block; per pair the exact integer difference
-        # row (rounded once) and the right-hand side of its equality
-        # constraint on gamma.
+        # row (rounded once), that row over the grain (the gcd of all
+        # differences, taken from each point's difference to its block's
+        # first point) and the right-hand side of its equality constraint on
+        # gamma.
         ints = np.array([base[k] for k in flat], dtype=object).reshape(-1, n)
+        to_first = ints - ints[np.repeat(self.starts, sizes)]
+        grain = math.gcd(*to_first.ravel().tolist())
         exact_diff = ints[first] - ints[second]
         self.coords = ints.astype(float)
         self.lift = np.array([float(lifting[k]) for k in flat])
         self.first = first
         self.diff = exact_diff.astype(float)
+        self.unit = self.diff if grain == 1 else (exact_diff // grain).astype(float)
+        self.grain = float(grain)
         self.rhs = self.lift[second] - self.lift[first]
         self.scale = 1.0 + float(np.abs(self.lift).max())
         self.max_coord = float(np.abs(self.coords).max())
@@ -322,7 +328,7 @@ class _FloatScreen:
         # margins are within that widened tau, and either way S keeps p, q.
         kept = np.ones(pairs, dtype=bool)
         if screened:
-            slack = self._tie_slack(math.gcd(*exact_diff.ravel().tolist()))
+            slack = self._tie_slack(grain)
             for i in screened:
                 kept[pair_starts[i] : pair_starts[i + 1]] = False
             small = sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK
@@ -394,9 +400,12 @@ class _FloatScreen:
         with np.errstate(all="ignore"):
             mat = self.diff[pairs]
             rhs = self.rhs[pairs]
-            row_norm = np.sqrt(np.sum(mat * mat, axis=2))
+            # The singular and conditioning tests run on the rows over the
+            # grain, U = M / grain: integers, so they hold at any scale.
+            unit = self.unit[pairs]
+            row_norm = np.sqrt(np.sum(unit * unit, axis=2))
             hadamard = np.prod(row_norm, axis=1)
-            det = np.abs(np.linalg.det(mat))
+            det = np.abs(np.linalg.det(unit))
             growth = n * 2.0**n
             # Singular: with partial pivoting the float determinant of an
             # integer matrix is off by about n * 2^n * eps * H at most (H the
@@ -409,8 +418,8 @@ class _FloatScreen:
             # norm), so cond_2 <= n^1.5 * H * (largest row norm) / (|det| *
             # smallest row norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps
             # the float gamma within 1e-9 * |gamma| of the exact-path gamma.
-            # Rows are differences of distinct integer points, so the
-            # smallest norm is at least 1.
+            # Rows of U are nonzero integer rows, so the smallest norm is at
+            # least 1.  M's condition number is U's.
             min_norm = np.min(row_norm, axis=1)
             spread = np.max(row_norm, axis=1) / min_norm
             cond_det = n**1.5 * hadamard * spread
@@ -427,10 +436,12 @@ class _FloatScreen:
             # and the tie tolerance 1e-12 * scale fit well inside tau's first
             # term.  The exact test's own rounding is at most 2 (n + 2) eps
             # scale (2 + 2 sum_i |lam_i|) (``_tie_slack``), and by Cramer and
-            # Hadamard |lam_i| <= reach * H / (|det| * norm of row i), so the
-            # second term covers it.  So a float margin below -tau is one the
-            # exact test reads below the tie tolerance: it rejects, no tie.
-            inverse = n * hadamard / (det * min_norm)
+            # Hadamard |lam_i| <= reach * H / (|det| * norm of row i) with
+            # M's H, det and rows; U's, with the norm times the grain, give
+            # the same bound.  So the second term covers it, and a float
+            # margin below -tau is one the exact test reads below the tie
+            # tolerance: it rejects, no tie.
+            inverse = n * hadamard / (det * min_norm) / self.grain
             gamma_l1 = np.sum(np.abs(gamma), axis=1)
             tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + self.max_coord))
             tau += 4 * (n + 2) * _EPS * self.scale * (1.0 + self.reach * inverse)

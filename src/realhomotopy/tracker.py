@@ -6,10 +6,10 @@ its equation.  At t = 1 this is exactly the input system; as t -> 0 each
 equation degenerates to the two terms of a mixed cell's edge.  Paths start on
 the truncated branch ``sol * t0**normal`` and are continued in the log
 parameter ``lam = -log t``, entirely in real arithmetic: a cubic Hermite
-predictor through the last two points and their Davidenko tangents, a step
-sized by its predicted move, and a Newton corrector.  A path keeps the orthant
-``s`` of its start and is tracked in ``u = log|x|`` (see ``_kernels``), where
-it can neither cross a coordinate hyperplane nor overflow.
+predictor through the last two points and their Davidenko tangents, doubled
+steps sized down to their predicted move, and a Newton corrector.  A path keeps
+the orthant ``s`` of its start and is tracked in ``u = log|x|`` (see
+``_kernels``), where it can neither cross a coordinate hyperplane nor overflow.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ CORRECTOR_TOL = 1e-10
 CORRECTOR_ITERS = 3
 START_COORD_BOUND = 1e10
 MIN_STEP = 1e-14
-MAX_STEP = 2.0
 MAX_STEPS = 50_000
 # Largest allowed move of any log-coordinate in one accepted step.  Branches
 # drift like t**zeta, so this caps the pace at a factor e per step and keeps
@@ -104,18 +103,16 @@ class PathState:
 
     t: float
     x: np.ndarray
-    cell: MixedCell
     status: str = "tracking"
     message: str = ""
 
 
 @dataclass(frozen=True)
 class TrackedSolution:
-    """A converged endpoint with its scaled residual and provenance."""
+    """A converged endpoint with its scaled residual and accepted step count."""
 
     point: tuple[float, ...]
     residual: float
-    cell: MixedCell
     steps: int
 
 
@@ -126,7 +123,7 @@ def start_point(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> np.ndar
 
 
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
-    return PathState(t=t0, x=start_point(cell, sol, t0), cell=cell)
+    return PathState(t=t0, x=start_point(cell, sol, t0))
 
 
 def _log_point(h: HomotopySystem, x: np.ndarray):
@@ -181,9 +178,9 @@ def select_t0(
 def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters: int):
     """Newton in u at fixed lam with one fused kernel call per iterate.
 
-    Returns the final residual, the final iterate, the iterations taken, and
-    the Jacobian in u and derivative in lam at the final iterate: when the
-    tracker accepts that iterate, its tangent for the predictor comes from these.
+    Returns the final residual, the final iterate, and the Jacobian in u and
+    derivative in lam at the final iterate: when the tracker accepts that
+    iterate, its tangent for the predictor comes from these.
     """
     it = 0
     while True:
@@ -201,7 +198,7 @@ def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters
             break
         u = u + du
         it += 1
-    return res, u, it, (jac, dl)
+    return res, u, (jac, dl)
 
 
 def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
@@ -219,8 +216,10 @@ def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
-    """Continue one path from ``path.t`` < 1 to t = 1; a singular or
-    non-finite tangent, or a fourth corrector failure in one step, fails it."""
+    """Continue one path from ``path.t`` < 1 to t = 1.  Each step doubles the
+    last accepted one, bounded by the predicted move and the remaining lam; a
+    singular or non-finite tangent, or a fourth corrector failure in one step,
+    fails the path."""
     point = _log_point(h, path.x)
     if point is None:
         raise PathDiverged("start point outside the float range")
@@ -228,12 +227,11 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     lam = -math.log(path.t)
     steps = 0
     # Pull the truncated branch point onto the actual path before stepping.
-    res, u, _, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
+    res, u, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
     if res >= CORRECTOR_TOL:
         raise CorrectorStalled("start point correction failed")
     dlam = 0.1 * lam
     prev = None
-    easy = 0
     while lam > 0.0:
         # The tangent at (lam, u) comes from the last correction's Jacobian
         # and lam-derivative; every halving below reuses the same predictor.
@@ -253,7 +251,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         while True:
             lam_new = lam - step
             guess = _predict(lam, u, udot, prev, step)
-            res, corrected, iters, derivs = _newton(
+            res, corrected, derivs = _newton(
                 h, lam_new, guess, CORRECTOR_TOL, CORRECTOR_ITERS
             )
             converged = res < CORRECTOR_TOL
@@ -276,15 +274,8 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         steps += 1
         if steps > MAX_STEPS:
             raise CorrectorStalled("step budget exhausted")
-        dlam = step
-        if iters <= 2:
-            easy += 1
-            if easy >= 4:
-                dlam = min(2.0 * dlam, MAX_STEP)
-                easy = 0
-        else:
-            easy = 0
-    res, u, _, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
+        dlam = 2.0 * step
+    res, u, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):
@@ -292,7 +283,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     if not np.all(np.isfinite(x) & (x != 0.0)):
         raise PathDiverged("endpoint outside the float range")
     return TrackedSolution(
-        point=tuple(float(v) for v in x), residual=res, cell=path.cell, steps=steps
+        point=tuple(float(v) for v in x), residual=res, steps=steps
     )
 
 

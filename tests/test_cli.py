@@ -250,6 +250,8 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("tracking failed: ")
         assert len(captured.err.splitlines()) == 1
+        # The reason is the message alone, not OverflowError's errno tuple.
+        assert captured.err == "tracking failed: start point outside the float range\n"
 
     @pytest.mark.parametrize(
         "flags", [["--tol", "0"], ["--tol", "inf"], ["--tol", "-1"]]

@@ -217,9 +217,9 @@ class TestScreenEquivalence:
             system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
             system = _scaled(system, 2**40)
             _assert_matches_brute_force(system)
-            # Hadamard bounds are far above the singular guard's, so no
-            # singular candidate built from the kept pairs is dropped as
-            # singular: all reach the exact test.
+            # The singular test divides each row by the grain 2^40 first, so
+            # every singular candidate built from the kept pairs is dropped
+            # before the exact test, as it is unscaled.
             config = build_cayley(system)
             blocks = [config.block_indices(i) for i in range(config.n)]
             base = [config.base_point(k) for k in range(config.m)]
@@ -231,7 +231,22 @@ class TestScreenEquivalence:
                     for blk, (p, q) in zip(blocks, cand)
                 ]
                 if int_det(rows) == 0:
-                    assert cand in kept
+                    assert cand not in kept
+
+    def test_singular_test_holds_at_any_scale(self):
+        # The singular test runs on the pair differences over their grain, so
+        # on dense (4, 4) supports scaled by 2^40 only the cells survive the
+        # screens, as they do unscaled.
+        system = dense_system(4, 4, np.random.default_rng(0))
+        scaled = _scaled(system, 2**40)
+        config = build_cayley(scaled)
+        lifting = log_abs_lifting(scaled)
+        survivors = set(_screen(config, lifting).candidates())
+        cells = enumerate_mixed_cells(config, lifting).cells
+        assert survivors == {tuple(tuple(sorted(e)) for e in c.edges) for c in cells}
+        unscaled = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
+        assert [c.edges for c in cells] == [c.edges for c in unscaled.cells]
+        assert [c.volume for c in cells] == [c.volume * 2**80 for c in unscaled.cells]
 
     def test_more_candidates_than_one_chunk(self, rng, monkeypatch):
         # Dense (4, 4) keeps fewer candidates than one default chunk; a small

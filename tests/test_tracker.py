@@ -243,7 +243,8 @@ class TestTracking:
         # Replays each path from the recorded corrections: a step attempt
         # (CORRECTOR_ITERS iterations) from the accepted point (lam, u) with
         # tangent udot must keep (lam - lam_new) * max|udot| within
-        # 0.9 * MAX_LOG_MOVE, halvings included.
+        # 0.9 * MAX_LOG_MOVE, halvings included.  The first attempt after an
+        # accepted step of size s spans min(2 s, lam), or sits at that cap.
         calls = []
         newton = tracker._newton
 
@@ -253,21 +254,34 @@ class TestTracking:
             return out
 
         monkeypatch.setattr(tracker, "_newton", recording)
+        steps = 0
         for system, _ in _forced_corpus():
-            solve(system, SolverConfig(force=True))
+            report = solve(system, SolverConfig(force=True))
+            steps += sum(s.steps for s in report.solutions)
         cap, ctol = tracker.MAX_LOG_MOVE, tracker.CORRECTOR_TOL
-        attempts = 0
-        for lam, max_iters, (res, u, _, (jac, dl)) in calls:
+        accepted = 0
+        last_step = None
+        for lam, max_iters, (res, u, (jac, dl)) in calls:
             if max_iters == tracker.CORRECTOR_ITERS:
-                attempts += 1
+                span = here_lam - lam
                 udot = np.linalg.solve(here_jac, -here_dl)
-                assert (here_lam - lam) * float(abs(udot).max()) <= 0.9 * cap + 1e-9
+                move = span * float(abs(udot).max())
+                assert move <= 0.9 * cap + 1e-9
+                if last_step is not None:
+                    doubled = min(2.0 * last_step, here_lam)
+                    assert abs(span - doubled) <= 1e-12 or abs(move - 0.9 * cap) <= 1e-9
+                    last_step = None
                 if res >= ctol or abs(u - here).max() > cap:
                     continue
-            elif lam == 0.0 or res >= ctol:
-                continue  # an endgame, or a start correction that failed
+                accepted += 1
+                last_step = span
+            else:
+                last_step = None
+                if lam == 0.0 or res >= ctol:
+                    continue  # an endgame, or a start correction that failed
             here_lam, here, here_jac, here_dl = lam, u, jac, dl
-        assert attempts > 1000
+        assert steps > 0
+        assert accepted >= steps
 
     def test_start_coordinate_underflow_is_a_path_failure(self):
         system = quadratic_system(1.0, 10.0, 1.0)
