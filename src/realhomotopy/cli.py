@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="full solve with path tracking")
     p_solve.add_argument("input")
-    p_solve.add_argument("--tol", type=float, default=1e-8)
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.tol)
     p_solve.add_argument("--force", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
     return parser

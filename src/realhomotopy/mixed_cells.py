@@ -173,22 +173,15 @@ def _pair_tables(sizes: tuple[int, ...]) -> tuple:
     """Index tables for blocks of the given sizes, stacked block by block.
 
     Returns the flat index of each block's first point; the flat indices of
-    both points of every pair, each block's pairs in combinations order; the
-    pairs as local index pairs; and each block's first pair index and the
-    total.
+    both points of every pair, each block's pairs in combinations order; and
+    each block's first pair index and the total.
     """
     starts = list(itertools.accumulate(sizes, initial=0))
     locals_ = [np.triu_indices(t, 1) for t in sizes]
     pair_starts = list(itertools.accumulate((len(p) for p, _ in locals_), initial=0))
     first = np.concatenate([p + s for (p, _), s in zip(locals_, starts)])
     second = np.concatenate([q + s for (_, q), s in zip(locals_, starts)])
-    local = list(
-        zip(
-            np.concatenate([p for p, _ in locals_]).tolist(),
-            np.concatenate([q for _, q in locals_]).tolist(),
-        )
-    )
-    return starts[:-1], first, second, local, pair_starts
+    return np.array(starts[:-1]), first, second, pair_starts
 
 
 # Small shapes recur across solves, so their tables are cached and shared:
@@ -259,7 +252,9 @@ class _FloatScreen:
     names the other blocks.  The second runs over the product of the kept
     pairs, one pair per block, in ``itertools.product`` order.  ``pairs``
     holds the kept local index pairs of each block in ``combinations`` order
-    and ``total`` the size of their product.
+    and ``total`` the size of their product.  Each pair is held once, in
+    grain units (``unit``, ``rhs``), and every bound reads ``reach``, the
+    largest row norm, in those units.
     """
 
     def __init__(
@@ -290,26 +285,23 @@ class _FloatScreen:
         self.screened = tuple(sorted(screened))
         pairs = sum(math.comb(t, 2) for t in sizes)
         tables = _cached_pair_tables if pairs <= SCREEN_CHUNK else _pair_tables
-        self.starts, first, second, self.local, pair_starts = tables(sizes)
-        # Points flat, block by block; per pair the exact integer difference
-        # row (rounded once), that row over the grain (the gcd of all
-        # differences, taken from each point's difference to its block's
-        # first point) and the right-hand side of its equality constraint on
-        # gamma.
+        self.starts, self.first, self.second, pair_starts = tables(sizes)
+        # Points flat, block by block.  Per pair one row U in grain units
+        # (the grain is the gcd of all differences, taken from each point's
+        # difference to its block's first point): the exact integer
+        # difference over the grain, rounded once, and the right-hand side
+        # of its equality constraint on gamma over the grain, so that
+        # ``U gamma = rhs`` has the equalities' gamma.
         ints = np.array([base[k] for k in flat], dtype=object).reshape(-1, n)
         to_first = ints - ints[np.repeat(self.starts, sizes)]
         grain = math.gcd(*to_first.ravel().tolist())
-        exact_diff = ints[first] - ints[second]
+        self.unit = ((ints[self.first] - ints[self.second]) // grain).astype(float)
         self.coords = ints.astype(float)
         self.lift = np.array([float(lifting[k]) for k in flat])
-        self.first = first
-        self.diff = exact_diff.astype(float)
-        self.unit = self.diff if grain == 1 else (exact_diff // grain).astype(float)
-        self.grain = float(grain)
-        self.rhs = self.lift[second] - self.lift[first]
+        self.rhs = (self.lift[self.second] - self.lift[self.first]) / grain
         self.scale = 1.0 + float(np.abs(self.lift).max())
         self.max_coord = float(np.abs(self.coords).max())
-        self.reach = math.sqrt(float((self.diff * self.diff).sum(axis=1).max()))
+        self.reach = math.sqrt(float((self.unit * self.unit).sum(axis=1).max()))
 
         # Simplex pass.  Take a candidate the exact test accepts or raises
         # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
@@ -322,13 +314,15 @@ class _FloatScreen:
         # simplex S = {p, q, k_1, ..., k_{n-1}} is affinely independent, so
         # never flagged singular, and its gamma for the lowered lifting is
         # that vertex.  Undoing the lowering moves S's right-hand sides by at
-        # most e, hence its gamma by at most ||M_S^-1||_2 * sqrt(n) * e and
-        # each margin by at most e * (1 + sqrt(n) * reach * ||M_S^-1||_2),
-        # the slack ``_witness`` adds to tau.  So S is untrusted, or its float
-        # margins are within that widened tau, and either way S keeps p, q.
+        # most e / grain, hence its gamma by at most ||U_S^-1||_2 * sqrt(n) *
+        # e / grain.  A margin is a lift difference plus gamma times grain
+        # times a row of norm at most reach, so it moves by at most e * (1 +
+        # sqrt(n) * reach * ||U_S^-1||_2), the slack ``_witness`` adds to
+        # tau.  So S is untrusted, or its float margins are within that
+        # widened tau, and either way S keeps p, q.
         kept = np.ones(pairs, dtype=bool)
         if screened:
-            slack = self._tie_slack(grain)
+            slack = self._tie_slack()
             for i in screened:
                 kept[pair_starts[i] : pair_starts[i + 1]] = False
             small = sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK
@@ -342,13 +336,12 @@ class _FloatScreen:
 
     @property
     def pairs(self) -> list[list[tuple[int, int]]]:
-        ids = self.kept.tolist()
         return [
-            [self.local[g] for g in ids[a:b]]
-            for a, b in zip(self.cuts[:-1], self.cuts[1:])
+            list(zip((self.first[ids] - s).tolist(), (self.second[ids] - s).tolist()))
+            for s, ids in zip(self.starts, np.split(self.kept, self.cuts[1:-1]))
         ]
 
-    def _tie_slack(self, grain: int) -> float:
+    def _tie_slack(self) -> float:
         """Bound on how far above its face the exact test lets a point sit.
 
         The exact test rejects a candidate only when some excluded point k
@@ -358,15 +351,15 @@ class _FloatScreen:
         the division the quotient is off by at most ``2 (n + 2) eps scale
         |zeta|_1 / |zeta[k]|``.  Up to sign, zeta over ``|zeta[k]|`` is
         ``lam_i`` on ``a_i``, ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with
-        ``lam_i`` (Cramer) the determinant of the edge matrix D with row i
-        replaced by ``k - b_j``, at most ``reach^n``, over ``det D``, at least
-        ``grain^n`` (rows are integer multiples of ``grain``).  So the ratio
-        is at most ``2 + 2 n (reach / grain)^n``, and a candidate the test
-        accepts or raises TieDegenerate on has every exact margin above minus
-        the returned bound.
+        ``lam_i`` (Cramer) the determinant of the edge rows in grain units, U,
+        with row i replaced by ``(k - b_j) / grain``, at most ``reach^n``,
+        over ``det U``, a nonzero integer, so at least 1 in size.  So the
+        ratio is at most ``2 + 2 n reach^n``, and a candidate the test accepts
+        or raises TieDegenerate on has every exact margin above minus the
+        returned bound.
         """
         n = self.n
-        ratio = 2.0 + 2.0 * n * (self.reach / grain) ** n
+        ratio = 2.0 + 2.0 * n * self.reach**n
         return self.scale * (TIE_RTOL + 2 * (n + 2) * _EPS * ratio)
 
     def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -377,9 +370,11 @@ class _FloatScreen:
             flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
             idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
             pairs = self.kept[idx + offsets]
-            keep = self._witness(pairs, pairs, blocks, 0.0)
-            for row in pairs[keep].tolist():
-                yield tuple(self.local[g] for g in row)
+            pairs = pairs[self._witness(pairs, pairs, blocks, 0.0)]
+            firsts = (self.first[pairs] - self.starts).tolist()
+            seconds = (self.second[pairs] - self.starts).tolist()
+            for p, q in zip(firsts, seconds):
+                yield tuple(zip(p, q))
 
     def _witness(
         self, pairs: np.ndarray, faces: np.ndarray, blocks: np.ndarray, slack: float
@@ -398,11 +393,9 @@ class _FloatScreen:
         n = self.n
         count = len(pairs)
         with np.errstate(all="ignore"):
-            mat = self.diff[pairs]
-            rhs = self.rhs[pairs]
-            # The singular and conditioning tests run on the rows over the
-            # grain, U = M / grain: integers, so they hold at any scale.
+            # The rows of U are integers, so these tests hold at any scale.
             unit = self.unit[pairs]
+            rhs = self.rhs[pairs]
             row_norm = np.sqrt(np.sum(unit * unit, axis=2))
             hadamard = np.prod(row_norm, axis=1)
             det = np.abs(np.linalg.det(unit))
@@ -419,7 +412,7 @@ class _FloatScreen:
             # smallest row norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps
             # the float gamma within 1e-9 * |gamma| of the exact-path gamma.
             # Rows of U are nonzero integer rows, so the smallest norm is at
-            # least 1.  M's condition number is U's.
+            # least 1.
             min_norm = np.min(row_norm, axis=1)
             spread = np.max(row_norm, axis=1) / min_norm
             cond_det = n**1.5 * hadamard * spread
@@ -427,26 +420,24 @@ class _FloatScreen:
             # Untrusted matrices may be singular, which would make the
             # batched solve raise; an identity stands in and their margins go
             # unused.
-            mat[~trusted] = np.eye(n)
+            unit[~trusted] = np.eye(n)
             rhs[~trusted] = 0.0
-            gamma = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
+            gamma = np.linalg.solve(unit, rhs[:, :, None])[:, :, 0]
             # A margin is a difference of two lifted values, each at most
             # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
             # the 1e-9 relative error of gamma spread over 2n * max|coord|
             # and the tie tolerance 1e-12 * scale fit well inside tau's first
             # term.  The exact test's own rounding is at most 2 (n + 2) eps
             # scale (2 + 2 sum_i |lam_i|) (``_tie_slack``), and by Cramer and
-            # Hadamard |lam_i| <= reach * H / (|det| * norm of row i) with
-            # M's H, det and rows; U's, with the norm times the grain, give
-            # the same bound.  So the second term covers it, and a float
-            # margin below -tau is one the exact test reads below the tie
-            # tolerance: it rejects, no tie.
-            inverse = n * hadamard / (det * min_norm) / self.grain
+            # Hadamard |lam_i| <= reach * H / (|det| * norm of row i).  So the
+            # second term covers it, and a float margin below -tau is one the
+            # exact test reads below the tie tolerance: it rejects, no tie.
+            inverse = n * hadamard / (det * min_norm)
             gamma_l1 = np.sum(np.abs(gamma), axis=1)
             tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + self.max_coord))
             tau += 4 * (n + 2) * _EPS * self.scale * (1.0 + self.reach * inverse)
             if slack:
-                # ||M^-1||_2 <= ``inverse`` by the cofactor bound above.
+                # ||U^-1||_2 <= ``inverse`` by the cofactor bound above.
                 tau += slack * (1.0 + math.sqrt(n) * self.reach * inverse)
             # The face points sit within rounding of the face, far inside
             # tau, so the highest lifted value of each block decides.

@@ -275,7 +275,8 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         if steps > MAX_STEPS:
             raise CorrectorStalled("step budget exhausted")
         dlam = 2.0 * step
-    res, u, _ = _newton(h, 0.0, u, max(tol * 1e-4, 1e-14), 25)
+    # Polish to well below tol, but never stop above it.
+    res, u, _ = _newton(h, 0.0, u, min(tol, max(tol * 1e-4, 1e-14)), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):

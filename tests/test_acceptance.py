@@ -91,14 +91,19 @@ def test_criterion_1_reference_instance_end_to_end(cubic_conic):
 
 
 def test_criterion_2_mixed_cell_oracle_equivalence():
+    # Only the solver's calls are timed: the LP oracle takes most of the loop
+    # and its time says nothing about enumerate_mixed_cells.
     rng = np.random.default_rng(71)
     started = time.perf_counter()
+    solver_s = 0.0
     count = 0
     while count < 200:
         system = random_sparse_system(rng, n=2, min_terms=3, max_terms=5, box=4)
         config = build_cayley(system)
         lifting = log_abs_lifting(system)
+        call = time.perf_counter()
         cells = enumerate_mixed_cells(config, lifting)
+        solver_s += time.perf_counter() - call
         expected = lp_mixed_cells(config, lifting)
         ours = {tuple(tuple(sorted(e)) for e in c.edges): c for c in cells.cells}
         assert set(ours) == {e for e, _, _ in expected}
@@ -112,8 +117,12 @@ def test_criterion_2_mixed_cell_oracle_equivalence():
             )
         count += 1
     elapsed = time.perf_counter() - started
-    assert elapsed < 30.0, f"criterion 2 took {elapsed:.1f}s"
-    _report(2, f"200 random systems matched the LP oracle in {elapsed:.1f}s")
+    assert solver_s < 2.0, f"criterion 2's enumerations took {solver_s:.2f}s"
+    _report(
+        2,
+        f"200 random systems matched the LP oracle; enumeration {solver_s:.2f}s, "
+        f"loop with the oracle {elapsed:.1f}s",
+    )
 
 
 def test_criterion_3_mixed_volume_conservation():

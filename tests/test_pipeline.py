@@ -35,6 +35,14 @@ class TestFullSolve:
             "tracking",
         }
 
+    def test_tol_below_the_polish_floor(self, cubic_conic):
+        # A tol under 1e-14 must still be met: the endpoint polish never
+        # stops above the tol its result is judged by.
+        report = solve(cubic_conic, SolverConfig(tol=5e-15, force=True))
+        assert report.failures == []
+        assert len(report.solutions) == 6
+        assert all(s.residual < 5e-15 for s in report.solutions)
+
     def test_certificate_failure_terminates(self):
         report = solve(quadratic_system(1.0, 3.0, 1.0))
         assert report.verdict is False
