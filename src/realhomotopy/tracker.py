@@ -10,12 +10,24 @@ predictor through the last two points and their Davidenko tangents, doubled
 steps sized down to their predicted move, and a Newton corrector.  A path keeps
 the orthant ``s`` of its start and is tracked in ``u = log|x|`` (see
 ``_kernels``), where it can neither cross a coordinate hyperplane nor overflow.
+
+At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
+``_kernels.jac_dlam`` call and one ``np.linalg.solve``, and the norms and
+finiteness tests on n-vectors read Python floats (``_max_norm``).  The solve
+stays numpy's public one.  Of its 10 us on a 2 x 2 system about 2 us is the
+LAPACK gufunc, but the three routes around the wrapper are ruled out:
+scipy's ``dgesv`` (1.9 us) costs 0.3 s of ``import scipy.linalg`` per
+process, beyond the benchmark's bound on ``setup_s``; numpy's
+``_umath_linalg.solve1`` (2.3 us) is private, and reports a singular matrix
+only through the floating-point error state that the wrapper sets up; and
+tracking a solve's paths in lockstep, one batched solve for all of them,
+measured no gain at the 2.8 paths per solve of the forced workload.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,14 +62,15 @@ class HomotopySystem:
     lists the per-term deformation exponents over all Cayley points in
     block-major order; all entries are nonnegative and each equation has at
     least one zero entry (its dominant term).  ``exps`` holds the exponents
-    as floats; ``eq`` and ``weights`` are the kernels' ``_kernels.tables``.
+    as floats; ``starts``, ``eq`` and ``weights`` are the kernels'
+    ``_kernels.tables``.
     """
 
     logc: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
     exps: np.ndarray = field(repr=False)
     vexp: np.ndarray = field(repr=False)
-    offs: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
     eq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -85,13 +98,13 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     exps_f = np.array(exps, dtype=np.float64)
     vexp_f = np.array(vexp, dtype=np.float64)
     offs_i = np.array(offs, dtype=np.int64)
-    eq, weights = _kernels.tables(exps_f, vexp_f, offs_i)
+    starts, eq, weights = _kernels.tables(exps_f, vexp_f, offs_i)
     return HomotopySystem(
         logc=np.array([log_abs(c) for c in coeffs], dtype=np.float64),
         signs=np.array([1.0 if c > 0 else -1.0 for c in coeffs], dtype=np.float64),
         exps=exps_f,
         vexp=vexp_f,
-        offs=offs_i,
+        starts=starts,
         eq=eq,
         weights=weights,
     )
@@ -126,27 +139,22 @@ def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState
     return PathState(t=t0, x=start_point(cell, sol, t0))
 
 
-def _log_point(h: HomotopySystem, x: np.ndarray):
-    """h with the term signs of the orthant of x, and ``log|x|``; None if a
-    coordinate of x is zero or not finite."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x) & (x != 0.0)):
-        return None
-    signs = h.signs * np.prod(np.sign(x) ** h.exps, axis=1)
-    return replace(h, signs=signs), np.log(np.abs(x))
+def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
+    """The term signs ``sign(c_k) * prod_j s_j**exps[k, j]`` of h in the orthant
+    ``s`` of a point, or one row per orthant for a ``(k, n)`` stack."""
+    s = np.asarray(orthant, dtype=np.float64)
+    return h.signs * np.prod(s[..., None, :] ** h.exps, axis=-1)
 
 
-def scaled_residual(h: HomotopySystem, t: float, x: np.ndarray) -> float:
-    """Max-norm residual, each equation scaled by its largest term magnitude;
-    ``inf`` if a coordinate of x is zero or not finite."""
-    point = _log_point(h, x)
-    if point is None:
-        return math.inf
-    hp, u = point
+def scaled_residual(h: HomotopySystem, signs: np.ndarray, t: float, u: np.ndarray):
+    """Max-norm residual at ``u = log|x|``, each equation scaled by its largest
+    term magnitude, with the ``term_signs`` of x's orthant.  For a ``(k, n)``
+    stack of points and ``(k, m)`` signs, one residual per point from one
+    kernel call."""
     hv, _ = _kernels.h_scale(
-        hp.signs, hp.logc, hp.exps, hp.vexp, hp.offs, hp.eq, -math.log(t), u
+        signs, h.logc, -math.log(t) * h.vexp, h.exps, h.starts, h.eq, u
     )
-    return float(abs(hv).max())
+    return np.abs(hv).max(axis=-1)
 
 
 def select_t0(
@@ -158,15 +166,21 @@ def select_t0(
     start coordinate above ``START_COORD_BOUND`` are skipped, and one that
     underflows a coordinate to zero scores ``inf``; when no candidate clears
     the threshold the one with the smallest worst residual wins and the
-    tracker corrects the start point by Newton.
+    tracker corrects the start point by Newton.  The term signs of each
+    start's orthant do not depend on t0 and are taken once; each candidate
+    scores all starts in one ``scaled_residual`` call.
     """
+    signs = term_signs(h, [s.signs for s in sols])
     best_t0 = T0_CANDIDATES[0]
     best_res = math.inf
     for t0 in T0_CANDIDATES:
-        points = [start_point(cell, s, t0) for s in sols]
-        if any(float(np.max(np.abs(p))) > START_COORD_BOUND for p in points):
+        size = np.abs([start_point(cell, s, t0) for s in sols])
+        if (size > START_COORD_BOUND).any():
             continue
-        worst = max(scaled_residual(h, t0, p) for p in points)
+        if (size == 0.0).any():
+            worst = math.inf
+        else:
+            worst = float(scaled_residual(h, signs, t0, np.log(size)).max())
         if worst < START_RESIDUAL_THRESHOLD:
             return t0
         if worst < best_res:
@@ -175,30 +189,52 @@ def select_t0(
     return best_t0
 
 
-def _newton(h: HomotopySystem, lam: float, u: np.ndarray, ctol: float, max_iters: int):
-    """Newton in u at fixed lam with one fused kernel call per iterate.
+def _max_norm(values: list[float]) -> float:
+    """``max |v|`` over Python floats; ``inf`` if any is NaN or infinite.
 
-    Returns the final residual, the final iterate, and the Jacobian in u and
-    derivative in lam at the final iterate: when the tracker accepts that
-    iterate, its tangent for the predictor comes from these.
+    Python's ``max`` passes over a NaN anywhere but in first place
+    (``max([1e-12, nan]) == 1e-12``), which would read a NaN residual as
+    converged.  On the tracker's n-vectors, ``tolist`` and this beat a numpy
+    reduction by about 2 us.
     """
+    if all(map(math.isfinite, values)):
+        return max(map(abs, values))
+    return math.inf
+
+
+def _newton(
+    h: HomotopySystem,
+    weights: np.ndarray,
+    lam: float,
+    u: np.ndarray,
+    ctol: float,
+    max_iters: int,
+):
+    """Newton in u at fixed lam with one fused kernel call and one solve per
+    iterate; ``weights`` is ``h.weights`` signed for the path's orthant.
+
+    Returns the final residual (``_max_norm``, so never NaN), the final
+    iterate and the kernel table ``[h | J_u | dh/dlam]`` at it: when the
+    tracker accepts that iterate, its tangent for the predictor comes from
+    this table.
+    """
+    lam_vexp = lam * h.vexp
     it = 0
     while True:
-        hv, jac, dl = _kernels.jac_dlam(
-            h.signs, h.logc, h.exps, h.vexp, h.offs, h.eq, h.weights, lam, u
-        )
-        res = float(abs(hv).max())
+        table = _kernels.jac_dlam(h.logc, lam_vexp, h.exps, h.starts, h.eq, weights, u)
+        hv = table[:, 0]
+        res = _max_norm(hv.tolist())
         if res < ctol or it == max_iters:
             break
         try:
-            du = np.linalg.solve(jac, -hv)
+            du = np.linalg.solve(table[:, 1:-1], hv)
         except np.linalg.LinAlgError:
             break
-        if not np.isfinite(du).all():
+        if _max_norm(du.tolist()) == math.inf:
             break
-        u = u + du
+        u = u - du
         it += 1
-    return res, u, (jac, dl)
+    return res, u, table
 
 
 def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
@@ -219,15 +255,17 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     """Continue one path from ``path.t`` < 1 to t = 1.  Each step doubles the
     last accepted one, bounded by the predicted move and the remaining lam; a
     singular or non-finite tangent, or a fourth corrector failure in one step,
-    fails the path."""
-    point = _log_point(h, path.x)
-    if point is None:
+    fails the path.  Norms and finiteness tests on n-vectors read Python
+    floats (``_max_norm``)."""
+    x = np.asarray(path.x, dtype=np.float64)
+    if not np.all(np.isfinite(x) & (x != 0.0)):
         raise PathDiverged("start point outside the float range")
-    h, u = point
+    weights = term_signs(h, np.sign(x))[:, None] * h.weights
+    u = np.log(np.abs(x))
     lam = -math.log(path.t)
     steps = 0
     # Pull the truncated branch point onto the actual path before stepping.
-    res, u, (jac, dl) = _newton(h, lam, u, CORRECTOR_TOL, 12)
+    res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
     if res >= CORRECTOR_TOL:
         raise CorrectorStalled("start point correction failed")
     dlam = 0.1 * lam
@@ -236,27 +274,27 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         # The tangent at (lam, u) comes from the last correction's Jacobian
         # and lam-derivative; every halving below reuses the same predictor.
         try:
-            udot = np.linalg.solve(jac, -dl)
+            udot = np.linalg.solve(table[:, 1:-1], -table[:, -1])
+            speed = _max_norm(udot.tolist())
         except np.linalg.LinAlgError:
-            udot = None
-        if udot is None or not np.isfinite(udot).all():
+            speed = math.inf
+        if speed == math.inf:
             raise CorrectorStalled(f"tangent solve failed at lam={lam:.3e}")
         step = min(dlam, lam)
         # Size the step by its predicted move.  The 0.9 leaves room for the
         # predictor's error, so the corrected move rarely overshoots the cap.
-        speed = float(abs(udot).max())
         if step * speed > 0.9 * MAX_LOG_MOVE:
             step = 0.9 * MAX_LOG_MOVE / speed
         newton_failures = 0
         while True:
             lam_new = lam - step
             guess = _predict(lam, u, udot, prev, step)
-            res, corrected, derivs = _newton(
-                h, lam_new, guess, CORRECTOR_TOL, CORRECTOR_ITERS
+            res, corrected, corrected_table = _newton(
+                h, weights, lam_new, guess, CORRECTOR_TOL, CORRECTOR_ITERS
             )
             converged = res < CORRECTOR_TOL
             # An oversized log-space move marks an overlong step.
-            if converged and abs(corrected - u).max() <= MAX_LOG_MOVE:
+            if converged and _max_norm((corrected - u).tolist()) <= MAX_LOG_MOVE:
                 break
             if not converged:
                 newton_failures += 1
@@ -270,13 +308,13 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         prev = (lam, u, udot)
         u = corrected
         lam = lam_new
-        jac, dl = derivs
+        table = corrected_table
         steps += 1
         if steps > MAX_STEPS:
             raise CorrectorStalled("step budget exhausted")
         dlam = 2.0 * step
     # Polish to well below tol, but never stop above it.
-    res, u, _ = _newton(h, 0.0, u, min(tol, max(tol * 1e-4, 1e-14)), 25)
+    res, u, _ = _newton(h, weights, 0.0, u, min(tol, max(tol * 1e-4, 1e-14)), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):

@@ -18,15 +18,18 @@ def _random_flat_system(rng, n_eq=2, n_var=2, terms=6):
 
 
 def _h_scale(signs, logc, exps, vexp, offs, lam, u):
-    """``h_scale`` on the flat arrays, with the index it precomputes."""
-    eq, _ = tables(exps, vexp, offs)
-    return h_scale(signs, logc, exps, vexp, offs, eq, lam, u)
+    """``h_scale`` on the flat arrays, with the tables and the per-lam term it
+    takes precomputed."""
+    starts, eq, _ = tables(exps, vexp, offs)
+    return h_scale(signs, logc, lam * vexp, exps, starts, eq, u)
 
 
 def _jac_dlam(signs, logc, exps, vexp, offs, lam, u):
-    """``jac_dlam`` on the flat arrays, with the tables it precomputes."""
-    eq, weights = tables(exps, vexp, offs)
-    return jac_dlam(signs, logc, exps, vexp, offs, eq, weights, lam, u)
+    """``jac_dlam`` on the flat arrays with signed weights, its table split
+    into the residual, the Jacobian and the lam-derivative."""
+    starts, eq, weights = tables(exps, vexp, offs)
+    table = jac_dlam(logc, lam * vexp, exps, starts, eq, signs[:, None] * weights, u)
+    return table[:, 0], table[:, 1:-1], table[:, -1]
 
 
 def _per_equation(kernel, signs, logc, exps, vexp, offs, lam, u):
@@ -85,6 +88,28 @@ class TestBackendAgreement:
                 assert np.all(np.isfinite(got))
                 assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
             assert np.all(np.abs(h) <= 6.0)
+
+    def test_h_scale_on_a_stack_is_each_point_bit_for_bit(self, rng):
+        # One call scores every start of a t0 candidate, each in its own
+        # orthant; row i must be the one-point call on point i.  Equations of
+        # 12 terms reach past numpy's 8-wide blocks of pairwise summation.
+        for n_var, terms in ((1, 3), (2, 6), (2, 12), (3, 5)):
+            for _ in range(10):
+                _, logc, exps, vexp, offs, lam, _ = _random_flat_system(
+                    rng, n_eq=n_var, n_var=n_var, terms=terms
+                )
+                starts, eq, _ = tables(exps, vexp, offs)
+                k = int(rng.integers(1, 7))
+                signs = rng.choice([-1.0, 1.0], (k, logc.size))
+                u = rng.uniform(-1, 1, (k, n_var)) * rng.choice([1.0, 1e3])
+                h, s = h_scale(signs, logc, lam * vexp, exps, starts, eq, u)
+                assert h.shape == s.shape == (k, n_var)
+                for i in range(k):
+                    h_i, s_i = h_scale(
+                        signs[i], logc, lam * vexp, exps, starts, eq, u[i]
+                    )
+                    assert np.array_equal(h[i], h_i)
+                    assert np.array_equal(s[i], s_i)
 
 
 class TestDerivatives:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import cubic_conic_system, quadratic_system, random_sparse_system
-from oracles import quadratic_real_roots
+from oracles import loop_log_h_scale, quadratic_real_roots
 from realhomotopy import (
     SolverConfig,
     build_cayley,
@@ -24,7 +25,7 @@ from realhomotopy import (
     track,
 )
 from realhomotopy import _kernels, tracker
-from realhomotopy.tracker import select_t0
+from realhomotopy.tracker import select_t0, term_signs
 
 
 def _cells_and_homotopy(system):
@@ -66,8 +67,11 @@ class TestStartPoint:
         cells, homotopy = _cells_and_homotopy(cubic_conic)
         cell = next(c for c in cells.cells if c.primitive_normal == (-2, -1))
         sol = solve_real(binomial_from_cell(cell, cubic_conic))[0]
+        signs = term_signs(homotopy, sol.signs)
         residuals = [
-            scaled_residual(homotopy, t0, start_point(cell, sol, t0))
+            scaled_residual(
+                homotopy, signs, t0, np.log(np.abs(start_point(cell, sol, t0)))
+            )
             for t0 in (1e-1, 1e-2, 1e-3)
         ]
         assert residuals[0] > residuals[1] > residuals[2]
@@ -82,6 +86,79 @@ class TestStartPoint:
         sols = track(homotopy, [make_path(cell, sol, 0.1)])
         assert len(sols) == 1
         assert sols[0].point[0] == pytest.approx(-1.5, rel=1e-10)
+
+
+def _signed_power(system, k):
+    """``system`` with every coefficient c replaced by ``sign(c) * |c|**k``,
+    exact coefficients kept exact."""
+    return support_system(
+        [s.points for s in system.supports],
+        [
+            [(1 if c > 0 else -1) * abs(c) ** k for c in row]
+            for row in system.coefficients
+        ],
+    )
+
+
+def _select_t0_per_start(h, cell, sols):
+    """``select_t0`` as one loop over the starts of each candidate: each start
+    point formed in x and scored alone by the scalar loop oracle, with the
+    term signs of its own orthant."""
+    offs = np.append(h.starts, h.logc.size)
+    best_t0, best_res = tracker.T0_CANDIDATES[0], math.inf
+    for t0 in tracker.T0_CANDIDATES:
+        points = [start_point(cell, s, t0) for s in sols]
+        if any(float(np.max(np.abs(p))) > tracker.START_COORD_BOUND for p in points):
+            continue
+        residuals = []
+        for p in points:
+            if not np.all(np.isfinite(p) & (p != 0.0)):
+                residuals.append(math.inf)
+                continue
+            signs = h.signs * np.prod(np.sign(p) ** h.exps, axis=1)
+            hv, _ = loop_log_h_scale(
+                signs, h.logc, h.exps, h.vexp, offs, -math.log(t0), np.log(np.abs(p))
+            )
+            residuals.append(float(np.max(np.abs(hv))))
+        worst = max(residuals)
+        if worst < tracker.START_RESIDUAL_THRESHOLD:
+            return t0
+        if worst < best_res:
+            best_t0, best_res = t0, worst
+    return best_t0
+
+
+class TestSelectT0:
+    def test_matches_the_per_start_loop(self):
+        # The cubic/conic at every coefficient power of the certified_scaled
+        # corpus, the forced-tracking corpus and the seed-9 |c|^8 systems.
+        systems = [_signed_power(cubic_conic_system(), k) for k in range(1, 25)]
+        systems += [system for system, _ in _forced_corpus()]
+        rng = np.random.default_rng(9)
+        systems += [
+            _signed_power(random_sparse_system(rng, n=2, min_terms=4, max_terms=6), 8)
+            for _ in range(40)
+        ]
+        picked, raised = Counter(), 0
+        for system in systems:
+            cells, homotopy = _cells_and_homotopy(system)
+            for cell in cells.cells:
+                starts = solve_real(binomial_from_cell(cell, system))
+                if not starts:
+                    continue
+                try:
+                    want = _select_t0_per_start(homotopy, cell, starts)
+                except OverflowError:
+                    # t0**normal overflows in x before any candidate is scored.
+                    with pytest.raises(OverflowError):
+                        select_t0(homotopy, cell, starts)
+                    raised += 1
+                    continue
+                assert select_t0(homotopy, cell, starts) == want
+                picked[want] += 1
+        # 296 cells: 250 pick a t0, several candidates among them, and 46 raise.
+        assert len(picked) >= 3
+        assert raised > 0
 
 
 class TestPredictor:
@@ -141,7 +218,7 @@ class TestTracking:
             assert sol.point == pytest.approx(start.point, rel=1e-12)
             assert sol.residual < 1e-12
 
-    @pytest.mark.parametrize("broken", ["singular", "nan"])
+    @pytest.mark.parametrize("broken", ["singular", "nan", "nan_last"])
     def test_tangent_failure_fails_the_path(self, monkeypatch, broken):
         # On a binomial target the start lies on its path, so the start
         # correction makes no linear solve and the first one is the tangent.
@@ -156,12 +233,40 @@ class TestTracking:
         def solve_fails(a, b):
             if broken == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
-            return np.full_like(b, np.nan)
+            if broken == "nan":
+                return np.full_like(b, np.nan)
+            # Python's max would pass over a NaN that is not in first place.
+            return np.append(np.zeros(b.size - 1), np.nan)
 
         monkeypatch.setattr(tracker.np.linalg, "solve", solve_fails)
         assert track(homotopy, [path]) == []
         assert path.status == "failed"
         assert path.message == f"tangent solve failed at lam={-math.log(0.1):.3e}"
+
+    def test_nan_residual_does_not_converge(self, monkeypatch):
+        # max([1e-12, nan]) == 1e-12: a max-norm that passed over the NaN in
+        # the second row would read this residual as converged.
+        system = support_system(
+            [[[1, 1], [0, 0]], [[0, 2], [0, 0]]],
+            [[1.0, -6.0], [1.0, -4.0]],
+        )
+        cells, homotopy = _cells_and_homotopy(system)
+        sol = solve_real(binomial_from_cell(cells.cells[0], system))[0]
+        weights = term_signs(homotopy, sol.signs)[:, None] * homotopy.weights
+        u = np.log(np.abs(sol.point))  # a zero of the target, at lam = 0
+        ctol = tracker.CORRECTOR_TOL
+        res, _, _ = tracker._newton(homotopy, weights, 0.0, u, ctol, 3)
+        assert res < ctol
+        kernel = _kernels.jac_dlam
+
+        def nan_second_row(*args):
+            table = kernel(*args)
+            table[1, 0] = np.nan
+            return table
+
+        monkeypatch.setattr(_kernels, "jac_dlam", nan_second_row)
+        res, _, _ = tracker._newton(homotopy, weights, 0.0, u, ctol, 3)
+        assert not res < ctol
 
     def test_no_sign_crossing_and_determinism(self):
         system = quadratic_system(1.0, 10.0, 1.0)
@@ -248,8 +353,8 @@ class TestTracking:
         calls = []
         newton = tracker._newton
 
-        def recording(h, lam, u, ctol, max_iters):
-            out = newton(h, lam, u, ctol, max_iters)
+        def recording(h, weights, lam, u, ctol, max_iters):
+            out = newton(h, weights, lam, u, ctol, max_iters)
             calls.append((lam, max_iters, out))
             return out
 
@@ -261,10 +366,10 @@ class TestTracking:
         cap, ctol = tracker.MAX_LOG_MOVE, tracker.CORRECTOR_TOL
         accepted = 0
         last_step = None
-        for lam, max_iters, (res, u, (jac, dl)) in calls:
+        for lam, max_iters, (res, u, table) in calls:
             if max_iters == tracker.CORRECTOR_ITERS:
                 span = here_lam - lam
-                udot = np.linalg.solve(here_jac, -here_dl)
+                udot = np.linalg.solve(here_table[:, 1:-1], -here_table[:, -1])
                 move = span * float(abs(udot).max())
                 assert move <= 0.9 * cap + 1e-9
                 if last_step is not None:
@@ -279,20 +384,23 @@ class TestTracking:
                 last_step = None
                 if lam == 0.0 or res >= ctol:
                     continue  # an endgame, or a start correction that failed
-            here_lam, here, here_jac, here_dl = lam, u, jac, dl
+            here_lam, here, here_table = lam, u, table
         assert steps > 0
         assert accepted >= steps
 
-    def test_start_coordinate_underflow_is_a_path_failure(self):
+    def test_start_coordinate_underflow_is_a_path_failure(self, monkeypatch):
         system = quadratic_system(1.0, 10.0, 1.0)
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, system))[0]
         bad = make_path(cell, sol, 0.01)
         bad.x = np.array([0.0])  # as a start sol * t0**normal that underflowed
-        assert scaled_residual(homotopy, 0.01, bad.x) == math.inf
         assert track(homotopy, [bad]) == []
         assert bad.status == "diverged"
+        # select_t0 scores such a start inf (no log(0) warning); when every
+        # candidate underflows it keeps the first.
+        monkeypatch.setattr(tracker, "start_point", lambda cell, sol, t0: np.zeros(1))
+        assert select_t0(homotopy, cell, [sol]) == tracker.T0_CANDIDATES[0]
 
     def test_exact_coefficients_beyond_float_range(self):
         # float(10**400) overflows; the homotopy only needs log|c| and sign(c).
@@ -328,10 +436,7 @@ class TestTracking:
         certified, paths = [], 0
         for index in range(40):
             system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
-            system = support_system(
-                [s.points for s in system.supports],
-                [[math.copysign(abs(c) ** 8, c) for c in row] for row in system.coefficients],
-            )
+            system = _signed_power(system, 8)
             if index in (14, 19):
                 # The start point sol * t0**normal still overflows in x.
                 with pytest.raises(OverflowError):
