@@ -11,6 +11,13 @@ steps sized down to their predicted move, and a Newton corrector.  A path keeps
 the orthant ``s`` of its start and is tracked in ``u = log|x|`` (see
 ``_kernels``), where it can neither cross a coordinate hyperplane nor overflow.
 
+Steps are sized in the frame of the path's cell.  The truncated branch moves
+``u`` by ``-normal`` per unit lam, a drift known in advance, so both the cap on
+a step's predicted move and the guard on its corrected move measure the move
+with that drift taken out.  A path that follows its truncated branch then
+takes the same few steps at any coefficient scale, and steps shrink only where
+the path bends away from its branch.
+
 At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
 ``_kernels.jac_dlam`` call and one ``np.linalg.solve``, and the norms and
 finiteness tests on n-vectors read Python floats (``_max_norm``).  The solve
@@ -43,9 +50,16 @@ CORRECTOR_ITERS = 3
 START_COORD_BOUND = 1e10
 MIN_STEP = 1e-14
 MAX_STEPS = 50_000
-# Largest allowed move of any log-coordinate in one accepted step.  Branches
-# drift like t**zeta, so this caps the pace at a factor e per step and keeps
-# the corrector from hopping to a neighboring solution branch.
+# Largest allowed move of any log-coordinate in one accepted step, measured
+# after taking out the drift ``-step * normal`` of the path's truncated branch.
+# The drift needs no cap: the corrector can only reach a branch in the path's
+# own orthant, and the truncated binomial system of a cell has at most one real
+# solution per orthant, so no other branch of the same cell lies near.  Branches
+# of two cells i and j separate like ``(1 + lam) |normal_i - normal_j|``,
+# faster the nearer the toric limit.  What remains to cap is the path's bending
+# away from its branch, to a factor e per step.  The cap is no proof against
+# path jumping: ``track`` fails any two paths that end on one zero, and the
+# tests pin exact zero counts on the forced corpus.
 MAX_LOG_MOVE = 1.0
 # Endpoints in one orthant whose log|x| agree this closely in every
 # coordinate count as one zero reached twice (path jumping).
@@ -112,10 +126,15 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
 
 @dataclass
 class PathState:
-    """Mutable tracking state of one start solution."""
+    """Mutable tracking state of one start solution.
+
+    ``normal`` is the float normal of the start's cell: the truncated branch
+    ``x * t**normal`` moves ``u = log|x|`` by ``-normal`` per unit lam.
+    """
 
     t: float
     x: np.ndarray
+    normal: np.ndarray
     status: str = "tracking"
     message: str = ""
 
@@ -136,7 +155,8 @@ def start_point(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> np.ndar
 
 
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
-    return PathState(t=t0, x=start_point(cell, sol, t0))
+    normal = np.array([float(z) for z in cell.normal], dtype=np.float64)
+    return PathState(t=t0, x=start_point(cell, sol, t0), normal=normal)
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
@@ -252,15 +272,20 @@ def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
-    """Continue one path from ``path.t`` < 1 to t = 1.  Each step doubles the
-    last accepted one, bounded by the predicted move and the remaining lam; a
-    singular or non-finite tangent, or a fourth corrector failure in one step,
-    fails the path.  Norms and finiteness tests on n-vectors read Python
+    """Continue one path from ``path.t`` < 1 to t = 1.
+
+    Each step doubles the last accepted one, bounded by the remaining lam and
+    by its predicted move in the cell's frame, ``step * max|udot + normal|``.
+    A step is accepted when the corrector converges and
+    ``max|corrected - u - step * normal|`` stays within ``MAX_LOG_MOVE``.  A
+    singular or non-finite tangent, or a fourth corrector failure in one
+    step, fails the path.  Norms and finiteness tests on n-vectors read Python
     floats (``_max_norm``)."""
     x = np.asarray(path.x, dtype=np.float64)
     if not np.all(np.isfinite(x) & (x != 0.0)):
         raise PathDiverged("start point outside the float range")
     weights = term_signs(h, np.sign(x))[:, None] * h.weights
+    normal = path.normal
     u = np.log(np.abs(x))
     lam = -math.log(path.t)
     steps = 0
@@ -275,14 +300,15 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         # and lam-derivative; every halving below reuses the same predictor.
         try:
             udot = np.linalg.solve(table[:, 1:-1], -table[:, -1])
-            speed = _max_norm(udot.tolist())
+            speed = _max_norm((udot + normal).tolist())
         except np.linalg.LinAlgError:
             speed = math.inf
         if speed == math.inf:
             raise CorrectorStalled(f"tangent solve failed at lam={lam:.3e}")
         step = min(dlam, lam)
-        # Size the step by its predicted move.  The 0.9 leaves room for the
-        # predictor's error, so the corrected move rarely overshoots the cap.
+        # Size the step by its predicted move off the branch's drift.  The 0.9
+        # leaves room for the predictor's error, so the corrected move rarely
+        # overshoots the cap.
         if step * speed > 0.9 * MAX_LOG_MOVE:
             step = 0.9 * MAX_LOG_MOVE / speed
         newton_failures = 0
@@ -293,8 +319,10 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                 h, weights, lam_new, guess, CORRECTOR_TOL, CORRECTOR_ITERS
             )
             converged = res < CORRECTOR_TOL
-            # An oversized log-space move marks an overlong step.
-            if converged and _max_norm((corrected - u).tolist()) <= MAX_LOG_MOVE:
+            # An oversized move off the branch's drift marks an overlong step.
+            if converged and (
+                _max_norm((corrected - u - step * normal).tolist()) <= MAX_LOG_MOVE
+            ):
                 break
             if not converged:
                 newton_failures += 1

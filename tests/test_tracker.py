@@ -218,6 +218,25 @@ class TestTracking:
             assert sol.point == pytest.approx(start.point, rel=1e-12)
             assert sol.residual < 1e-12
 
+    @pytest.mark.parametrize("c", [6.0, 6e3, 6e6, 6e9, 6e12])
+    def test_binomial_target_steps_do_not_grow_with_scale(self, c):
+        # x y = c, y**2 = 4 is its own truncated system, so every path is its
+        # truncated branch and only drifts by -normal per unit lam.  Sized off
+        # that drift, each path takes the steps 0.1, 0.2, 0.4 and 0.3 of its
+        # lam0 at every scale, where sizing by the whole move took 4 to 74.
+        system = support_system(
+            [[[1, 1], [0, 0]], [[0, 2], [0, 0]]],
+            [[1.0, -c], [1.0, -4.0]],
+        )
+        report = solve(system, SolverConfig(force=True))
+        cells, _ = _cells_and_homotopy(system)
+        starts = solve_real(binomial_from_cell(cells.cells[0], system))
+        assert report.failures == []
+        assert len(report.solutions) == len(starts) == 2
+        for sol, start in zip(report.solutions, starts):
+            assert sol.steps == 4
+            assert sol.point == pytest.approx(start.point, rel=1e-12)
+
     @pytest.mark.parametrize("broken", ["singular", "nan", "nan_last"])
     def test_tangent_failure_fails_the_path(self, monkeypatch, broken):
         # On a binomial target the start lies on its path, so the start
@@ -313,29 +332,56 @@ class TestTracking:
         assert [p.status for p in pair] == ["converged", "converged"]
 
     def test_one_kernel_call_per_newton_iterate(self, cubic_conic, monkeypatch):
-        # The predictor reuses the Jacobian of the accepted Newton iterate, so
-        # a step costs its Newton iterates plus one evaluation, and no more.
+        # Every kernel call is accounted for: jac_dlam only inside _newton, at
+        # most one per iterate plus the last evaluation (max_iters + 1 per
+        # call), and h_scale only inside select_t0.  The tangent and the
+        # predictor reuse the table of the accepted iterate and call no kernel.
+        scope = []  # the innermost instrumented call: "select_t0" or a _newton
+        calls = []  # (kernel name, scope at the call)
+        for name in ("h_scale", "jac_dlam"):
+            kernel = getattr(_kernels, name)
+
+            def counted(*args, kernel=kernel, name=name):
+                calls.append((name, scope[-1] if scope else None))
+                return kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        budgets = []  # max_iters + 1 per _newton call, by call index
+        newton, choose = tracker._newton, tracker.select_t0
+
+        def scoped_newton(h, weights, lam, u, ctol, max_iters):
+            scope.append(len(budgets))
+            budgets.append(max_iters + 1)
+            try:
+                return newton(h, weights, lam, u, ctol, max_iters)
+            finally:
+                scope.pop()
+
+        def scoped_select_t0(*args):
+            scope.append("select_t0")
+            try:
+                return choose(*args)
+            finally:
+                scope.pop()
+
+        monkeypatch.setattr(tracker, "_newton", scoped_newton)
         cells, homotopy = _cells_and_homotopy(cubic_conic)
         paths = []
         for cell in cells.cells:
             starts = solve_real(binomial_from_cell(cell, cubic_conic))
             if starts:
-                t0 = select_t0(homotopy, cell, starts)
+                t0 = scoped_select_t0(homotopy, cell, starts)
                 paths.extend(make_path(cell, s, t0) for s in starts)
         assert len(paths) == 6
-        calls = []
-        for name in ("h_scale", "jac_dlam"):
-            kernel = getattr(_kernels, name)
-
-            def counted(*args, kernel=kernel):
-                calls.append(kernel)
-                return kernel(*args)
-
-            monkeypatch.setattr(_kernels, name, counted)
         solutions = track(homotopy, paths)
-        steps = sum(s.steps for s in solutions)
         assert len(solutions) == 6
-        assert len(calls) <= 4 * steps
+        per_newton = Counter(where for name, where in calls if name == "jac_dlam")
+        assert None not in per_newton and "select_t0" not in per_newton
+        for k, budget in enumerate(budgets):
+            assert 1 <= per_newton[k] <= budget
+        assert sum(per_newton.values()) + calls.count(("h_scale", "select_t0")) == len(
+            calls
+        )
 
     def test_forced_tracking_finds_every_exact_zero(self):
         # A step that jumps onto another branch loses a zero or reaches one
@@ -345,20 +391,28 @@ class TestTracking:
             assert len(report.solutions) == count
 
     def test_no_corrector_starts_beyond_the_predicted_move_cap(self, monkeypatch):
-        # Replays each path from the recorded corrections: a step attempt
-        # (CORRECTOR_ITERS iterations) from the accepted point (lam, u) with
-        # tangent udot must keep (lam - lam_new) * max|udot| within
-        # 0.9 * MAX_LOG_MOVE, halvings included.  The first attempt after an
-        # accepted step of size s spans min(2 s, lam), or sits at that cap.
+        # Replays each path from the recorded corrections, in the frame of its
+        # cell, where the truncated branch drifts by -normal per unit lam: a
+        # step attempt (CORRECTOR_ITERS iterations) from the accepted point
+        # (lam, u) with tangent udot must keep (lam - lam_new) *
+        # max|udot + normal| within 0.9 * MAX_LOG_MOVE, halvings included, and
+        # an accepted one must move u off its drift by at most MAX_LOG_MOVE.
+        # The first attempt after an accepted step of size s spans
+        # min(2 s, lam), or sits at that cap.
         calls = []
-        newton = tracker._newton
+        newton, track_one = tracker._newton, tracker._track_one
 
         def recording(h, weights, lam, u, ctol, max_iters):
             out = newton(h, weights, lam, u, ctol, max_iters)
             calls.append((lam, max_iters, out))
             return out
 
+        def recording_path(h, path, tol):
+            calls.append(path.normal)
+            return track_one(h, path, tol)
+
         monkeypatch.setattr(tracker, "_newton", recording)
+        monkeypatch.setattr(tracker, "_track_one", recording_path)
         steps = 0
         for system, _ in _forced_corpus():
             report = solve(system, SolverConfig(force=True))
@@ -366,17 +420,23 @@ class TestTracking:
         cap, ctol = tracker.MAX_LOG_MOVE, tracker.CORRECTOR_TOL
         accepted = 0
         last_step = None
-        for lam, max_iters, (res, u, table) in calls:
+        for call in calls:
+            if isinstance(call, np.ndarray):
+                normal = call  # the next path starts
+                continue
+            lam, max_iters, (res, u, table) = call
             if max_iters == tracker.CORRECTOR_ITERS:
                 span = here_lam - lam
                 udot = np.linalg.solve(here_table[:, 1:-1], -here_table[:, -1])
-                move = span * float(abs(udot).max())
+                move = span * float(abs(udot + normal).max())
                 assert move <= 0.9 * cap + 1e-9
                 if last_step is not None:
                     doubled = min(2.0 * last_step, here_lam)
                     assert abs(span - doubled) <= 1e-12 or abs(move - 0.9 * cap) <= 1e-9
                     last_step = None
-                if res >= ctol or abs(u - here).max() > cap:
+                if res >= ctol:
+                    continue
+                if abs(u - here - span * normal).max() > cap:
                     continue
                 accepted += 1
                 last_step = span
