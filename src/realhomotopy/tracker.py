@@ -18,6 +18,16 @@ with that drift taken out.  A path that follows its truncated branch then
 takes the same few steps at any coefficient scale, and steps shrink only where
 the path bends away from its branch.
 
+No corrector work is spent where it cannot succeed.  A step corrector stops
+as soon as an iterate fails to cut the residual fourfold, and the step is
+halved.  Without a certificate a real path can end where it meets another
+real branch and both turn complex (a fold; Li and Wang, Math. Comp. 60,
+1993), and halving toward such a turning point only spends correctors.  So
+after a step's second failed corrector ``_fold`` locates the turning point
+directly (Allgower and Georg, *Introduction to Numerical Continuation
+Methods*); when it confirms one inside the failing span, the path fails at
+once with the message ``fold at lam=...``.
+
 At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
 ``_kernels.jac_dlam`` call and one ``np.linalg.solve``, and the norms and
 finiteness tests on n-vectors read Python floats (``_max_norm``).  The solve
@@ -47,6 +57,13 @@ from .binomial import RealOrthantSolution
 
 CORRECTOR_TOL = 1e-10
 CORRECTOR_ITERS = 3
+# A step corrector stops at the first iterate that fails to cut the residual
+# to this share of the last one (see ``_newton``).
+CONTRACTION = 0.25
+# Iterate budget of the turning-point Newton (``_fold``), and the largest
+# residual at which a failed step corrector's last iterate is its start.
+FOLD_ITERS = 8
+FOLD_START_RESIDUAL = 0.1
 START_COORD_BOUND = 1e10
 MIN_STEP = 1e-14
 MAX_STEPS = 50_000
@@ -229,9 +246,18 @@ def _newton(
     u: np.ndarray,
     ctol: float,
     max_iters: int,
+    contract: bool = False,
 ):
     """Newton in u at fixed lam with one fused kernel call and one solve per
     iterate; ``weights`` is ``h.weights`` signed for the path's orthant.
+
+    With ``contract``, as for the step correctors, Newton also stops at the
+    first iterate that fails to cut the residual to ``CONTRACTION`` times the
+    last one, and the caller halves the step.  A corrector that converges
+    within ``CORRECTOR_ITERS`` contracts far faster: on the forced corpora no
+    such corrector is cut, so every accepted step is the one a plain Newton
+    gives.  The start correction and the endgame polish keep their full
+    budgets; applied to them as well, the rule lost converged forced paths.
 
     Returns the final residual (``_max_norm``, so never NaN), the final
     iterate and the kernel table ``[h | J_u | dh/dlam]`` at it: when the
@@ -240,12 +266,14 @@ def _newton(
     """
     lam_vexp = lam * h.vexp
     it = 0
+    last = math.inf
     while True:
         table = _kernels.jac_dlam(h.logc, lam_vexp, h.exps, h.starts, h.eq, weights, u)
         hv = table[:, 0]
         res = _max_norm(hv.tolist())
-        if res < ctol or it == max_iters:
+        if res < ctol or it == max_iters or (contract and res > CONTRACTION * last):
             break
+        last = res
         try:
             du = np.linalg.solve(table[:, 1:-1], hv)
         except np.linalg.LinAlgError:
@@ -271,6 +299,85 @@ def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
     return euler + step**2 * (curve - (step + gap) * cubic)
 
 
+def _fold(h, weights, start, lam, u, lam_low, normal):
+    """The lam of a simple turning point (fold) that the path at (lam, u)
+    reaches above ``lam_low``, or None if none is confirmed.
+
+    At a fold two real branches meet and turn complex, so the path has no
+    real continuation below it.  Newton on the turning-point system
+    ``h(v, mu) = 0``, ``J_u(v, mu) phi = 0``, ``ell . phi = 1`` (Moore and
+    Spence, SIAM J. Numer. Anal. 17, 1980) locates it directly; the system is
+    regular at a simple fold, where the corrector in u at fixed lam is not.
+    Newton starts from ``start = (mu, v, table)`` with ``phi = ell``, J_u's
+    most nearly null direction there: the tangent ``J_u^-1 dh/dlam`` after
+    one step of inverse iteration on ``J_u^T J_u``.  (Only ``np.linalg.solve``
+    is used; an SVD added its LAPACK code pages to the benchmark's peak RSS.)
+    An iterate is one ``jac_dlam`` call and one solve: the signed weights,
+    extended by a copy times ``exps . phi``, give ``[h | J_u | dh/dlam]`` and
+    beside it ``[J_u phi | d(J_u phi)/du | d(J_u phi)/dlam]``.  Newton stops
+    when its residual fails to fall or after ``FOLD_ITERS`` iterates.
+
+    A fold found this way is the path's when it lies in ``(lam_low, lam)``,
+    within ``MAX_LOG_MOVE`` of the path in the cell's frame (the guard on an
+    accepted step), and on the side the path comes from: the two branches
+    that meet there exist above its lam.  With ``psi = J_u^-T phi``, which
+    points along the left null vector at a simple fold, that is
+    ``psi . J_uu[phi, phi]`` and ``psi . dh/dlam`` of opposite sign.
+    """
+    mu, v, table = start
+    n = v.size
+    jac_u = table[:, 1:-1]
+    try:
+        ell = np.linalg.solve(jac_u, -table[:, -1])
+        ell = np.linalg.solve(jac_u, np.linalg.solve(jac_u.T, ell))
+    except np.linalg.LinAlgError:
+        return None
+    size = _max_norm(ell.tolist())
+    if not 0.0 < size < math.inf:
+        return None
+    ell = ell / size
+    ell = ell / math.sqrt(float(ell @ ell))
+    phi = ell
+    system = np.zeros((2 * n + 1, 2 * n + 1))
+    system[2 * n, n + 1 :] = ell
+    rhs = np.empty(2 * n + 1)
+    last = math.inf
+    for it in range(FOLD_ITERS + 1):
+        both = np.hstack((weights, weights * (h.exps @ phi)[:, None]))
+        t = _kernels.jac_dlam(h.logc, mu * h.vexp, h.exps, h.starts, h.eq, both, v)
+        rhs[:n] = t[:, 0]
+        rhs[n : 2 * n] = t[:, n + 2]
+        rhs[2 * n] = float(ell @ phi) - 1.0
+        res = _max_norm(rhs.tolist())
+        if res < CORRECTOR_TOL:
+            break
+        if it == FOLD_ITERS or not res < last:
+            return None
+        last = res
+        system[:n, : n + 1] = t[:, 1 : n + 2]
+        system[n : 2 * n, : n + 1] = t[:, n + 3 :]
+        system[n : 2 * n, n + 1 :] = t[:, 1 : n + 1]
+        try:
+            delta = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        v = v - delta[:n]
+        mu = mu - float(delta[n])
+        phi = phi - delta[n + 1 :]
+    if not lam_low < mu < lam:
+        return None
+    if _max_norm((v - u - (lam - mu) * normal).tolist()) > MAX_LOG_MOVE:
+        return None
+    try:
+        psi = np.linalg.solve(t[:, 1 : n + 1].T, phi)
+    except np.linalg.LinAlgError:
+        return None
+    curvature = float(psi @ t[:, n + 3 : 2 * n + 3] @ phi)
+    if not curvature * float(psi @ t[:, n + 1]) < 0.0:
+        return None
+    return mu
+
+
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
     """Continue one path from ``path.t`` < 1 to t = 1.
 
@@ -279,7 +386,12 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     A step is accepted when the corrector converges and
     ``max|corrected - u - step * normal|`` stays within ``MAX_LOG_MOVE``.  A
     singular or non-finite tangent, or a fourth corrector failure in one
-    step, fails the path.  Norms and finiteness tests on n-vectors read Python
+    step, fails the path.  After the second failure in one step, ``_fold``
+    looks for a turning point below lam and above the first failed attempt's
+    lam.  It starts from the second attempt's last iterate if that is a near
+    miss (residual below ``FOLD_START_RESIDUAL``), else from the accepted
+    point.  A confirmed fold fails the path at once; otherwise the step goes
+    on halving as before.  Norms and finiteness tests on n-vectors read Python
     floats (``_max_norm``)."""
     x = np.asarray(path.x, dtype=np.float64)
     if not np.all(np.isfinite(x) & (x != 0.0)):
@@ -316,7 +428,13 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
             lam_new = lam - step
             guess = _predict(lam, u, udot, prev, step)
             res, corrected, corrected_table = _newton(
-                h, weights, lam_new, guess, CORRECTOR_TOL, CORRECTOR_ITERS
+                h,
+                weights,
+                lam_new,
+                guess,
+                CORRECTOR_TOL,
+                CORRECTOR_ITERS,
+                contract=True,
             )
             converged = res < CORRECTOR_TOL
             # An oversized move off the branch's drift marks an overlong step.
@@ -326,6 +444,17 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                 break
             if not converged:
                 newton_failures += 1
+                if newton_failures == 1:
+                    lam_low = lam_new
+                elif newton_failures == 2:
+                    # A near miss lies closer to a fold than the path point.
+                    if res < FOLD_START_RESIDUAL:
+                        start = (lam_new, corrected, corrected_table)
+                    else:
+                        start = (lam, u, table)
+                    fold = _fold(h, weights, start, lam, u, lam_low, normal)
+                    if fold is not None:
+                        raise CorrectorStalled(f"fold at lam={fold:.6e}")
                 if newton_failures > 3:
                     raise CorrectorStalled(
                         f"corrector failed after 3 halvings at lam={lam:.3e}"

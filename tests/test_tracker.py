@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -52,6 +53,34 @@ def _forced_corpus():
         random_sparse_system(rng, n=2, min_terms=4, max_terms=5) for _ in range(20)
     ]
     return list(zip(systems, FORCED_EXACT_COUNTS))
+
+
+def _plain_newton(kernel, h, weights, lam, u, ctol, iters):
+    """Newton in u at fixed lam, ``iters`` iterates unless it converges
+    first, from ``kernel`` (``_kernels.jac_dlam``) and ``np.linalg.solve``:
+    whether it converged, and how many tables it evaluated."""
+    for it in range(iters + 1):
+        table = kernel(h.logc, lam * h.vexp, h.exps, h.starts, h.eq, weights, u)
+        hv = table[:, 0]
+        if np.isfinite(hv).all() and np.abs(hv).max() < ctol:
+            return True, it + 1
+        if it == iters:
+            break
+        try:
+            du = np.linalg.solve(table[:, 1:-1], hv)
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(du).all():
+            break
+        u = u - du
+    return False, it + 1
+
+
+def _fold_lam(message):
+    """The lam a "fold at lam=..." failure message names."""
+    prefix = "fold at lam="
+    assert message.startswith(prefix), message
+    return float(message[len(prefix) :])
 
 
 class TestStartPoint:
@@ -334,9 +363,12 @@ class TestTracking:
     def test_one_kernel_call_per_newton_iterate(self, cubic_conic, monkeypatch):
         # Every kernel call is accounted for: jac_dlam only inside _newton, at
         # most one per iterate plus the last evaluation (max_iters + 1 per
-        # call), and h_scale only inside select_t0.  The tangent and the
-        # predictor reuse the table of the accepted iterate and call no kernel.
-        scope = []  # the innermost instrumented call: "select_t0" or a _newton
+        # call), or inside the fold test _fold, at most FOLD_ITERS + 1 per
+        # call, and h_scale only inside select_t0.  The tangent and the
+        # predictor reuse the table of the accepted iterate and call no
+        # kernel.  The cubic/conic converges all 6 paths; both paths of
+        # 2 - 2x + x**2 end at its fold, so the fold test runs.
+        scope = []  # the innermost instrumented call: "select_t0" or an index
         calls = []  # (kernel name, scope at the call)
         for name in ("h_scale", "jac_dlam"):
             kernel = getattr(_kernels, name)
@@ -346,16 +378,23 @@ class TestTracking:
                 return kernel(*args)
 
             monkeypatch.setattr(_kernels, name, counted)
-        budgets = []  # max_iters + 1 per _newton call, by call index
-        newton, choose = tracker._newton, tracker.select_t0
+        budgets = []  # (function, kernel-call budget) by call index
+        newton, fold, choose = tracker._newton, tracker._fold, tracker.select_t0
 
-        def scoped_newton(h, weights, lam, u, ctol, max_iters):
+        def scoped(name, budget, fn, *args, **kwargs):
             scope.append(len(budgets))
-            budgets.append(max_iters + 1)
+            budgets.append((name, budget))
             try:
-                return newton(h, weights, lam, u, ctol, max_iters)
+                return fn(*args, **kwargs)
             finally:
                 scope.pop()
+
+        def scoped_newton(h, weights, lam, u, ctol, max_iters, **kwargs):
+            args = (h, weights, lam, u, ctol, max_iters)
+            return scoped("_newton", max_iters + 1, newton, *args, **kwargs)
+
+        def scoped_fold(*args):
+            return scoped("_fold", tracker.FOLD_ITERS + 1, fold, *args)
 
         def scoped_select_t0(*args):
             scope.append("select_t0")
@@ -365,21 +404,26 @@ class TestTracking:
                 scope.pop()
 
         monkeypatch.setattr(tracker, "_newton", scoped_newton)
-        cells, homotopy = _cells_and_homotopy(cubic_conic)
-        paths = []
-        for cell in cells.cells:
-            starts = solve_real(binomial_from_cell(cell, cubic_conic))
-            if starts:
-                t0 = scoped_select_t0(homotopy, cell, starts)
-                paths.extend(make_path(cell, s, t0) for s in starts)
-        assert len(paths) == 6
-        solutions = track(homotopy, paths)
-        assert len(solutions) == 6
-        per_newton = Counter(where for name, where in calls if name == "jac_dlam")
-        assert None not in per_newton and "select_t0" not in per_newton
-        for k, budget in enumerate(budgets):
-            assert 1 <= per_newton[k] <= budget
-        assert sum(per_newton.values()) + calls.count(("h_scale", "select_t0")) == len(
+        monkeypatch.setattr(tracker, "_fold", scoped_fold)
+        for system, count, converged in (
+            (cubic_conic, 6, 6),
+            (quadratic_system(2.0, -2.0, 1.0), 2, 0),
+        ):
+            cells, homotopy = _cells_and_homotopy(system)
+            paths = []
+            for cell in cells.cells:
+                starts = solve_real(binomial_from_cell(cell, system))
+                if starts:
+                    t0 = scoped_select_t0(homotopy, cell, starts)
+                    paths.extend(make_path(cell, s, t0) for s in starts)
+            assert len(paths) == count
+            assert len(track(homotopy, paths)) == converged
+        per_call = Counter(where for name, where in calls if name == "jac_dlam")
+        assert None not in per_call and "select_t0" not in per_call
+        for k, (_, budget) in enumerate(budgets):
+            assert 1 <= per_call[k] <= budget
+        assert [name for name, _ in budgets].count("_fold") >= 2
+        assert sum(per_call.values()) + calls.count(("h_scale", "select_t0")) == len(
             calls
         )
 
@@ -390,10 +434,118 @@ class TestTracking:
             report = solve(system, SolverConfig(force=True))
             assert len(report.solutions) == count
 
+    def test_forced_corpus_fails_only_at_folds(self):
+        # Generator systems 2, 8 and 10 (corpus entries 3, 9 and 11; the
+        # track_forced workload's sparse2_02, 08 and 10) each lose both paths
+        # where they meet at a fold and turn complex.  Each path names the
+        # fold's lam, and the two paths of a pair name the same one.
+        failed = {}
+        for k, (system, _) in enumerate(_forced_corpus()):
+            report = solve(system, SolverConfig(force=True))
+            if report.failures:
+                failed[k] = report.failures
+        assert sorted(failed) == [3, 9, 11]
+        for failures in failed.values():
+            assert [f.status for f in failures] == ["failed", "failed"]
+            lams = [_fold_lam(f.message) for f in failures]
+            assert abs(lams[0] - lams[1]) <= 1e-3
+
+    @pytest.mark.parametrize("c0, parent_calls", [(2, 217), (3, 170)])
+    def test_quadratic_paths_end_at_their_fold(self, monkeypatch, c0, parent_calls):
+        # Under the log|c| lifting c0 - 2x + x**2 deforms to
+        # c0 - 2 t**log(c0/2) x + t**log(c0) x**2, whose discriminant vanishes
+        # at lam = log c0 / (log c0 - 2 log(c0/2)): 1 for c0 = 2, about
+        # 3.8188 for c0 = 3.  Both real roots track into that fold.  Before
+        # the fold test the paths halved toward it for 217 and 170 kernel
+        # calls.
+        fold = math.log(c0) / (math.log(c0) - 2.0 * math.log(c0 / 2.0))
+        kernel, calls = _kernels.jac_dlam, []
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "jac_dlam", counted)
+        report = solve(quadratic_system(c0, -2.0, 1.0), SolverConfig(force=True))
+        assert report.solutions == []
+        assert len(report.failures) == 2
+        for failure in report.failures:
+            assert failure.status == "failed"
+            assert _fold_lam(failure.message) == pytest.approx(fold, rel=1e-3)
+        assert len(calls) <= parent_calls // 2
+
+    def test_fold_test_confirms_only_a_fold_the_path_comes_from(self):
+        # 2 - 2x + t**log(2) x**2 folds at lam = 1 with x = 2, its two real
+        # roots existing above lam = 1, where a path comes from.  Reflected
+        # about lam = 1.5, h(u, 3 - lam) folds at lam = 2 with its roots below:
+        # a path above lam = 2 is on neither, and the fold test declines it.
+        system = quadratic_system(2.0, -2.0, 1.0)
+        h = make_homotopy(system, log_abs_lifting(system))
+        vexp = -h.vexp
+        _, _, flipped_weights = _kernels.tables(h.exps, vexp, np.array([0, 3]))
+        flipped = dataclasses.replace(
+            h, logc=h.logc - 3.0 * h.vexp, vexp=vexp, weights=flipped_weights
+        )
+        normal = np.zeros(1)
+        for homotopy, lam, turn in ((h, 1.2, 1.0), (flipped, 2.2, None)):
+            weights = term_signs(homotopy, [1.0])[:, None] * homotopy.weights
+            for u in (math.log(2.0) - 0.1, math.log(2.0) + 0.2):
+                u = np.array([u])
+                table = _kernels.jac_dlam(
+                    homotopy.logc,
+                    lam * homotopy.vexp,
+                    homotopy.exps,
+                    homotopy.starts,
+                    homotopy.eq,
+                    weights,
+                    u,
+                )
+                start = (lam, u, table)
+                got = tracker._fold(homotopy, weights, start, lam, u, 0.5, normal)
+                if turn is None:
+                    assert got is None
+                else:
+                    assert got == pytest.approx(turn, rel=1e-9)
+
+    def test_step_correctors_stop_only_when_they_cannot_converge(self, monkeypatch):
+        # Replays every step corrector of the forced corpus as a plain Newton
+        # of CORRECTOR_ITERS iterates.  The contraction abort may end a
+        # corrector early, but never one that the plain Newton converges; and
+        # it does end some early.
+        kernel, evaluations = _kernels.jac_dlam, [0]
+
+        def counted(*args):
+            evaluations[0] += 1
+            return kernel(*args)
+
+        newton, attempts = tracker._newton, []
+
+        def recording(h, weights, lam, u, ctol, max_iters, contract=False):
+            before = evaluations[0]
+            out = newton(h, weights, lam, u, ctol, max_iters, contract)
+            if contract:
+                used = evaluations[0] - before
+                attempts.append((h, weights, lam, u, out[0] < ctol, used))
+            return out
+
+        monkeypatch.setattr(_kernels, "jac_dlam", counted)
+        monkeypatch.setattr(tracker, "_newton", recording)
+        for system, _ in _forced_corpus():
+            solve(system, SolverConfig(force=True))
+        ctol, iters = tracker.CORRECTOR_TOL, tracker.CORRECTOR_ITERS
+        cut = 0
+        for h, weights, lam, u, converged, used in attempts:
+            plain, plain_used = _plain_newton(kernel, h, weights, lam, u, ctol, iters)
+            assert converged == plain
+            assert used <= plain_used
+            cut += used < plain_used
+        assert cut > 0
+
     def test_no_corrector_starts_beyond_the_predicted_move_cap(self, monkeypatch):
         # Replays each path from the recorded corrections, in the frame of its
         # cell, where the truncated branch drifts by -normal per unit lam: a
-        # step attempt (CORRECTOR_ITERS iterations) from the accepted point
+        # step attempt (a contracting _newton of CORRECTOR_ITERS iterations;
+        # no other _newton call contracts) from the accepted point
         # (lam, u) with tangent udot must keep (lam - lam_new) *
         # max|udot + normal| within 0.9 * MAX_LOG_MOVE, halvings included, and
         # an accepted one must move u off its drift by at most MAX_LOG_MOVE.
@@ -402,9 +554,10 @@ class TestTracking:
         calls = []
         newton, track_one = tracker._newton, tracker._track_one
 
-        def recording(h, weights, lam, u, ctol, max_iters):
-            out = newton(h, weights, lam, u, ctol, max_iters)
-            calls.append((lam, max_iters, out))
+        def recording(h, weights, lam, u, ctol, max_iters, contract=False):
+            out = newton(h, weights, lam, u, ctol, max_iters, contract)
+            assert contract == (max_iters == tracker.CORRECTOR_ITERS)
+            calls.append((lam, contract, out))
             return out
 
         def recording_path(h, path, tol):
@@ -424,8 +577,8 @@ class TestTracking:
             if isinstance(call, np.ndarray):
                 normal = call  # the next path starts
                 continue
-            lam, max_iters, (res, u, table) = call
-            if max_iters == tracker.CORRECTOR_ITERS:
+            lam, step_attempt, (res, u, table) = call
+            if step_attempt:
                 span = here_lam - lam
                 udot = np.linalg.solve(here_table[:, 1:-1], -here_table[:, -1])
                 move = span * float(abs(udot + normal).max())
