@@ -31,6 +31,7 @@ from .lattice import (
 )
 from .mixed_cells import (
     CircuitInequality,
+    CircuitTable,
     MixedCell,
     MixedCellSet,
     circuit_inequalities,
@@ -57,6 +58,7 @@ __all__ = [
     "CayleyConfig",
     "Certificate",
     "CircuitInequality",
+    "CircuitTable",
     "CorrectorStalled",
     "DegenerateConfiguration",
     "EmptySupport",

@@ -4,6 +4,10 @@ A pass certifies that the coefficient point can be pushed to the toric limit
 along its own lifting direction without meeting the discriminant amoeba, so
 the combinatorial real-zero count survives the deformation.  A fail is
 inconclusive; the test is sufficient, not necessary.
+
+The margins come from the exact circuit table of ``mixed_cells``
+(``CircuitTable``), every row at once, and equal bit for bit the
+per-inequality ``float(zeta . w) - log(m) * |zeta|_1``.
 """
 
 from __future__ import annotations
@@ -12,8 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .lattice import Lifting, SupportSystem, build_cayley, log_abs_lifting
-from .mixed_cells import CircuitInequality, MixedCellSet, enumerate_mixed_cells
+from .mixed_cells import (
+    CircuitInequality,
+    CircuitTable,
+    MixedCellSet,
+    enumerate_mixed_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -36,12 +47,20 @@ def certify(lifting: Lifting, inequalities: Sequence[CircuitInequality]) -> Cert
     anywhere (every support is already an edge) there are no inequalities:
     such systems are solved exactly by the binomial solver, tracking is a
     no-op, and the certificate passes vacuously.
+
+    The margins are read off the inequalities' ``CircuitTable`` (the one a
+    ``MixedCellSet`` carries is used as it is, with the values enumeration
+    already took on this lifting), all rows at once: each row's ``zeta . w``
+    adds its terms column by column in the order of
+    ``CircuitInequality.dot``, so every margin is bit for bit
+    ``float(zeta.dot(w)) - log(m) * zeta.l1()``.
     """
     m = len(lifting)
-    log_m = math.log(m)
-    margins = tuple(
-        float(zeta.dot(lifting.values)) - log_m * zeta.l1() for zeta in inequalities
-    )
+    table = CircuitTable.of(inequalities)
+    with np.errstate(all="ignore"):
+        margins = table.values(lifting).astype(float)
+        margins -= math.log(m) * np.abs(table.coeffs).sum(axis=1).astype(float)
+    margins = tuple(margins.tolist())
     return Certificate(
         margins=margins, verdict=min(margins, default=math.inf) > 0.0, m=m
     )

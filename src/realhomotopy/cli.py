@@ -80,7 +80,8 @@ def _cell_doc(cell: MixedCell, inequality_count: int) -> dict:
 
 def _cell_docs(cells: MixedCellSet) -> list[dict]:
     # Every cell excludes the same number of Cayley points and contributes one
-    # inequality per excluded point, so each holds an even share.
+    # inequality per excluded point, so each holds an even share of the
+    # table's rows; counting rows builds no circuit objects.
     per_cell = len(cells.inequalities) // len(cells.cells) if cells.cells else 0
     return [_cell_doc(c, per_cell) for c in cells.cells]
 

@@ -22,11 +22,17 @@ Candidates become the product of the kept pairs.  The second looks at them a
 chunk at a time and discards those that are provably singular or whose float
 gamma leaves some point clearly above its block's face.  Floats only ever
 discard: every survivor is decided by the exact test (integer determinant,
-exact solve for gamma, and the signs and ties of its circuits, each from the
-fraction-free determinant and adjugate of the n x n edge matrix), and the
+exact solve for gamma, and the signs and ties of its circuits), and the
 screens' tolerances make each candidate they drop one the exact test
 rejects.  Cells, normals, circuits and TieDegenerate are therefore those of
 the exact test run on every candidate.
+
+The circuits of all survivors of a solve are built in one pass as one exact
+table (``CircuitTable``: object arrays of Python ints, one row per circuit),
+from the fraction-free determinant and adjugate of each n x n edge matrix,
+and evaluated on the lifting once.  The cells keep their rows, and the
+certificate reads the same table and values; ``CircuitInequality`` objects
+are built only when something reads the rows as a sequence.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -106,12 +112,100 @@ class CircuitInequality:
         return sum(c * values[k] for k, c in self.coeffs.items())
 
 
+class CircuitTable(Sequence[CircuitInequality]):
+    """Circuit inequalities as one exact table, one row per inequality.
+
+    Row r puts the coefficient ``coeffs[r, c]`` on Cayley point
+    ``points[r, c]``, and its last column is the witness.  The rows of a cell
+    hold its points ``a_0, b_0, ..., a_{n-1}, b_{n-1}`` and then the witness;
+    a zero coefficient marks a point off the circuit.  Coefficients are
+    Python ints in an object array, so every entry is exact.  Read as a
+    sequence, the table yields ``CircuitInequality`` objects, all built on
+    the first read.
+    """
+
+    def __init__(self, points: np.ndarray, coeffs: np.ndarray) -> None:
+        self.points = points
+        self.coeffs = coeffs
+        # The values of the last lifting evaluated, keyed by its values tuple.
+        self._values: tuple[tuple[Scalar, ...], np.ndarray] | None = None
+
+    @classmethod
+    def of(cls, inequalities: Sequence[CircuitInequality]) -> CircuitTable:
+        """The table of some inequalities; a table is returned as it is."""
+        if isinstance(inequalities, CircuitTable):
+            return inequalities
+        width = max((len(z.coeffs) for z in inequalities), default=1)
+        points = np.zeros((len(inequalities), width), dtype=np.intp)
+        coeffs = np.zeros((len(inequalities), width), dtype=object)
+        for r, z in enumerate(inequalities):
+            items = [(k, c) for k, c in z.coeffs.items() if k != z.witness]
+            items.append((z.witness, z.coeffs[z.witness]))
+            # Padded in front: zero coefficients add nothing.
+            start = width - len(items)
+            points[r, start:], coeffs[r, start:] = zip(*items)
+        return cls(points, coeffs)
+
+    def take(self, rows: np.ndarray) -> CircuitTable:
+        """The given rows, in order, with the values already evaluated."""
+        out = CircuitTable(self.points[rows], self.coeffs[rows])
+        if self._values is not None:
+            out._keep(self._values[0], self._values[1][rows])
+        return out
+
+    def values(self, lifting: Lifting) -> np.ndarray:
+        """``zeta . w`` per row as an object array (read only).
+
+        Each row sums from 0 column by column, as ``CircuitInequality.dot``
+        sums its terms.  A zero coefficient adds the integer 0 instead of
+        being skipped, which changes no bit: a running sum that starts at 0
+        is never -0.0.  The last lifting's values are kept, so enumeration
+        evaluates a table once and the certificate reads the same values.
+        """
+        if self._values is None or self._values[0] is not lifting.values:
+            w = np.empty(len(lifting), dtype=object)
+            w[:] = lifting.values
+            terms = self.coeffs * w[self.points]
+            terms[self.coeffs == 0] = 0
+            self._keep(lifting.values, np.add.reduce(terms, axis=1, initial=0))
+        return self._values[1]
+
+    def _keep(self, lifting: tuple[Scalar, ...], values: np.ndarray) -> None:
+        # Every reader gets this one array, so none may write to it.
+        values.flags.writeable = False
+        self._values = (lifting, values)
+
+    @functools.cached_property
+    def _objects(self) -> tuple[CircuitInequality, ...]:
+        return tuple(
+            CircuitInequality({k: c for k, c in zip(pts, row) if c != 0}, pts[-1])
+            for pts, row in zip(self.points.tolist(), self.coeffs.tolist())
+        )
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, index):
+        return self._objects[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._objects == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"CircuitTable({list(self._objects)!r})"
+
+
 @dataclass(frozen=True)
 class MixedCellSet:
-    """All mixed cells of one lifted configuration plus their circuit system."""
+    """All mixed cells of one lifted configuration plus their circuit system.
+
+    ``inequalities`` holds the circuits of every cell, cell by cell.
+    """
 
     cells: tuple[MixedCell, ...]
-    inequalities: tuple[CircuitInequality, ...]
+    inequalities: CircuitTable
 
     def total_volume(self) -> int:
         return sum(c.volume for c in self.cells)
@@ -453,20 +547,20 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     """All mixed cells of the subdivision induced by ``lifting``.
 
     The per-block and product float screens (``_FloatScreen``) only discard.
-    Each survivor is decided exactly: an integer determinant, an exact solve
-    for gamma (the normal), then its circuit inequalities, one per excluded
-    point, whose value on the lifting is ``|zeta[witness]|`` times the
-    witness's exclusion margin.  The survivor is a cell when every circuit
-    is positive, and those circuits are its inequalities.  A negative one
-    rejects it; otherwise a margin inside the tie tolerance raises
-    TieDegenerate.  Exact (int or Fraction) liftings decide on the sign of
-    the exact circuit value instead.
+    Each survivor gets an integer determinant and an exact solve for gamma
+    (the normal).  Then one ``_circuit_table`` pass builds the circuit
+    inequalities of every survivor, one per excluded point, and evaluates
+    them on the lifting: a row's value is ``|zeta[witness]|`` times the
+    witness's exclusion margin.  A survivor is a cell when all its rows are
+    positive, and those rows are its inequalities.  A negative row rejects
+    it; otherwise a margin inside the tie tolerance raises TieDegenerate for
+    the first such survivor.  Exact (int or Fraction) liftings decide on the
+    sign of the exact value instead.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
     n = config.n
     values = list(lifting.values)
-    exact = lifting.is_exact()
     blocks: list[list[int]] = [config.block_indices(i) for i in range(n)]
     for i, blk in enumerate(blocks):
         if len(blk) < 2:
@@ -475,8 +569,7 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     base = [config.base_point(k) for k in range(config.m)]
     origin = config.origin_index
     screen = _FloatScreen(blocks, base, values)
-    tie_tol = TIE_RTOL * screen.scale
-    found: list[tuple[MixedCell, list[CircuitInequality]]] = []
+    survivors: list[tuple[tuple[tuple[int, int], ...], MixedCell]] = []
     for cand in screen.candidates():
         edges = tuple(
             _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
@@ -487,35 +580,98 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
             continue
         gamma = solve_exact(rows, [values[b] - values[a] for a, b in edges])
         local = tuple((origin[a], origin[b]) for a, b in edges)
-        cell = MixedCell(local, tuple(-g for g in gamma), abs(det))
-        circuits = circuit_inequalities(cell, config)
+        survivors.append((edges, MixedCell(local, tuple(-g for g in gamma), abs(det))))
 
-        # A violated margin rejects the candidate outright; a tie only makes
-        # the lifting degenerate when the candidate is otherwise a cell, i.e.
-        # the tied point sits exactly on the candidate's face.
-        tied_point: int | None = None
-        for zeta in circuits:
-            margin = zeta.dot(values)
-            if not exact:
-                margin = float(margin) / -zeta.coeffs[zeta.witness]
-                if abs(margin) < tie_tol:
-                    margin = 0
-            if margin < 0:
-                break
-            if margin == 0:
-                tied_point = zeta.witness
-        else:
-            if tied_point is not None:
-                raise TieDegenerate(
-                    f"lifting ties on point {tied_point} against cell {edges}"
-                )
-            found.append((cell, circuits))
+    table = _circuit_table(config, [edges for edges, _ in survivors])
+    margin = table.values(lifting)
+    if not lifting.is_exact():
+        with np.errstate(all="ignore"):
+            margin = margin.astype(float) / -table.coeffs[:, -1].astype(float)
+            margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
+    per_cell = config.m - 2 * n
+    margin = margin.reshape(len(survivors), per_cell)
+    # A violated margin rejects the candidate outright; a tie only makes the
+    # lifting degenerate when the candidate is otherwise a cell, i.e. the
+    # tied point sits exactly on the candidate's face.
+    kept = ~np.any(margin < 0, axis=1)
+    tied = margin == 0
+    degenerate = np.flatnonzero(kept & np.any(tied, axis=1))
+    if degenerate.size:
+        s = degenerate[0]
+        point = int(table.points[s * per_cell + np.flatnonzero(tied[s])[-1], -1])
+        edges = survivors[s][0]
+        raise TieDegenerate(f"lifting ties on point {point} against cell {edges}")
 
-    found.sort(key=lambda item: item[0].edges)
+    order = sorted(np.flatnonzero(kept), key=lambda s: survivors[s][1].edges)
+    rows = np.add.outer(np.array(order, dtype=np.intp) * per_cell, np.arange(per_cell))
     return MixedCellSet(
-        cells=tuple(cell for cell, _ in found),
-        inequalities=tuple(zeta for _, circuits in found for zeta in circuits),
+        cells=tuple(survivors[s][1] for s in order),
+        inequalities=table.take(rows.ravel()),
     )
+
+
+def _circuit_table(
+    config: CayleyConfig, ends: Sequence[tuple[tuple[int, int], ...]]
+) -> CircuitTable:
+    """The circuit inequalities of cells given by Cayley edge pairs.
+
+    Rows go cell by cell in ``ends`` order and, within a cell, one per
+    excluded point in block-major order.  Each is the unique affine
+    dependence of the 2n cell points plus the excluded point, reduced to a
+    primitive integer vector and oriented so the excluded point's entry is
+    negative.  The Cayley tags and the homogenizing coordinate make each
+    block's coefficients sum to zero, so only the n x n edge matrix D (rows
+    ``a_i - b_i``) is eliminated, one ``det_adjugate`` pass per cell: for a
+    point k of block j, with ``d = det D`` and ``l = (k - b_j) @ adj D``,
+    the rows of D weighted by l sum to ``d * (k - b_j)``, and the dependence
+    is ``l_i`` on ``a_i``, ``d * [i = j] - l_i`` on ``b_i`` and ``-d`` on k.
+    Then all rows are assembled at once, in object arrays of Python ints.
+    On a lifting a row evaluates to ``|zeta[k]|`` times k's exclusion
+    margin: weighted by it, the cell points' lifted values are their faces'
+    heights, and the gamma terms cancel.
+    """
+    n, count = config.n, len(ends)
+    width = 2 * n + 1
+    if not count:
+        return CircuitTable(np.zeros((0, width), np.intp), np.zeros((0, width), object))
+    base = [config.base_point(k) for k in range(config.m)]
+    dets, adjs = [], []
+    for pairs in ends:
+        det, adj = det_adjugate(
+            [[x - y for x, y in zip(base[a], base[b])] for a, b in pairs]
+        )
+        if det == 0:
+            raise SingularExponentMatrix("cell points are affinely dependent")
+        # Negating both negates the dependence and makes its entry -d on
+        # the excluded point negative.
+        if det < 0:
+            det, adj = -det, [[-x for x in row] for row in adj]
+        dets.append(det)
+        adjs.append(adj)
+    # One row per (cell, excluded point), cells in order, points ascending.
+    cell = np.array(ends, dtype=np.intp).reshape(count, 2 * n)
+    outside = np.ones((count, config.m), dtype=bool)
+    outside[np.arange(count)[:, None], cell] = False
+    owner, point = np.nonzero(outside)
+    b_col = 2 * np.array(config.block, dtype=np.intp)[point] + 1
+    coords = np.array(base, dtype=object)
+    diff = coords[point] - coords[cell[owner, b_col]]
+    lam = (diff[:, None, :] @ np.array(adjs, dtype=object)[owner])[:, 0, :]
+    d = np.array(dets, dtype=object)[owner]
+    # The gcd of the dependence is that of l and d.
+    g = np.gcd(np.gcd.reduce(lam, axis=1), d)
+    lam //= g[:, None]
+    d //= g
+    rows = len(point)
+    dep = np.empty((rows, width), dtype=object)
+    dep[:, :-1:2] = lam
+    dep[:, 1::2] = -lam
+    dep[np.arange(rows), b_col] += d
+    dep[:, -1] = -d
+    points = np.empty((rows, width), dtype=np.intp)
+    points[:, :-1] = cell[owner]
+    points[:, -1] = point
+    return CircuitTable(points, dep)
 
 
 def circuit_inequalities(
@@ -523,45 +679,9 @@ def circuit_inequalities(
 ) -> list[CircuitInequality]:
     """One circuit inequality per Cayley point excluded from the cell.
 
-    Each vector is the unique affine dependence of the 2n cell points plus the
-    excluded point, reduced to a primitive integer vector and oriented so the
-    excluded point's entry is negative.  The Cayley tags and the homogenizing
-    coordinate make each block's coefficients sum to zero, so only the n x n
-    edge matrix D (rows ``a_i - b_i``) is eliminated: for a point k of block
-    j, with ``d = det D`` and ``l = (k - b_j) @ adj D`` (one ``det_adjugate``
-    pass), the rows of D weighted by l sum to ``d * (k - b_j)``, and the
-    dependence is ``l_i`` on ``a_i``, ``d * [i = j] - l_i`` on ``b_i`` and
-    ``-d`` on k.  On a lifting it evaluates to ``|zeta[k]|`` times k's
-    exclusion margin: weighted by it, the cell points' lifted values are
-    their faces' heights, and the gamma terms cancel.
+    The one-cell entry to ``_circuit_table``; see there for the dependence
+    and its orientation.
     """
-    n = config.n
-    blocks = [config.block_indices(i) for i in range(n)]
-    ends = [(blk[p], blk[q]) for blk, (p, q) in zip(blocks, cell.edges)]
-    cell_idx = [k for edge in ends for k in edge]
-    base = config.base_point
-    det, adj = det_adjugate(
-        [[x - y for x, y in zip(base(a), base(b))] for a, b in ends]
-    )
-    if det == 0:
-        raise SingularExponentMatrix("cell points are affinely dependent")
-    out: list[CircuitInequality] = []
-    cell_set = set(cell_idx)
-    for j, blk in enumerate(blocks):
-        b_j = base(ends[j][1])
-        for k in blk:
-            if k in cell_set:
-                continue
-            diff = [x - y for x, y in zip(base(k), b_j)]
-            dep = []
-            for i in range(n):
-                l_i = sum(diff[r] * adj[r][i] for r in range(n))
-                dep += [l_i, det * (i == j) - l_i]
-            dep.append(-det)
-            g = math.gcd(*dep)
-            dep = [v // g for v in dep]
-            if dep[-1] > 0:
-                dep = [-v for v in dep]
-            coeffs = {k: v for k, v in zip(cell_idx + [k], dep) if v != 0}
-            out.append(CircuitInequality(coeffs=coeffs, witness=k))
-    return out
+    blocks = [config.block_indices(i) for i in range(config.n)]
+    ends = tuple((blk[p], blk[q]) for blk, (p, q) in zip(blocks, cell.edges))
+    return list(_circuit_table(config, [ends]))

@@ -43,6 +43,7 @@ from realhomotopy import (
 from realhomotopy.mixed_cells import (
     TIE_RTOL,
     CircuitInequality,
+    CircuitTable,
     _order_edge,
 )
 
@@ -290,7 +291,7 @@ def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCell
     inequalities = [
         zeta for cell in cells for zeta in reference_circuit_inequalities(cell, config)
     ]
-    return MixedCellSet(cells=tuple(cells), inequalities=tuple(inequalities))
+    return MixedCellSet(cells=tuple(cells), inequalities=CircuitTable.of(inequalities))
 
 
 def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:

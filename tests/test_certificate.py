@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +9,20 @@ from helpers import (
     EXPECTED_CERT_MIN_MARGIN,
     EXPECTED_CERT_VERDICT,
     quadratic_system,
+    random_sparse_system,
 )
 from oracles import quadratic_real_roots
 from realhomotopy import (
     Certificate,
+    CircuitInequality,
     Lifting,
+    SolverConfig,
+    build_cayley,
     certify,
     certify_system,
+    enumerate_mixed_cells,
+    log_abs_lifting,
+    solve,
     support_system,
 )
 
@@ -104,3 +112,47 @@ class TestCubicConicRegression:
         cert, cells = certify_system(system)
         assert len(cells.cells) == 6
         assert cert.verdict is True
+
+
+class TestCircuitTable:
+    def test_margins_match_per_circuit_formula(self, cubic_conic, rng):
+        systems = [cubic_conic]
+        systems += [random_sparse_system(rng, n=2) for _ in range(8)]
+        systems += [random_sparse_system(rng, n=3, max_terms=4) for _ in range(4)]
+        cases = [(system, log_abs_lifting(system)) for system in systems]
+        exact = random_sparse_system(rng, n=2, min_terms=4)
+        m = build_cayley(exact).m
+        nums = rng.integers(-(10**6), 10**6, size=m).tolist()
+        dens = rng.integers(1, 1000, size=m).tolist()
+        cases.append((exact, Lifting(values=tuple(map(Fraction, nums, dens)))))
+        for system, lifting in cases:
+            cells = enumerate_mixed_cells(build_cayley(system), lifting)
+            assert cells.inequalities
+            log_m = math.log(len(lifting))
+            want = tuple(
+                float(zeta.dot(lifting.values)) - log_m * zeta.l1()
+                for zeta in cells.inequalities
+            )
+            # Bit for bit, from the enumeration's table and from a new table
+            # of the same inequalities.
+            assert certify(lifting, cells.inequalities).margins == want
+            assert certify(lifting, tuple(cells.inequalities)).margins == want
+
+    def test_solve_builds_no_circuit_objects(self, cubic_conic, monkeypatch):
+        built = []
+        init = CircuitInequality.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CircuitInequality, "__init__", counting_init)
+        for force in (False, True):
+            report = solve(cubic_conic, SolverConfig(force=force))
+            inequalities = report.cells.inequalities
+            assert len(report.certificate.margins) == len(inequalities) == 72
+        assert report.solutions
+        assert built == []
+        # Reading the inequalities builds them, and the counter sees it.
+        assert inequalities[0].witness in inequalities[0].coeffs
+        assert len(built) == 72

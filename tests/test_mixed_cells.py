@@ -514,21 +514,35 @@ class TestDenseHigherDimension:
         assert screen.total < product // 100
 
 
+def _circuit_items(inequalities):
+    # Dict order included: the coefficients as listed, then the witness.
+    return [(list(z.coeffs.items()), z.witness) for z in inequalities]
+
+
 class TestCircuits:
     def test_matches_signed_minors(self, cubic_conic, rng):
         systems = [cubic_conic]
         systems += [random_sparse_system(rng, n=2) for _ in range(10)]
         systems += [random_sparse_system(rng, n=3, max_terms=4) for _ in range(5)]
+        # Determinants and circuit entries past 2^63 before the primitive
+        # reduction: an int64 table would wrap on these.
+        systems += [
+            _scaled(random_sparse_system(rng, n=3, max_terms=4), 10**7)
+            for _ in range(3)
+        ]
         for system in systems:
             config = build_cayley(system)
             cells = enumerate_mixed_cells(config, log_abs_lifting(system))
             assert cells.cells
+            assert list(cells.cells) == sorted(cells.cells, key=lambda c: c.edges)
+            want = []
             for cell in cells.cells:
                 got = circuit_inequalities(cell, config)
                 ref = reference_circuit_inequalities(cell, config)
-                assert [(z.coeffs, z.witness) for z in got] == [
-                    (z.coeffs, z.witness) for z in ref
-                ]
+                assert _circuit_items(got) == _circuit_items(ref)
+                want += ref
+            # The enumeration's own table: every cell's circuits, in order.
+            assert _circuit_items(cells.inequalities) == _circuit_items(want)
 
     def test_unique_univariate_circuit(self):
         system = support_system([[[0], [1], [2]]], [[1.0, 0.2, 1.0]])
