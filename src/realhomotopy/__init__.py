@@ -30,7 +30,6 @@ from .lattice import (
     support_system,
 )
 from .mixed_cells import (
-    CircuitInequality,
     CircuitTable,
     MixedCell,
     MixedCellSet,
@@ -45,9 +44,6 @@ from .tracker import (
     TrackedSolution,
     make_homotopy,
     make_path,
-    scaled_residual,
-    select_t0,
-    start_point,
     track,
 )
 
@@ -57,7 +53,6 @@ __all__ = [
     "BinomialSystem",
     "CayleyConfig",
     "Certificate",
-    "CircuitInequality",
     "CircuitTable",
     "CorrectorStalled",
     "DegenerateConfiguration",
@@ -91,11 +86,8 @@ __all__ = [
     "make_homotopy",
     "make_path",
     "mixed_cell_count_bound",
-    "scaled_residual",
-    "select_t0",
     "solve",
     "solve_real",
-    "start_point",
     "support_set",
     "support_system",
     "supporting_hyperplane_offset",

@@ -5,26 +5,21 @@ along its own lifting direction without meeting the discriminant amoeba, so
 the combinatorial real-zero count survives the deformation.  A fail is
 inconclusive; the test is sufficient, not necessary.
 
-The margins come from the exact circuit table of ``mixed_cells``
-(``CircuitTable``), every row at once, and equal bit for bit the
-per-inequality ``float(zeta . w) - log(m) * |zeta|_1``.
+The inequalities are the exact circuit table of ``mixed_cells``
+(``CircuitTable``), and the margins are taken from all its rows at once:
+each is ``float(zeta . w) - log(m) * |zeta|_1``, with ``zeta . w`` the
+table's own value of the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .lattice import Lifting, SupportSystem, build_cayley, log_abs_lifting
-from .mixed_cells import (
-    CircuitInequality,
-    CircuitTable,
-    MixedCellSet,
-    enumerate_mixed_cells,
-)
+from .mixed_cells import CircuitTable, MixedCellSet, enumerate_mixed_cells
 
 
 @dataclass(frozen=True)
@@ -32,38 +27,38 @@ class Certificate:
     """Per-inequality margins ``<w, zeta> - log(m) * |zeta|_1`` and the verdict."""
 
     margins: tuple[float, ...]
-    verdict: bool
     m: int
 
     def min_margin(self) -> float:
         return min(self.margins) if self.margins else math.inf
 
+    @property
+    def verdict(self) -> bool:
+        """A pass: every margin is strictly positive, vacuously so with none."""
+        return self.min_margin() > 0.0
 
-def certify(lifting: Lifting, inequalities: Sequence[CircuitInequality]) -> Certificate:
+
+def certify(lifting: Lifting, table: CircuitTable) -> Certificate:
     """Check every circuit inequality with the log(m) slack, m = len(lifting).
 
     Margins are computed against the supplied lifting; the verdict is a pass
     exactly when all margins are strictly positive.  With no excluded points
-    anywhere (every support is already an edge) there are no inequalities:
-    such systems are solved exactly by the binomial solver, tracking is a
-    no-op, and the certificate passes vacuously.
+    anywhere (every support is already an edge) the table has no rows and the
+    certificate passes vacuously.  Such binomial systems are still tracked,
+    from the binomial solver's start, and at extreme scales that start
+    leaves the float range: ``solve`` on ``x^3 - 10^-320`` fails its one
+    path ("start point outside the float range"), although the zero, about
+    2.2e-107, is an ordinary float (ROADMAP item 3 starts paths in log form).
 
-    The margins are read off the inequalities' ``CircuitTable`` (the one a
-    ``MixedCellSet`` carries is used as it is, with the values enumeration
-    already took on this lifting), all rows at once: each row's ``zeta . w``
-    adds its terms column by column in the order of
-    ``CircuitInequality.dot``, so every margin is bit for bit
-    ``float(zeta.dot(w)) - log(m) * zeta.l1()``.
+    The margins are read off the table all rows at once, using the values
+    enumeration already took when the table is a ``MixedCellSet``'s and the
+    lifting is the one it was enumerated on.
     """
     m = len(lifting)
-    table = CircuitTable.of(inequalities)
     with np.errstate(all="ignore"):
         margins = table.values(lifting).astype(float)
         margins -= math.log(m) * np.abs(table.coeffs).sum(axis=1).astype(float)
-    margins = tuple(margins.tolist())
-    return Certificate(
-        margins=margins, verdict=min(margins, default=math.inf) > 0.0, m=m
-    )
+    return Certificate(margins=tuple(margins.tolist()), m=m)
 
 
 def certify_system(system: SupportSystem) -> tuple[Certificate, MixedCellSet]:

@@ -72,7 +72,9 @@ class SupportSet:
 def support_set(points: Sequence[Sequence[int]]) -> SupportSet:
     """Build a SupportSet, inferring the ambient dimension from the points."""
     pts = tuple(tuple(int(c) for c in p) for p in points)
-    if pts != tuple(tuple(p) for p in points):
+    # A bool equals its int, so it is refused by type, as the CLI does.
+    boolean = any(isinstance(c, bool) for p in points for c in p)
+    if boolean or pts != tuple(tuple(p) for p in points):
         raise ValueError("exponents must be integers")
     if not pts:
         raise ValueError("empty support")

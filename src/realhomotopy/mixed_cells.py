@@ -30,9 +30,9 @@ the exact test run on every candidate.
 The circuits of all survivors of a solve are built in one pass as one exact
 table (``CircuitTable``: object arrays of Python ints, one row per circuit),
 from the fraction-free determinant and adjugate of each n x n edge matrix,
-and evaluated on the lifting once.  The cells keep their rows, and the
-certificate reads the same table and values; ``CircuitInequality`` objects
-are built only when something reads the rows as a sequence.
+and evaluated on the lifting once.  The table is the only form of a circuit
+inequality: the cells keep their rows, and the certificate reads the same
+table and values.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -89,39 +89,18 @@ class MixedCell:
         return _primitive_direction(self.normal)
 
 
-@dataclass(frozen=True)
-class CircuitInequality:
-    """A primitive integer functional on liftings, supported on one circuit.
-
-    ``coeffs`` maps Cayley point index to an integer coefficient; ``witness``
-    is the excluded point whose position relative to the cell the circuit
-    decides.  Orientation: the witness coefficient is negative, equivalently
-    every lifting that induces the cell satisfies ``<coeffs, w> > 0``.
-    """
-
-    coeffs: dict[int, int]
-    witness: int
-
-    def nonzeros(self) -> int:
-        return sum(1 for v in self.coeffs.values() if v != 0)
-
-    def l1(self) -> int:
-        return sum(abs(v) for v in self.coeffs.values())
-
-    def dot(self, values: Sequence[Scalar]) -> Scalar:
-        return sum(c * values[k] for k, c in self.coeffs.items())
-
-
-class CircuitTable(Sequence[CircuitInequality]):
+class CircuitTable:
     """Circuit inequalities as one exact table, one row per inequality.
 
     Row r puts the coefficient ``coeffs[r, c]`` on Cayley point
-    ``points[r, c]``, and its last column is the witness.  The rows of a cell
-    hold its points ``a_0, b_0, ..., a_{n-1}, b_{n-1}`` and then the witness;
-    a zero coefficient marks a point off the circuit.  Coefficients are
-    Python ints in an object array, so every entry is exact.  Read as a
-    sequence, the table yields ``CircuitInequality`` objects, all built on
-    the first read.
+    ``points[r, c]``, and its last column is the witness, the excluded point
+    whose position relative to the cell the circuit decides.  The rows of a
+    cell hold its points ``a_0, b_0, ..., a_{n-1}, b_{n-1}`` and then the
+    witness; a zero coefficient marks a point off the circuit.  Coefficients
+    are Python ints in an object array, so every entry is exact.  Each row
+    is primitive and oriented with a negative witness coefficient;
+    equivalently, every lifting that induces the cell gives each of the
+    cell's rows a positive value (``values``).
     """
 
     def __init__(self, points: np.ndarray, coeffs: np.ndarray) -> None:
@@ -129,22 +108,6 @@ class CircuitTable(Sequence[CircuitInequality]):
         self.coeffs = coeffs
         # The values of the last lifting evaluated, keyed by its values tuple.
         self._values: tuple[tuple[Scalar, ...], np.ndarray] | None = None
-
-    @classmethod
-    def of(cls, inequalities: Sequence[CircuitInequality]) -> CircuitTable:
-        """The table of some inequalities; a table is returned as it is."""
-        if isinstance(inequalities, CircuitTable):
-            return inequalities
-        width = max((len(z.coeffs) for z in inequalities), default=1)
-        points = np.zeros((len(inequalities), width), dtype=np.intp)
-        coeffs = np.zeros((len(inequalities), width), dtype=object)
-        for r, z in enumerate(inequalities):
-            items = [(k, c) for k, c in z.coeffs.items() if k != z.witness]
-            items.append((z.witness, z.coeffs[z.witness]))
-            # Padded in front: zero coefficients add nothing.
-            start = width - len(items)
-            points[r, start:], coeffs[r, start:] = zip(*items)
-        return cls(points, coeffs)
 
     def take(self, rows: np.ndarray) -> CircuitTable:
         """The given rows, in order, with the values already evaluated."""
@@ -156,15 +119,15 @@ class CircuitTable(Sequence[CircuitInequality]):
     def values(self, lifting: Lifting) -> np.ndarray:
         """``zeta . w`` per row as an object array (read only).
 
-        Each row sums from 0 column by column, as ``CircuitInequality.dot``
-        sums its terms.  A zero coefficient adds the integer 0 instead of
+        Each row sums from the integer 0 column by column, so a float value
+        is bit for bit ``sum(c * w[k])`` over the row's nonzero coefficients
+        in column order.  A zero coefficient adds the integer 0 instead of
         being skipped, which changes no bit: a running sum that starts at 0
         is never -0.0.  The last lifting's values are kept, so enumeration
         evaluates a table once and the certificate reads the same values.
         """
         if self._values is None or self._values[0] is not lifting.values:
-            w = np.empty(len(lifting), dtype=object)
-            w[:] = lifting.values
+            w = np.array(lifting.values, dtype=object)
             terms = self.coeffs * w[self.points]
             terms[self.coeffs == 0] = 0
             self._keep(lifting.values, np.add.reduce(terms, axis=1, initial=0))
@@ -175,33 +138,16 @@ class CircuitTable(Sequence[CircuitInequality]):
         values.flags.writeable = False
         self._values = (lifting, values)
 
-    @functools.cached_property
-    def _objects(self) -> tuple[CircuitInequality, ...]:
-        return tuple(
-            CircuitInequality({k: c for k, c in zip(pts, row) if c != 0}, pts[-1])
-            for pts, row in zip(self.points.tolist(), self.coeffs.tolist())
-        )
-
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, index):
-        return self._objects[index]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._objects == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"CircuitTable({list(self._objects)!r})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedCellSet:
     """All mixed cells of one lifted configuration plus their circuit system.
 
-    ``inequalities`` holds the circuits of every cell, cell by cell.
+    ``inequalities`` holds the circuits of every cell, cell by cell.  Sets
+    compare by identity: compare ``cells`` and the tables' arrays instead.
     """
 
     cells: tuple[MixedCell, ...]
@@ -674,14 +620,12 @@ def _circuit_table(
     return CircuitTable(points, dep)
 
 
-def circuit_inequalities(
-    cell: MixedCell, config: CayleyConfig
-) -> list[CircuitInequality]:
-    """One circuit inequality per Cayley point excluded from the cell.
+def circuit_inequalities(cell: MixedCell, config: CayleyConfig) -> CircuitTable:
+    """The cell's circuit table, one row per Cayley point excluded from it.
 
     The one-cell entry to ``_circuit_table``; see there for the dependence
     and its orientation.
     """
     blocks = [config.block_indices(i) for i in range(config.n)]
     ends = tuple((blk[p], blk[q]) for blk, (p, q) in zip(blocks, cell.edges))
-    return list(_circuit_table(config, [ends]))
+    return _circuit_table(config, [ends])

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from realhomotopy import SupportSystem, support_system
+from realhomotopy import CircuitTable, SupportSystem, support_system
 
 BASE = Fraction(9, 20)
 
@@ -108,3 +108,13 @@ def random_sparse_system(
         for sup in supports
     ]
     return support_system(supports, coefficients)
+
+
+def circuit_rows(table: CircuitTable) -> list[tuple[dict[int, int], int]]:
+    """A circuit table's rows as the oracles write them, ``(coeffs, witness)``:
+    the nonzero coefficients by Cayley point in column order, so the witness,
+    the last column's point, comes last."""
+    return [
+        ({k: c for k, c in zip(points, row) if c != 0}, points[-1])
+        for points, row in zip(table.points.tolist(), table.coeffs.tolist())
+    ]

@@ -36,16 +36,10 @@ from realhomotopy import (
     EmptySupport,
     Lifting,
     MixedCell,
-    MixedCellSet,
     SingularExponentMatrix,
     TieDegenerate,
 )
-from realhomotopy.mixed_cells import (
-    TIE_RTOL,
-    CircuitInequality,
-    CircuitTable,
-    _order_edge,
-)
+from realhomotopy.mixed_cells import TIE_RTOL, _order_edge
 
 LP_MARGIN = 1e-10
 
@@ -196,15 +190,20 @@ def signed_minor_dependence(rows: list[list[int]]) -> list[int]:
 
 def reference_circuit_inequalities(
     cell: MixedCell, config: CayleyConfig
-) -> list[CircuitInequality]:
-    """Circuit inequalities with one signed-minor dependence per excluded point."""
+) -> list[tuple[dict[int, int], int]]:
+    """Circuit inequalities with one signed-minor dependence per excluded point.
+
+    Each is a row ``(coeffs, witness)``: the nonzero coefficients by Cayley
+    point, the cell's points in edge order and then the witness, the excluded
+    point, whose coefficient is negative.
+    """
     cell_idx = [
         config.block_indices(i)[p]
         for i, edge in enumerate(cell.edges)
         for p in edge
     ]
     cell_rows = [list(config.points[k]) + [1] for k in cell_idx]
-    out: list[CircuitInequality] = []
+    out: list[tuple[dict[int, int], int]] = []
     cell_set = set(cell_idx)
     for alpha in range(config.m):
         if alpha in cell_set:
@@ -218,17 +217,20 @@ def reference_circuit_inequalities(
         if dep[-1] > 0:
             dep = [-v for v in dep]
         coeffs = {k: v for k, v in zip(cell_idx + [alpha], dep) if v != 0}
-        out.append(CircuitInequality(coeffs=coeffs, witness=alpha))
+        out.append((coeffs, alpha))
     return out
 
 
-def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
+def brute_force_mixed_cells(
+    config: CayleyConfig, lifting: Lifting
+) -> tuple[tuple[MixedCell, ...], list[tuple[dict[int, int], int]]]:
     """The exact per-candidate test on every per-block edge tuple, in order.
 
     Same decisions, normals, tie handling and output order as
     ``enumerate_mixed_cells``, without its float screen, and with each
     exclusion margin taken from gamma and the block's face rather than from
-    a circuit.
+    a circuit.  Returns the cells and, cell by cell, the rows of
+    ``reference_circuit_inequalities``.
     """
     n = config.n
     values = list(lifting.values)
@@ -288,10 +290,8 @@ def brute_force_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCell
             )
         )
     cells.sort(key=lambda c: c.edges)
-    inequalities = [
-        zeta for cell in cells for zeta in reference_circuit_inequalities(cell, config)
-    ]
-    return MixedCellSet(cells=tuple(cells), inequalities=CircuitTable.of(inequalities))
+    rows = [row for cell in cells for row in reference_circuit_inequalities(cell, config)]
+    return tuple(cells), rows
 
 
 def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:

@@ -3,26 +3,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
     EXPECTED_CERT_MIN_MARGIN,
     EXPECTED_CERT_VERDICT,
+    circuit_rows,
     quadratic_system,
     random_sparse_system,
 )
 from oracles import quadratic_real_roots
 from realhomotopy import (
     Certificate,
-    CircuitInequality,
+    CircuitTable,
     Lifting,
-    SolverConfig,
     build_cayley,
     certify,
     certify_system,
     enumerate_mixed_cells,
     log_abs_lifting,
-    solve,
     support_system,
 )
 
@@ -76,8 +76,10 @@ class TestCertifyProperties:
         assert a.margins == b.margins
 
     def test_empty_inequalities_pass_vacuously(self):
-        cert = certify(Lifting(values=(0.0, 0.0)), [])
-        assert cert == Certificate(margins=(), verdict=True, m=2)
+        empty = CircuitTable(np.zeros((0, 3), np.intp), np.zeros((0, 3), object))
+        cert = certify(Lifting(values=(0.0, 0.0)), empty)
+        assert cert == Certificate(margins=(), m=2)
+        assert cert.verdict is True
 
     def test_binomial_system_passes_vacuously(self):
         cert, cells = certify_system(
@@ -126,33 +128,17 @@ class TestCircuitTable:
         dens = rng.integers(1, 1000, size=m).tolist()
         cases.append((exact, Lifting(values=tuple(map(Fraction, nums, dens)))))
         for system, lifting in cases:
-            cells = enumerate_mixed_cells(build_cayley(system), lifting)
-            assert cells.inequalities
-            log_m = math.log(len(lifting))
+            table = enumerate_mixed_cells(build_cayley(system), lifting).inequalities
+            assert table
+            w, log_m = lifting.values, math.log(len(lifting))
+            # Each row's terms summed in the table's column order.
             want = tuple(
-                float(zeta.dot(lifting.values)) - log_m * zeta.l1()
-                for zeta in cells.inequalities
+                float(sum(c * w[k] for k, c in coeffs.items()))
+                - log_m * sum(abs(c) for c in coeffs.values())
+                for coeffs, _ in circuit_rows(table)
             )
-            # Bit for bit, from the enumeration's table and from a new table
-            # of the same inequalities.
-            assert certify(lifting, cells.inequalities).margins == want
-            assert certify(lifting, tuple(cells.inequalities)).margins == want
-
-    def test_solve_builds_no_circuit_objects(self, cubic_conic, monkeypatch):
-        built = []
-        init = CircuitInequality.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CircuitInequality, "__init__", counting_init)
-        for force in (False, True):
-            report = solve(cubic_conic, SolverConfig(force=force))
-            inequalities = report.cells.inequalities
-            assert len(report.certificate.margins) == len(inequalities) == 72
-        assert report.solutions
-        assert built == []
-        # Reading the inequalities builds them, and the counter sees it.
-        assert inequalities[0].witness in inequalities[0].coeffs
-        assert len(built) == 72
+            # Bit for bit, from the enumeration's table with its values and
+            # from a new table of the same rows.
+            assert certify(lifting, table).margins == want
+            fresh = CircuitTable(table.points, table.coeffs)
+            assert certify(lifting, fresh).margins == want

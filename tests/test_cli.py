@@ -183,6 +183,7 @@ class TestSolveCommand:
             {"n": 1, "supports": [[[0], [1.5]]], "coefficients": [[1, -2]]},
             {"n": 1.7, "supports": [[[0], [1]]], "coefficients": [[1, -2]]},
             {"n": 1, "supports": [[[0], [float("inf")]]], "coefficients": [[1, -2]]},
+            {"n": 1, "supports": [[[False], [True]]], "coefficients": [[1, -2]]},
         ],
         ids=[
             "supports_number",
@@ -193,6 +194,7 @@ class TestSolveCommand:
             "fractional_exponent",
             "fractional_n",
             "infinite_exponent",
+            "boolean_exponent",
         ],
     )
     def test_malformed_system_exit_1(self, tmp_path, capsys, doc):

@@ -73,6 +73,11 @@ class TestCayley:
         with pytest.raises(ValueError):
             support_set([[0], [0]])
 
+    def test_rejects_boolean_exponents(self):
+        # True == 1, so only the type tells a bool from an exponent.
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            support_set([[True], [False]])
+
 
 class TestLifting:
     def test_unit_coefficient_lifts_to_zero(self):

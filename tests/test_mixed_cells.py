@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     KNOWN_CELL_EDGES_1BASED,
     KNOWN_CELL_PRIMITIVE_NORMAL,
+    circuit_rows,
     dense_support,
     dense_system,
     dense_system_n,
@@ -26,6 +27,7 @@ from oracles import (
 from realhomotopy import (
     EmptySupport,
     MixedCell,
+    MixedCellSet,
     TieDegenerate,
     build_cayley,
     circuit_inequalities,
@@ -170,7 +172,11 @@ def _assert_matches_brute_force(system, lifting=None):
     config = build_cayley(system)
     lifting = lifting or log_abs_lifting(system)
     got = _outcome(enumerate_mixed_cells, config, lifting)
-    assert got == _outcome(brute_force_mixed_cells, config, lifting)
+    if isinstance(got, MixedCellSet):
+        seen = got.cells, circuit_rows(got.inequalities)
+    else:
+        seen = got
+    assert seen == _outcome(brute_force_mixed_cells, config, lifting)
     return got
 
 
@@ -331,9 +337,8 @@ class TestTiesInTwoVariables:
         cells = enumerate_mixed_cells(config, Lifting(values=DIAMOND_VALUES))
         # Lift the last excluded point of block 1 onto the last cell's face.
         cell = cells.cells[-1]
-        zeta = circuit_inequalities(cell, config)[-1]
-        k = zeta.witness
-        assert config.block[k] == 1 and zeta.coeffs[k] == -1
+        coeffs, k = circuit_rows(circuit_inequalities(cell, config))[-1]
+        assert config.block[k] == 1 and coeffs[k] == -1
         values = list(DIAMOND_VALUES)
         values[k] += _exclusion_margin(config, values, cell, k)
         assert isinstance(values[k], Fraction) and values[k].denominator == 1
@@ -350,22 +355,22 @@ class TestTiesInTwoVariables:
             config = build_cayley(system)
             lifting = log_abs_lifting(system)
             found = [
-                (cell, zeta)
+                (cell, coeffs, k)
                 for cell in enumerate_mixed_cells(config, lifting).cells
-                for zeta in circuit_inequalities(cell, config)
-                if zeta.coeffs[zeta.witness] <= -3
+                for coeffs, k in circuit_rows(circuit_inequalities(cell, config))
+                if coeffs[k] <= -3
             ]
             if found:
                 break
-        cell, zeta = found[0]
-        k = zeta.witness
+        cell, coeffs, k = found[0]
         values = list(lifting.values)
         scale = 1.0 + max(abs(v) for v in values)
         values[k] += _exclusion_margin(config, values, cell, k) - 0.5 * TIE_RTOL * scale
         planted = Lifting(values=tuple(values))
         margin = _exclusion_margin(config, values, cell, k)
         tie_tol = TIE_RTOL * (1.0 + max(abs(v) for v in values))
-        assert 0 < margin < tie_tol < abs(zeta.dot(values))
+        value = sum(c * values[j] for j, c in coeffs.items())
+        assert 0 < margin < tie_tol < abs(value)
         got = _assert_matches_brute_force(system, planted)
         assert got[0] is TieDegenerate
 
@@ -514,9 +519,9 @@ class TestDenseHigherDimension:
         assert screen.total < product // 100
 
 
-def _circuit_items(inequalities):
-    # Dict order included: the coefficients as listed, then the witness.
-    return [(list(z.coeffs.items()), z.witness) for z in inequalities]
+def _ordered(rows):
+    # Dict order included: the order in which a row's value is summed.
+    return [(list(coeffs.items()), witness) for coeffs, witness in rows]
 
 
 class TestCircuits:
@@ -537,12 +542,12 @@ class TestCircuits:
             assert list(cells.cells) == sorted(cells.cells, key=lambda c: c.edges)
             want = []
             for cell in cells.cells:
-                got = circuit_inequalities(cell, config)
+                got = circuit_rows(circuit_inequalities(cell, config))
                 ref = reference_circuit_inequalities(cell, config)
-                assert _circuit_items(got) == _circuit_items(ref)
+                assert _ordered(got) == _ordered(ref)
                 want += ref
             # The enumeration's own table: every cell's circuits, in order.
-            assert _circuit_items(cells.inequalities) == _circuit_items(want)
+            assert _ordered(circuit_rows(cells.inequalities)) == _ordered(want)
 
     def test_unique_univariate_circuit(self):
         system = support_system([[[0], [1], [2]]], [[1.0, 0.2, 1.0]])
@@ -551,12 +556,9 @@ class TestCircuits:
         cells = enumerate_mixed_cells(config, lifting)
         assert len(cells.cells) == 1
         assert cells.cells[0].edges == ((0, 2),)
-        ineqs = circuit_inequalities(cells.cells[0], config)
-        assert len(ineqs) == 1
-        zeta = ineqs[0]
-        assert zeta.witness == 1
-        assert zeta.coeffs == {0: 1, 1: -2, 2: 1}
-        assert zeta.dot(lifting.values) > 0
+        table = circuit_inequalities(cells.cells[0], config)
+        assert _ordered(circuit_rows(table)) == [([(0, 1), (2, 1), (1, -2)], 1)]
+        assert table.values(lifting).tolist() == [2.0]
 
     def test_circuit_properties_random(self, rng):
         for _ in range(10):
@@ -567,21 +569,22 @@ class TestCircuits:
             n = config.n
             t = max(len(s) for s in system.supports)
             for cell in cells.cells:
-                ineqs = circuit_inequalities(cell, config)
-                assert len(ineqs) == config.m - 2 * n
-                assert len(ineqs) <= n * (t - 2)
-                for zeta in ineqs:
-                    assert zeta.nonzeros() <= 2 * n + 1
-                    assert zeta.coeffs[zeta.witness] < 0
-                    assert float(zeta.dot(lifting.values)) > 0
+                table = circuit_inequalities(cell, config)
+                rows = circuit_rows(table)
+                assert len(rows) == config.m - 2 * n
+                assert len(rows) <= n * (t - 2)
+                assert all(float(v) > 0 for v in table.values(lifting))
+                for coeffs, k in rows:
+                    assert len(coeffs) <= 2 * n + 1
+                    assert coeffs[k] < 0
                     # The vector annihilates the homogenized configuration.
                     dim = 2 * n - 1
                     for r in range(dim):
                         assert (
-                            sum(v * config.points[k][r] for k, v in zeta.coeffs.items())
+                            sum(v * config.points[j][r] for j, v in coeffs.items())
                             == 0
                         )
-                    assert sum(zeta.coeffs.values()) == 0
+                    assert sum(coeffs.values()) == 0
 
     def test_value_is_scaled_margin(self, rng):
         # zeta . w / -zeta[witness] is the witness's exclusion margin,
@@ -604,13 +607,14 @@ class TestCircuits:
                     cells = enumerate_mixed_cells(config, lifting).cells
                     assert cells
                     for cell in cells:
-                        for zeta in circuit_inequalities(cell, config):
-                            k = zeta.witness
+                        table = circuit_inequalities(cell, config)
+                        rows = circuit_rows(table)
+                        for value, (coeffs, k) in zip(table.values(lifting), rows):
                             want = _exclusion_margin(config, values, cell, k)
                             if lifting.is_exact():
-                                assert Fraction(zeta.dot(values), -zeta.coeffs[k]) == want
+                                assert Fraction(value, -coeffs[k]) == want
                             else:
-                                got = zeta.dot(values) / -zeta.coeffs[k]
+                                got = value / -coeffs[k]
                                 assert abs(got - want) <= 1e-12 * scale
 
     def test_witness_entry_is_cell_volume(self, cubic_conic):
@@ -619,8 +623,8 @@ class TestCircuits:
         config = build_cayley(cubic_conic)
         cells = enumerate_mixed_cells(config, log_abs_lifting(cubic_conic))
         for cell in cells.cells:
-            for zeta in circuit_inequalities(cell, config):
-                assert abs(zeta.coeffs[zeta.witness]) <= cell.volume
+            for coeffs, k in circuit_rows(circuit_inequalities(cell, config)):
+                assert abs(coeffs[k]) <= cell.volume
 
 
 class TestCountBound:

@@ -18,15 +18,13 @@ from realhomotopy import (
     log_abs_lifting,
     make_homotopy,
     make_path,
-    scaled_residual,
     solve,
     solve_real,
-    start_point,
     support_system,
     track,
 )
 from realhomotopy import _kernels, tracker
-from realhomotopy.tracker import select_t0, term_signs
+from realhomotopy.tracker import scaled_residual, select_t0, start_point, term_signs
 
 
 def _cells_and_homotopy(system):
