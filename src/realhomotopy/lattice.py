@@ -28,19 +28,18 @@ def log_abs(value: Scalar) -> float:
     Fractions are split into integer numerator/denominator logs so that huge
     exact coefficients never overflow an intermediate float.  Between 1/2 and
     2 those two logs would cancel, so there the exact ``(num - den) / den`` is
-    rounded once and passed to ``log1p``.
+    rounded once and passed to ``log1p``.  Ints and floats go straight to
+    ``math.log``, which takes an int beyond the float range without
+    overflow and converts any other int as ``float()`` does.
     """
+    if value == 0:
+        raise ValueError("log of zero coefficient")
     if isinstance(value, Fraction):
-        if value == 0:
-            raise ValueError("log of zero coefficient")
         num, den = abs(value.numerator), value.denominator
         if den <= 2 * num and num <= 2 * den:
             return math.log1p((num - den) / den)
         return math.log(num) - math.log(den)
-    v = abs(float(value))
-    if v == 0.0:
-        raise ValueError("log of zero coefficient")
-    return math.log(v)
+    return math.log(abs(value))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,14 @@ leaves no point of the block clearly above the simplex's face (an edge of the
 lifted upper hull lies in an upper facet, which supplies such a simplex).
 Candidates become the product of the kept pairs.  The second looks at them a
 chunk at a time and discards those that are provably singular or whose float
-gamma leaves some point clearly above its block's face.  Floats only ever
-discard: every survivor is decided by the exact test (integer determinant,
-exact solve for gamma, and the signs and ties of its circuits), and the
-screens' tolerances make each candidate they drop one the exact test
-rejects.  Cells, normals, circuits and TieDegenerate are therefore those of
+gamma leaves some point clearly above its block's face.  Both screens take a
+row's float determinant and gamma from the closed-form 2 x 2 adjugate at
+n = 2 (exact products wherever the singular test applies, and no LAPACK
+wrapper to pay per batch), and from ``np.linalg.det`` and ``np.linalg.solve``
+at every other n.  Floats only ever discard: every survivor is decided by
+the exact test (integer determinant, exact solve for gamma, and the signs
+and ties of its circuits), and the screens' tolerances make each candidate
+they drop one the exact test rejects.  Cells, normals, circuits and TieDegenerate are therefore those of
 the exact test run on every candidate.
 
 The circuits of all survivors of a solve are built in one pass as one exact
@@ -293,8 +296,8 @@ class _FloatScreen:
     pairs, one pair per block, in ``itertools.product`` order.  ``pairs``
     holds the kept local index pairs of each block in ``combinations`` order
     and ``total`` the size of their product.  Each pair is held once, in
-    grain units (``unit``, ``rhs``), and every bound reads ``reach``, the
-    largest row norm, in those units.
+    grain units (``unit``, ``rhs``, and the row's 2-norm ``norm``), and every
+    bound reads ``reach``, the largest row norm, in those units.
     """
 
     def __init__(
@@ -341,7 +344,8 @@ class _FloatScreen:
         self.rhs = (self.lift[self.second] - self.lift[self.first]) / grain
         self.scale = 1.0 + float(np.abs(self.lift).max())
         self.max_coord = float(np.abs(self.coords).max())
-        self.reach = math.sqrt(float((self.unit * self.unit).sum(axis=1).max()))
+        self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
+        self.reach = float(self.norm.max())
 
         # Simplex pass.  Take a candidate the exact test accepts or raises
         # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
@@ -427,42 +431,73 @@ class _FloatScreen:
         point of pair ``faces[r, j]`` by more than tau.  A row is ruled out
         when its matrix is provably singular, or when it is trusted and some
         such point lies above.  ``slack`` widens tau for the simplex pass.
+
+        At n = 2 each row's determinant and gamma come from the closed-form
+        2 x 2 adjugate in elementwise numpy arithmetic over the batch, whose
+        products are exact wherever the singular test applies.  Other n take
+        ``np.linalg.det`` and ``np.linalg.solve``, the one path that serves
+        every n: the closed form grows with n (six products per determinant
+        at n = 3), and no benchmark workload runs n other than 2 to show it
+        paying there.  The bounds below cover both paths.
         """
         # Every comparison that drops a row is False on NaN, so values that
-        # overflow the float range leave the row to the exact test.
+        # overflow the float range, or a closed-form gamma divided by a zero
+        # determinant, leave the row to the exact test.
         n = self.n
         count = len(pairs)
         with np.errstate(all="ignore"):
             # The rows of U are integers, so these tests hold at any scale.
             unit = self.unit[pairs]
             rhs = self.rhs[pairs]
-            row_norm = np.sqrt(np.sum(unit * unit, axis=2))
+            row_norm = self.norm[pairs]
             hadamard = np.prod(row_norm, axis=1)
-            det = np.abs(np.linalg.det(unit))
+            if n == 2:
+                # One closed form, elementwise over the batch: det U and
+                # gamma = adj(U) rhs / det U.  At n = 2 a LAPACK call costs
+                # more in its wrapper than in its arithmetic.
+                u00, u01, u10, u11 = unit.reshape(count, 4).T
+                r0, r1 = rhs.T
+                signed = u00 * u11 - u01 * u10
+                gamma = np.stack((u11 * r0 - u01 * r1, u00 * r1 - u10 * r0), axis=1)
+                gamma /= signed[:, None]
+                det = np.abs(signed)
+            else:
+                det = np.abs(np.linalg.det(unit))
             growth = n * 2.0**n
-            # Singular: with partial pivoting the float determinant of an
-            # integer matrix is off by about n * 2^n * eps * H at most (H the
-            # Hadamard bound), so below 2^-19 when H * n * 2^n <= 2^33 (H <=
-            # 2^30 at n = 2), and |det| < 0.5 means the integer determinant
-            # is 0.
+            # Singular, with H the Hadamard bound, when H * n * 2^n <= 2^33
+            # (H <= 2^30 at n = 2) and |det| < 0.5: the integer determinant
+            # is then 0.  At n = 2 each product u00 u11 and u01 u10 is at
+            # most H in size, so both are exact floats and so is their
+            # difference.  At other n, LU with partial pivoting gives the
+            # determinant of an integer matrix within about n * 2^n * eps * H,
+            # below 2^-19.
             singular = (det < 0.5) & (hadamard * growth <= 2.0**33)
             # Margins are trusted only for well-conditioned matrices.  Every
             # cofactor of an integer matrix is at most H / (smallest row
             # norm), so cond_2 <= n^1.5 * H * (largest row norm) / (|det| *
             # smallest row norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps
-            # the float gamma within 1e-9 * |gamma| of the exact-path gamma.
+            # LAPACK's gamma within 1e-9 * |gamma| of the exact-path gamma.
+            # At n = 2 that asks 16 * 2^0.5 * eps * rho^2 <= 1e-9 * |det|, rho
+            # the largest row norm.  The closed form's numerators are off by
+            # at most eps * |adj U| |rhs| <= eps * |adj U| |U| |gamma|, at most
+            # eps * ||U||_F^2 * |gamma| <= 2 eps rho^2 |gamma| in norm, as adj U
+            # holds the entries of U.  Its determinant is off by at most eps
+            # (H + |det|) / 2, and |det| <= H <= rho^2, so gamma is off by at
+            # most 3.5 eps rho^2 / |det| relative, under a sixth of 1e-9.
+            # Above H = 2^30 that holds with the rounded determinant too.
             # Rows of U are nonzero integer rows, so the smallest norm is at
             # least 1.
             min_norm = np.min(row_norm, axis=1)
             spread = np.max(row_norm, axis=1) / min_norm
             cond_det = n**1.5 * hadamard * spread
             trusted = cond_det * (growth * _EPS) <= 1e-9 * det
-            # Untrusted matrices may be singular, which would make the
-            # batched solve raise; an identity stands in and their margins go
-            # unused.
-            unit[~trusted] = np.eye(n)
-            rhs[~trusted] = 0.0
-            gamma = np.linalg.solve(unit, rhs[:, :, None])[:, :, 0]
+            if n != 2:
+                # Untrusted matrices may be singular, which would make the
+                # batched solve raise; an identity stands in and their
+                # margins go unused.
+                unit[~trusted] = np.eye(n)
+                rhs[~trusted] = 0.0
+                gamma = np.linalg.solve(unit, rhs[:, :, None])[:, :, 0]
             # A margin is a difference of two lifted values, each at most
             # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
             # the 1e-9 relative error of gamma spread over 2n * max|coord|

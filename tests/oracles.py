@@ -12,7 +12,10 @@ each dependence as alternating maximal minors of the homogenized Cayley
 points.  ``enumerate_mixed_cells`` decides a candidate by the signs of its
 circuit inequalities; ``brute_force_mixed_cells`` keeps the plain margin loop
 (solve for gamma, compare every excluded point's lifted value with its
-block's face) as the independent judge of that circuit-decided test.  Their
+block's face) as the independent judge of that circuit-decided test.
+``exact_edge_test`` decides one candidate the same plain way in rationals,
+beside the rounding bound of the exact test's float reading of each margin:
+the judge of what the float screen may drop.  Their
 exact arithmetic has its own elimination, independent of
 ``lattice.det_adjugate``: ``bareiss_det`` is forward fraction-free
 elimination, ``cofactor_adjugate`` takes one such determinant per minor, and
@@ -171,6 +174,47 @@ def adjugate_solve(matrix: list[list[int]], rhs: list) -> list:
         acc = sum(a * r for a, r in zip(row, rhs))
         out.append(Fraction(acc, det) if isinstance(acc, (int, Fraction)) else acc / det)
     return out
+
+
+def exact_edge_test(
+    points: list[list[tuple[int, ...]]], values: list[list[float]], edges
+) -> tuple[int, list[Fraction] | None, list[tuple[Fraction, float]]]:
+    """One candidate decided in exact arithmetic, with no circuit and no float.
+
+    ``points`` and ``values`` hold each block's integer points and lifting
+    values, taken as exact rationals; ``edges`` holds one local point pair
+    (p, q) per block.  Returns the determinant of the edge rows ``p - q``,
+    and when it is nonzero gamma, which levels every edge:
+    ``gamma . (p - q) = w(q) - w(p)``, and then per excluded point k its
+    margin ``lifted(p) - lifted(k)``, lifted(x) = gamma . x + w(x), beside
+    the bound ``2 (n + 2) eps scale |zeta|_1 / |zeta[k]|`` on the float
+    rounding of the exact test's reading of that margin from k's circuit
+    zeta (scale = 1 + max |w|).  Up to sign that circuit is ``lam_i`` on
+    ``p_i``, ``[i = j] - lam_i`` on ``q_i`` and -1 on k, with lam the
+    solution of ``sum_i lam_i (p_i - q_i) = k - q_j``, j the block of k.
+    """
+    n = len(points)
+    eps = float(np.finfo(float).eps)
+    scale = 1.0 + max(abs(v) for row in values for v in row)
+    w = [[Fraction(v) for v in row] for row in values]
+    ends = [(blk[p], blk[q]) for blk, (p, q) in zip(points, edges)]
+    rows = [[x - y for x, y in zip(p, q)] for p, q in ends]
+    det = bareiss_det(rows)
+    if det == 0:
+        return 0, None, []
+    gamma = adjugate_solve(rows, [w[j][q] - w[j][p] for j, (p, q) in enumerate(edges)])
+    transposed = [list(col) for col in zip(*rows)]
+    margins = []
+    for j, (blk, (p, q)) in enumerate(zip(points, edges)):
+        face = sum(g * c for g, c in zip(gamma, blk[p])) + w[j][p]
+        for k, point in enumerate(blk):
+            if k in (p, q):
+                continue
+            margin = face - (sum(g * c for g, c in zip(gamma, point)) + w[j][k])
+            lam = adjugate_solve(transposed, [x - y for x, y in zip(point, blk[q])])
+            ratio = 1 + sum(abs(v) + abs((i == j) - v) for i, v in enumerate(lam))
+            margins.append((margin, 2 * (n + 2) * eps * scale * float(ratio)))
+    return det, gamma, margins
 
 
 def signed_minor_dependence(rows: list[list[int]]) -> list[int]:

@@ -21,6 +21,7 @@ from realhomotopy.lattice import (
     det_adjugate,
     int_det,
     kernel_basis,
+    log_abs,
     solve_exact,
 )
 
@@ -109,6 +110,14 @@ class TestLifting:
         deltas = [a - b for a, b in zip(shifted, base)]
         assert deltas[:10] == pytest.approx([math.log(7)] * 10, rel=1e-12)
         assert deltas[10:] == pytest.approx([0.0] * 6, abs=1e-15)
+
+    def test_int_beyond_the_float_range(self):
+        assert log_abs(10**320) == pytest.approx(320 * math.log(10))
+        assert log_abs(-(10**320)) == log_abs(Fraction(10**320))
+
+    def test_int_in_the_float_range_rounds_as_float(self):
+        for value in [3, -7, 2**53 + 1, 10**300, -(2**1023)]:
+            assert log_abs(value) == math.log(abs(float(value)))
 
 
 def _matmul(a, b):

@@ -20,6 +20,7 @@ from oracles import (
     LP_MARGIN,
     adjugate_solve,
     brute_force_mixed_cells,
+    exact_edge_test,
     lp_mixed_cells,
     lp_upper_edges,
     reference_circuit_inequalities,
@@ -273,6 +274,129 @@ class TestScreenEquivalence:
         for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
             cells = _assert_matches_brute_force(system, Lifting(values=values))
             assert [c.edges for c in cells.cells] == [((0, 3),)]
+
+
+def _witness_verdicts(points, values):
+    """Run ``_FloatScreen._witness`` once, as the product screen does, on a
+    batch of every candidate of the given blocks (integer points and lifting
+    values per block), and judge each row by ``oracles.exact_edge_test``.
+
+    Asserts that no candidate the exact test may accept or tie on is
+    dropped: one with a nonzero determinant whose every exact margin is
+    above ``-TIE_RTOL * scale`` less the exact test's rounding of it.  Also
+    asserts that every exactly singular candidate whose Hadamard bound H in
+    grain units has ``8 H <= 2^33`` is dropped.  Returns those two kinds of
+    candidates, each with its H^2.
+    """
+    sizes = [len(blk) for blk in points]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [list(range(s, s + t)) for s, t in zip(starts, sizes)]
+    screen = _FloatScreen(
+        blocks, [p for blk in points for p in blk], [v for row in values for v in row]
+    )
+    # Pair indices of the screen's table: blocks stacked, combinations order.
+    local = [list(itertools.combinations(range(t), 2)) for t in sizes]
+    offsets = list(itertools.accumulate(map(len, local), initial=0))
+    cands = list(itertools.product(*local))
+    rows = np.array(
+        [[off + pairs.index(e) for off, pairs, e in zip(offsets, local, c)] for c in cands]
+    )
+    kept = screen._witness(rows, rows, np.arange(len(points))[None, :], 0.0)
+    grain = math.gcd(*(c - o for blk in points for p in blk for c, o in zip(p, blk[0])))
+    scale = 1.0 + max(abs(v) for row in values for v in row)
+    may_pass, singular = [], []
+    for cand, keep in zip(cands, kept):
+        det, _, margins = exact_edge_test(points, values, cand)
+        diffs = [
+            [(x - y) // grain for x, y in zip(blk[p], blk[q])]
+            for blk, (p, q) in zip(points, cand)
+        ]
+        hadamard_sq = math.prod(sum(x * x for x in row) for row in diffs)
+        if det == 0 and hadamard_sq <= 2**60:
+            assert not keep, cand
+            singular.append((cand, hadamard_sq))
+        elif det and all(m > -(TIE_RTOL * scale + err) for m, err in margins):
+            assert keep, cand
+            may_pass.append((cand, hadamard_sq))
+    return may_pass, singular
+
+
+def _random_blocks(rng, count, low, high):
+    """Two blocks of ``count`` distinct random points in ``[low, high)^2``."""
+    points = []
+    for _ in range(2):
+        blk: set[tuple[int, int]] = set()
+        while len(blk) < count:
+            blk.add(tuple(int(v) for v in rng.integers(low, high, size=2)))
+        points.append(sorted(blk))
+    return points
+
+
+def _near_singular_rows(rng):
+    """Rows (a, b), (c, d) near 2^30 with ad - bc = 1 whose float determinant
+    fl(fl(ad) - fl(bc)) is not 1, because the products round."""
+    while True:
+        a, b = (int(v) for v in rng.integers(2**29, 2**30, size=2))
+        if math.gcd(a, b) != 1:
+            continue
+        d = pow(a, -1, b)
+        c = (a * d - 1) // b
+        if float(a) * float(d) - float(b) * float(c) != 1:
+            return (a, b), (c, d)
+
+
+class TestClosedFormWitness:
+    """At n = 2 the closed-form 2 x 2 screen drops only candidates that the
+    exact test rejects, and every provably singular one."""
+
+    def test_small_integer_rows(self, rng):
+        passing = 0
+        for _ in range(12):
+            points = _random_blocks(rng, int(rng.integers(4, 8)), 0, 7)
+            values = [rng.uniform(-3, 3, size=len(blk)).tolist() for blk in points]
+            passing += len(_witness_verdicts(points, values)[0])
+        assert passing > 0
+
+    def test_exactly_singular_rows(self, rng):
+        # Both blocks put points on lines of slopes 1 and 2, so many
+        # candidates pair parallel edges.
+        points = [
+            [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 3), (2, 5)],
+            [(0, 0), (2, 2), (5, 5), (1, 0), (2, 4), (4, 1)],
+        ]
+        for _ in range(5):
+            values = [rng.uniform(-3, 3, size=len(blk)).tolist() for blk in points]
+            may_pass, singular = _witness_verdicts(points, values)
+            assert len(singular) >= 20 and may_pass
+
+    def test_large_coprime_rows(self, rng):
+        # Coordinates up to 2^31 put most products of the 2 x 2 determinant
+        # beyond 2^53, where they round, and H beyond 2^33, where the
+        # singular test stops and only the trusted test guards gamma.
+        large = 0
+        for _ in range(4):
+            points = _random_blocks(rng, 5, 2**29, 2**31)
+            values = [rng.uniform(-3, 3, size=5).tolist() for _ in points]
+            may_pass, _ = _witness_verdicts(points, values)
+            large += sum(h > 2**66 for _, h in may_pass)
+        assert large > 0
+
+    def test_rounded_determinant(self, rng):
+        # A cell whose edge rows have determinant 1 but a float determinant
+        # of 0 or at least 2, so its float gamma is not finite or is off by
+        # that factor.  Each block adds two points far on the side of its
+        # face that the exact gamma puts below it.
+        for _ in range(6):
+            rows = _near_singular_rows(rng)
+            values = [rng.uniform(-3, 3, size=4).tolist() for _ in rows]
+            gamma = exact_edge_test(
+                [[(0, 0), r] for r in rows], [v[:2] for v in values], ((0, 1), (0, 1))
+            )[1]
+            sign = [1 if g > 0 else -1 for g in gamma]
+            far = [(-sign[0] * 2**24, 0), (0, -sign[1] * 2**24)]
+            points = [[(0, 0), r, *far] for r in rows]
+            hadamard_sq = dict(_witness_verdicts(points, values)[0])
+            assert hadamard_sq[((0, 1), (0, 1))] > 2**66
 
 
 def _exclusion_margin(config, values, cell, k):

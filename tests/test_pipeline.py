@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from helpers import (
@@ -79,6 +81,23 @@ class TestFullSolve:
         assert points[1] == pytest.approx((4.0, 2.0), rel=1e-12)
         for s in report.solutions:
             assert s.residual < 1e-12
+
+    def test_int_coefficient_beyond_the_float_range(self):
+        # A Python int too large for a float lifts like the equal Fraction.
+        # The zero, about 2.2e-107, is a float, but the start point of its
+        # path is not: the path fails until starts are formed in log space.
+        reports = [
+            solve(support_system([[[0], [3]]], [[-1, c]]))
+            for c in (10**320, Fraction(10**320))
+        ]
+        for report in reports:
+            assert report.verdict is True
+            assert report.solutions == []
+            assert [(f.status, f.message) for f in report.failures] == [
+                ("diverged", "start point outside the float range")
+            ]
+        assert reports[0].certificate == reports[1].certificate
+        assert reports[0].start_solutions == reports[1].start_solutions == [1]
 
     def test_degenerate_lifting_names_its_stage(self):
         # All-ones coefficients lift every point to 0, a tie that the cell
