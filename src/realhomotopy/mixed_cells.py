@@ -27,8 +27,21 @@ wrapper to pay per batch), and from ``np.linalg.det`` and ``np.linalg.solve``
 at every other n.  Floats only ever discard: every survivor is decided by
 the exact test (integer determinant, exact solve for gamma, and the signs
 and ties of its circuits), and the screens' tolerances make each candidate
-they drop one the exact test rejects.  Cells, normals, circuits and TieDegenerate are therefore those of
-the exact test run on every candidate.
+they drop one the exact test rejects.  Cells, normals, circuits and
+TieDegenerate are therefore those of the exact test run on every candidate.
+
+The screens are split in two.  A plan (``_ScreenPlan``) holds all they read
+of the configuration alone: blocks and base points, the screened blocks, the
+pair tables and grain-unit rows, and the simplex pass's rows with each row's
+determinant, singular and trusted tests and solve matrix.  A pass
+(``_FloatScreen``) adds one lifting: right-hand sides, gammas and margins.
+Coefficient vectors on one support are this solver's natural traffic (the
+certificate lives in the coefficient space of a fixed support), so plans are
+cached, keyed by the configuration's value, its points included; only plans
+of at most SCREEN_CHUNK pairs are, which bounds the cache's memory, and
+larger ones are built per solve.  Cells themselves are not memoized: a cell
+depends on the lifting, and on the dense (3, 3) benchmark corpus only 2 of
+a pass's 32 cells repeat an earlier system's edges.
 
 The circuits of all survivors of a solve are built in one pass as one exact
 table (``CircuitTable``: object arrays of Python ints, one row per circuit),
@@ -49,7 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -284,32 +297,44 @@ def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
     return kernel_basis(rows)[1] == n
 
 
-class _FloatScreen:
-    """Batched float tests that discard what the exact test would reject.
+class _Factors(NamedTuple):
+    """The coefficient-free half of ``_FloatScreen._witness`` for a batch.
 
-    Two passes share one test (``_witness``).  The first runs over the
-    ``(n+1)``-point simplices of every block and keeps a block's point pair
-    only if some simplex through it witnesses it.  Blocks of at most n + 1
-    points, blocks that do not affinely span R^n, and blocks whose simplices
-    outnumber the candidates they could cut keep every pair; ``screened``
-    names the other blocks.  The second runs over the product of the kept
-    pairs, one pair per block, in ``itertools.product`` order.  ``pairs``
-    holds the kept local index pairs of each block in ``combinations`` order
-    and ``total`` the size of their product.  Each pair is held once, in
-    grain units (``unit``, ``rhs``, and the row's 2-norm ``norm``), and every
-    bound reads ``reach``, the largest row norm, in those units.
+    Each row's matrix U (the grain-unit rows of its n pairs) enters as
+    ``matrix``.  At n = 2 that is four arrays, the entries u00, u01, u10
+    and u11 of the closed form, with ``signed`` its determinant; at other n
+    it is the matrices ``np.linalg.solve`` takes, an identity standing in
+    for each untrusted one.  ``singular``, ``trusted`` and ``inverse`` (the
+    bound on ``||U^-1||_2``) are per row.
     """
 
-    def __init__(
-        self,
-        blocks: list[list[int]],
-        base: Sequence[Sequence[int]],
-        lifting: Sequence[Scalar],
-    ) -> None:
-        n = len(blocks)
-        self.n = n
-        flat = [k for blk in blocks for k in blk]
-        sizes = tuple(len(blk) for blk in blocks)
+    matrix: np.ndarray
+    signed: np.ndarray | None
+    singular: np.ndarray
+    trusted: np.ndarray
+    inverse: np.ndarray
+
+
+class _ScreenPlan:
+    """What the float screens read of a configuration, whatever its lifting.
+
+    One plan serves every coefficient vector on its support (``_plan``
+    caches it), so every array it holds is read only.  It holds the blocks
+    and base points, the blocks the simplex pass screens (``screened``), the
+    pair tables, and each pair once in grain units: ``unit``, the row's
+    2-norm ``norm`` and their largest, ``reach``.  Blocks of at most n + 1
+    points, blocks that do not affinely span R^n, and blocks whose simplices
+    outnumber the candidates they could cut keep every pair.  The simplex
+    pass's rows come with their ``_Factors``, built here once when they fit
+    in one chunk and per solve, a chunk at a time, when they do not.
+    """
+
+    def __init__(self, config: CayleyConfig) -> None:
+        n = config.n
+        self.n, self.m = n, config.m
+        blocks = self.blocks = tuple(tuple(config.block_indices(i)) for i in range(n))
+        base = self.base = tuple(config.base_point(k) for k in range(config.m))
+        sizes = self.sizes = tuple(len(blk) for blk in blocks)
         # Screening a block costs one float test per (n+1)-point simplex and
         # saves at most the product screen's candidates, so blocks are
         # screened, fewest points first, only while their simplices add up to
@@ -326,140 +351,70 @@ class _FloatScreen:
                 screened.append(i)
                 budget -= cost
         self.screened = tuple(sorted(screened))
-        pairs = sum(math.comb(t, 2) for t in sizes)
+        pairs = self.pair_count = sum(math.comb(t, 2) for t in sizes)
         tables = _cached_pair_tables if pairs <= SCREEN_CHUNK else _pair_tables
         self.starts, self.first, self.second, pair_starts = tables(sizes)
-        # Points flat, block by block.  Per pair one row U in grain units
-        # (the grain is the gcd of all differences, taken from each point's
-        # difference to its block's first point): the exact integer
-        # difference over the grain, rounded once, and the right-hand side
-        # of its equality constraint on gamma over the grain, so that
-        # ``U gamma = rhs`` has the equalities' gamma.
-        ints = np.array([base[k] for k in flat], dtype=object).reshape(-1, n)
+        self.pair_starts = np.array(pair_starts)
+        self.block = np.array(config.block, dtype=np.intp)
+        # Points flat, block by block (Cayley order), as Python ints.  Per
+        # pair one row U in grain units (the grain is the gcd of all
+        # differences, taken from each point's difference to its block's
+        # first point): the exact integer difference over the grain, rounded
+        # once.  A lifting's right-hand sides over the grain then make
+        # ``U gamma = rhs`` hold the equalities' gamma.
+        ints = self.ints = np.array(base, dtype=object).reshape(-1, n)
         to_first = ints - ints[np.repeat(self.starts, sizes)]
-        grain = math.gcd(*to_first.ravel().tolist())
-        self.unit = ((ints[self.first] - ints[self.second]) // grain).astype(float)
+        self.grain = math.gcd(*to_first.ravel().tolist())
+        self.unit = ((ints[self.first] - ints[self.second]) // self.grain).astype(float)
         self.coords = ints.astype(float)
-        self.lift = np.array([float(lifting[k]) for k in flat])
-        self.rhs = (self.lift[self.second] - self.lift[self.first]) / grain
-        self.scale = 1.0 + float(np.abs(self.lift).max())
         self.max_coord = float(np.abs(self.coords).max())
         self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
         self.reach = float(self.norm.max())
+        self._simplices = None
+        if not screened:
+            self._simplices = []
+        elif sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
+            self._simplices = list(self._simplex_batches(_cached_simplex_rows))
+        arrays = [self.starts, self.first, self.second, self.pair_starts, self.block]
+        arrays += [ints, self.unit, self.coords, self.norm]
+        for rows, blk, factors in self._simplices or ():
+            arrays += [rows, blk, *(a for a in factors if a is not None)]
+        for array in arrays:
+            array.setflags(write=False)
 
-        # Simplex pass.  Take a candidate the exact test accepts or raises
-        # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
-        # exact gamma levels p and q and leaves every other point of the
-        # block at most e = ``_tie_slack`` above (lowering those points by at
-        # most e makes p, q an upper edge).  The gammas that level p, q with
-        # all lowered points on or below form a polyhedron without lines, as
-        # the block spans R^n, so it has a vertex: there n independent
-        # constraints hold with equality, p - q and n - 1 rows k_j - p.  The
-        # simplex S = {p, q, k_1, ..., k_{n-1}} is affinely independent, so
-        # never flagged singular, and its gamma for the lowered lifting is
-        # that vertex.  Undoing the lowering moves S's right-hand sides by at
-        # most e / grain, hence its gamma by at most ||U_S^-1||_2 * sqrt(n) *
-        # e / grain.  A margin is a lift difference plus gamma times grain
-        # times a row of norm at most reach, so it moves by at most e * (1 +
-        # sqrt(n) * reach * ||U_S^-1||_2), the slack ``_witness`` adds to
-        # tau.  So S is untrusted, or its float margins are within that
-        # widened tau, and either way S keeps p, q.
-        kept = np.ones(pairs, dtype=bool)
-        if screened:
-            slack = self._tie_slack()
-            for i in screened:
-                kept[pair_starts[i] : pair_starts[i + 1]] = False
-            small = sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK
-            rows_of = _cached_simplex_rows if small else _simplex_rows
-            for rows, blk in rows_of(sizes, self.screened):
-                kept[rows[self._witness(rows[:, :n], rows[:, :1], blk, slack)]] = True
-        self.kept = np.flatnonzero(kept)
-        self.cuts = np.searchsorted(self.kept, pair_starts)
-        self.shape = tuple(np.diff(self.cuts).tolist())
-        self.total = math.prod(self.shape)
+    def simplices(self) -> Iterable[tuple[np.ndarray, np.ndarray, _Factors]]:
+        """The simplex pass's rows and block column (``_simplex_rows``), a
+        chunk at a time, each with the factors of its first n pairs."""
+        if self._simplices is not None:
+            return self._simplices
+        return self._simplex_batches(_simplex_rows)
 
-    @property
-    def pairs(self) -> list[list[tuple[int, int]]]:
-        return [
-            list(zip((self.first[ids] - s).tolist(), (self.second[ids] - s).tolist()))
-            for s, ids in zip(self.starts, np.split(self.kept, self.cuts[1:-1]))
-        ]
+    def _simplex_batches(
+        self, rows_of
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, _Factors]]:
+        for rows, blk in rows_of(self.sizes, self.screened):
+            yield rows, blk, self.factors(rows[:, : self.n])
 
-    def _tie_slack(self) -> float:
-        """Bound on how far above its face the exact test lets a point sit.
-
-        The exact test rejects a candidate only when some excluded point k
-        has ``float(zeta . w) / |zeta[k]| <= -TIE_RTOL * scale``, zeta its
-        circuit; exactly, that quotient is k's margin.  The sum has 2n + 1
-        products of an integer and a lifting value below ``scale``, so with
-        the division the quotient is off by at most ``2 (n + 2) eps scale
-        |zeta|_1 / |zeta[k]|``.  Up to sign, zeta over ``|zeta[k]|`` is
-        ``lam_i`` on ``a_i``, ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with
-        ``lam_i`` (Cramer) the determinant of the edge rows in grain units, U,
-        with row i replaced by ``(k - b_j) / grain``, at most ``reach^n``,
-        over ``det U``, a nonzero integer, so at least 1 in size.  So the
-        ratio is at most ``2 + 2 n reach^n``, and a candidate the test accepts
-        or raises TieDegenerate on has every exact margin above minus the
-        returned bound.
-        """
-        n = self.n
-        ratio = 2.0 + 2.0 * n * self.reach**n
-        return self.scale * (TIE_RTOL + 2 * (n + 2) * _EPS * ratio)
-
-    def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The surviving per-block local pairs, in ``itertools.product`` order."""
-        offsets = self.cuts[:-1]
-        blocks = np.arange(self.n)[None, :]
-        for start in range(0, self.total, SCREEN_CHUNK):
-            flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
-            idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
-            pairs = self.kept[idx + offsets]
-            pairs = pairs[self._witness(pairs, pairs, blocks, 0.0)]
-            firsts = (self.first[pairs] - self.starts).tolist()
-            seconds = (self.second[pairs] - self.starts).tolist()
-            for p, q in zip(firsts, seconds):
-                yield tuple(zip(p, q))
-
-    def _witness(
-        self, pairs: np.ndarray, faces: np.ndarray, blocks: np.ndarray, slack: float
-    ) -> np.ndarray:
-        """Rows of pair indices the float test cannot rule out.
-
-        Row r takes one gamma from the equality constraints of its n pairs
-        and asks, for each column j of ``faces`` and ``blocks``, whether a
-        point of block ``blocks[r, j]`` lies above the face through the first
-        point of pair ``faces[r, j]`` by more than tau.  A row is ruled out
-        when its matrix is provably singular, or when it is trusted and some
-        such point lies above.  ``slack`` widens tau for the simplex pass.
-
-        At n = 2 each row's determinant and gamma come from the closed-form
-        2 x 2 adjugate in elementwise numpy arithmetic over the batch, whose
-        products are exact wherever the singular test applies.  Other n take
-        ``np.linalg.det`` and ``np.linalg.solve``, the one path that serves
-        every n: the closed form grows with n (six products per determinant
-        at n = 3), and no benchmark workload runs n other than 2 to show it
-        paying there.  The bounds below cover both paths.
-        """
-        # Every comparison that drops a row is False on NaN, so values that
-        # overflow the float range, or a closed-form gamma divided by a zero
-        # determinant, leave the row to the exact test.
+    def factors(self, pairs: np.ndarray) -> _Factors:
+        """The coefficient-free half of ``_FloatScreen._witness`` for rows of
+        pair indices: each row's determinant, singular and trusted tests, and
+        the matrix its gamma is solved from."""
         n = self.n
         count = len(pairs)
         with np.errstate(all="ignore"):
             # The rows of U are integers, so these tests hold at any scale.
             unit = self.unit[pairs]
-            rhs = self.rhs[pairs]
             row_norm = self.norm[pairs]
             hadamard = np.prod(row_norm, axis=1)
+            signed = None
             if n == 2:
-                # One closed form, elementwise over the batch: det U and
-                # gamma = adj(U) rhs / det U.  At n = 2 a LAPACK call costs
-                # more in its wrapper than in its arithmetic.
-                u00, u01, u10, u11 = unit.reshape(count, 4).T
-                r0, r1 = rhs.T
+                # At n = 2 a LAPACK call costs more in its wrapper than in
+                # its arithmetic, so det U (and in ``_witness`` gamma =
+                # adj(U) rhs / det U) comes from one closed form,
+                # elementwise over the batch.
+                matrix = unit.reshape(count, 4).T
+                u00, u01, u10, u11 = matrix
                 signed = u00 * u11 - u01 * u10
-                gamma = np.stack((u11 * r0 - u01 * r1, u00 * r1 - u10 * r0), axis=1)
-                gamma /= signed[:, None]
                 det = np.abs(signed)
             else:
                 det = np.abs(np.linalg.det(unit))
@@ -496,8 +451,177 @@ class _FloatScreen:
                 # batched solve raise; an identity stands in and their
                 # margins go unused.
                 unit[~trusted] = np.eye(n)
-                rhs[~trusted] = 0.0
-                gamma = np.linalg.solve(unit, rhs[:, :, None])[:, :, 0]
+                matrix = unit
+            # ||U^-1||_2 <= n H / (|det| * smallest row norm), by the
+            # cofactor bound above.
+            inverse = n * hadamard / (det * min_norm)
+        return _Factors(matrix, signed, singular, trusted, inverse)
+
+
+def _plan(config: CayleyConfig) -> _ScreenPlan:
+    """The screen plan of a configuration, shared by every lifting of it.
+
+    Plans of at most SCREEN_CHUNK pairs are cached, keyed by the
+    configuration's value (its points, so supports with equal block sizes
+    but other points get plans of their own); larger plans are built per
+    solve.  A plan keeps its simplex rows only when they fit in one chunk,
+    so a cached plan holds at most SCREEN_CHUNK pairs and simplices, which
+    bounds the memory the cache keeps.
+    """
+    sizes = [config.block.count(i) for i in range(config.n)]
+    for i, t in enumerate(sizes):
+        if t < 2:
+            raise EmptySupport(f"support {i} has fewer than 2 points")
+    if sum(math.comb(t, 2) for t in sizes) <= SCREEN_CHUNK:
+        return _cached_plan(config)
+    return _ScreenPlan(config)
+
+
+_cached_plan = functools.lru_cache(maxsize=32)(_ScreenPlan)
+
+
+class _FloatScreen:
+    """Batched float tests of one lifting that discard what the exact test
+    would reject.
+
+    Two passes share one test (``_witness``), which takes the coefficient-
+    free half of each row from ``plan`` (``_ScreenPlan.factors``).  The
+    first runs over the plan's simplices of the ``screened`` blocks and
+    keeps a block's point pair only if some simplex through it witnesses
+    it; other blocks keep every pair.  The second runs over the product of
+    the kept pairs, one pair per block, in ``itertools.product`` order.
+    ``pairs`` holds the kept local index pairs of each block in
+    ``combinations`` order and ``total`` the size of their product.  Each
+    pair's right-hand side is held once, in grain units (``rhs``), and every
+    bound reads the plan's ``reach``.
+    """
+
+    def __init__(self, plan: _ScreenPlan, lifting: Sequence[Scalar]) -> None:
+        self.plan = plan
+        n = plan.n
+        self.lift = np.array([float(v) for v in lifting])
+        self.rhs = (self.lift[plan.second] - self.lift[plan.first]) / plan.grain
+        self.scale = 1.0 + float(np.abs(self.lift).max())
+
+        # Simplex pass.  Take a candidate the exact test accepts or raises
+        # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
+        # exact gamma levels p and q and leaves every other point of the
+        # block at most e = ``_tie_slack`` above (lowering those points by at
+        # most e makes p, q an upper edge).  The gammas that level p, q with
+        # all lowered points on or below form a polyhedron without lines, as
+        # the block spans R^n, so it has a vertex: there n independent
+        # constraints hold with equality, p - q and n - 1 rows k_j - p.  The
+        # simplex S = {p, q, k_1, ..., k_{n-1}} is affinely independent, so
+        # never flagged singular, and its gamma for the lowered lifting is
+        # that vertex.  Undoing the lowering moves S's right-hand sides by at
+        # most e / grain, hence its gamma by at most ||U_S^-1||_2 * sqrt(n) *
+        # e / grain.  A margin is a lift difference plus gamma times grain
+        # times a row of norm at most reach, so it moves by at most e * (1 +
+        # sqrt(n) * reach * ||U_S^-1||_2), the slack ``_witness`` adds to
+        # tau.  So S is untrusted, or its float margins are within that
+        # widened tau, and either way S keeps p, q.
+        kept = np.ones(plan.pair_count, dtype=bool)
+        if plan.screened:
+            slack = self._tie_slack()
+            for i in plan.screened:
+                kept[plan.pair_starts[i] : plan.pair_starts[i + 1]] = False
+            for rows, blk, factors in plan.simplices():
+                pairs = rows[:, :n]
+                kept[rows[self._witness(pairs, rows[:, :1], blk, slack, factors)]] = True
+        self.kept = np.flatnonzero(kept)
+        self.cuts = np.searchsorted(self.kept, plan.pair_starts)
+        self.shape = tuple(np.diff(self.cuts).tolist())
+        self.total = math.prod(self.shape)
+
+    @property
+    def pairs(self) -> list[list[tuple[int, int]]]:
+        plan = self.plan
+        return [
+            list(zip((plan.first[ids] - s).tolist(), (plan.second[ids] - s).tolist()))
+            for s, ids in zip(plan.starts, np.split(self.kept, self.cuts[1:-1]))
+        ]
+
+    def _tie_slack(self) -> float:
+        """Bound on how far above its face the exact test lets a point sit.
+
+        The exact test rejects a candidate only when some excluded point k
+        has ``float(zeta . w) / |zeta[k]| <= -TIE_RTOL * scale``, zeta its
+        circuit; exactly, that quotient is k's margin.  The sum has 2n + 1
+        products of an integer and a lifting value below ``scale``, so with
+        the division the quotient is off by at most ``2 (n + 2) eps scale
+        |zeta|_1 / |zeta[k]|``.  Up to sign, zeta over ``|zeta[k]|`` is
+        ``lam_i`` on ``a_i``, ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with
+        ``lam_i`` (Cramer) the determinant of the edge rows in grain units, U,
+        with row i replaced by ``(k - b_j) / grain``, at most ``reach^n``,
+        over ``det U``, a nonzero integer, so at least 1 in size.  So the
+        ratio is at most ``2 + 2 n reach^n``, and a candidate the test accepts
+        or raises TieDegenerate on has every exact margin above minus the
+        returned bound.
+        """
+        n = self.plan.n
+        ratio = 2.0 + 2.0 * n * self.plan.reach**n
+        return self.scale * (TIE_RTOL + 2 * (n + 2) * _EPS * ratio)
+
+    def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The surviving per-block local pairs, in ``itertools.product`` order."""
+        plan = self.plan
+        offsets = self.cuts[:-1]
+        blocks = np.arange(plan.n)[None, :]
+        for start in range(0, self.total, SCREEN_CHUNK):
+            flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
+            idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
+            pairs = self.kept[idx + offsets]
+            pairs = pairs[self._witness(pairs, pairs, blocks, 0.0, plan.factors(pairs))]
+            firsts = (plan.first[pairs] - plan.starts).tolist()
+            seconds = (plan.second[pairs] - plan.starts).tolist()
+            for p, q in zip(firsts, seconds):
+                yield tuple(zip(p, q))
+
+    def _witness(
+        self,
+        pairs: np.ndarray,
+        faces: np.ndarray,
+        blocks: np.ndarray,
+        slack: float,
+        factors: _Factors,
+    ) -> np.ndarray:
+        """Rows of pair indices the float test cannot rule out.
+
+        Row r takes one gamma from the equality constraints of its n pairs
+        and asks, for each column j of ``faces`` and ``blocks``, whether a
+        point of block ``blocks[r, j]`` lies above the face through the first
+        point of pair ``faces[r, j]`` by more than tau.  A row is ruled out
+        when its matrix is provably singular, or when it is trusted and some
+        such point lies above.  ``slack`` widens tau for the simplex pass.
+        ``factors`` is the rows' coefficient-free half (``_ScreenPlan.
+        factors``), which holds the singular and trusted tests; this half
+        adds the right-hand sides, gamma and the margins.
+
+        At n = 2 each row's determinant and gamma come from the closed-form
+        2 x 2 adjugate in elementwise numpy arithmetic over the batch, whose
+        products are exact wherever the singular test applies.  Other n take
+        ``np.linalg.det`` and ``np.linalg.solve``, the one path that serves
+        every n: the closed form grows with n (six products per determinant
+        at n = 3), and no benchmark workload runs n other than 2 to show it
+        paying there.  The bounds in ``_ScreenPlan.factors`` and below cover
+        both paths.
+        """
+        # Every comparison that drops a row is False on NaN, so values that
+        # overflow the float range, or a closed-form gamma divided by a zero
+        # determinant, leave the row to the exact test.
+        plan = self.plan
+        n = plan.n
+        count = len(pairs)
+        with np.errstate(all="ignore"):
+            rhs = self.rhs[pairs]
+            if n == 2:
+                u00, u01, u10, u11 = factors.matrix
+                r0, r1 = rhs.T
+                gamma = np.stack((u11 * r0 - u01 * r1, u00 * r1 - u10 * r0), axis=1)
+                gamma /= factors.signed[:, None]
+            else:
+                rhs[~factors.trusted] = 0.0
+                gamma = np.linalg.solve(factors.matrix, rhs[:, :, None])[:, :, 0]
             # A margin is a difference of two lifted values, each at most
             # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
             # the 1e-9 relative error of gamma spread over 2n * max|coord|
@@ -507,27 +631,29 @@ class _FloatScreen:
             # Hadamard |lam_i| <= reach * H / (|det| * norm of row i).  So the
             # second term covers it, and a float margin below -tau is one the
             # exact test reads below the tie tolerance: it rejects, no tie.
-            inverse = n * hadamard / (det * min_norm)
+            inverse = factors.inverse
             gamma_l1 = np.sum(np.abs(gamma), axis=1)
-            tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + self.max_coord))
-            tau += 4 * (n + 2) * _EPS * self.scale * (1.0 + self.reach * inverse)
+            tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + plan.max_coord))
+            tau += 4 * (n + 2) * _EPS * self.scale * (1.0 + plan.reach * inverse)
             if slack:
-                # ||U^-1||_2 <= ``inverse`` by the cofactor bound above.
-                tau += slack * (1.0 + math.sqrt(n) * self.reach * inverse)
+                tau += slack * (1.0 + math.sqrt(n) * plan.reach * inverse)
             # The face points sit within rounding of the face, far inside
             # tau, so the highest lifted value of each block decides.
-            lifted = self.lift + gamma @ self.coords.T
-            top = np.maximum.reduceat(lifted, self.starts, axis=1)
+            lifted = self.lift + gamma @ plan.coords.T
+            top = np.maximum.reduceat(lifted, plan.starts, axis=1)
             rows = np.arange(count)[:, None]
-            excess = top[rows, blocks] - lifted[rows, self.first[faces]]
+            excess = top[rows, blocks] - lifted[rows, plan.first[faces]]
             infeasible = np.any(excess > tau[:, None], axis=1)
-        return ~(singular | (trusted & infeasible))
+        return ~(factors.singular | (factors.trusted & infeasible))
 
 
 def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
     """All mixed cells of the subdivision induced by ``lifting``.
 
-    The per-block and product float screens (``_FloatScreen``) only discard.
+    The per-block and product float screens (``_FloatScreen``) only discard;
+    they and the circuit table read the configuration's cached plan
+    (``_plan``), so a second coefficient vector on a support pays only the
+    lifting's share of the screens.
     Each survivor gets an integer determinant and an exact solve for gamma
     (the normal).  Then one ``_circuit_table`` pass builds the circuit
     inequalities of every survivor, one per excluded point, and evaluates
@@ -540,16 +666,11 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
-    n = config.n
-    values = list(lifting.values)
-    blocks: list[list[int]] = [config.block_indices(i) for i in range(n)]
-    for i, blk in enumerate(blocks):
-        if len(blk) < 2:
-            raise EmptySupport(f"support {i} has fewer than 2 points")
-
-    base = [config.base_point(k) for k in range(config.m)]
+    values = lifting.values
+    plan = _plan(config)
+    n, blocks, base = plan.n, plan.blocks, plan.base
     origin = config.origin_index
-    screen = _FloatScreen(blocks, base, values)
+    screen = _FloatScreen(plan, values)
     survivors: list[tuple[tuple[tuple[int, int], ...], MixedCell]] = []
     for cand in screen.candidates():
         edges = tuple(
@@ -563,13 +684,13 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
         local = tuple((origin[a], origin[b]) for a, b in edges)
         survivors.append((edges, MixedCell(local, tuple(-g for g in gamma), abs(det))))
 
-    table = _circuit_table(config, [edges for edges, _ in survivors])
+    table = _circuit_table(plan, [edges for edges, _ in survivors])
     margin = table.values(lifting)
     if not lifting.is_exact():
         with np.errstate(all="ignore"):
             margin = margin.astype(float) / -table.coeffs[:, -1].astype(float)
             margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
-    per_cell = config.m - 2 * n
+    per_cell = plan.m - 2 * n
     margin = margin.reshape(len(survivors), per_cell)
     # A violated margin rejects the candidate outright; a tie only makes the
     # lifting degenerate when the candidate is otherwise a cell, i.e. the
@@ -592,7 +713,7 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
 
 
 def _circuit_table(
-    config: CayleyConfig, ends: Sequence[tuple[tuple[int, int], ...]]
+    plan: _ScreenPlan, ends: Sequence[tuple[tuple[int, int], ...]]
 ) -> CircuitTable:
     """The circuit inequalities of cells given by Cayley edge pairs.
 
@@ -611,11 +732,11 @@ def _circuit_table(
     margin: weighted by it, the cell points' lifted values are their faces'
     heights, and the gamma terms cancel.
     """
-    n, count = config.n, len(ends)
+    n, count = plan.n, len(ends)
     width = 2 * n + 1
     if not count:
         return CircuitTable(np.zeros((0, width), np.intp), np.zeros((0, width), object))
-    base = [config.base_point(k) for k in range(config.m)]
+    base = plan.base
     dets, adjs = [], []
     for pairs in ends:
         det, adj = det_adjugate(
@@ -631,12 +752,11 @@ def _circuit_table(
         adjs.append(adj)
     # One row per (cell, excluded point), cells in order, points ascending.
     cell = np.array(ends, dtype=np.intp).reshape(count, 2 * n)
-    outside = np.ones((count, config.m), dtype=bool)
+    outside = np.ones((count, plan.m), dtype=bool)
     outside[np.arange(count)[:, None], cell] = False
     owner, point = np.nonzero(outside)
-    b_col = 2 * np.array(config.block, dtype=np.intp)[point] + 1
-    coords = np.array(base, dtype=object)
-    diff = coords[point] - coords[cell[owner, b_col]]
+    b_col = 2 * plan.block[point] + 1
+    diff = plan.ints[point] - plan.ints[cell[owner, b_col]]
     lam = (diff[:, None, :] @ np.array(adjs, dtype=object)[owner])[:, 0, :]
     d = np.array(dets, dtype=object)[owner]
     # The gcd of the dependence is that of l and d.
@@ -661,6 +781,6 @@ def circuit_inequalities(cell: MixedCell, config: CayleyConfig) -> CircuitTable:
     The one-cell entry to ``_circuit_table``; see there for the dependence
     and its orientation.
     """
-    blocks = [config.block_indices(i) for i in range(config.n)]
-    ends = tuple((blk[p], blk[q]) for blk, (p, q) in zip(blocks, cell.edges))
-    return _circuit_table(config, [ends])
+    plan = _plan(config)
+    ends = tuple((blk[p], blk[q]) for blk, (p, q) in zip(plan.blocks, cell.edges))
+    return _circuit_table(plan, [ends])

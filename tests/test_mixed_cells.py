@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +38,12 @@ from realhomotopy import (
     enumerate_mixed_cells,
     log_abs_lifting,
     mixed_cell_count_bound,
+    solve,
     support_system,
 )
 from realhomotopy import mixed_cells
 from realhomotopy.lattice import Lifting, int_det
-from realhomotopy.mixed_cells import TIE_RTOL, _FloatScreen
+from realhomotopy.mixed_cells import TIE_RTOL, _FloatScreen, _ScreenPlan
 
 
 def _lifted(config, lifting, gamma, k):
@@ -255,7 +259,7 @@ class TestScreenEquivalence:
         assert [c.edges for c in cells] == [c.edges for c in unscaled.cells]
         assert [c.volume for c in cells] == [c.volume * 2**80 for c in unscaled.cells]
 
-    def test_more_candidates_than_one_chunk(self, rng, monkeypatch):
+    def test_more_candidates_than_one_chunk(self, rng, monkeypatch, simplex_chunks):
         # Dense (4, 4) keeps fewer candidates than one default chunk; a small
         # prime chunk makes both passes span several chunks, the last partial.
         monkeypatch.setattr(mixed_cells, "SCREEN_CHUNK", 11)
@@ -264,6 +268,7 @@ class TestScreenEquivalence:
         simplices = 2 * math.comb(len(dense_support(4)), 3)
         for rows in (screen.total, simplices):
             assert rows > 11 and rows % 11 != 0
+        assert len(simplex_chunks) > 1 and sum(simplex_chunks) == simplices
         cells = _assert_matches_brute_force(system)
         assert cells.total_volume() == 16
 
@@ -274,6 +279,33 @@ class TestScreenEquivalence:
         for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
             cells = _assert_matches_brute_force(system, Lifting(values=values))
             assert [c.edges for c in cells.cells] == [((0, 3),)]
+
+
+def _product_batch(points, values):
+    """Every candidate of the given blocks (integer points and lifting values
+    per block) as one product-screen batch: the candidates, their rows of
+    pair indices, the screen, and the rows' factors."""
+    sizes = [len(blk) for blk in points]
+    config = build_cayley(support_system(points, [[1.0] * t for t in sizes]))
+    plan = _ScreenPlan(config)
+    screen = _FloatScreen(plan, [v for row in values for v in row])
+    # Pair indices of the screen's table: blocks stacked, combinations order.
+    local = [list(itertools.combinations(range(t), 2)) for t in sizes]
+    offsets = list(itertools.accumulate(map(len, local), initial=0))
+    cands = list(itertools.product(*local))
+    rows = np.array(
+        [[off + pairs.index(e) for off, pairs, e in zip(offsets, local, c)] for c in cands]
+    )
+    return cands, rows, screen, plan.factors(rows)
+
+
+def _may_pass(points, values, cand):
+    """Whether ``oracles.exact_edge_test`` lets the exact test accept or tie
+    on a candidate: a nonzero determinant and every exact margin above
+    ``-TIE_RTOL * scale`` less the exact test's rounding of it."""
+    scale = 1.0 + max(abs(v) for row in values for v in row)
+    det, _, margins = exact_edge_test(points, values, cand)
+    return bool(det) and all(m > -(TIE_RTOL * scale + err) for m, err in margins)
 
 
 def _witness_verdicts(points, values):
@@ -288,20 +320,8 @@ def _witness_verdicts(points, values):
     grain units has ``8 H <= 2^33`` is dropped.  Returns those two kinds of
     candidates, each with its H^2.
     """
-    sizes = [len(blk) for blk in points]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    blocks = [list(range(s, s + t)) for s, t in zip(starts, sizes)]
-    screen = _FloatScreen(
-        blocks, [p for blk in points for p in blk], [v for row in values for v in row]
-    )
-    # Pair indices of the screen's table: blocks stacked, combinations order.
-    local = [list(itertools.combinations(range(t), 2)) for t in sizes]
-    offsets = list(itertools.accumulate(map(len, local), initial=0))
-    cands = list(itertools.product(*local))
-    rows = np.array(
-        [[off + pairs.index(e) for off, pairs, e in zip(offsets, local, c)] for c in cands]
-    )
-    kept = screen._witness(rows, rows, np.arange(len(points))[None, :], 0.0)
+    cands, rows, screen, factors = _product_batch(points, values)
+    kept = screen._witness(rows, rows, np.arange(len(points))[None, :], 0.0, factors)
     grain = math.gcd(*(c - o for blk in points for p in blk for c, o in zip(p, blk[0])))
     scale = 1.0 + max(abs(v) for row in values for v in row)
     may_pass, singular = [], []
@@ -332,17 +352,43 @@ def _random_blocks(rng, count, low, high):
     return points
 
 
+def _unimodular_rows(rng, bits):
+    """Rows (a, b), (c, d) with a, b in [2^(bits-1), 2^bits) and ad - bc = 1."""
+    while True:
+        a, b = (int(v) for v in rng.integers(2 ** (bits - 1), 2**bits, size=2))
+        if math.gcd(a, b) == 1:
+            d = pow(a, -1, b)
+            return (a, b), ((a * d - 1) // b, d)
+
+
 def _near_singular_rows(rng):
     """Rows (a, b), (c, d) near 2^30 with ad - bc = 1 whose float determinant
     fl(fl(ad) - fl(bc)) is not 1, because the products round."""
     while True:
-        a, b = (int(v) for v in rng.integers(2**29, 2**30, size=2))
-        if math.gcd(a, b) != 1:
-            continue
-        d = pow(a, -1, b)
-        c = (a * d - 1) // b
+        (a, b), (c, d) = _unimodular_rows(rng, 30)
         if float(a) * float(d) - float(b) * float(c) != 1:
             return (a, b), (c, d)
+
+
+def _adversarial_blocks(rng, aligned):
+    """Two blocks, each the origin, one row of a unimodular pair with entries
+    near 2^20 to 2^34, and two points with coordinates near 2^50.  The far
+    points are lifted onto the face of the cell ((0, 1), (0, 1)) within
+    1e-6 relative when ``aligned``, and to random heights in [-3, 3] else."""
+    rows = _unimodular_rows(rng, int(rng.integers(20, 35)))
+    values = [rng.uniform(-3, 3, size=2).tolist() for _ in rows]
+    gamma = exact_edge_test([[(0, 0), r] for r in rows], values, ((0, 1), (0, 1)))[1]
+    points = []
+    for j, row in enumerate(rows):
+        far = [tuple(rng.integers(-(2**50), 2**50, size=2).tolist()) for _ in range(2)]
+        points.append([(0, 0), row, *far])
+        for x in far:
+            if aligned:
+                height = float(values[j][0] - sum(g * c for g, c in zip(gamma, x)))
+                values[j].append(height * (1.0 + float(rng.uniform(-1e-6, 1e-6))))
+            else:
+                values[j].append(float(rng.uniform(-3, 3)))
+    return points, values
 
 
 class TestClosedFormWitness:
@@ -398,6 +444,30 @@ class TestClosedFormWitness:
             hadamard_sq = dict(_witness_verdicts(points, values)[0])
             assert hadamard_sq[((0, 1), (0, 1))] > 2**66
 
+    def test_untrusted_rows_are_kept(self):
+        # 400 seeded batches of near-singular cells with far points, aligned
+        # liftings in every other batch.  No row the exact test may pass is
+        # dropped.  Every untrusted row is kept: with the trusted test forced
+        # on, the float margins would drop many of them (the exact test
+        # rejects each of those too, ROADMAP item 7a), so here the trusted
+        # test is what keeps them.
+        rng = np.random.default_rng(7)
+        blocks = np.arange(2)[None, :]
+        untrusted = would_drop = 0
+        for batch in range(400):
+            points, values = _adversarial_blocks(rng, aligned=batch % 2 == 0)
+            cands, rows, screen, factors = _product_batch(points, values)
+            kept = screen._witness(rows, rows, blocks, 0.0, factors)
+            forced = factors._replace(trusted=np.ones_like(factors.trusted))
+            strict = screen._witness(rows, rows, blocks, 0.0, forced)
+            loose = ~(factors.trusted | factors.singular)
+            assert kept[loose].all()
+            untrusted += int(loose.sum())
+            would_drop += int((loose & ~strict).sum())
+            for cand in itertools.compress(cands, ~(kept & strict)):
+                assert not _may_pass(points, values, cand), cand
+        assert untrusted > 2000 and would_drop > 1000
+
 
 def _exclusion_margin(config, values, cell, k):
     """How far Cayley point k lies below the face of ``cell``'s block of k,
@@ -416,8 +486,38 @@ def _exclusion_margin(config, values, cell, k):
     return lifted(edges[config.block[k]][0]) - lifted(k)
 
 
+@pytest.fixture
+def fresh_plans():
+    """Clear the screen caches before and after a test that patches what a
+    cached plan would hold or skip (``SCREEN_CHUNK``, ``_simplex_rows``,
+    ``_FloatScreen._witness``), so that no plan outlives its patch."""
+
+    def clear():
+        mixed_cells._cached_plan.cache_clear()
+        mixed_cells._cached_simplex_rows.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.fixture
+def simplex_chunks(monkeypatch, fresh_plans):
+    """The row count of each chunk that ``_simplex_rows`` yields."""
+    chunks = []
+    simplex_rows = mixed_cells._simplex_rows
+
+    def counting(*args):
+        for chunk in simplex_rows(*args):
+            chunks.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(mixed_cells, "_simplex_rows", counting)
+    return chunks
+
+
 @pytest.fixture(params=[True, False], ids=["screened", "unscreened"])
-def screened(request, monkeypatch):
+def screened(request, monkeypatch, fresh_plans):
     """Run with the float screens, or with both keeping every row so that
     the exact test sees every candidate, as the brute-force loop does."""
     if not request.param:
@@ -436,6 +536,21 @@ DIAMOND = support_system(
     [[1.0] * 5, [1.0] * 4],
 )
 DIAMOND_VALUES = (0, 0, 0, 1, 1, 0, 7, 3, 11)
+
+
+def _planted_tie():
+    """DIAMOND_VALUES with the last excluded point of block 1 lifted onto the
+    face of the last cell, an int lifting that ties on that cell."""
+    config = build_cayley(DIAMOND)
+    cells = enumerate_mixed_cells(config, Lifting(values=DIAMOND_VALUES))
+    cell = cells.cells[-1]
+    coeffs, k = circuit_rows(circuit_inequalities(cell, config))[-1]
+    assert config.block[k] == 1 and coeffs[k] == -1
+    values = list(DIAMOND_VALUES)
+    values[k] += _exclusion_margin(config, values, cell, k)
+    assert isinstance(values[k], Fraction) and values[k].denominator == 1
+    values[k] = int(values[k])
+    return Lifting(values=tuple(values))
 
 
 class TestTiesInTwoVariables:
@@ -457,17 +572,7 @@ class TestTiesInTwoVariables:
         assert cells.total_volume() == 8
 
     def test_planted_tie_on_a_cell(self, screened):
-        config = build_cayley(DIAMOND)
-        cells = enumerate_mixed_cells(config, Lifting(values=DIAMOND_VALUES))
-        # Lift the last excluded point of block 1 onto the last cell's face.
-        cell = cells.cells[-1]
-        coeffs, k = circuit_rows(circuit_inequalities(cell, config))[-1]
-        assert config.block[k] == 1 and coeffs[k] == -1
-        values = list(DIAMOND_VALUES)
-        values[k] += _exclusion_margin(config, values, cell, k)
-        assert isinstance(values[k], Fraction) and values[k].denominator == 1
-        values[k] = int(values[k])
-        got = _assert_matches_brute_force(DIAMOND, Lifting(values=tuple(values)))
+        got = _assert_matches_brute_force(DIAMOND, _planted_tie())
         assert got[0] is TieDegenerate
 
     def test_float_tie_is_judged_by_the_margin(self, rng, screened):
@@ -500,9 +605,7 @@ class TestTiesInTwoVariables:
 
 
 def _screen(config, lifting):
-    blocks = [config.block_indices(i) for i in range(config.n)]
-    base = [config.base_point(k) for k in range(config.m)]
-    return _FloatScreen(blocks, base, lifting.values)
+    return _FloatScreen(_ScreenPlan(config), lifting.values)
 
 
 def _spans(points):
@@ -602,26 +705,161 @@ class TestScreenCost:
     """A block is screened only while its simplices cost no more than the
     candidates they could cut."""
 
-    def test_unbalanced_supports(self, rng, monkeypatch):
-        rows = []
-        simplex_rows = mixed_cells._simplex_rows
-
-        def counting(*args):
-            for chunk in simplex_rows(*args):
-                rows.append(len(chunk[0]))
-                yield chunk
-
-        monkeypatch.setattr(mixed_cells, "_simplex_rows", counting)
+    def test_unbalanced_supports(self, rng, simplex_chunks):
+        rows = simplex_chunks
         # 60 points have C(60, 3) = 34,220 simplices, more than the 1,770
         # and 10,620 candidates; the spanning 4-point block has 4.
         for small, screened in ((2, ()), (4, (1,))):
             system = _unbalanced(rng, 60, small)
             rows.clear()
             screen = _screen(build_cayley(system), log_abs_lifting(system))
-            assert screen.screened == screened
+            assert screen.plan.screened == screened
             assert sum(rows) == sum(math.comb(4, 3) for _ in screened)
             assert sum(rows) <= math.comb(60, 2) * math.comb(small, 2)
             _assert_matches_brute_force(system)
+
+
+def _enumeration(system, lifting=None):
+    """An enumeration's cells and table (points, coefficients and values),
+    or the message of the TieDegenerate it raised."""
+    lifting = lifting or log_abs_lifting(system)
+    try:
+        got = enumerate_mixed_cells(build_cayley(system), lifting)
+    except TieDegenerate as exc:
+        return str(exc)
+    table = got.inequalities
+    rows = table.points.tolist(), table.coeffs.tolist(), table.values(lifting).tolist()
+    return got.cells, *rows
+
+
+def _plan_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _plan_arrays(item)
+
+
+class TestScreenPlan:
+    """One plan per support serves every lifting of it, as a cold build does."""
+
+    def test_warm_plan_equals_cold_build(self, rng, fresh_plans):
+        # A coefficient family on DIAMOND's support: float, int and Fraction
+        # liftings, and a planted tie.
+        supports = [s.points for s in DIAMOND.supports]
+        m = build_cayley(DIAMOND).m
+        liftings = [Lifting(values=DIAMOND_VALUES), _planted_tie()]
+        for _ in range(4):
+            signs = rng.choice([-1.0, 1.0], m) * np.exp(rng.uniform(-3, 3, m))
+            coeffs = [signs[:5].tolist(), signs[5:].tolist()]
+            liftings.append(log_abs_lifting(support_system(supports, coeffs)))
+            ints = rng.integers(-50, 51, size=m).tolist()
+            liftings.append(Lifting(values=tuple(ints)))
+            dens = rng.integers(1, 40, size=m).tolist()
+            liftings.append(Lifting(values=tuple(map(Fraction, ints, dens))))
+        cold = []
+        for lifting in liftings:
+            mixed_cells._cached_plan.cache_clear()
+            cold.append(_enumeration(DIAMOND, lifting))
+        mixed_cells._cached_plan.cache_clear()
+        warm = [_enumeration(DIAMOND, lifting) for lifting in liftings]
+        info = mixed_cells._cached_plan.cache_info()
+        assert (info.hits, info.misses) == (len(liftings) - 1, 1)
+        assert warm == cold
+        ties = [got for got in cold if isinstance(got, str)]
+        assert ties and len(ties) < len(cold) - 8
+        assert cold[1] == "lifting ties on point 7 against cell ((2, 4), (6, 8))"
+
+    def test_equal_sizes_other_points(self, fresh_plans):
+        # Block sizes 5 and 4 both; the second moves one point of block 1.
+        supports = [s.points for s in DIAMOND.supports]
+        moved = [supports[0], [*supports[1][:-1], (2, 2)]]
+        coeffs = [[1.0, -2.0, 3.0, 0.5, 7.0], [2.0, -1.5, 0.25, 4.0]]
+        one = support_system(supports, coeffs)
+        other = support_system(moved, coeffs)
+        plan = mixed_cells._plan(build_cayley(one))
+        rescaled = [[3.0 * c for c in row] for row in coeffs]
+        assert plan is mixed_cells._plan(build_cayley(support_system(supports, rescaled)))
+        assert plan is not mixed_cells._plan(build_cayley(other))
+        assert plan.sizes == mixed_cells._plan(build_cayley(other)).sizes
+        warm = [_enumeration(one), _enumeration(other)]
+        mixed_cells._cached_plan.cache_clear()
+        assert _enumeration(other) == warm[1]
+        mixed_cells._cached_plan.cache_clear()
+        assert _enumeration(one) == warm[0]
+        assert warm[0] != warm[1]
+
+    def test_plan_arrays_are_read_only(self, rng):
+        for system, count in ((DIAMOND, 14), (dense_system_n((2, 2, 2), rng), 13)):
+            plan = mixed_cells._plan(build_cayley(system))
+            arrays = list(_plan_arrays(list(vars(plan).values())))
+            assert len(arrays) >= count
+            for array in arrays:
+                first = (0,) * array.ndim
+                with pytest.raises(ValueError):
+                    array[first] = array[first]
+
+    def test_second_solve_builds_no_plan(self, rng, monkeypatch, simplex_chunks):
+        spans = []
+        spans_space = mixed_cells._spans_space
+
+        def counting(*args):
+            spans.append(args)
+            return spans_space(*args)
+
+        monkeypatch.setattr(mixed_cells, "_spans_space", counting)
+        first, second = dense_system(3, 3, rng), dense_system(3, 3, rng)
+        _enumeration(first)
+        calls = len(spans), len(simplex_chunks)
+        assert min(calls) > 0
+        got = _enumeration(second)
+        assert (len(spans), len(simplex_chunks)) == calls
+        mixed_cells._cached_plan.cache_clear()
+        assert _enumeration(second) == got
+
+    def test_large_support_is_not_cached(self, rng, fresh_plans):
+        # 91 + 2 points have SCREEN_CHUNK pairs, so their plan is cached;
+        # 92 + 2 points have more, so theirs is built per solve and freed.
+        for large, cached in ((91, True), (92, False)):
+            system = _unbalanced(rng, large, 2)
+            config = build_cayley(system)
+            assert (math.comb(large, 2) + 1 <= mixed_cells.SCREEN_CHUNK) == cached
+            before = mixed_cells._cached_plan.cache_info().currsize
+            assert _enumeration(system)[0]
+            assert mixed_cells._cached_plan.cache_info().currsize == before + cached
+            plan = weakref.ref(mixed_cells._plan(config))
+            assert (plan() is not None) == cached
+
+    def test_threads_share_plans(self, fresh_plans):
+        # The dense (3, 3) corpus of generator seed 0 (eight systems on one
+        # support), solved from 4 threads at once, each in its own order,
+        # equals the serial solve.
+        gen = np.random.default_rng(0)
+        systems = [dense_system(3, 3, gen) for _ in range(8)]
+
+        def run(order):
+            out = []
+            for i in order:
+                report = solve(systems[i])
+                table = report.cells.inequalities
+                rows = table.points.tolist(), table.coeffs.tolist()
+                out.append((i, report.cells.cells, *rows, report.certificate.margins))
+            return out
+
+        serial = run(range(8))
+        orders = [np.random.default_rng(k).permutation(8).tolist() for k in range(4)]
+        mixed_cells._cached_plan.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run, 3 * order) for order in orders]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert len(result) == 24
+            assert all(solved == serial[solved[0]] for solved in result)
 
 
 class TestDenseHigherDimension:
