@@ -29,16 +29,42 @@ Methods*); when it confirms one inside the failing span, the path fails at
 once with the message ``fold at lam=...``.
 
 At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
-``_kernels.jac_dlam`` call and one ``np.linalg.solve``, and the norms and
-finiteness tests on n-vectors read Python floats (``_max_norm``).  The solve
-stays numpy's public one.  Of its 10 us on a 2 x 2 system about 2 us is the
-LAPACK gufunc, but the three routes around the wrapper are ruled out:
-scipy's ``dgesv`` (1.9 us) costs 0.3 s of ``import scipy.linalg`` per
-process, beyond the benchmark's bound on ``setup_s``; numpy's
-``_umath_linalg.solve1`` (2.3 us) is private, and reports a singular matrix
-only through the floating-point error state that the wrapper sets up; and
-tracking a solve's paths in lockstep, one batched solve for all of them,
-measured no gain at the 2.8 paths per solve of the forced workload.
+``_kernels.jac_dlam`` call and one ``_solve``, and the norms and finiteness
+tests on n-vectors read Python floats (``_max_norm``).  ``_solve`` takes a
+2 x 2 system by Cramer's rule on Python floats in about 1.1 us, where
+``np.linalg.solve`` spends 5 to 10 us, about 2 us of it in the LAPACK gufunc
+and the rest in its wrapper; other n keep ``np.linalg.solve``, as does
+``_fold``'s bordered system.  Cramer's rule is forward stable at n = 2
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 1.10.1),
+but it rounds differently from LAPACK, and that is harmless here:
+
+- a solve's rounding moves only the Newton iterates, never the zero they
+  converge to;
+- a step is still accepted on the kernel's residual and on the move guard,
+  and the endgame polish still ends below ``tol * 1e-4``;
+- Python float arithmetic warns of nothing: overflow gives inf and an
+  undefined result NaN, both of which ``_max_norm`` reads as inf.  The one
+  operation that would raise, a division by an exactly zero determinant,
+  raises instead the ``LinAlgError`` that every caller already handles.
+
+On the 503 reference solves (``tests/reference_reports.py``: the three
+benchmark corpora at seeds 1-3 and the 224 held-out forced systems) every
+solution count, path status, accepted step count and failure message (up to
+its lam) stayed the same, and endpoints moved by at most 1.2e-13 relative
+(in 57 of 63 track_forced, 14 of 192 certified_scaled and 163 of 200
+held-out n = 2 reports); the n = 3 and dense_cells reports are
+bit-identical.  Over track_forced seeds 1-3, ``np.linalg.solve`` calls fell
+from 4,350 to the 132 bordered systems, for the same 4,860 ``jac_dlam``
+calls, and over 10 alternating 30 s benchmark pairs track_forced went from
+a median of 382 to 454 systems/s (2-vCPU shared VM).
+
+Three other routes around the wrapper were ruled out: scipy's ``dgesv``
+(1.9 us) costs 0.3 s of ``import scipy.linalg`` per process, beyond the
+benchmark's bound on ``setup_s``; numpy's ``_umath_linalg.solve1`` (2.3 us)
+is private, and reports a singular matrix only through the floating-point
+error state that the wrapper sets up; and tracking a solve's paths in
+lockstep, one batched solve for all of them, measured no gain at the 2.8
+paths per solve of the forced workload.
 """
 
 from __future__ import annotations
@@ -239,6 +265,23 @@ def _max_norm(values: list[float]) -> float:
     return math.inf
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b``, by Cramer's rule on Python floats at n = 2.
+
+    An exactly zero determinant raises ``np.linalg.LinAlgError``, as LAPACK
+    does on a singular matrix; a NaN or infinite entry gives a NaN or
+    infinite result, never a warning.  Every other n is ``np.linalg.solve``.
+    """
+    if a.shape != (2, 2):
+        return np.linalg.solve(a, b)
+    (a00, a01), (a10, a11) = a.tolist()
+    b0, b1 = b.tolist()
+    det = a00 * a11 - a01 * a10
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.array(((a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det))
+
+
 def _newton(
     h: HomotopySystem,
     weights: np.ndarray,
@@ -275,7 +318,7 @@ def _newton(
             break
         last = res
         try:
-            du = np.linalg.solve(table[:, 1:-1], hv)
+            du = _solve(table[:, 1:-1], hv)
         except np.linalg.LinAlgError:
             break
         if _max_norm(du.tolist()) == math.inf:
@@ -310,8 +353,10 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
     regular at a simple fold, where the corrector in u at fixed lam is not.
     Newton starts from ``start = (mu, v, table)`` with ``phi = ell``, J_u's
     most nearly null direction there: the tangent ``J_u^-1 dh/dlam`` after
-    one step of inverse iteration on ``J_u^T J_u``.  (Only ``np.linalg.solve``
-    is used; an SVD added its LAPACK code pages to the benchmark's peak RSS.)
+    one step of inverse iteration on ``J_u^T J_u``.  (Only linear solves are
+    used, ``_solve`` for the n x n ones and ``np.linalg.solve`` for the
+    bordered system; an SVD added its LAPACK code pages to the benchmark's
+    peak RSS.)
     An iterate is one ``jac_dlam`` call and one solve: the signed weights,
     extended by a copy times ``exps . phi``, give ``[h | J_u | dh/dlam]`` and
     beside it ``[J_u phi | d(J_u phi)/du | d(J_u phi)/dlam]``.  Newton stops
@@ -328,8 +373,8 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
     n = v.size
     jac_u = table[:, 1:-1]
     try:
-        ell = np.linalg.solve(jac_u, -table[:, -1])
-        ell = np.linalg.solve(jac_u, np.linalg.solve(jac_u.T, ell))
+        ell = _solve(jac_u, -table[:, -1])
+        ell = _solve(jac_u, _solve(jac_u.T, ell))
     except np.linalg.LinAlgError:
         return None
     size = _max_norm(ell.tolist())
@@ -369,7 +414,7 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
     if _max_norm((v - u - (lam - mu) * normal).tolist()) > MAX_LOG_MOVE:
         return None
     try:
-        psi = np.linalg.solve(t[:, 1 : n + 1].T, phi)
+        psi = _solve(t[:, 1 : n + 1].T, phi)
     except np.linalg.LinAlgError:
         return None
     curvature = float(psi @ t[:, n + 3 : 2 * n + 3] @ phi)
@@ -411,7 +456,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         # The tangent at (lam, u) comes from the last correction's Jacobian
         # and lam-derivative; every halving below reuses the same predictor.
         try:
-            udot = np.linalg.solve(table[:, 1:-1], -table[:, -1])
+            udot = _solve(table[:, 1:-1], -table[:, -1])
             speed = _max_norm((udot + normal).tolist())
         except np.linalg.LinAlgError:
             speed = math.inf

@@ -110,6 +110,46 @@ def random_sparse_system(
     return support_system(supports, coefficients)
 
 
+# Converged paths of each ``held_out_forced`` system, in order: 200 at n = 2
+# then 24 at n = 3, 706 in all.  Generated, while the tracker's 2 x 2 solves
+# were still LAPACK's, by
+#     [len(solve(s, SolverConfig(force=True)).solutions)
+#      for _, s in held_out_forced()]
+# (also the solution counts ``python3 tests/reference_reports.py dump``
+# records).  These are the zeros the tracker reaches, not exact zero counts:
+# a change that moves one has changed which paths converge.
+HELD_OUT_CONVERGED = (
+    4, 1, 0, 4, 4, 3, 4, 4, 1, 1, 3, 3, 4, 1, 3, 1, 0, 5, 3, 3, 4, 1, 2, 2, 5,
+    4, 3, 5, 0, 2, 6, 2, 4, 4, 7, 3, 3, 3, 4, 7, 6, 3, 3, 3, 4, 6, 4, 4, 4, 1,
+    5, 4, 7, 4, 6, 0, 1, 2, 2, 4, 3, 2, 2, 5, 4, 2, 2, 1, 6, 3, 4, 3, 7, 6, 1,
+    1, 2, 4, 1, 14, 3, 4, 5, 4, 0, 6, 3, 0, 0, 8, 4, 4, 3, 1, 1, 2, 2, 4, 2, 0,
+    2, 3, 4, 4, 2, 1, 5, 5, 2, 6, 2, 3, 0, 4, 3, 3, 6, 2, 4, 5, 3, 5, 0, 0, 4,
+    2, 7, 1, 1, 0, 4, 3, 1, 4, 5, 4, 6, 0, 2, 5, 4, 5, 1, 3, 4, 2, 2, 8, 2, 2,
+    2, 0, 0, 4, 3, 1, 3, 4, 4, 2, 4, 0, 2, 3, 2, 8, 4, 0, 4, 3, 2, 0, 0, 5, 2,
+    4, 3, 2, 7, 3, 2, 2, 4, 6, 1, 3, 4, 2, 1, 2, 3, 0, 2, 6, 3, 0, 4, 4, 0, 2,
+    3, 8, 2, 4, 2, 4, 1, 9, 2, 4, 5, 3, 4, 2, 5, 7, 2, 5, 6, 1, 2, 4, 2, 6,
+)
+
+
+def held_out_forced() -> list[tuple[str, SupportSystem]]:
+    """The 224 held-out forced systems, labelled: 20
+    ``random_sparse_system(n=2, 4-6 terms)`` from each generator seed 20-29,
+    then 8 ``random_sparse_system(n=3, 3-4 terms)`` from each seed 40-42,
+    all solved with ``force=True``."""
+    held_out = []
+    for seeds, count, n, terms in (
+        (range(20, 30), 20, 2, (4, 6)),
+        (range(40, 43), 8, 3, (3, 4)),
+    ):
+        for g in seeds:
+            rng = np.random.default_rng(g)
+            held_out += [
+                (f"n{n}_g{g}_{i:02d}", random_sparse_system(rng, n, *terms))
+                for i in range(count)
+            ]
+    return held_out
+
+
 def circuit_rows(table: CircuitTable) -> list[tuple[dict[int, int], int]]:
     """A circuit table's rows as the oracles write them, ``(coeffs, witness)``:
     the nonzero coefficients by Cayley point in column order, so the witness,

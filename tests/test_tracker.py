@@ -8,7 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import cubic_conic_system, quadratic_system, random_sparse_system
+from helpers import (
+    HELD_OUT_CONVERGED,
+    cubic_conic_system,
+    held_out_forced,
+    quadratic_system,
+    random_sparse_system,
+)
 from oracles import loop_log_h_scale, quadratic_real_roots
 from realhomotopy import (
     SolverConfig,
@@ -212,6 +218,74 @@ class TestPredictor:
         assert np.array_equal(got, u - 0.25 * udot)
 
 
+def _exact_solve(a, b):
+    """``a^-1 b`` of the float 2 x 2 system in exact rationals, with the
+    exact inf-norm condition number of ``a``."""
+    (a00, a01), (a10, a11) = [[Fraction(v) for v in row] for row in a.tolist()]
+    b0, b1 = (Fraction(v) for v in b.tolist())
+    det = a00 * a11 - a01 * a10
+    x = ((a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det)
+    norm = max(abs(a00) + abs(a01), abs(a10) + abs(a11))
+    inverse_norm = max(abs(a11) + abs(a01), abs(a10) + abs(a00)) / abs(det)
+    return x, norm * inverse_norm
+
+
+class TestSolve:
+    @staticmethod
+    def _systems():
+        """Seeded 2 x 2 systems: unit scale, entries near 1e+-150 with the
+        right-hand side at unit or the same scale, and near-singular ones."""
+        rng = np.random.default_rng(2202)
+
+        def spread(shape):
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-1, 1, shape)
+
+        for a_scale, b_scale in (
+            (1.0, 1.0),
+            (1e150, 1.0),
+            (1e150, 1e150),
+            (1e-150, 1.0),
+            (1e-150, 1e-150),
+        ):
+            for _ in range(50):
+                yield a_scale * spread((2, 2)), b_scale * spread(2)
+        for gap in (1e-4, 1e-8, 1e-12):
+            for _ in range(50):
+                rank_one = np.outer(spread(2), spread(2))
+                yield rank_one + gap * spread((2, 2)), spread(2)
+
+    def test_forward_error_against_exact_rationals(self):
+        # Cramer's rule is forward stable at n = 2 (Higham, *Accuracy and
+        # Stability of Numerical Algorithms*, 2002, 1.10.1): the rounding of
+        # det and of each numerator is within 2 eps of |a| |a^-1| |b|, which
+        # gives about 2.5 eps cond(a) |x|; 8 leaves room for the rest.
+        eps = Fraction(np.finfo(float).eps)
+        for a, b in self._systems():
+            x, cond = _exact_solve(a, b)
+            got = tracker._solve(a, b).tolist()
+            error = max(abs(Fraction(g) - v) for g, v in zip(got, x))
+            assert error <= 8 * cond * eps * max(map(abs, x)), (a, b)
+
+    def test_exactly_singular_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            tracker._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_read_as_infinite(self, bad):
+        for k in range(6):
+            a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 1.0])
+            (a.reshape(-1) if k < 4 else b)[k % 4] = bad
+            assert tracker._max_norm(tracker._solve(a, b).tolist()) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_other_sizes_are_lapack_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+            got = tracker._solve(a, b)
+            assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+
+
 class TestTracking:
     def test_quadratic_matches_formula(self):
         system = quadratic_system(1.0, 10.0, 1.0)
@@ -284,7 +358,7 @@ class TestTracking:
             # Python's max would pass over a NaN that is not in first place.
             return np.append(np.zeros(b.size - 1), np.nan)
 
-        monkeypatch.setattr(tracker.np.linalg, "solve", solve_fails)
+        monkeypatch.setattr(tracker, "_solve", solve_fails)
         assert track(homotopy, [path]) == []
         assert path.status == "failed"
         assert path.message == f"tangent solve failed at lam={-math.log(0.1):.3e}"
@@ -431,6 +505,15 @@ class TestTracking:
         for system, count in _forced_corpus():
             report = solve(system, SolverConfig(force=True))
             assert len(report.solutions) == count
+
+    def test_held_out_forced_converged_counts(self):
+        # Outside the benchmark corpora, each of the 224 held-out forced
+        # systems converges exactly its pinned number of paths.
+        counts = tuple(
+            len(solve(system, SolverConfig(force=True)).solutions)
+            for _, system in held_out_forced()
+        )
+        assert counts == HELD_OUT_CONVERGED
 
     def test_forced_corpus_fails_only_at_folds(self):
         # Generator systems 2, 8 and 10 (corpus entries 3, 9 and 11; the
