@@ -19,24 +19,45 @@ takes the same few steps at any coefficient scale, and steps shrink only where
 the path bends away from its branch.
 
 No corrector work is spent where it cannot succeed.  A step corrector stops
-as soon as an iterate fails to cut the residual fourfold, and the step is
-halved.  Without a certificate a real path can end where it meets another
-real branch and both turn complex (a fold; Li and Wang, Math. Comp. 60,
-1993), and halving toward such a turning point only spends correctors.  So
-after a step's second failed corrector ``_fold`` locates the turning point
-directly (Allgower and Georg, *Introduction to Numerical Continuation
-Methods*); when it confirms one inside the failing span, the path fails at
-once with the message ``fold at lam=...``.
+on its own contraction: as soon as an iterate fails to cut the residual
+fourfold, the step is halved; one that keeps contracting has
+``CORRECTOR_ITERS`` = 4 iterates (Deuflhard, *Newton Methods for Nonlinear
+Problems*, 2004).  Without a certificate a real path can end where it meets
+another real branch and both turn complex (a fold; Li and Wang, Math. Comp.
+60, 1993), and halving toward such a turning point only spends correctors.
+So after a step's second failed corrector, and again after its fourth
+before the path gives up, ``_fold`` locates the turning point directly
+(Allgower and Georg, *Introduction to Numerical Continuation Methods*),
+starting from the step's best near miss; when it confirms one inside the
+failing span, the path fails at once with the message ``fold at lam=...``.
+
+With three iterates, 138 of the 192 step correctors that failed on
+converging track_forced paths (seeds 1-3) stopped below 1e-4 while still
+contracting, each costing a halving and a new corrector; with four, 57 fail
+there, 6 of them below 1e-4.  On the 503 reference solves
+(``tests/reference_reports.py``, below) every solution count and path status
+stayed the same, endpoints moved by at most 1.4e-11 relative, and every
+held-out failure past the start correction now names its fold: 12 held-out
+paths used to end with "corrector failed after 3 halvings".  ``jac_dlam``
+calls fell from 4,860 to 3,855 over track_forced seeds 1-3 (accepted steps
+from 813 to 681), and on the held-out systems from 24,389 to 19,177 at n = 2
+and from 2,770 to 2,078 at n = 3.  Six iterates lost two held-out n = 2
+paths.  Longer steps also cost one zero of 585 on 200 further forced n = 2
+systems (generator seeds 50-59): a path steps across its fold onto another
+path's zero, and ``track`` fails both.  Over 20 alternating 30 s benchmark
+pairs track_forced went from a median of 472 to 532 systems/s, the change
+winning 19 (2-vCPU shared VM).
 
 At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
 ``_kernels.jac_dlam`` call and one ``_solve``, and the norms and finiteness
-tests on n-vectors read Python floats (``_max_norm``).  ``_solve`` takes a
-2 x 2 system by Cramer's rule on Python floats in about 1.1 us, where
-``np.linalg.solve`` spends 5 to 10 us, about 2 us of it in the LAPACK gufunc
-and the rest in its wrapper; other n keep ``np.linalg.solve``, as does
-``_fold``'s bordered system.  Cramer's rule is forward stable at n = 2
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 1.10.1),
-but it rounds differently from LAPACK, and that is harmless here:
+tests on n-vectors read Python floats (``_max_norm``), as do the predictor
+and the move guard, in numpy's operation order and so bit for bit.
+``_solve`` takes a 2 x 2 system by Cramer's rule on Python floats in about
+1.1 us, where ``np.linalg.solve`` spends 5 to 10 us, about 2 us of it in the
+LAPACK gufunc and the rest in its wrapper; other n keep ``np.linalg.solve``,
+as does ``_fold``'s bordered system.  Cramer's rule is forward stable at
+n = 2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+1.10.1), but it rounds differently from LAPACK, and that is harmless here:
 
 - a solve's rounding moves only the Newton iterates, never the zero they
   converge to;
@@ -55,8 +76,9 @@ its lam) stayed the same, and endpoints moved by at most 1.2e-13 relative
 held-out n = 2 reports); the n = 3 and dense_cells reports are
 bit-identical.  Over track_forced seeds 1-3, ``np.linalg.solve`` calls fell
 from 4,350 to the 132 bordered systems, for the same 4,860 ``jac_dlam``
-calls, and over 10 alternating 30 s benchmark pairs track_forced went from
-a median of 382 to 454 systems/s (2-vCPU shared VM).
+calls (with three corrector iterates), and over 10 alternating 30 s
+benchmark pairs track_forced went from a median of 382 to 454 systems/s
+(2-vCPU shared VM).
 
 Three other routes around the wrapper were ruled out: scipy's ``dgesv``
 (1.9 us) costs 0.3 s of ``import scipy.linalg`` per process, beyond the
@@ -82,12 +104,13 @@ from .mixed_cells import MixedCell
 from .binomial import RealOrthantSolution
 
 CORRECTOR_TOL = 1e-10
-CORRECTOR_ITERS = 3
+CORRECTOR_ITERS = 4
 # A step corrector stops at the first iterate that fails to cut the residual
 # to this share of the last one (see ``_newton``).
 CONTRACTION = 0.25
 # Iterate budget of the turning-point Newton (``_fold``), and the largest
-# residual at which a failed step corrector's last iterate is its start.
+# residual at which a step's failed corrector is a near miss: the fold test
+# starts from the last iterate of the step's lowest-residual near miss.
 FOLD_ITERS = 8
 FOLD_START_RESIDUAL = 0.1
 START_COORD_BOUND = 1e10
@@ -297,10 +320,12 @@ def _newton(
     With ``contract``, as for the step correctors, Newton also stops at the
     first iterate that fails to cut the residual to ``CONTRACTION`` times the
     last one, and the caller halves the step.  A corrector that converges
-    within ``CORRECTOR_ITERS`` contracts far faster: on the forced corpora no
-    such corrector is cut, so every accepted step is the one a plain Newton
-    gives.  The start correction and the endgame polish keep their full
-    budgets; applied to them as well, the rule lost converged forced paths.
+    within ``CORRECTOR_ITERS`` nearly always contracts far faster: replayed
+    as a plain Newton of as many iterates, no track_forced corrector (seeds
+    1-3) is cut that would converge, and 8 of the 4,428 on the held-out n = 2
+    systems are.  The start correction and the endgame polish keep their
+    full budgets; applied to them as well, the rule lost converged forced
+    paths.
 
     Returns the final residual (``_max_norm``, so never NaN), the final
     iterate and the kernel table ``[h | J_u | dh/dlam]`` at it: when the
@@ -330,16 +355,24 @@ def _newton(
 
 def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
     """u at ``lam - step`` on the cubic Hermite interpolant in lam through the last
-    point ``prev = (lam0, u0, udot0)`` and (lam, u, udot); the Euler step if None."""
-    euler = u - step * udot
+    point ``prev = (lam0, u0, udot0)`` and (lam, u, udot); the Euler step if None.
+
+    Evaluated on ``tolist`` Python floats in numpy's operation order, so the
+    result is bit for bit the array expression's, without its n-vector
+    temporaries."""
+    u, udot = u.tolist(), udot.tolist()
     if prev is None:
-        return euler
+        return np.array([a - step * d for a, d in zip(u, udot)])
     lam0, u0, udot0 = prev
     gap = lam0 - lam
-    slope = (u0 - u) / gap
-    curve = (slope - udot) / gap
-    cubic = (udot0 - 2.0 * slope + udot) / gap**2
-    return euler + step**2 * (curve - (step + gap) * cubic)
+    gap2, step2, reach = gap**2, step**2, step + gap
+    guess = []
+    for a, d, a0, d0 in zip(u, udot, u0.tolist(), udot0.tolist()):
+        slope = (a0 - a) / gap
+        curve = (slope - d) / gap
+        cubic = (d0 - 2.0 * slope + d) / gap2
+        guess.append((a - step * d) + step2 * (curve - reach * cubic))
+    return np.array(guess)
 
 
 def _fold(h, weights, start, lam, u, lam_low, normal):
@@ -431,18 +464,21 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     A step is accepted when the corrector converges and
     ``max|corrected - u - step * normal|`` stays within ``MAX_LOG_MOVE``.  A
     singular or non-finite tangent, or a fourth corrector failure in one
-    step, fails the path.  After the second failure in one step, ``_fold``
-    looks for a turning point below lam and above the first failed attempt's
-    lam.  It starts from the second attempt's last iterate if that is a near
-    miss (residual below ``FOLD_START_RESIDUAL``), else from the accepted
-    point.  A confirmed fold fails the path at once; otherwise the step goes
-    on halving as before.  Norms and finiteness tests on n-vectors read Python
-    floats (``_max_norm``)."""
+    step, fails the path.  After the second and after the fourth failure in
+    one step, ``_fold`` looks for a turning point below lam and above the
+    first failed attempt's lam.  It starts from the last iterate of the
+    step's failed attempt of lowest residual if that is a near miss (below
+    ``FOLD_START_RESIDUAL``), else from the accepted point.  A confirmed fold
+    fails the path at once; otherwise the step goes on halving, or after the
+    fourth failure fails with "corrector failed after 3 halvings".  Norms,
+    finiteness tests and the corrected move on n-vectors read Python floats
+    (``_max_norm``)."""
     x = np.asarray(path.x, dtype=np.float64)
     if not np.all(np.isfinite(x) & (x != 0.0)):
         raise PathDiverged("start point outside the float range")
     weights = term_signs(h, np.sign(x))[:, None] * h.weights
     normal = path.normal
+    drift = normal.tolist()
     u = np.log(np.abs(x))
     lam = -math.log(path.t)
     steps = 0
@@ -469,6 +505,8 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         if step * speed > 0.9 * MAX_LOG_MOVE:
             step = 0.9 * MAX_LOG_MOVE / speed
         newton_failures = 0
+        # The fold test's start: the step's best near miss, else the path point.
+        start, best = (lam, u, table), FOLD_START_RESIDUAL
         while True:
             lam_new = lam - step
             guess = _predict(lam, u, udot, prev, step)
@@ -483,20 +521,18 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
             )
             converged = res < CORRECTOR_TOL
             # An oversized move off the branch's drift marks an overlong step.
-            if converged and (
-                _max_norm((corrected - u - step * normal).tolist()) <= MAX_LOG_MOVE
-            ):
-                break
-            if not converged:
+            if converged:
+                moved = zip(corrected.tolist(), u.tolist(), drift)
+                if _max_norm([c - a - step * z for c, a, z in moved]) <= MAX_LOG_MOVE:
+                    break
+            else:
                 newton_failures += 1
                 if newton_failures == 1:
                     lam_low = lam_new
-                elif newton_failures == 2:
-                    # A near miss lies closer to a fold than the path point.
-                    if res < FOLD_START_RESIDUAL:
-                        start = (lam_new, corrected, corrected_table)
-                    else:
-                        start = (lam, u, table)
+                # A near miss lies closer to a fold than the path point.
+                if res < best:
+                    start, best = (lam_new, corrected, corrected_table), res
+                if newton_failures in (2, 4):
                     fold = _fold(h, weights, start, lam, u, lam_low, normal)
                     if fold is not None:
                         raise CorrectorStalled(f"fold at lam={fold:.6e}")

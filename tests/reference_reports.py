@@ -12,11 +12,17 @@ the raised exception if any, the start-solution counts, every converged
 endpoint with its accepted steps and residual, and every failed path's status
 and message.  Floats keep their exact value in JSON.
 
+``dump`` also counts each solve's ``_kernels.jac_dlam`` calls, by wrapping
+the kernel while the solve runs.
+
 ``compare`` prints, per family, how many reports differ at all, and among
 them the changes in solution count, failure status, accepted steps and
 failure message (read up to its ``lam``), and the largest relative endpoint
 difference.  A change to the tracker's arithmetic that moves only last bits
-shows as differing reports with every other column zero.
+shows as differing reports with every other column zero.  A second table
+gives both sides, as ``A -> B``, of the ``jac_dlam`` calls and of the failed
+paths by kind: fold, halvings (``corrector failed after 3 halvings``), start
+(``start point correction failed``) and other.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from helpers import held_out_forced  # noqa: E402
-from realhomotopy import SolverConfig, solve  # noqa: E402
+from realhomotopy import SolverConfig, _kernels, solve  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -50,12 +56,23 @@ def reference_solves():
 
 
 def report_record(system, config) -> dict:
-    """The parts of one solve's outcome that the comparison reads."""
+    """The parts of one solve's outcome that the comparison reads, with the
+    number of ``_kernels.jac_dlam`` calls the solve made."""
+    kernel, calls = _kernels.jac_dlam, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    _kernels.jac_dlam = counted
     try:
         report = solve(system, config)
     except Exception as exc:  # a raised solve is an outcome to compare
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return {"calls": calls[0], "error": f"{type(exc).__name__}: {exc}"}
+    finally:
+        _kernels.jac_dlam = kernel
     return {
+        "calls": calls[0],
         "starts": list(report.start_solutions),
         "solutions": [
             {"point": list(s.point), "steps": s.steps, "residual": s.residual}
@@ -91,20 +108,45 @@ def _relative(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
-def compare(path_a: Path, path_b: Path) -> None:
-    a_records = json.loads(path_a.read_text())
-    b_records = json.loads(path_b.read_text())
+# Failure kinds by message prefix, the first that matches: a confirmed fold,
+# a step that failed its fourth corrector, a start point the tracker could not
+# pull onto its path, and any other failure.
+KINDS = {
+    "fold": "fold at lam=",
+    "halvings": "corrector failed after 3 halvings",
+    "start": "start point correction failed",
+    "other": "",
+}
+
+
+def _kind(message: str) -> str:
+    return next(kind for kind, prefix in KINDS.items() if message.startswith(prefix))
+
+
+def _new_row() -> dict:
+    row = dict.fromkeys(("solves", "differ", "count", "status", "steps", "message"), 0)
+    row.update(endpoint=0.0, calls=[0, 0], kinds={kind: [0, 0] for kind in KINDS})
+    return row
+
+
+def compare_records(a_records: list[dict], b_records: list[dict]) -> dict[str, dict]:
+    """Per family, the report changes from ``a_records`` to ``b_records``, and
+    each side's ``jac_dlam`` calls and failed paths by ``KINDS``, as the pair
+    ``[a, b]``."""
     if [(r["family"], r["label"]) for r in a_records] != [
         (r["family"], r["label"]) for r in b_records
     ]:
-        sys.exit("the two dumps hold different solves")
+        raise ValueError("the two dumps hold different solves")
     rows: dict[str, dict] = {}
     for a, b in zip(a_records, b_records):
-        row = rows.setdefault(
-            a["family"],
-            dict(solves=0, differ=0, count=0, status=0, steps=0, message=0, endpoint=0.0),
-        )
+        row = rows.setdefault(a["family"], _new_row())
         row["solves"] += 1
+        for side, r in enumerate((a, b)):
+            row["calls"][side] += r.get("calls", 0)
+            for f in r.get("failures", ()):
+                row["kinds"][_kind(f[3])][side] += 1
+        a = {k: v for k, v in a.items() if k != "calls"}
+        b = {k: v for k, v in b.items() if k != "calls"}
         if a == b:
             continue
         row["differ"] += 1
@@ -125,6 +167,16 @@ def compare(path_a: Path, path_b: Path) -> None:
         for x, y in zip(sa, sb):
             for p, q in zip(x["point"], y["point"]):
                 row["endpoint"] = max(row["endpoint"], _relative(p, q))
+    return rows
+
+
+def compare(path_a: Path, path_b: Path) -> None:
+    try:
+        rows = compare_records(
+            json.loads(path_a.read_text()), json.loads(path_b.read_text())
+        )
+    except ValueError as exc:
+        sys.exit(str(exc))
     header = ("family", "solves", "differ", "count", "status", "steps", "message", "max rel endpoint")
     print("{:<18}{:>8}{:>8}{:>8}{:>8}{:>8}{:>9}{:>18}".format(*header))
     for family, row in rows.items():
@@ -133,6 +185,11 @@ def compare(path_a: Path, path_b: Path) -> None:
             f"{row['status']:>8}{row['steps']:>8}{row['message']:>9}"
             f"{row['endpoint']:>18.3g}"
         )
+    print()
+    print(f"{'family':<18}{'jac_dlam calls':>20}" + "".join(f"{k:>14}" for k in KINDS))
+    for family, row in rows.items():
+        sides = [f"{a} -> {b}" for a, b in (row["calls"], *row["kinds"].values())]
+        print(f"{family:<18}{sides[0]:>20}" + "".join(f"{v:>14}" for v in sides[1:]))
 
 
 def main(argv=None) -> None:

@@ -50,6 +50,16 @@ def _cells_and_homotopy(system):
 FORCED_EXACT_COUNTS = (6, 3, 3, 4, 2, 3, 4, 1, 4, 2, 2, 1, 1, 2, 2, 2, 2, 2, 2, 3, 1)
 
 
+# Upper bound on the jac_dlam calls of forced solves of _forced_corpus().
+# Measured with numpy 2.4: 1,620 when step correctors had 3 iterates and the
+# fold test ran once, at a step's second failed corrector, from that
+# attempt's last iterate; 1,285 with 4 iterates and the fold test also at the
+# fourth failure, each time from the step's lowest-residual failed attempt.
+# The bound leaves 5% for kernels that round differently on other numpy
+# versions (CI also runs numpy 1.24).
+FORCED_CORPUS_CALLS = 1_350
+
+
 def _forced_corpus():
     rng = np.random.default_rng(3)
     systems = [cubic_conic_system()]
@@ -508,12 +518,34 @@ class TestTracking:
 
     def test_held_out_forced_converged_counts(self):
         # Outside the benchmark corpora, each of the 224 held-out forced
-        # systems converges exactly its pinned number of paths.
-        counts = tuple(
-            len(solve(system, SolverConfig(force=True)).solutions)
-            for _, system in held_out_forced()
+        # systems converges exactly its pinned number of paths.  Every path
+        # that fails names its fold or failed its start correction: none
+        # gives up with "corrector failed after 3 halvings" at a turning
+        # point the fold test did not confirm (12 paths did while the fold
+        # test ran only at a step's second failure, from its last attempt).
+        reports = [
+            solve(system, SolverConfig(force=True)) for _, system in held_out_forced()
+        ]
+        assert tuple(len(r.solutions) for r in reports) == HELD_OUT_CONVERGED
+        kinds = Counter(
+            f.message.split(" at lam=")[0] for r in reports for f in r.failures
         )
-        assert counts == HELD_OUT_CONVERGED
+        assert "corrector failed after 3 halvings" not in kinds
+        assert set(kinds) <= {"fold", "start point correction failed"}
+
+    def test_forced_corpus_kernel_call_budget(self, monkeypatch):
+        # The step correctors' fourth iterate and the fold test's second run
+        # cut the corpus's kernel calls by a fifth; see FORCED_CORPUS_CALLS.
+        kernel, calls = _kernels.jac_dlam, []
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "jac_dlam", counted)
+        for system, _ in _forced_corpus():
+            solve(system, SolverConfig(force=True))
+        assert len(calls) <= FORCED_CORPUS_CALLS
 
     def test_forced_corpus_fails_only_at_folds(self):
         # Generator systems 2, 8 and 10 (corpus entries 3, 9 and 11; the
