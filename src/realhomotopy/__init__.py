@@ -14,11 +14,10 @@ from .errors import (
     EmptySupport,
     PathDiverged,
     RealHomotopyError,
-    SingularDirection,
     SingularExponentMatrix,
     TieDegenerate,
 )
-from .gale import GaleDual, gale_dual, horn_kapranov, supporting_hyperplane_offset
+from .gale import GaleDual, gale_dual
 from .lattice import (
     CayleyConfig,
     Lifting,
@@ -66,7 +65,6 @@ __all__ = [
     "PathState",
     "RealHomotopyError",
     "RealOrthantSolution",
-    "SingularDirection",
     "SingularExponentMatrix",
     "SolveReport",
     "SolverConfig",
@@ -81,7 +79,6 @@ __all__ = [
     "circuit_inequalities",
     "enumerate_mixed_cells",
     "gale_dual",
-    "horn_kapranov",
     "log_abs_lifting",
     "make_homotopy",
     "make_path",
@@ -90,6 +87,5 @@ __all__ = [
     "solve_real",
     "support_set",
     "support_system",
-    "supporting_hyperplane_offset",
     "track",
 ]

@@ -7,8 +7,8 @@ inconclusive; the test is sufficient, not necessary.
 
 The inequalities are the exact circuit table of ``mixed_cells``
 (``CircuitTable``), and the margins are taken from all its rows at once:
-each is ``float(zeta . w) - log(m) * |zeta|_1``, with ``zeta . w`` the
-table's own value of the row.
+each is ``zeta . w - log(m) * |zeta|_1``, with ``zeta . w`` the table's
+own float value of the row.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def certify(lifting: Lifting, table: CircuitTable) -> Certificate:
     """
     m = len(lifting)
     with np.errstate(all="ignore"):
-        margins = table.values(lifting).astype(float)
-        margins -= math.log(m) * np.abs(table.coeffs).sum(axis=1).astype(float)
+        slack = math.log(m) * np.abs(table.coeffs).sum(axis=1).astype(float)
+        margins = table.values(lifting) - slack
     return Certificate(margins=tuple(margins.tolist()), m=m)
 
 

@@ -69,7 +69,7 @@ def load_system(path: str | Path) -> SupportSystem:
 def _cell_doc(cell: MixedCell, inequality_count: int) -> dict:
     return {
         "indices": [[p + 1, q + 1] for p, q in cell.edges],
-        "normal": [float(v) for v in cell.normal],
+        "normal": list(cell.normal),
         "normal_primitive": list(cell.primitive_normal)
         if cell.primitive_normal
         else None,

@@ -23,10 +23,6 @@ class DegenerateConfiguration(RealHomotopyError):
     """Point configuration does not affinely span its ambient space."""
 
 
-class SingularDirection(RealHomotopyError):
-    """A contour-map direction annihilates a Gale dual row."""
-
-
 class PathDiverged(RealHomotopyError):
     """A path point fell outside the float range or the step size underflowed."""
 

@@ -1,22 +1,18 @@
-"""Gale duality diagnostics: kernel bases, the contour map, and its tangents.
+"""Gale duality diagnostics: the integer kernel of the homogenized Cayley points.
 
 Nothing in the certificate path depends on this module; it exists to make the
-geometry behind the certificate directly testable.  The contour map
-``phi(z) = sum_i b(i) log|<b(i), z>|`` parametrizes the reduced discriminant
-contour, and its tangent hyperplane at ``phi(z)`` has normal ``z`` and offset
-``sum_i <b(i), z> log|<b(i), z>|``.
+geometry behind the certificate directly testable.  The certificate's own
+inequalities are circuits, and a circuit is its own one-column Gale dual, so
+the reduced discriminant's contour offset ``sum_i zeta_i log|zeta_i|`` of a
+circuit reads straight off the circuit table's coefficients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import DegenerateConfiguration, SingularDirection
+from .errors import DegenerateConfiguration
 from .lattice import CayleyConfig, kernel_basis
-
-SINGULAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,41 +52,3 @@ def gale_dual(config: CayleyConfig) -> GaleDual:
         tuple(basis[j][i] for j in range(len(basis))) for i in range(config.m)
     )
     return GaleDual(rows=rows)
-
-
-def _pairings(dual: GaleDual, zeta: Sequence[float]) -> list[float]:
-    if len(zeta) != dual.codim:
-        raise ValueError(f"direction must have length {dual.codim}")
-    zmax = max((abs(z) for z in zeta), default=0.0)
-    out: list[float] = []
-    for row in dual.rows:
-        s = math.fsum(b * z for b, z in zip(row, zeta))
-        if any(row):
-            row_scale = sum(abs(b) for b in row) * zmax
-            if abs(s) < SINGULAR_RTOL * (1.0 + row_scale):
-                raise SingularDirection("direction annihilates a Gale dual row")
-        out.append(s)
-    return out
-
-
-def horn_kapranov(dual: GaleDual, zeta: Sequence[float]) -> list[float]:
-    """Evaluate the contour map; 0-homogeneous in the direction."""
-    pairings = _pairings(dual, zeta)
-    out = [0.0] * dual.codim
-    for row, s in zip(dual.rows, pairings):
-        if s == 0.0:
-            continue
-        log_s = math.log(abs(s))
-        for j, b in enumerate(row):
-            out[j] += b * log_s
-    return out
-
-
-def supporting_hyperplane_offset(dual: GaleDual, zeta: Sequence[float]) -> float:
-    """Right-hand side of the tangent hyperplane at the contour point.
-
-    Identically equal to ``<zeta, horn_kapranov(dual, zeta)>`` and bounded by
-    the entropy estimate ``0.5 * |B zeta|_1 * log(m)`` in absolute value.
-    """
-    pairings = _pairings(dual, zeta)
-    return math.fsum(s * math.log(abs(s)) for s in pairings if s != 0.0)

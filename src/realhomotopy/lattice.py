@@ -148,23 +148,23 @@ class CayleyConfig:
 
 @dataclass(frozen=True)
 class Lifting:
-    """One real height per Cayley point."""
+    """One finite float height per Cayley point.
 
-    values: tuple[Scalar, ...]
+    Liftings are the logs of coefficients (``log_abs_lifting``), so they
+    are floats; exactness lives in the integer circuits they are checked
+    against.  Any other value, int, Fraction and bool included, and any
+    NaN or infinity, raises ValueError.
+    """
+
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         for v in self.values:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("lifting values must be finite")
+            if not isinstance(v, float) or not math.isfinite(v):
+                raise ValueError(f"lifting values must be finite floats, got {v!r}")
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def as_floats(self) -> list[float]:
-        return [float(v) for v in self.values]
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +256,17 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
     return det_adjugate(matrix)[0]
 
 
-def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[Scalar]) -> list[Scalar]:
-    """Solve an integer square system for a rational or float right-hand side.
+def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[float]) -> list[float]:
+    """Solve an integer square system for a float right-hand side.
 
     Takes det and the exact adjugate from one ``det_adjugate`` pass, so the
-    only rounding is one multiply-add per entry when the right-hand side is
-    float; Fraction input stays exact.
+    only rounding is one multiply-add per entry and one division.
     """
     det, adj = det_adjugate(matrix)
     if det == 0:
         raise SingularExponentMatrix("singular exponent matrix")
     n = len(matrix)
-    out: list[Scalar] = []
-    for i in range(n):
-        acc = sum(adj[i][j] * rhs[j] for j in range(n))
-        if isinstance(acc, (int, Fraction)):
-            out.append(Fraction(acc, det))
-        else:
-            out.append(acc / det)
-    return out
+    return [sum(adj[i][j] * rhs[j] for j in range(n)) / det for i in range(n)]
 
 
 def _unimodular_row_echelon(

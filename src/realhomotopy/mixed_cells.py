@@ -24,10 +24,10 @@ gamma leaves some point clearly above its block's face.  Both screens take a
 row's float determinant and gamma from the closed-form 2 x 2 adjugate at
 n = 2 (exact products wherever the singular test applies, and no LAPACK
 wrapper to pay per batch), and from ``np.linalg.det`` and ``np.linalg.solve``
-at every other n.  Floats only ever discard: every survivor is decided by
-the exact test (integer determinant, exact solve for gamma, and the signs
-and ties of its circuits), and the screens' tolerances make each candidate
-they drop one the exact test rejects.  Cells, normals, circuits and
+at every other n.  The screens only ever discard: every survivor is decided
+by the exact test (integer determinant and circuits, and the signs and ties
+of the circuits' values on the lifting), and the screens' tolerances make
+each candidate they drop one the exact test rejects.  Cells, normals, circuits and
 TieDegenerate are therefore those of the exact test run on every candidate.
 
 The screens are split in two.  A plan (``_ScreenPlan``) holds all they read
@@ -46,7 +46,7 @@ a pass's 32 cells repeat an earlier system's edges.
 The circuits of all survivors of a solve are built in one pass as one exact
 table (``CircuitTable``: object arrays of Python ints, one row per circuit),
 from the fraction-free determinant and adjugate of each n x n edge matrix,
-and evaluated on the lifting once.  The table is the only form of a circuit
+and evaluated on the float lifting once.  The table is the only form of a circuit
 inequality: the cells keep their rows, and the certificate reads the same
 table and values.
 
@@ -70,7 +70,6 @@ from .errors import EmptySupport, SingularExponentMatrix, TieDegenerate
 from .lattice import (
     CayleyConfig,
     Lifting,
-    Scalar,
     det_adjugate,
     int_det,
     kernel_basis,
@@ -95,7 +94,7 @@ class MixedCell:
     """
 
     edges: tuple[tuple[int, int], ...]
-    normal: tuple[Scalar, ...]
+    normal: tuple[float, ...]
     volume: int
 
     @functools.cached_property
@@ -123,7 +122,7 @@ class CircuitTable:
         self.points = points
         self.coeffs = coeffs
         # The values of the last lifting evaluated, keyed by its values tuple.
-        self._values: tuple[tuple[Scalar, ...], np.ndarray] | None = None
+        self._values: tuple[tuple[float, ...], np.ndarray] | None = None
 
     def take(self, rows: np.ndarray) -> CircuitTable:
         """The given rows, in order, with the values already evaluated."""
@@ -133,23 +132,28 @@ class CircuitTable:
         return out
 
     def values(self, lifting: Lifting) -> np.ndarray:
-        """``zeta . w`` per row as an object array (read only).
+        """``zeta . w`` per row in float64 (read only).
 
-        Each row sums from the integer 0 column by column, so a float value
-        is bit for bit ``sum(c * w[k])`` over the row's nonzero coefficients
-        in column order.  A zero coefficient adds the integer 0 instead of
-        being skipped, which changes no bit: a running sum that starts at 0
-        is never -0.0.  The last lifting's values are kept, so enumeration
-        evaluates a table once and the certificate reads the same values.
+        Each row sums from 0.0 one column at a time, so a value is bit for
+        bit ``sum(c * w[k])`` over the row's nonzero coefficients in column
+        order, each integer coefficient rounded to a float as Python does.
+        A zero coefficient adds a zero of either sign, which changes no bit:
+        a running sum that starts at 0.0 is never -0.0.  ``terms.sum(axis=1)``
+        would not do: numpy's pairwise, unrolled reduction sums rows of 9 or
+        more columns (n >= 4) in another order.  The last lifting's values
+        are kept, so enumeration evaluates a table once and the certificate
+        reads the same values.
         """
         if self._values is None or self._values[0] is not lifting.values:
-            w = np.array(lifting.values, dtype=object)
-            terms = self.coeffs * w[self.points]
-            terms[self.coeffs == 0] = 0
-            self._keep(lifting.values, np.add.reduce(terms, axis=1, initial=0))
+            w = np.array(lifting.values, dtype=float)
+            terms = self.coeffs.astype(float) * w[self.points]
+            values = np.zeros(len(terms))
+            for column in terms.T:
+                values += column
+            self._keep(lifting.values, values)
         return self._values[1]
 
-    def _keep(self, lifting: tuple[Scalar, ...], values: np.ndarray) -> None:
+    def _keep(self, lifting: tuple[float, ...], values: np.ndarray) -> None:
         # Every reader gets this one array, so none may write to it.
         values.flags.writeable = False
         self._values = (lifting, values)
@@ -183,22 +187,13 @@ def mixed_cell_count_bound(n: int, t: int) -> int:
 
 
 def _primitive_direction(
-    vec: Sequence[Scalar], rtol: float = 1e-9, max_den: int = 64
+    floats: Sequence[float], rtol: float = 1e-9, max_den: int = 64
 ) -> tuple[int, ...] | None:
     """Rescale a vector to a primitive integer vector of the same direction.
 
     Returns None when no small-denominator rational direction matches within
-    ``rtol``; exact rational input always succeeds.
+    ``rtol``.
     """
-    if all(isinstance(v, (int, Fraction)) for v in vec):
-        fracs = [Fraction(v) for v in vec]
-        denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * denom) for f in fracs]
-        if not any(ints):
-            return None
-        g = math.gcd(*ints)
-        return tuple(v // g for v in ints)
-    floats = [float(v) for v in vec]
     pivot = max(range(len(floats)), key=lambda i: abs(floats[i]))
     if floats[pivot] == 0.0:
         return None
@@ -218,7 +213,7 @@ def _primitive_direction(
     return tuple(ints)
 
 
-def _order_edge(p: int, q: int, lifted: Sequence[Scalar]) -> tuple[int, int]:
+def _order_edge(p: int, q: int, lifted: Sequence[float]) -> tuple[int, int]:
     # Lower-lifted point first; deterministic tiebreak by index.
     if (lifted[p], p) <= (lifted[q], q):
         return p, q
@@ -496,10 +491,10 @@ class _FloatScreen:
     bound reads the plan's ``reach``.
     """
 
-    def __init__(self, plan: _ScreenPlan, lifting: Sequence[Scalar]) -> None:
+    def __init__(self, plan: _ScreenPlan, lifting: Sequence[float]) -> None:
         self.plan = plan
         n = plan.n
-        self.lift = np.array([float(v) for v in lifting])
+        self.lift = np.array(lifting, dtype=float)
         self.rhs = (self.lift[plan.second] - self.lift[plan.first]) / plan.grain
         self.scale = 1.0 + float(np.abs(self.lift).max())
 
@@ -654,15 +649,15 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     they and the circuit table read the configuration's cached plan
     (``_plan``), so a second coefficient vector on a support pays only the
     lifting's share of the screens.
-    Each survivor gets an integer determinant and an exact solve for gamma
-    (the normal).  Then one ``_circuit_table`` pass builds the circuit
-    inequalities of every survivor, one per excluded point, and evaluates
-    them on the lifting: a row's value is ``|zeta[witness]|`` times the
-    witness's exclusion margin.  A survivor is a cell when all its rows are
-    positive, and those rows are its inequalities.  A negative row rejects
-    it; otherwise a margin inside the tie tolerance raises TieDegenerate for
-    the first such survivor.  Exact (int or Fraction) liftings decide on the
-    sign of the exact value instead.
+    Each survivor gets an integer determinant and its float gamma (the
+    negated normal) from the exact adjugate (``solve_exact``).  Then one
+    ``_circuit_table`` pass builds the exact circuit inequalities of every
+    survivor, one per excluded point, and evaluates them on the float
+    lifting: a row's value over ``|zeta[witness]|`` is the witness's
+    exclusion margin.  A survivor is a cell when all its margins are
+    positive, and its rows are its inequalities.  A negative margin rejects
+    it; otherwise a margin within ``TIE_RTOL * (1 + max|w|)`` of zero raises
+    TieDegenerate for the first such survivor.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
@@ -685,11 +680,9 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
         survivors.append((edges, MixedCell(local, tuple(-g for g in gamma), abs(det))))
 
     table = _circuit_table(plan, [edges for edges, _ in survivors])
-    margin = table.values(lifting)
-    if not lifting.is_exact():
-        with np.errstate(all="ignore"):
-            margin = margin.astype(float) / -table.coeffs[:, -1].astype(float)
-            margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
+    with np.errstate(all="ignore"):
+        margin = table.values(lifting) / -table.coeffs[:, -1].astype(float)
+        margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
     per_cell = plan.m - 2 * n
     margin = margin.reshape(len(survivors), per_cell)
     # A violated margin rejects the candidate outright; a tie only makes the

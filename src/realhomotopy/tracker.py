@@ -161,7 +161,7 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     Exponents are normalized per equation so the dominant term carries t**0;
     per-equation shifts only rescale equations and leave the zero set alone.
     """
-    w = lifting.as_floats()
+    w = lifting.values
     exps: list[tuple[int, ...]] = []
     vexp: list[float] = []
     offs = [0]
@@ -216,12 +216,13 @@ class TrackedSolution:
 
 def start_point(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> np.ndarray:
     """The truncated branch point ``sol * t0**normal``."""
-    zeta = [float(z) for z in cell.normal]
-    return np.array([s * t0**z for s, z in zip(sol.point, zeta)], dtype=np.float64)
+    return np.array(
+        [s * t0**z for s, z in zip(sol.point, cell.normal)], dtype=np.float64
+    )
 
 
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
-    normal = np.array([float(z) for z in cell.normal], dtype=np.float64)
+    normal = np.array(cell.normal, dtype=np.float64)
     return PathState(t=t0, x=start_point(cell, sol, t0), normal=normal)
 
 

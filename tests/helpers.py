@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -108,6 +109,13 @@ def random_sparse_system(
         for sup in supports
     ]
     return support_system(supports, coefficients)
+
+
+def dyadic(nums: Sequence[int], shifts: Sequence[int]) -> tuple[float, ...]:
+    """Lifting values ``nums[i] / 2**shifts[i]``.  With small numerators
+    these floats, and the sums of their small integer multiples that circuit
+    values are, are exact, so a tie is an exact zero."""
+    return tuple(math.ldexp(int(a), -int(b)) for a, b in zip(nums, shifts))
 
 
 # Converged paths of each ``held_out_forced`` system, in order: 200 at n = 2

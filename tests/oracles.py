@@ -278,8 +278,7 @@ def brute_force_mixed_cells(
     """
     n = config.n
     values = list(lifting.values)
-    exact = lifting.is_exact()
-    scale = 1.0 + max(abs(float(v)) for v in values)
+    scale = 1.0 + max(abs(v) for v in values)
     blocks = [config.block_indices(i) for i in range(n)]
     for i, blk in enumerate(blocks):
         if len(blk) < 2:
@@ -306,11 +305,7 @@ def brute_force_mixed_cells(
                 if k in edges[i]:
                     continue
                 margin = face - (sum(g * c for g, c in zip(gamma, base[k])) + values[k])
-                if exact:
-                    tie = margin == 0
-                else:
-                    tie = abs(float(margin)) < TIE_RTOL * scale
-                if tie:
+                if abs(margin) < TIE_RTOL * scale:
                     tied_point = k
                 elif margin < 0:
                     feasible = False

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from helpers import (
     EXPECTED_CERT_MIN_MARGIN,
     EXPECTED_CERT_VERDICT,
     circuit_rows,
+    dyadic,
     quadratic_system,
     random_sparse_system,
 )
@@ -121,19 +121,22 @@ class TestCircuitTable:
         systems = [cubic_conic]
         systems += [random_sparse_system(rng, n=2) for _ in range(8)]
         systems += [random_sparse_system(rng, n=3, max_terms=4) for _ in range(4)]
+        # Rows of 2n + 1 = 9 columns, where numpy's own row sums would add
+        # the terms in another order.
+        systems += [random_sparse_system(rng, n=4, max_terms=4) for _ in range(3)]
         cases = [(system, log_abs_lifting(system)) for system in systems]
         exact = random_sparse_system(rng, n=2, min_terms=4)
         m = build_cayley(exact).m
         nums = rng.integers(-(10**6), 10**6, size=m).tolist()
-        dens = rng.integers(1, 1000, size=m).tolist()
-        cases.append((exact, Lifting(values=tuple(map(Fraction, nums, dens)))))
+        shifts = rng.integers(0, 10, size=m).tolist()
+        cases.append((exact, Lifting(values=dyadic(nums, shifts))))
         for system, lifting in cases:
             table = enumerate_mixed_cells(build_cayley(system), lifting).inequalities
             assert table
             w, log_m = lifting.values, math.log(len(lifting))
             # Each row's terms summed in the table's column order.
             want = tuple(
-                float(sum(c * w[k] for k, c in coeffs.items()))
+                sum(c * w[k] for k, c in coeffs.items())
                 - log_m * sum(abs(c) for c in coeffs.values())
                 for coeffs, _ in circuit_rows(table)
             )

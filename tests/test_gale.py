@@ -8,14 +8,10 @@ import pytest
 from helpers import random_sparse_system
 from realhomotopy import (
     DegenerateConfiguration,
-    SingularDirection,
     build_cayley,
     gale_dual,
-    horn_kapranov,
-    supporting_hyperplane_offset,
     support_system,
 )
-from realhomotopy.gale import GaleDual
 
 
 def _homogenized(config):
@@ -73,55 +69,6 @@ class TestGaleDual:
 
 
 class TestContourMap:
-    def test_reference_value(self):
-        dual = GaleDual(rows=((1,), (-2,), (1,)))
-        phi = horn_kapranov(dual, [1.0])
-        assert phi[0] == pytest.approx(-2.0 * math.log(2.0), rel=1e-14)
-        offset = supporting_hyperplane_offset(dual, [1.0])
-        assert offset == pytest.approx(-2.0 * math.log(2.0), rel=1e-14)
-
-    def test_zero_homogeneity(self, rng):
-        system = support_system([[[0], [1], [2], [4]]], [[1.0, 1.0, 1.0, 1.0]])
-        dual = gale_dual(build_cayley(system))
-        for _ in range(50):
-            zeta = rng.normal(size=dual.codim)
-            lam = float(rng.uniform(0.1, 10.0))
-            a = horn_kapranov(dual, list(zeta))
-            b = horn_kapranov(dual, list(lam * zeta))
-            assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
-
-    def test_offset_identity(self, rng):
-        system = support_system([[[0], [1], [2], [4], [7]]], [[1.0] * 5])
-        dual = gale_dual(build_cayley(system))
-        for _ in range(1000):
-            zeta = list(rng.normal(size=dual.codim))
-            try:
-                phi = horn_kapranov(dual, zeta)
-            except SingularDirection:
-                continue
-            lhs = sum(z * p for z, p in zip(zeta, phi))
-            rhs = supporting_hyperplane_offset(dual, zeta)
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-    def test_offset_degree_one(self, rng):
-        system = support_system([[[0], [1], [3], [5]]], [[1.0] * 4])
-        dual = gale_dual(build_cayley(system))
-        zeta = list(rng.normal(size=dual.codim))
-        for lam in (0.5, 2.0, 9.0):
-            a = supporting_hyperplane_offset(dual, [lam * z for z in zeta])
-            b = lam * supporting_hyperplane_offset(dual, zeta)
-            assert a == pytest.approx(b, rel=1e-10)
-
-    def test_singular_direction(self):
-        system = support_system([[[0], [1], [2], [3]]], [[1.0] * 4])
-        dual = gale_dual(build_cayley(system))
-        assert dual.codim == 2
-        row = next(r for r in dual.rows if any(r))
-        # Perpendicular to a nonzero row: the pairing vanishes.
-        zeta = [float(-row[1]), float(row[0])]
-        with pytest.raises(SingularDirection):
-            horn_kapranov(dual, zeta)
-
     def test_entropy_bound(self, rng):
         for _ in range(5):
             system = random_sparse_system(rng, min_terms=4, max_terms=6)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import CUBIC_POWERS, CONIC_POWERS
 from oracles import bareiss_det, cofactor_adjugate
 from realhomotopy import (
+    Lifting,
     build_cayley,
     log_abs_lifting,
     support_set,
@@ -81,6 +83,20 @@ class TestCayley:
 
 
 class TestLifting:
+    @pytest.mark.parametrize(
+        "value",
+        [1, Fraction(1, 2), True, math.nan, math.inf, -math.inf],
+        ids=["int", "fraction", "bool", "nan", "inf", "-inf"],
+    )
+    def test_rejects_what_is_not_a_finite_float(self, value):
+        with pytest.raises(ValueError, match="finite floats"):
+            Lifting(values=(0.5, value))
+
+    def test_accepts_numpy_floats(self):
+        values = tuple(np.array([0.5, -2.0]))
+        assert isinstance(values[0], np.float64)
+        assert Lifting(values=values).values == (0.5, -2.0)
+
     def test_unit_coefficient_lifts_to_zero(self):
         system = support_system([[[0], [1]]], [[1.0, -math.e]])
         lifting = log_abs_lifting(system)
@@ -200,8 +216,9 @@ class TestExactLinearAlgebra:
         assert singular > 300 and swapped > 300
 
     def test_solve_exact_fractions(self):
-        sol = solve_exact([[2, 0], [1, 3]], [Fraction(4), Fraction(7)])
-        assert sol == [Fraction(2), Fraction(5, 3)]
+        # Each entry is the exact rational solution rounded once.
+        sol = solve_exact([[2, 0], [1, 3]], [4.0, 7.0])
+        assert sol == [float(Fraction(2)), float(Fraction(5, 3))]
 
     def test_solve_exact_floats(self):
         sol = solve_exact([[2, 0], [0, 4]], [1.0, 2.0])

@@ -17,6 +17,7 @@ from helpers import (
     dense_support,
     dense_system,
     dense_system_n,
+    dyadic,
     random_sparse_system,
 )
 from oracles import (
@@ -213,15 +214,16 @@ class TestScreenEquivalence:
             assert cells.total_volume() == 9
 
     def test_exact_liftings(self, rng):
+        # Integer-valued and dyadic float liftings, whose circuit values are
+        # exact.
         for _ in range(10):
             system = random_sparse_system(rng, n=2, min_terms=3, max_terms=6)
             m = sum(len(s) for s in system.supports)
-            ints = tuple(int(v) for v in rng.integers(-50, 51, size=m))
+            ints = tuple(float(v) for v in rng.integers(-50, 51, size=m))
             nums = rng.integers(-500, 501, size=m)
-            dens = rng.integers(1, 40, size=m)
-            fracs = tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+            shifts = rng.integers(0, 6, size=m)
             _assert_matches_brute_force(system, Lifting(values=ints))
-            _assert_matches_brute_force(system, Lifting(values=fracs))
+            _assert_matches_brute_force(system, Lifting(values=dyadic(nums, shifts)))
 
     def test_supports_scaled_by_2_40(self, rng):
         for _ in range(6):
@@ -276,9 +278,9 @@ class TestScreenEquivalence:
         # Edges (0, 1), (0, 2) and (1, 2) tie with the other one of points
         # 0-2 but leave point 3 above their face; only (0, 3) is a cell.
         system = support_system([[[0], [1], [2], [3]]], [[1.0, 1.0, 1.0, 1.0]])
-        for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
-            cells = _assert_matches_brute_force(system, Lifting(values=values))
-            assert [c.edges for c in cells.cells] == [((0, 3),)]
+        lifting = Lifting(values=(0.0, 0.0, 0.0, 1.0))
+        cells = _assert_matches_brute_force(system, lifting)
+        assert [c.edges for c in cells.cells] == [((0, 3),)]
 
 
 def _product_batch(points, values):
@@ -535,21 +537,25 @@ DIAMOND = support_system(
     [[[0, 1], [1, 1], [2, 1], [1, 0], [1, 2]], [[0, 0], [3, 1], [1, 3], [1, 1]]],
     [[1.0] * 5, [1.0] * 4],
 )
-DIAMOND_VALUES = (0, 0, 0, 1, 1, 0, 7, 3, 11)
+DIAMOND_VALUES = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 7.0, 3.0, 11.0)
+
+
+def _as_fractions(values):
+    return [Fraction(v) for v in values]
 
 
 def _planted_tie():
-    """DIAMOND_VALUES with the last excluded point of block 1 lifted onto the
-    face of the last cell, an int lifting that ties on that cell."""
+    """DIAMOND_VALUES with the last excluded point of block 1 lifted exactly
+    onto the face of the last cell, a lifting that ties on that cell."""
     config = build_cayley(DIAMOND)
     cells = enumerate_mixed_cells(config, Lifting(values=DIAMOND_VALUES))
     cell = cells.cells[-1]
     coeffs, k = circuit_rows(circuit_inequalities(cell, config))[-1]
     assert config.block[k] == 1 and coeffs[k] == -1
     values = list(DIAMOND_VALUES)
-    values[k] += _exclusion_margin(config, values, cell, k)
-    assert isinstance(values[k], Fraction) and values[k].denominator == 1
-    values[k] = int(values[k])
+    margin = _exclusion_margin(config, _as_fractions(values), cell, k)
+    assert margin.denominator == 1
+    values[k] += float(margin)
     return Lifting(values=tuple(values))
 
 
@@ -566,7 +572,8 @@ class TestTiesInTwoVariables:
         # The first candidate ties on point 2 with tip 3 or 4 above its face.
         config = build_cayley(DIAMOND)
         first = MixedCell(edges=((0, 1), (0, 1)), normal=(), volume=0)
-        margins = [_exclusion_margin(config, DIAMOND_VALUES, first, k) for k in (2, 3, 4)]
+        values = _as_fractions(DIAMOND_VALUES)
+        margins = [_exclusion_margin(config, values, first, k) for k in (2, 3, 4)]
         assert margins[0] == 0 and min(margins[1:]) < 0
         cells = _assert_matches_brute_force(DIAMOND, Lifting(values=DIAMOND_VALUES))
         assert cells.total_volume() == 8
@@ -651,15 +658,15 @@ class TestUpperEdgeScreen:
             _assert_keeps_upper_edges(system, generic=True)
 
     def test_exact_liftings(self, rng):
+        # Integer-valued and dyadic float liftings, with many ties.
         for _ in range(8):
             system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
             m = sum(len(s) for s in system.supports)
-            ints = tuple(int(v) for v in rng.integers(-3, 4, size=m))
+            ints = tuple(float(v) for v in rng.integers(-3, 4, size=m))
             nums = rng.integers(-50, 51, size=m)
-            dens = rng.integers(1, 5, size=m)
-            fracs = tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+            shifts = rng.integers(0, 3, size=m)
             _assert_keeps_upper_edges(system, Lifting(values=ints))
-            _assert_keeps_upper_edges(system, Lifting(values=fracs))
+            _assert_keeps_upper_edges(system, Lifting(values=dyadic(nums, shifts)))
 
     def test_supports_scaled_by_2_40(self, rng):
         # Scaling the supports scales gamma and keeps the upper-hull edges.
@@ -681,10 +688,9 @@ class TestUpperEdgeScreen:
 
     def test_univariate_ties(self):
         system = support_system([[[0], [1], [2], [3]]], [[1.0, 1.0, 1.0, 1.0]])
-        for values in [(0, 0, 0, 1), (0.0, 0.0, 0.0, 1.0)]:
-            _assert_keeps_upper_edges(system, Lifting(values=values))
+        _assert_keeps_upper_edges(system, Lifting(values=(0.0, 0.0, 0.0, 1.0)))
         # All four points tie, so every pair lies on the upper face.
-        kept = _assert_keeps_upper_edges(system, Lifting(values=(0, 0, 0, 0)))
+        kept = _assert_keeps_upper_edges(system, Lifting(values=(0.0,) * 4))
         assert kept == [list(itertools.combinations(range(4), 2))]
 
 
@@ -744,8 +750,8 @@ class TestScreenPlan:
     """One plan per support serves every lifting of it, as a cold build does."""
 
     def test_warm_plan_equals_cold_build(self, rng, fresh_plans):
-        # A coefficient family on DIAMOND's support: float, int and Fraction
-        # liftings, and a planted tie.
+        # A coefficient family on DIAMOND's support: log, integer-valued and
+        # dyadic liftings, and a planted tie.
         supports = [s.points for s in DIAMOND.supports]
         m = build_cayley(DIAMOND).m
         liftings = [Lifting(values=DIAMOND_VALUES), _planted_tie()]
@@ -754,9 +760,9 @@ class TestScreenPlan:
             coeffs = [signs[:5].tolist(), signs[5:].tolist()]
             liftings.append(log_abs_lifting(support_system(supports, coeffs)))
             ints = rng.integers(-50, 51, size=m).tolist()
-            liftings.append(Lifting(values=tuple(ints)))
-            dens = rng.integers(1, 40, size=m).tolist()
-            liftings.append(Lifting(values=tuple(map(Fraction, ints, dens))))
+            liftings.append(Lifting(values=tuple(map(float, ints))))
+            shifts = rng.integers(0, 6, size=m).tolist()
+            liftings.append(Lifting(values=dyadic(ints, shifts)))
         cold = []
         for lifting in liftings:
             mixed_cells._cached_plan.cache_clear()
@@ -949,34 +955,37 @@ class TestCircuits:
                     assert sum(coeffs.values()) == 0
 
     def test_value_is_scaled_margin(self, rng):
-        # zeta . w / -zeta[witness] is the witness's exclusion margin,
-        # exactly for int and Fraction liftings.
+        # zeta . w / -zeta[witness] is the witness's exclusion margin, within
+        # rounding for log liftings and exactly for integer-valued and dyadic
+        # ones, whose circuit values are exact.
         for n, count in ((2, 8), (3, 4)):
             for _ in range(count):
                 system = random_sparse_system(rng, n=n, min_terms=3, max_terms=5)
                 config = build_cayley(system)
                 m = config.m
                 ints = rng.integers(-10**6, 10**6, size=m).tolist()
-                dens = rng.integers(1, 1000, size=m).tolist()
+                shifts = rng.integers(0, 10, size=m).tolist()
                 liftings = [
-                    log_abs_lifting(system),
-                    Lifting(values=tuple(ints)),
-                    Lifting(values=tuple(Fraction(a, b) for a, b in zip(ints, dens))),
+                    (log_abs_lifting(system), False),
+                    (Lifting(values=tuple(map(float, ints))), True),
+                    (Lifting(values=dyadic(ints, shifts)), True),
                 ]
-                for lifting in liftings:
+                for lifting, exact in liftings:
                     values = lifting.values
-                    scale = 1.0 + max(abs(float(v)) for v in values)
+                    fractions = _as_fractions(values)
+                    scale = 1.0 + max(abs(v) for v in values)
                     cells = enumerate_mixed_cells(config, lifting).cells
                     assert cells
                     for cell in cells:
                         table = circuit_inequalities(cell, config)
                         rows = circuit_rows(table)
                         for value, (coeffs, k) in zip(table.values(lifting), rows):
-                            want = _exclusion_margin(config, values, cell, k)
-                            if lifting.is_exact():
-                                assert Fraction(value, -coeffs[k]) == want
+                            if exact:
+                                want = _exclusion_margin(config, fractions, cell, k)
+                                assert Fraction(value) / -coeffs[k] == want
                             else:
                                 got = value / -coeffs[k]
+                                want = _exclusion_margin(config, values, cell, k)
                                 assert abs(got - want) <= 1e-12 * scale
 
     def test_witness_entry_is_cell_volume(self, cubic_conic):
