@@ -37,14 +37,7 @@ from .mixed_cells import (
     mixed_cell_count_bound,
 )
 from .pipeline import SolveReport, SolverConfig, solve
-from .tracker import (
-    HomotopySystem,
-    PathState,
-    TrackedSolution,
-    make_homotopy,
-    make_path,
-    track,
-)
+from .tracker import TrackedSolution, make_homotopy, make_path, track
 
 __version__ = "0.1.0"
 
@@ -57,12 +50,10 @@ __all__ = [
     "DegenerateConfiguration",
     "EmptySupport",
     "GaleDual",
-    "HomotopySystem",
     "Lifting",
     "MixedCell",
     "MixedCellSet",
     "PathDiverged",
-    "PathState",
     "RealHomotopyError",
     "RealOrthantSolution",
     "SingularExponentMatrix",

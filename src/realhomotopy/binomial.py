@@ -30,7 +30,11 @@ RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class BinomialSystem:
-    """Rows of exponent differences and the matching coefficient ratios."""
+    """Rows of exponent differences and the matching coefficient ratios.
+
+    Each ratio is nonzero, and a float ratio is finite: an inf or NaN has no
+    log, and the residual check would pass the NaNs that it makes.
+    """
 
     exponents: tuple[tuple[int, ...], ...]
     rhs: tuple[Scalar, ...]
@@ -42,6 +46,8 @@ class BinomialSystem:
         for r in self.rhs:
             if r == 0:
                 raise ValueError("binomial right-hand sides must be nonzero")
+            if isinstance(r, float) and not math.isfinite(r):
+                raise ValueError("binomial right-hand sides must be finite")
 
     @property
     def n(self) -> int:
@@ -59,9 +65,15 @@ class RealOrthantSolution:
 def binomial_from_cell(cell: MixedCell, system: SupportSystem) -> BinomialSystem:
     """The two-term system a mixed cell leaves behind at the toric limit.
 
-    Row i is the exponent difference of the cell's edge in equation i, first
-    listed point on the left.  Moving the second term across the equality
-    flips its sign, hence the ratio -c2/c1.
+    Row i is the exponent difference of the cell's edge ``(p, q)`` in
+    equation i, point p on the left.  Moving the second term across the
+    equality flips its sign, hence the ratio ``-c_q / c_p``.
+
+    The ratio is the float quotient when both coefficients are floats and the
+    quotient is finite, and otherwise the exact ``Fraction``: no int is ever
+    converted to a float, and a quotient of floats that overflows (as
+    ``1.0 / 1e-320`` does) is kept exact.  Point p has the smaller lifting
+    ``log|c|``, so ``|c_p| <= |c_q|`` and the quotient cannot underflow.
     """
     rows: list[tuple[int, ...]] = []
     rhs: list[Scalar] = []
@@ -69,12 +81,14 @@ def binomial_from_cell(cell: MixedCell, system: SupportSystem) -> BinomialSystem
         a = system.supports[i].points[p]
         b = system.supports[i].points[q]
         rows.append(tuple(x - y for x, y in zip(a, b)))
-        c1 = system.coefficients[i][p]
-        c2 = system.coefficients[i][q]
-        if isinstance(c1, (int, Fraction)) and isinstance(c2, (int, Fraction)):
-            rhs.append(-Fraction(c2) / Fraction(c1))
-        else:
-            rhs.append(-float(c2) / float(c1))
+        c_p = system.coefficients[i][p]
+        c_q = system.coefficients[i][q]
+        if isinstance(c_p, float) and isinstance(c_q, float):
+            r = -c_q / c_p
+            if math.isfinite(r):
+                rhs.append(r)
+                continue
+        rhs.append(-Fraction(c_q) / Fraction(c_p))
     return BinomialSystem(exponents=tuple(rows), rhs=tuple(rhs))
 
 

@@ -45,10 +45,9 @@ def certify(lifting: Lifting, table: CircuitTable) -> Certificate:
     exactly when all margins are strictly positive.  With no excluded points
     anywhere (every support is already an edge) the table has no rows and the
     certificate passes vacuously.  Such binomial systems are still tracked,
-    from the binomial solver's start, and at extreme scales that start
-    leaves the float range: ``solve`` on ``x^3 - 10^-320`` fails its one
-    path ("start point outside the float range"), although the zero, about
-    2.2e-107, is an ordinary float (ROADMAP item 3 starts paths in log form).
+    from the binomial solver's start, which the tracker forms in log
+    coordinates: ``solve`` on ``x^3 - 10^-320`` returns its zero, about
+    2.2e-107, although the start point in x underflows.
 
     The margins are read off the table all rows at once, using the values
     enumeration already took when the table is a ``MixedCellSet``'s and the

@@ -4,12 +4,23 @@ The deformation multiplies the coefficient of each term by ``t**(w_max - w)``,
 where w is the term's log-coefficient lifting and w_max the largest lifting in
 its equation.  At t = 1 this is exactly the input system; as t -> 0 each
 equation degenerates to the two terms of a mixed cell's edge.  Paths start on
-the truncated branch ``sol * t0**normal`` and are continued in the log
-parameter ``lam = -log t``, entirely in real arithmetic: a cubic Hermite
-predictor through the last two points and their Davidenko tangents, doubled
-steps sized down to their predicted move, and a Newton corrector.  A path keeps
-the orthant ``s`` of its start and is tracked in ``u = log|x|`` (see
-``_kernels``), where it can neither cross a coordinate hyperplane nor overflow.
+the cell's truncated branch ``x = sol * t**normal``, as in the polyhedral
+homotopy of Huber and Sturmfels (Math. Comp. 64, 1995), and are continued in
+the log parameter ``lam = -log t``, entirely in real arithmetic: a cubic
+Hermite predictor through the last two points and their Davidenko tangents,
+doubled steps sized down to their predicted move, and a Newton corrector.  A
+path keeps the orthant ``s`` of its start and is tracked in ``u = log|x|``
+(see ``_kernels``), where it can neither cross a coordinate hyperplane nor
+overflow.
+
+The start is formed from the cell and the orthant alone.  On a cell's edge
+``(p, q)`` the binomial solution satisfies ``D log|sol| = w_q - w_p``, and
+with the lifting ``w = log|c|`` the normal satisfies ``D normal = w_p - w_q``,
+so ``log|sol| = -normal``: the truncated branch is the line
+``u = -(1 + lam) * normal``.  A path starts on it at ``lam = -log t0``
+(``make_path``) and never forms its start in x, so a start whose x would
+overflow or underflow is tracked like any other.  Only ``select_t0`` still
+forms ``sol * t0**normal`` in x, to score the candidate t0.
 
 Steps are sized in the frame of the path's cell.  The truncated branch moves
 ``u`` by ``-normal`` per unit lam, a drift known in advance, so both the cap on
@@ -194,12 +205,14 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
 class PathState:
     """Mutable tracking state of one start solution.
 
+    The path starts at ``lam`` from ``u = log|x|`` in the orthant ``signs``.
     ``normal`` is the float normal of the start's cell: the truncated branch
-    ``x * t**normal`` moves ``u = log|x|`` by ``-normal`` per unit lam.
+    moves u by ``-normal`` per unit lam.
     """
 
-    t: float
-    x: np.ndarray
+    lam: float
+    u: np.ndarray
+    signs: tuple[int, ...]
     normal: np.ndarray
     status: str = "tracking"
     message: str = ""
@@ -222,8 +235,14 @@ def start_point(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> np.ndar
 
 
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
+    """The path from ``sol`` at t0: the truncated branch point
+    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant of sol.
+
+    Only ``sol.signs`` is read; its magnitudes are ``exp(-normal)`` (see the
+    module docstring)."""
     normal = np.array(cell.normal, dtype=np.float64)
-    return PathState(t=t0, x=start_point(cell, sol, t0), normal=normal)
+    lam = -math.log(t0)
+    return PathState(lam=lam, u=-(1.0 + lam) * normal, signs=sol.signs, normal=normal)
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
@@ -458,7 +477,7 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
-    """Continue one path from ``path.t`` < 1 to t = 1.
+    """Continue one path from its start at ``path.lam`` > 0 to lam = 0.
 
     Each step doubles the last accepted one, bounded by the remaining lam and
     by its predicted move in the cell's frame, ``step * max|udot + normal|``.
@@ -474,14 +493,9 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     fourth failure fails with "corrector failed after 3 halvings".  Norms,
     finiteness tests and the corrected move on n-vectors read Python floats
     (``_max_norm``)."""
-    x = np.asarray(path.x, dtype=np.float64)
-    if not np.all(np.isfinite(x) & (x != 0.0)):
-        raise PathDiverged("start point outside the float range")
-    weights = term_signs(h, np.sign(x))[:, None] * h.weights
-    normal = path.normal
+    weights = term_signs(h, path.signs)[:, None] * h.weights
+    lam, u, normal = path.lam, path.u, path.normal
     drift = normal.tolist()
-    u = np.log(np.abs(x))
-    lam = -math.log(path.t)
     steps = 0
     # Pull the truncated branch point onto the actual path before stepping.
     res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
@@ -557,7 +571,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):
-        x = np.sign(path.x) * np.exp(u)
+        x = np.array(path.signs, dtype=np.float64) * np.exp(u)
     if not np.all(np.isfinite(x) & (x != 0.0)):
         raise PathDiverged("endpoint outside the float range")
     return TrackedSolution(

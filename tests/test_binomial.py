@@ -116,6 +116,33 @@ class TestFromCell:
         for x, y in zip(a, b):
             assert x.point == pytest.approx(y.point, rel=1e-12)
 
+    def _one_cell(self, coefficients):
+        system = support_system([[[0], [3]]], [coefficients])
+        cells = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
+        return binomial_from_cell(cells.cells[0], system)
+
+    def test_float_and_huge_int_ratio_is_exact(self):
+        # float(10**400) overflows; the ratio is formed exactly instead.
+        bsys = self._one_cell([1.0, 10**400])
+        assert bsys.rhs == (Fraction(-(10**400)),)
+        (sol,) = solve_real(bsys)
+        assert sol.point == pytest.approx((-(10 ** (2 / 3)) * 1e-134,), rel=1e-12)
+
+    def test_overflowing_float_ratio_is_exact(self):
+        # -1.0 / -1e-320 overflows to inf, whose log check would pass a NaN
+        # and return the zero 0.0; the exact ratio gives the float zero.
+        bsys = self._one_cell([-1e-320, 1.0])
+        assert bsys.rhs == (1 / Fraction(1e-320),)
+        (sol,) = solve_real(bsys)
+        assert sol.point == pytest.approx(
+            (math.exp(math.log(1e-320) / 3),), rel=1e-12
+        )
+
+    def test_float_ratio_kept_when_finite(self):
+        bsys = self._one_cell([-2.0, 5.0])
+        assert bsys.rhs == (2.5,)
+        assert type(bsys.rhs[0]) is float
+
 
 class TestSolveReal:
     def test_even_power_pair(self):
@@ -139,6 +166,12 @@ class TestSolveReal:
             BinomialSystem(exponents=((1, 0, 2), (0, 1, 1)), rhs=(1.0, 2.0))
         with pytest.raises(ValueError):
             BinomialSystem(exponents=((1, 0), (0, 1)), rhs=(1.0,))
+
+    @pytest.mark.parametrize("rhs", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rhs_rejected(self, rhs):
+        # solve_real would return the point (inf,) for rhs inf.
+        with pytest.raises(ValueError, match="finite"):
+            BinomialSystem(exponents=((3,),), rhs=(rhs,))
 
     def test_singular_rejected(self):
         with pytest.raises(SingularExponentMatrix):

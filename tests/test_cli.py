@@ -221,6 +221,21 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["failures"][0]["status"] == "diverged"
 
+    def test_start_point_underflow_solves(self, tmp_path, capsys):
+        # x^3 - 10^-320 from the exact string: the start sol * t0**normal
+        # underflows in x, but paths start in log form and reach the zero.
+        doc = {
+            "n": 1,
+            "supports": [[[0], [3]]],
+            "coefficients": [["-1/1" + "0" * 320, "1"]],
+        }
+        assert main(["solve", _write(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [s["point"] for s in out["solutions"]] == [
+            pytest.approx([10 ** (1 / 3) * 1e-107], rel=1e-12)
+        ]
+        assert out["failures"] == []
+
     def test_start_point_overflow_exit_4(self, tmp_path, capsys):
         # Coefficients sign(c) |c|^14: the certificate passes, and a start
         # point t0**normal of some cell leaves the float range.

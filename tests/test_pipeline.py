@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -84,20 +85,32 @@ class TestFullSolve:
 
     def test_int_coefficient_beyond_the_float_range(self):
         # A Python int too large for a float lifts like the equal Fraction.
-        # The zero, about 2.2e-107, is a float, but the start point of its
-        # path is not: the path fails until starts are formed in log space.
+        # The zero of x^3 - 10^-320, about 2.2e-107, is a float although its
+        # start point sol * t0**normal is not: paths start in log form.
         reports = [
             solve(support_system([[[0], [3]]], [[-1, c]]))
             for c in (10**320, Fraction(10**320))
         ]
         for report in reports:
             assert report.verdict is True
-            assert report.solutions == []
-            assert [(f.status, f.message) for f in report.failures] == [
-                ("diverged", "start point outside the float range")
+            assert report.failures == []
+            assert [s.point for s in report.solutions] == [
+                pytest.approx((10 ** (1 / 3) * 1e-107,), rel=1e-12)
             ]
         assert reports[0].certificate == reports[1].certificate
         assert reports[0].start_solutions == reports[1].start_solutions == [1]
+        # The float 1e-320 is subnormal and not exactly 1e-320, so the zero
+        # of x^3 - 1e-320 is 2.1544266950e-107, not 10^(-320/3).  And beside
+        # the float 1.0, 10^400 enters the binomial ratio exactly.
+        for coefficients, zero in (
+            ([-1e-320, 1.0], math.exp(math.log(1e-320) / 3)),
+            ([1.0, 10**400], -(10 ** (2 / 3)) * 1e-134),
+        ):
+            report = solve(support_system([[[0], [3]]], [coefficients]))
+            assert report.failures == []
+            assert [s.point for s in report.solutions] == [
+                pytest.approx((zero,), rel=1e-12)
+            ]
 
     def test_degenerate_lifting_names_its_stage(self):
         # All-ones coefficients lift every point to 0, a tie that the cell

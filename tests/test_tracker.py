@@ -120,6 +120,42 @@ class TestStartPoint:
         assert residuals[0] > residuals[1] > residuals[2]
         assert residuals[2] < 1e-4
 
+    def test_make_path_reads_only_the_signs(self, cubic_conic):
+        # The start is the truncated branch point u = -(1 + lam) * normal at
+        # lam = -log t0, in the orthant of the binomial solution; the
+        # solution's magnitudes are never read.
+        cells, _ = _cells_and_homotopy(cubic_conic)
+        for cell in cells.cells:
+            normal = np.array(cell.normal)
+            for sol in solve_real(binomial_from_cell(cell, cubic_conic)):
+                blind = dataclasses.replace(sol, point=(math.nan,) * len(sol.point))
+                for s in (sol, blind):
+                    path = make_path(cell, s, 1e-3)
+                    assert path.lam == -math.log(1e-3)
+                    assert path.signs == sol.signs
+                    assert np.array_equal(path.u, -(1.0 + path.lam) * normal)
+                    assert np.array_equal(path.normal, normal)
+
+    def test_binomial_start_logs_are_minus_the_normal(self):
+        # The start rests on log|sol| = -normal, which holds because the
+        # lifting is w = log|c|.  The two sides come from different
+        # eliminations: binomial._solve_logs on log|r| and the cell normal
+        # from lifting differences, so they agree only up to rounding.
+        # The forced corpus starts with the cubic/conic.
+        systems = [s for s, _ in _forced_corpus()]
+        systems += [s for _, s in held_out_forced()]
+        starts = 0
+        for system in systems:
+            cells, _ = _cells_and_homotopy(system)
+            for cell in cells.cells:
+                normal = np.array(cell.normal)
+                scale = max(1.0, float(np.abs(normal).max()))
+                for sol in solve_real(binomial_from_cell(cell, system)):
+                    logs = np.log(np.abs(sol.point))
+                    assert np.abs(logs + normal).max() <= 1e-12 * scale
+                    starts += 1
+        assert starts == 916
+
     def test_linear_univariate_start_is_root(self):
         system = support_system([[[0], [1]]], [[3.0, 2.0]])
         cells, homotopy = _cells_and_homotopy(system)
@@ -202,6 +238,17 @@ class TestSelectT0:
         # 296 cells: 250 pick a t0, several candidates among them, and 46 raise.
         assert len(picked) >= 3
         assert raised > 0
+
+    def test_scores_an_underflowed_start_inf(self, monkeypatch):
+        system = quadratic_system(1.0, 10.0, 1.0)
+        cells, homotopy = _cells_and_homotopy(system)
+        cell = cells.cells[0]
+        sol = solve_real(binomial_from_cell(cell, system))[0]
+        # select_t0 scores a start sol * t0**normal that underflowed to zero
+        # inf (no log(0) warning); when every candidate underflows it keeps
+        # the first.
+        monkeypatch.setattr(tracker, "start_point", lambda cell, sol, t0: np.zeros(1))
+        assert select_t0(homotopy, cell, [sol]) == tracker.T0_CANDIDATES[0]
 
 
 class TestPredictor:
@@ -416,7 +463,7 @@ class TestTracking:
         sol = solve_real(binomial_from_cell(cell, system))[0]
         good = make_path(cell, sol, 0.01)
         bad = make_path(cell, sol, 0.01)
-        bad.x = np.array([1e11])  # hopeless start, far off the path
+        bad.u = np.array([math.log(1e11)])  # hopeless start, far off the path
         solutions = track(homotopy, [bad, good])
         assert len(solutions) == 1
         assert bad.status in ("failed", "diverged")
@@ -713,20 +760,6 @@ class TestTracking:
             here_lam, here, here_table = lam, u, table
         assert steps > 0
         assert accepted >= steps
-
-    def test_start_coordinate_underflow_is_a_path_failure(self, monkeypatch):
-        system = quadratic_system(1.0, 10.0, 1.0)
-        cells, homotopy = _cells_and_homotopy(system)
-        cell = cells.cells[0]
-        sol = solve_real(binomial_from_cell(cell, system))[0]
-        bad = make_path(cell, sol, 0.01)
-        bad.x = np.array([0.0])  # as a start sol * t0**normal that underflowed
-        assert track(homotopy, [bad]) == []
-        assert bad.status == "diverged"
-        # select_t0 scores such a start inf (no log(0) warning); when every
-        # candidate underflows it keeps the first.
-        monkeypatch.setattr(tracker, "start_point", lambda cell, sol, t0: np.zeros(1))
-        assert select_t0(homotopy, cell, [sol]) == tracker.T0_CANDIDATES[0]
 
     def test_exact_coefficients_beyond_float_range(self):
         # float(10**400) overflows; the homotopy only needs log|c| and sign(c).
