@@ -19,14 +19,14 @@ path) and returns the one table ``[h | J_u | dh/dlam]`` of the shifted
 residual, the Jacobian in u and the derivative in lam.  It keeps the name of
 the Jacobian kernel it replaced, which is the name the benchmark's tracer
 wraps.  ``h_scale`` evaluates the residual alone, for
-``tracker.scaled_residual``, at one point or at a ``(k, n)`` stack of points
-with a ``(k, m)`` stack of signs, in one call.  Its exponent products are a
-stack of matrix-vector products, which round like ``jac_dlam``'s ``np.dot``,
-so each row of a stack equals the one-point result bit for bit; one
-``(k, n) @ (n, m)`` matrix product would round differently.  ``BACKEND``
-names this implementation for the benchmark's environment record; the
-number and cost of kernel calls per solve are the ``kernels.*`` metrics of
-``perfbench/run.py --trace 1``.
+``tracker.scaled_residual``, in one call: at one point or at a ``(k, n)``
+stack of points, with one row of signs or a ``(k, m)`` stack of them.  Its
+exponent products are a stack of matrix-vector products, which round like
+``jac_dlam``'s ``np.dot``, so each row of a stack equals the one-point
+result bit for bit; one ``(k, n) @ (n, m)`` matrix product would round
+differently.  ``BACKEND`` names this implementation for the benchmark's
+environment record; the number and cost of kernel calls per solve are the
+``kernels.*`` metrics of ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def h_scale(signs, logc, lam_vexp, exps, starts, eq, u):
     magnitude; ``u`` is one point or a stack of points."""
     a = (exps @ u[..., None])[..., 0]
     terms, shift = _magnitudes(logc, lam_vexp, starts, eq, a)
-    terms *= signs
+    terms = terms * signs
     return np.add.reduceat(terms, starts, axis=-1), shift
 
 

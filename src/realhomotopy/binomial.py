@@ -105,10 +105,11 @@ def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
     ``_parity_solutions``).  Returns the possibly empty solution list in
     ascending order of sign vectors.
     """
-    logs, rtol = _solve_logs(bsys.exponents, [log_abs(r) for r in bsys.rhs])
+    log_r = [log_abs(r) for r in bsys.rhs]
+    logs, rtol = _solve_logs(bsys.exponents, log_r)
     solutions = []
     for signs in _parity_solutions(bsys.exponents, [r < 0 for r in bsys.rhs]):
-        _check_residual(bsys, signs, logs, rtol)
+        _check_residual(bsys, signs, logs, log_r, rtol)
         point = tuple(s * math.exp(v) for s, v in zip(signs, logs))
         solutions.append(RealOrthantSolution(point=point, signs=signs))
     return solutions
@@ -206,14 +207,15 @@ def _check_residual(
     bsys: BinomialSystem,
     signs: Sequence[int],
     logs: Sequence[float],
+    log_r: Sequence[float],
     rtol: Sequence[float],
 ) -> None:
     # Plug-in verification on the original, untransformed equations, each
     # row within the rounding that ``_solve_logs`` allows it.
-    for row, r, tol in zip(bsys.exponents, bsys.rhs, rtol):
+    for row, r, lr, tol in zip(bsys.exponents, bsys.rhs, log_r, rtol):
         log_val = math.fsum(e * v for e, v in zip(row, logs))
         sign_val = _sign_power_product(signs, row)
-        rel = abs(math.exp(log_val - log_abs(r)) - 1.0)
+        rel = abs(math.exp(log_val - lr) - 1.0)
         if sign_val != _sign(r) or rel > tol:
             raise AssertionError(
                 f"binomial residual check failed: relative error {rel:.3e}"

@@ -44,10 +44,10 @@ def certify(lifting: Lifting, table: CircuitTable) -> Certificate:
     Margins are computed against the supplied lifting; the verdict is a pass
     exactly when all margins are strictly positive.  With no excluded points
     anywhere (every support is already an edge) the table has no rows and the
-    certificate passes vacuously.  Such binomial systems are still tracked,
-    from the binomial solver's start, which the tracker forms in log
-    coordinates: ``solve`` on ``x^3 - 10^-320`` returns its zero, about
-    2.2e-107, although the start point in x underflows.
+    certificate passes vacuously.  A binomial system is its own toric limit,
+    so each of its paths is one Newton at the target from the binomial
+    solver's start, in log coordinates: ``solve`` on ``x^3 - 10^-320``
+    returns its zero, about 2.2e-107.
 
     The margins are read off the table all rows at once, using the values
     enumeration already took when the table is a ``MixedCellSet``'s and the

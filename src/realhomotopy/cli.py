@@ -10,7 +10,7 @@ Input documents are JSON objects with:
 Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
 
 Exit codes: 0 success, 1 input error, 2 certificate fail, 3 degenerate
-lifting, 4 tracking failures present or a start point outside the float
+lifting, 4 tracking failures present or a start solution outside the float
 range.
 """
 
@@ -121,8 +121,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = SolverConfig(tol=args.tol, force=args.force)
     try:
         report = solve(system, cfg)
-    except OverflowError:
-        print("tracking failed: start point outside the float range", file=sys.stderr)
+    except OverflowError:  # only from ``solve_real``, forming a start in x
+        message = "tracking failed: start solution outside the float range"
+        print(message, file=sys.stderr)
         return EXIT_TRACKING
     doc = {
         "verdict": "pass" if report.verdict else "fail",

@@ -23,7 +23,7 @@ from .tracker import (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Endpoint tolerance and forced tracking; ``select_t0`` picks each t0."""
+    """Endpoint tolerance and forced tracking; certified paths start at t0 = 1."""
 
     tol: float = 1e-8
     force: bool = False
@@ -111,7 +111,7 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
         for ci, (cell, starts) in enumerate(zip(cells.cells, cell_starts)):
             if not starts:
                 continue
-            t0 = select_t0(homotopy, cell, starts)
+            t0 = select_t0(homotopy, cell, starts) if report.uncertified else 1.0
             paths.extend((ci, make_path(cell, sol, t0)) for sol in starts)
         report.solutions = track(homotopy, [p for _, p in paths], tol=cfg.tol)
         report.failures = [

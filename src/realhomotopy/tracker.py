@@ -18,9 +18,14 @@ The start is formed from the cell and the orthant alone.  On a cell's edge
 with the lifting ``w = log|c|`` the normal satisfies ``D normal = w_p - w_q``,
 so ``log|sol| = -normal``: the truncated branch is the line
 ``u = -(1 + lam) * normal``.  A path starts on it at ``lam = -log t0``
-(``make_path``) and never forms its start in x, so a start whose x would
-overflow or underflow is tracked like any other.  Only ``select_t0`` still
-forms ``sol * t0**normal`` in x, to score the candidate t0.
+(``make_path``), and ``select_t0`` scores its candidates at that same point,
+so no start is ever formed in x and one whose x would overflow or underflow
+is tracked like any other.
+
+A certificate pass keeps each orthant's real-zero count from the toric limit
+to the target, so ``pipeline.solve`` starts certified paths at ``t0 = 1``
+(``u = -normal``): no step, only the endpoint polish, and ``track`` still
+fails any two that end on one zero.
 
 Steps are sized in the frame of the path's cell.  The truncated branch moves
 ``u`` by ``-normal`` per unit lam, a drift known in advance, so both the cap on
@@ -124,7 +129,6 @@ CONTRACTION = 0.25
 # starts from the last iterate of the step's lowest-residual near miss.
 FOLD_ITERS = 8
 FOLD_START_RESIDUAL = 0.1
-START_COORD_BOUND = 1e10
 MIN_STEP = 1e-14
 MAX_STEPS = 50_000
 # Largest allowed move of any log-coordinate in one accepted step, measured
@@ -227,13 +231,6 @@ class TrackedSolution:
     steps: int
 
 
-def start_point(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> np.ndarray:
-    """The truncated branch point ``sol * t0**normal``."""
-    return np.array(
-        [s * t0**z for s, z in zip(sol.point, cell.normal)], dtype=np.float64
-    )
-
-
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
     """The path from ``sol`` at t0: the truncated branch point
     ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant of sol.
@@ -254,9 +251,9 @@ def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
 
 def scaled_residual(h: HomotopySystem, signs: np.ndarray, t: float, u: np.ndarray):
     """Max-norm residual at ``u = log|x|``, each equation scaled by its largest
-    term magnitude, with the ``term_signs`` of x's orthant.  For a ``(k, n)``
-    stack of points and ``(k, m)`` signs, one residual per point from one
-    kernel call."""
+    term magnitude, with the ``term_signs`` of x's orthant.  For ``(k, m)``
+    signs, at one point or at a ``(k, n)`` stack of points, one residual per
+    row from one kernel call."""
     hv, _ = _kernels.h_scale(
         signs, h.logc, -math.log(t) * h.vexp, h.exps, h.starts, h.eq, u
     )
@@ -268,30 +265,23 @@ def select_t0(
 ) -> float:
     """Largest candidate t0 whose start residuals all sit below the threshold.
 
-    The threshold is ``START_RESIDUAL_THRESHOLD``.  Candidates that put a
-    start coordinate above ``START_COORD_BOUND`` are skipped, and one that
-    underflows a coordinate to zero scores ``inf``; when no candidate clears
-    the threshold the one with the smallest worst residual wins and the
-    tracker corrects the start point by Newton.  The term signs of each
-    start's orthant do not depend on t0 and are taken once; each candidate
-    scores all starts in one ``scaled_residual`` call.
+    The threshold is ``START_RESIDUAL_THRESHOLD``.  Each candidate is scored
+    at ``make_path``'s own start, the one point ``u = -(1 - log t0) * normal``
+    of the cell; the cell's orthants differ only in their term signs, which
+    do not depend on t0 and are taken once, so a candidate scores all starts
+    in one ``scaled_residual`` call.  When no candidate clears the threshold
+    the one with the smallest worst residual wins, and the tracker corrects
+    the start by Newton.  Only the starts' signs are read.
     """
     signs = term_signs(h, [s.signs for s in sols])
-    best_t0 = T0_CANDIDATES[0]
-    best_res = math.inf
+    best_t0, best_res = T0_CANDIDATES[0], math.inf
     for t0 in T0_CANDIDATES:
-        size = np.abs([start_point(cell, s, t0) for s in sols])
-        if (size > START_COORD_BOUND).any():
-            continue
-        if (size == 0.0).any():
-            worst = math.inf
-        else:
-            worst = float(scaled_residual(h, signs, t0, np.log(size)).max())
+        u = make_path(cell, sols[0], t0).u
+        worst = float(scaled_residual(h, signs, t0, u).max())
         if worst < START_RESIDUAL_THRESHOLD:
             return t0
         if worst < best_res:
-            best_res = worst
-            best_t0 = t0
+            best_t0, best_res = t0, worst
     return best_t0
 
 
@@ -477,7 +467,8 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
 
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
-    """Continue one path from its start at ``path.lam`` > 0 to lam = 0.
+    """Continue one path from its start at ``path.lam`` to lam = 0; at lam = 0
+    (a certified path) only the endpoint polish runs.
 
     Each step doubles the last accepted one, bounded by the remaining lam and
     by its predicted move in the cell's frame, ``step * max|udot + normal|``.
@@ -498,9 +489,10 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     drift = normal.tolist()
     steps = 0
     # Pull the truncated branch point onto the actual path before stepping.
-    res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
-    if res >= CORRECTOR_TOL:
-        raise CorrectorStalled("start point correction failed")
+    if lam > 0.0:
+        res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
+        if res >= CORRECTOR_TOL:
+            raise CorrectorStalled("start point correction failed")
     dlam = 0.1 * lam
     prev = None
     while lam > 0.0:
@@ -571,25 +563,25 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):
-        x = np.array(path.signs, dtype=np.float64) * np.exp(u)
-    if not np.all(np.isfinite(x) & (x != 0.0)):
+        x = (np.array(path.signs, dtype=np.float64) * np.exp(u)).tolist()
+    if not all(map(math.isfinite, x)) or 0.0 in x:
         raise PathDiverged("endpoint outside the float range")
-    return TrackedSolution(
-        point=tuple(float(v) for v in x), residual=res, steps=steps
-    )
+    return TrackedSolution(point=tuple(x), residual=res, steps=steps)
 
 
 def _coinciding(points: Sequence[tuple[float, ...]]):
     """Pairs (a, b), a < b, of points in one orthant whose ``log|x|`` agree
-    within ``DISTINCT_LOG_TOL`` in every coordinate."""
-    x = np.array(points)
-    signs, logs = np.sign(x), np.log(np.abs(x))
+    within ``DISTINCT_LOG_TOL`` in every coordinate, on Python floats: a
+    solve has a few endpoints, and numpy's calls per row cost more than the
+    comparisons."""
+    signs = [[v > 0.0 for v in p] for p in points]
+    logs = [[math.log(abs(v)) for v in p] for p in points]
     for a in range(len(points) - 1):
-        near = (signs[a + 1 :] == signs[a]).all(axis=1) & (
-            abs(logs[a + 1 :] - logs[a]) <= DISTINCT_LOG_TOL
-        ).all(axis=1)
-        for b in np.flatnonzero(near):
-            yield a, a + 1 + int(b)
+        for b in range(a + 1, len(points)):
+            if signs[a] == signs[b] and all(
+                abs(p - q) <= DISTINCT_LOG_TOL for p, q in zip(logs[a], logs[b])
+            ):
+                yield a, b
 
 
 def track(

@@ -119,17 +119,19 @@ def dyadic(nums: Sequence[int], shifts: Sequence[int]) -> tuple[float, ...]:
 
 
 # Converged paths of each ``held_out_forced`` system, in order: 200 at n = 2
-# then 24 at n = 3, 706 in all.  Generated, while the tracker's 2 x 2 solves
+# then 24 at n = 3, 708 in all.  Generated, while the tracker's 2 x 2 solves
 # were still LAPACK's, by
 #     [len(solve(s, SolverConfig(force=True)).solutions)
 #      for _, s in held_out_forced()]
 # (also the solution counts ``python3 tests/reference_reports.py dump``
 # records).  These are the zeros the tracker reaches, not exact zero counts:
-# a change that moves one has changed which paths converge.
+# a change that moves one has changed which paths converge.  n2_g22_07 and
+# n2_g22_18 each gained one (4 -> 5, 2 -> 3) when ``select_t0`` stopped
+# skipping t0 candidates whose start left 1e10 in x.
 HELD_OUT_CONVERGED = (
     4, 1, 0, 4, 4, 3, 4, 4, 1, 1, 3, 3, 4, 1, 3, 1, 0, 5, 3, 3, 4, 1, 2, 2, 5,
-    4, 3, 5, 0, 2, 6, 2, 4, 4, 7, 3, 3, 3, 4, 7, 6, 3, 3, 3, 4, 6, 4, 4, 4, 1,
-    5, 4, 7, 4, 6, 0, 1, 2, 2, 4, 3, 2, 2, 5, 4, 2, 2, 1, 6, 3, 4, 3, 7, 6, 1,
+    4, 3, 5, 0, 2, 6, 2, 4, 4, 7, 3, 3, 3, 4, 7, 6, 3, 3, 3, 4, 6, 4, 5, 4, 1,
+    5, 4, 7, 4, 6, 0, 1, 2, 3, 4, 3, 2, 2, 5, 4, 2, 2, 1, 6, 3, 4, 3, 7, 6, 1,
     1, 2, 4, 1, 14, 3, 4, 5, 4, 0, 6, 3, 0, 0, 8, 4, 4, 3, 1, 1, 2, 2, 4, 2, 0,
     2, 3, 4, 4, 2, 1, 5, 5, 2, 6, 2, 3, 0, 4, 3, 3, 6, 2, 4, 5, 3, 5, 0, 0, 4,
     2, 7, 1, 1, 0, 4, 3, 1, 4, 5, 4, 6, 0, 2, 5, 4, 5, 1, 3, 4, 2, 2, 8, 2, 2,

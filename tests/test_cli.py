@@ -236,27 +236,36 @@ class TestSolveCommand:
         ]
         assert out["failures"] == []
 
-    def test_start_point_overflow_exit_4(self, tmp_path, capsys):
-        # Coefficients sign(c) |c|^14: the certificate passes, and a start
-        # point t0**normal of some cell leaves the float range.
+    def test_start_point_overflow_solves(self, tmp_path, capsys):
+        # Coefficients sign(c) |c|^14: the certificate passes, and the start
+        # sol * t0**normal of some cell would leave the float range in x for
+        # any t0 < 1.  Certified paths start at the target, t0 = 1.
         path = _write(tmp_path, _cubic_conic_doc(power=14))
         assert main(["certify", path]) == 0
         capsys.readouterr()
-        assert main(["solve", path]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("tracking failed: ")
-        assert len(captured.err.splitlines()) == 1
+        assert main(["solve", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "pass"
+        assert len(out["solutions"]) == sum(out["start_solution_counts"]) == 6
+        assert out["failures"] == []
 
     @pytest.mark.parametrize(
-        "coefficients",
-        [[["1", "-10001/10000"], ["1", "-10002/10000"]], [["1", "-2"], ["1", "-3"]]],
+        "coefficients, reported",
+        [
+            ([["1", "-10001/10000"], ["1", "-10002/10000"]], True),
+            ([["1", "-2"], ["1", "-3"]], False),
+        ],
         ids=["near_one", "small_integers"],
     )
-    def test_huge_binomial_exponents_exit_4(self, tmp_path, capsys, coefficients):
+    def test_huge_binomial_exponents_exit_4(
+        self, tmp_path, capsys, coefficients, reported
+    ):
         # det D = -1 with entries near 10**6: the float solve for log|x| is
-        # off by about 1e-8 and more (see binomial._solve_logs), the
-        # certificate passes vacuously, and the starts leave the float range.
+        # off by about 1e-8 and more (see binomial._solve_logs), and the
+        # certificate passes vacuously.  Near one the start solution is a
+        # float, its path starts at the target and misses the endpoint
+        # tolerance, a recorded failure; with small integers the start
+        # solution itself leaves the float range.
         doc = {
             "n": 2,
             "supports": [[[0, 0], [1000001, 1000000]], [[0, 0], [1000000, 999999]]],
@@ -264,11 +273,20 @@ class TestSolveCommand:
         }
         assert main(["solve", _write(tmp_path, doc)]) == 4
         captured = capsys.readouterr()
+        if reported:
+            out = json.loads(captured.out)
+            assert out["verdict"] == "pass"
+            assert out["solutions"] == []
+            [failure] = out["failures"]
+            assert failure["status"] == "failed"
+            assert failure["message"].startswith("endpoint residual ")
+            assert failure["message"].endswith(" above tol 1e-08")
+            return
         assert captured.out == ""
-        assert captured.err.startswith("tracking failed: ")
-        assert len(captured.err.splitlines()) == 1
         # The reason is the message alone, not OverflowError's errno tuple.
-        assert captured.err == "tracking failed: start point outside the float range\n"
+        assert captured.err == (
+            "tracking failed: start solution outside the float range\n"
+        )
 
     @pytest.mark.parametrize(
         "flags", [["--tol", "0"], ["--tol", "inf"], ["--tol", "-1"]]

@@ -16,6 +16,7 @@ from helpers import (
     random_sparse_system,
 )
 from oracles import loop_log_h_scale, quadratic_real_roots
+from reference_reports import reference_solves
 from realhomotopy import (
     SolverConfig,
     build_cayley,
@@ -29,8 +30,8 @@ from realhomotopy import (
     support_system,
     track,
 )
-from realhomotopy import _kernels, tracker
-from realhomotopy.tracker import scaled_residual, select_t0, start_point, term_signs
+from realhomotopy import _kernels, pipeline, tracker
+from realhomotopy.tracker import scaled_residual, select_t0, term_signs
 
 
 def _cells_and_homotopy(system):
@@ -99,12 +100,14 @@ def _fold_lam(message):
 
 class TestStartPoint:
     def test_identity_at_t_one(self, cubic_conic):
+        # At t0 = 1 the start u = -normal is the binomial solution itself.
         cells, _ = _cells_and_homotopy(cubic_conic)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, cubic_conic))[0]
-        assert tuple(start_point(cell, sol, 1.0)) == pytest.approx(
-            sol.point, rel=1e-15
-        )
+        path = make_path(cell, sol, 1.0)
+        assert path.lam == 0.0
+        x = np.array(path.signs) * np.exp(path.u)
+        assert tuple(x) == pytest.approx(sol.point, rel=1e-14)
 
     def test_residual_decays_with_t0(self, cubic_conic):
         cells, homotopy = _cells_and_homotopy(cubic_conic)
@@ -112,9 +115,7 @@ class TestStartPoint:
         sol = solve_real(binomial_from_cell(cell, cubic_conic))[0]
         signs = term_signs(homotopy, sol.signs)
         residuals = [
-            scaled_residual(
-                homotopy, signs, t0, np.log(np.abs(start_point(cell, sol, t0)))
-            )
+            scaled_residual(homotopy, signs, t0, make_path(cell, sol, t0).u)
             for t0 in (1e-1, 1e-2, 1e-3)
         ]
         assert residuals[0] > residuals[1] > residuals[2]
@@ -181,22 +182,19 @@ def _signed_power(system, k):
 
 def _select_t0_per_start(h, cell, sols):
     """``select_t0`` as one loop over the starts of each candidate: each start
-    point formed in x and scored alone by the scalar loop oracle, with the
-    term signs of its own orthant."""
+    scored alone by the scalar loop oracle at its truncated branch point
+    ``log|x| = (log t0 - 1) * normal``, with the term signs of its own
+    orthant."""
     offs = np.append(h.starts, h.logc.size)
+    normal = np.array(cell.normal, dtype=np.float64)
     best_t0, best_res = tracker.T0_CANDIDATES[0], math.inf
     for t0 in tracker.T0_CANDIDATES:
-        points = [start_point(cell, s, t0) for s in sols]
-        if any(float(np.max(np.abs(p))) > tracker.START_COORD_BOUND for p in points):
-            continue
+        u = (math.log(t0) - 1.0) * normal
         residuals = []
-        for p in points:
-            if not np.all(np.isfinite(p) & (p != 0.0)):
-                residuals.append(math.inf)
-                continue
-            signs = h.signs * np.prod(np.sign(p) ** h.exps, axis=1)
+        for s in sols:
+            signs = h.signs * np.prod(np.array(s.signs, dtype=float) ** h.exps, axis=1)
             hv, _ = loop_log_h_scale(
-                signs, h.logc, h.exps, h.vexp, offs, -math.log(t0), np.log(np.abs(p))
+                signs, h.logc, h.exps, h.vexp, offs, -math.log(t0), u
             )
             residuals.append(float(np.max(np.abs(hv))))
         worst = max(residuals)
@@ -218,37 +216,132 @@ class TestSelectT0:
             _signed_power(random_sparse_system(rng, n=2, min_terms=4, max_terms=6), 8)
             for _ in range(40)
         ]
-        picked, raised = Counter(), 0
+        picked = Counter()
         for system in systems:
             cells, homotopy = _cells_and_homotopy(system)
             for cell in cells.cells:
                 starts = solve_real(binomial_from_cell(cell, system))
-                if not starts:
-                    continue
-                try:
+                if starts:
                     want = _select_t0_per_start(homotopy, cell, starts)
-                except OverflowError:
-                    # t0**normal overflows in x before any candidate is scored.
-                    with pytest.raises(OverflowError):
-                        select_t0(homotopy, cell, starts)
-                    raised += 1
-                    continue
-                assert select_t0(homotopy, cell, starts) == want
-                picked[want] += 1
-        # 296 cells: 250 pick a t0, several candidates among them, and 46 raise.
+                    assert select_t0(homotopy, cell, starts) == want
+                    picked[want] += 1
+        # Every one of these cells picks a t0, several candidates among them,
+        # including those whose start in x would leave the float range.
         assert len(picked) >= 3
-        assert raised > 0
 
-    def test_scores_an_underflowed_start_inf(self, monkeypatch):
-        system = quadratic_system(1.0, 10.0, 1.0)
-        cells, homotopy = _cells_and_homotopy(system)
-        cell = cells.cells[0]
-        sol = solve_real(binomial_from_cell(cell, system))[0]
-        # select_t0 scores a start sol * t0**normal that underflowed to zero
-        # inf (no log(0) warning); when every candidate underflows it keeps
-        # the first.
-        monkeypatch.setattr(tracker, "start_point", lambda cell, sol, t0: np.zeros(1))
-        assert select_t0(homotopy, cell, [sol]) == tracker.T0_CANDIDATES[0]
+    def test_reads_only_the_signs(self, cubic_conic):
+        # The candidates are scored at make_path's start, which only the
+        # starts' signs decide: NaN magnitudes pick the same t0.
+        cells, homotopy = _cells_and_homotopy(cubic_conic)
+        for cell in cells.cells:
+            starts = solve_real(binomial_from_cell(cell, cubic_conic))
+            if not starts:
+                continue
+            blind = [
+                dataclasses.replace(s, point=(math.nan,) * len(s.point)) for s in starts
+            ]
+            assert select_t0(homotopy, cell, blind) == select_t0(homotopy, cell, starts)
+
+
+def _certified_candidates():
+    """The certified_scaled benchmark corpus at seed 1, then the cubic/conic
+    with coefficients ``sign(c) |c|^k`` for k = 14..24 and the 40 seed-9
+    ``|c|^8`` systems, unscaled: (label, system) pairs, certified or not."""
+    systems = [
+        (label, system)
+        for family, label, system, _ in reference_solves()
+        if family == "certified_scaled" and label.endswith("@1")
+    ]
+    systems += [
+        (f"cubic_conic_k{k}", _signed_power(cubic_conic_system(), k))
+        for k in range(14, 25)
+    ]
+    rng = np.random.default_rng(9)
+    systems += [
+        (
+            f"seed9_{i:02d}",
+            _signed_power(random_sparse_system(rng, n=2, min_terms=4, max_terms=6), 8),
+        )
+        for i in range(40)
+    ]
+    return systems
+
+
+def _mutated_first_cell(monkeypatch, mutate):
+    """Make ``pipeline.solve`` read ``mutate(starts)`` as the real starts of
+    the first cell that has any."""
+    solve_real_, done = pipeline.solve_real, []
+
+    def patched(bsys):
+        starts = solve_real_(bsys)
+        if starts and not done:
+            done.append(True)
+            return mutate(starts)
+        return starts
+
+    monkeypatch.setattr(pipeline, "solve_real", patched)
+
+
+class TestCertifiedPaths:
+    def test_start_at_the_target_and_end_where_tracking_does(self):
+        # On a certificate pass each path starts at the target, t0 = 1, and
+        # takes no step.  Its endpoint is the zero that the same start
+        # reaches when tracked from the t0 that select_t0 picks.
+        systems, paths = 0, 0
+        for label, system in _certified_candidates():
+            report = solve(system)
+            if not report.verdict:
+                continue
+            systems += 1
+            assert report.failures == [], label
+            assert len(report.solutions) == sum(report.start_solutions)
+            assert all(s.steps == 0 for s in report.solutions)
+            cells, homotopy = _cells_and_homotopy(system)
+            tracked_paths = []
+            for cell in cells.cells:
+                starts = solve_real(binomial_from_cell(cell, system))
+                if starts:
+                    t0 = select_t0(homotopy, cell, starts)
+                    tracked_paths.extend(make_path(cell, s, t0) for s in starts)
+            tracked = track(homotopy, tracked_paths)
+            assert len(tracked) == len(report.solutions), label
+            for at_target, along in zip(report.solutions, tracked):
+                assert at_target.point == pytest.approx(along.point, rel=1e-12)
+            paths += len(tracked)
+        # 18 at seed 1 (13 of them raised OverflowError while t0 was scored
+        # in x), the 11 cubic/conic powers and the 7 seed-9 passes.
+        assert (systems, paths) == (36, 178)
+
+    @pytest.mark.parametrize("mutation", ["duplicated", "flipped"])
+    def test_a_wrong_start_is_a_recorded_failure(self, monkeypatch, mutation):
+        # A start that is not one of the cell's, repeated or in another
+        # orthant, must never add a solution: it ends on another path's zero
+        # (both fail as coinciding) or misses the endpoint tolerance.
+        def duplicated(starts):
+            return starts + starts[:1]
+
+        def flipped(starts):
+            first = starts[0]
+            signs = (-first.signs[0],) + first.signs[1:]
+            return [dataclasses.replace(first, signs=signs)] + starts[1:]
+
+        mutate = {"duplicated": duplicated, "flipped": flipped}[mutation]
+        checked = 0
+        for label, system in _certified_candidates():
+            report = solve(system)
+            if not report.verdict:
+                continue
+            with monkeypatch.context() as patch:
+                _mutated_first_cell(patch, mutate)
+                mutated = solve(system)
+            paths = sum(mutated.start_solutions)
+            assert paths == sum(report.start_solutions) + (mutation == "duplicated")
+            assert mutated.failures, label
+            assert len(mutated.solutions) + len(mutated.failures) == paths
+            genuine = {s.point for s in report.solutions}
+            assert all(s.point in genuine for s in mutated.solutions), label
+            checked += 1
+        assert checked == 36
 
 
 class TestPredictor:
@@ -382,16 +475,20 @@ class TestTracking:
         # truncated branch and only drifts by -normal per unit lam.  Sized off
         # that drift, each path takes the steps 0.1, 0.2, 0.4 and 0.3 of its
         # lam0 at every scale, where sizing by the whole move took 4 to 74.
+        # (A solve starts these certified paths at the target, with no step;
+        # here they are tracked from t0 = 0.1.)
         system = support_system(
             [[[1, 1], [0, 0]], [[0, 2], [0, 0]]],
             [[1.0, -c], [1.0, -4.0]],
         )
-        report = solve(system, SolverConfig(force=True))
-        cells, _ = _cells_and_homotopy(system)
-        starts = solve_real(binomial_from_cell(cells.cells[0], system))
-        assert report.failures == []
-        assert len(report.solutions) == len(starts) == 2
-        for sol, start in zip(report.solutions, starts):
+        cells, homotopy = _cells_and_homotopy(system)
+        cell = cells.cells[0]
+        starts = solve_real(binomial_from_cell(cell, system))
+        paths = [make_path(cell, s, 0.1) for s in starts]
+        solutions = track(homotopy, paths)
+        assert [p.status for p in paths] == ["converged", "converged"]
+        assert len(solutions) == len(starts) == 2
+        for sol, start in zip(solutions, starts):
             assert sol.steps == 4
             assert sol.point == pytest.approx(start.point, rel=1e-12)
 
@@ -488,6 +585,32 @@ class TestTracking:
         assert len(pair) == 2
         assert len(track(homotopy, pair)) == 2
         assert [p.status for p in pair] == ["converged", "converged"]
+
+    def test_coinciding_pairs_match_the_array_form(self):
+        # _coinciding reads Python floats; the same test on numpy arrays,
+        # row against later rows, must find the same pairs in the same
+        # order.  Points repeat in other orthants and within and just beyond
+        # DISTINCT_LOG_TOL in log|x|.
+        rng = np.random.default_rng(26)
+        tol = tracker.DISTINCT_LOG_TOL
+        pairs = 0
+        for _ in range(50):
+            base = rng.choice([-1.0, 1.0], (4, 2)) * np.exp(rng.normal(0, 5, (4, 2)))
+            near = base * np.exp(rng.choice([0.0, 0.5 * tol, 2.0 * tol], (4, 2)))
+            flipped = base * rng.choice([-1.0, 1.0], (4, 2))
+            x = np.vstack([base, near, flipped])[rng.permutation(12)]
+            signs, logs = np.sign(x), np.log(np.abs(x))
+            want = [
+                (a, a + 1 + int(b))
+                for a in range(len(x) - 1)
+                for b in np.flatnonzero(
+                    (signs[a + 1 :] == signs[a]).all(axis=1)
+                    & (abs(logs[a + 1 :] - logs[a]) <= tol).all(axis=1)
+                )
+            ]
+            assert list(tracker._coinciding([tuple(p) for p in x.tolist()])) == want
+            pairs += len(want)
+        assert pairs > 50
 
     def test_one_kernel_call_per_newton_iterate(self, cubic_conic, monkeypatch):
         # Every kernel call is accounted for: jac_dlam only inside _newton, at
@@ -790,17 +913,16 @@ class TestTracking:
         # (system 38 takes about a minute).  Not pinned: system 24 has y
         # only as y**2, so a real root of the x-resultant can carry an
         # imaginary pair (x, +-y); its two projections give 3 and 2.
+        #
+        # Systems 14 and 19 have starts whose x at the old t0 candidates left
+        # the float range; they raised OverflowError while t0 was scored in x.
         exact_counts = {11: 4, 17: 3, 30: 3, 38: 4}
+        start_counts = {14: 6, 19: 1}
         rng = np.random.default_rng(9)
         certified, paths = [], 0
         for index in range(40):
             system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
             system = _signed_power(system, 8)
-            if index in (14, 19):
-                # The start point sol * t0**normal still overflows in x.
-                with pytest.raises(OverflowError):
-                    solve(system, SolverConfig())
-                continue
             report = solve(system, SolverConfig())
             if not report.verdict:
                 continue
@@ -809,11 +931,13 @@ class TestTracking:
             assert len(report.solutions) == sum(report.start_solutions)
             if index in exact_counts:
                 assert len(report.solutions) == exact_counts[index]
+            if index in start_counts:
+                assert len(report.solutions) == start_counts[index]
             assert all(s.residual < SolverConfig().tol for s in report.solutions)
             points = [np.array(s.point) for s in report.solutions]
             for i, p in enumerate(points):
                 for q in points[:i]:
                     assert np.max(np.abs(p - q) / np.maximum(np.abs(p), np.abs(q))) > 1e-6
             paths += len(points)
-        assert certified == [11, 17, 24, 30, 38]
-        assert paths == 16
+        assert certified == [11, 14, 17, 19, 24, 30, 38]
+        assert paths == 23
