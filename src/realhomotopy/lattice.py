@@ -252,7 +252,8 @@ def det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, IntMatrix | None
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant, the first half of ``det_adjugate``."""
+    """Exact determinant, from a full ``det_adjugate`` pass (adjugate
+    included); a caller that needs both should call ``det_adjugate``."""
     return det_adjugate(matrix)[0]
 
 

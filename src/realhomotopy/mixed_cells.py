@@ -43,9 +43,10 @@ larger ones are built per solve.  Cells themselves are not memoized: a cell
 depends on the lifting, and on the dense (3, 3) benchmark corpus only 2 of
 a pass's 32 cells repeat an earlier system's edges.
 
+Each survivor's n x n edge matrix is eliminated once, by the fraction-free
+``det_adjugate``, which gives its determinant, its gamma and its circuits.
 The circuits of all survivors of a solve are built in one pass as one exact
-table (``CircuitTable``: object arrays of Python ints, one row per circuit),
-from the fraction-free determinant and adjugate of each n x n edge matrix,
+table (``CircuitTable``: object arrays of Python ints, one row per circuit)
 and evaluated on the float lifting once.  The table is the only form of a circuit
 inequality: the cells keep their rows, and the certificate reads the same
 table and values.
@@ -67,14 +68,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SingularExponentMatrix, TieDegenerate
-from .lattice import (
-    CayleyConfig,
-    Lifting,
-    det_adjugate,
-    int_det,
-    kernel_basis,
-    solve_exact,
-)
+from .lattice import CayleyConfig, IntMatrix, Lifting, det_adjugate, kernel_basis
+
+# Unused here: perfbench/tracing.py's LEAVES wraps these names in this module
+# until ROADMAP item 1a wraps ``det_adjugate`` instead.
+from .lattice import int_det, solve_exact  # noqa: F401
 
 TIE_RTOL = 1e-12
 
@@ -649,11 +647,13 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     they and the circuit table read the configuration's cached plan
     (``_plan``), so a second coefficient vector on a support pays only the
     lifting's share of the screens.
-    Each survivor gets an integer determinant and its float gamma (the
-    negated normal) from the exact adjugate (``solve_exact``).  Then one
-    ``_circuit_table`` pass builds the exact circuit inequalities of every
-    survivor, one per excluded point, and evaluates them on the float
-    lifting: a row's value over ``|zeta[witness]|`` is the witness's
+    Each survivor's n x n edge matrix is eliminated once, by
+    ``det_adjugate``: a zero determinant skips the survivor, and the
+    adjugate gives its float gamma (the negated normal, rounded once per
+    entry as ``lattice.solve_exact`` rounds it) and, in one
+    ``_circuit_table`` pass over every survivor, its exact circuit
+    inequalities, one per excluded point.  The table is evaluated on the
+    float lifting: a row's value over ``|zeta[witness]|`` is the witness's
     exclusion margin.  A survivor is a cell when all its margins are
     positive, and its rows are its inequalities.  A negative margin rejects
     it; otherwise a margin within ``TIE_RTOL * (1 + max|w|)`` of zero raises
@@ -666,20 +666,27 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     n, blocks, base = plan.n, plan.blocks, plan.base
     origin = config.origin_index
     screen = _FloatScreen(plan, values)
-    survivors: list[tuple[tuple[tuple[int, int], ...], MixedCell]] = []
+    # Per survivor its Cayley edges with the determinant and adjugate of its
+    # edge matrix, the one elimination the circuit table reads too.
+    survivors: list[tuple[tuple[tuple[int, int], ...], int, IntMatrix]] = []
+    cells: list[MixedCell] = []
     for cand in screen.candidates():
         edges = tuple(
             _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
         )
-        rows = [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
-        det = int_det(rows)
+        det, adj = det_adjugate(
+            [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
+        )
         if det == 0:
             continue
-        gamma = solve_exact(rows, [values[b] - values[a] for a, b in edges])
+        # ``solve_exact``'s own expression, so each normal matches it bit for bit.
+        rhs = [values[b] - values[a] for a, b in edges]
+        gamma = [sum(adj[i][j] * rhs[j] for j in range(n)) / det for i in range(n)]
         local = tuple((origin[a], origin[b]) for a, b in edges)
-        survivors.append((edges, MixedCell(local, tuple(-g for g in gamma), abs(det))))
+        survivors.append((edges, det, adj))
+        cells.append(MixedCell(local, tuple(-g for g in gamma), abs(det)))
 
-    table = _circuit_table(plan, [edges for edges, _ in survivors])
+    table = _circuit_table(plan, survivors)
     with np.errstate(all="ignore"):
         margin = table.values(lifting) / -table.coeffs[:, -1].astype(float)
         margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
@@ -697,50 +704,47 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
         edges = survivors[s][0]
         raise TieDegenerate(f"lifting ties on point {point} against cell {edges}")
 
-    order = sorted(np.flatnonzero(kept), key=lambda s: survivors[s][1].edges)
+    order = sorted(np.flatnonzero(kept), key=lambda s: cells[s].edges)
     rows = np.add.outer(np.array(order, dtype=np.intp) * per_cell, np.arange(per_cell))
     return MixedCellSet(
-        cells=tuple(survivors[s][1] for s in order),
+        cells=tuple(cells[s] for s in order),
         inequalities=table.take(rows.ravel()),
     )
 
 
 def _circuit_table(
-    plan: _ScreenPlan, ends: Sequence[tuple[tuple[int, int], ...]]
+    plan: _ScreenPlan,
+    cells: Sequence[tuple[tuple[tuple[int, int], ...], int, IntMatrix]],
 ) -> CircuitTable:
-    """The circuit inequalities of cells given by Cayley edge pairs.
+    """The circuit inequalities of cells given by Cayley edge pairs, each
+    with the nonzero determinant and the adjugate of its edge matrix.
 
-    Rows go cell by cell in ``ends`` order and, within a cell, one per
+    Rows go cell by cell in ``cells`` order and, within a cell, one per
     excluded point in block-major order.  Each is the unique affine
     dependence of the 2n cell points plus the excluded point, reduced to a
     primitive integer vector and oriented so the excluded point's entry is
     negative.  The Cayley tags and the homogenizing coordinate make each
-    block's coefficients sum to zero, so only the n x n edge matrix D (rows
-    ``a_i - b_i``) is eliminated, one ``det_adjugate`` pass per cell: for a
-    point k of block j, with ``d = det D`` and ``l = (k - b_j) @ adj D``,
-    the rows of D weighted by l sum to ``d * (k - b_j)``, and the dependence
-    is ``l_i`` on ``a_i``, ``d * [i = j] - l_i`` on ``b_i`` and ``-d`` on k.
-    Then all rows are assembled at once, in object arrays of Python ints.
-    On a lifting a row evaluates to ``|zeta[k]|`` times k's exclusion
-    margin: weighted by it, the cell points' lifted values are their faces'
-    heights, and the gamma terms cancel.
+    block's coefficients sum to zero, so the n x n edge matrix D (rows
+    ``a_i - b_i``) is all the caller eliminates: for a point k of block j,
+    with ``d = det D`` and ``l = (k - b_j) @ adj D``, the rows of D weighted
+    by l sum to ``d * (k - b_j)``, and the dependence is ``l_i`` on ``a_i``,
+    ``d * [i = j] - l_i`` on ``b_i`` and ``-d`` on k.  All rows are
+    assembled at once, in object arrays of Python ints.  On a lifting a row
+    evaluates to ``|zeta[k]|`` times k's exclusion margin: weighted by it,
+    the cell points' lifted values are their faces' heights, and the gamma
+    terms cancel.
     """
-    n, count = plan.n, len(ends)
+    n, count = plan.n, len(cells)
     width = 2 * n + 1
     if not count:
         return CircuitTable(np.zeros((0, width), np.intp), np.zeros((0, width), object))
-    base = plan.base
-    dets, adjs = [], []
-    for pairs in ends:
-        det, adj = det_adjugate(
-            [[x - y for x, y in zip(base[a], base[b])] for a, b in pairs]
-        )
-        if det == 0:
-            raise SingularExponentMatrix("cell points are affinely dependent")
+    ends, dets, adjs = [], [], []
+    for pairs, det, adj in cells:
         # Negating both negates the dependence and makes its entry -d on
         # the excluded point negative.
         if det < 0:
             det, adj = -det, [[-x for x in row] for row in adj]
+        ends.append(pairs)
         dets.append(det)
         adjs.append(adj)
     # One row per (cell, excluded point), cells in order, points ascending.
@@ -771,9 +775,15 @@ def _circuit_table(
 def circuit_inequalities(cell: MixedCell, config: CayleyConfig) -> CircuitTable:
     """The cell's circuit table, one row per Cayley point excluded from it.
 
-    The one-cell entry to ``_circuit_table``; see there for the dependence
-    and its orientation.
+    The one-cell entry to ``_circuit_table``, with the one ``det_adjugate``
+    of the cell's edge matrix; see there for the dependence and its
+    orientation.  A singular edge matrix raises SingularExponentMatrix.
     """
     plan = _plan(config)
     ends = tuple((blk[p], blk[q]) for blk, (p, q) in zip(plan.blocks, cell.edges))
-    return _circuit_table(plan, [ends])
+    base = plan.base
+    rows = [[x - y for x, y in zip(base[a], base[b])] for a, b in ends]
+    det, adj = det_adjugate(rows)
+    if det == 0:
+        raise SingularExponentMatrix("cell points are affinely dependent")
+    return _circuit_table(plan, [(ends, det, adj)])

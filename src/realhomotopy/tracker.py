@@ -126,7 +126,7 @@ CORRECTOR_ITERS = 4
 CONTRACTION = 0.25
 # Iterate budget of the turning-point Newton (``_fold``), and the largest
 # residual at which a step's failed corrector is a near miss: the fold test
-# starts from the last iterate of the step's lowest-residual near miss.
+# starts from the best iterate of the step's lowest-residual near miss.
 FOLD_ITERS = 8
 FOLD_START_RESIDUAL = 0.1
 MIN_STEP = 1e-14
@@ -337,18 +337,23 @@ def _newton(
     full budgets; applied to them as well, the rule lost converged forced
     paths.
 
-    Returns the final residual (``_max_norm``, so never NaN), the final
-    iterate and the kernel table ``[h | J_u | dh/dlam]`` at it: when the
-    tracker accepts that iterate, its tangent for the predictor comes from
-    this table.
+    Returns the lowest residual of any iterate evaluated (``_max_norm``, so
+    never NaN), that iterate and the kernel table ``[h | J_u | dh/dlam]`` at
+    it, the earliest on a tie: when the tracker accepts that iterate, its
+    tangent for the predictor comes from this table.  A Newton that stops
+    below ``ctol`` stops at that iterate; one that stops above it may have
+    passed a better iterate than its last, which the endpoint polish keeps.
     """
     lam_vexp = lam * h.vexp
     it = 0
     last = math.inf
+    best = None
     while True:
         table = _kernels.jac_dlam(h.logc, lam_vexp, h.exps, h.starts, h.eq, weights, u)
         hv = table[:, 0]
         res = _max_norm(hv.tolist())
+        if best is None or res < best[0]:
+            best = res, u, table
         if res < ctol or it == max_iters or (contract and res > CONTRACTION * last):
             break
         last = res
@@ -360,7 +365,7 @@ def _newton(
             break
         u = u - du
         it += 1
-    return res, u, table
+    return best
 
 
 def _predict(lam: float, u: np.ndarray, udot: np.ndarray, prev, step: float):
@@ -468,7 +473,8 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
 
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
     """Continue one path from its start at ``path.lam`` to lam = 0; at lam = 0
-    (a certified path) only the endpoint polish runs.
+    (a certified path) only the endpoint polish runs.  The endpoint is the
+    polish's lowest-residual iterate, which must be below ``tol``.
 
     Each step doubles the last accepted one, bounded by the remaining lam and
     by its predicted move in the cell's frame, ``step * max|udot + normal|``.
@@ -477,7 +483,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     singular or non-finite tangent, or a fourth corrector failure in one
     step, fails the path.  After the second and after the fourth failure in
     one step, ``_fold`` looks for a turning point below lam and above the
-    first failed attempt's lam.  It starts from the last iterate of the
+    first failed attempt's lam.  It starts from the best iterate of the
     step's failed attempt of lowest residual if that is a near miss (below
     ``FOLD_START_RESIDUAL``), else from the accepted point.  A confirmed fold
     fails the path at once; otherwise the step goes on halving, or after the
@@ -558,7 +564,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         if steps > MAX_STEPS:
             raise CorrectorStalled("step budget exhausted")
         dlam = 2.0 * step
-    # Polish to well below tol, but never stop above it.
+    # Polish toward well below tol; the endpoint is the polish's best iterate.
     res, u, _ = _newton(h, weights, 0.0, u, min(tol, max(tol * 1e-4, 1e-14)), 25)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")

@@ -42,7 +42,7 @@ from realhomotopy import (
     solve,
     support_system,
 )
-from realhomotopy import mixed_cells
+from realhomotopy import lattice, mixed_cells
 from realhomotopy.lattice import Lifting, int_det
 from realhomotopy.mixed_cells import TIE_RTOL, _FloatScreen, _ScreenPlan
 
@@ -885,6 +885,53 @@ class TestDenseHigherDimension:
         assert product == 6_859_000
         screen = _screen(build_cayley(system), log_abs_lifting(system))
         assert screen.total < product // 100
+
+
+class TestOneEliminationPerSurvivor:
+    """Each screen survivor's edge matrix is eliminated once: the
+    determinant, the normal and the circuits share one ``det_adjugate``."""
+
+    def test_random_systems(self, rng, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(matrix):
+                calls.append(matrix)
+                return fn(matrix)
+
+            return wrapper
+
+        def unused(*args):
+            raise AssertionError("the enumeration eliminates only by det_adjugate")
+
+        monkeypatch.setattr(lattice, "det_adjugate", counted(lattice.det_adjugate))
+        monkeypatch.setattr(
+            mixed_cells, "det_adjugate", counted(mixed_cells.det_adjugate)
+        )
+        monkeypatch.setattr(mixed_cells, "int_det", unused)
+        monkeypatch.setattr(mixed_cells, "solve_exact", unused)
+        systems = [random_sparse_system(rng, n=2, max_terms=6) for _ in range(10)]
+        systems += [random_sparse_system(rng, n=3, max_terms=4) for _ in range(4)]
+        for system in systems:
+            config = build_cayley(system)
+            lifting = log_abs_lifting(system)
+            survivors = len(list(_screen(config, lifting).candidates()))
+            calls.clear()
+            cells = enumerate_mixed_cells(config, lifting)
+            assert survivors and len(calls) == survivors
+            values = lifting.values
+            for cell in cells.cells:
+                ends = [
+                    (config.block_indices(i)[p], config.block_indices(i)[q])
+                    for i, (p, q) in enumerate(cell.edges)
+                ]
+                rows = [
+                    [x - y for x, y in zip(config.base_point(a), config.base_point(b))]
+                    for a, b in ends
+                ]
+                rhs = [values[b] - values[a] for a, b in ends]
+                gamma = lattice.solve_exact(rows, rhs)
+                assert cell.normal == tuple(-g for g in gamma)
 
 
 def _ordered(rows):
