@@ -18,15 +18,16 @@ sign (the path's orthant is fixed, so the tracker signs the table once per
 path) and returns the one table ``[h | J_u | dh/dlam]`` of the shifted
 residual, the Jacobian in u and the derivative in lam.  It keeps the name of
 the Jacobian kernel it replaced, which is the name the benchmark's tracer
-wraps.  ``h_scale`` evaluates the residual alone, for
-``tracker.scaled_residual``, in one call: at one point or at a ``(k, n)``
-stack of points, with one row of signs or a ``(k, m)`` stack of them.  Its
-exponent products are a stack of matrix-vector products, which round like
-``jac_dlam``'s ``np.dot``, so each row of a stack equals the one-point
-result bit for bit; one ``(k, n) @ (n, m)`` matrix product would round
-differently.  ``BACKEND`` names this implementation for the benchmark's
-environment record; the number and cost of kernel calls per solve are the
-``kernels.*`` metrics of ``perfbench/run.py --trace 1``.
+wraps.  ``h_scale`` evaluates the residual alone.  The solver no longer
+calls it, since forced paths start at one fixed t0 that nothing scores; it
+stays for the benchmark's tracer, which wraps it by name, and for the
+tests, which check ``jac_dlam``'s residual column against it.  Its exponent
+products are a stack of matrix-vector products, which round like
+``jac_dlam``'s ``np.dot``, so on a ``(k, n)`` stack of points each row
+equals the one-point result bit for bit.  ``BACKEND`` names this
+implementation for the benchmark's environment record; the number and cost
+of kernel calls per solve are the ``kernels.*`` metrics of
+``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def _magnitudes(logc, lam_vexp, starts, eq, a):
     return a, shift
 
 
+# Unused by the solver: perfbench/tracing.py's LEAVES wraps this name until
+# ROADMAP item 1a retires it.
 def h_scale(signs, logc, lam_vexp, exps, starts, eq, u):
     """Each equation over its largest term magnitude, and the log of that
     magnitude; ``u`` is one point or a stack of points."""

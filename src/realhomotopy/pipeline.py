@@ -23,7 +23,11 @@ from .tracker import (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Endpoint tolerance and forced tracking; certified paths start at t0 = 1."""
+    """Endpoint tolerance and forced tracking.
+
+    The start t0 is not an option: ``tracker.select_t0`` starts certified
+    paths at t0 = 1 and forced ones at ``tracker.FORCED_T0`` = 1e-8.
+    """
 
     tol: float = 1e-8
     force: bool = False
@@ -107,12 +111,12 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
 
     if any(cell_starts):
         homotopy = make_homotopy(system, lifting)
-        paths: list[tuple[int, PathState]] = []
-        for ci, (cell, starts) in enumerate(zip(cells.cells, cell_starts)):
-            if not starts:
-                continue
-            t0 = select_t0(homotopy, cell, starts) if report.uncertified else 1.0
-            paths.extend((ci, make_path(cell, sol, t0)) for sol in starts)
+        t0 = select_t0(report.verdict)
+        paths: list[tuple[int, PathState]] = [
+            (ci, make_path(cell, sol, t0))
+            for ci, (cell, starts) in enumerate(zip(cells.cells, cell_starts))
+            for sol in starts
+        ]
         report.solutions = track(homotopy, [p for _, p in paths], tol=cfg.tol)
         report.failures = [
             PathFailure(ci, pi, p.status, p.message)

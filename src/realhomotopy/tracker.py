@@ -18,14 +18,18 @@ The start is formed from the cell and the orthant alone.  On a cell's edge
 with the lifting ``w = log|c|`` the normal satisfies ``D normal = w_p - w_q``,
 so ``log|sol| = -normal``: the truncated branch is the line
 ``u = -(1 + lam) * normal``.  A path starts on it at ``lam = -log t0``
-(``make_path``), and ``select_t0`` scores its candidates at that same point,
-so no start is ever formed in x and one whose x would overflow or underflow
-is tracked like any other.
+(``make_path``), so no start is ever formed in x and one whose x would
+overflow or underflow is tracked like any other.
 
-A certificate pass keeps each orthant's real-zero count from the toric limit
-to the target, so ``pipeline.solve`` starts certified paths at ``t0 = 1``
-(``u = -normal``): no step, only the endpoint polish, and ``track`` still
-fails any two that end on one zero.
+``select_t0`` is the one rule for t0.  A certificate pass keeps each
+orthant's real-zero count from the toric limit to the target, so certified
+paths start at ``t0 = 1`` (``u = -normal``): no step, only the endpoint
+polish, and ``track`` still fails any two that end on one zero.  Every other
+path starts at ``FORCED_T0 = 1e-8``, where the toric limit holds (as in the
+paper and in Huber and Sturmfels), and the start correction pulls it onto
+its path.  Scoring t0 candidates per cell instead cost about 8% of a forced
+solve and took more kernel calls (3,876 against 3,781 on track_forced seeds
+1-3).
 
 Steps are sized in the frame of the path's cell.  The truncated branch moves
 ``u`` by ``-normal`` per unit lam, a drift known in advance, so both the cap on
@@ -35,8 +39,8 @@ takes the same few steps at any coefficient scale, and steps shrink only where
 the path bends away from its branch.
 
 No corrector work is spent where it cannot succeed.  A step corrector stops
-on its own contraction: as soon as an iterate fails to cut the residual
-fourfold, the step is halved; one that keeps contracting has
+on its own contraction: as soon as an iterate after the first fails to cut
+the residual fourfold, the step is halved; one that keeps contracting has
 ``CORRECTOR_ITERS`` = 4 iterates (Deuflhard, *Newton Methods for Nonlinear
 Problems*, 2004).  Without a certificate a real path can end where it meets
 another real branch and both turn complex (a fold; Li and Wang, Math. Comp.
@@ -115,7 +119,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CorrectorStalled, PathDiverged
-from .lattice import Lifting, SupportSystem, log_abs
+from .lattice import Lifting, SupportSystem
 from .mixed_cells import MixedCell
 from .binomial import RealOrthantSolution
 
@@ -145,8 +149,9 @@ MAX_LOG_MOVE = 1.0
 # Endpoints in one orthant whose log|x| agree this closely in every
 # coordinate count as one zero reached twice (path jumping).
 DISTINCT_LOG_TOL = 1e-6
-T0_CANDIDATES = tuple(10.0 ** -k for k in range(1, 9))
-START_RESIDUAL_THRESHOLD = 1e-3
+# The t of every forced path's start (``select_t0``): small enough that the
+# toric limit holds, ``lam0 = -log FORCED_T0`` of about 18.4.
+FORCED_T0 = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +178,10 @@ class HomotopySystem:
 def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     """Assemble the deformation induced by a lifting.
 
-    Exponents are normalized per equation so the dominant term carries t**0;
+    ``logc`` is the lifting itself, which is ``log|c|``
+    (``lattice.log_abs_lifting``); a Fraction's sign is read from its
+    numerator, at a third of the cost of comparing the Fraction.  Exponents
+    are normalized per equation so the dominant term carries t**0;
     per-equation shifts only rescale equations and leave the zero set alone.
     """
     w = lifting.values
@@ -189,14 +197,18 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
             vexp.append(w_max - wv)
         pos += len(sup)
         offs.append(len(exps))
-    coeffs = [c for cs in system.coefficients for c in cs]
+    signs = [
+        1.0 if getattr(c, "numerator", c) > 0 else -1.0
+        for cs in system.coefficients
+        for c in cs
+    ]
     exps_f = np.array(exps, dtype=np.float64)
     vexp_f = np.array(vexp, dtype=np.float64)
     offs_i = np.array(offs, dtype=np.int64)
     starts, eq, weights = _kernels.tables(exps_f, vexp_f, offs_i)
     return HomotopySystem(
-        logc=np.array([log_abs(c) for c in coeffs], dtype=np.float64),
-        signs=np.array([1.0 if c > 0 else -1.0 for c in coeffs], dtype=np.float64),
+        logc=np.array(w, dtype=np.float64),
+        signs=np.array(signs, dtype=np.float64),
         exps=exps_f,
         vexp=vexp_f,
         starts=starts,
@@ -244,45 +256,15 @@ def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
     """The term signs ``sign(c_k) * prod_j s_j**exps[k, j]`` of h in the orthant
-    ``s`` of a point, or one row per orthant for a ``(k, n)`` stack."""
+    ``s`` of a point."""
     s = np.asarray(orthant, dtype=np.float64)
-    return h.signs * np.prod(s[..., None, :] ** h.exps, axis=-1)
+    return h.signs * np.prod(s**h.exps, axis=1)
 
 
-def scaled_residual(h: HomotopySystem, signs: np.ndarray, t: float, u: np.ndarray):
-    """Max-norm residual at ``u = log|x|``, each equation scaled by its largest
-    term magnitude, with the ``term_signs`` of x's orthant.  For ``(k, m)``
-    signs, at one point or at a ``(k, n)`` stack of points, one residual per
-    row from one kernel call."""
-    hv, _ = _kernels.h_scale(
-        signs, h.logc, -math.log(t) * h.vexp, h.exps, h.starts, h.eq, u
-    )
-    return np.abs(hv).max(axis=-1)
-
-
-def select_t0(
-    h: HomotopySystem, cell: MixedCell, sols: Sequence[RealOrthantSolution]
-) -> float:
-    """Largest candidate t0 whose start residuals all sit below the threshold.
-
-    The threshold is ``START_RESIDUAL_THRESHOLD``.  Each candidate is scored
-    at ``make_path``'s own start, the one point ``u = -(1 - log t0) * normal``
-    of the cell; the cell's orthants differ only in their term signs, which
-    do not depend on t0 and are taken once, so a candidate scores all starts
-    in one ``scaled_residual`` call.  When no candidate clears the threshold
-    the one with the smallest worst residual wins, and the tracker corrects
-    the start by Newton.  Only the starts' signs are read.
-    """
-    signs = term_signs(h, [s.signs for s in sols])
-    best_t0, best_res = T0_CANDIDATES[0], math.inf
-    for t0 in T0_CANDIDATES:
-        u = make_path(cell, sols[0], t0).u
-        worst = float(scaled_residual(h, signs, t0, u).max())
-        if worst < START_RESIDUAL_THRESHOLD:
-            return t0
-        if worst < best_res:
-            best_t0, best_res = t0, worst
-    return best_t0
+def select_t0(certified: bool) -> float:
+    """The t at which a solve's paths start: the target, ``t0 = 1``, on a
+    certificate pass, else ``FORCED_T0`` (see the module docstring)."""
+    return 1.0 if certified else FORCED_T0
 
 
 def _max_norm(values: list[float]) -> float:
@@ -328,14 +310,17 @@ def _newton(
     iterate; ``weights`` is ``h.weights`` signed for the path's orthant.
 
     With ``contract``, as for the step correctors, Newton also stops at the
-    first iterate that fails to cut the residual to ``CONTRACTION`` times the
-    last one, and the caller halves the step.  A corrector that converges
-    within ``CORRECTOR_ITERS`` nearly always contracts far faster: replayed
-    as a plain Newton of as many iterates, no track_forced corrector (seeds
-    1-3) is cut that would converge, and 8 of the 4,428 on the held-out n = 2
-    systems are.  The start correction and the endgame polish keep their
-    full budgets; applied to them as well, the rule lost converged forced
-    paths.
+    first iterate after the first that fails to cut the residual to
+    ``CONTRACTION`` times the last one, and the caller halves the step.  The
+    first iterate is exempt: from a predicted point it may even raise the
+    residual of a corrector that converges (0.049 to 0.089 on a cubic/conic
+    step).  Replayed as a plain Newton of ``CORRECTOR_ITERS`` iterates, no
+    step corrector of the 503 reference solves is cut that would converge
+    (the cut column of ``tests/reference_reports.py``).  While t0 was still
+    scored per cell, testing the first iterate as well cut 11, all on the
+    held-out n = 2 systems.  The start correction and the endgame polish
+    keep their full budgets; applied to them as well, the rule lost
+    converged forced paths.
 
     Returns the lowest residual of any iterate evaluated (``_max_norm``, so
     never NaN), that iterate and the kernel table ``[h | J_u | dh/dlam]`` at
@@ -354,7 +339,9 @@ def _newton(
         res = _max_norm(hv.tolist())
         if best is None or res < best[0]:
             best = res, u, table
-        if res < ctol or it == max_iters or (contract and res > CONTRACTION * last):
+        if res < ctol or it == max_iters or (
+            contract and it > 1 and res > CONTRACTION * last
+        ):
             break
         last = res
         try:

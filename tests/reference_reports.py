@@ -13,16 +13,20 @@ endpoint with its accepted steps and residual, and every failed path's status
 and message.  Floats keep their exact value in JSON.
 
 ``dump`` also counts each solve's ``_kernels.jac_dlam`` calls, by wrapping
-the kernel while the solve runs.
+the kernel while the solve runs, and its cut step correctors: those that
+``tracker.CONTRACTION`` stopped although a plain Newton of
+``tracker.CORRECTOR_ITERS`` iterates, replayed from the same start after the
+solve, converges.
 
 ``compare`` prints, per family, how many reports differ at all, and among
 them the changes in solution count, failure status, accepted steps and
 failure message (read up to its ``lam``), and the largest relative endpoint
 difference.  A change to the tracker's arithmetic that moves only last bits
 shows as differing reports with every other column zero.  A second table
-gives both sides, as ``A -> B``, of the ``jac_dlam`` calls and of the failed
-paths by kind: fold, halvings (``corrector failed after 3 halvings``), start
-(``start point correction failed``) and other.
+gives both sides, as ``A -> B``, of the ``jac_dlam`` calls, of the cut
+step correctors and of the failed paths by kind: fold, halvings
+(``corrector failed after 3 halvings``), start (``start point correction
+failed``) and other.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from helpers import held_out_forced  # noqa: E402
-from realhomotopy import SolverConfig, _kernels, solve  # noqa: E402
+from realhomotopy import SolverConfig, _kernels, solve, tracker  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -57,22 +61,37 @@ def reference_solves():
 
 def report_record(system, config) -> dict:
     """The parts of one solve's outcome that the comparison reads, with the
-    number of ``_kernels.jac_dlam`` calls the solve made."""
+    number of ``_kernels.jac_dlam`` calls the solve made and of its cut step
+    correctors."""
     kernel, calls = _kernels.jac_dlam, [0]
+    newton, failed = tracker._newton, []
 
     def counted(*args):
         calls[0] += 1
         return kernel(*args)
 
-    _kernels.jac_dlam = counted
+    def recorded(h, weights, lam, u, ctol, max_iters, contract=False):
+        out = newton(h, weights, lam, u, ctol, max_iters, contract)
+        if contract and not out[0] < ctol:
+            failed.append((ctol, (h, weights, lam, u, ctol, max_iters)))
+        return out
+
+    _kernels.jac_dlam, tracker._newton = counted, recorded
     try:
         report = solve(system, config)
     except Exception as exc:  # a raised solve is an outcome to compare
-        return {"calls": calls[0], "error": f"{type(exc).__name__}: {exc}"}
+        report = exc
     finally:
-        _kernels.jac_dlam = kernel
-    return {
+        _kernels.jac_dlam, tracker._newton = kernel, newton
+    # Each failed step corrector again, as a plain Newton.
+    counts = {
         "calls": calls[0],
+        "cut": sum(newton(*args)[0] < ctol for ctol, args in failed),
+    }
+    if isinstance(report, Exception):
+        return {**counts, "error": f"{type(report).__name__}: {report}"}
+    return {
+        **counts,
         "starts": list(report.start_solutions),
         "solutions": [
             {"point": list(s.point), "steps": s.steps, "residual": s.residual}
@@ -125,14 +144,15 @@ def _kind(message: str) -> str:
 
 def _new_row() -> dict:
     row = dict.fromkeys(("solves", "differ", "count", "status", "steps", "message"), 0)
-    row.update(endpoint=0.0, calls=[0, 0], kinds={kind: [0, 0] for kind in KINDS})
+    row.update(endpoint=0.0, calls=[0, 0], cut=[0, 0])
+    row["kinds"] = {kind: [0, 0] for kind in KINDS}
     return row
 
 
 def compare_records(a_records: list[dict], b_records: list[dict]) -> dict[str, dict]:
     """Per family, the report changes from ``a_records`` to ``b_records``, and
-    each side's ``jac_dlam`` calls and failed paths by ``KINDS``, as the pair
-    ``[a, b]``."""
+    each side's ``jac_dlam`` calls, cut step correctors and failed paths by
+    ``KINDS``, as the pair ``[a, b]``."""
     if [(r["family"], r["label"]) for r in a_records] != [
         (r["family"], r["label"]) for r in b_records
     ]:
@@ -143,10 +163,11 @@ def compare_records(a_records: list[dict], b_records: list[dict]) -> dict[str, d
         row["solves"] += 1
         for side, r in enumerate((a, b)):
             row["calls"][side] += r.get("calls", 0)
+            row["cut"][side] += r.get("cut", 0)
             for f in r.get("failures", ()):
                 row["kinds"][_kind(f[3])][side] += 1
-        a = {k: v for k, v in a.items() if k != "calls"}
-        b = {k: v for k, v in b.items() if k != "calls"}
+        a = {k: v for k, v in a.items() if k not in ("calls", "cut")}
+        b = {k: v for k, v in b.items() if k not in ("calls", "cut")}
         if a == b:
             continue
         row["differ"] += 1
@@ -186,9 +207,11 @@ def compare(path_a: Path, path_b: Path) -> None:
             f"{row['endpoint']:>18.3g}"
         )
     print()
-    print(f"{'family':<18}{'jac_dlam calls':>20}" + "".join(f"{k:>14}" for k in KINDS))
+    kinds = "".join(f"{k:>14}" for k in ("cut", *KINDS))
+    print(f"{'family':<18}{'jac_dlam calls':>20}" + kinds)
     for family, row in rows.items():
-        sides = [f"{a} -> {b}" for a, b in (row["calls"], *row["kinds"].values())]
+        pairs = (row["calls"], row["cut"], *row["kinds"].values())
+        sides = [f"{a} -> {b}" for a, b in pairs]
         print(f"{family:<18}{sides[0]:>20}" + "".join(f"{v:>14}" for v in sides[1:]))
 
 

@@ -12,11 +12,12 @@ START = ("failed", "start point correction failed")
 UNDERFLOW = ("diverged", "step size underflow")
 
 
-def _record(label, points, failures, calls):
+def _record(label, points, failures, calls, cut=0):
     return {
         "family": "forced",
         "label": label,
         "calls": calls,
+        "cut": cut,
         "starts": [len(points) + len(failures)],
         "solutions": [
             {"point": list(p), "steps": 4, "residual": 1e-12} for p in points
@@ -46,6 +47,9 @@ def _sides():
             ([(1.0, -4.0)], [(1, START)], 20),
             ([(1.0, -4.0 * (1 + 2e-12))], [(1, START)], 20),
         ),
+        # Two cut step correctors fewer, and nothing else changes: the
+        # report does not differ.
+        "cut": (([(3.0, 1.0)], [], 10, 2), ([(3.0, 1.0)], [], 10, 0)),
     }
     a = [_record(label, *before) for label, (before, _) in pairs.items()]
     b = [_record(label, *after) for label, (_, after) in pairs.items()]
@@ -56,11 +60,12 @@ def test_compare_records_tells_each_change_apart():
     a, b = _sides()
     [(family, row)] = compare_records(a, b).items()
     assert family == "forced"
-    assert row["solves"] == 4
+    assert row["solves"] == 5
     assert row["differ"] == 4
     assert (row["count"], row["status"], row["steps"], row["message"]) == (0, 1, 0, 1)
     assert row["endpoint"] == pytest.approx(2e-12, rel=1e-3)
-    assert row["calls"] == [140, 100]
+    assert row["calls"] == [150, 110]
+    assert row["cut"] == [2, 0]
     assert row["kinds"] == {
         "fold": [1, 3],
         "halvings": [1, 0],
@@ -73,7 +78,8 @@ def test_compare_records_of_a_dump_with_itself_is_quiet():
     a, _ = _sides()
     [row] = compare_records(a, a).values()
     assert (row["differ"], row["endpoint"]) == (0, 0.0)
-    assert row["calls"] == [140, 140]
+    assert row["calls"] == [150, 150]
+    assert row["cut"] == [2, 2]
 
 
 def test_compare_records_refuses_different_solves():
@@ -89,6 +95,6 @@ def test_compare_prints_both_sides(tmp_path, capsys):
         path.write_text(json.dumps(records))
     main(["compare", *map(str, paths)])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split() == ["forced", "4", "4", "0", "1", "0", "1", "2e-12"]
-    sides = "140 -> 100 1 -> 3 1 -> 0 1 -> 1 1 -> 0"
+    assert lines[1].split() == ["forced", "5", "4", "0", "1", "0", "1", "2e-12"]
+    sides = "150 -> 110 2 -> 0 1 -> 3 1 -> 0 1 -> 1 1 -> 0"
     assert lines[-1].split() == ["forced", *sides.split()]

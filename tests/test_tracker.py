@@ -31,7 +31,8 @@ from realhomotopy import (
     track,
 )
 from realhomotopy import _kernels, pipeline, tracker
-from realhomotopy.tracker import scaled_residual, select_t0, term_signs
+from realhomotopy.lattice import log_abs
+from realhomotopy.tracker import FORCED_T0, select_t0, term_signs
 
 
 def _cells_and_homotopy(system):
@@ -98,6 +99,28 @@ def _fold_lam(message):
     return float(message[len(prefix) :])
 
 
+class TestMakeHomotopy:
+    def test_logc_and_signs_match_the_coefficients(self):
+        # make_homotopy takes logc from the log|c| lifting and a Fraction's
+        # sign from its numerator.  Both must equal log_abs(c) and sign(c)
+        # bit for bit: on the reference solves (the three benchmark corpora
+        # at seeds 1-3 and the held-out forced systems) and on ints, floats
+        # and Fractions of either sign beyond the float range.
+        extreme = support_system(
+            [[[0], [1], [2], [3], [4]]],
+            [[-(10**400), Fraction(-1, 10**320), Fraction(10**400, 3), 2.5, -3]],
+        )
+        solves = list(reference_solves())
+        families = {family for family, _, _, _ in solves}
+        assert families >= {"dense_cells", "track_forced", "certified_scaled"}
+        for system in [system for _, _, system, _ in solves] + [extreme]:
+            h = make_homotopy(system, log_abs_lifting(system))
+            coeffs = [c for cs in system.coefficients for c in cs]
+            logs = np.array([log_abs(c) for c in coeffs], dtype=np.float64)
+            assert h.logc.tobytes() == logs.tobytes()
+            assert h.signs.tolist() == [1.0 if c > 0 else -1.0 for c in coeffs]
+
+
 class TestStartPoint:
     def test_identity_at_t_one(self, cubic_conic):
         # At t0 = 1 the start u = -normal is the binomial solution itself.
@@ -110,16 +133,25 @@ class TestStartPoint:
         assert tuple(x) == pytest.approx(sol.point, rel=1e-14)
 
     def test_residual_decays_with_t0(self, cubic_conic):
-        cells, homotopy = _cells_and_homotopy(cubic_conic)
+        # The truncated branch point is a zero of the deformed system in the
+        # toric limit: its residual, each equation scaled by its largest
+        # term, falls with t0; at FORCED_T0 this start already meets the
+        # corrector tolerance.
+        cells, h = _cells_and_homotopy(cubic_conic)
         cell = next(c for c in cells.cells if c.primitive_normal == (-2, -1))
         sol = solve_real(binomial_from_cell(cell, cubic_conic))[0]
-        signs = term_signs(homotopy, sol.signs)
-        residuals = [
-            scaled_residual(homotopy, signs, t0, make_path(cell, sol, t0).u)
-            for t0 in (1e-1, 1e-2, 1e-3)
-        ]
-        assert residuals[0] > residuals[1] > residuals[2]
+        signs = term_signs(h, sol.signs)
+        offs = np.append(h.starts, h.logc.size)
+        residuals = []
+        for t0 in (1e-1, 1e-2, 1e-3, FORCED_T0):
+            path = make_path(cell, sol, t0)
+            hv, _ = loop_log_h_scale(
+                signs, h.logc, h.exps, h.vexp, offs, path.lam, path.u
+            )
+            residuals.append(float(np.abs(hv).max()))
+        assert all(a > b for a, b in zip(residuals, residuals[1:]))
         assert residuals[2] < 1e-4
+        assert residuals[3] < tracker.CORRECTOR_TOL
 
     def test_make_path_reads_only_the_signs(self, cubic_conic):
         # The start is the truncated branch point u = -(1 + lam) * normal at
@@ -180,69 +212,6 @@ def _signed_power(system, k):
     )
 
 
-def _select_t0_per_start(h, cell, sols):
-    """``select_t0`` as one loop over the starts of each candidate: each start
-    scored alone by the scalar loop oracle at its truncated branch point
-    ``log|x| = (log t0 - 1) * normal``, with the term signs of its own
-    orthant."""
-    offs = np.append(h.starts, h.logc.size)
-    normal = np.array(cell.normal, dtype=np.float64)
-    best_t0, best_res = tracker.T0_CANDIDATES[0], math.inf
-    for t0 in tracker.T0_CANDIDATES:
-        u = (math.log(t0) - 1.0) * normal
-        residuals = []
-        for s in sols:
-            signs = h.signs * np.prod(np.array(s.signs, dtype=float) ** h.exps, axis=1)
-            hv, _ = loop_log_h_scale(
-                signs, h.logc, h.exps, h.vexp, offs, -math.log(t0), u
-            )
-            residuals.append(float(np.max(np.abs(hv))))
-        worst = max(residuals)
-        if worst < tracker.START_RESIDUAL_THRESHOLD:
-            return t0
-        if worst < best_res:
-            best_t0, best_res = t0, worst
-    return best_t0
-
-
-class TestSelectT0:
-    def test_matches_the_per_start_loop(self):
-        # The cubic/conic at every coefficient power of the certified_scaled
-        # corpus, the forced-tracking corpus and the seed-9 |c|^8 systems.
-        systems = [_signed_power(cubic_conic_system(), k) for k in range(1, 25)]
-        systems += [system for system, _ in _forced_corpus()]
-        rng = np.random.default_rng(9)
-        systems += [
-            _signed_power(random_sparse_system(rng, n=2, min_terms=4, max_terms=6), 8)
-            for _ in range(40)
-        ]
-        picked = Counter()
-        for system in systems:
-            cells, homotopy = _cells_and_homotopy(system)
-            for cell in cells.cells:
-                starts = solve_real(binomial_from_cell(cell, system))
-                if starts:
-                    want = _select_t0_per_start(homotopy, cell, starts)
-                    assert select_t0(homotopy, cell, starts) == want
-                    picked[want] += 1
-        # Every one of these cells picks a t0, several candidates among them,
-        # including those whose start in x would leave the float range.
-        assert len(picked) >= 3
-
-    def test_reads_only_the_signs(self, cubic_conic):
-        # The candidates are scored at make_path's start, which only the
-        # starts' signs decide: NaN magnitudes pick the same t0.
-        cells, homotopy = _cells_and_homotopy(cubic_conic)
-        for cell in cells.cells:
-            starts = solve_real(binomial_from_cell(cell, cubic_conic))
-            if not starts:
-                continue
-            blind = [
-                dataclasses.replace(s, point=(math.nan,) * len(s.point)) for s in starts
-            ]
-            assert select_t0(homotopy, cell, blind) == select_t0(homotopy, cell, starts)
-
-
 def _certified_candidates():
     """The certified_scaled benchmark corpus at seed 1, then the cubic/conic
     with coefficients ``sign(c) |c|^k`` for k = 14..24 and the 40 seed-9
@@ -282,11 +251,43 @@ def _mutated_first_cell(monkeypatch, mutate):
     monkeypatch.setattr(pipeline, "solve_real", patched)
 
 
+class TestStartT0:
+    def test_forced_paths_start_at_the_constant_and_certified_at_the_target(
+        self, monkeypatch
+    ):
+        # select_t0 is the one t0 rule: every path of a certificate pass
+        # starts at lam = 0, every other forced path at lam = -log(1e-8), and
+        # no solve evaluates the residual kernel h_scale.
+        assert (select_t0(True), select_t0(False)) == (1.0, 1e-8)
+        make_path_, started = pipeline.make_path, []
+
+        def recording(cell, sol, t0):
+            path = make_path_(cell, sol, t0)
+            started.append(path.lam)
+            return path
+
+        def h_scale(*args):
+            raise AssertionError("a solve called h_scale")
+
+        monkeypatch.setattr(pipeline, "make_path", recording)
+        monkeypatch.setattr(_kernels, "h_scale", h_scale)
+        systems = [system for _, system in _certified_candidates()]
+        systems += [system for system, _ in _forced_corpus()]
+        lams = Counter()
+        for system in systems:
+            started.clear()
+            report = solve(system, SolverConfig(force=True))
+            want = 0.0 if report.verdict else -math.log(1e-8)
+            assert started == [want] * sum(report.start_solutions)
+            lams[want] += len(started)
+        assert lams == {0.0: 178, -math.log(1e-8): 402}
+
+
 class TestCertifiedPaths:
     def test_start_at_the_target_and_end_where_tracking_does(self):
         # On a certificate pass each path starts at the target, t0 = 1, and
         # takes no step.  Its endpoint is the zero that the same start
-        # reaches when tracked from the t0 that select_t0 picks.
+        # reaches when tracked from FORCED_T0, as a forced path is.
         systems, paths = 0, 0
         for label, system in _certified_candidates():
             report = solve(system)
@@ -300,9 +301,7 @@ class TestCertifiedPaths:
             tracked_paths = []
             for cell in cells.cells:
                 starts = solve_real(binomial_from_cell(cell, system))
-                if starts:
-                    t0 = select_t0(homotopy, cell, starts)
-                    tracked_paths.extend(make_path(cell, s, t0) for s in starts)
+                tracked_paths.extend(make_path(cell, s, FORCED_T0) for s in starts)
             tracked = track(homotopy, tracked_paths)
             assert len(tracked) == len(report.solutions), label
             for at_target, along in zip(report.solutions, tracked):
@@ -443,7 +442,7 @@ class TestTracking:
         paths = []
         for cell in cells.cells:
             for sol in solve_real(binomial_from_cell(cell, system)):
-                paths.append(make_path(cell, sol, select_t0(homotopy, cell, [sol])))
+                paths.append(make_path(cell, sol, FORCED_T0))
         solutions = track(homotopy, paths, tol=1e-10)
         got = sorted(s.point[0] for s in solutions)
         ref = quadratic_real_roots(1.0, 10.0, 1.0)
@@ -461,8 +460,7 @@ class TestTracking:
         cell = cells.cells[0]
         starts = solve_real(binomial_from_cell(cell, system))
         assert len(starts) == 2
-        t0 = select_t0(homotopy, cell, starts)
-        paths = [make_path(cell, s, t0) for s in starts]
+        paths = [make_path(cell, s, FORCED_T0) for s in starts]
         solutions = track(homotopy, paths)
         assert len(solutions) == 2
         for sol, start in zip(solutions, starts):
@@ -616,22 +614,21 @@ class TestTracking:
         # Every kernel call is accounted for: jac_dlam only inside _newton, at
         # most one per iterate plus the last evaluation (max_iters + 1 per
         # call), or inside the fold test _fold, at most FOLD_ITERS + 1 per
-        # call, and h_scale only inside select_t0.  The tangent and the
-        # predictor reuse the table of the accepted iterate and call no
-        # kernel.  The cubic/conic converges all 6 paths; both paths of
-        # 2 - 2x + x**2 end at its fold, so the fold test runs.
-        scope = []  # the innermost instrumented call: "select_t0" or an index
-        calls = []  # (kernel name, scope at the call)
-        for name in ("h_scale", "jac_dlam"):
-            kernel = getattr(_kernels, name)
+        # call.  The tangent and the predictor reuse the table of the
+        # accepted iterate and call no kernel.  The cubic/conic converges all
+        # 6 paths; both paths of 2 - 2x + x**2 end at its fold, so the fold
+        # test runs.
+        scope = []  # the index of the innermost instrumented call
+        calls = []  # the scope at each jac_dlam call
+        kernel = _kernels.jac_dlam
 
-            def counted(*args, kernel=kernel, name=name):
-                calls.append((name, scope[-1] if scope else None))
-                return kernel(*args)
+        def counted(*args):
+            calls.append(scope[-1] if scope else None)
+            return kernel(*args)
 
-            monkeypatch.setattr(_kernels, name, counted)
+        monkeypatch.setattr(_kernels, "jac_dlam", counted)
         budgets = []  # (function, kernel-call budget) by call index
-        newton, fold, choose = tracker._newton, tracker._fold, tracker.select_t0
+        newton, fold = tracker._newton, tracker._fold
 
         def scoped(name, budget, fn, *args, **kwargs):
             scope.append(len(budgets))
@@ -648,13 +645,6 @@ class TestTracking:
         def scoped_fold(*args):
             return scoped("_fold", tracker.FOLD_ITERS + 1, fold, *args)
 
-        def scoped_select_t0(*args):
-            scope.append("select_t0")
-            try:
-                return choose(*args)
-            finally:
-                scope.pop()
-
         monkeypatch.setattr(tracker, "_newton", scoped_newton)
         monkeypatch.setattr(tracker, "_fold", scoped_fold)
         for system, count, converged in (
@@ -662,22 +652,18 @@ class TestTracking:
             (quadratic_system(2.0, -2.0, 1.0), 2, 0),
         ):
             cells, homotopy = _cells_and_homotopy(system)
-            paths = []
-            for cell in cells.cells:
-                starts = solve_real(binomial_from_cell(cell, system))
-                if starts:
-                    t0 = scoped_select_t0(homotopy, cell, starts)
-                    paths.extend(make_path(cell, s, t0) for s in starts)
+            paths = [
+                make_path(cell, s, FORCED_T0)
+                for cell in cells.cells
+                for s in solve_real(binomial_from_cell(cell, system))
+            ]
             assert len(paths) == count
             assert len(track(homotopy, paths)) == converged
-        per_call = Counter(where for name, where in calls if name == "jac_dlam")
-        assert None not in per_call and "select_t0" not in per_call
+        per_call = Counter(calls)
+        assert None not in per_call
         for k, (_, budget) in enumerate(budgets):
             assert 1 <= per_call[k] <= budget
         assert [name for name, _ in budgets].count("_fold") >= 2
-        assert sum(per_call.values()) + calls.count(("h_scale", "select_t0")) == len(
-            calls
-        )
 
     def test_forced_tracking_finds_every_exact_zero(self):
         # A step that jumps onto another branch loses a zero or reaches one
