@@ -9,8 +9,9 @@ solutions into two independent linear problems on the same matrix:
 - signs, ``(D mod 2) @ b = [r < 0]`` over GF(2), so a cell has either no real
   solution or ``2**(n - rank_2 D)`` of them.
 
-Magnitudes stay in log space until the end, so large exponents neither
-overflow nor underflow; signs are exact bits.
+A solution is returned in exactly that form, its orthant ``signs`` and
+``logs = log|x|``, and never as x: a zero at ``exp(+-1000)`` neither
+overflows nor underflows, and the tracker reads the signs alone.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class BinomialSystem:
 
 @dataclass(frozen=True)
 class RealOrthantSolution:
-    """A real solution with no zero coordinate and its orthant signs."""
+    """A real solution with no zero coordinate: ``x_j = signs[j] *
+    exp(logs[j])``."""
 
-    point: tuple[float, ...]
     signs: tuple[int, ...]
+    logs: tuple[float, ...]
 
 
 def binomial_from_cell(cell: MixedCell, system: SupportSystem) -> BinomialSystem:
@@ -97,7 +99,8 @@ def _sign(value: Scalar) -> int:
 
 
 def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
-    """All real solutions of ``x**D = rhs`` outside the coordinate hyperplanes.
+    """All real solutions of ``x**D = rhs`` outside the coordinate hyperplanes,
+    as signs and log-magnitudes.
 
     The log-magnitudes come from one exact adjugate of D (see
     ``_solve_logs``); a singular D raises SingularExponentMatrix.  The sign
@@ -110,8 +113,7 @@ def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
     solutions = []
     for signs in _parity_solutions(bsys.exponents, [r < 0 for r in bsys.rhs]):
         _check_residual(bsys, signs, logs, log_r, rtol)
-        point = tuple(s * math.exp(v) for s, v in zip(signs, logs))
-        solutions.append(RealOrthantSolution(point=point, signs=signs))
+        solutions.append(RealOrthantSolution(signs=signs, logs=logs))
     return solutions
 
 
@@ -165,7 +167,7 @@ def _sign_power_product(signs: Sequence[int], exponents: Sequence[int]) -> int:
 
 def _solve_logs(
     exponents: Sequence[Sequence[int]], log_r: Sequence[float]
-) -> tuple[list[float], list[float]]:
+) -> tuple[tuple[float, ...], list[float]]:
     """The float solution v of ``D @ v = log|r|`` from one exact adjugate,
     and per row i the relative residual that this v may show.
 
@@ -190,7 +192,7 @@ def _solve_logs(
     det, adj = det_adjugate(exponents)
     if det == 0:
         raise SingularExponentMatrix("singular exponent matrix")
-    logs = [sum(a * x for a, x in zip(row, log_r)) / det for row in adj]
+    logs = tuple(sum(a * x for a, x in zip(row, log_r)) / det for row in adj)
     size = [
         math.fsum(abs(a * x) for a, x in zip(row, log_r)) / abs(det) + abs(v)
         for row, v in zip(adj, logs)

@@ -9,15 +9,20 @@ Input documents are JSON objects with:
 
 Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
 
-Exit codes: 0 success, 1 input error, 2 certificate fail, 3 degenerate
-lifting, 4 tracking failures present or a start solution outside the float
-range.
+Exit codes: 0 success, 1 input error (a number too large for a float, such
+as an exponent near 10**200, included), 2 certificate fail, 3 degenerate
+lifting, 4 tracking failures present.
+
+``solve`` prints each solution's ``point`` x; a zero beyond the float range,
+where x would read ``inf`` or ``0``, is printed as its orthant ``signs`` and
+``log_abs = log|x|`` instead, so the output stays strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +39,7 @@ from .lattice import (
 )
 from .mixed_cells import MixedCell, MixedCellSet, enumerate_mixed_cells
 from .pipeline import SolverConfig, solve
+from .tracker import TrackedSolution
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -116,15 +122,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.verdict else EXIT_CERTIFICATE
 
 
+def _solution_doc(s: TrackedSolution) -> dict:
+    if all(math.isfinite(v) and v != 0.0 for v in s.point):
+        zero = {"point": list(s.point)}
+    else:
+        zero = {"signs": list(s.signs), "log_abs": list(s.logs)}
+    return {**zero, "residual": s.residual, "steps": s.steps}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     system = load_system(args.input)
-    cfg = SolverConfig(tol=args.tol, force=args.force)
-    try:
-        report = solve(system, cfg)
-    except OverflowError:  # only from ``solve_real``, forming a start in x
-        message = "tracking failed: start solution outside the float range"
-        print(message, file=sys.stderr)
-        return EXIT_TRACKING
+    report = solve(system, SolverConfig(tol=args.tol, force=args.force))
     doc = {
         "verdict": "pass" if report.verdict else "fail",
         "uncertified": report.uncertified,
@@ -132,14 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "cells": _cell_docs(report.cells),
         "margins": sorted(report.certificate.margins),
         "start_solution_counts": report.start_solutions,
-        "solutions": [
-            {
-                "point": list(s.point),
-                "residual": s.residual,
-                "steps": s.steps,
-            }
-            for s in report.solutions
-        ],
+        "solutions": [_solution_doc(s) for s in report.solutions],
         "failures": [
             {
                 "cell": f.cell_index,
@@ -205,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     except TieDegenerate as exc:
         print(f"degenerate lifting: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (RealHomotopyError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError is a ValueError.
+    except (RealHomotopyError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

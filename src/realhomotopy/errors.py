@@ -24,7 +24,7 @@ class DegenerateConfiguration(RealHomotopyError):
 
 
 class PathDiverged(RealHomotopyError):
-    """A path point fell outside the float range or the step size underflowed."""
+    """A path's step size underflowed."""
 
 
 class CorrectorStalled(RealHomotopyError):

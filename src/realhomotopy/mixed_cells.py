@@ -361,7 +361,12 @@ class _ScreenPlan:
         self.unit = ((ints[self.first] - ints[self.second]) // self.grain).astype(float)
         self.coords = ints.astype(float)
         self.max_coord = float(np.abs(self.coords).max())
-        self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
+        # A square beyond the float range (exponents near 10**200) makes a
+        # norm inf.  That only makes the screens keep more rows: an inf
+        # Hadamard bound, reach or tau proves no row singular, trusted or
+        # infeasible, and every comparison that drops a row is False on NaN.
+        with np.errstate(over="ignore"):
+            self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
         self.reach = float(self.norm.max())
         self._simplices = None
         if not screened:

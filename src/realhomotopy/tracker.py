@@ -19,7 +19,11 @@ with the lifting ``w = log|c|`` the normal satisfies ``D normal = w_p - w_q``,
 so ``log|sol| = -normal``: the truncated branch is the line
 ``u = -(1 + lam) * normal``.  A path starts on it at ``lam = -log t0``
 (``make_path``), so no start is ever formed in x and one whose x would
-overflow or underflow is tracked like any other.
+overflow or underflow is tracked like any other.  A path ends in the same
+form: a ``TrackedSolution`` carries the orthant ``signs`` and ``logs =
+log|x|``, and ``track`` tells endpoints apart by these.  x itself is formed
+once, for ``TrackedSolution.point``, where it is ``inf`` or ``0.0`` if the
+zero lies beyond the float range.
 
 ``select_t0`` is the one rule for t0.  A certificate pass keeps each
 orthant's real-zero count from the toric limit to the target, so certified
@@ -236,19 +240,25 @@ class PathState:
 
 @dataclass(frozen=True)
 class TrackedSolution:
-    """A converged endpoint with its scaled residual and accepted step count."""
+    """A converged endpoint with its scaled residual and accepted step count.
+
+    The zero is ``x_j = signs[j] * exp(logs[j])``; ``point`` is that x in
+    floats, with ``inf`` or ``0.0`` where it leaves the float range.
+    """
 
     point: tuple[float, ...]
     residual: float
     steps: int
+    signs: tuple[int, ...]
+    logs: tuple[float, ...]
 
 
 def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
     """The path from ``sol`` at t0: the truncated branch point
     ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant of sol.
 
-    Only ``sol.signs`` is read; its magnitudes are ``exp(-normal)`` (see the
-    module docstring)."""
+    Only ``sol.signs`` is read; its ``logs`` are ``-normal`` (see the module
+    docstring)."""
     normal = np.array(cell.normal, dtype=np.float64)
     lam = -math.log(t0)
     return PathState(lam=lam, u=-(1.0 + lam) * normal, signs=sol.signs, normal=normal)
@@ -556,23 +566,19 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):
-        x = (np.array(path.signs, dtype=np.float64) * np.exp(u)).tolist()
-    if not all(map(math.isfinite, x)) or 0.0 in x:
-        raise PathDiverged("endpoint outside the float range")
-    return TrackedSolution(point=tuple(x), residual=res, steps=steps)
+        x = np.array(path.signs, dtype=np.float64) * np.exp(u)
+    return TrackedSolution(tuple(x.tolist()), res, steps, path.signs, tuple(u.tolist()))
 
 
-def _coinciding(points: Sequence[tuple[float, ...]]):
-    """Pairs (a, b), a < b, of points in one orthant whose ``log|x|`` agree
-    within ``DISTINCT_LOG_TOL`` in every coordinate, on Python floats: a
+def _coinciding(solutions: Sequence[TrackedSolution]):
+    """Pairs (a, b), a < b, of solutions with equal ``signs`` whose ``logs``
+    agree within ``DISTINCT_LOG_TOL`` in every coordinate, on Python floats: a
     solve has a few endpoints, and numpy's calls per row cost more than the
     comparisons."""
-    signs = [[v > 0.0 for v in p] for p in points]
-    logs = [[math.log(abs(v)) for v in p] for p in points]
-    for a in range(len(points) - 1):
-        for b in range(a + 1, len(points)):
-            if signs[a] == signs[b] and all(
-                abs(p - q) <= DISTINCT_LOG_TOL for p, q in zip(logs[a], logs[b])
+    for a, sa in enumerate(solutions):
+        for b, sb in enumerate(solutions[a + 1 :], a + 1):
+            if sa.signs == sb.signs and all(
+                abs(p - q) <= DISTINCT_LOG_TOL for p, q in zip(sa.logs, sb.logs)
             ):
                 yield a, b
 
@@ -596,7 +602,7 @@ def track(
             path.status = "diverged" if isinstance(exc, PathDiverged) else "failed"
             path.message = str(exc)
     clashes: dict[int, int] = {}
-    for a, b in _coinciding([s.point for _, s in converged]):
+    for a, b in _coinciding([s for _, s in converged]):
         ka, kb = converged[a][0], converged[b][0]
         clashes.setdefault(ka, kb)
         clashes.setdefault(kb, ka)

@@ -57,6 +57,11 @@ def cubic_conic_system() -> SupportSystem:
     return support_system([CUBIC_SUPPORT, CONIC_SUPPORT], [f_coeffs, g_coeffs])
 
 
+def orthant_point(sol) -> tuple[float, ...]:
+    """x of a solution given as its orthant ``signs`` and ``logs = log|x|``."""
+    return tuple(s * math.exp(v) for s, v in zip(sol.signs, sol.logs))
+
+
 def quadratic_system(c0: float, c1: float, c2: float) -> SupportSystem:
     return support_system([[[0], [1], [2]]], [[c0, c1, c2]])
 
@@ -109,6 +114,37 @@ def random_sparse_system(
         for sup in supports
     ]
     return support_system(supports, coefficients)
+
+
+def exact_signed_power(system: SupportSystem, k: int) -> SupportSystem:
+    """``system`` with every coefficient c replaced by ``sign(c) |c|**k`` as an
+    exact Fraction, so no power overflows or underflows."""
+    return support_system(
+        [s.points for s in system.supports],
+        [
+            [(1 if c > 0 else -1) * abs(Fraction(c)) ** k for c in row]
+            for row in system.coefficients
+        ],
+    )
+
+
+def at_scale_systems() -> list[tuple[str, SupportSystem]]:
+    """Systems whose zeros lie up to about ``exp(+-2000)``, labelled: the first
+    30 ``random_sparse_system(n=3, 3-5 terms)`` from generator seed 40 with
+    coefficients ``sign(c) |c|**k`` for k = 20 and then k = 40, and the
+    quadratics ``(x - 10**k)(x - 10**-k)`` for k = 100, 200 and 400."""
+    rng = np.random.default_rng(40)
+    base = [random_sparse_system(rng, n=3, min_terms=3, max_terms=5) for _ in range(30)]
+    systems = [
+        (f"n3_k{k}_{i:02d}", exact_signed_power(system, k))
+        for k in (20, 40)
+        for i, system in enumerate(base)
+    ]
+    for k in (100, 200, 400):
+        middle = -(10**k + Fraction(1, 10**k))
+        quadratic = support_system([[[0], [1], [2]]], [[1, middle, 1]])
+        systems.append((f"quadratic_1e{k}", quadratic))
+    return systems
 
 
 def dyadic(nums: Sequence[int], shifts: Sequence[int]) -> tuple[float, ...]:

@@ -3,7 +3,9 @@
 The oracles share no code with the solver's decision paths: mixed cells are
 re-derived by LP feasibility (``lp_mixed_cells``, and the upper-hull edges of
 one block by ``lp_upper_edges``), binomial systems by per-orthant grid search
-with Newton polish, and quadratic root counts by the closed formula.
+with Newton polish, quadratic root counts by the closed formula, and a zero
+given as signs and ``log|x|`` by its residual in 50-digit decimal arithmetic
+(``log_residual``).
 
 The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -341,6 +344,32 @@ def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:
         return [-c1 / (2.0 * c2)]
     r = math.sqrt(disc)
     return sorted([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
+
+
+def log_residual(system, signs, logs) -> float:
+    """Max over equations of ``|sum of terms| / max |term|`` at the point
+    ``x_j = signs[j] * exp(logs[j])``, in 50-digit decimal arithmetic.
+
+    Each term is its sign and the log of its magnitude, ``log|c| + a . logs``,
+    with ``log|c|`` from the exact coefficient, so x is never formed and a
+    zero at ``exp(+-2000)`` is judged like any other.  Reads only the
+    system's ``supports[i].points`` and ``coefficients``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = [Decimal(v) for v in logs]
+        worst = Decimal(0)
+        for support, coeffs in zip(system.supports, system.coefficients):
+            terms = []
+            for a, c in zip(support.points, coeffs):
+                c = Fraction(c)
+                sign = math.prod(s for s, e in zip(signs, a) if e % 2)
+                log_c = Decimal(abs(c.numerator)).ln() - Decimal(c.denominator).ln()
+                log_term = log_c + sum(e * v for e, v in zip(a, u))
+                terms.append((sign if c > 0 else -sign, log_term))
+            top = max(m for _, m in terms)
+            worst = max(worst, abs(sum(s * (m - top).exp() for s, m in terms)))
+        return float(worst)
 
 
 def grid_binomial_solutions(

@@ -1,4 +1,4 @@
-"""Dump and compare the solver's reports on the 503 reference solves.
+"""Dump and compare the solver's reports on the 566 reference solves.
 
 Usage, from the root of the repository::
 
@@ -6,11 +6,13 @@ Usage, from the root of the repository::
     python3 tests/reference_reports.py compare A.json B.json
 
 The reference solves are the 279 benchmark corpus systems (the three
-workloads of ``perfbench/workloads.py`` at seeds 1-3) and the 224 held-out
-forced systems of ``helpers.held_out_forced``.  ``dump`` records, per solve,
-the raised exception if any, the start-solution counts, every converged
-endpoint with its accepted steps and residual, and every failed path's status
-and message.  Floats keep their exact value in JSON.
+workloads of ``perfbench/workloads.py`` at seeds 1-3), the 224 held-out
+forced systems of ``helpers.held_out_forced`` and the 63 certified systems
+of ``helpers.at_scale_systems``, whose zeros lie up to about ``exp(+-2000)``.
+``dump`` records, per solve, the raised exception if any, the start-solution
+counts, every converged endpoint as its signs and ``log|x|`` with its
+accepted steps and residual, and every failed path's status and message.
+Floats keep their exact value in JSON.
 
 ``dump`` also counts each solve's ``_kernels.jac_dlam`` calls, by wrapping
 the kernel while the solve runs, and its cut step correctors: those that
@@ -21,12 +23,14 @@ solve, converges.
 ``compare`` prints, per family, how many reports differ at all, and among
 them the changes in solution count, failure status, accepted steps and
 failure message (read up to its ``lam``), and the largest relative endpoint
-difference.  A change to the tracker's arithmetic that moves only last bits
-shows as differing reports with every other column zero.  A second table
-gives both sides, as ``A -> B``, of the ``jac_dlam`` calls, of the cut
-step correctors and of the failed paths by kind: fold, halvings
-(``corrector failed after 3 halvings``), start (``start point correction
-failed``) and other.
+difference (read as the largest ``|log|x_a| - log|x_b||``).  A change to
+the tracker's arithmetic that moves only last bits shows as differing
+reports with every other column zero.  A family that only one dump holds is
+named as such, and the endpoints of an older dump, which recorded x alone,
+are compared in x.  A second table gives both sides, as ``A -> B``, of the
+``jac_dlam`` calls, of the cut step correctors and of the failed paths by
+kind: fold, halvings (``corrector failed after 3 halvings``), start
+(``start point correction failed``) and other.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from helpers import held_out_forced  # noqa: E402
+from helpers import at_scale_systems, held_out_forced  # noqa: E402
 from realhomotopy import SolverConfig, _kernels, solve, tracker  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -57,6 +62,8 @@ def reference_solves():
     for label, system in held_out_forced():
         family = f"held_out_n{system.n}"
         yield family, label, system, FORCED
+    for label, system in at_scale_systems():
+        yield "at_scale", label, system, SolverConfig()
 
 
 def report_record(system, config) -> dict:
@@ -94,7 +101,12 @@ def report_record(system, config) -> dict:
         **counts,
         "starts": list(report.start_solutions),
         "solutions": [
-            {"point": list(s.point), "steps": s.steps, "residual": s.residual}
+            {
+                "signs": list(s.signs),
+                "logs": list(s.logs),
+                "steps": s.steps,
+                "residual": s.residual,
+            }
             for s in report.solutions
         ],
         "failures": [
@@ -127,6 +139,32 @@ def _relative(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
+def _in_x(record: dict) -> dict:
+    """``record`` with each endpoint as x, formed as ``track`` forms
+    ``TrackedSolution.point``: how a record of signs and ``log|x|`` compares
+    with one from an older dump, which recorded x alone."""
+    if "solutions" not in record:
+        return record
+    solutions = []
+    for s in record["solutions"]:
+        if "logs" in s:
+            with np.errstate(over="ignore", under="ignore"):
+                x = np.array(s["signs"], dtype=np.float64) * np.exp(s["logs"])
+            s = {"point": x.tolist(), **{k: s[k] for k in ("steps", "residual")}}
+        solutions.append(s)
+    return {**record, "solutions": solutions}
+
+
+def _endpoint_gap(x: dict, y: dict) -> float:
+    """The largest relative difference of two endpoints: in x if recorded in
+    x, else ``|log|x_a| - log|x_b||``, and inf across orthants."""
+    if "point" in x:
+        return max(_relative(p, q) for p, q in zip(x["point"], y["point"]))
+    if x["signs"] != y["signs"]:
+        return math.inf
+    return max(abs(p - q) for p, q in zip(x["logs"], y["logs"]))
+
+
 # Failure kinds by message prefix, the first that matches: a confirmed fold,
 # a step that failed its fourth corrector, a start point the tracker could not
 # pull onto its path, and any other failure.
@@ -144,51 +182,76 @@ def _kind(message: str) -> str:
 
 def _new_row() -> dict:
     row = dict.fromkeys(("solves", "differ", "count", "status", "steps", "message"), 0)
-    row.update(endpoint=0.0, calls=[0, 0], cut=[0, 0])
+    row.update(endpoint=0.0, calls=[0, 0], cut=[0, 0], only=None)
     row["kinds"] = {kind: [0, 0] for kind in KINDS}
     return row
+
+
+def _tally(row: dict, side: int, record: dict) -> None:
+    row["calls"][side] += record.get("calls", 0)
+    row["cut"][side] += record.get("cut", 0)
+    for f in record.get("failures", ()):
+        row["kinds"][_kind(f[3])][side] += 1
 
 
 def compare_records(a_records: list[dict], b_records: list[dict]) -> dict[str, dict]:
     """Per family, the report changes from ``a_records`` to ``b_records``, and
     each side's ``jac_dlam`` calls, cut step correctors and failed paths by
-    ``KINDS``, as the pair ``[a, b]``."""
-    if [(r["family"], r["label"]) for r in a_records] != [
-        (r["family"], r["label"]) for r in b_records
-    ]:
-        raise ValueError("the two dumps hold different solves")
+    ``KINDS``, as the pair ``[a, b]``.
+
+    A family that both dumps hold must hold the same solves in both.  A
+    family that only one holds gets a row of its own: ``only`` names that
+    side, "A" or "B", and the other side's counts are None."""
+    families: dict[str, list[list[dict]]] = {}
+    for side, records in enumerate((a_records, b_records)):
+        for r in records:
+            families.setdefault(r["family"], [[], []])[side].append(r)
     rows: dict[str, dict] = {}
-    for a, b in zip(a_records, b_records):
-        row = rows.setdefault(a["family"], _new_row())
-        row["solves"] += 1
-        for side, r in enumerate((a, b)):
-            row["calls"][side] += r.get("calls", 0)
-            row["cut"][side] += r.get("cut", 0)
-            for f in r.get("failures", ()):
-                row["kinds"][_kind(f[3])][side] += 1
-        a = {k: v for k, v in a.items() if k not in ("calls", "cut")}
-        b = {k: v for k, v in b.items() if k not in ("calls", "cut")}
-        if a == b:
+    for family, (a_side, b_side) in families.items():
+        row = rows[family] = _new_row()
+        if not (a_side and b_side):
+            side = 0 if a_side else 1
+            row["only"] = "AB"[side]
+            row["solves"] = len(a_side or b_side)
+            for r in a_side or b_side:
+                _tally(row, side, r)
+            for pair in (row["calls"], row["cut"], *row["kinds"].values()):
+                pair[1 - side] = None
             continue
-        row["differ"] += 1
-        if a.get("error") != b.get("error") or a.get("starts") != b.get("starts"):
-            row["status"] += 1
-            continue
-        sa, sb = a["solutions"], b["solutions"]
-        if len(sa) != len(sb):
-            row["count"] += 1
-            continue
-        fa, fb = a["failures"], b["failures"]
-        if [f[:3] for f in fa] != [f[:3] for f in fb]:
-            row["status"] += 1
-        elif [_up_to_lam(f[3]) for f in fa] != [_up_to_lam(f[3]) for f in fb]:
-            row["message"] += 1
-        if [s["steps"] for s in sa] != [s["steps"] for s in sb]:
-            row["steps"] += 1
-        for x, y in zip(sa, sb):
-            for p, q in zip(x["point"], y["point"]):
-                row["endpoint"] = max(row["endpoint"], _relative(p, q))
+        if [r["label"] for r in a_side] != [r["label"] for r in b_side]:
+            raise ValueError(f"the two dumps hold different {family} solves")
+        for a, b in zip(a_side, b_side):
+            row["solves"] += 1
+            _tally(row, 0, a)
+            _tally(row, 1, b)
+            a = {k: v for k, v in a.items() if k not in ("calls", "cut")}
+            b = {k: v for k, v in b.items() if k not in ("calls", "cut")}
+            if any("point" in s for r in (a, b) for s in r.get("solutions", ())):
+                a, b = _in_x(a), _in_x(b)
+            if a == b:
+                continue
+            row["differ"] += 1
+            if a.get("error") != b.get("error") or a.get("starts") != b.get("starts"):
+                row["status"] += 1
+                continue
+            sa, sb = a["solutions"], b["solutions"]
+            if len(sa) != len(sb):
+                row["count"] += 1
+                continue
+            fa, fb = a["failures"], b["failures"]
+            if [f[:3] for f in fa] != [f[:3] for f in fb]:
+                row["status"] += 1
+            elif [_up_to_lam(f[3]) for f in fa] != [_up_to_lam(f[3]) for f in fb]:
+                row["message"] += 1
+            if [s["steps"] for s in sa] != [s["steps"] for s in sb]:
+                row["steps"] += 1
+            for x, y in zip(sa, sb):
+                row["endpoint"] = max(row["endpoint"], _endpoint_gap(x, y))
     return rows
+
+
+def _side(value) -> str:
+    return "-" if value is None else str(value)
 
 
 def compare(path_a: Path, path_b: Path) -> None:
@@ -201,6 +264,9 @@ def compare(path_a: Path, path_b: Path) -> None:
     header = ("family", "solves", "differ", "count", "status", "steps", "message", "max rel endpoint")
     print("{:<18}{:>8}{:>8}{:>8}{:>8}{:>8}{:>9}{:>18}".format(*header))
     for family, row in rows.items():
+        if row["only"]:
+            print(f"{family:<18}{row['solves']:>8}   only in {row['only']}")
+            continue
         print(
             f"{family:<18}{row['solves']:>8}{row['differ']:>8}{row['count']:>8}"
             f"{row['status']:>8}{row['steps']:>8}{row['message']:>9}"
@@ -211,7 +277,7 @@ def compare(path_a: Path, path_b: Path) -> None:
     print(f"{'family':<18}{'jac_dlam calls':>20}" + kinds)
     for family, row in rows.items():
         pairs = (row["calls"], row["cut"], *row["kinds"].values())
-        sides = [f"{a} -> {b}" for a, b in pairs]
+        sides = [f"{_side(a)} -> {_side(b)}" for a, b in pairs]
         print(f"{family:<18}{sides[0]:>20}" + "".join(f"{v:>14}" for v in sides[1:]))
 
 

@@ -19,6 +19,7 @@ from helpers import (
     KNOWN_CELL_EDGES_1BASED,
     KNOWN_CELL_PRIMITIVE_NORMAL,
     dense_system,
+    orthant_point,
     quadratic_system,
     random_sparse_system,
 )
@@ -60,7 +61,8 @@ def test_criterion_1_reference_instance_end_to_end(cubic_conic):
 
     starts = []
     for cell in cells.cells:
-        starts.extend(s.point for s in solve_real(binomial_from_cell(cell, cubic_conic)))
+        bsys = binomial_from_cell(cell, cubic_conic)
+        starts.extend(map(orthant_point, solve_real(bsys)))
     assert len(starts) == 6
     for expected in EXPECTED_START_SOLUTIONS:
         rel = min(
@@ -190,7 +192,7 @@ def test_criterion_6_binomial_oracle_equivalence():
     checked = 0
     for d in (-3, -2, -1, 1, 2, 3):
         rhs = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-2, 2)))
-        ours = [s.point for s in solve_real(BinomialSystem(((d,),), (rhs,)))]
+        ours = [orthant_point(s) for s in solve_real(BinomialSystem(((d,),), (rhs,)))]
         ref = [tuple(x) for x in grid_binomial_solutions(np.array([[d]]), np.array([rhs]))]
         assert len(ours) == len(ref)
         for a, b in zip(sorted(ours), sorted(ref)):
@@ -208,7 +210,7 @@ def test_criterion_6_binomial_oracle_equivalence():
             exponents=tuple(tuple(int(v) for v in row) for row in d),
             rhs=tuple(rhs),
         )
-        ours = sorted(s.point for s in solve_real(bsys))
+        ours = sorted(map(orthant_point, solve_real(bsys)))
         ref = sorted(tuple(x) for x in grid_binomial_solutions(d, rhs))
         assert len(ours) == len(ref), (d.tolist(), rhs.tolist(), ours, ref)
         for a, b in zip(ours, ref):

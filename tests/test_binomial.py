@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import KNOWN_CELL_EDGES_1BASED
+from helpers import KNOWN_CELL_EDGES_1BASED, orthant_point
 from oracles import grid_binomial_solutions
 from realhomotopy import (
     BinomialSystem,
@@ -54,7 +54,7 @@ def _check_against_grid(rng, n: int, trials: int) -> list[list[list[int]]]:
         )
         sols = solve_real(bsys)
         assert [s.signs for s in sols] == sorted(s.signs for s in sols)
-        ours = sorted(s.point for s in sols)
+        ours = sorted(map(orthant_point, sols))
         ref = sorted(tuple(x) for x in grid_binomial_solutions(d, rhs))
         assert len(ours) == len(ref), (d.tolist(), rhs.tolist())
         for a, b in zip(ours, ref):
@@ -87,7 +87,7 @@ class TestFromCell:
         assert bsys.rhs == (Fraction(20, 9), Fraction(400, 81))
         sols = solve_real(bsys)
         assert len(sols) == 1
-        assert sols[0].point == pytest.approx(
+        assert orthant_point(sols[0]) == pytest.approx(
             (4.938271604938272, 2.2222222222222223), rel=1e-12
         )
 
@@ -102,8 +102,8 @@ class TestFromCell:
         bsys = binomial_from_cell(cells.cells[0], system)
         sols = solve_real(bsys)
         assert len(sols) == 1
-        assert sorted(map(abs, sols[0].point)) == pytest.approx([2.0, 3.0])
-        assert _residual(bsys, sols[0].point) < 1e-12
+        assert sorted(map(abs, orthant_point(sols[0]))) == pytest.approx([2.0, 3.0])
+        assert _residual(bsys, orthant_point(sols[0])) < 1e-12
 
     def test_edge_flip_inverts_rhs(self):
         base = BinomialSystem(exponents=((2, 1), (0, 3)), rhs=(5.0, 2.0))
@@ -114,7 +114,7 @@ class TestFromCell:
         b = solve_real(flipped)
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert x.point == pytest.approx(y.point, rel=1e-12)
+            assert orthant_point(x) == pytest.approx(orthant_point(y), rel=1e-12)
 
     def _one_cell(self, coefficients):
         system = support_system([[[0], [3]]], [coefficients])
@@ -126,7 +126,8 @@ class TestFromCell:
         bsys = self._one_cell([1.0, 10**400])
         assert bsys.rhs == (Fraction(-(10**400)),)
         (sol,) = solve_real(bsys)
-        assert sol.point == pytest.approx((-(10 ** (2 / 3)) * 1e-134,), rel=1e-12)
+        want = (-(10 ** (2 / 3)) * 1e-134,)
+        assert orthant_point(sol) == pytest.approx(want, rel=1e-12)
 
     def test_overflowing_float_ratio_is_exact(self):
         # -1.0 / -1e-320 overflows to inf, whose log check would pass a NaN
@@ -134,7 +135,7 @@ class TestFromCell:
         bsys = self._one_cell([-1e-320, 1.0])
         assert bsys.rhs == (1 / Fraction(1e-320),)
         (sol,) = solve_real(bsys)
-        assert sol.point == pytest.approx(
+        assert orthant_point(sol) == pytest.approx(
             (math.exp(math.log(1e-320) / 3),), rel=1e-12
         )
 
@@ -147,7 +148,7 @@ class TestFromCell:
 class TestSolveReal:
     def test_even_power_pair(self):
         sols = solve_real(BinomialSystem(exponents=((2,),), rhs=(4.0,)))
-        assert [s.point[0] for s in sols] == pytest.approx([-2.0, 2.0])
+        assert [orthant_point(s)[0] for s in sols] == pytest.approx([-2.0, 2.0])
 
     def test_even_power_negative_rhs_empty(self):
         assert solve_real(BinomialSystem(exponents=((2,),), rhs=(-4.0,))) == []
@@ -156,7 +157,7 @@ class TestSolveReal:
         sols = solve_real(
             BinomialSystem(exponents=((1, 1), (0, 2)), rhs=(6.0, 4.0))
         )
-        points = [s.point for s in sols]
+        points = [orthant_point(s) for s in sols]
         assert len(points) == 2
         assert points[0] == pytest.approx((-3.0, -2.0), rel=1e-12)
         assert points[1] == pytest.approx((3.0, 2.0), rel=1e-12)
@@ -192,8 +193,7 @@ class TestSolveReal:
             expected = (float(l2 * 1000000 - l1 * 999999), float(l1 * 1000000 - l2 * 1000001))
         # log_abs(10001/10000) is log1p of the exact 1/10000 rounded once,
         # so the adjugate's entries near 10**6 scale only that rounding up.
-        got = tuple(math.log(x) for x in sols[0].point)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert sols[0].logs == pytest.approx(expected, abs=1e-12)
 
     def test_solution_count_and_order(self, rng):
         for _ in range(50):
@@ -211,9 +211,9 @@ class TestSolveReal:
             # Count is 0 or a power of two, capped at 2^n.
             assert len(sols) in (0, 1, 2, 4)
             assert len({s.signs for s in sols}) == len(sols)
-            assert sorted(sols, key=lambda s: (s.signs, s.point)) == sols
+            assert sorted(sols, key=lambda s: (s.signs, s.logs)) == sols
             for s in sols:
-                assert _residual(bsys, s.point) < 1e-10
+                assert _residual(bsys, orthant_point(s)) < 1e-10
 
     def test_unimodular_invariance(self, rng):
         bsys = BinomialSystem(exponents=((2, 1), (1, 1)), rhs=(3.0, -2.0))
@@ -224,7 +224,7 @@ class TestSolveReal:
         other = solve_real(BinomialSystem(exponents=new_exp, rhs=new_rhs))
         assert len(base) == len(other)
         for x, y in zip(base, other):
-            assert x.point == pytest.approx(y.point, rel=1e-10)
+            assert orthant_point(x) == pytest.approx(orthant_point(y), rel=1e-10)
 
     def test_matches_grid_oracle_sample(self, rng):
         assert len(_check_against_grid(rng, 2, 40)) > 20
@@ -265,7 +265,8 @@ class TestParity:
         assert [s.signs for s in sols] == expected
         magnitudes = [2.0**k for k in powers]
         for sol in sols:
-            assert [abs(v) for v in sol.point] == pytest.approx(magnitudes, rel=1e-12)
+            got = [math.exp(v) for v in sol.logs]
+            assert got == pytest.approx(magnitudes, rel=1e-12)
         # Negating the right-hand sides along the column of U at an even
         # position leaves the image of D mod 2: no real solution.
         p = even[0]
@@ -293,4 +294,4 @@ class TestParity:
         assert sols and sols[-1].signs == (1,) * 30
         logs = np.linalg.solve(d.astype(float), np.log(rhs))
         for sol in sols:
-            assert np.log(np.abs(sol.point)) == pytest.approx(logs, abs=1e-12)
+            assert np.array(sol.logs) == pytest.approx(logs, abs=1e-12)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -261,42 +262,71 @@ class TestSolveCommand:
     def test_huge_binomial_exponents_exit_4(self, tmp_path, capsys, coefficients, code):
         # det D = -1 with entries near 10**6: the float solve for log|x| is
         # off by about 1e-8 and more (see binomial._solve_logs), and the
-        # certificate passes vacuously.  Near one the start solution is a
-        # float and its path starts at the target, where the endpoint polish
-        # keeps its best iterate; with small integers the start solution
-        # itself leaves the float range (exit 4).
+        # certificate passes vacuously.  Both starts are signs and log|x|,
+        # and their paths start at the target, where the endpoint polish
+        # keeps its best iterate.  Near one that iterate is the zero.  With
+        # small integers the zero lies near exp(+-405466), beyond the float
+        # range, where the rounding of log|x| (ulp 5.8e-11) times D's
+        # entries keeps the residual near 1e-5: a recorded failure (exit 4).
         doc = {
             "n": 2,
             "supports": [[[0, 0], [1000001, 1000000]], [[0, 0], [1000000, 999999]]],
             "coefficients": coefficients,
         }
         assert main(["solve", _write(tmp_path, doc)]) == code
-        captured = capsys.readouterr()
-        if code == 0:
-            out = json.loads(captured.out)
-            assert out["verdict"] == "pass"
-            assert out["failures"] == []
-            [solution] = out["solutions"]
-            # Each equation reads |x|^(row of D) = r; the only real zero is
-            # positive.  D is ill-conditioned (adj D has entries near 10**6),
-            # so the polish tolerance bounds D log|x| - log r, not log|x|:
-            # checked here with the exact integer D and 50-digit logs of the
-            # exact ratios and of the returned floats.
-            assert all(v > 0 for v in solution["point"])
-            with localcontext() as ctx:
-                ctx.prec = 50
-                logs = [Decimal(v).ln() for v in solution["point"]]
-                for (_, row), (c0, c1) in zip(doc["supports"], coefficients):
-                    r = -Fraction(c0) / Fraction(c1)
-                    log_r = Decimal(r.numerator).ln() - Decimal(r.denominator).ln()
-                    gap = sum(e * v for e, v in zip(row, logs)) - log_r
-                    assert abs(gap) < Decimal("1e-8")
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "pass"
+        if code == 4:
+            assert out["solutions"] == []
+            [failure] = out["failures"]
+            assert (failure["cell"], failure["path"]) == (0, 0)
+            assert failure["status"] == "failed"
+            assert re.fullmatch(
+                r"endpoint residual 7\.\d{3}e-06 above tol 1e-08", failure["message"]
+            )
             return
-        assert captured.out == ""
-        # The reason is the message alone, not OverflowError's errno tuple.
-        assert captured.err == (
-            "tracking failed: start solution outside the float range\n"
-        )
+        assert out["failures"] == []
+        [solution] = out["solutions"]
+        # Each equation reads |x|^(row of D) = r; the only real zero is
+        # positive.  D is ill-conditioned (adj D has entries near 10**6),
+        # so the polish tolerance bounds D log|x| - log r, not log|x|:
+        # checked here with the exact integer D and 50-digit logs of the
+        # exact ratios and of the returned floats.
+        assert all(v > 0 for v in solution["point"])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            logs = [Decimal(v).ln() for v in solution["point"]]
+            for (_, row), (c0, c1) in zip(doc["supports"], coefficients):
+                r = -Fraction(c0) / Fraction(c1)
+                log_r = Decimal(r.numerator).ln() - Decimal(r.denominator).ln()
+                gap = sum(e * v for e, v in zip(row, logs)) - log_r
+                assert abs(gap) < Decimal("1e-8")
+
+    def test_zeros_beyond_float_range_print_signs_and_logs(self, tmp_path, capsys):
+        # (x - 10**400)(x - 10**-400), exact: both roots lie beyond the float
+        # range, so each prints as signs and log|x| in place of a point, and
+        # the output is strict JSON (no Infinity).
+        big = 10**400
+        middle = f"-{big * big + 1}/{big}"
+        doc = {
+            "n": 1,
+            "supports": [[[0], [1], [2]]],
+            "coefficients": [["1", middle, "1"]],
+        }
+        assert main(["solve", _write(tmp_path, doc)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out["failures"] == []
+        solutions = sorted(out["solutions"], key=lambda s: s["log_abs"])
+        keys = ["log_abs", "residual", "signs", "steps"]
+        assert [sorted(s) for s in solutions] == [keys, keys]
+        assert [s["signs"] for s in solutions] == [[1], [1]]
+        logs = [s["log_abs"][0] for s in solutions]
+        log_big = 400 * math.log(10)
+        assert logs == pytest.approx([-log_big, log_big], rel=1e-14)
 
     @pytest.mark.parametrize(
         "flags", [["--tol", "0"], ["--tol", "inf"], ["--tol", "-1"]]
@@ -305,6 +335,25 @@ class TestSolveCommand:
         path = _write(tmp_path, _quadratic_doc(1, 10, 1))
         assert main(["solve", path, *flags]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestOverflowingInput:
+    @pytest.mark.parametrize("command", ["mixed-cells", "certify", "solve"])
+    def test_exponents_near_1e200_exit_1(self, tmp_path, capsys, command):
+        # Exponents near 10**200 leave the float range in the cell normals
+        # and their squares in the screens' row norms.  Every command ends
+        # the same way: exit 1 and one "error:" line, no traceback.
+        big = 10**200
+        doc = {
+            "n": 2,
+            "supports": [[[0, 0], [big, 1], [1, 0]], [[0, 0], [0, 1], [1, big]]],
+            "coefficients": [["1", "-2", "3"], ["1", "-3", "2"]],
+        }
+        assert main([command, _write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -7,10 +7,11 @@ import pytest
 
 from helpers import (
     EXPECTED_TRACKED_SOLUTIONS,
+    at_scale_systems,
     dense_support,
     quadratic_system,
 )
-from oracles import quadratic_real_roots
+from oracles import log_residual, quadratic_real_roots
 from realhomotopy import SolverConfig, mixed_cell_count_bound, solve, support_system
 from realhomotopy.errors import TieDegenerate
 
@@ -143,3 +144,34 @@ class TestStability:
         report = solve(cubic_conic, SolverConfig(force=True))
         t = max(len(s) for s in cubic_conic.supports)
         assert len(report.solutions) <= mixed_cell_count_bound(2, t)
+
+
+class TestAtScale:
+    """Certified solves whose zeros lie far beyond the float range in x
+    (``helpers.at_scale_systems``): every real start gives one zero, returned
+    as signs and log|x| and judged by its 50-digit residual."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return [(label, system, solve(system)) for label, system in at_scale_systems()]
+
+    def test_certified_solves_return_every_zero(self, reports):
+        certified = zeros = beyond = 0
+        for label, system, report in reports:
+            if not report.verdict:
+                continue
+            certified += 1
+            zeros += len(report.solutions)
+            assert report.failures == [], label
+            assert len(report.solutions) == sum(report.start_solutions), label
+            for k, s in enumerate(report.solutions):
+                assert log_residual(system, s.signs, s.logs) < 1e-10, label
+                beyond += any(not 0.0 < abs(v) < math.inf for v in s.point)
+                for other in report.solutions[:k]:
+                    gap = max(abs(p - q) for p, q in zip(s.logs, other.logs))
+                    assert s.signs != other.signs or gap > 1e-6, label
+        # 8 and 14 of the n = 3 systems at k = 20 and 40, and the three
+        # quadratics; 5 zeros at k = 40 and both roots 10**+-400 lie beyond
+        # the float range.
+        assert (certified, zeros) == (25, 96)
+        assert beyond == 7

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from reference_reports import compare_records, main
@@ -12,15 +14,22 @@ START = ("failed", "start point correction failed")
 UNDERFLOW = ("diverged", "step size underflow")
 
 
-def _record(label, points, failures, calls, cut=0):
+def _record(label, points, failures, calls, cut=0, family="forced"):
+    """A dump's record of one solve, each endpoint given by its x."""
     return {
-        "family": "forced",
+        "family": family,
         "label": label,
         "calls": calls,
         "cut": cut,
         "starts": [len(points) + len(failures)],
         "solutions": [
-            {"point": list(p), "steps": 4, "residual": 1e-12} for p in points
+            {
+                "signs": [1 if v > 0 else -1 for v in p],
+                "logs": [math.log(abs(v)) for v in p],
+                "steps": 4,
+                "residual": 1e-12,
+            }
+            for p in points
         ],
         "failures": [[0, k, status, message] for k, (status, message) in failures],
     }
@@ -88,6 +97,41 @@ def test_compare_records_refuses_different_solves():
         compare_records(a, b[::-1])
 
 
+def test_compare_records_names_a_family_of_one_side():
+    a, b = _sides()
+    extra = _record("far", [(2.0,)], [(1, FOLD)], 7, family="at_scale")
+    for records, side in (((a + [extra], b), "A"), ((a, b + [extra]), "B")):
+        rows = compare_records(*records)
+        assert list(rows) == ["forced", "at_scale"]
+        assert rows["forced"] == compare_records(a, b)["forced"]
+        row = rows["at_scale"]
+        assert (row["only"], row["solves"], row["differ"]) == (side, 1, 0)
+        mine, other = (0, 1) if side == "A" else (1, 0)
+        counts = ((row["calls"], 7), (row["cut"], 0), (row["kinds"]["fold"], 1))
+        for pair, count in counts:
+            assert (pair[mine], pair[other]) == (count, None)
+
+
+def test_compare_records_reads_an_older_dump_in_x():
+    # An older dump recorded each endpoint as x, which track formed as
+    # sign * np.exp(log|x|): the same solves compare equal.
+    a, _ = _sides()
+    older = []
+    for record in a:
+        solutions = [
+            {
+                "point": (np.array(s["signs"], float) * np.exp(s["logs"])).tolist(),
+                "steps": s["steps"],
+                "residual": s["residual"],
+            }
+            for s in record["solutions"]
+        ]
+        older.append({**record, "solutions": solutions})
+    for pair in ((older, a), (a, older)):
+        [row] = compare_records(*pair).values()
+        assert (row["differ"], row["endpoint"]) == (0, 0.0)
+
+
 def test_compare_prints_both_sides(tmp_path, capsys):
     a, b = _sides()
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -98,3 +142,16 @@ def test_compare_prints_both_sides(tmp_path, capsys):
     assert lines[1].split() == ["forced", "5", "4", "0", "1", "0", "1", "2e-12"]
     sides = "150 -> 110 2 -> 0 1 -> 3 1 -> 0 1 -> 1 1 -> 0"
     assert lines[-1].split() == ["forced", *sides.split()]
+
+
+def test_compare_prints_a_family_of_one_side(tmp_path, capsys):
+    a, b = _sides()
+    extra = _record("far", [(2.0,)], [], 7, family="at_scale")
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, records in zip(paths, (a, b + [extra])):
+        path.write_text(json.dumps(records))
+    main(["compare", *map(str, paths)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["at_scale", "1", "only", "in", "B"]
+    sides = "- -> 7 - -> 0 - -> 0 - -> 0 - -> 0 - -> 0"
+    assert lines[-1].split() == ["at_scale", *sides.split()]

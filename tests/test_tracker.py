@@ -12,6 +12,7 @@ from helpers import (
     HELD_OUT_CONVERGED,
     cubic_conic_system,
     held_out_forced,
+    orthant_point,
     quadratic_system,
     random_sparse_system,
 )
@@ -32,7 +33,7 @@ from realhomotopy import (
 )
 from realhomotopy import _kernels, pipeline, tracker
 from realhomotopy.lattice import log_abs
-from realhomotopy.tracker import FORCED_T0, select_t0, term_signs
+from realhomotopy.tracker import FORCED_T0, TrackedSolution, select_t0, term_signs
 
 
 def _cells_and_homotopy(system):
@@ -130,7 +131,7 @@ class TestStartPoint:
         path = make_path(cell, sol, 1.0)
         assert path.lam == 0.0
         x = np.array(path.signs) * np.exp(path.u)
-        assert tuple(x) == pytest.approx(sol.point, rel=1e-14)
+        assert tuple(x) == pytest.approx(orthant_point(sol), rel=1e-14)
 
     def test_residual_decays_with_t0(self, cubic_conic):
         # The truncated branch point is a zero of the deformed system in the
@@ -156,12 +157,12 @@ class TestStartPoint:
     def test_make_path_reads_only_the_signs(self, cubic_conic):
         # The start is the truncated branch point u = -(1 + lam) * normal at
         # lam = -log t0, in the orthant of the binomial solution; the
-        # solution's magnitudes are never read.
+        # solution's logs are never read.
         cells, _ = _cells_and_homotopy(cubic_conic)
         for cell in cells.cells:
             normal = np.array(cell.normal)
             for sol in solve_real(binomial_from_cell(cell, cubic_conic)):
-                blind = dataclasses.replace(sol, point=(math.nan,) * len(sol.point))
+                blind = dataclasses.replace(sol, logs=(math.nan,) * len(sol.logs))
                 for s in (sol, blind):
                     path = make_path(cell, s, 1e-3)
                     assert path.lam == -math.log(1e-3)
@@ -184,7 +185,7 @@ class TestStartPoint:
                 normal = np.array(cell.normal)
                 scale = max(1.0, float(np.abs(normal).max()))
                 for sol in solve_real(binomial_from_cell(cell, system)):
-                    logs = np.log(np.abs(sol.point))
+                    logs = np.array(sol.logs)
                     assert np.abs(logs + normal).max() <= 1e-12 * scale
                     starts += 1
         assert starts == 916
@@ -194,7 +195,7 @@ class TestStartPoint:
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, system))[0]
-        assert sol.point[0] == pytest.approx(-1.5, rel=1e-14)
+        assert orthant_point(sol)[0] == pytest.approx(-1.5, rel=1e-14)
         sols = track(homotopy, [make_path(cell, sol, 0.1)])
         assert len(sols) == 1
         assert sols[0].point[0] == pytest.approx(-1.5, rel=1e-10)
@@ -464,7 +465,7 @@ class TestTracking:
         solutions = track(homotopy, paths)
         assert len(solutions) == 2
         for sol, start in zip(solutions, starts):
-            assert sol.point == pytest.approx(start.point, rel=1e-12)
+            assert sol.point == pytest.approx(orthant_point(start), rel=1e-12)
             assert sol.residual < 1e-12
 
     @pytest.mark.parametrize("c", [6.0, 6e3, 6e6, 6e9, 6e12])
@@ -488,7 +489,7 @@ class TestTracking:
         assert len(solutions) == len(starts) == 2
         for sol, start in zip(solutions, starts):
             assert sol.steps == 4
-            assert sol.point == pytest.approx(start.point, rel=1e-12)
+            assert sol.point == pytest.approx(orthant_point(start), rel=1e-12)
 
     @pytest.mark.parametrize("broken", ["singular", "nan", "nan_last"])
     def test_tangent_failure_fails_the_path(self, monkeypatch, broken):
@@ -525,7 +526,7 @@ class TestTracking:
         cells, homotopy = _cells_and_homotopy(system)
         sol = solve_real(binomial_from_cell(cells.cells[0], system))[0]
         weights = term_signs(homotopy, sol.signs)[:, None] * homotopy.weights
-        u = np.log(np.abs(sol.point))  # a zero of the target, at lam = 0
+        u = np.array(sol.logs)  # a zero of the target, at lam = 0
         ctol = tracker.CORRECTOR_TOL
         res, _, _ = tracker._newton(homotopy, weights, 0.0, u, ctol, 3)
         assert res < ctol
@@ -587,26 +588,33 @@ class TestTracking:
     def test_coinciding_pairs_match_the_array_form(self):
         # _coinciding reads Python floats; the same test on numpy arrays,
         # row against later rows, must find the same pairs in the same
-        # order.  Points repeat in other orthants and within and just beyond
-        # DISTINCT_LOG_TOL in log|x|.
+        # order.  Endpoints repeat in other orthants and within and just
+        # beyond DISTINCT_LOG_TOL in log|x|, some of them far beyond the
+        # float range in x, where point would read inf or 0.
         rng = np.random.default_rng(26)
         tol = tracker.DISTINCT_LOG_TOL
         pairs = 0
         for _ in range(50):
-            base = rng.choice([-1.0, 1.0], (4, 2)) * np.exp(rng.normal(0, 5, (4, 2)))
-            near = base * np.exp(rng.choice([0.0, 0.5 * tol, 2.0 * tol], (4, 2)))
-            flipped = base * rng.choice([-1.0, 1.0], (4, 2))
-            x = np.vstack([base, near, flipped])[rng.permutation(12)]
-            signs, logs = np.sign(x), np.log(np.abs(x))
+            base = rng.normal(0, 5, (4, 2)) * rng.choice([1.0, 300.0], (4, 1))
+            near = base + rng.choice([0.0, 0.5 * tol, 2.0 * tol], (4, 2))
+            orthants = rng.choice([-1, 1], (4, 2))
+            flipped = orthants * rng.choice([-1, 1], (4, 2))
+            order = rng.permutation(12)
+            logs = np.vstack([base, near, base])[order]
+            signs = np.vstack([orthants, orthants, flipped])[order]
             want = [
                 (a, a + 1 + int(b))
-                for a in range(len(x) - 1)
+                for a in range(len(logs) - 1)
                 for b in np.flatnonzero(
                     (signs[a + 1 :] == signs[a]).all(axis=1)
                     & (abs(logs[a + 1 :] - logs[a]) <= tol).all(axis=1)
                 )
             ]
-            assert list(tracker._coinciding([tuple(p) for p in x.tolist()])) == want
+            ends = [
+                TrackedSolution((), 0.0, 0, signs=tuple(s), logs=tuple(v))
+                for s, v in zip(signs.tolist(), logs.tolist())
+            ]
+            assert list(tracker._coinciding(ends)) == want
             pairs += len(want)
         assert pairs > 50
 
@@ -870,14 +878,29 @@ class TestTracking:
         assert steps > 0
         assert accepted >= steps
 
-    def test_exact_coefficients_beyond_float_range(self):
-        # float(10**400) overflows; the homotopy only needs log|c| and sign(c).
-        big = Fraction(10**400)
-        report = solve(support_system([[[0], [1], [2]]], [[big, 10 * big, big]]))
+    @pytest.mark.parametrize(
+        "coefficients, roots",
+        [
+            # 10**400 times x**2 + 10x + 1.
+            ([10**400, 10**401, 10**400], quadratic_real_roots(1.0, 10.0, 1.0)),
+            # Roots 10**-400 and 10**400, beyond the float range themselves.
+            (
+                [1, -(10**400 + Fraction(1, 10**400)), 1],
+                [Fraction(1, 10**400), 10**400],
+            ),
+        ],
+        ids=["scaled", "roots_1e400"],
+    )
+    def test_exact_coefficients_beyond_float_range(self, coefficients, roots):
+        # float(10**400) overflows; the homotopy only needs log|c| and sign(c),
+        # and each zero comes back as its signs and log|x|.
+        report = solve(support_system([[[0], [1], [2]]], [coefficients]))
         assert report.verdict is True
         assert report.failures == []
-        got = sorted(s.point[0] for s in report.solutions)
-        assert got == pytest.approx(quadratic_real_roots(1.0, 10.0, 1.0), rel=1e-12)
+        got = sorted((s.signs[0], s.logs[0]) for s in report.solutions)
+        want = sorted((1 if r > 0 else -1, log_abs(r)) for r in roots)
+        assert [s for s, _ in got] == [s for s, _ in want]
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], abs=1e-12)
 
     def test_certified_seed9_corpus_tracks_every_start(self):
         # The paper's promise at extreme coefficient scale: on a certificate
