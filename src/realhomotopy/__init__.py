@@ -6,7 +6,13 @@ certificate) and, when it does, tracks exactly the real solution paths from
 binomial systems at the toric limit to the target system.
 """
 
-from .binomial import BinomialSystem, RealOrthantSolution, binomial_from_cell, solve_real
+from .binomial import (
+    BinomialSystem,
+    RealOrthantSolution,
+    binomial_from_cell,
+    real_orthants,
+    solve_real,
+)
 from .certificate import Certificate, certify, certify_system
 from .errors import (
     CorrectorStalled,
@@ -74,6 +80,7 @@ __all__ = [
     "make_homotopy",
     "make_path",
     "mixed_cell_count_bound",
+    "real_orthants",
     "solve",
     "solve_real",
     "support_set",

@@ -9,9 +9,15 @@ solutions into two independent linear problems on the same matrix:
 - signs, ``(D mod 2) @ b = [r < 0]`` over GF(2), so a cell has either no real
   solution or ``2**(n - rank_2 D)`` of them.
 
-A solution is returned in exactly that form, its orthant ``signs`` and
-``logs = log|x|``, and never as x: a zero at ``exp(+-1000)`` neither
-overflows nor underflows, and the tracker reads the signs alone.
+``solve_real`` returns a solution in exactly that form, its orthant
+``signs`` and ``logs = log|x|``, and never as x: a zero at ``exp(+-1000)``
+neither overflows nor underflows.
+
+The solver itself reads only the signs: a path enters its cell's truncated
+branch from the cell's normal and the start's orthant (``tracker.make_path``).
+So ``pipeline.solve`` takes each cell's orthants from ``real_orthants``, the
+parity system alone, with no ratio, log or elimination of D; both functions
+solve the one parity system with ``_parity_solutions``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularExponentMatrix
-from .lattice import Scalar, SupportSystem, det_adjugate, log_abs
+from .lattice import Scalar, SupportSystem, det_adjugate, log_abs, sign
 from .mixed_cells import MixedCell
 
 RESIDUAL_RTOL = 1e-10
@@ -77,12 +83,8 @@ def binomial_from_cell(cell: MixedCell, system: SupportSystem) -> BinomialSystem
     ``1.0 / 1e-320`` does) is kept exact.  Point p has the smaller lifting
     ``log|c|``, so ``|c_p| <= |c_q|`` and the quotient cannot underflow.
     """
-    rows: list[tuple[int, ...]] = []
     rhs: list[Scalar] = []
     for i, (p, q) in enumerate(cell.edges):
-        a = system.supports[i].points[p]
-        b = system.supports[i].points[q]
-        rows.append(tuple(x - y for x, y in zip(a, b)))
         c_p = system.coefficients[i][p]
         c_q = system.coefficients[i][q]
         if isinstance(c_p, float) and isinstance(c_q, float):
@@ -91,11 +93,39 @@ def binomial_from_cell(cell: MixedCell, system: SupportSystem) -> BinomialSystem
                 rhs.append(r)
                 continue
         rhs.append(-Fraction(c_q) / Fraction(c_p))
-    return BinomialSystem(exponents=tuple(rows), rhs=tuple(rhs))
+    return BinomialSystem(exponents=_edge_differences(cell, system), rhs=tuple(rhs))
 
 
-def _sign(value: Scalar) -> int:
-    return 1 if value > 0 else -1
+def _edge_differences(
+    cell: MixedCell, system: SupportSystem
+) -> tuple[tuple[int, ...], ...]:
+    """Row i is ``a_p - a_q`` for the cell's edge ``(p, q)`` in equation i."""
+    return tuple(
+        tuple(x - y for x, y in zip(sup.points[p], sup.points[q]))
+        for sup, (p, q) in zip(system.supports, cell.edges)
+    )
+
+
+def real_orthants(cell: MixedCell, system: SupportSystem) -> list[tuple[int, ...]]:
+    """The orthants of a cell's real starts: the sign vectors of
+    ``solve_real(binomial_from_cell(cell, system))``, in the same ascending
+    order, from the parity system alone.
+
+    Row i's ratio ``-c_q / c_p`` is negative exactly when c_p and c_q have
+    one sign, so no ratio, log, elimination of D or residual is formed.
+    Each orthant is checked, in integers, to give every row its ratio's sign.
+    """
+    rows = _edge_differences(cell, system)
+    negative = [
+        sign(cs[p]) == sign(cs[q])
+        for cs, (p, q) in zip(system.coefficients, cell.edges)
+    ]
+    orthants = _parity_solutions(rows, negative)
+    for signs in orthants:
+        for row, neg in zip(rows, negative):
+            if (_sign_power_product(signs, row) < 0) != neg:
+                raise AssertionError("binomial sign check failed")
+    return orthants
 
 
 def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
@@ -106,12 +136,15 @@ def solve_real(bsys: BinomialSystem) -> list[RealOrthantSolution]:
     ``_solve_logs``); a singular D raises SingularExponentMatrix.  The sign
     vectors are the solutions of the parity system (see
     ``_parity_solutions``).  Returns the possibly empty solution list in
-    ascending order of sign vectors.
+    ascending order of sign vectors.  Each solution is checked on the
+    original equations; where a term ``e * log|x_j|`` of that check leaves
+    the float range (exponents near 10**200), it raises OverflowError.
     """
     log_r = [log_abs(r) for r in bsys.rhs]
     logs, rtol = _solve_logs(bsys.exponents, log_r)
     solutions = []
-    for signs in _parity_solutions(bsys.exponents, [r < 0 for r in bsys.rhs]):
+    negative = [sign(r) < 0 for r in bsys.rhs]
+    for signs in _parity_solutions(bsys.exponents, negative):
         _check_residual(bsys, signs, logs, log_r, rtol)
         solutions.append(RealOrthantSolution(signs=signs, logs=logs))
     return solutions
@@ -215,10 +248,15 @@ def _check_residual(
     # Plug-in verification on the original, untransformed equations, each
     # row within the rounding that ``_solve_logs`` allows it.
     for row, r, lr, tol in zip(bsys.exponents, bsys.rhs, log_r, rtol):
-        log_val = math.fsum(e * v for e, v in zip(row, logs))
+        terms = [e * v for e, v in zip(row, logs)]
+        if not all(map(math.isfinite, terms)):
+            raise OverflowError(
+                "binomial residual check: a term e * log|x| leaves the float range"
+            )
+        log_val = math.fsum(terms)
         sign_val = _sign_power_product(signs, row)
         rel = abs(math.exp(log_val - lr) - 1.0)
-        if sign_val != _sign(r) or rel > tol:
+        if sign_val != sign(r) or rel > tol:
             raise AssertionError(
                 f"binomial residual check failed: relative error {rel:.3e}"
             )

@@ -1,4 +1,9 @@
-"""End-to-end solve: lift, enumerate cells, certify, solve binomials, track."""
+"""End-to-end solve: lift, enumerate cells, certify, start, track.
+
+The start stage reads only the orthant of each cell's real starts
+(``binomial.real_orthants``): a path enters its cell's truncated branch from
+the cell's normal and that orthant (``tracker.make_path``).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .binomial import RealOrthantSolution, binomial_from_cell, solve_real
+from .binomial import real_orthants
 from .certificate import Certificate, certify
 from .errors import RealHomotopyError
 from .lattice import SupportSystem, build_cayley, log_abs_lifting
@@ -19,6 +24,10 @@ from .tracker import (
     select_t0,
     track,
 )
+
+# Unused here: perfbench/tracing.py's SPANS wraps these names in this module
+# until ROADMAP item 1a wraps ``real_orthants`` instead.
+from .binomial import binomial_from_cell, solve_real  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,22 +109,16 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     report.uncertified = not report.certificate.verdict
 
     t = clock()
-    cell_starts: list[list[RealOrthantSolution]] = []
-    for cell in cells.cells:
-        try:
-            starts = solve_real(binomial_from_cell(cell, system))
-        except RealHomotopyError as exc:
-            raise _tag(exc, "start_systems")
-        cell_starts.append(starts)
-        report.start_solutions.append(len(starts))
+    cell_orthants = [real_orthants(cell, system) for cell in cells.cells]
+    report.start_solutions = [len(orthants) for orthants in cell_orthants]
 
-    if any(cell_starts):
+    if any(cell_orthants):
         homotopy = make_homotopy(system, lifting)
         t0 = select_t0(report.verdict)
         paths: list[tuple[int, PathState]] = [
-            (ci, make_path(cell, sol, t0))
-            for ci, (cell, starts) in enumerate(zip(cells.cells, cell_starts))
-            for sol in starts
+            (ci, make_path(cell, signs, t0))
+            for ci, (cell, orthants) in enumerate(zip(cells.cells, cell_orthants))
+            for signs in orthants
         ]
         report.solutions = track(homotopy, [p for _, p in paths], tol=cfg.tol)
         report.failures = [

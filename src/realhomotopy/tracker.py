@@ -18,10 +18,11 @@ The start is formed from the cell and the orthant alone.  On a cell's edge
 with the lifting ``w = log|c|`` the normal satisfies ``D normal = w_p - w_q``,
 so ``log|sol| = -normal``: the truncated branch is the line
 ``u = -(1 + lam) * normal``.  A path starts on it at ``lam = -log t0``
-(``make_path``), so no start is ever formed in x and one whose x would
-overflow or underflow is tracked like any other.  A path ends in the same
-form: a ``TrackedSolution`` carries the orthant ``signs`` and ``logs =
-log|x|``, and ``track`` tells endpoints apart by these.  x itself is formed
+(``make_path``, from the orthant that ``binomial.real_orthants`` gives), so
+no start is ever formed in x and one whose x would overflow or underflow is
+tracked like any other.  A path ends in the same form: a ``TrackedSolution``
+carries the orthant ``signs`` and ``logs = log|x|``, and ``track`` tells
+endpoints apart by these.  x itself is formed
 once, for ``TrackedSolution.point``, where it is ``inf`` or ``0.0`` if the
 zero lies beyond the float range.
 
@@ -123,9 +124,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import CorrectorStalled, PathDiverged
-from .lattice import Lifting, SupportSystem
+from .lattice import Lifting, SupportSystem, sign
 from .mixed_cells import MixedCell
-from .binomial import RealOrthantSolution
 
 CORRECTOR_TOL = 1e-10
 CORRECTOR_ITERS = 4
@@ -183,10 +183,10 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     """Assemble the deformation induced by a lifting.
 
     ``logc`` is the lifting itself, which is ``log|c|``
-    (``lattice.log_abs_lifting``); a Fraction's sign is read from its
-    numerator, at a third of the cost of comparing the Fraction.  Exponents
-    are normalized per equation so the dominant term carries t**0;
-    per-equation shifts only rescale equations and leave the zero set alone.
+    (``lattice.log_abs_lifting``), and ``signs`` is ``lattice.sign`` of each
+    coefficient.  Exponents are normalized per equation so the dominant term
+    carries t**0; per-equation shifts only rescale equations and leave the
+    zero set alone.
     """
     w = lifting.values
     exps: list[tuple[int, ...]] = []
@@ -201,11 +201,7 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
             vexp.append(w_max - wv)
         pos += len(sup)
         offs.append(len(exps))
-    signs = [
-        1.0 if getattr(c, "numerator", c) > 0 else -1.0
-        for cs in system.coefficients
-        for c in cs
-    ]
+    signs = [sign(c) for cs in system.coefficients for c in cs]
     exps_f = np.array(exps, dtype=np.float64)
     vexp_f = np.array(vexp, dtype=np.float64)
     offs_i = np.array(offs, dtype=np.int64)
@@ -253,15 +249,15 @@ class TrackedSolution:
     logs: tuple[float, ...]
 
 
-def make_path(cell: MixedCell, sol: RealOrthantSolution, t0: float) -> PathState:
-    """The path from ``sol`` at t0: the truncated branch point
-    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant of sol.
+def make_path(cell: MixedCell, signs: tuple[int, ...], t0: float) -> PathState:
+    """The path of a real start of ``cell`` at t0: the truncated branch point
+    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant ``signs``.
 
-    Only ``sol.signs`` is read; its ``logs`` are ``-normal`` (see the module
-    docstring)."""
+    The orthant is all a start adds to its cell: the start's ``log|x|`` is
+    ``-normal`` (see the module docstring)."""
     normal = np.array(cell.normal, dtype=np.float64)
     lam = -math.log(t0)
-    return PathState(lam=lam, u=-(1.0 + lam) * normal, signs=sol.signs, normal=normal)
+    return PathState(lam=lam, u=-(1.0 + lam) * normal, signs=signs, normal=normal)
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
@@ -315,9 +311,12 @@ def _newton(
     ctol: float,
     max_iters: int,
     contract: bool = False,
+    table: np.ndarray | None = None,
 ):
     """Newton in u at fixed lam with one fused kernel call and one solve per
     iterate; ``weights`` is ``h.weights`` signed for the path's orthant.
+    ``table``, if given, is the kernel table at (lam, u), and the first
+    iterate reads it in place of a kernel call.
 
     With ``contract``, as for the step correctors, Newton also stops at the
     first iterate after the first that fails to cut the residual to
@@ -344,7 +343,10 @@ def _newton(
     last = math.inf
     best = None
     while True:
-        table = _kernels.jac_dlam(h.logc, lam_vexp, h.exps, h.starts, h.eq, weights, u)
+        if table is None:
+            table = _kernels.jac_dlam(
+                h.logc, lam_vexp, h.exps, h.starts, h.eq, weights, u
+            )
         hv = table[:, 0]
         res = _max_norm(hv.tolist())
         if best is None or res < best[0]:
@@ -361,6 +363,7 @@ def _newton(
         if _max_norm(du.tolist()) == math.inf:
             break
         u = u - du
+        table = None
         it += 1
     return best
 
@@ -491,6 +494,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     lam, u, normal = path.lam, path.u, path.normal
     drift = normal.tolist()
     steps = 0
+    table = None
     # Pull the truncated branch point onto the actual path before stepping.
     if lam > 0.0:
         res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
@@ -562,7 +566,11 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
             raise CorrectorStalled("step budget exhausted")
         dlam = 2.0 * step
     # Polish toward well below tol; the endpoint is the polish's best iterate.
-    res, u, _ = _newton(h, weights, 0.0, u, min(tol, max(tol * 1e-4, 1e-14)), 25)
+    # A path that stepped ended its last step at lam = 0.0 exactly (that
+    # step equals the lam left), so ``table`` is already the kernel table at
+    # (0.0, u), bit for bit; a certified path, which takes no step, has none.
+    polish_tol = min(tol, max(tol * 1e-4, 1e-14))
+    res, u, _ = _newton(h, weights, 0.0, u, polish_tol, 25, table=table)
     if res >= tol:
         raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
     with np.errstate(over="ignore", under="ignore"):
@@ -594,13 +602,18 @@ def track(
     failed and neither endpoint is returned.
     """
     converged: list[tuple[int, TrackedSolution]] = []
-    for k, path in enumerate(paths):
-        try:
-            converged.append((k, _track_one(h, path, tol)))
-            path.status = "converged"
-        except (PathDiverged, CorrectorStalled) as exc:
-            path.status = "diverged" if isinstance(exc, PathDiverged) else "failed"
-            path.message = str(exc)
+    # Where ``exps . u`` leaves the float range (exponents near 10**200), the
+    # kernels give inf or NaN, which ``_max_norm`` reads as an infinite
+    # residual and the path records as a failure; numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, path in enumerate(paths):
+            try:
+                converged.append((k, _track_one(h, path, tol)))
+                path.status = "converged"
+            except (PathDiverged, CorrectorStalled) as exc:
+                diverged = isinstance(exc, PathDiverged)
+                path.status = "diverged" if diverged else "failed"
+                path.message = str(exc)
     clashes: dict[int, int] = {}
     for a, b in _coinciding([s for _, s in converged]):
         ka, kb = converged[a][0], converged[b][0]

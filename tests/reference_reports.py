@@ -77,10 +77,11 @@ def report_record(system, config) -> dict:
         calls[0] += 1
         return kernel(*args)
 
-    def recorded(h, weights, lam, u, ctol, max_iters, contract=False):
-        out = newton(h, weights, lam, u, ctol, max_iters, contract)
+    def recorded(*args, contract=False, **kwargs):
+        out = newton(*args, contract=contract, **kwargs)
+        ctol = args[4]
         if contract and not out[0] < ctol:
-            failed.append((ctol, (h, weights, lam, u, ctol, max_iters)))
+            failed.append((ctol, args))
         return out
 
     _kernels.jac_dlam, tracker._newton = counted, recorded

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import KNOWN_CELL_EDGES_1BASED, orthant_point
+from helpers import KNOWN_CELL_EDGES_1BASED, orthant_point, random_sparse_system
 from oracles import grid_binomial_solutions
+from reference_reports import reference_solves
 from realhomotopy import (
     BinomialSystem,
     SingularExponentMatrix,
@@ -17,6 +19,7 @@ from realhomotopy import (
     build_cayley,
     enumerate_mixed_cells,
     log_abs_lifting,
+    real_orthants,
     solve_real,
     support_system,
 )
@@ -178,6 +181,17 @@ class TestSolveReal:
         with pytest.raises(SingularExponentMatrix):
             solve_real(BinomialSystem(exponents=((1, 1), (2, 2)), rhs=(1.0, 2.0)))
 
+    def test_exponents_near_1e200_raise_overflow_error(self):
+        # det D = -1 with entries near 10**200: log|x| is near 4e199, and the
+        # residual check's terms e * log|x_j| overflow to opposite infinities.
+        # That is a range error, named as such, not fsum's "-inf + inf".
+        big = 10**200
+        bsys = BinomialSystem(
+            exponents=((big + 1, big), (big, big - 1)), rhs=(Fraction(2), Fraction(3))
+        )
+        with pytest.raises(OverflowError, match="float range"):
+            solve_real(bsys)
+
     def test_large_unimodular_exponents(self):
         # det D = -1 with entries near 10**6: the float solve for log|x|
         # carries about 1e-14, which row i multiplies by ~10**6.  The residual
@@ -295,3 +309,62 @@ class TestParity:
         logs = np.linalg.solve(d.astype(float), np.log(rhs))
         for sol in sols:
             assert np.array(sol.logs) == pytest.approx(logs, abs=1e-12)
+
+
+def _orthants_match(system) -> Counter:
+    """Check ``real_orthants`` against the signs of ``solve_real`` on every
+    cell of ``system``; returns how many cells have each number of starts."""
+    cells = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
+    counts = Counter()
+    for cell in cells.cells:
+        want = [s.signs for s in solve_real(binomial_from_cell(cell, system))]
+        assert real_orthants(cell, system) == want
+        counts[len(want)] += 1
+    return counts
+
+
+class TestRealOrthants:
+    """The solve's start stage, ``real_orthants``, reads the parity system
+    alone; ``solve_real``, which the grid oracle checks, is its reference:
+    the same orthants in the same order on every cell."""
+
+    def test_reference_systems(self):
+        # The three benchmark corpora at seeds 1-3, the held-out forced
+        # systems and the at-scale systems, whose ratios are exact Fractions
+        # far beyond the float range.
+        families = {}
+        for family, _, system, _ in reference_solves():
+            families.setdefault(family, Counter()).update(_orthants_match(system))
+        assert set(families) == {
+            "dense_cells",
+            "track_forced",
+            "certified_scaled",
+            "held_out_n2",
+            "held_out_n3",
+            "at_scale",
+        }
+        total = sum(families.values(), Counter())
+        assert set(total) == {0, 1, 2, 4}
+
+    def test_random_mixed_sign_coefficients(self, rng):
+        # Random supports with ints, Fractions and floats of either sign,
+        # mixed within each equation.
+        def coefficient():
+            sign = int(rng.choice([-1, 1]))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                return sign * int(rng.integers(1, 10**6))
+            if kind == 1:
+                num, den = (int(v) for v in rng.integers(1, 10**9, size=2))
+                return sign * Fraction(num, den)
+            return sign * float(np.exp(rng.uniform(-20.0, 20.0)))
+
+        counts = Counter()
+        for n in (1, 2, 2, 3) * 10:
+            shape = random_sparse_system(rng, n=n, min_terms=3, max_terms=4 + n)
+            supports = [s.points for s in shape.supports]
+            system = support_system(
+                supports, [[coefficient() for _ in sup] for sup in supports]
+            )
+            counts.update(_orthants_match(system))
+        assert counts[0] and counts[1] and counts[2]

@@ -355,6 +355,36 @@ class TestOverflowingInput:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ")
 
+    def test_binomial_exponents_near_1e200_exit_4(self, tmp_path, capsys):
+        # det D = -1 with entries near 10**200: the certificate passes
+        # vacuously and the cell has one real start, whose log|x| is near
+        # 4e199, so exps . u leaves the float range in every kernel call.
+        # The solve reads only the start's orthant, and its path ends as a
+        # recorded failure (exit 4).  While the solve also solved the
+        # binomial for its logs, the residual check there ended it with
+        # "error: -inf + inf in fsum" (exit 1).
+        big = 10**200
+        doc = {
+            "n": 2,
+            "supports": [[[0, 0], [big + 1, big]], [[0, 0], [big, big - 1]]],
+            "coefficients": [["1", "-2"], ["1", "-3"]],
+        }
+        assert main(["solve", _write(tmp_path, doc)]) == 4
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["verdict"] == "pass"
+        assert out["start_solution_counts"] == [1]
+        assert out["solutions"] == []
+        assert out["failures"] == [
+            {
+                "cell": 0,
+                "path": 0,
+                "status": "failed",
+                "message": "endpoint residual inf above tol 1e-08",
+            }
+        ]
+        assert "error" not in captured.err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -9,10 +9,20 @@ from helpers import (
     EXPECTED_TRACKED_SOLUTIONS,
     at_scale_systems,
     dense_support,
+    held_out_forced,
     quadratic_system,
 )
 from oracles import log_residual, quadratic_real_roots
-from realhomotopy import SolverConfig, mixed_cell_count_bound, solve, support_system
+from realhomotopy import (
+    SolverConfig,
+    binomial,
+    lattice,
+    mixed_cell_count_bound,
+    mixed_cells,
+    pipeline,
+    solve,
+    support_system,
+)
 from realhomotopy.errors import TieDegenerate
 
 
@@ -121,6 +131,58 @@ class TestFullSolve:
         with pytest.raises(TieDegenerate) as exc:
             solve(system)
         assert exc.value.stage == "mixed_cells"
+
+
+class TestStartStage:
+    def test_orthants_only(self, cubic_conic, monkeypatch):
+        # The start stage reads each cell's orthants from the parity system
+        # alone: it eliminates no exponent matrix (det_adjugate) and never
+        # builds or solves a binomial system (binomial_from_cell, solve_real),
+        # on forced and on certified solves.
+        in_stage, eliminations, orthants = [], [], []
+
+        def counted(fn):
+            def wrapper(matrix):
+                if in_stage:
+                    eliminations.append(matrix)
+                return fn(matrix)
+
+            return wrapper
+
+        def unused(*args):
+            raise AssertionError("the start stage solved a binomial system")
+
+        real_orthants = pipeline.real_orthants
+
+        def staged(cell, system):
+            in_stage.append(True)
+            try:
+                found = real_orthants(cell, system)
+            finally:
+                in_stage.pop()
+            orthants.extend(found)
+            return found
+
+        for module in (lattice, mixed_cells, binomial):
+            monkeypatch.setattr(module, "det_adjugate", counted(module.det_adjugate))
+        for module in (pipeline, binomial):
+            monkeypatch.setattr(module, "solve_real", unused)
+            monkeypatch.setattr(module, "binomial_from_cell", unused)
+        monkeypatch.setattr(pipeline, "real_orthants", staged)
+        forced = SolverConfig(force=True)
+        cases = [(cubic_conic, forced)]
+        cases += [(system, forced) for _, system in held_out_forced()[:20]]
+        cases += [(system, SolverConfig()) for _, system in at_scale_systems()]
+        starts = certified = 0
+        for system, config in cases:
+            orthants.clear()
+            report = solve(system, config)
+            assert len(orthants) == sum(report.start_solutions)
+            starts += len(orthants)
+            certified += report.verdict
+        assert certified == 25
+        assert starts > 100
+        assert eliminations == []
 
 
 class TestStability:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from realhomotopy import (
     log_abs_lifting,
     make_homotopy,
     make_path,
+    real_orthants,
     solve,
     solve_real,
     support_system,
@@ -128,7 +130,7 @@ class TestStartPoint:
         cells, _ = _cells_and_homotopy(cubic_conic)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, cubic_conic))[0]
-        path = make_path(cell, sol, 1.0)
+        path = make_path(cell, sol.signs, 1.0)
         assert path.lam == 0.0
         x = np.array(path.signs) * np.exp(path.u)
         assert tuple(x) == pytest.approx(orthant_point(sol), rel=1e-14)
@@ -145,7 +147,7 @@ class TestStartPoint:
         offs = np.append(h.starts, h.logc.size)
         residuals = []
         for t0 in (1e-1, 1e-2, 1e-3, FORCED_T0):
-            path = make_path(cell, sol, t0)
+            path = make_path(cell, sol.signs, t0)
             hv, _ = loop_log_h_scale(
                 signs, h.logc, h.exps, h.vexp, offs, path.lam, path.u
             )
@@ -156,19 +158,17 @@ class TestStartPoint:
 
     def test_make_path_reads_only_the_signs(self, cubic_conic):
         # The start is the truncated branch point u = -(1 + lam) * normal at
-        # lam = -log t0, in the orthant of the binomial solution; the
-        # solution's logs are never read.
+        # lam = -log t0, in the orthant it is given: the cell and the orthant
+        # are all that make_path reads, whichever orthant that is.
         cells, _ = _cells_and_homotopy(cubic_conic)
         for cell in cells.cells:
             normal = np.array(cell.normal)
-            for sol in solve_real(binomial_from_cell(cell, cubic_conic)):
-                blind = dataclasses.replace(sol, logs=(math.nan,) * len(sol.logs))
-                for s in (sol, blind):
-                    path = make_path(cell, s, 1e-3)
-                    assert path.lam == -math.log(1e-3)
-                    assert path.signs == sol.signs
-                    assert np.array_equal(path.u, -(1.0 + path.lam) * normal)
-                    assert np.array_equal(path.normal, normal)
+            for signs in itertools.product((-1, 1), repeat=2):
+                path = make_path(cell, signs, 1e-3)
+                assert path.lam == -math.log(1e-3)
+                assert path.signs == signs
+                assert np.array_equal(path.u, -(1.0 + path.lam) * normal)
+                assert np.array_equal(path.normal, normal)
 
     def test_binomial_start_logs_are_minus_the_normal(self):
         # The start rests on log|sol| = -normal, which holds because the
@@ -196,7 +196,7 @@ class TestStartPoint:
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, system))[0]
         assert orthant_point(sol)[0] == pytest.approx(-1.5, rel=1e-14)
-        sols = track(homotopy, [make_path(cell, sol, 0.1)])
+        sols = track(homotopy, [make_path(cell, sol.signs, 0.1)])
         assert len(sols) == 1
         assert sols[0].point[0] == pytest.approx(-1.5, rel=1e-10)
 
@@ -238,18 +238,18 @@ def _certified_candidates():
 
 
 def _mutated_first_cell(monkeypatch, mutate):
-    """Make ``pipeline.solve`` read ``mutate(starts)`` as the real starts of
-    the first cell that has any."""
-    solve_real_, done = pipeline.solve_real, []
+    """Make ``pipeline.solve`` read ``mutate(orthants)`` as the orthants of
+    the real starts of the first cell that has any."""
+    real_orthants_, done = pipeline.real_orthants, []
 
-    def patched(bsys):
-        starts = solve_real_(bsys)
-        if starts and not done:
+    def patched(cell, system):
+        orthants = real_orthants_(cell, system)
+        if orthants and not done:
             done.append(True)
-            return mutate(starts)
-        return starts
+            return mutate(orthants)
+        return orthants
 
-    monkeypatch.setattr(pipeline, "solve_real", patched)
+    monkeypatch.setattr(pipeline, "real_orthants", patched)
 
 
 class TestStartT0:
@@ -262,8 +262,8 @@ class TestStartT0:
         assert (select_t0(True), select_t0(False)) == (1.0, 1e-8)
         make_path_, started = pipeline.make_path, []
 
-        def recording(cell, sol, t0):
-            path = make_path_(cell, sol, t0)
+        def recording(cell, signs, t0):
+            path = make_path_(cell, signs, t0)
             started.append(path.lam)
             return path
 
@@ -301,8 +301,10 @@ class TestCertifiedPaths:
             cells, homotopy = _cells_and_homotopy(system)
             tracked_paths = []
             for cell in cells.cells:
-                starts = solve_real(binomial_from_cell(cell, system))
-                tracked_paths.extend(make_path(cell, s, FORCED_T0) for s in starts)
+                tracked_paths.extend(
+                    make_path(cell, signs, FORCED_T0)
+                    for signs in real_orthants(cell, system)
+                )
             tracked = track(homotopy, tracked_paths)
             assert len(tracked) == len(report.solutions), label
             for at_target, along in zip(report.solutions, tracked):
@@ -322,8 +324,7 @@ class TestCertifiedPaths:
 
         def flipped(starts):
             first = starts[0]
-            signs = (-first.signs[0],) + first.signs[1:]
-            return [dataclasses.replace(first, signs=signs)] + starts[1:]
+            return [(-first[0],) + first[1:]] + starts[1:]
 
         mutate = {"duplicated": duplicated, "flipped": flipped}[mutation]
         checked = 0
@@ -443,7 +444,7 @@ class TestTracking:
         paths = []
         for cell in cells.cells:
             for sol in solve_real(binomial_from_cell(cell, system)):
-                paths.append(make_path(cell, sol, FORCED_T0))
+                paths.append(make_path(cell, sol.signs, FORCED_T0))
         solutions = track(homotopy, paths, tol=1e-10)
         got = sorted(s.point[0] for s in solutions)
         ref = quadratic_real_roots(1.0, 10.0, 1.0)
@@ -461,7 +462,7 @@ class TestTracking:
         cell = cells.cells[0]
         starts = solve_real(binomial_from_cell(cell, system))
         assert len(starts) == 2
-        paths = [make_path(cell, s, FORCED_T0) for s in starts]
+        paths = [make_path(cell, s.signs, FORCED_T0) for s in starts]
         solutions = track(homotopy, paths)
         assert len(solutions) == 2
         for sol, start in zip(solutions, starts):
@@ -483,7 +484,7 @@ class TestTracking:
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
         starts = solve_real(binomial_from_cell(cell, system))
-        paths = [make_path(cell, s, 0.1) for s in starts]
+        paths = [make_path(cell, s.signs, 0.1) for s in starts]
         solutions = track(homotopy, paths)
         assert [p.status for p in paths] == ["converged", "converged"]
         assert len(solutions) == len(starts) == 2
@@ -501,7 +502,8 @@ class TestTracking:
         )
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
-        path = make_path(cell, solve_real(binomial_from_cell(cell, system))[0], 0.1)
+        start = solve_real(binomial_from_cell(cell, system))[0]
+        path = make_path(cell, start.signs, 0.1)
 
         def solve_fails(a, b):
             if broken == "singular":
@@ -546,8 +548,8 @@ class TestTracking:
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, system))[0]
-        first = track(homotopy, [make_path(cell, sol, 0.01)])
-        second = track(homotopy, [make_path(cell, sol, 0.01)])
+        first = track(homotopy, [make_path(cell, sol.signs, 0.01)])
+        second = track(homotopy, [make_path(cell, sol.signs, 0.01)])
         assert first[0].point == second[0].point
         assert first[0].steps == second[0].steps
         assert math.copysign(1.0, first[0].point[0]) == sol.signs[0]
@@ -557,8 +559,8 @@ class TestTracking:
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, system))[0]
-        good = make_path(cell, sol, 0.01)
-        bad = make_path(cell, sol, 0.01)
+        good = make_path(cell, sol.signs, 0.01)
+        bad = make_path(cell, sol.signs, 0.01)
         bad.u = np.array([math.log(1e11)])  # hopeless start, far off the path
         solutions = track(homotopy, [bad, good])
         assert len(solutions) == 1
@@ -571,13 +573,13 @@ class TestTracking:
         cells, homotopy = _cells_and_homotopy(system)
         cell = cells.cells[0]
         sol = solve_real(binomial_from_cell(cell, system))[0]
-        twins = [make_path(cell, sol, 0.01), make_path(cell, sol, 0.01)]
+        twins = [make_path(cell, sol.signs, 0.01), make_path(cell, sol.signs, 0.01)]
         assert track(homotopy, twins) == []
         for k, path in enumerate(twins):
             assert path.status == "failed"
             assert path.message == f"endpoint coincides with path {1 - k}"
         pair = [
-            make_path(c, s, 0.01)
+            make_path(c, s.signs, 0.01)
             for c in cells.cells
             for s in solve_real(binomial_from_cell(c, system))
         ]
@@ -623,9 +625,11 @@ class TestTracking:
         # most one per iterate plus the last evaluation (max_iters + 1 per
         # call), or inside the fold test _fold, at most FOLD_ITERS + 1 per
         # call.  The tangent and the predictor reuse the table of the
-        # accepted iterate and call no kernel.  The cubic/conic converges all
-        # 6 paths; both paths of 2 - 2x + x**2 end at its fold, so the fold
-        # test runs.
+        # accepted iterate and call no kernel, and the endpoint polish of a
+        # path that stepped reads its first iterate from the last step's
+        # table: one call fewer, and none if that iterate already meets the
+        # polish tolerance.  The cubic/conic converges all 6 paths; both
+        # paths of 2 - 2x + x**2 end at its fold, so the fold test runs.
         scope = []  # the index of the innermost instrumented call
         calls = []  # the scope at each jac_dlam call
         kernel = _kernels.jac_dlam
@@ -646,12 +650,14 @@ class TestTracking:
             finally:
                 scope.pop()
 
-        def scoped_newton(h, weights, lam, u, ctol, max_iters, **kwargs):
-            args = (h, weights, lam, u, ctol, max_iters)
-            return scoped("_newton", max_iters + 1, newton, *args, **kwargs)
+        def scoped_newton(*args, **kwargs):
+            given = kwargs.get("table") is not None
+            name = "_newton(table)" if given else "_newton"
+            budget = (not given, args[5] + 1 - given)
+            return scoped(name, budget, newton, *args, **kwargs)
 
         def scoped_fold(*args):
-            return scoped("_fold", tracker.FOLD_ITERS + 1, fold, *args)
+            return scoped("_fold", (1, tracker.FOLD_ITERS + 1), fold, *args)
 
         monkeypatch.setattr(tracker, "_newton", scoped_newton)
         monkeypatch.setattr(tracker, "_fold", scoped_fold)
@@ -661,7 +667,7 @@ class TestTracking:
         ):
             cells, homotopy = _cells_and_homotopy(system)
             paths = [
-                make_path(cell, s, FORCED_T0)
+                make_path(cell, s.signs, FORCED_T0)
                 for cell in cells.cells
                 for s in solve_real(binomial_from_cell(cell, system))
             ]
@@ -669,9 +675,11 @@ class TestTracking:
             assert len(track(homotopy, paths)) == converged
         per_call = Counter(calls)
         assert None not in per_call
-        for k, (_, budget) in enumerate(budgets):
-            assert 1 <= per_call[k] <= budget
-        assert [name for name, _ in budgets].count("_fold") >= 2
+        for k, (_, (low, high)) in enumerate(budgets):
+            assert low <= per_call[k] <= high
+        names = Counter(name for name, _ in budgets)
+        assert names["_fold"] >= 2
+        assert names["_newton(table)"] == 6
 
     def test_forced_tracking_finds_every_exact_zero(self):
         # A step that jumps onto another branch loses a zero or reaches one
@@ -797,10 +805,11 @@ class TestTracking:
 
         newton, attempts = tracker._newton, []
 
-        def recording(h, weights, lam, u, ctol, max_iters, contract=False):
+        def recording(*args, contract=False, **kwargs):
             before = evaluations[0]
-            out = newton(h, weights, lam, u, ctol, max_iters, contract)
+            out = newton(*args, contract=contract, **kwargs)
             if contract:
+                h, weights, lam, u, ctol, _ = args
                 used = evaluations[0] - before
                 attempts.append((h, weights, lam, u, out[0] < ctol, used))
             return out
@@ -831,8 +840,9 @@ class TestTracking:
         calls = []
         newton, track_one = tracker._newton, tracker._track_one
 
-        def recording(h, weights, lam, u, ctol, max_iters, contract=False):
-            out = newton(h, weights, lam, u, ctol, max_iters, contract)
+        def recording(*args, contract=False, **kwargs):
+            out = newton(*args, contract=contract, **kwargs)
+            lam, max_iters = args[2], args[5]
             assert contract == (max_iters == tracker.CORRECTOR_ITERS)
             calls.append((lam, contract, out))
             return out
