@@ -15,10 +15,8 @@ from .binomial import (
 )
 from .certificate import Certificate, certify, certify_system
 from .errors import (
-    CorrectorStalled,
     DegenerateConfiguration,
     EmptySupport,
-    PathDiverged,
     RealHomotopyError,
     SingularExponentMatrix,
     TieDegenerate,
@@ -52,14 +50,12 @@ __all__ = [
     "CayleyConfig",
     "Certificate",
     "CircuitTable",
-    "CorrectorStalled",
     "DegenerateConfiguration",
     "EmptySupport",
     "GaleDual",
     "Lifting",
     "MixedCell",
     "MixedCellSet",
-    "PathDiverged",
     "RealHomotopyError",
     "RealOrthantSolution",
     "SingularExponentMatrix",

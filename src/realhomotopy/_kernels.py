@@ -16,17 +16,14 @@ one array and reduce per equation with ``reduceat``.  ``jac_dlam`` is the
 tracker's only kernel.  It takes ``weights`` with each row times its term's
 sign (the path's orthant is fixed, so the tracker signs the table once per
 path) and returns the one table ``[h | J_u | dh/dlam]`` of the shifted
-residual, the Jacobian in u and the derivative in lam.  It keeps the name of
-the Jacobian kernel it replaced, which is the name the benchmark's tracer
-wraps.  ``h_scale`` evaluates the residual alone.  The solver no longer
-calls it, since forced paths start at one fixed t0 that nothing scores; it
-stays for the benchmark's tracer, which wraps it by name, and for the
-tests, which check ``jac_dlam``'s residual column against it.  Its exponent
-products are a stack of matrix-vector products, which round like
-``jac_dlam``'s ``np.dot``, so on a ``(k, n)`` stack of points each row
-equals the one-point result bit for bit.  ``BACKEND`` names this
-implementation for the benchmark's environment record; the number and cost
-of kernel calls per solve are the ``kernels.*`` metrics of
+residual, the Jacobian in u and the derivative in lam.  ``h_scale``
+evaluates the residual alone.  The solver does not call it; the benchmark's
+tracer wraps it by name, and the tests check ``jac_dlam``'s residual column
+against it.  Its exponent products are a stack of matrix-vector products,
+which round like ``jac_dlam``'s ``np.dot``, so on a ``(k, n)`` stack of
+points each row equals the one-point result bit for bit.  ``BACKEND`` names
+this implementation for the benchmark's environment record; the number and
+cost of kernel calls per solve are the ``kernels.*`` metrics of
 ``perfbench/run.py --trace 1``.
 """
 

@@ -123,7 +123,7 @@ def real_orthants(cell: MixedCell, system: SupportSystem) -> list[tuple[int, ...
     orthants = _parity_solutions(rows, negative)
     for signs in orthants:
         for row, neg in zip(rows, negative):
-            if (_sign_power_product(signs, row) < 0) != neg:
+            if (sign_power_product(signs, row) < 0) != neg:
                 raise AssertionError("binomial sign check failed")
     return orthants
 
@@ -190,7 +190,9 @@ def _parity_solutions(
     return out
 
 
-def _sign_power_product(signs: Sequence[int], exponents: Sequence[int]) -> int:
+def sign_power_product(signs: Sequence[int], exponents: Sequence[int]) -> int:
+    """The sign of ``prod_j signs[j]**exponents[j]`` from the parity of each
+    exact integer exponent: the one rule for a monomial's sign in an orthant."""
     out = 1
     for s, e in zip(signs, exponents):
         if e % 2:
@@ -254,7 +256,7 @@ def _check_residual(
                 "binomial residual check: a term e * log|x| leaves the float range"
             )
         log_val = math.fsum(terms)
-        sign_val = _sign_power_product(signs, row)
+        sign_val = sign_power_product(signs, row)
         rel = abs(math.exp(log_val - lr) - 1.0)
         if sign_val != sign(r) or rel > tol:
             raise AssertionError(

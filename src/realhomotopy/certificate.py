@@ -5,10 +5,9 @@ along its own lifting direction without meeting the discriminant amoeba, so
 the combinatorial real-zero count survives the deformation.  A fail is
 inconclusive; the test is sufficient, not necessary.
 
-The inequalities are the exact circuit table of ``mixed_cells``
-(``CircuitTable``), and the margins are taken from all its rows at once:
-each is ``zeta . w - log(m) * |zeta|_1``, with ``zeta . w`` the table's
-own float value of the row.
+The certificate reads one ``MixedCellSet``: its cells, the circuit table of
+their inequalities, and each row's value ``zeta . w`` on the lifting the
+cells were enumerated on.  A margin is ``zeta . w - log(m) * |zeta|_1``.
 """
 
 from __future__ import annotations
@@ -18,51 +17,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lifting, SupportSystem, build_cayley, log_abs_lifting
-from .mixed_cells import CircuitTable, MixedCellSet, enumerate_mixed_cells
+from .lattice import SupportSystem, build_cayley, log_abs_lifting
+from .mixed_cells import MixedCellSet, enumerate_mixed_cells
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-inequality margins ``<w, zeta> - log(m) * |zeta|_1`` and the verdict."""
+    """Per-inequality margins ``<w, zeta> - log(m) * |zeta|_1``, the number
+    of mixed cells, and the verdict."""
 
     margins: tuple[float, ...]
     m: int
+    cell_count: int
 
     def min_margin(self) -> float:
         return min(self.margins) if self.margins else math.inf
 
     @property
     def verdict(self) -> bool:
-        """A pass: every margin is strictly positive, vacuously so with none."""
-        return self.min_margin() > 0.0
+        """A pass: at least one mixed cell, and every margin strictly
+        positive, vacuously so with none.
+
+        The count a pass certifies is the cells' real starts.  With no
+        mixed cell the mixed volume is 0, so by Bernstein's theorem the
+        system has no isolated zero in the torus and there is no count to
+        certify: ``xy - 2, x^2 y^2 - 4`` (its zeros form the curve xy = 2)
+        and the same supports with ``- 5`` (no zero) both fail.  A cell with
+        no excluded point (a binomial system) is its own toric limit and
+        passes with no margins.
+        """
+        return self.cell_count > 0 and self.min_margin() > 0.0
 
 
-def certify(lifting: Lifting, table: CircuitTable) -> Certificate:
-    """Check every circuit inequality with the log(m) slack, m = len(lifting).
+def certify(cells: MixedCellSet) -> Certificate:
+    """Check every circuit inequality of ``cells`` with the log(m) slack,
+    m = the number of Cayley points.
 
-    Margins are computed against the supplied lifting; the verdict is a pass
-    exactly when all margins are strictly positive.  With no excluded points
-    anywhere (every support is already an edge) the table has no rows and the
-    certificate passes vacuously.  A binomial system is its own toric limit,
-    so each of its paths is one Newton at the target from the binomial
-    solver's start, in log coordinates: ``solve`` on ``x^3 - 10^-320``
-    returns its zero, about 2.2e-107.
-
-    The margins are read off the table all rows at once, using the values
-    enumeration already took when the table is a ``MixedCellSet``'s and the
-    lifting is the one it was enumerated on.
+    The margins are the set's values, taken once by enumeration on its own
+    lifting, less the slack.  A binomial system passes with no margins, so
+    each of its paths is one Newton at the target from the binomial start,
+    in log coordinates: ``solve`` on ``x^3 - 10^-320`` returns its zero,
+    about 2.2e-107.
     """
-    m = len(lifting)
+    m = len(cells.lifting)
+    table = cells.inequalities
     with np.errstate(all="ignore"):
         slack = math.log(m) * np.abs(table.coeffs).sum(axis=1).astype(float)
-        margins = table.values(lifting) - slack
-    return Certificate(margins=tuple(margins.tolist()), m=m)
+        margins = cells.values - slack
+    count = len(cells.cells)
+    return Certificate(margins=tuple(margins.tolist()), m=m, cell_count=count)
 
 
 def certify_system(system: SupportSystem) -> tuple[Certificate, MixedCellSet]:
     """Lift by log-coefficients, enumerate cells, and certify in one shot."""
-    config = build_cayley(system)
-    lifting = log_abs_lifting(system)
-    cells = enumerate_mixed_cells(config, lifting)
-    return certify(lifting, cells.inequalities), cells
+    cells = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
+    return certify(cells), cells

@@ -10,8 +10,8 @@ Input documents are JSON objects with:
 Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
 
 Exit codes: 0 success, 1 input error (a number too large for a float, such
-as an exponent near 10**200, included), 2 certificate fail, 3 degenerate
-lifting, 4 tracking failures present.
+as an exponent near 10**200, included), 2 certificate fail (a system with
+no mixed cell included), 3 degenerate lifting, 4 tracking failures present.
 
 ``solve`` prints each solution's ``point`` x; a zero beyond the float range,
 where x would read ``inf`` or ``0``, is printed as its orthant ``signs`` and
@@ -114,6 +114,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     doc = {
         "verdict": "pass" if cert.verdict else "fail",
         "m": cert.m,
+        "cell_count": cert.cell_count,
         "inequality_count": len(cells.inequalities),
         "margins": sorted(cert.margins),
     }

@@ -21,11 +21,3 @@ class EmptySupport(RealHomotopyError):
 
 class DegenerateConfiguration(RealHomotopyError):
     """Point configuration does not affinely span its ambient space."""
-
-
-class PathDiverged(RealHomotopyError):
-    """A path's step size underflowed."""
-
-
-class CorrectorStalled(RealHomotopyError):
-    """Newton correction kept failing after repeated step halvings."""

@@ -47,9 +47,9 @@ Each survivor's n x n edge matrix is eliminated once, by the fraction-free
 ``det_adjugate``, which gives its determinant, its gamma and its circuits.
 The circuits of all survivors of a solve are built in one pass as one exact
 table (``CircuitTable``: object arrays of Python ints, one row per circuit)
-and evaluated on the float lifting once.  The table is the only form of a circuit
-inequality: the cells keep their rows, and the certificate reads the same
-table and values.
+and evaluated on the float lifting once.  The table is the only form of a
+circuit inequality: the returned ``MixedCellSet`` keeps the cells' rows,
+their values and the lifting, which is all the certificate reads.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -102,6 +102,7 @@ class MixedCell:
         return _primitive_direction(self.normal)
 
 
+@dataclass(frozen=True, eq=False)
 class CircuitTable:
     """Circuit inequalities as one exact table, one row per inequality.
 
@@ -113,24 +114,14 @@ class CircuitTable:
     are Python ints in an object array, so every entry is exact.  Each row
     is primitive and oriented with a negative witness coefficient;
     equivalently, every lifting that induces the cell gives each of the
-    cell's rows a positive value (``values``).
+    cell's rows a positive value (``values``).  Tables compare by identity.
     """
 
-    def __init__(self, points: np.ndarray, coeffs: np.ndarray) -> None:
-        self.points = points
-        self.coeffs = coeffs
-        # The values of the last lifting evaluated, keyed by its values tuple.
-        self._values: tuple[tuple[float, ...], np.ndarray] | None = None
-
-    def take(self, rows: np.ndarray) -> CircuitTable:
-        """The given rows, in order, with the values already evaluated."""
-        out = CircuitTable(self.points[rows], self.coeffs[rows])
-        if self._values is not None:
-            out._keep(self._values[0], self._values[1][rows])
-        return out
+    points: np.ndarray
+    coeffs: np.ndarray
 
     def values(self, lifting: Lifting) -> np.ndarray:
-        """``zeta . w`` per row in float64 (read only).
+        """``zeta . w`` per row in float64, a new array on every call.
 
         Each row sums from 0.0 one column at a time, so a value is bit for
         bit ``sum(c * w[k])`` over the row's nonzero coefficients in column
@@ -138,23 +129,14 @@ class CircuitTable:
         A zero coefficient adds a zero of either sign, which changes no bit:
         a running sum that starts at 0.0 is never -0.0.  ``terms.sum(axis=1)``
         would not do: numpy's pairwise, unrolled reduction sums rows of 9 or
-        more columns (n >= 4) in another order.  The last lifting's values
-        are kept, so enumeration evaluates a table once and the certificate
-        reads the same values.
+        more columns (n >= 4) in another order.
         """
-        if self._values is None or self._values[0] is not lifting.values:
-            w = np.array(lifting.values, dtype=float)
-            terms = self.coeffs.astype(float) * w[self.points]
-            values = np.zeros(len(terms))
-            for column in terms.T:
-                values += column
-            self._keep(lifting.values, values)
-        return self._values[1]
-
-    def _keep(self, lifting: tuple[float, ...], values: np.ndarray) -> None:
-        # Every reader gets this one array, so none may write to it.
-        values.flags.writeable = False
-        self._values = (lifting, values)
+        w = np.array(lifting.values, dtype=float)
+        terms = self.coeffs.astype(float) * w[self.points]
+        values = np.zeros(len(terms))
+        for column in terms.T:
+            values += column
+        return values
 
     def __len__(self) -> int:
         return len(self.points)
@@ -164,12 +146,17 @@ class CircuitTable:
 class MixedCellSet:
     """All mixed cells of one lifted configuration plus their circuit system.
 
-    ``inequalities`` holds the circuits of every cell, cell by cell.  Sets
-    compare by identity: compare ``cells`` and the tables' arrays instead.
+    ``inequalities`` holds the circuits of every cell, cell by cell, and
+    ``values`` (read only) each row's ``zeta . w`` on ``lifting``, the
+    lifting the cells were enumerated on: the one evaluation of the table
+    that decides the cells and that the certificate reads.  Sets compare by
+    identity: compare ``cells`` and the tables' arrays instead.
     """
 
     cells: tuple[MixedCell, ...]
     inequalities: CircuitTable
+    lifting: Lifting
+    values: np.ndarray
 
     def total_volume(self) -> int:
         return sum(c.volume for c in self.cells)
@@ -660,9 +647,10 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     inequalities, one per excluded point.  The table is evaluated on the
     float lifting: a row's value over ``|zeta[witness]|`` is the witness's
     exclusion margin.  A survivor is a cell when all its margins are
-    positive, and its rows are its inequalities.  A negative margin rejects
-    it; otherwise a margin within ``TIE_RTOL * (1 + max|w|)`` of zero raises
-    TieDegenerate for the first such survivor.
+    positive, and the returned set keeps its rows and their values.  A
+    negative margin rejects it; otherwise a margin within
+    ``TIE_RTOL * (1 + max|w|)`` of zero raises TieDegenerate for the first
+    such survivor.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
@@ -692,8 +680,9 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
         cells.append(MixedCell(local, tuple(-g for g in gamma), abs(det)))
 
     table = _circuit_table(plan, survivors)
+    row_values = table.values(lifting)
     with np.errstate(all="ignore"):
-        margin = table.values(lifting) / -table.coeffs[:, -1].astype(float)
+        margin = row_values / -table.coeffs[:, -1].astype(float)
         margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
     per_cell = plan.m - 2 * n
     margin = margin.reshape(len(survivors), per_cell)
@@ -711,9 +700,14 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
 
     order = sorted(np.flatnonzero(kept), key=lambda s: cells[s].edges)
     rows = np.add.outer(np.array(order, dtype=np.intp) * per_cell, np.arange(per_cell))
+    rows = rows.ravel()
+    kept_values = row_values[rows]
+    kept_values.flags.writeable = False
     return MixedCellSet(
         cells=tuple(cells[s] for s in order),
-        inequalities=table.take(rows.ravel()),
+        inequalities=CircuitTable(table.points[rows], table.coeffs[rows]),
+        lifting=lifting,
+        values=kept_values,
     )
 
 

@@ -100,7 +100,7 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     report.timings["mixed_cells"] = clock() - t
 
     t = clock()
-    report.certificate = certify(lifting, cells.inequalities)
+    report.certificate = certify(cells)
     report.timings["certificate"] = clock() - t
 
     if not report.certificate.verdict and not cfg.force:

@@ -32,9 +32,7 @@ paths start at ``t0 = 1`` (``u = -normal``): no step, only the endpoint
 polish, and ``track`` still fails any two that end on one zero.  Every other
 path starts at ``FORCED_T0 = 1e-8``, where the toric limit holds (as in the
 paper and in Huber and Sturmfels), and the start correction pulls it onto
-its path.  Scoring t0 candidates per cell instead cost about 8% of a forced
-solve and took more kernel calls (3,876 against 3,781 on track_forced seeds
-1-3).
+its path.
 
 Steps are sized in the frame of the path's cell.  The truncated branch moves
 ``u`` by ``-normal`` per unit lam, a drift known in advance, so both the cap on
@@ -56,23 +54,6 @@ before the path gives up, ``_fold`` locates the turning point directly
 starting from the step's best near miss; when it confirms one inside the
 failing span, the path fails at once with the message ``fold at lam=...``.
 
-With three iterates, 138 of the 192 step correctors that failed on
-converging track_forced paths (seeds 1-3) stopped below 1e-4 while still
-contracting, each costing a halving and a new corrector; with four, 57 fail
-there, 6 of them below 1e-4.  On the 503 reference solves
-(``tests/reference_reports.py``, below) every solution count and path status
-stayed the same, endpoints moved by at most 1.4e-11 relative, and every
-held-out failure past the start correction now names its fold: 12 held-out
-paths used to end with "corrector failed after 3 halvings".  ``jac_dlam``
-calls fell from 4,860 to 3,855 over track_forced seeds 1-3 (accepted steps
-from 813 to 681), and on the held-out systems from 24,389 to 19,177 at n = 2
-and from 2,770 to 2,078 at n = 3.  Six iterates lost two held-out n = 2
-paths.  Longer steps also cost one zero of 585 on 200 further forced n = 2
-systems (generator seeds 50-59): a path steps across its fold onto another
-path's zero, and ``track`` fails both.  Over 20 alternating 30 s benchmark
-pairs track_forced went from a median of 472 to 532 systems/s, the change
-winning 19 (2-vCPU shared VM).
-
 At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
 ``_kernels.jac_dlam`` call and one ``_solve``, and the norms and finiteness
 tests on n-vectors read Python floats (``_max_norm``), as do the predictor
@@ -92,26 +73,6 @@ n = 2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
   undefined result NaN, both of which ``_max_norm`` reads as inf.  The one
   operation that would raise, a division by an exactly zero determinant,
   raises instead the ``LinAlgError`` that every caller already handles.
-
-On the 503 reference solves (``tests/reference_reports.py``: the three
-benchmark corpora at seeds 1-3 and the 224 held-out forced systems) every
-solution count, path status, accepted step count and failure message (up to
-its lam) stayed the same, and endpoints moved by at most 1.2e-13 relative
-(in 57 of 63 track_forced, 14 of 192 certified_scaled and 163 of 200
-held-out n = 2 reports); the n = 3 and dense_cells reports are
-bit-identical.  Over track_forced seeds 1-3, ``np.linalg.solve`` calls fell
-from 4,350 to the 132 bordered systems, for the same 4,860 ``jac_dlam``
-calls (with three corrector iterates), and over 10 alternating 30 s
-benchmark pairs track_forced went from a median of 382 to 454 systems/s
-(2-vCPU shared VM).
-
-Three other routes around the wrapper were ruled out: scipy's ``dgesv``
-(1.9 us) costs 0.3 s of ``import scipy.linalg`` per process, beyond the
-benchmark's bound on ``setup_s``; numpy's ``_umath_linalg.solve1`` (2.3 us)
-is private, and reports a singular matrix only through the floating-point
-error state that the wrapper sets up; and tracking a solve's paths in
-lockstep, one batched solve for all of them, measured no gain at the 2.8
-paths per solve of the forced workload.
 """
 
 from __future__ import annotations
@@ -123,7 +84,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import CorrectorStalled, PathDiverged
+from .binomial import sign_power_product
 from .lattice import Lifting, SupportSystem, sign
 from .mixed_cells import MixedCell
 
@@ -165,13 +126,15 @@ class HomotopySystem:
     ``logc`` and ``signs`` hold ``log|c|`` and ``sign(c)`` per term.  ``vexp``
     lists the per-term deformation exponents over all Cayley points in
     block-major order; all entries are nonnegative and each equation has at
-    least one zero entry (its dominant term).  ``exps`` holds the exponents
-    as floats; ``starts``, ``eq`` and ``weights`` are the kernels'
-    ``_kernels.tables``.
+    least one zero entry (its dominant term).  ``points`` holds the exponents
+    as Python ints, whose parities give the term signs (``term_signs``), and
+    ``exps`` the same exponents as floats; ``starts``, ``eq`` and ``weights``
+    are the kernels' ``_kernels.tables``.
     """
 
     logc: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
+    points: tuple[tuple[int, ...], ...] = field(repr=False)
     exps: np.ndarray = field(repr=False)
     vexp: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
@@ -209,6 +172,7 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
     return HomotopySystem(
         logc=np.array(w, dtype=np.float64),
         signs=np.array(signs, dtype=np.float64),
+        points=tuple(exps),
         exps=exps_f,
         vexp=vexp_f,
         starts=starts,
@@ -261,10 +225,11 @@ def make_path(cell: MixedCell, signs: tuple[int, ...], t0: float) -> PathState:
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
-    """The term signs ``sign(c_k) * prod_j s_j**exps[k, j]`` of h in the orthant
-    ``s`` of a point."""
-    s = np.asarray(orthant, dtype=np.float64)
-    return h.signs * np.prod(s**h.exps, axis=1)
+    """The term signs ``sign(c_k) * prod_j s_j**points[k][j]`` of h in the
+    orthant ``s`` of a point, from the parity of each exact exponent
+    (``binomial.sign_power_product``): a float exponent at or above 2**53
+    has lost its parity."""
+    return h.signs * [sign_power_product(orthant, p) for p in h.points]
 
 
 def select_t0(certified: bool) -> float:
@@ -323,13 +288,11 @@ def _newton(
     ``CONTRACTION`` times the last one, and the caller halves the step.  The
     first iterate is exempt: from a predicted point it may even raise the
     residual of a corrector that converges (0.049 to 0.089 on a cubic/conic
-    step).  Replayed as a plain Newton of ``CORRECTOR_ITERS`` iterates, no
-    step corrector of the 503 reference solves is cut that would converge
-    (the cut column of ``tests/reference_reports.py``).  While t0 was still
-    scored per cell, testing the first iterate as well cut 11, all on the
-    held-out n = 2 systems.  The start correction and the endgame polish
-    keep their full budgets; applied to them as well, the rule lost
-    converged forced paths.
+    step).  The cut column of ``tests/reference_reports.py`` replays each
+    cut corrector as a plain Newton of ``CORRECTOR_ITERS`` iterates, so a
+    cut that would have converged shows there.  The start correction and
+    the endgame polish keep their full budgets; applied to them as well,
+    the rule lost converged forced paths.
 
     Returns the lowest residual of any iterate evaluated (``_max_norm``, so
     never NaN), that iterate and the kernel table ``[h | J_u | dh/dlam]`` at
@@ -471,6 +434,12 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
     return mu
 
 
+class _PathFailed(Exception):
+    """How ``_track_one`` ends a path that does not converge: its ``args``
+    are the status ("diverged" on a step size underflow, "failed"
+    otherwise) and the message, which ``track`` records on the path."""
+
+
 def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
     """Continue one path from its start at ``path.lam`` to lam = 0; at lam = 0
     (a certified path) only the endpoint polish runs.  The endpoint is the
@@ -499,7 +468,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     if lam > 0.0:
         res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
         if res >= CORRECTOR_TOL:
-            raise CorrectorStalled("start point correction failed")
+            raise _PathFailed("failed", "start point correction failed")
     dlam = 0.1 * lam
     prev = None
     while lam > 0.0:
@@ -511,7 +480,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         except np.linalg.LinAlgError:
             speed = math.inf
         if speed == math.inf:
-            raise CorrectorStalled(f"tangent solve failed at lam={lam:.3e}")
+            raise _PathFailed("failed", f"tangent solve failed at lam={lam:.3e}")
         step = min(dlam, lam)
         # Size the step by its predicted move off the branch's drift.  The 0.9
         # leaves room for the predictor's error, so the corrected move rarely
@@ -549,21 +518,21 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
                 if newton_failures in (2, 4):
                     fold = _fold(h, weights, start, lam, u, lam_low, normal)
                     if fold is not None:
-                        raise CorrectorStalled(f"fold at lam={fold:.6e}")
+                        raise _PathFailed("failed", f"fold at lam={fold:.6e}")
                 if newton_failures > 3:
-                    raise CorrectorStalled(
-                        f"corrector failed after 3 halvings at lam={lam:.3e}"
+                    raise _PathFailed(
+                        "failed", f"corrector failed after 3 halvings at lam={lam:.3e}"
                     )
             step *= 0.5
             if step < MIN_STEP:
-                raise PathDiverged("step size underflow")
+                raise _PathFailed("diverged", "step size underflow")
         prev = (lam, u, udot)
         u = corrected
         lam = lam_new
         table = corrected_table
         steps += 1
         if steps > MAX_STEPS:
-            raise CorrectorStalled("step budget exhausted")
+            raise _PathFailed("failed", "step budget exhausted")
         dlam = 2.0 * step
     # Polish toward well below tol; the endpoint is the polish's best iterate.
     # A path that stepped ended its last step at lam = 0.0 exactly (that
@@ -572,7 +541,8 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
     polish_tol = min(tol, max(tol * 1e-4, 1e-14))
     res, u, _ = _newton(h, weights, 0.0, u, polish_tol, 25, table=table)
     if res >= tol:
-        raise CorrectorStalled(f"endpoint residual {res:.3e} above tol {tol:g}")
+        message = f"endpoint residual {res:.3e} above tol {tol:g}"
+        raise _PathFailed("failed", message)
     with np.errstate(over="ignore", under="ignore"):
         x = np.array(path.signs, dtype=np.float64) * np.exp(u)
     return TrackedSolution(tuple(x.tolist()), res, steps, path.signs, tuple(u.tolist()))
@@ -610,10 +580,8 @@ def track(
             try:
                 converged.append((k, _track_one(h, path, tol)))
                 path.status = "converged"
-            except (PathDiverged, CorrectorStalled) as exc:
-                diverged = isinstance(exc, PathDiverged)
-                path.status = "diverged" if diverged else "failed"
-                path.message = str(exc)
+            except _PathFailed as exc:
+                path.status, path.message = exc.args
     clashes: dict[int, int] = {}
     for a, b in _coinciding([s for _, s in converged]):
         ka, kb = converged[a][0], converged[b][0]

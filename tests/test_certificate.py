@@ -14,17 +14,33 @@ from helpers import (
     random_sparse_system,
 )
 from oracles import quadratic_real_roots
+from reference_reports import reference_solves
 from realhomotopy import (
     Certificate,
     CircuitTable,
     Lifting,
+    MixedCellSet,
     build_cayley,
     certify,
     certify_system,
     enumerate_mixed_cells,
     log_abs_lifting,
+    solve,
     support_system,
 )
+
+BENCHMARK_WORKLOADS = ("dense_cells", "track_forced", "certified_scaled")
+
+
+def _per_row_margins(cells):
+    """Each row's margin on the set's lifting, its terms summed in the
+    table's column order."""
+    w, log_m = cells.lifting.values, math.log(len(cells.lifting))
+    return tuple(
+        sum(c * w[k] for k, c in coeffs.items())
+        - log_m * sum(abs(c) for c in coeffs.values())
+        for coeffs, _ in circuit_rows(cells.inequalities)
+    )
 
 
 class TestQuadraticFamily:
@@ -75,11 +91,13 @@ class TestCertifyProperties:
         b, _ = certify_system(quadratic_system(1.0, 10.0, 1.0))
         assert a.margins == b.margins
 
-    def test_empty_inequalities_pass_vacuously(self):
+    def test_no_mixed_cell_fails(self):
         empty = CircuitTable(np.zeros((0, 3), np.intp), np.zeros((0, 3), object))
-        cert = certify(Lifting(values=(0.0, 0.0)), empty)
-        assert cert == Certificate(margins=(), m=2)
-        assert cert.verdict is True
+        lifting = Lifting(values=(0.0, 0.0))
+        cells = MixedCellSet((), empty, lifting, np.zeros(0))
+        cert = certify(cells)
+        assert cert == Certificate(margins=(), m=2, cell_count=0)
+        assert cert.verdict is False
 
     def test_binomial_system_passes_vacuously(self):
         cert, cells = certify_system(
@@ -87,7 +105,24 @@ class TestCertifyProperties:
         )
         assert cert.verdict is True
         assert cert.margins == ()
-        assert len(cells.cells) == 1
+        assert len(cells.cells) == cert.cell_count == 1
+
+
+# xy - 2, x^2 y^2 - c: the supports are dependent, so there is no mixed cell.
+# At c = 4 the zeros form the curve xy = 2; at c = 5 there is none.
+DEPENDENT_SUPPORTS = [[[1, 1], [0, 0]], [[2, 2], [0, 0]]]
+
+
+@pytest.mark.parametrize("c", [4, 5])
+def test_no_mixed_cell_no_pass(c):
+    system = support_system(DEPENDENT_SUPPORTS, [[1, -2], [1, -c]])
+    cert, cells = certify_system(system)
+    assert cells.cells == () and len(cells.inequalities) == 0
+    assert cert == Certificate(margins=(), m=4, cell_count=0)
+    assert cert.verdict is False
+    report = solve(system)
+    assert report.verdict is False
+    assert report.solutions == [] and report.start_solutions == []
 
 
 class TestCubicConicRegression:
@@ -131,17 +166,26 @@ class TestCircuitTable:
         shifts = rng.integers(0, 10, size=m).tolist()
         cases.append((exact, Lifting(values=dyadic(nums, shifts))))
         for system, lifting in cases:
-            table = enumerate_mixed_cells(build_cayley(system), lifting).inequalities
-            assert table
-            w, log_m = lifting.values, math.log(len(lifting))
-            # Each row's terms summed in the table's column order.
-            want = tuple(
-                sum(c * w[k] for k, c in coeffs.items())
-                - log_m * sum(abs(c) for c in coeffs.values())
-                for coeffs, _ in circuit_rows(table)
-            )
-            # Bit for bit, from the enumeration's table with its values and
-            # from a new table of the same rows.
-            assert certify(lifting, table).margins == want
-            fresh = CircuitTable(table.points, table.coeffs)
-            assert certify(lifting, fresh).margins == want
+            cells = enumerate_mixed_cells(build_cayley(system), lifting)
+            assert cells.inequalities
+            # Bit for bit, from the values the enumeration took.
+            assert certify(cells).margins == _per_row_margins(cells)
+
+    def test_solve_hands_its_values_to_the_certificate(self):
+        # Each benchmark workload's seed-1 corpus, solved as the benchmark
+        # solves it.
+        solved = 0
+        for family, label, system, config in reference_solves():
+            if family not in BENCHMARK_WORKLOADS or not label.endswith("@1"):
+                continue
+            report = solve(system, config)
+            cells, table = report.cells, report.cells.inequalities
+            assert cells.lifting == log_abs_lifting(system)
+            fresh = CircuitTable(table.points, table.coeffs).values(cells.lifting)
+            assert cells.values.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                cells.values[:1] = 0.0
+            want = _per_row_margins(cells)
+            assert report.certificate.margins == certify(cells).margins == want
+            solved += 1
+        assert solved == 8 + 21 + 64

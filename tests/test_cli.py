@@ -106,6 +106,7 @@ class TestCertifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "pass"
         assert doc["m"] == 3
+        assert doc["cell_count"] == 2
         assert doc["margins"] == sorted(doc["margins"])
 
     def test_fail_exit_2_with_min_margin(self, tmp_path, capsys):
@@ -123,6 +124,29 @@ class TestCertifyCommand:
         dot_s1 = doc_s1["margins"][0] + math.log(3) * 4
         dot_s2 = doc_s2["margins"][0] + math.log(3) * 4
         assert dot_s2 == pytest.approx(2 * dot_s1, rel=1e-10)
+
+
+class TestNoMixedCell:
+    """``xy - 2, x^2 y^2 - c`` has dependent supports and no mixed cell: at
+    c = 4 its zeros form the curve xy = 2, at c = 5 it has none.  Neither
+    passes the certificate."""
+
+    @pytest.mark.parametrize("c", [4, 5])
+    def test_certify_and_solve_exit_2(self, tmp_path, capsys, c):
+        doc = {
+            "n": 2,
+            "supports": [[[1, 1], [0, 0]], [[2, 2], [0, 0]]],
+            "coefficients": [[1, -2], [1, -c]],
+        }
+        path = _write(tmp_path, doc)
+        assert main(["certify", path]) == 2
+        cert = json.loads(capsys.readouterr().out)
+        assert (cert["verdict"], cert["cell_count"]) == ("fail", 0)
+        assert (cert["inequality_count"], cert["margins"]) == (0, [])
+        assert main(["solve", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["cell_count"]) == ("fail", 0)
+        assert report["solutions"] == []
 
 
 class TestSolveCommand:

@@ -124,6 +124,36 @@ class TestMakeHomotopy:
             assert h.signs.tolist() == [1.0 if c > 0 else -1.0 for c in coeffs]
 
 
+class TestTermSigns:
+    """Term signs come from the parity of the exact exponents: 2**53 + 1 is
+    odd, but as a float it reads 2**53, which is even."""
+
+    BIG = 2**53 + 1
+
+    def test_odd_exponent_beyond_float_parity(self):
+        system = support_system([[[0], [self.BIG]]], [[2, 1]])
+        h = make_homotopy(system, log_abs_lifting(system))
+        assert term_signs(h, (-1,)).tolist() == [1.0, -1.0]
+        assert term_signs(h, (1,)).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "supports, coefficients, point",
+        [
+            ([[[0], [BIG]]], [[2, 1]], (-1.0,)),
+            ([[[0, 0], [BIG, 0]], [[0, 0], [0, 1]]], [[2, 1], [-3, 1]], (-1.0, 3.0)),
+        ],
+    )
+    def test_certified_zero_of_x_to_2_53_plus_1(self, supports, coefficients, point):
+        # x^(2^53 + 1) = -2 has one real zero, x = -2^(1 / (2^53 + 1)).
+        report = solve(support_system(supports, coefficients))
+        assert report.verdict is True
+        assert report.failures == []
+        [zero] = report.solutions
+        assert zero.signs == tuple(int(v) for v in np.sign(point))
+        assert zero.logs[0] == pytest.approx(math.log(2.0) / self.BIG, rel=1e-9)
+        assert zero.point == pytest.approx(point, rel=1e-12)
+
+
 class TestStartPoint:
     def test_identity_at_t_one(self, cubic_conic):
         # At t0 = 1 the start u = -normal is the binomial solution itself.
