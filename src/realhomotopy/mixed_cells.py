@@ -20,36 +20,41 @@ leaves no point of the block clearly above the simplex's face (an edge of the
 lifted upper hull lies in an upper facet, which supplies such a simplex).
 Candidates become the product of the kept pairs.  The second looks at them a
 chunk at a time and discards those that are provably singular or whose float
-gamma leaves some point clearly above its block's face.  Both screens take a
-row's float determinant and gamma from the closed-form 2 x 2 adjugate at
+gamma leaves some point clearly above its block's face.  A configuration whose
+whole pair product has at most SMALL_PRODUCT candidates skips the first
+screen: the second screens the whole product in one batch.  Both screens take
+a row's float determinant and gamma from the closed-form 2 x 2 adjugate at
 n = 2 (exact products wherever the singular test applies, and no LAPACK
 wrapper to pay per batch), and from ``np.linalg.det`` and ``np.linalg.solve``
 at every other n.  The screens only ever discard: every survivor is decided
 by the exact test (integer determinant and circuits, and the signs and ties
 of the circuits' values on the lifting), and the screens' tolerances make
-each candidate they drop one the exact test rejects.  Cells, normals, circuits and
-TieDegenerate are therefore those of the exact test run on every candidate.
+each candidate they drop one the exact test rejects.  Cells, normals,
+circuits and TieDegenerate are therefore those of the exact test run on
+every candidate.
 
 The screens are split in two.  A plan (``_ScreenPlan``) holds all they read
 of the configuration alone: blocks and base points, the screened blocks, the
-pair tables and grain-unit rows, and the simplex pass's rows with each row's
-determinant, singular and trusted tests and solve matrix.  A pass
-(``_FloatScreen``) adds one lifting: right-hand sides, gammas and margins.
-Coefficient vectors on one support are this solver's natural traffic (the
-certificate lives in the coefficient space of a fixed support), so plans are
-cached, keyed by the configuration's value, its points included; only plans
-of at most SCREEN_CHUNK pairs are, which bounds the cache's memory, and
-larger ones are built per solve.  Cells themselves are not memoized: a cell
-depends on the lifting, and on the dense (3, 3) benchmark corpus only 2 of
-a pass's 32 cells repeat an earlier system's edges.
+pair tables and grain-unit rows, and the rows of the simplex pass, or of a
+small product, with each row's determinant, singular and trusted tests and
+solve matrix.  A pass (``_FloatScreen``) adds one lifting: right-hand sides,
+gammas and margins.  Coefficient vectors on one support are this solver's
+natural traffic (the certificate lives in the coefficient space of a fixed
+support), so plans are cached, keyed by the configuration's value, its
+points included; only plans of at most SCREEN_CHUNK pairs are, which bounds
+the cache's memory, and larger ones are built per solve.  Cells themselves
+are not memoized: a cell depends on the lifting.
 
 Each survivor's n x n edge matrix is eliminated once, by the fraction-free
 ``det_adjugate``, which gives its determinant, its gamma and its circuits.
 The circuits of all survivors of a solve are built in one pass as one exact
-table (``CircuitTable``: object arrays of Python ints, one row per circuit)
-and evaluated on the float lifting once.  The table is the only form of a
-circuit inequality: the returned ``MixedCellSet`` keeps the cells' rows,
-their values and the lifting, which is all the certificate reads.
+table (``CircuitTable``, one row per circuit) and evaluated on the float
+lifting once.  The table's integers are int64 wherever a Hadamard bound on
+the base points proves every entry and every intermediate below 2^53
+(``_exact_dtype``), and Python ints in object arrays elsewhere; one code
+path serves both.  The table is the only form of a circuit inequality: the
+returned ``MixedCellSet`` keeps the cells' rows, their values and the
+lifting, which is all the certificate reads.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -79,6 +84,10 @@ TIE_RTOL = 1e-12
 # Candidates per float-screen batch: the screen's arrays have this many rows
 # whatever the candidate count.
 SCREEN_CHUNK = 4096
+# A configuration whose whole pair product has at most this many candidates
+# screens no block: its plan holds the product's rows and their factors, and
+# a solve screens them in one batch.  Set by measurement on fresh supports.
+SMALL_PRODUCT = 512
 _EPS = float(np.finfo(float).eps)
 
 
@@ -111,10 +120,13 @@ class CircuitTable:
     whose position relative to the cell the circuit decides.  The rows of a
     cell hold its points ``a_0, b_0, ..., a_{n-1}, b_{n-1}`` and then the
     witness; a zero coefficient marks a point off the circuit.  Coefficients
-    are Python ints in an object array, so every entry is exact.  Each row
-    is primitive and oriented with a negative witness coefficient;
-    equivalently, every lifting that induces the cell gives each of the
-    cell's rows a positive value (``values``).  Tables compare by identity.
+    are exact integers: int64 where ``_exact_dtype`` proves every entry and
+    every ``|zeta|_1`` below 2^53, else Python ints in an object array;
+    either way every float read of them (``values``, ``certify``) is the
+    same bit for bit.  Each row is primitive and oriented with a negative
+    witness coefficient; equivalently, every lifting that induces the cell
+    gives each of the cell's rows a positive value (``values``).  Tables
+    compare by identity.
     """
 
     points: np.ndarray
@@ -270,6 +282,32 @@ def _cached_simplex_rows(
     return list(_simplex_rows(sizes, screened))
 
 
+def _exact_dtype(n: int, largest: int) -> type:
+    """The dtype of the exact arrays for base points in Z^n whose
+    coordinates are at most ``largest`` in size: int64 when
+    ``(2n + 1)^2 * (n * (2 largest)^2)^n < 2^106``, else object (Python ints).
+
+    Every circuit entry comes from one edge matrix D (rows ``a_i - b_i``)
+    and one excluded point k of block j, with ``v = k - b_j``: ``d = det
+    D``; ``lam_i``, the determinant of D with row i replaced by v (Cramer:
+    ``lam = v @ adj D``); and ``d - lam_j``, that of D with row j replaced by
+    ``a_j - k``.  Each of these n x n integer matrices has entries at most
+    ``2 largest``, so rows of 2-norm at most ``R = 2 largest sqrt(n)``, and by
+    Hadamard's inequality its determinant is at most ``H = R^n``.  An entry
+    of ``adj D`` is an (n-1)-minor, at most ``R^(n-1)``, so every partial sum
+    of ``v @ adj D`` is at most ``|v|_1 R^(n-1) <= sqrt(n) H``.  A row puts
+    ``lam_i`` on ``a_i``, ``-lam_i`` on ``b_i`` (i != j), ``d - lam_j`` on
+    ``b_j`` and ``-d`` on k, so ``|zeta|_1 <= (2n + 1) H``; dividing by the
+    gcd only shrinks it.  The bound says ``(2n + 1) H < 2^53``, so every
+    entry, every intermediate and every ``|zeta|_1`` is an integer below
+    2^53: int64 arithmetic on them is exact, and so is each conversion to
+    float64, which gives the values that Python ints give.
+    """
+    if (2 * n + 1) ** 2 * (n * (2 * largest) ** 2) ** n < 2**106:
+        return np.int64
+    return object
+
+
 def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
     """Whether the points affinely span R^n, decided exactly."""
     origin = points[0]
@@ -300,13 +338,19 @@ class _ScreenPlan:
 
     One plan serves every coefficient vector on its support (``_plan``
     caches it), so every array it holds is read only.  It holds the blocks
-    and base points, the blocks the simplex pass screens (``screened``), the
-    pair tables, and each pair once in grain units: ``unit``, the row's
+    and base points, the points again as ``ints`` in the exact dtype
+    (``_exact_dtype``), the blocks the simplex pass screens (``screened``),
+    the pair tables, and each pair once in grain units: ``unit``, the row's
     2-norm ``norm`` and their largest, ``reach``.  Blocks of at most n + 1
     points, blocks that do not affinely span R^n, and blocks whose simplices
-    outnumber the candidates they could cut keep every pair.  The simplex
-    pass's rows come with their ``_Factors``, built here once when they fit
-    in one chunk and per solve, a chunk at a time, when they do not.
+    outnumber the candidates they could cut keep every pair, and so does
+    every block of a configuration whose pair product has at most
+    SMALL_PRODUCT candidates.  Such a plan holds that product instead
+    (``product``: its rows of pair indices in ``itertools.product`` order
+    and their ``_Factors``), and makes no ``_spans_space`` call and no
+    simplex row.  The simplex pass's rows come with their ``_Factors``,
+    built here once when they fit in one chunk and per solve, a chunk at a
+    time, when they do not.
     """
 
     def __init__(self, config: CayleyConfig) -> None:
@@ -320,12 +364,14 @@ class _ScreenPlan:
         # screened, fewest points first, only while their simplices add up to
         # no more than that product.  A block of at most n + 1 points keeps
         # every pair: it spans less than R^n, or it is one simplex, all of
-        # whose pairs are edges.
-        budget = math.prod(math.comb(t, 2) for t in sizes)
+        # whose pairs are edges.  A product of at most SMALL_PRODUCT
+        # candidates screens no block: one batch over all of them costs a
+        # solve less than a simplex pass and a second batch.
+        product = budget = math.prod(math.comb(t, 2) for t in sizes)
         screened = []
         for i in sorted(range(n), key=sizes.__getitem__):
             cost = math.comb(sizes[i], n + 1)
-            if cost > budget:
+            if product <= SMALL_PRODUCT or cost > budget:
                 break
             if sizes[i] > n + 1 and _spans_space([base[k] for k in blocks[i]], n):
                 screened.append(i)
@@ -336,13 +382,14 @@ class _ScreenPlan:
         self.starts, self.first, self.second, pair_starts = tables(sizes)
         self.pair_starts = np.array(pair_starts)
         self.block = np.array(config.block, dtype=np.intp)
-        # Points flat, block by block (Cayley order), as Python ints.  Per
-        # pair one row U in grain units (the grain is the gcd of all
-        # differences, taken from each point's difference to its block's
-        # first point): the exact integer difference over the grain, rounded
-        # once.  A lifting's right-hand sides over the grain then make
-        # ``U gamma = rhs`` hold the equalities' gamma.
-        ints = self.ints = np.array(base, dtype=object).reshape(-1, n)
+        # Points flat, block by block (Cayley order), in the exact dtype
+        # (``_exact_dtype``).  Per pair one row U in grain units (the grain
+        # is the gcd of all differences, taken from each point's difference
+        # to its block's first point): the exact integer difference over the
+        # grain, rounded once.  A lifting's right-hand sides over the grain
+        # then make ``U gamma = rhs`` hold the equalities' gamma.
+        largest = max(abs(c) for point in base for c in point)
+        ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest)).reshape(-1, n)
         to_first = ints - ints[np.repeat(self.starts, sizes)]
         self.grain = math.gcd(*to_first.ravel().tolist())
         self.unit = ((ints[self.first] - ints[self.second]) // self.grain).astype(float)
@@ -360,10 +407,21 @@ class _ScreenPlan:
             self._simplices = []
         elif sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
             self._simplices = list(self._simplex_batches(_cached_simplex_rows))
+        # A small product's candidates, every pair kept, in product order.
+        self.product = None
+        if product <= SMALL_PRODUCT:
+            shape = tuple(math.comb(t, 2) for t in sizes)
+            rows = np.stack(np.unravel_index(np.arange(product), shape), axis=1)
+            rows += self.pair_starts[:-1]
+            self.product = rows, self.factors(rows)
         arrays = [self.starts, self.first, self.second, self.pair_starts, self.block]
         arrays += [ints, self.unit, self.coords, self.norm]
-        for rows, blk, factors in self._simplices or ():
-            arrays += [rows, blk, *(a for a in factors if a is not None)]
+        batches = [(rows, blk, *factors) for rows, blk, factors in self._simplices or ()]
+        if self.product:
+            rows, factors = self.product
+            batches.append((rows, *factors))
+        for batch in batches:
+            arrays += [a for a in batch if a is not None]
         for array in arrays:
             array.setflags(write=False)
 
@@ -450,8 +508,9 @@ def _plan(config: CayleyConfig) -> _ScreenPlan:
     configuration's value (its points, so supports with equal block sizes
     but other points get plans of their own); larger plans are built per
     solve.  A plan keeps its simplex rows only when they fit in one chunk,
-    so a cached plan holds at most SCREEN_CHUNK pairs and simplices, which
-    bounds the memory the cache keeps.
+    and its product rows only up to SMALL_PRODUCT, so a cached plan holds at
+    most SCREEN_CHUNK pairs and simplices and SMALL_PRODUCT product rows,
+    which bounds the memory the cache keeps.
     """
     sizes = [config.block.count(i) for i in range(config.n)]
     for i, t in enumerate(sizes):
@@ -474,7 +533,10 @@ class _FloatScreen:
     first runs over the plan's simplices of the ``screened`` blocks and
     keeps a block's point pair only if some simplex through it witnesses
     it; other blocks keep every pair.  The second runs over the product of
-    the kept pairs, one pair per block, in ``itertools.product`` order.
+    the kept pairs, one pair per block, in ``itertools.product`` order: in
+    one batch from the plan's ``product`` when it holds one, so such a
+    solve makes one ``_witness`` call and builds no factors, else a chunk
+    at a time.
     ``pairs`` holds the kept local index pairs of each block in
     ``combinations`` order and ``total`` the size of their product.  Each
     pair's right-hand side is held once, in grain units (``rhs``), and every
@@ -550,17 +612,24 @@ class _FloatScreen:
     def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
         """The surviving per-block local pairs, in ``itertools.product`` order."""
         plan = self.plan
-        offsets = self.cuts[:-1]
         blocks = np.arange(plan.n)[None, :]
-        for start in range(0, self.total, SCREEN_CHUNK):
-            flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
-            idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
-            pairs = self.kept[idx + offsets]
-            pairs = pairs[self._witness(pairs, pairs, blocks, 0.0, plan.factors(pairs))]
+        batches = [plan.product] if plan.product else self._product_chunks()
+        for pairs, factors in batches:
+            pairs = pairs[self._witness(pairs, pairs, blocks, 0.0, factors)]
             firsts = (plan.first[pairs] - plan.starts).tolist()
             seconds = (plan.second[pairs] - plan.starts).tolist()
             for p, q in zip(firsts, seconds):
                 yield tuple(zip(p, q))
+
+    def _product_chunks(self) -> Iterator[tuple[np.ndarray, _Factors]]:
+        """The product of the kept pairs a chunk at a time, as rows of pair
+        indices with their factors."""
+        offsets = self.cuts[:-1]
+        for start in range(0, self.total, SCREEN_CHUNK):
+            flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
+            idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
+            pairs = self.kept[idx + offsets]
+            yield pairs, self.plan.factors(pairs)
 
     def _witness(
         self,
@@ -586,10 +655,9 @@ class _FloatScreen:
         2 x 2 adjugate in elementwise numpy arithmetic over the batch, whose
         products are exact wherever the singular test applies.  Other n take
         ``np.linalg.det`` and ``np.linalg.solve``, the one path that serves
-        every n: the closed form grows with n (six products per determinant
-        at n = 3), and no benchmark workload runs n other than 2 to show it
-        paying there.  The bounds in ``_ScreenPlan.factors`` and below cover
-        both paths.
+        every n, as the closed form grows with n (six products per
+        determinant at n = 3).  The bounds in ``_ScreenPlan.factors`` and
+        below cover both paths.
         """
         # Every comparison that drops a row is False on NaN, so values that
         # overflow the float range, or a closed-form gamma divided by a zero
@@ -728,15 +796,17 @@ def _circuit_table(
     with ``d = det D`` and ``l = (k - b_j) @ adj D``, the rows of D weighted
     by l sum to ``d * (k - b_j)``, and the dependence is ``l_i`` on ``a_i``,
     ``d * [i = j] - l_i`` on ``b_i`` and ``-d`` on k.  All rows are
-    assembled at once, in object arrays of Python ints.  On a lifting a row
+    assembled at once, in the plan's exact dtype: int64 under the bound of
+    ``_exact_dtype``, else object arrays of Python ints.  On a lifting a row
     evaluates to ``|zeta[k]|`` times k's exclusion margin: weighted by it,
     the cell points' lifted values are their faces' heights, and the gamma
     terms cancel.
     """
     n, count = plan.n, len(cells)
     width = 2 * n + 1
+    exact = plan.ints.dtype
     if not count:
-        return CircuitTable(np.zeros((0, width), np.intp), np.zeros((0, width), object))
+        return CircuitTable(np.zeros((0, width), np.intp), np.zeros((0, width), exact))
     ends, dets, adjs = [], [], []
     for pairs, det, adj in cells:
         # Negating both negates the dependence and makes its entry -d on
@@ -753,14 +823,14 @@ def _circuit_table(
     owner, point = np.nonzero(outside)
     b_col = 2 * plan.block[point] + 1
     diff = plan.ints[point] - plan.ints[cell[owner, b_col]]
-    lam = (diff[:, None, :] @ np.array(adjs, dtype=object)[owner])[:, 0, :]
-    d = np.array(dets, dtype=object)[owner]
+    lam = (diff[:, None, :] @ np.array(adjs, dtype=exact)[owner])[:, 0, :]
+    d = np.array(dets, dtype=exact)[owner]
     # The gcd of the dependence is that of l and d.
     g = np.gcd(np.gcd.reduce(lam, axis=1), d)
     lam //= g[:, None]
     d //= g
     rows = len(point)
-    dep = np.empty((rows, width), dtype=object)
+    dep = np.empty((rows, width), dtype=exact)
     dep[:, :-1:2] = lam
     dep[:, 1::2] = -lam
     dep[np.arange(rows), b_col] += d

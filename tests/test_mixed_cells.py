@@ -107,6 +107,12 @@ class TestCubicConic:
         b = enumerate_mixed_cells(config, lifting)
         assert a.cells == b.cells
 
+    def test_table_is_int64(self, cubic_conic):
+        # Degree-3 points are far inside the Hadamard bound of
+        # ``_exact_dtype``.
+        cells = enumerate_mixed_cells(build_cayley(cubic_conic), log_abs_lifting(cubic_conic))
+        assert cells.inequalities.coeffs.dtype == np.int64
+
 
 class TestSmallCases:
     def test_single_candidate_dimension_one(self):
@@ -612,7 +618,12 @@ class TestTiesInTwoVariables:
 
 
 def _screen(config, lifting):
-    return _FloatScreen(_ScreenPlan(config), lifting.values)
+    """A float screen on a plan built with ``SMALL_PRODUCT`` at 0, so the
+    simplex pass runs on small supports too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mixed_cells, "SMALL_PRODUCT", 0)
+        plan = _ScreenPlan(config)
+    return _FloatScreen(plan, lifting.values)
 
 
 def _spans(points):
@@ -796,10 +807,15 @@ class TestScreenPlan:
         assert warm[0] != warm[1]
 
     def test_plan_arrays_are_read_only(self, rng):
-        for system, count in ((DIAMOND, 14), (dense_system_n((2, 2, 2), rng), 13)):
+        # DIAMOND's plan holds its 60-candidate product and the product's
+        # factors; dense (2, 2, 2), with 3,375 candidates, holds simplices.
+        for system, count in ((DIAMOND, 15), (dense_system_n((2, 2, 2), rng), 13)):
             plan = mixed_cells._plan(build_cayley(system))
+            assert plan.ints.dtype == np.int64
+            assert (plan.product is not None) == (system is DIAMOND)
             arrays = list(_plan_arrays(list(vars(plan).values())))
             assert len(arrays) >= count
+            assert all(any(a is b for b in arrays) for a in _plan_arrays(plan.product))
             for array in arrays:
                 first = (0,) * array.ndim
                 with pytest.raises(ValueError):
@@ -822,6 +838,54 @@ class TestScreenPlan:
         assert (len(spans), len(simplex_chunks)) == calls
         mixed_cells._cached_plan.cache_clear()
         assert _enumeration(second) == got
+
+    def test_small_support_screens_once(self, rng, monkeypatch, simplex_chunks):
+        # DIAMOND's pair product has 60 candidates, at most SMALL_PRODUCT:
+        # its cold plan decides no block's span, builds no simplex row and
+        # takes the product's factors once, and a second solve on the
+        # support builds no factors and makes one ``_witness`` call.
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        spans_space = counting("spans", mixed_cells._spans_space)
+        monkeypatch.setattr(mixed_cells, "_spans_space", spans_space)
+        monkeypatch.setattr(_ScreenPlan, "factors", counting("factors", _ScreenPlan.factors))
+        monkeypatch.setattr(_FloatScreen, "_witness", counting("witness", _FloatScreen._witness))
+        supports = [s.points for s in DIAMOND.supports]
+        solves = []
+        for _ in range(2):
+            signs = rng.choice([-1.0, 1.0], 9) * np.exp(rng.uniform(-3, 3, 9))
+            system = support_system(supports, [signs[:5].tolist(), signs[5:].tolist()])
+            calls.clear()
+            solves.append(_enumeration(system))
+            assert not isinstance(solves[-1], str)
+            assert simplex_chunks == [] and "spans" not in calls
+        assert calls == ["witness"]
+
+    def test_small_product_bound_changes_no_enumeration(self, rng, monkeypatch, fresh_plans):
+        # At SMALL_PRODUCT 0 every support runs the simplex pass; at the
+        # default a small one screens its whole product in one batch.  Cells,
+        # tables, values and TieDegenerate messages are the same either way.
+        cases = [(random_sparse_system(rng, n=2, min_terms=3, max_terms=7), None) for _ in range(12)]
+        cases += [(random_sparse_system(rng, n=3, min_terms=3, max_terms=5), None) for _ in range(6)]
+        cases += [(DIAMOND, Lifting(values=DIAMOND_VALUES)), (DIAMOND, _planted_tie())]
+        for _ in range(12):
+            supports = [s.points for s in random_sparse_system(rng, n=2).supports]
+            small = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
+            coeffs = [rng.choice(small, len(points)).tolist() for points in supports]
+            cases.append((support_system(supports, coeffs), None))
+        default = [_enumeration(*case) for case in cases]
+        monkeypatch.setattr(mixed_cells, "SMALL_PRODUCT", 0)
+        mixed_cells._cached_plan.cache_clear()
+        assert [_enumeration(*case) for case in cases] == default
+        ties = [got for got in default if isinstance(got, str)]
+        assert len(ties) >= 3 and len(ties) < len(default) - 12
 
     def test_large_support_is_not_cached(self, rng, fresh_plans):
         # 91 + 2 points have SCREEN_CHUNK pairs, so their plan is cached;
@@ -963,6 +1027,32 @@ class TestCircuits:
                 want += ref
             # The enumeration's own table: every cell's circuits, in order.
             assert _ordered(circuit_rows(cells.inequalities)) == _ordered(want)
+
+    @pytest.mark.parametrize(
+        "top, dtype", [(2**23, np.int64), (2**31, object)], ids=["2^23", "2^31"]
+    )
+    def test_exact_dtype_at_large_coordinates(self, top, dtype):
+        # Edges of length near 2^(top bits + 1), almost orthogonal: within
+        # the Hadamard bound of ``_exact_dtype`` at 2^23, and at 2^31 with
+        # determinants and primitive entries past 2^63, which int64 cannot
+        # hold.
+        supports = [
+            [(top - 1, top - 2), (-top + 1, -top + 5), (3, -7)],
+            [(top - 3, -top + 4), (-top + 2, top - 5), (-11, 2)],
+        ]
+        system = support_system(supports, [[1.0, -2.0, 0.5], [3.0, 0.25, -1.5]])
+        config = build_cayley(system)
+        cells = enumerate_mixed_cells(config, log_abs_lifting(system))
+        table = cells.inequalities
+        assert cells.cells and table.coeffs.dtype == dtype
+        largest = max(abs(c) for row in table.coeffs.tolist() for c in row)
+        assert (largest >= 2**63) == (dtype is object)
+        want = []
+        for cell in cells.cells:
+            ref = reference_circuit_inequalities(cell, config)
+            assert _ordered(circuit_rows(circuit_inequalities(cell, config))) == _ordered(ref)
+            want += ref
+        assert _ordered(circuit_rows(table)) == _ordered(want)
 
     def test_unique_univariate_circuit(self):
         system = support_system([[[0], [1], [2]]], [[1.0, 0.2, 1.0]])
