@@ -42,8 +42,10 @@ gammas and margins.  Coefficient vectors on one support are this solver's
 natural traffic (the certificate lives in the coefficient space of a fixed
 support), so plans are cached, keyed by the configuration's value, its
 points included; only plans of at most SCREEN_CHUNK pairs are, which bounds
-the cache's memory, and larger ones are built per solve.  Cells themselves
-are not memoized: a cell depends on the lifting.
+the cache's memory, and larger ones are built per solve.  That LRU cache is
+the screens' only one: a plan built cold builds its own pair tables and
+simplex rows.  Cells themselves are not memoized: a cell depends on the
+lifting.
 
 Each survivor's n x n edge matrix is eliminated once, by the fraction-free
 ``det_adjugate``, which gives its determinant, its gamma and its circuits.
@@ -222,20 +224,21 @@ def _pair_tables(sizes: tuple[int, ...]) -> tuple:
 
     Returns the flat index of each block's first point; the flat indices of
     both points of every pair, each block's pairs in combinations order; and
-    each block's first pair index and the total.
+    each block's first pair index and the total.  Point k pairs with the
+    ``counts[k]`` later points of its block, up to its block's ``last``
+    point: pair p of the run of k, counted from 1, has second point k + p.
     """
-    starts = list(itertools.accumulate(sizes, initial=0))
-    locals_ = [np.triu_indices(t, 1) for t in sizes]
-    pair_starts = list(itertools.accumulate((len(p) for p, _ in locals_), initial=0))
-    first = np.concatenate([p + s for (p, _), s in zip(locals_, starts)])
-    second = np.concatenate([q + s for (_, q), s in zip(locals_, starts)])
-    return np.array(starts[:-1]), first, second, pair_starts
-
-
-# Small shapes recur across solves, so their tables are cached and shared:
-# callers only read them.  Only shapes with at most SCREEN_CHUNK pairs, or
-# simplices, are cached, which bounds the memory the caches keep.
-_cached_pair_tables = functools.lru_cache(maxsize=32)(_pair_tables)
+    starts = np.array((0, *itertools.accumulate(sizes)))
+    last = (starts[1:] - 1).repeat(sizes)
+    points = np.arange(starts[-1])
+    counts = last - points
+    first = points.repeat(counts)
+    # Pair index i in the run of k has second point k + 1 + i - (the run's
+    # first pair index), and that first index less k is
+    # cumsum(counts)[k] - last[k].
+    second = np.arange(1, len(first) + 1) - (counts.cumsum() - last).repeat(counts)
+    pair_starts = np.array((0, *itertools.accumulate(math.comb(t, 2) for t in sizes)))
+    return starts[:-1], first, second, pair_starts
 
 
 def _simplex_rows(
@@ -273,13 +276,6 @@ def _simplex_rows(
         a, b = table[:, firsts], table[:, seconds]
         t = starts[owner + 1] - starts[owner]
         yield a * (2 * t - a - 1) // 2 + (b - a - 1) + pair_starts[owner], owner
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_simplex_rows(
-    sizes: tuple[int, ...], screened: tuple[int, ...]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    return list(_simplex_rows(sizes, screened))
 
 
 def _exact_dtype(n: int, largest: int) -> type:
@@ -348,9 +344,11 @@ class _ScreenPlan:
     SMALL_PRODUCT candidates.  Such a plan holds that product instead
     (``product``: its rows of pair indices in ``itertools.product`` order
     and their ``_Factors``), and makes no ``_spans_space`` call and no
-    simplex row.  The simplex pass's rows come with their ``_Factors``,
-    built here once when they fit in one chunk and per solve, a chunk at a
-    time, when they do not.
+    simplex row.  The simplex pass's rows come with their ``_Factors``: the
+    plan holds them when they fit in one chunk (an empty list when no block
+    is screened) and streams them per solve, a chunk at a time, when they
+    do not.  A plan builds all of this itself, pair tables and simplex rows
+    included: the one cache is ``_plan``'s, of whole plans.
     """
 
     def __init__(self, config: CayleyConfig) -> None:
@@ -369,18 +367,16 @@ class _ScreenPlan:
         # solve less than a simplex pass and a second batch.
         product = budget = math.prod(math.comb(t, 2) for t in sizes)
         screened = []
-        for i in sorted(range(n), key=sizes.__getitem__):
-            cost = math.comb(sizes[i], n + 1)
-            if product <= SMALL_PRODUCT or cost > budget:
-                break
-            if sizes[i] > n + 1 and _spans_space([base[k] for k in blocks[i]], n):
-                screened.append(i)
-                budget -= cost
+        if product > SMALL_PRODUCT:
+            for i in sorted(range(n), key=sizes.__getitem__):
+                cost = math.comb(sizes[i], n + 1)
+                if cost > budget:
+                    break
+                if sizes[i] > n + 1 and _spans_space([base[k] for k in blocks[i]], n):
+                    screened.append(i)
+                    budget -= cost
         self.screened = tuple(sorted(screened))
-        pairs = self.pair_count = sum(math.comb(t, 2) for t in sizes)
-        tables = _cached_pair_tables if pairs <= SCREEN_CHUNK else _pair_tables
-        self.starts, self.first, self.second, pair_starts = tables(sizes)
-        self.pair_starts = np.array(pair_starts)
+        self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
         self.block = np.array(config.block, dtype=np.intp)
         # Points flat, block by block (Cayley order), in the exact dtype
         # (``_exact_dtype``).  Per pair one row U in grain units (the grain
@@ -403,10 +399,8 @@ class _ScreenPlan:
             self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
         self.reach = float(self.norm.max())
         self._simplices = None
-        if not screened:
-            self._simplices = []
-        elif sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
-            self._simplices = list(self._simplex_batches(_cached_simplex_rows))
+        if sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
+            self._simplices = list(self._simplex_batches())
         # A small product's candidates, every pair kept, in product order.
         self.product = None
         if product <= SMALL_PRODUCT:
@@ -428,14 +422,12 @@ class _ScreenPlan:
     def simplices(self) -> Iterable[tuple[np.ndarray, np.ndarray, _Factors]]:
         """The simplex pass's rows and block column (``_simplex_rows``), a
         chunk at a time, each with the factors of its first n pairs."""
-        if self._simplices is not None:
-            return self._simplices
-        return self._simplex_batches(_simplex_rows)
+        if self._simplices is None:
+            return self._simplex_batches()
+        return self._simplices
 
-    def _simplex_batches(
-        self, rows_of
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, _Factors]]:
-        for rows, blk in rows_of(self.sizes, self.screened):
+    def _simplex_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, _Factors]]:
+        for rows, blk in _simplex_rows(self.sizes, self.screened):
             yield rows, blk, self.factors(rows[:, : self.n])
 
     def factors(self, pairs: np.ndarray) -> _Factors:
@@ -510,7 +502,8 @@ def _plan(config: CayleyConfig) -> _ScreenPlan:
     solve.  A plan keeps its simplex rows only when they fit in one chunk,
     and its product rows only up to SMALL_PRODUCT, so a cached plan holds at
     most SCREEN_CHUNK pairs and simplices and SMALL_PRODUCT product rows,
-    which bounds the memory the cache keeps.
+    which bounds the memory the cache keeps.  This LRU cache is the screens'
+    only one: a cold plan builds its own pair tables and simplex rows.
     """
     sizes = [config.block.count(i) for i in range(config.n)]
     for i, t in enumerate(sizes):
@@ -538,7 +531,8 @@ class _FloatScreen:
     solve makes one ``_witness`` call and builds no factors, else a chunk
     at a time.
     ``pairs`` holds the kept local index pairs of each block in
-    ``combinations`` order and ``total`` the size of their product.  Each
+    ``combinations`` order and ``total`` the size of their product; a screen
+    on a plan that holds its product keeps no pairs and has neither.  Each
     pair's right-hand side is held once, in grain units (``rhs``), and every
     bound reads the plan's ``reach``.
     """
@@ -549,6 +543,8 @@ class _FloatScreen:
         self.lift = np.array(lifting, dtype=float)
         self.rhs = (self.lift[plan.second] - self.lift[plan.first]) / plan.grain
         self.scale = 1.0 + float(np.abs(self.lift).max())
+        if plan.product:
+            return
 
         # Simplex pass.  Take a candidate the exact test accepts or raises
         # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
@@ -567,7 +563,7 @@ class _FloatScreen:
         # sqrt(n) * reach * ||U_S^-1||_2), the slack ``_witness`` adds to
         # tau.  So S is untrusted, or its float margins are within that
         # widened tau, and either way S keeps p, q.
-        kept = np.ones(plan.pair_count, dtype=bool)
+        kept = np.ones(len(plan.first), dtype=bool)
         if plan.screened:
             slack = self._tie_slack()
             for i in plan.screened:

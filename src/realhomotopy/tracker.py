@@ -58,12 +58,12 @@ At n = 2 a Newton iterate is mostly numpy call overhead, so each costs one
 ``_kernels.jac_dlam`` call and one ``_solve``, and the norms and finiteness
 tests on n-vectors read Python floats (``_max_norm``), as do the predictor
 and the move guard, in numpy's operation order and so bit for bit.
-``_solve`` takes a 2 x 2 system by Cramer's rule on Python floats in about
-1.1 us, where ``np.linalg.solve`` spends 5 to 10 us, about 2 us of it in the
-LAPACK gufunc and the rest in its wrapper; other n keep ``np.linalg.solve``,
-as does ``_fold``'s bordered system.  Cramer's rule is forward stable at
-n = 2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-1.10.1), but it rounds differently from LAPACK, and that is harmless here:
+``_solve`` takes a 2 x 2 system by Cramer's rule on Python floats, because
+at n = 2 the wrapper of ``np.linalg.solve`` costs more than its arithmetic
+in the LAPACK gufunc; other n keep ``np.linalg.solve``, as does ``_fold``'s
+bordered system.  Cramer's rule is forward stable at n = 2 (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, 1.10.1), but it
+rounds differently from LAPACK, and that is harmless here:
 
 - a solve's rounding moves only the Newton iterates, never the zero they
   converge to;
@@ -243,8 +243,8 @@ def _max_norm(values: list[float]) -> float:
 
     Python's ``max`` passes over a NaN anywhere but in first place
     (``max([1e-12, nan]) == 1e-12``), which would read a NaN residual as
-    converged.  On the tracker's n-vectors, ``tolist`` and this beat a numpy
-    reduction by about 2 us.
+    converged.  On the tracker's n-vectors, ``tolist`` and this cost less
+    than the call overhead of a numpy reduction.
     """
     if all(map(math.isfinite, values)):
         return max(map(abs, values))

@@ -21,7 +21,7 @@ from helpers import (
     dense_system_n,
 )
 import realhomotopy
-from realhomotopy.cli import main
+from realhomotopy.cli import entry, main
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -447,3 +447,18 @@ class TestModuleEntryPoint:
         assert docs["mixed-cells"]["cell_count"] == 6
         assert docs["certify"]["verdict"] == "fail"
         assert len(docs["solve"]["solutions"]) == 6
+
+    def test_console_script_exit_codes(self, monkeypatch, capsys):
+        # ``entry`` is the ``[project.scripts]`` console script: it reads
+        # ``sys.argv`` and exits with ``main``'s code.
+        sample = str(REPO / "sample_inputs" / "cubic_conic.json")
+        for command, code in (
+            (["mixed-cells", sample], 0),
+            (["certify", sample], 2),
+            (["solve", sample, "--force"], 0),
+        ):
+            monkeypatch.setattr(sys, "argv", ["realhomotopy", *command])
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            assert exc.value.code == code
+            assert json.loads(capsys.readouterr().out)

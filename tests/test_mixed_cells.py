@@ -496,17 +496,13 @@ def _exclusion_margin(config, values, cell, k):
 
 @pytest.fixture
 def fresh_plans():
-    """Clear the screen caches before and after a test that patches what a
-    cached plan would hold or skip (``SCREEN_CHUNK``, ``_simplex_rows``,
-    ``_FloatScreen._witness``), so that no plan outlives its patch."""
-
-    def clear():
-        mixed_cells._cached_plan.cache_clear()
-        mixed_cells._cached_simplex_rows.cache_clear()
-
-    clear()
+    """Clear the plan cache before and after a test that patches what a
+    cached plan would hold or skip (``SCREEN_CHUNK``, ``SMALL_PRODUCT``,
+    ``_simplex_rows``, ``_FloatScreen._witness``), so that no plan outlives
+    its patch."""
+    mixed_cells._cached_plan.cache_clear()
     yield
-    clear()
+    mixed_cells._cached_plan.cache_clear()
 
 
 @pytest.fixture
@@ -899,6 +895,28 @@ class TestScreenPlan:
             assert mixed_cells._cached_plan.cache_info().currsize == before + cached
             plan = weakref.ref(mixed_cells._plan(config))
             assert (plan() is not None) == cached
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2,), (4, 5), (5, 5, 5), (91, 2), (92, 2), (200, 200)],
+        ids=lambda sizes: "-".join(map(str, sizes)),
+    )
+    def test_pair_tables_match_combinations(self, sizes):
+        # Every plan, cached or not ((91, 2) and (92, 2) sit on either side
+        # of the bound), builds its own tables: block starts, each block's
+        # pairs in combinations order as flat indices, and pair offsets.
+        starts, first, second, pair_starts = mixed_cells._pair_tables(sizes)
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        pairs = [
+            (s + p, s + q)
+            for s, t in zip(offsets, sizes)
+            for p, q in itertools.combinations(range(t), 2)
+        ]
+        counts = [math.comb(t, 2) for t in sizes]
+        assert starts.tolist() == offsets[:-1]
+        assert list(zip(first.tolist(), second.tolist())) == pairs
+        assert pair_starts.tolist() == list(itertools.accumulate(counts, initial=0))
+        assert first.dtype == second.dtype == np.intp
 
     def test_threads_share_plans(self, fresh_plans):
         # The dense (3, 3) corpus of generator seed 0 (eight systems on one
