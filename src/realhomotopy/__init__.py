@@ -15,13 +15,11 @@ from .binomial import (
 )
 from .certificate import Certificate, certify, certify_system
 from .errors import (
-    DegenerateConfiguration,
     EmptySupport,
     RealHomotopyError,
     SingularExponentMatrix,
     TieDegenerate,
 )
-from .gale import GaleDual, gale_dual
 from .lattice import (
     CayleyConfig,
     Lifting,
@@ -50,9 +48,7 @@ __all__ = [
     "CayleyConfig",
     "Certificate",
     "CircuitTable",
-    "DegenerateConfiguration",
     "EmptySupport",
-    "GaleDual",
     "Lifting",
     "MixedCell",
     "MixedCellSet",
@@ -71,7 +67,6 @@ __all__ = [
     "certify_system",
     "circuit_inequalities",
     "enumerate_mixed_cells",
-    "gale_dual",
     "log_abs_lifting",
     "make_homotopy",
     "make_path",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularExponentMatrix
-from .lattice import Scalar, SupportSystem, det_adjugate, log_abs, sign
+from .lattice import Scalar, SupportSystem, apply_adjugate, det_adjugate, log_abs, sign
 from .mixed_cells import MixedCell
 
 RESIDUAL_RTOL = 1e-10
@@ -227,7 +227,7 @@ def _solve_logs(
     det, adj = det_adjugate(exponents)
     if det == 0:
         raise SingularExponentMatrix("singular exponent matrix")
-    logs = tuple(sum(a * x for a, x in zip(row, log_r)) / det for row in adj)
+    logs = tuple(apply_adjugate(det, adj, log_r))
     size = [
         math.fsum(abs(a * x) for a, x in zip(row, log_r)) / abs(det) + abs(v)
         for row, v in zip(adj, logs)

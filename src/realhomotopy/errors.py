@@ -18,6 +18,3 @@ class TieDegenerate(RealHomotopyError):
 class EmptySupport(RealHomotopyError):
     """A support has fewer than two points, so no edge can be selected."""
 
-
-class DegenerateConfiguration(RealHomotopyError):
-    """Point configuration does not affinely span its ambient space."""

@@ -1,11 +1,12 @@
 """Supports, coefficients, liftings, the Cayley embedding, and exact lattice arithmetic.
 
-Everything combinatorial downstream (cell enumeration, circuit vectors, Gale
-duals, binomial start systems) routes its integer linear algebra through this
+Everything combinatorial downstream (cell enumeration, circuit vectors,
+binomial start systems) routes its integer linear algebra through this
 module.  All of it runs on Python ints, so exponent arithmetic is exact at any
-magnitude; numpy never touches these code paths.  Determinants, adjugates and
-exact solves all come from one fraction-free Gauss-Jordan elimination
-(``det_adjugate``); kernel bases come from a unimodular row echelon form.
+magnitude; numpy never touches these code paths.  Determinants, adjugates,
+ranks and exact solves all come from one fraction-free Gauss-Jordan
+elimination (``det_adjugate``), and every float solve from its adjugate
+rounds as ``apply_adjugate`` does.
 """
 
 from __future__ import annotations
@@ -275,66 +276,13 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[float]) -> list[f
     det, adj = det_adjugate(matrix)
     if det == 0:
         raise SingularExponentMatrix("singular exponent matrix")
-    n = len(matrix)
-    return [sum(adj[i][j] * rhs[j] for j in range(n)) / det for i in range(n)]
+    return apply_adjugate(det, adj, rhs)
 
 
-def _unimodular_row_echelon(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[IntMatrix, IntMatrix, list[int]]:
-    """Row echelon form with its unimodular transform: U @ M = H, |det U| = 1.
+def apply_adjugate(det: int, adj: IntMatrix, rhs: Sequence[float]) -> list[float]:
+    """``adj @ rhs / det`` for a nonzero ``det`` and its exact adjugate.
 
-    Returns (H, U, pivot_columns).  Works for any rectangular integer matrix;
-    zero rows of H sit at the bottom and the matching rows of U span the left
-    kernel of M as a lattice.
+    Each entry sums its products in column order from 0 and divides once,
+    so every solve from a ``det_adjugate`` pass rounds alike.
     """
-    h = [[int(x) for x in row] for row in matrix]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        # Chase the column to a single nonzero entry at row r via gcd steps.
-        while True:
-            nz = [i for i in range(r, rows) if h[i][c] != 0]
-            if not nz:
-                break
-            i_min = min(nz, key=lambda i: abs(h[i][c]))
-            if i_min != r:
-                h[r], h[i_min] = h[i_min], h[r]
-                u[r], u[i_min] = u[i_min], u[r]
-            done = True
-            for i in range(r + 1, rows):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    for j in range(cols):
-                        h[i][j] -= q * h[r][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[r][j]
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if h[r][c] == 0:
-            continue
-        pivots.append(c)
-        r += 1
-    return h, u, pivots
-
-
-def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Lattice basis of the right kernel of an integer matrix.
-
-    Returns (basis_vectors, rank).  The basis vectors are rows; they generate
-    the full integer kernel because they come from a unimodular transform.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    transposed = [[matrix[i][j] for i in range(rows)] for j in range(cols)]
-    _, u, pivots = _unimodular_row_echelon(transposed)
-    rank = len(pivots)
-    return [u[i] for i in range(rank, cols)], rank
-
+    return [sum(a * x for a, x in zip(row, rhs)) / det for row in adj]

@@ -75,7 +75,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SingularExponentMatrix, TieDegenerate
-from .lattice import CayleyConfig, IntMatrix, Lifting, det_adjugate, kernel_basis
+from .lattice import CayleyConfig, IntMatrix, Lifting, apply_adjugate, det_adjugate
 
 # Unused here: perfbench/tracing.py's LEAVES wraps these names in this module
 # until ROADMAP item 1a wraps ``det_adjugate`` instead.
@@ -242,27 +242,28 @@ def _pair_tables(sizes: tuple[int, ...]) -> tuple:
 
 
 def _simplex_rows(
-    sizes: Sequence[int], screened: Sequence[int]
+    sizes: Sequence[int],
+    screened: Sequence[int],
+    starts: np.ndarray,
+    pair_starts: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (n+1)-point simplices of the ``screened`` blocks, a chunk at a time.
 
-    Yields at most SCREEN_CHUNK rows at a time, each with its block (a
-    column).  Rows follow ``combinations(range(t), n + 1)`` block by block
-    and hold the index of each pair of the simplex among all pairs (blocks'
-    pairs stacked as in ``_pair_tables``), pairs in combinations order, so
-    the first n pairs join the simplex's smallest point to each of its other
-    points.
+    ``starts`` (each block's first point) and ``pair_starts`` are the plan's,
+    from ``_pair_tables``.  Yields at most SCREEN_CHUNK rows at a time, each
+    with its block (a column).  Rows follow ``combinations(range(t), n + 1)``
+    block by block and hold the index of each pair of the simplex among all
+    pairs (blocks' pairs stacked as in ``_pair_tables``), pairs in
+    combinations order, so the first n pairs join the simplex's smallest
+    point to each of its other points.
     """
     k = len(sizes) + 1
-    pairs = (math.comb(t, 2) for t in sizes)
-    pair_starts = np.array(list(itertools.accumulate(pairs, initial=0)))
     firsts, seconds = map(list, zip(*itertools.combinations(range(k), 2)))
     # Simplices of flat point indices, so that a row's first point gives
     # its block; streamed as plain ints for np.fromiter.
-    starts = np.array(list(itertools.accumulate(sizes, initial=0)))
     points = itertools.chain.from_iterable(
         itertools.chain.from_iterable(
-            itertools.combinations(range(starts[i], starts[i + 1]), k)
+            itertools.combinations(range(starts[i], starts[i] + sizes[i]), k)
         )
         for i in screened
     )
@@ -274,7 +275,7 @@ def _simplex_rows(
         owner = np.searchsorted(starts, table[:, :1], side="right") - 1
         table -= starts[owner]
         a, b = table[:, firsts], table[:, seconds]
-        t = starts[owner + 1] - starts[owner]
+        t = np.asarray(sizes)[owner]
         yield a * (2 * t - a - 1) // 2 + (b - a - 1) + pair_starts[owner], owner
 
 
@@ -305,10 +306,16 @@ def _exact_dtype(n: int, largest: int) -> type:
 
 
 def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether the points affinely span R^n, decided exactly."""
+    """Whether the points affinely span R^n, decided exactly.
+
+    The difference rows D (``p_k - p_0``) have rank n exactly when their
+    n x n Gram matrix ``D^T D`` is nonsingular, as ``rank D = rank D^T D``;
+    its Python-int determinant holds at any coordinate size.
+    """
     origin = points[0]
     rows = [[c - o for c, o in zip(p, origin)] for p in points[1:]]
-    return kernel_basis(rows)[1] == n
+    gram = [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
+    return det_adjugate(gram)[0] != 0
 
 
 class _Factors(NamedTuple):
@@ -399,7 +406,9 @@ class _ScreenPlan:
             self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
         self.reach = float(self.norm.max())
         self._simplices = None
-        if sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
+        if not screened:
+            self._simplices = []
+        elif sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
             self._simplices = list(self._simplex_batches())
         # A small product's candidates, every pair kept, in product order.
         self.product = None
@@ -427,7 +436,8 @@ class _ScreenPlan:
         return self._simplices
 
     def _simplex_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, _Factors]]:
-        for rows, blk in _simplex_rows(self.sizes, self.screened):
+        chunks = _simplex_rows(self.sizes, self.screened, self.starts, self.pair_starts)
+        for rows, blk in chunks:
             yield rows, blk, self.factors(rows[:, : self.n])
 
     def factors(self, pairs: np.ndarray) -> _Factors:
@@ -705,16 +715,15 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     lifting's share of the screens.
     Each survivor's n x n edge matrix is eliminated once, by
     ``det_adjugate``: a zero determinant skips the survivor, and the
-    adjugate gives its float gamma (the negated normal, rounded once per
-    entry as ``lattice.solve_exact`` rounds it) and, in one
-    ``_circuit_table`` pass over every survivor, its exact circuit
-    inequalities, one per excluded point.  The table is evaluated on the
-    float lifting: a row's value over ``|zeta[witness]|`` is the witness's
-    exclusion margin.  A survivor is a cell when all its margins are
-    positive, and the returned set keeps its rows and their values.  A
-    negative margin rejects it; otherwise a margin within
-    ``TIE_RTOL * (1 + max|w|)`` of zero raises TieDegenerate for the first
-    such survivor.
+    adjugate gives its float gamma (the negated normal, by
+    ``lattice.apply_adjugate``) and, in one ``_circuit_table`` pass over
+    every survivor, its exact circuit inequalities, one per excluded point.
+    The table is evaluated on the float lifting: a row's value over
+    ``|zeta[witness]|`` is the witness's exclusion margin.  A survivor is a
+    cell when all its margins are positive, and the returned set keeps its
+    rows and their values.  A negative margin rejects it; otherwise a margin
+    within ``TIE_RTOL * (1 + max|w|)`` of zero raises TieDegenerate for the
+    first such survivor.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
@@ -736,9 +745,7 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
         )
         if det == 0:
             continue
-        # ``solve_exact``'s own expression, so each normal matches it bit for bit.
-        rhs = [values[b] - values[a] for a, b in edges]
-        gamma = [sum(adj[i][j] * rhs[j] for j in range(n)) / det for i in range(n)]
+        gamma = apply_adjugate(det, adj, [values[b] - values[a] for a, b in edges])
         local = tuple((origin[a], origin[b]) for a, b in edges)
         survivors.append((edges, det, adj))
         cells.append(MixedCell(local, tuple(-g for g in gamma), abs(det)))

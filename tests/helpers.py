@@ -9,7 +9,14 @@ from typing import Sequence
 
 import numpy as np
 
-from realhomotopy import CircuitTable, SupportSystem, support_system
+from realhomotopy import (
+    CircuitTable,
+    SupportSystem,
+    build_cayley,
+    enumerate_mixed_cells,
+    log_abs_lifting,
+    support_system,
+)
 
 BASE = Fraction(9, 20)
 
@@ -204,3 +211,36 @@ def circuit_rows(table: CircuitTable) -> list[tuple[dict[int, int], int]]:
         ({k: c for k, c in zip(points, row) if c != 0}, points[-1])
         for points, row in zip(table.points.tolist(), table.coeffs.tolist())
     ]
+
+
+def cell_gale_matrix(system: SupportSystem) -> np.ndarray | None:
+    """The first mixed cell's circuit rows as the columns of an m x (m - 2n)
+    integer matrix, column r holding row r's coefficients on its points;
+    None when the lifting log|c| has no mixed cell.
+
+    Each column is an affine relation among the Cayley points, so it lies in
+    the configuration's Gale dual, and each has its own witness point, off
+    every other row of the cell, so the m - 2n columns are independent and
+    span that dual.  Asserts both.
+    """
+    config = build_cayley(system)
+    cells = enumerate_mixed_cells(config, log_abs_lifting(system))
+    if not cells.cells:
+        return None
+    per_cell = config.m - 2 * config.n
+    table = cells.inequalities
+    dual = np.zeros((config.m, per_cell), dtype=np.int64)
+    for r in range(per_cell):
+        dual[table.points[r], r] = table.coeffs[r]
+    homogenized = np.vstack([np.array(config.points).T, np.ones(config.m, int)])
+    assert np.all(homogenized @ dual == 0)
+    assert np.linalg.matrix_rank(dual.astype(float)) == per_cell
+    return dual
+
+
+def entropy_terms(u: np.ndarray, m: int) -> tuple[float, float]:
+    """``|sum_i u_i log|u_i||`` and the bound ``|u|_1 log(m) / 2`` that
+    criterion 5 puts on it for a Gale vector u of m points."""
+    nonzero = u[u != 0]
+    lhs = abs(float(np.sum(nonzero * np.log(np.abs(nonzero)))))
+    return lhs, 0.5 * float(np.sum(np.abs(u))) * math.log(m)

@@ -22,7 +22,7 @@ exact arithmetic has its own elimination, independent of
 ``lattice.det_adjugate``: ``bareiss_det`` is forward fraction-free
 elimination, ``cofactor_adjugate`` takes one such determinant per minor, and
 ``adjugate_solve`` divides by the determinant with the same rounding as
-``lattice.solve_exact``.  ``loop_log_h_scale`` and
+``lattice.apply_adjugate``.  ``loop_log_h_scale`` and
 ``loop_log_jac_dlam`` evaluate the deformed system in log coordinates term by
 term in scalar loops, the reference for the vectorized kernels.
 """

@@ -8,8 +8,10 @@ import pytest
 from helpers import (
     EXPECTED_CERT_MIN_MARGIN,
     EXPECTED_CERT_VERDICT,
+    cell_gale_matrix,
     circuit_rows,
     dyadic,
+    entropy_terms,
     quadratic_system,
     random_sparse_system,
 )
@@ -189,3 +191,21 @@ class TestCircuitTable:
             assert report.certificate.margins == certify(cells).margins == want
             solved += 1
         assert solved == 8 + 21 + 64
+
+
+class TestEntropyBound:
+    def test_circuit_row_combinations(self, rng):
+        # The cushion that the certificate's log(m) term leaves: on every
+        # Gale vector u of m points, |sum u_i log|u_i|| <= |u|_1 log(m) / 2.
+        # One cell's circuit rows span the Gale dual (``cell_gale_matrix``).
+        for n in (2, 3):
+            checked = 0
+            while checked < 3:
+                system = random_sparse_system(rng, n=n, min_terms=4, max_terms=6)
+                dual = cell_gale_matrix(system)
+                if dual is None or dual.shape[1] == 0:
+                    continue
+                checked += 1
+                for zeta in rng.normal(size=(200, dual.shape[1])):
+                    lhs, bound = entropy_terms(dual @ zeta, len(dual))
+                    assert lhs <= bound * (1.0 + 1e-9) + 1e-9

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import CUBIC_POWERS, CONIC_POWERS
 from oracles import bareiss_det, cofactor_adjugate
@@ -19,10 +17,8 @@ from realhomotopy import (
 )
 from realhomotopy.lattice import (
     _embed,
-    _unimodular_row_echelon,
     det_adjugate,
     int_det,
-    kernel_basis,
     log_abs,
     solve_exact,
 )
@@ -143,36 +139,6 @@ def _matmul(a, b):
     ]
 
 
-class TestRowEchelon:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                min_size=1,
-                max_size=4,
-            )
-        )
-    )
-    def test_properties(self, m):
-        # kernel_basis's lattice claim rests on U being unimodular.
-        h, u, pivots = _unimodular_row_echelon(m)
-        rows, cols = len(m), len(m[0])
-        assert _matmul(u, m) == h
-        assert abs(int_det(u)) == 1
-        rank = len(pivots)
-        assert pivots == sorted(set(pivots))
-        for r, row in enumerate(h):
-            if r >= rank:
-                assert not any(row)
-                continue
-            assert row[pivots[r]] != 0
-            assert not any(row[: pivots[r]])
-        if rows == cols:
-            assert abs(int_det(h)) == abs(int_det(m))
-            assert (rank == rows) == (int_det(m) != 0)
-
-
 class TestExactLinearAlgebra:
     def test_adjugate_identity(self):
         d = [[3, 1], [4, 2]]
@@ -223,16 +189,3 @@ class TestExactLinearAlgebra:
     def test_solve_exact_floats(self):
         sol = solve_exact([[2, 0], [0, 4]], [1.0, 2.0])
         assert sol == pytest.approx([0.5, 0.5])
-
-    def test_kernel_basis_relations(self, rng):
-        for _ in range(20):
-            rows = int(rng.integers(1, 4))
-            cols = int(rng.integers(rows, rows + 4))
-            mat = [[int(v) for v in rng.integers(-4, 5, size=cols)] for _ in range(rows)]
-            basis, rank = kernel_basis(mat)
-            assert len(basis) == cols - rank
-            for vec in basis:
-                assert all(
-                    sum(mat[i][j] * vec[j] for j in range(cols)) == 0
-                    for i in range(rows)
-                )

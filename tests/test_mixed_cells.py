@@ -701,6 +701,59 @@ class TestUpperEdgeScreen:
         assert kept == [list(itertools.combinations(range(4), 2))]
 
 
+class TestSpansSpace:
+    """``_spans_space`` against an independent rank: numpy's on small
+    integers, and answers known by construction where coordinates leave the
+    integers that a float holds exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_matrix_rank_on_small_integers(self, rng, n):
+        # Every third block lies on a line (n = 2) or a plane (n = 3): n - 1
+        # integer directions, more than n + 1 points.
+        answers = set()
+        for trial in range(300):
+            size = int(rng.integers(n + 2, n + 6))
+            if trial % 3:
+                points = rng.integers(-3, 4, size=(size, n))
+            else:
+                directions = rng.integers(-3, 4, size=(n - 1, n))
+                weights = rng.integers(-3, 4, size=(size, n - 1))
+                points = rng.integers(-3, 4, size=n) + weights @ directions
+            want = np.linalg.matrix_rank(points[1:] - points[0]) == n
+            assert mixed_cells._spans_space(points.tolist(), n) == want
+            answers.add((trial % 3 == 0, bool(want)))
+        assert {(False, True), (True, False)} <= answers
+
+    @pytest.mark.parametrize("scale", [2**60, 10**30], ids=["2^60", "10^30"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_known_answers_at_large_coordinates(self, rng, n, scale):
+        # Directions d_i = scale * (1, ..., 1) + e_i have determinant
+        # 1 + n * scale, so they span R^n, yet round to one float direction.
+        # Points at integer weights on the first n - 1 of them lie on an
+        # (n - 1)-flat; a weight on d_{n-1}, or a unit step e_{n-1} off the
+        # flat, spans R^n.
+        offset = [scale + int(v) for v in rng.integers(-9, 10, size=n)]
+        directions = [[scale + (i == j) for j in range(n)] for i in range(n)]
+
+        def block(weights):
+            # offset + sum_i w_i d_i per weight vector, in Python ints.
+            exact = np.array(weights, dtype=object) @ np.array(directions, dtype=object)
+            return (exact + offset).tolist()
+
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        flat = [[0] * n] + unit[: n - 1]
+        extra = rng.integers(-5, 6, size=(3, n - 1)).tolist()
+        flat += [ws + [0] for ws in extra]
+        assert not mixed_cells._spans_space(block(flat), n)
+        assert mixed_cells._spans_space(block(flat + unit[n - 1 :]), n)
+        step = [o + (j == n - 1) for j, o in enumerate(offset)]
+        assert mixed_cells._spans_space(block(flat) + [step], n)
+        # A float rank misses the spanning block's rank.
+        simplex = np.array(block([[0] * n] + unit), dtype=object)
+        assert mixed_cells._spans_space(simplex.tolist(), n)
+        assert np.linalg.matrix_rank((simplex[1:] - simplex[0]).astype(float)) < n
+
+
 def _unbalanced(rng, large, small):
     """A system in two variables with a block of ``large`` random points and
     a fixed block of ``small`` points."""
