@@ -12,6 +12,8 @@ Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
 Exit codes: 0 success, 1 input error (a number too large for a float, such
 as an exponent near 10**200, included), 2 certificate fail (a system with
 no mixed cell included), 3 degenerate lifting, 4 tracking failures present.
+On a system with no mixed cell ``certify`` and ``solve`` also say on stderr
+that its mixed volume is 0, so it has no isolated zero in the torus.
 
 ``solve`` prints each solution's ``point`` x; a zero beyond the float range,
 where x would read ``inf`` or ``0``, is printed as its orthant ``signs`` and
@@ -108,9 +110,18 @@ def cmd_mixed_cells(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _note_no_cell(cells: MixedCellSet) -> None:
+    # Bernstein: a system has at most its mixed volume of isolated zeros in
+    # the torus, and the mixed volume is the cells' total volume.
+    if not cells.cells:
+        reason = "the mixed volume is 0, so the system has no isolated zero in the torus"
+        print(f"no mixed cell: {reason}", file=sys.stderr)
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     cert, cells = certify_system(system)
+    _note_no_cell(cells)
     doc = {
         "verdict": "pass" if cert.verdict else "fail",
         "m": cert.m,
@@ -134,6 +145,7 @@ def _solution_doc(s: TrackedSolution) -> dict:
 def cmd_solve(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     report = solve(system, SolverConfig(tol=args.tol, force=args.force))
+    _note_no_cell(report.cells)
     doc = {
         "verdict": "pass" if report.verdict else "fail",
         "uncertified": report.uncertified,

@@ -12,7 +12,7 @@ the size of its coefficient.  So a cell is cut out by its circuit inequalities
 decides a candidate by the signs of its circuits, which are also the
 inequalities the certificate checks.
 
-Candidates are the per-block edge tuples in ``itertools.product`` order.  Two
+Candidates are the per-block point pairs in ``itertools.product`` order.  Two
 batched float screens in numpy discard candidates before the exact test.  The
 first looks at each block alone: it keeps a point pair of the block only if
 some (n+1)-point simplex of the block through the pair has a float gamma that
@@ -34,29 +34,36 @@ circuits and TieDegenerate are therefore those of the exact test run on
 every candidate.
 
 The screens are split in two.  A plan (``_ScreenPlan``) holds all they read
-of the configuration alone: blocks and base points, the screened blocks, the
-pair tables and grain-unit rows, and the rows of the simplex pass, or of a
-small product, with each row's determinant, singular and trusted tests and
-solve matrix.  A pass (``_FloatScreen``) adds one lifting: right-hand sides,
-gammas and margins.  Coefficient vectors on one support are this solver's
-natural traffic (the certificate lives in the coefficient space of a fixed
-support), so plans are cached, keyed by the configuration's value, its
-points included; only plans of at most SCREEN_CHUNK pairs are, which bounds
-the cache's memory, and larger ones are built per solve.  That LRU cache is
-the screens' only one: a plan built cold builds its own pair tables and
-simplex rows.  Cells themselves are not memoized: a cell depends on the
-lifting.
+of the configuration alone: the base points in the exact dtype, the screened
+blocks, the pair tables and grain-unit rows, and the rows of the simplex
+pass, or of a small product, with each row's determinant, singular and
+trusted tests and solve matrix.  A pass (``_FloatScreen``) adds one lifting:
+right-hand sides, gammas and margins.  Coefficient vectors on one support
+are this solver's natural traffic (the certificate lives in the coefficient
+space of a fixed support), so plans are cached, keyed by the configuration's
+value, its points included; only plans of at most SCREEN_CHUNK pairs are,
+which bounds the cache's memory, and larger ones are built per solve.  That
+LRU cache is the screens' only one: a plan built cold builds its own pair
+tables and simplex rows.  Cells themselves are not memoized: a cell depends
+on the lifting.
 
+Survivors leave the screens as one array of rows of pair indices, one column
+per block, and stay arrays up to the circuit table: the plan's pair tables
+give each edge's Cayley endpoints, one comparison of the lifting puts the
+lower-lifted one first, and the plan's exact points and the lifting give the
+edge matrices and right-hand sides, each converted to Python numbers once.
 Each survivor's n x n edge matrix is eliminated once, by the fraction-free
 ``det_adjugate``, which gives its determinant, its gamma and its circuits.
-The circuits of all survivors of a solve are built in one pass as one exact
-table (``CircuitTable``, one row per circuit) and evaluated on the float
-lifting once.  The table's integers are int64 wherever a Hadamard bound on
-the base points proves every entry and every intermediate below 2^53
-(``_exact_dtype``), and Python ints in object arrays elsewhere; one code
-path serves both.  The table is the only form of a circuit inequality: the
-returned ``MixedCellSet`` keeps the cells' rows, their values and the
-lifting, which is all the certificate reads.
+The circuits of all survivors of a solve are built in one pass from their
+endpoint arrays as one exact table (``CircuitTable``, one row per circuit)
+and evaluated on the float lifting once; one ``np.lexsort`` of the
+endpoints puts the cells in the order of their edges.  The table's integers
+are int64 wherever a Hadamard bound on the base points proves every entry
+and every intermediate below 2^53 (``_exact_dtype``), and Python ints in
+object arrays elsewhere; one code path serves both.  The table is the only
+form of a circuit inequality: the returned ``MixedCellSet`` keeps the
+cells' rows, their values and the lifting, which is all the certificate
+reads.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -212,13 +219,6 @@ def _primitive_direction(
     return tuple(ints)
 
 
-def _order_edge(p: int, q: int, lifted: Sequence[float]) -> tuple[int, int]:
-    # Lower-lifted point first; deterministic tiebreak by index.
-    if (lifted[p], p) <= (lifted[q], q):
-        return p, q
-    return q, p
-
-
 def _pair_tables(sizes: tuple[int, ...]) -> tuple:
     """Index tables for blocks of the given sizes, stacked block by block.
 
@@ -340,10 +340,11 @@ class _ScreenPlan:
     """What the float screens read of a configuration, whatever its lifting.
 
     One plan serves every coefficient vector on its support (``_plan``
-    caches it), so every array it holds is read only.  It holds the blocks
-    and base points, the points again as ``ints`` in the exact dtype
-    (``_exact_dtype``), the blocks the simplex pass screens (``screened``),
-    the pair tables, and each pair once in grain units: ``unit``, the row's
+    caches it), so every array it holds is read only.  It holds the base
+    points as ``ints`` in the exact dtype (``_exact_dtype``), the blocks the
+    simplex pass screens (``screened``), the pair tables (each pair's
+    Cayley endpoints ``first`` and ``second``, and each block's first point
+    ``starts``), and each pair once in grain units: ``unit``, the row's
     2-norm ``norm`` and their largest, ``reach``.  Blocks of at most n + 1
     points, blocks that do not affinely span R^n, and blocks whose simplices
     outnumber the candidates they could cut keep every pair, and so does
@@ -361,9 +362,9 @@ class _ScreenPlan:
     def __init__(self, config: CayleyConfig) -> None:
         n = config.n
         self.n, self.m = n, config.m
-        blocks = self.blocks = tuple(tuple(config.block_indices(i)) for i in range(n))
-        base = self.base = tuple(config.base_point(k) for k in range(config.m))
-        sizes = self.sizes = tuple(len(blk) for blk in blocks)
+        base = [config.base_point(k) for k in range(config.m)]
+        sizes = self.sizes = tuple(config.block.count(i) for i in range(n))
+        self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
         # Screening a block costs one float test per (n+1)-point simplex and
         # saves at most the product screen's candidates, so blocks are
         # screened, fewest points first, only while their simplices add up to
@@ -379,11 +380,11 @@ class _ScreenPlan:
                 cost = math.comb(sizes[i], n + 1)
                 if cost > budget:
                     break
-                if sizes[i] > n + 1 and _spans_space([base[k] for k in blocks[i]], n):
+                start = self.starts[i]
+                if sizes[i] > n + 1 and _spans_space(base[start : start + sizes[i]], n):
                     screened.append(i)
                     budget -= cost
         self.screened = tuple(sorted(screened))
-        self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
         self.block = np.array(config.block, dtype=np.intp)
         # Points flat, block by block (Cayley order), in the exact dtype
         # (``_exact_dtype``).  Per pair one row U in grain units (the grain
@@ -405,11 +406,10 @@ class _ScreenPlan:
         with np.errstate(over="ignore"):
             self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
         self.reach = float(self.norm.max())
+        # The simplex pass has ``product - budget`` rows.
         self._simplices = None
-        if not screened:
-            self._simplices = []
-        elif sum(math.comb(sizes[i], n + 1) for i in screened) <= SCREEN_CHUNK:
-            self._simplices = list(self._simplex_batches())
+        if product - budget <= SCREEN_CHUNK:
+            self._simplices = list(self._simplex_batches()) if screened else []
         # A small product's candidates, every pair kept, in product order.
         self.product = None
         if product <= SMALL_PRODUCT:
@@ -417,16 +417,11 @@ class _ScreenPlan:
             rows = np.stack(np.unravel_index(np.arange(product), shape), axis=1)
             rows += self.pair_starts[:-1]
             self.product = rows, self.factors(rows)
-        arrays = [self.starts, self.first, self.second, self.pair_starts, self.block]
-        arrays += [ints, self.unit, self.coords, self.norm]
         batches = [(rows, blk, *factors) for rows, blk, factors in self._simplices or ()]
-        if self.product:
-            rows, factors = self.product
-            batches.append((rows, *factors))
-        for batch in batches:
-            arrays += [a for a in batch if a is not None]
-        for array in arrays:
-            array.setflags(write=False)
+        batches += [(self.product[0], *self.product[1])] if self.product else []
+        for array in itertools.chain(vars(self).values(), *batches):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
 
     def simplices(self) -> Iterable[tuple[np.ndarray, np.ndarray, _Factors]]:
         """The simplex pass's rows and block column (``_simplex_rows``), a
@@ -540,11 +535,10 @@ class _FloatScreen:
     one batch from the plan's ``product`` when it holds one, so such a
     solve makes one ``_witness`` call and builds no factors, else a chunk
     at a time.
-    ``pairs`` holds the kept local index pairs of each block in
-    ``combinations`` order and ``total`` the size of their product; a screen
-    on a plan that holds its product keeps no pairs and has neither.  Each
-    pair's right-hand side is held once, in grain units (``rhs``), and every
-    bound reads the plan's ``reach``.
+    ``kept`` holds the indices of the kept pairs, blocks in order, and
+    ``total`` the size of their product; a screen on a plan that holds its
+    product has neither.  Each pair's right-hand side is held once, in grain
+    units (``rhs``), and every bound reads the plan's ``reach``.
     """
 
     def __init__(self, plan: _ScreenPlan, lifting: Sequence[float]) -> None:
@@ -586,14 +580,6 @@ class _FloatScreen:
         self.shape = tuple(np.diff(self.cuts).tolist())
         self.total = math.prod(self.shape)
 
-    @property
-    def pairs(self) -> list[list[tuple[int, int]]]:
-        plan = self.plan
-        return [
-            list(zip((plan.first[ids] - s).tolist(), (plan.second[ids] - s).tolist()))
-            for s, ids in zip(plan.starts, np.split(self.kept, self.cuts[1:-1]))
-        ]
-
     def _tie_slack(self) -> float:
         """Bound on how far above its face the exact test lets a point sit.
 
@@ -615,17 +601,14 @@ class _FloatScreen:
         ratio = 2.0 + 2.0 * n * self.plan.reach**n
         return self.scale * (TIE_RTOL + 2 * (n + 2) * _EPS * ratio)
 
-    def candidates(self) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The surviving per-block local pairs, in ``itertools.product`` order."""
+    def survivors(self) -> np.ndarray:
+        """The product screen's survivors as one array of rows of pair
+        indices, column i block i's pair, in ``itertools.product`` order."""
         plan = self.plan
         blocks = np.arange(plan.n)[None, :]
         batches = [plan.product] if plan.product else self._product_chunks()
-        for pairs, factors in batches:
-            pairs = pairs[self._witness(pairs, pairs, blocks, 0.0, factors)]
-            firsts = (plan.first[pairs] - plan.starts).tolist()
-            seconds = (plan.second[pairs] - plan.starts).tolist()
-            for p, q in zip(firsts, seconds):
-                yield tuple(zip(p, q))
+        kept = [rows[self._witness(rows, rows, blocks, 0.0, f)] for rows, f in batches]
+        return np.concatenate([np.empty((0, plan.n), np.intp), *kept])
 
     def _product_chunks(self) -> Iterator[tuple[np.ndarray, _Factors]]:
         """The product of the kept pairs a chunk at a time, as rows of pair
@@ -712,51 +695,60 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     The per-block and product float screens (``_FloatScreen``) only discard;
     they and the circuit table read the configuration's cached plan
     (``_plan``), so a second coefficient vector on a support pays only the
-    lifting's share of the screens.
-    Each survivor's n x n edge matrix is eliminated once, by
-    ``det_adjugate``: a zero determinant skips the survivor, and the
-    adjugate gives its float gamma (the negated normal, by
+    lifting's share of the screens.  Survivors leave the screen as rows of
+    pair indices (``_FloatScreen.survivors``) and stay arrays: the plan's
+    pair tables give their Cayley endpoints, the lower-lifted point of each
+    edge first (a tie keeps the lower index first), and ``plan.ints`` and
+    the lifting their edge matrices and right-hand sides, each converted to
+    Python numbers once.  Each survivor's n x n edge matrix is eliminated
+    once, by ``det_adjugate``: a zero determinant skips the survivor, and
+    the adjugate gives its float gamma (the negated normal, by
     ``lattice.apply_adjugate``) and, in one ``_circuit_table`` pass over
-    every survivor, its exact circuit inequalities, one per excluded point.
-    The table is evaluated on the float lifting: a row's value over
-    ``|zeta[witness]|`` is the witness's exclusion margin.  A survivor is a
-    cell when all its margins are positive, and the returned set keeps its
-    rows and their values.  A negative margin rejects it; otherwise a margin
-    within ``TIE_RTOL * (1 + max|w|)`` of zero raises TieDegenerate for the
-    first such survivor.
+    every survivor's endpoints, its exact circuit inequalities, one per
+    excluded point.  The table is evaluated on the float lifting: a row's
+    value over ``|zeta[witness]|`` is the witness's exclusion margin.  A
+    survivor is a cell when all its margins are positive, and the returned
+    set keeps its rows and their values, cells ordered by their edges.  A
+    negative margin rejects it; otherwise a margin within ``TIE_RTOL * (1 +
+    max|w|)`` of zero raises TieDegenerate for the first such survivor.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
-    values = lifting.values
     plan = _plan(config)
-    n, blocks, base = plan.n, plan.blocks, plan.base
-    origin = config.origin_index
-    screen = _FloatScreen(plan, values)
-    # Per survivor its Cayley edges with the determinant and adjugate of its
-    # edge matrix, the one elimination the circuit table reads too.
-    survivors: list[tuple[tuple[tuple[int, int], ...], int, IntMatrix]] = []
-    cells: list[MixedCell] = []
-    for cand in screen.candidates():
-        edges = tuple(
-            _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
-        )
-        det, adj = det_adjugate(
-            [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
-        )
+    n = plan.n
+    screen = _FloatScreen(plan, lifting.values)
+    rows = screen.survivors()
+    # Each survivor's Cayley edges, ends[s, i] = (a_i, b_i) for block i, the
+    # lower-lifted point first; a tie keeps the lower index first.
+    ends = np.empty((len(rows), n, 2), dtype=np.intp)
+    ends[..., 0], ends[..., 1] = plan.first[rows], plan.second[rows]
+    swap = screen.lift[ends[..., 1]] < screen.lift[ends[..., 0]]
+    ends[swap] = ends[swap, ::-1]
+    matrices = (plan.ints[ends[..., 0]] - plan.ints[ends[..., 1]]).tolist()
+    rhs = (screen.lift[ends[..., 1]] - screen.lift[ends[..., 0]]).tolist()
+    local = (ends - plan.starts[:, None]).tolist()
+    # The survivors with a nonsingular edge matrix, with its determinant
+    # and adjugate, the one elimination the circuit table reads too.
+    nonsingular, dets, adjs, cells = [], [], [], []
+    for s, (matrix, r, edges) in enumerate(zip(matrices, rhs, local)):
+        det, adj = det_adjugate(matrix)
         if det == 0:
             continue
-        gamma = apply_adjugate(det, adj, [values[b] - values[a] for a, b in edges])
-        local = tuple((origin[a], origin[b]) for a, b in edges)
-        survivors.append((edges, det, adj))
-        cells.append(MixedCell(local, tuple(-g for g in gamma), abs(det)))
+        gamma = apply_adjugate(det, adj, r)
+        nonsingular.append(s)
+        dets.append(det)
+        adjs.append(adj)
+        normal = tuple(-g for g in gamma)
+        cells.append(MixedCell(tuple(map(tuple, edges)), normal, abs(det)))
+    ends = ends[nonsingular]
 
-    table = _circuit_table(plan, survivors)
+    table = _circuit_table(plan, ends, dets, adjs)
     row_values = table.values(lifting)
     with np.errstate(all="ignore"):
         margin = row_values / -table.coeffs[:, -1].astype(float)
         margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
     per_cell = plan.m - 2 * n
-    margin = margin.reshape(len(survivors), per_cell)
+    margin = margin.reshape(len(cells), per_cell)
     # A violated margin rejects the candidate outright; a tie only makes the
     # lifting degenerate when the candidate is otherwise a cell, i.e. the
     # tied point sits exactly on the candidate's face.
@@ -766,12 +758,14 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     if degenerate.size:
         s = degenerate[0]
         point = int(table.points[s * per_cell + np.flatnonzero(tied[s])[-1], -1])
-        edges = survivors[s][0]
+        edges = tuple(map(tuple, ends[s].tolist()))
         raise TieDegenerate(f"lifting ties on point {point} against cell {edges}")
 
-    order = sorted(np.flatnonzero(kept), key=lambda s: cells[s].edges)
-    rows = np.add.outer(np.array(order, dtype=np.intp) * per_cell, np.arange(per_cell))
-    rows = rows.ravel()
+    # Cells in the order of their edges.  Block i's local indices are its
+    # Cayley indices less ``starts[i]``, so both sort alike.
+    order = np.flatnonzero(kept)
+    order = order[np.lexsort(ends[order].reshape(len(order), 2 * n).T[::-1])]
+    rows = np.add.outer(order * per_cell, np.arange(per_cell)).ravel()
     kept_values = row_values[rows]
     kept_values.flags.writeable = False
     return MixedCellSet(
@@ -784,12 +778,15 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
 
 def _circuit_table(
     plan: _ScreenPlan,
-    cells: Sequence[tuple[tuple[tuple[int, int], ...], int, IntMatrix]],
+    ends: np.ndarray,
+    dets: Sequence[int],
+    adjs: Sequence[IntMatrix],
 ) -> CircuitTable:
-    """The circuit inequalities of cells given by Cayley edge pairs, each
+    """The circuit inequalities of cells given by their Cayley endpoints,
+    ``ends[c, i] = (a_i, b_i)`` the edge of block i in cell c, each cell
     with the nonzero determinant and the adjugate of its edge matrix.
 
-    Rows go cell by cell in ``cells`` order and, within a cell, one per
+    Rows go cell by cell in the arrays' order and, within a cell, one per
     excluded point in block-major order.  Each is the unique affine
     dependence of the 2n cell points plus the excluded point, reduced to a
     primitive integer vector and oriented so the excluded point's entry is
@@ -805,31 +802,24 @@ def _circuit_table(
     the cell points' lifted values are their faces' heights, and the gamma
     terms cancel.
     """
-    n, count = plan.n, len(cells)
+    n, count = plan.n, len(dets)
     width = 2 * n + 1
     exact = plan.ints.dtype
-    if not count:
-        return CircuitTable(np.zeros((0, width), np.intp), np.zeros((0, width), exact))
-    ends, dets, adjs = [], [], []
-    for pairs, det, adj in cells:
-        # Negating both negates the dependence and makes its entry -d on
-        # the excluded point negative.
-        if det < 0:
-            det, adj = -det, [[-x for x in row] for row in adj]
-        ends.append(pairs)
-        dets.append(det)
-        adjs.append(adj)
     # One row per (cell, excluded point), cells in order, points ascending.
-    cell = np.array(ends, dtype=np.intp).reshape(count, 2 * n)
+    cell = ends.reshape(count, 2 * n)
     outside = np.ones((count, plan.m), dtype=bool)
     outside[np.arange(count)[:, None], cell] = False
     owner, point = np.nonzero(outside)
     b_col = 2 * plan.block[point] + 1
     diff = plan.ints[point] - plan.ints[cell[owner, b_col]]
-    lam = (diff[:, None, :] @ np.array(adjs, dtype=exact)[owner])[:, 0, :]
+    adj = np.array(adjs, dtype=exact).reshape(count, n, n)
+    lam = (diff[:, None, :] @ adj[owner])[:, 0, :]
     d = np.array(dets, dtype=exact)[owner]
-    # The gcd of the dependence is that of l and d.
+    # The gcd of the dependence is that of l and d.  Dividing by it, negated
+    # where d is negative, makes the dependence primitive and its entry -d
+    # on the excluded point negative.
     g = np.gcd(np.gcd.reduce(lam, axis=1), d)
+    g[d < 0] *= -1
     lam //= g[:, None]
     d //= g
     rows = len(point)
@@ -847,15 +837,15 @@ def _circuit_table(
 def circuit_inequalities(cell: MixedCell, config: CayleyConfig) -> CircuitTable:
     """The cell's circuit table, one row per Cayley point excluded from it.
 
-    The one-cell entry to ``_circuit_table``, with the one ``det_adjugate``
-    of the cell's edge matrix; see there for the dependence and its
-    orientation.  A singular edge matrix raises SingularExponentMatrix.
+    The one-cell entry to ``_circuit_table``: the cell's local edges offset
+    by the plan's ``starts`` give its Cayley endpoints, and one
+    ``det_adjugate`` of its edge matrix the determinant and adjugate; see
+    there for the dependence and its orientation.  A singular edge matrix
+    raises SingularExponentMatrix.
     """
     plan = _plan(config)
-    ends = tuple((blk[p], blk[q]) for blk, (p, q) in zip(plan.blocks, cell.edges))
-    base = plan.base
-    rows = [[x - y for x, y in zip(base[a], base[b])] for a, b in ends]
-    det, adj = det_adjugate(rows)
+    ends = np.array(cell.edges, dtype=np.intp) + plan.starts[:, None]
+    det, adj = det_adjugate((plan.ints[ends[:, 0]] - plan.ints[ends[:, 1]]).tolist())
     if det == 0:
         raise SingularExponentMatrix("cell points are affinely dependent")
-    return _circuit_table(plan, [(ends, det, adj)])
+    return _circuit_table(plan, ends[None], [det], [adj])

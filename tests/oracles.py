@@ -45,7 +45,7 @@ from realhomotopy import (
     SingularExponentMatrix,
     TieDegenerate,
 )
-from realhomotopy.mixed_cells import TIE_RTOL, _order_edge
+from realhomotopy.mixed_cells import TIE_RTOL
 
 LP_MARGIN = 1e-10
 
@@ -268,6 +268,12 @@ def reference_circuit_inequalities(
     return out
 
 
+def _lower_first(p: int, q: int, values) -> tuple[int, int]:
+    """A cell edge's points, the lower-lifted one first; on a tie the lower
+    index (the documented ``MixedCell.edges`` orientation)."""
+    return (p, q) if (values[p], p) <= (values[q], q) else (q, p)
+
+
 def brute_force_mixed_cells(
     config: CayleyConfig, lifting: Lifting
 ) -> tuple[tuple[MixedCell, ...], list[tuple[dict[int, int], int]]]:
@@ -292,7 +298,7 @@ def brute_force_mixed_cells(
         *(itertools.combinations(range(len(blk)), 2) for blk in blocks)
     ):
         edges = tuple(
-            _order_edge(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
+            _lower_first(blk[p], blk[q], values) for blk, (p, q) in zip(blocks, cand)
         )
         rows = [[base[a][j] - base[b][j] for j in range(n)] for a, b in edges]
         det = bareiss_det(rows)

@@ -148,6 +148,29 @@ class TestNoMixedCell:
         assert (report["verdict"], report["cell_count"]) == ("fail", 0)
         assert report["solutions"] == []
 
+    def test_reason_on_stderr(self, tmp_path, capsys):
+        # The zeros of xy - 2, x^2 y^2 - 4 form a curve: none is isolated,
+        # and the mixed volume, the cells' total volume, is 0.
+        doc = {
+            "n": 2,
+            "supports": [[[1, 1], [0, 0]], [[2, 2], [0, 0]]],
+            "coefficients": [[1, -2], [1, -4]],
+        }
+        path = _write(tmp_path, doc)
+        reason = "the mixed volume is 0, so the system has no isolated zero in the torus"
+        for argv, code in (
+            (["certify", path], 2),
+            (["solve", path], 2),
+            (["solve", "--force", path], 0),
+        ):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert reason in captured.err
+            assert json.loads(captured.out)["cell_count"] == 0
+        cubic_conic = _write(tmp_path, _cubic_conic_doc(), "cubic_conic.json")
+        assert main(["certify", cubic_conic]) == 2
+        assert reason not in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_cubic_conic_forced(self, tmp_path, capsys):

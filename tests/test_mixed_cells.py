@@ -243,8 +243,8 @@ class TestScreenEquivalence:
             blocks = [config.block_indices(i) for i in range(config.n)]
             base = [config.base_point(k) for k in range(config.m)]
             screen = _screen(config, log_abs_lifting(system))
-            kept = set(screen.candidates())
-            for cand in itertools.product(*screen.pairs):
+            kept = _survivor_pairs(screen)
+            for cand in itertools.product(*_kept_pairs(screen)):
                 rows = [
                     [base[blk[p]][j] - base[blk[q]][j] for j in range(config.n)]
                     for blk, (p, q) in zip(blocks, cand)
@@ -260,7 +260,7 @@ class TestScreenEquivalence:
         scaled = _scaled(system, 2**40)
         config = build_cayley(scaled)
         lifting = log_abs_lifting(scaled)
-        survivors = set(_screen(config, lifting).candidates())
+        survivors = _survivor_pairs(_screen(config, lifting))
         cells = enumerate_mixed_cells(config, lifting).cells
         assert survivors == {tuple(tuple(sorted(e)) for e in c.edges) for c in cells}
         unscaled = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
@@ -622,6 +622,28 @@ def _screen(config, lifting):
     return _FloatScreen(plan, lifting.values)
 
 
+def _local_pairs(plan, pairs):
+    """Pair indices of a plan as (p, q) local to their blocks, p < q."""
+    blk = plan.block[plan.first[pairs]]
+    p = (plan.first[pairs] - plan.starts[blk]).tolist()
+    q = (plan.second[pairs] - plan.starts[blk]).tolist()
+    return list(zip(p, q))
+
+
+def _survivor_pairs(screen):
+    """The product screen's survivors as a set of per-block local pairs."""
+    rows = screen.survivors()
+    return {tuple(_local_pairs(screen.plan, row)) for row in rows}
+
+
+def _kept_pairs(screen):
+    """The kept local pairs of each block, in combinations order."""
+    plan = screen.plan
+    blk = plan.block[plan.first[screen.kept]]
+    pairs = _local_pairs(plan, screen.kept)
+    return [[e for e, b in zip(pairs, blk) if b == i] for i in range(plan.n)]
+
+
 def _spans(points):
     pts = np.array(points)
     return np.linalg.matrix_rank(pts[1:] - pts[0]) == pts.shape[1]
@@ -635,7 +657,7 @@ def _assert_keeps_upper_edges(system, lifting=None, generic=False, hull=None):
     ``system`` itself).
     """
     lifting = lifting or log_abs_lifting(system)
-    kept = _screen(build_cayley(system), lifting).pairs
+    kept = _kept_pairs(_screen(build_cayley(system), lifting))
     config = build_cayley(hull or system)
     for i, pairs in enumerate(kept):
         blk = config.block_indices(i)
@@ -1050,7 +1072,7 @@ class TestOneEliminationPerSurvivor:
         for system in systems:
             config = build_cayley(system)
             lifting = log_abs_lifting(system)
-            survivors = len(list(_screen(config, lifting).candidates()))
+            survivors = len(_screen(config, lifting).survivors())
             calls.clear()
             cells = enumerate_mixed_cells(config, lifting)
             assert survivors and len(calls) == survivors
