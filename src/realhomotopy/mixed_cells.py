@@ -12,40 +12,56 @@ the size of its coefficient.  So a cell is cut out by its circuit inequalities
 decides a candidate by the signs of its circuits, which are also the
 inequalities the certificate checks.
 
-Candidates are the per-block point pairs in ``itertools.product`` order.  Two
-batched float screens in numpy discard candidates before the exact test.  The
-first looks at each block alone: it keeps a point pair of the block only if
-some (n+1)-point simplex of the block through the pair has a float gamma that
-leaves no point of the block clearly above the simplex's face (an edge of the
-lifted upper hull lies in an upper facet, which supplies such a simplex).
-Candidates become the product of the kept pairs.  The second looks at them a
-chunk at a time and discards those that are provably singular or whose float
-gamma leaves some point clearly above its block's face.  A configuration whose
-whole pair product has at most SMALL_PRODUCT candidates skips the first
-screen: the second screens the whole product in one batch.  Both screens take
-a row's float determinant and gamma from the closed-form 2 x 2 adjugate at
-n = 2 (exact products wherever the singular test applies, and no LAPACK
-wrapper to pay per batch), and from ``np.linalg.det`` and ``np.linalg.solve``
-at every other n.  The screens only ever discard: every survivor is decided
-by the exact test (integer determinant and circuits, and the signs and ties
-of the circuits' values on the lifting), and the screens' tolerances make
-each candidate they drop one the exact test rejects.  Cells, normals,
-circuits and TieDegenerate are therefore those of the exact test run on
-every candidate.
+Candidates are the per-block point pairs in ``itertools.product`` order.
+Float screens in numpy discard candidates before the exact test, and only
+ever discard: their tolerances make each candidate they drop one the exact
+test rejects.  Every survivor is decided by the exact test (integer
+determinant and circuits, and the signs and ties of the circuits' values on
+the lifting), so cells, normals, circuits and TieDegenerate are those of
+the exact test run on every candidate.
 
-The screens are split in two.  A plan (``_ScreenPlan``) holds all they read
-of the configuration alone: the base points in the exact dtype, the screened
-blocks, the pair tables and grain-unit rows, and the rows of the simplex
+At n = 2 the mixed cells are the crossings of the two tropical curves, each
+dual to the subdivision the lifting induces on its block (Huber and
+Sturmfels 1995; Maclagan and Sturmfels 2015), and the screen is built on
+those dual edges (``_DualScreen``).  The gammas that level a point pair
+form a line, and the pair's dual edge is one interval on it, found per pair
+from the integer slopes of the block's other points along the line; an
+empty interval means the pair is no upper edge.  A candidate pairs one
+point pair of each block: an exactly zero integer determinant drops it as
+singular, and otherwise Cramer's rule puts its gamma on each of the two
+lines, and it survives when both parameters lie in their intervals, each
+widened by a tolerance with a written rounding argument.  That is O(1) per
+candidate, and exponents near 10^5 make it keep no more candidates than
+small ones do (ROADMAP item 9).
+
+At every other n the screens are a batched float test in two passes.  The
+first looks at each block alone: it keeps a point pair of the block only
+if some (n+1)-point simplex of the block through the pair has a float gamma
+that leaves no point of the block clearly above the simplex's face (an edge
+of the lifted upper hull lies in an upper facet, which supplies such a
+simplex).  Candidates become the product of the kept pairs.  The second
+looks at them a chunk at a time and discards those that are provably
+singular or whose float gamma leaves some point clearly above its block's
+face.  A configuration whose whole pair product has at most SMALL_PRODUCT
+candidates skips the first pass: the second screens the whole product in
+one batch.  Each row's determinant and gamma come from ``np.linalg.det``
+and ``np.linalg.solve``.
+
+Each screen is split in two.  A plan (``_DualPlan`` at n = 2, else
+``_ScreenPlan``) holds all it reads of the configuration alone: the base
+points in the exact dtype, the pair tables, and at n = 2 each pair's edge,
+line direction and the slopes and projections of its block's points,
+elsewhere the screened blocks, grain-unit rows and the rows of the simplex
 pass, or of a small product, with each row's determinant, singular and
-trusted tests and solve matrix.  A pass (``_FloatScreen``) adds one lifting:
-right-hand sides, gammas and margins.  Coefficient vectors on one support
-are this solver's natural traffic (the certificate lives in the coefficient
-space of a fixed support), so plans are cached, keyed by the configuration's
-value, its points included; only plans of at most SCREEN_CHUNK pairs are,
-which bounds the cache's memory, and larger ones are built per solve.  That
-LRU cache is the screens' only one: a plan built cold builds its own pair
-tables and simplex rows.  Cells themselves are not memoized: a cell depends
-on the lifting.
+trusted tests and solve matrix.  A pass (``_DualScreen`` or
+``_FloatScreen``) adds one lifting.  Coefficient vectors on one support
+are this solver's natural traffic (the certificate lives in the
+coefficient space of a fixed support), so plans are cached, keyed by the
+configuration's value, its points included; only plans of at most
+SCREEN_CHUNK pairs are, which bounds the cache's memory, and larger ones
+are built per solve.  That LRU cache is the screens' only one: a plan
+built cold builds its own pair tables and simplex rows.  Cells themselves
+are not memoized: a cell depends on the lifting.
 
 Survivors leave the screens as one array of rows of pair indices, one column
 per block, and stay arrays up to the circuit table: the plan's pair tables
@@ -90,12 +106,13 @@ from .lattice import int_det, solve_exact  # noqa: F401
 
 TIE_RTOL = 1e-12
 
-# Candidates per float-screen batch: the screen's arrays have this many rows
-# whatever the candidate count.
+# Candidates per float-screen batch: the screens' arrays have about this
+# many rows whatever the candidate count.
 SCREEN_CHUNK = 4096
-# A configuration whose whole pair product has at most this many candidates
-# screens no block: its plan holds the product's rows and their factors, and
-# a solve screens them in one batch.  Set by measurement on fresh supports.
+# At n != 2, a configuration whose whole pair product has at most this many
+# candidates screens no block: its plan holds the product's rows and their
+# factors, and a solve screens them in one batch.  Set by measurement on
+# fresh supports.
 SMALL_PRODUCT = 512
 _EPS = float(np.finfo(float).eps)
 
@@ -321,34 +338,274 @@ def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
 class _Factors(NamedTuple):
     """The coefficient-free half of ``_FloatScreen._witness`` for a batch.
 
-    Each row's matrix U (the grain-unit rows of its n pairs) enters as
-    ``matrix``.  At n = 2 that is four arrays, the entries u00, u01, u10
-    and u11 of the closed form, with ``signed`` its determinant; at other n
-    it is the matrices ``np.linalg.solve`` takes, an identity standing in
-    for each untrusted one.  ``singular``, ``trusted`` and ``inverse`` (the
+    ``matrix`` holds each row's matrix U (the grain-unit rows of its n
+    pairs), as ``np.linalg.solve`` takes it, an identity standing in for
+    each untrusted one.  ``singular``, ``trusted`` and ``inverse`` (the
     bound on ``||U^-1||_2``) are per row.
     """
 
     matrix: np.ndarray
-    signed: np.ndarray | None
     singular: np.ndarray
     trusted: np.ndarray
     inverse: np.ndarray
 
 
-class _ScreenPlan:
-    """What the float screens read of a configuration, whatever its lifting.
+class _Plan:
+    """What every plan holds of a configuration: the pair tables (each
+    pair's Cayley endpoints ``first`` and ``second``, each block's first
+    point ``starts`` and first pair ``pair_starts``), each point's block,
+    the base points as ``ints`` in the exact dtype (``_exact_dtype``), and
+    the grain, the gcd of all differences (taken from each point's
+    difference to its block's first point).  The circuit table reads these
+    too.  One plan serves every coefficient vector on its support (``_plan``
+    caches it), so every array a plan holds is read only.
+    """
 
-    One plan serves every coefficient vector on its support (``_plan``
-    caches it), so every array it holds is read only.  It holds the base
-    points as ``ints`` in the exact dtype (``_exact_dtype``), the blocks the
-    simplex pass screens (``screened``), the pair tables (each pair's
-    Cayley endpoints ``first`` and ``second``, and each block's first point
-    ``starts``), and each pair once in grain units: ``unit``, the row's
+    def __init__(self, config: CayleyConfig) -> None:
+        n = config.n
+        self.n, self.m = n, config.m
+        base = [config.base_point(k) for k in range(config.m)]
+        sizes = self.sizes = tuple(config.block.count(i) for i in range(n))
+        self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
+        self.block = np.array(config.block, dtype=np.intp)
+        largest = self.largest = max(abs(c) for point in base for c in point)
+        ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest)).reshape(-1, n)
+        to_first = ints - ints[np.repeat(self.starts, sizes)]
+        self.grain = math.gcd(*to_first.ravel().tolist())
+
+    def _freeze(self, *arrays: np.ndarray) -> None:
+        """Make the plan's arrays, and ``arrays`` beside them, read only."""
+        for array in itertools.chain(vars(self).values(), arrays):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+
+class _DualPlan(_Plan):
+    """What the n = 2 screen reads of a configuration, whatever its lifting.
+
+    At n = 2 the mixed cells of a lifting are the points where the two
+    tropical curves cross, each curve dual to the subdivision the lifting
+    induces on its block (Huber and Sturmfels 1995).  A pair p = (a, b) of
+    a block is an edge of that subdivision when the gammas that level a and
+    b, a line, keep a segment below which no other point of the block
+    rises: the dual edge.  Everything is in grain units: ``frame`` holds
+    each pair's edge ``u = (a - b) / grain`` and the direction ``d = (-u_1,
+    u_0)`` of its line in the exact dtype, and per pair and point k of its
+    block, ``cols`` holds k's Cayley index and ``proj`` the integer ``<u,
+    v>``, with ``v = (k - a) / grain``; ``up`` and ``down`` mark the points
+    of positive and negative slope, the integer ``<d, v> = det(u, v)``, and
+    ``recip`` holds ``-1 / slope``.  Blocks of fewer points than the largest
+    pad their rows with a's own column, a point of slope and projection 0,
+    as a itself is.  ``n2`` holds ``|u|^2``.  ``slack`` and ``level`` are
+    the per-point factors of the screen's tolerance (``_DualScreen``),
+    lifting-free.
+
+    Integers are exact floats wherever the base points fit int64
+    (``_exact_dtype``: every entry here is then below 2^51), and floats
+    within a relative half ulp of the exact integer otherwise.  Where
+    ``8 * largest^2`` reaches 2^1000, exponents near 10^200 among them,
+    those floats would leave the float range: such a plan holds no floats
+    (``floats`` is False) and its screen drops only exactly singular
+    candidates.
+    """
+
+    def __init__(self, config: CayleyConfig) -> None:
+        super().__init__(config)
+        sizes, grain = self.sizes, self.grain
+        ints = self.ints
+        width = max(sizes)
+        owner = self.block[self.first]
+        local = np.arange(width)
+        inside = local < np.asarray(sizes)[owner][:, None]
+        cols = self.starts[owner][:, None] + local
+        self.cols = np.where(inside, cols, self.first[:, None])
+        units = (ints[self.first] - ints[self.second]) // grain
+        # Each pair's edge u and the direction d of its line, so that one
+        # product with the edges of the other block gives <u_p, u_q> and
+        # det(u_p, u_q) = <d_p, u_q>.
+        self.frame = np.stack((units, units[:, ::-1] * np.array([-1, 1])), axis=1)
+        diffs = (ints[self.cols] - ints[self.first][:, None, :]) // grain
+        slope = (self.frame[:, None, 1] * diffs).sum(axis=2)
+        proj = (self.frame[:, None, 0] * diffs).sum(axis=2)
+        self.floats = 8 * self.largest**2 < 2**1000
+        if self.floats:
+            slope = slope.astype(float)
+            self.proj = proj.astype(float)
+            self.n2 = (units * units).sum(axis=1).astype(float)
+            reach = np.sqrt(np.maximum.reduceat(self.n2, self.pair_starts[:-1]))
+            far = reach[1 - owner]
+            self.up, self.down = slope > 0, slope < 0
+            # -1 / slope, which takes beta from c, and 0 at slope 0.
+            flat = slope == 0
+            self.recip = -1.0 / np.where(flat, -np.inf, slope)
+            # The tolerance of ``_DualScreen`` over ``scale / grain``: for a
+            # point of nonzero slope, how far it widens the end the point
+            # binds, in s; for a point of slope 0 other than a and b (and
+            # the padding, a's own column), the bound on its c.
+            size = np.abs(slope)
+            norm = np.sqrt(self.n2)[:, None]
+            head = TIE_RTOL + 64 * _EPS * (1.0 + np.abs(self.proj) / self.n2[:, None])
+            length = np.hypot(slope, self.proj) / norm
+            lean = 64 * _EPS * (size + length + norm) * far[:, None]
+            self.slack = (head + lean) / np.maximum(size, 1.0)
+            edge = self.cols == self.first[:, None]
+            edge |= self.cols == self.second[:, None]
+            self.level = np.where(flat & ~edge, head, np.inf)
+        self._freeze()
+
+    def screen(self, lifting: Sequence[float]) -> _DualScreen:
+        return _DualScreen(self, lifting)
+
+
+class _DualScreen:
+    """The n = 2 screen of one lifting: one interval per point pair, one
+    O(1) test per candidate.
+
+    Notation as in ``_DualPlan``, with ``r = (w_b - w_a) / grain`` for a
+    pair p = (a, b), and ``scale = 1 + max |w|``.  The gammas that level a
+    and b form the line ``gamma(s) = u r / |u|^2 + s d``.  Along it a point
+    k of the block has margin (a's lifted value less k's) ``grain * (slope *
+    (beta - s))`` where ``slope != 0``, with ``beta = -c / slope`` and the
+    intercept ``c = r proj / |u|^2 + (w_k - w_a) / grain``, and ``-grain *
+    c`` at every s where ``slope = 0``.  So p's dual edge is the interval
+    ``I_p = [lo, hi]``: hi the least beta of the points of positive slope,
+    lo the greatest of those of negative slope.  An empty interval, or a
+    point of slope 0 above the line, means p is no upper edge.  a and b are
+    points of slope 0 that bound no end, and the test of the points of
+    slope 0 leaves them out.
+
+    A candidate takes a pair p of block 0 and q of block 1.  Its integer
+    determinant ``D = det(u_p, u_q)`` is computed exactly, and D = 0 drops
+    it as singular: the exact test skips it too.  Otherwise, with ``P =
+    <u_p, u_q>``, Cramer's rule puts the crossing of the two lines at ``s_p
+    = (r_q - r_p P / |u_p|^2) / D`` on p's line and ``s_q = (r_q P /
+    |u_q|^2 - r_p) / D`` on q's.  The candidate survives when s_p lies in
+    I_p and s_q in I_q, each end widened by the tolerance below.  Survivors
+    leave as rows of pair indices in ``itertools.product`` order.
+
+    Rounding.  The screen drops a nonsingular candidate only when it shows
+    that the point k that binds an end of an interval (or a point of slope
+    0) has exact margin below ``-(T + e_k)``, with ``T = TIE_RTOL * scale``
+    and ``e_k`` the bound on the exact test's float reading of that margin:
+    the exact test then reads it below -T and rejects.  The exact test
+    reads ``zeta . w / |zeta_k|`` from k's circuit zeta, five products of
+    an integer and a lifting value, within ``e_k = 8 eps scale |zeta|_1 /
+    |zeta_k|``.  Up to sign zeta / |zeta_k| is ``lam_i`` on ``a_i``,
+    ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with lam the coordinates of
+    ``(k - b_j) / grain`` in the basis of the edges, ``b_j`` whichever end
+    of p's edge the exact test puts second.  So lam is ``det(k - b_j,
+    u_q) / D`` on p's edge, at most ``(|v| + |u_p|) |u_q| / |D|``, and
+    ``slope / D`` on q's, and ``e_k <= 16 eps scale (1 + (|slope| + (|v| +
+    |u_p|) |u_q|) / |D|)``.  For a point of slope 0, v is parallel to u_p,
+    lam is 0 on q's edge and at most ``|v| / |u_p| + 1 = |proj| / |u_p|^2
+    + 1`` on p's: ``e_k <= 16 eps scale (2 + |proj| / |u_p|^2)``.
+
+    The screen's own rounding, to first order, with ``B = 2 scale /
+    grain`` bounding ``|r|`` and ``|w_k - w_a| / grain``, and every integer
+    (the grain included) converted within a relative half ulp.  The pass
+    divides the lifting by the grain once, so r is off by at most 3 half
+    ulps of B, ``r / |u|^2`` by 5 of ``B / |u|^2``, and c by at most 8 half
+    ulps of ``B (1 + |proj| / |u|^2)``: ``grain * c`` by at most ``8 eps
+    scale (1 + |proj| / |u|^2)``.  beta (``c * recip``, ``recip`` rounded)
+    and the sum that widens its end add 3 half ulps of ``|beta|``, ``3 eps
+    scale (1 + |proj| / |u|^2)`` once multiplied by ``grain * |slope|``.
+    s_p is off by at most 10 half ulps of ``B (1 + |P| / |u_p|^2) / |D|``,
+    and since ``|P| <= |u_p| |u_q|`` and both norms are at least 1,
+    ``grain * |slope| * |ds_p| <= 20 eps scale |slope| |u_q| / |D|``.
+    Added up, a drop at an interval end is sound when its tolerance in
+    margin units is at least ``T + eps scale (27 + 11 |proj| / |u_p|^2 +
+    (36 |slope| + 16 |v| + 16 |u_p|) |u_q| / |D|)``, and for a point of
+    slope 0 ``T + eps scale (40 + 24 |proj| / |u_p|^2)``.  Since ``|D| >=
+    1``, ``|u_q| / |D|`` is at most ``far``, the largest ``|u|`` of the
+    other block.  The screen takes
+
+        ``T + 64 eps scale (1 + |proj| / |u_p|^2)``
+        ``  + 64 eps scale (|slope| + |v| + |u_p|) far``,
+
+    the first line alone at slope 0, with every coefficient at least 1.6
+    times the bound's, which covers second-order terms and the tolerance's
+    own rounding; ``|v| = hypot(slope, proj) / |u_p|``.  Over ``grain *
+    |slope|`` this widens an end by ``scale / grain`` times the plan's
+    ``slack`` in s, and at slope 0 it bounds c by ``scale / grain`` times
+    ``level``.  One widening serves every candidate of the pair, so a pair
+    whose widened ends cross drops every candidate it is in: its interval
+    is empty, and ``kept`` holds the other pairs' indices.  Underflow,
+    possible only for lifting differences below 2^-1022, adds far less
+    than the TIE_RTOL term.  Every comparison that drops is False on NaN,
+    so a value beyond the float range keeps its candidate.
+    """
+
+    def __init__(self, plan: _DualPlan, lifting: Sequence[float]) -> None:
+        self.plan = plan
+        self.lift = lift = np.array(lifting, dtype=float)
+        self.scale = 1.0 + float(np.abs(lift).max())
+        if not plan.floats:
+            self.kept = np.arange(len(plan.first))
+            return
+        rows = np.arange(len(plan.first))
+        with np.errstate(all="ignore"):
+            unit = self.scale / plan.grain
+            over = lift / plan.grain
+            base = over[plan.first]
+            r = over[plan.second] - base
+            rho = r / plan.n2
+            c = rho[:, None] * plan.proj + (over[plan.cols] - base[:, None])
+            beta = c * plan.recip
+            highs = np.where(plan.up, beta, np.inf)
+            lows = np.where(plan.down, beta, -np.inf)
+            top, bottom = highs.argmin(axis=1), lows.argmax(axis=1)
+            hi = highs[rows, top] + unit * plan.slack[rows, top]
+            lo = lows[rows, bottom] - unit * plan.slack[rows, bottom]
+            empty = (lo > hi) | (c > unit * plan.level).any(axis=1)
+        # Per pair: r, r / |u|^2 and the widened ends.
+        self.ends = np.array((r, rho, hi, lo))
+        self.kept = np.flatnonzero(~empty)
+
+    def survivors(self) -> np.ndarray:
+        """The candidates from pairs with nonempty intervals that pass the
+        crossing test, as rows of pair indices (column i block i's pair) in
+        ``itertools.product`` order, at most SCREEN_CHUNK candidates tested
+        at a time."""
+        split = np.searchsorted(self.kept, self.plan.pair_starts[1])
+        ps, qs = self.kept[:split], self.kept[split:]
+        step = max(1, SCREEN_CHUNK // max(len(qs), 1))
+        keep = np.empty((len(ps), len(qs)), dtype=bool)
+        for start in range(0, len(ps), step):
+            keep[start : start + step] = self._crossings(ps[start : start + step], qs)
+        i, j = np.nonzero(keep)
+        rows = np.empty((len(i), 2), dtype=np.intp)
+        rows[:, 0], rows[:, 1] = ps[i], qs[j]
+        return rows
+
+    def _crossings(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Which candidates of pairs ``ps`` by ``qs`` (rows by columns) the
+        crossing test keeps."""
+        frame = self.plan.frame
+        products = frame[ps] @ frame[qs, 0].T
+        dot, det = products[:, 0], products[:, 1]
+        singular = det == 0
+        if not self.plan.floats:
+            return ~singular
+        r_p, rho_p, hi_p, lo_p = self.ends[:, ps, None]
+        r_q, rho_q, hi_q, lo_q = self.ends[:, None, qs]
+        with np.errstate(all="ignore"):
+            det, dot = det.astype(float), dot.astype(float)
+            s_p = (r_q - rho_p * dot) / det
+            s_q = (rho_q * dot - r_p) / det
+            out = (s_p > hi_p) | (s_p < lo_p) | (s_q > hi_q) | (s_q < lo_q)
+        return ~(singular | out)
+
+
+class _ScreenPlan(_Plan):
+    """What the float screens of n != 2 read of a configuration, whatever
+    its lifting.
+
+    Beside ``_Plan``'s tables it holds the blocks the simplex pass screens
+    (``screened``), and each pair once in grain units: ``unit``, the row's
     2-norm ``norm`` and their largest, ``reach``.  Blocks of at most n + 1
-    points, blocks that do not affinely span R^n, and blocks whose simplices
-    outnumber the candidates they could cut keep every pair, and so does
-    every block of a configuration whose pair product has at most
+    points, blocks that do not affinely span R^n, and blocks whose
+    simplices outnumber the candidates they could cut keep every pair, and
+    so does every block of a configuration whose pair product has at most
     SMALL_PRODUCT candidates.  Such a plan holds that product instead
     (``product``: its rows of pair indices in ``itertools.product`` order
     and their ``_Factors``), and makes no ``_spans_space`` call and no
@@ -360,11 +617,8 @@ class _ScreenPlan:
     """
 
     def __init__(self, config: CayleyConfig) -> None:
-        n = config.n
-        self.n, self.m = n, config.m
-        base = [config.base_point(k) for k in range(config.m)]
-        sizes = self.sizes = tuple(config.block.count(i) for i in range(n))
-        self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
+        super().__init__(config)
+        n, sizes, ints = self.n, self.sizes, self.ints
         # Screening a block costs one float test per (n+1)-point simplex and
         # saves at most the product screen's candidates, so blocks are
         # screened, fewest points first, only while their simplices add up to
@@ -381,21 +635,14 @@ class _ScreenPlan:
                 if cost > budget:
                     break
                 start = self.starts[i]
-                if sizes[i] > n + 1 and _spans_space(base[start : start + sizes[i]], n):
+                block = ints[start : start + sizes[i]].tolist()
+                if sizes[i] > n + 1 and _spans_space(block, n):
                     screened.append(i)
                     budget -= cost
         self.screened = tuple(sorted(screened))
-        self.block = np.array(config.block, dtype=np.intp)
-        # Points flat, block by block (Cayley order), in the exact dtype
-        # (``_exact_dtype``).  Per pair one row U in grain units (the grain
-        # is the gcd of all differences, taken from each point's difference
-        # to its block's first point): the exact integer difference over the
-        # grain, rounded once.  A lifting's right-hand sides over the grain
-        # then make ``U gamma = rhs`` hold the equalities' gamma.
-        largest = max(abs(c) for point in base for c in point)
-        ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest)).reshape(-1, n)
-        to_first = ints - ints[np.repeat(self.starts, sizes)]
-        self.grain = math.gcd(*to_first.ravel().tolist())
+        # Per pair one row U in grain units: the exact integer difference
+        # over the grain, rounded once.  A lifting's right-hand sides over
+        # the grain then make ``U gamma = rhs`` hold the equalities' gamma.
         self.unit = ((ints[self.first] - ints[self.second]) // self.grain).astype(float)
         self.coords = ints.astype(float)
         self.max_coord = float(np.abs(self.coords).max())
@@ -419,9 +666,10 @@ class _ScreenPlan:
             self.product = rows, self.factors(rows)
         batches = [(rows, blk, *factors) for rows, blk, factors in self._simplices or ()]
         batches += [(self.product[0], *self.product[1])] if self.product else []
-        for array in itertools.chain(vars(self).values(), *batches):
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
+        self._freeze(*itertools.chain(*batches))
+
+    def screen(self, lifting: Sequence[float]) -> _FloatScreen:
+        return _FloatScreen(self, lifting)
 
     def simplices(self) -> Iterable[tuple[np.ndarray, np.ndarray, _Factors]]:
         """The simplex pass's rows and block column (``_simplex_rows``), a
@@ -440,75 +688,53 @@ class _ScreenPlan:
         pair indices: each row's determinant, singular and trusted tests, and
         the matrix its gamma is solved from."""
         n = self.n
-        count = len(pairs)
         with np.errstate(all="ignore"):
             # The rows of U are integers, so these tests hold at any scale.
             unit = self.unit[pairs]
             row_norm = self.norm[pairs]
             hadamard = np.prod(row_norm, axis=1)
-            signed = None
-            if n == 2:
-                # At n = 2 a LAPACK call costs more in its wrapper than in
-                # its arithmetic, so det U (and in ``_witness`` gamma =
-                # adj(U) rhs / det U) comes from one closed form,
-                # elementwise over the batch.
-                matrix = unit.reshape(count, 4).T
-                u00, u01, u10, u11 = matrix
-                signed = u00 * u11 - u01 * u10
-                det = np.abs(signed)
-            else:
-                det = np.abs(np.linalg.det(unit))
+            det = np.abs(np.linalg.det(unit))
             growth = n * 2.0**n
             # Singular, with H the Hadamard bound, when H * n * 2^n <= 2^33
-            # (H <= 2^30 at n = 2) and |det| < 0.5: the integer determinant
-            # is then 0.  At n = 2 each product u00 u11 and u01 u10 is at
-            # most H in size, so both are exact floats and so is their
-            # difference.  At other n, LU with partial pivoting gives the
-            # determinant of an integer matrix within about n * 2^n * eps * H,
-            # below 2^-19.
+            # and |det| < 0.5: the integer determinant is then 0.  LU with
+            # partial pivoting gives the determinant of an integer matrix
+            # within about n * 2^n * eps * H, below 2^-19.
             singular = (det < 0.5) & (hadamard * growth <= 2.0**33)
             # Margins are trusted only for well-conditioned matrices.  Every
             # cofactor of an integer matrix is at most H / (smallest row
             # norm), so cond_2 <= n^1.5 * H * (largest row norm) / (|det| *
             # smallest row norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps
             # LAPACK's gamma within 1e-9 * |gamma| of the exact-path gamma.
-            # At n = 2 that asks 16 * 2^0.5 * eps * rho^2 <= 1e-9 * |det|, rho
-            # the largest row norm.  The closed form's numerators are off by
-            # at most eps * |adj U| |rhs| <= eps * |adj U| |U| |gamma|, at most
-            # eps * ||U||_F^2 * |gamma| <= 2 eps rho^2 |gamma| in norm, as adj U
-            # holds the entries of U.  Its determinant is off by at most eps
-            # (H + |det|) / 2, and |det| <= H <= rho^2, so gamma is off by at
-            # most 3.5 eps rho^2 / |det| relative, under a sixth of 1e-9.
-            # Above H = 2^30 that holds with the rounded determinant too.
             # Rows of U are nonzero integer rows, so the smallest norm is at
             # least 1.
             min_norm = np.min(row_norm, axis=1)
             spread = np.max(row_norm, axis=1) / min_norm
             cond_det = n**1.5 * hadamard * spread
             trusted = cond_det * (growth * _EPS) <= 1e-9 * det
-            if n != 2:
-                # Untrusted matrices may be singular, which would make the
-                # batched solve raise; an identity stands in and their
-                # margins go unused.
-                unit[~trusted] = np.eye(n)
-                matrix = unit
+            # Untrusted matrices may be singular, which would make the
+            # batched solve raise; an identity stands in and their margins
+            # go unused.
+            unit[~trusted] = np.eye(n)
             # ||U^-1||_2 <= n H / (|det| * smallest row norm), by the
             # cofactor bound above.
             inverse = n * hadamard / (det * min_norm)
-        return _Factors(matrix, signed, singular, trusted, inverse)
+        return _Factors(unit, singular, trusted, inverse)
 
 
-def _plan(config: CayleyConfig) -> _ScreenPlan:
+def _plan(config: CayleyConfig) -> _Plan:
     """The screen plan of a configuration, shared by every lifting of it.
 
     Plans of at most SCREEN_CHUNK pairs are cached, keyed by the
     configuration's value (its points, so supports with equal block sizes
     but other points get plans of their own); larger plans are built per
-    solve.  A plan keeps its simplex rows only when they fit in one chunk,
-    and its product rows only up to SMALL_PRODUCT, so a cached plan holds at
-    most SCREEN_CHUNK pairs and simplices and SMALL_PRODUCT product rows,
-    which bounds the memory the cache keeps.  This LRU cache is the screens'
-    only one: a cold plan builds its own pair tables and simplex rows.
+    solve.  An n = 2 plan holds 50 bytes per pair and point of its block,
+    at most about 19 MB, for SCREEN_CHUNK pairs of a 91-point block, and
+    under 60 kB for two 10-point blocks.  Other plans keep their simplex rows
+    only when they fit in one chunk, and their product rows only up to
+    SMALL_PRODUCT, so they hold at most SCREEN_CHUNK pairs and simplices
+    and SMALL_PRODUCT product rows.  That bounds the memory the cache
+    keeps.  This LRU cache is the screens' only one: a cold plan builds its
+    own pair tables and simplex rows.
     """
     sizes = [config.block.count(i) for i in range(config.n)]
     for i, t in enumerate(sizes):
@@ -516,15 +742,19 @@ def _plan(config: CayleyConfig) -> _ScreenPlan:
             raise EmptySupport(f"support {i} has fewer than 2 points")
     if sum(math.comb(t, 2) for t in sizes) <= SCREEN_CHUNK:
         return _cached_plan(config)
-    return _ScreenPlan(config)
+    return _build_plan(config)
 
 
-_cached_plan = functools.lru_cache(maxsize=32)(_ScreenPlan)
+def _build_plan(config: CayleyConfig) -> _Plan:
+    return (_DualPlan if config.n == 2 else _ScreenPlan)(config)
+
+
+_cached_plan = functools.lru_cache(maxsize=32)(_build_plan)
 
 
 class _FloatScreen:
-    """Batched float tests of one lifting that discard what the exact test
-    would reject.
+    """Batched float tests of one lifting, at n != 2, that discard what the
+    exact test would reject.
 
     Two passes share one test (``_witness``), which takes the coefficient-
     free half of each row from ``plan`` (``_ScreenPlan.factors``).  The
@@ -640,30 +870,19 @@ class _FloatScreen:
         factors``), which holds the singular and trusted tests; this half
         adds the right-hand sides, gamma and the margins.
 
-        At n = 2 each row's determinant and gamma come from the closed-form
-        2 x 2 adjugate in elementwise numpy arithmetic over the batch, whose
-        products are exact wherever the singular test applies.  Other n take
-        ``np.linalg.det`` and ``np.linalg.solve``, the one path that serves
-        every n, as the closed form grows with n (six products per
-        determinant at n = 3).  The bounds in ``_ScreenPlan.factors`` and
-        below cover both paths.
+        Each row's determinant and gamma come from ``np.linalg.det`` and
+        ``np.linalg.solve``, whose rounding the bounds in ``_ScreenPlan.
+        factors`` and below cover.
         """
         # Every comparison that drops a row is False on NaN, so values that
-        # overflow the float range, or a closed-form gamma divided by a zero
-        # determinant, leave the row to the exact test.
+        # overflow the float range leave the row to the exact test.
         plan = self.plan
         n = plan.n
         count = len(pairs)
         with np.errstate(all="ignore"):
             rhs = self.rhs[pairs]
-            if n == 2:
-                u00, u01, u10, u11 = factors.matrix
-                r0, r1 = rhs.T
-                gamma = np.stack((u11 * r0 - u01 * r1, u00 * r1 - u10 * r0), axis=1)
-                gamma /= factors.signed[:, None]
-            else:
-                rhs[~factors.trusted] = 0.0
-                gamma = np.linalg.solve(factors.matrix, rhs[:, :, None])[:, :, 0]
+            rhs[~factors.trusted] = 0.0
+            gamma = np.linalg.solve(factors.matrix, rhs[:, :, None])[:, :, 0]
             # A margin is a difference of two lifted values, each at most
             # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
             # the 1e-9 relative error of gamma spread over 2n * max|coord|
@@ -692,11 +911,11 @@ class _FloatScreen:
 def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
     """All mixed cells of the subdivision induced by ``lifting``.
 
-    The per-block and product float screens (``_FloatScreen``) only discard;
-    they and the circuit table read the configuration's cached plan
-    (``_plan``), so a second coefficient vector on a support pays only the
-    lifting's share of the screens.  Survivors leave the screen as rows of
-    pair indices (``_FloatScreen.survivors``) and stay arrays: the plan's
+    The float screen (``_DualScreen`` at n = 2, ``_FloatScreen`` elsewhere)
+    only discards; it and the circuit table read the configuration's cached
+    plan (``_plan``), so a second coefficient vector on a support pays only
+    the lifting's share of the screen.  Survivors leave the screen as rows
+    of pair indices (``survivors``) and stay arrays: the plan's
     pair tables give their Cayley endpoints, the lower-lifted point of each
     edge first (a tie keeps the lower index first), and ``plan.ints`` and
     the lifting their edge matrices and right-hand sides, each converted to
@@ -716,7 +935,7 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
         raise ValueError("lifting length must equal the Cayley point count")
     plan = _plan(config)
     n = plan.n
-    screen = _FloatScreen(plan, lifting.values)
+    screen = plan.screen(lifting.values)
     rows = screen.survivors()
     # Each survivor's Cayley edges, ends[s, i] = (a_i, b_i) for block i, the
     # lower-lifted point first; a tie keeps the lower index first.

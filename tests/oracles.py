@@ -5,7 +5,9 @@ re-derived by LP feasibility (``lp_mixed_cells``, and the upper-hull edges of
 one block by ``lp_upper_edges``), binomial systems by per-orthant grid search
 with Newton polish, quadratic root counts by the closed formula, and a zero
 given as signs and ``log|x|`` by its residual in 50-digit decimal arithmetic
-(``log_residual``).
+(``log_residual``), and the mixed volume of two supports in the plane by
+integer convex hulls (``mixed_volume_2d``), which reads no lifting and no
+solver code.
 
 The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
@@ -340,6 +342,48 @@ def brute_force_mixed_cells(
     cells.sort(key=lambda c: c.edges)
     rows = [row for cell in cells for row in reference_circuit_inequalities(cell, config)]
     return tuple(cells), rows
+
+
+def _hull_2d(points) -> list[tuple[int, int]]:
+    """The vertices of the convex hull of integer points in the plane,
+    counterclockwise (Andrew's monotone chain, exact on Python ints)."""
+    pts = sorted(set((int(x), int(y)) for x, y in points))
+    if len(pts) < 3:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out: list[tuple[int, int]] = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
+def _doubled_area(hull) -> int:
+    """Twice the area of a polygon given by its vertices in order."""
+    return abs(
+        sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
+    )
+
+
+def mixed_volume_2d(system) -> int:
+    """The mixed volume of a system's two supports in Z^2, from integer
+    convex hulls alone: ``area(P + Q) - area(P) - area(Q)``, each area
+    doubled so that every step is an exact Python-int sum.  ``P + Q`` is
+    the hull of all sums of a vertex of P and one of Q.  By Bernstein's
+    theorem and Huber and Sturmfels' mixed subdivisions, the volumes of the
+    mixed cells of any generic lifting add up to it."""
+    first, second = (_hull_2d(s.points) for s in system.supports)
+    total = _hull_2d([(a + c, b + d) for a, b in first for c, d in second])
+    doubled = _doubled_area(total) - _doubled_area(first) - _doubled_area(second)
+    assert doubled % 2 == 0, doubled
+    return doubled // 2
 
 
 def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:

@@ -190,14 +190,16 @@ def test_substitution_at_k1000_pins_todays_losses():
 
 
 def test_substituted_cells_match_brute_force():
-    # Exponents near 10^3 make the product screen keep most candidates
-    # (ROADMAP item 9), and the exact test alone decides them: the cells and
-    # circuits still equal the oracle's, and there are as many as before.
-    m = _unimodular(10**3)
-    for label, system, _, original in _originals()[:13]:
-        transformed, _ = _substitute(system, m)
-        config, lifting = build_cayley(transformed), log_abs_lifting(transformed)
-        got = enumerate_mixed_cells(config, lifting)
-        cells, rows = brute_force_mixed_cells(config, lifting)
-        assert (got.cells, circuit_rows(got.inequalities)) == (cells, rows), label
-        assert len(cells) == len(original.cells.cells), label
+    # Exponents near 10^3 and 10^5 (ROADMAP item 9): the cell screen passes
+    # about as many candidates as there are cells, and the exact test
+    # decides them.  The cells and circuits equal the oracle's, and there
+    # are as many as before.
+    for k in (10**3, 10**5):
+        m = _unimodular(k)
+        for label, system, _, original in _originals()[:13]:
+            transformed, _ = _substitute(system, m)
+            config, lifting = build_cayley(transformed), log_abs_lifting(transformed)
+            got = enumerate_mixed_cells(config, lifting)
+            cells, rows = brute_force_mixed_cells(config, lifting)
+            assert (got.cells, circuit_rows(got.inequalities)) == (cells, rows), (k, label)
+            assert len(cells) == len(original.cells.cells), (k, label)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
@@ -42,9 +43,11 @@ from realhomotopy import (
     solve,
     support_system,
 )
+from reference_reports import reference_solves
 from realhomotopy import lattice, mixed_cells
 from realhomotopy.lattice import Lifting, int_det
-from realhomotopy.mixed_cells import TIE_RTOL, _FloatScreen, _ScreenPlan
+from realhomotopy.mixed_cells import TIE_RTOL, _DualPlan, _DualScreen, _FloatScreen, _ScreenPlan
+import workloads
 
 
 def _lifted(config, lifting, gamma, k):
@@ -268,17 +271,22 @@ class TestScreenEquivalence:
         assert [c.volume for c in cells] == [c.volume * 2**80 for c in unscaled.cells]
 
     def test_more_candidates_than_one_chunk(self, rng, monkeypatch, simplex_chunks):
-        # Dense (4, 4) keeps fewer candidates than one default chunk; a small
-        # prime chunk makes both passes span several chunks, the last partial.
+        # A small prime chunk makes both passes of the general screen span
+        # several chunks on dense (2, 2, 2), the last partial, and the n = 2
+        # screen test its dense (4, 4) candidates in several batches of
+        # ``11 // (pairs kept in block 1)`` pairs of block 0.
         monkeypatch.setattr(mixed_cells, "SCREEN_CHUNK", 11)
-        system = dense_system(4, 4, rng)
+        system = dense_system_n((2, 2, 2), rng)
         screen = _screen(build_cayley(system), log_abs_lifting(system))
-        simplices = 2 * math.comb(len(dense_support(4)), 3)
+        simplices = 3 * math.comb(len(dense_support(2, 3)), 4)
         for rows in (screen.total, simplices):
             assert rows > 11 and rows % 11 != 0
         assert len(simplex_chunks) > 1 and sum(simplex_chunks) == simplices
-        cells = _assert_matches_brute_force(system)
-        assert cells.total_volume() == 16
+        assert _assert_matches_brute_force(system).total_volume() == 8
+        system = dense_system(4, 4, rng)
+        kept = _kept_pairs(_screen(build_cayley(system), log_abs_lifting(system)))
+        assert 11 // len(kept[1]) < len(kept[0])
+        assert _assert_matches_brute_force(system).total_volume() == 16
 
     def test_tie_on_infeasible_candidate_does_not_raise(self):
         # Edges (0, 1), (0, 2) and (1, 2) tie with the other one of points
@@ -289,22 +297,15 @@ class TestScreenEquivalence:
         assert [c.edges for c in cells.cells] == [((0, 3),)]
 
 
-def _product_batch(points, values):
-    """Every candidate of the given blocks (integer points and lifting values
-    per block) as one product-screen batch: the candidates, their rows of
-    pair indices, the screen, and the rows' factors."""
+def _dual_screen(points, values):
+    """The n = 2 screen of two blocks (integer points and lifting values per
+    block), its candidates as per-block local pairs in product order, and
+    the set of those it keeps."""
     sizes = [len(blk) for blk in points]
     config = build_cayley(support_system(points, [[1.0] * t for t in sizes]))
-    plan = _ScreenPlan(config)
-    screen = _FloatScreen(plan, [v for row in values for v in row])
-    # Pair indices of the screen's table: blocks stacked, combinations order.
-    local = [list(itertools.combinations(range(t), 2)) for t in sizes]
-    offsets = list(itertools.accumulate(map(len, local), initial=0))
-    cands = list(itertools.product(*local))
-    rows = np.array(
-        [[off + pairs.index(e) for off, pairs, e in zip(offsets, local, c)] for c in cands]
-    )
-    return cands, rows, screen, plan.factors(rows)
+    screen = _DualPlan(config).screen([v for row in values for v in row])
+    cands = list(itertools.product(*(itertools.combinations(range(t), 2) for t in sizes)))
+    return screen, cands, _survivor_pairs(screen)
 
 
 def _may_pass(points, values, cand):
@@ -316,35 +317,34 @@ def _may_pass(points, values, cand):
     return bool(det) and all(m > -(TIE_RTOL * scale + err) for m, err in margins)
 
 
-def _witness_verdicts(points, values):
-    """Run ``_FloatScreen._witness`` once, as the product screen does, on a
-    batch of every candidate of the given blocks (integer points and lifting
-    values per block), and judge each row by ``oracles.exact_edge_test``.
+def _screen_verdicts(points, values):
+    """Run the n = 2 screen on two blocks (integer points and lifting
+    values per block) and judge every candidate by ``oracles.
+    exact_edge_test``.
 
     Asserts that no candidate the exact test may accept or tie on is
     dropped: one with a nonzero determinant whose every exact margin is
     above ``-TIE_RTOL * scale`` less the exact test's rounding of it.  Also
-    asserts that every exactly singular candidate whose Hadamard bound H in
-    grain units has ``8 H <= 2^33`` is dropped.  Returns those two kinds of
-    candidates, each with its H^2.
+    asserts that every exactly singular candidate is dropped.  Returns those
+    two kinds of candidates, each with ``H^2``, H the Hadamard bound of its
+    edge rows in grain units.
     """
-    cands, rows, screen, factors = _product_batch(points, values)
-    kept = screen._witness(rows, rows, np.arange(len(points))[None, :], 0.0, factors)
+    _, cands, kept = _dual_screen(points, values)
     grain = math.gcd(*(c - o for blk in points for p in blk for c, o in zip(p, blk[0])))
     scale = 1.0 + max(abs(v) for row in values for v in row)
     may_pass, singular = [], []
-    for cand, keep in zip(cands, kept):
+    for cand in cands:
         det, _, margins = exact_edge_test(points, values, cand)
         diffs = [
             [(x - y) // grain for x, y in zip(blk[p], blk[q])]
             for blk, (p, q) in zip(points, cand)
         ]
         hadamard_sq = math.prod(sum(x * x for x in row) for row in diffs)
-        if det == 0 and hadamard_sq <= 2**60:
-            assert not keep, cand
+        if det == 0:
+            assert cand not in kept, cand
             singular.append((cand, hadamard_sq))
-        elif det and all(m > -(TIE_RTOL * scale + err) for m, err in margins):
-            assert keep, cand
+        elif all(m > -(TIE_RTOL * scale + err) for m, err in margins):
+            assert cand in kept, cand
             may_pass.append((cand, hadamard_sq))
     return may_pass, singular
 
@@ -399,16 +399,26 @@ def _adversarial_blocks(rng, aligned):
     return points, values
 
 
+def _tie_only(plan):
+    """A copy of a ``_DualPlan`` whose tolerance keeps only its TIE_RTOL
+    term, every rounding term dropped."""
+    bare = copy.copy(plan)
+    bare.slack = TIE_RTOL * np.where(plan.recip == 0, 1.0, np.abs(plan.recip))
+    bare.level = np.where(np.isinf(plan.level), np.inf, TIE_RTOL)
+    return bare
+
+
 class TestClosedFormWitness:
-    """At n = 2 the closed-form 2 x 2 screen drops only candidates that the
-    exact test rejects, and every provably singular one."""
+    """At n = 2 the closed-form crossing test (Cramer's rule on two dual
+    lines, ``_DualScreen``) drops only candidates that the exact test
+    rejects, and every exactly singular one."""
 
     def test_small_integer_rows(self, rng):
         passing = 0
         for _ in range(12):
             points = _random_blocks(rng, int(rng.integers(4, 8)), 0, 7)
             values = [rng.uniform(-3, 3, size=len(blk)).tolist() for blk in points]
-            passing += len(_witness_verdicts(points, values)[0])
+            passing += len(_screen_verdicts(points, values)[0])
         assert passing > 0
 
     def test_exactly_singular_rows(self, rng):
@@ -420,26 +430,25 @@ class TestClosedFormWitness:
         ]
         for _ in range(5):
             values = [rng.uniform(-3, 3, size=len(blk)).tolist() for blk in points]
-            may_pass, singular = _witness_verdicts(points, values)
+            may_pass, singular = _screen_verdicts(points, values)
             assert len(singular) >= 20 and may_pass
 
     def test_large_coprime_rows(self, rng):
-        # Coordinates up to 2^31 put most products of the 2 x 2 determinant
-        # beyond 2^53, where they round, and H beyond 2^33, where the
-        # singular test stops and only the trusted test guards gamma.
+        # Coordinates up to 2^31 put the integers of the test past 2^53,
+        # where their floats round, and the plan's exact dtype to Python
+        # ints.
         large = 0
         for _ in range(4):
             points = _random_blocks(rng, 5, 2**29, 2**31)
             values = [rng.uniform(-3, 3, size=5).tolist() for _ in points]
-            may_pass, _ = _witness_verdicts(points, values)
+            may_pass, _ = _screen_verdicts(points, values)
             large += sum(h > 2**66 for _, h in may_pass)
         assert large > 0
 
     def test_rounded_determinant(self, rng):
         # A cell whose edge rows have determinant 1 but a float determinant
-        # of 0 or at least 2, so its float gamma is not finite or is off by
-        # that factor.  Each block adds two points far on the side of its
-        # face that the exact gamma puts below it.
+        # of 0 or at least 2.  Each block adds two points far on the side of
+        # its face that the exact gamma puts below it.
         for _ in range(6):
             rows = _near_singular_rows(rng)
             values = [rng.uniform(-3, 3, size=4).tolist() for _ in rows]
@@ -449,32 +458,48 @@ class TestClosedFormWitness:
             sign = [1 if g > 0 else -1 for g in gamma]
             far = [(-sign[0] * 2**24, 0), (0, -sign[1] * 2**24)]
             points = [[(0, 0), r, *far] for r in rows]
-            hadamard_sq = dict(_witness_verdicts(points, values)[0])
+            hadamard_sq = dict(_screen_verdicts(points, values)[0])
             assert hadamard_sq[((0, 1), (0, 1))] > 2**66
 
-    def test_untrusted_rows_are_kept(self):
+    def test_only_exact_singular_rows_are_dropped_as_singular(self, rng):
+        # Edge rows near 2^30: parallel ones (determinant 0) and unimodular
+        # ones (determinant 1) whose float products round.  With every
+        # interval opened to the whole line, the crossing test drops
+        # exactly the rows of determinant 0.
+        for _ in range(6):
+            (a, b), (c, d) = _near_singular_rows(rng)
+            points = [[(0, 0), (a, b), (2 * a, 2 * b), (c, d)], [(0, 0), (c, d), (a, b)]]
+            values = [rng.uniform(-3, 3, size=len(blk)).tolist() for blk in points]
+            screen, cands, _ = _dual_screen(points, values)
+            screen.kept = np.arange(len(screen.plan.first))
+            screen.ends = screen.ends.copy()
+            screen.ends[2], screen.ends[3] = np.inf, -np.inf
+            kept = _survivor_pairs(screen)
+            singular = {c for c in cands if not exact_edge_test(points, values, c)[0]}
+            assert len(singular) >= 3
+            assert kept == set(cands) - singular
+
+    def test_near_parallel_rows_are_kept(self):
         # 400 seeded batches of near-singular cells with far points, aligned
-        # liftings in every other batch.  No row the exact test may pass is
-        # dropped.  Every untrusted row is kept: with the trusted test forced
-        # on, the float margins would drop many of them (the exact test
-        # rejects each of those too, ROADMAP item 7a), so here the trusted
-        # test is what keeps them.
+        # liftings in every other batch.  No candidate the exact test may
+        # pass is dropped.  The tolerance's rounding terms are what keeps
+        # many of them: a screen whose tolerance is TIE_RTOL alone drops
+        # candidates that the exact test may pass.
         rng = np.random.default_rng(7)
-        blocks = np.arange(2)[None, :]
-        untrusted = would_drop = 0
+        kept_total = wrongly_dropped = 0
         for batch in range(400):
             points, values = _adversarial_blocks(rng, aligned=batch % 2 == 0)
-            cands, rows, screen, factors = _product_batch(points, values)
-            kept = screen._witness(rows, rows, blocks, 0.0, factors)
-            forced = factors._replace(trusted=np.ones_like(factors.trusted))
-            strict = screen._witness(rows, rows, blocks, 0.0, forced)
-            loose = ~(factors.trusted | factors.singular)
-            assert kept[loose].all()
-            untrusted += int(loose.sum())
-            would_drop += int((loose & ~strict).sum())
-            for cand in itertools.compress(cands, ~(kept & strict)):
-                assert not _may_pass(points, values, cand), cand
-        assert untrusted > 2000 and would_drop > 1000
+            screen, cands, kept = _dual_screen(points, values)
+            bare = _tie_only(screen.plan).screen(screen.lift.tolist())
+            strict = _survivor_pairs(bare)
+            assert strict <= kept
+            kept_total += len(kept)
+            for cand in cands:
+                if cand not in kept:
+                    assert not _may_pass(points, values, cand), cand
+                elif cand not in strict:
+                    wrongly_dropped += _may_pass(points, values, cand)
+        assert kept_total > 2000 and wrongly_dropped > 50
 
 
 def _exclusion_margin(config, values, cell, k):
@@ -498,8 +523,8 @@ def _exclusion_margin(config, values, cell, k):
 def fresh_plans():
     """Clear the plan cache before and after a test that patches what a
     cached plan would hold or skip (``SCREEN_CHUNK``, ``SMALL_PRODUCT``,
-    ``_simplex_rows``, ``_FloatScreen._witness``), so that no plan outlives
-    its patch."""
+    ``_simplex_rows``, ``_FloatScreen._witness``, ``_DualScreen.
+    survivors``), so that no plan outlives its patch."""
     mixed_cells._cached_plan.cache_clear()
     yield
     mixed_cells._cached_plan.cache_clear()
@@ -520,14 +545,23 @@ def simplex_chunks(monkeypatch, fresh_plans):
     return chunks
 
 
+def _whole_product(plan):
+    """Every candidate of a plan as rows of pair indices, in product order."""
+    shape = tuple(np.diff(plan.pair_starts).tolist())
+    rows = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    return rows + plan.pair_starts[:-1]
+
+
 @pytest.fixture(params=[True, False], ids=["screened", "unscreened"])
 def screened(request, monkeypatch, fresh_plans):
-    """Run with the float screens, or with both keeping every row so that
-    the exact test sees every candidate, as the brute-force loop does."""
+    """Run with the float screens, or with every screen keeping the whole
+    product so that the exact test sees every candidate, as the brute-force
+    loop does."""
     if not request.param:
         monkeypatch.setattr(
             _FloatScreen, "_witness", lambda self, rows, *_: np.ones(len(rows), bool)
         )
+        monkeypatch.setattr(_DualScreen, "survivors", lambda self: _whole_product(self.plan))
     return request.param
 
 
@@ -580,6 +614,20 @@ class TestTiesInTwoVariables:
         cells = _assert_matches_brute_force(DIAMOND, Lifting(values=DIAMOND_VALUES))
         assert cells.total_volume() == 8
 
+    def test_unscreened_keeps_the_whole_product(self, screened):
+        # The switch the tie tests run under: unscreened, every candidate
+        # of DIAMOND's 60 reaches the exact test, singular ones included.
+        config = build_cayley(DIAMOND)
+        screen = mixed_cells._plan(config).screen(DIAMOND_VALUES)
+        rows = screen.survivors().tolist()
+        everything = _whole_product(screen.plan).tolist()
+        assert len(everything) == 60
+        if screened:
+            cells = enumerate_mixed_cells(config, Lifting(values=DIAMOND_VALUES)).cells
+            assert len(rows) == len(cells) < 60
+        else:
+            assert rows == everything
+
     def test_planted_tie_on_a_cell(self, screened):
         got = _assert_matches_brute_force(DIAMOND, _planted_tie())
         assert got[0] is TieDegenerate
@@ -613,13 +661,30 @@ class TestTiesInTwoVariables:
         assert got[0] is TieDegenerate
 
 
+class TestScreenExactness:
+    """On the benchmark corpora the n = 2 screen passes the cells alone."""
+
+    def test_survivors_are_the_cells(self):
+        count = 0
+        for family, label, system, _ in reference_solves():
+            if family not in workloads.WORKLOADS or not label.endswith("@1"):
+                continue
+            config, lifting = build_cayley(system), log_abs_lifting(system)
+            survivors = _survivor_pairs(mixed_cells._plan(config).screen(lifting.values))
+            cells = enumerate_mixed_cells(config, lifting).cells
+            assert survivors == {tuple(tuple(sorted(e)) for e in c.edges) for c in cells}, label
+            count += 1
+        assert count == 93
+
+
 def _screen(config, lifting):
-    """A float screen on a plan built with ``SMALL_PRODUCT`` at 0, so the
-    simplex pass runs on small supports too."""
+    """The screen of a lifting on a fresh plan: the n = 2 screen at n = 2,
+    else the general one with ``SMALL_PRODUCT`` at 0, so that the simplex
+    pass runs on small supports too."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mixed_cells, "SMALL_PRODUCT", 0)
-        plan = _ScreenPlan(config)
-    return _FloatScreen(plan, lifting.values)
+        plan = mixed_cells._build_plan(config)
+    return plan.screen(lifting.values)
 
 
 def _local_pairs(plan, pairs):
@@ -631,7 +696,7 @@ def _local_pairs(plan, pairs):
 
 
 def _survivor_pairs(screen):
-    """The product screen's survivors as a set of per-block local pairs."""
+    """A screen's survivors as a set of per-block local pairs."""
     rows = screen.survivors()
     return {tuple(_local_pairs(screen.plan, row)) for row in rows}
 
@@ -674,7 +739,8 @@ def _assert_keeps_upper_edges(system, lifting=None, generic=False, hull=None):
 
 
 class TestUpperEdgeScreen:
-    """The per-block pass keeps every upper-hull edge of every block."""
+    """Each block keeps every upper-hull edge: the per-block pass of the
+    general screen, and the nonempty intervals of the n = 2 screen."""
 
     def test_random_n2_keeps_exactly_the_edges(self, rng):
         for _ in range(25):
@@ -697,23 +763,59 @@ class TestUpperEdgeScreen:
             _assert_keeps_upper_edges(system, Lifting(values=ints))
             _assert_keeps_upper_edges(system, Lifting(values=dyadic(nums, shifts)))
 
+    def test_exact_liftings_n3(self, rng):
+        for _ in range(4):
+            system = random_sparse_system(rng, n=3, min_terms=5, max_terms=6)
+            m = sum(len(s) for s in system.supports)
+            ints = tuple(float(v) for v in rng.integers(-3, 4, size=m))
+            nums = rng.integers(-50, 51, size=m)
+            shifts = rng.integers(0, 3, size=m)
+            _assert_keeps_upper_edges(system, Lifting(values=ints))
+            _assert_keeps_upper_edges(system, Lifting(values=dyadic(nums, shifts)))
+
     def test_supports_scaled_by_2_40(self, rng):
         # Scaling the supports scales gamma and keeps the upper-hull edges.
-        for _ in range(6):
-            system = random_sparse_system(rng, n=2, min_terms=4, max_terms=6)
-            _assert_keeps_upper_edges(
-                _scaled(system, 2**40), log_abs_lifting(system), hull=system
-            )
+        for n, count in ((2, 6), (3, 3)):
+            for _ in range(count):
+                system = random_sparse_system(rng, n=n, min_terms=4, max_terms=6)
+                _assert_keeps_upper_edges(
+                    _scaled(system, 2**40), log_abs_lifting(system), hull=system
+                )
 
     def test_collinear_block_keeps_every_pair(self):
+        # The general screen keeps every pair of a block that does not span
+        # R^n: block 0 lies on a line in R^3.
+        system = support_system(
+            [
+                [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4], [5, 5, 5]],
+                [[0, 0, 0], [2, 0, 1], [0, 1, 0], [1, 1, 2], [1, 3, 0], [0, 0, 2]],
+                [[0, 0, 0], [1, 0, 0], [0, 2, 1], [1, 1, 1], [3, 0, 1], [0, 1, 3]],
+            ],
+            [
+                [1.0, -2.5, 0.7, 3.0, -0.4, 1.9],
+                [2.0, -0.3, 1.5, -4.0, 0.2, 0.9],
+                [-1.2, 0.6, 2.2, -0.8, 3.1, 0.35],
+            ],
+        )
+        screen = _screen(build_cayley(system), log_abs_lifting(system))
+        assert screen.plan.screened == (1, 2)
+        kept = _assert_keeps_upper_edges(system)
+        assert kept[0] == list(itertools.combinations(range(6), 2))
+        assert len(kept[1]) < math.comb(6, 2)
+        _assert_matches_brute_force(system)
+
+    def test_collinear_block_keeps_its_line_edges(self):
+        # At n = 2 a block on a line keeps the pairs that no point of the
+        # line rises above: the upper edges of its points lifted over the
+        # line, here (0, 1), (1, 3) and every pair of the tied 1, 2, 3.
         system = support_system(
             [[[0, 0], [1, 1], [2, 2], [3, 3]], [[0, 0], [2, 0], [0, 1], [1, 1], [1, 3]]],
-            [[1.0, -2.5, 0.7, 3.0], [2.0, -0.3, 1.5, -4.0, 0.2]],
+            [[1.0, 2.0, 2.0, 2.0], [2.0, -0.3, 1.5, -4.0, 0.2]],
         )
+        lifting = log_abs_lifting(system)
         kept = _assert_keeps_upper_edges(system)
-        assert kept[0] == list(itertools.combinations(range(4), 2))
-        assert len(kept[1]) < math.comb(5, 2)
-        _assert_matches_brute_force(system)
+        assert kept[0] == [(0, 1), (1, 2), (1, 3), (2, 3)]
+        _assert_matches_brute_force(system, lifting)
 
     def test_univariate_ties(self):
         system = support_system([[[0], [1], [2], [3]]], [[1.0, 1.0, 1.0, 1.0]])
@@ -789,21 +891,35 @@ def _unbalanced(rng, large, small):
     return support_system(supports, coefficients)
 
 
+def _unbalanced_n3(rng, large, small):
+    """A system in three variables with a block of ``large`` random points,
+    a fixed 2-point block and a fixed block of ``small`` points (2 or 5)."""
+    grid = [[i, j, k] for i in range(4) for j in range(4) for k in range(4)]
+    chosen = sorted(rng.choice(len(grid), size=large, replace=False).tolist())
+    blocks = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    supports = [[grid[k] for k in chosen], [[0, 0, 0], [1, 1, 0]], blocks[:small]]
+    coefficients = [
+        [float(s) * float(np.exp(rng.uniform(-3.0, 3.0))) for s in signs]
+        for signs in (rng.choice([-1.0, 1.0], len(pts)) for pts in supports)
+    ]
+    return support_system(supports, coefficients)
+
+
 class TestScreenCost:
     """A block is screened only while its simplices cost no more than the
     candidates they could cut."""
 
     def test_unbalanced_supports(self, rng, simplex_chunks):
         rows = simplex_chunks
-        # 60 points have C(60, 3) = 34,220 simplices, more than the 1,770
-        # and 10,620 candidates; the spanning 4-point block has 4.
-        for small, screened in ((2, ()), (4, (1,))):
-            system = _unbalanced(rng, 60, small)
+        # 14 points have C(14, 4) = 1,001 simplices, more than the 91 and
+        # 910 candidates; the spanning 5-point block has 5.
+        for small, screened in ((2, ()), (5, (2,))):
+            system = _unbalanced_n3(rng, 14, small)
             rows.clear()
             screen = _screen(build_cayley(system), log_abs_lifting(system))
             assert screen.plan.screened == screened
-            assert sum(rows) == sum(math.comb(4, 3) for _ in screened)
-            assert sum(rows) <= math.comb(60, 2) * math.comb(small, 2)
+            assert sum(rows) == sum(math.comb(5, 4) for _ in screened)
+            assert sum(rows) <= math.comb(14, 2) * math.comb(small, 2)
             _assert_matches_brute_force(system)
 
 
@@ -878,21 +994,54 @@ class TestScreenPlan:
         assert warm[0] != warm[1]
 
     def test_plan_arrays_are_read_only(self, rng):
-        # DIAMOND's plan holds its 60-candidate product and the product's
-        # factors; dense (2, 2, 2), with 3,375 candidates, holds simplices.
-        for system, count in ((DIAMOND, 15), (dense_system_n((2, 2, 2), rng), 13)):
+        # DIAMOND's n = 2 plan holds its edges, slopes, projections and
+        # tolerance factors.  At n = 3 a 4-term support's plan holds its
+        # 216-candidate product and the product's factors, and dense
+        # (2, 2, 2), with 3,375 candidates, holds simplices.
+        small = random_sparse_system(rng, n=3, min_terms=4, max_terms=4)
+        cases = ((DIAMOND, 15), (small, 14), (dense_system_n((2, 2, 2), rng), 15))
+        for system, count in cases:
             plan = mixed_cells._plan(build_cayley(system))
             assert plan.ints.dtype == np.int64
-            assert (plan.product is not None) == (system is DIAMOND)
+            product = getattr(plan, "product", None)
+            assert (product is not None) == (system is small)
             arrays = list(_plan_arrays(list(vars(plan).values())))
             assert len(arrays) >= count
-            assert all(any(a is b for b in arrays) for a in _plan_arrays(plan.product))
+            assert all(any(a is b for b in arrays) for a in _plan_arrays(product))
             for array in arrays:
                 first = (0,) * array.ndim
                 with pytest.raises(ValueError):
                     array[first] = array[first]
 
+    def test_huge_exponents_plan_holds_no_floats(self):
+        # Exponents near 10^200 put the slopes' floats out of range: the
+        # plan holds none, and its screen keeps every nonsingular candidate.
+        big = 10**200
+        system = support_system(
+            [[[0, 0], [big, 1], [1, 0]], [[0, 0], [0, 1], [1, big], [1, 1]]],
+            [[1.0, -2.0, 3.0], [1.0, -3.0, 2.0, 0.5]],
+        )
+        config = build_cayley(system)
+        plan = mixed_cells._plan(config)
+        assert not plan.floats and plan.ints.dtype == object
+        with np.errstate(all="raise"):
+            rows = plan.screen(log_abs_lifting(system).values).survivors()
+        everything = _whole_product(plan).tolist()
+        kept = [
+            row
+            for row in everything
+            if int_det(
+                [
+                    [x - y for x, y in zip(config.base_point(a), config.base_point(b))]
+                    for a, b in zip(plan.first[row], plan.second[row])
+                ]
+            )
+        ]
+        assert rows.tolist() == kept and len(kept) < len(everything)
+
     def test_second_solve_builds_no_plan(self, rng, monkeypatch, simplex_chunks):
+        # Dense (2, 2, 2) runs the simplex pass: a cold plan decides its
+        # blocks' spans and builds simplex rows, a warm one neither.
         spans = []
         spans_space = mixed_cells._spans_space
 
@@ -901,7 +1050,7 @@ class TestScreenPlan:
             return spans_space(*args)
 
         monkeypatch.setattr(mixed_cells, "_spans_space", counting)
-        first, second = dense_system(3, 3, rng), dense_system(3, 3, rng)
+        first, second = dense_system_n((2, 2, 2), rng), dense_system_n((2, 2, 2), rng)
         _enumeration(first)
         calls = len(spans), len(simplex_chunks)
         assert min(calls) > 0
@@ -911,10 +1060,11 @@ class TestScreenPlan:
         assert _enumeration(second) == got
 
     def test_small_support_screens_once(self, rng, monkeypatch, simplex_chunks):
-        # DIAMOND's pair product has 60 candidates, at most SMALL_PRODUCT:
-        # its cold plan decides no block's span, builds no simplex row and
-        # takes the product's factors once, and a second solve on the
-        # support builds no factors and makes one ``_witness`` call.
+        # A 4-term n = 3 support's pair product has 216 candidates, at most
+        # SMALL_PRODUCT: its cold plan decides no block's span, builds no
+        # simplex row and takes the product's factors once, and a second
+        # solve on the support builds no factors and makes one ``_witness``
+        # call.
         calls = []
 
         def counting(name, fn):
@@ -928,11 +1078,12 @@ class TestScreenPlan:
         monkeypatch.setattr(mixed_cells, "_spans_space", spans_space)
         monkeypatch.setattr(_ScreenPlan, "factors", counting("factors", _ScreenPlan.factors))
         monkeypatch.setattr(_FloatScreen, "_witness", counting("witness", _FloatScreen._witness))
-        supports = [s.points for s in DIAMOND.supports]
+        system = random_sparse_system(rng, n=3, min_terms=4, max_terms=4)
+        supports = [s.points for s in system.supports]
         solves = []
         for _ in range(2):
-            signs = rng.choice([-1.0, 1.0], 9) * np.exp(rng.uniform(-3, 3, 9))
-            system = support_system(supports, [signs[:5].tolist(), signs[5:].tolist()])
+            signs = rng.choice([-1.0, 1.0], 12) * np.exp(rng.uniform(-3, 3, 12))
+            system = support_system(supports, signs.reshape(3, 4).tolist())
             calls.clear()
             solves.append(_enumeration(system))
             assert not isinstance(solves[-1], str)
@@ -940,14 +1091,15 @@ class TestScreenPlan:
         assert calls == ["witness"]
 
     def test_small_product_bound_changes_no_enumeration(self, rng, monkeypatch, fresh_plans):
-        # At SMALL_PRODUCT 0 every support runs the simplex pass; at the
-        # default a small one screens its whole product in one batch.  Cells,
-        # tables, values and TieDegenerate messages are the same either way.
-        cases = [(random_sparse_system(rng, n=2, min_terms=3, max_terms=7), None) for _ in range(12)]
-        cases += [(random_sparse_system(rng, n=3, min_terms=3, max_terms=5), None) for _ in range(6)]
+        # At SMALL_PRODUCT 0 every n = 3 support runs the simplex pass; at
+        # the default a small one screens its whole product in one batch.
+        # Cells, tables, values and TieDegenerate messages are the same
+        # either way.  The bound leaves n = 2 alone: DIAMOND's cases and its
+        # planted tie read the same.
+        cases = [(random_sparse_system(rng, n=3, min_terms=3, max_terms=5), None) for _ in range(8)]
         cases += [(DIAMOND, Lifting(values=DIAMOND_VALUES)), (DIAMOND, _planted_tie())]
-        for _ in range(12):
-            supports = [s.points for s in random_sparse_system(rng, n=2).supports]
+        for _ in range(24):
+            supports = [s.points for s in random_sparse_system(rng, n=3, max_terms=5).supports]
             small = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
             coeffs = [rng.choice(small, len(points)).tolist() for points in supports]
             cases.append((support_system(supports, coeffs), None))
