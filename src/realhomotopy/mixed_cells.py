@@ -13,57 +13,51 @@ decides a candidate by the signs of its circuits, which are also the
 inequalities the certificate checks.
 
 Candidates are the per-block point pairs in ``itertools.product`` order.
-Float screens in numpy discard candidates before the exact test, and only
-ever discard: their tolerances make each candidate they drop one the exact
+A float screen in numpy discards candidates before the exact test, and only
+ever discards: its tolerances make each candidate it drops one the exact
 test rejects.  Every survivor is decided by the exact test (integer
 determinant and circuits, and the signs and ties of the circuits' values on
 the lifting), so cells, normals, circuits and TieDegenerate are those of
 the exact test run on every candidate.
 
-At n = 2 the mixed cells are the crossings of the two tropical curves, each
-dual to the subdivision the lifting induces on its block (Huber and
-Sturmfels 1995; Maclagan and Sturmfels 2015), and the screen is built on
-those dual edges (``_DualScreen``).  The gammas that level a point pair
-form a line, and the pair's dual edge is one interval on it, found per pair
-from the integer slopes of the block's other points along the line; an
-empty interval means the pair is no upper edge.  A candidate pairs one
-point pair of each block: an exactly zero integer determinant drops it as
-singular, and otherwise Cramer's rule puts its gamma on each of the two
-lines, and it survives when both parameters lie in their intervals, each
-widened by a tolerance with a written rounding argument.  That is O(1) per
-candidate, and exponents near 10^5 make it keep no more candidates than
-small ones do (ROADMAP item 9).
+One screen serves every n, an LP-free variant of the depth-first extension
+of MixedVol (Gao, Li and Wu 2005).  The gammas that level n - 1 independent
+point pairs form a line, whose direction is exact integers, the (n-1)-minors
+of the pairs' edges (``_Lines``).  The points of those pairs' blocks cut the
+line to one interval, read from their integer slopes along it and widened by
+a tolerance with a written rounding argument (``_Cut``).  At n = 2 a line is
+one pair and its interval the pair's dual edge: the mixed cells are the
+crossings of the two tropical curves, each dual to the subdivision the
+lifting induces on its block (Huber and Sturmfels 1995; Maclagan and
+Sturmfels 2015).  The screen (``_Screen``) runs two passes.  At n >= 3 a
+block pass keeps a pair only if some affinely independent n-point subset of
+its block that holds the pair has a nonempty interval; at n = 2 these
+subsets are the pairs themselves.  The crossing test then takes, for each
+middle (one kept pair of each of blocks 1..n-2), the lines through it and a
+kept pair of block 0, cut by blocks 0..n-2, and the lines through it and a
+kept pair of block n-1, cut by block n-1.  Each candidate's gamma lies on one
+line of each: an exactly zero integer determinant drops it as singular, and
+otherwise Cramer's rule puts its gamma on both lines, and it survives when
+both parameters lie in their intervals.  That is O(1) per candidate, and
+with exponents near 10^5 at n = 2, or 10^3 at n = 3, it keeps about as
+few candidates as with small ones (ROADMAP items 9 and 17).  At n = 1 the gammas
+that level a pair form a point, no line exists, and every candidate reaches
+the exact test.
 
-At every other n the screens are a batched float test in two passes.  The
-first looks at each block alone: it keeps a point pair of the block only
-if some (n+1)-point simplex of the block through the pair has a float gamma
-that leaves no point of the block clearly above the simplex's face (an edge
-of the lifted upper hull lies in an upper facet, which supplies such a
-simplex).  Candidates become the product of the kept pairs.  The second
-looks at them a chunk at a time and discards those that are provably
-singular or whose float gamma leaves some point clearly above its block's
-face.  A configuration whose whole pair product has at most SMALL_PRODUCT
-candidates skips the first pass: the second screens the whole product in
-one batch.  Each row's determinant and gamma come from ``np.linalg.det``
-and ``np.linalg.solve``.
+The screen is split in two.  A plan (``_Plan``) holds all it reads of the
+configuration alone: the base points in the exact dtype, the pair tables,
+each pair's edge in grain units, and at n = 2 every pair's line and its cut
+by its block.  A screen adds one lifting; at n >= 3 it builds the lines of
+both passes per solve, a chunk at a time, as they depend on the pairs the
+lifting keeps.  Coefficient vectors on one support are this solver's
+natural traffic (the certificate lives in the coefficient space of a fixed
+support), so plans are cached, keyed by the configuration's value, its
+points included; only plans of at most SCREEN_CHUNK pairs are, which bounds
+the cache's memory, and larger ones are built per solve.  That LRU cache is
+the screen's only one.  Cells themselves are not memoized: a cell depends
+on the lifting.
 
-Each screen is split in two.  A plan (``_DualPlan`` at n = 2, else
-``_ScreenPlan``) holds all it reads of the configuration alone: the base
-points in the exact dtype, the pair tables, and at n = 2 each pair's edge,
-line direction and the slopes and projections of its block's points,
-elsewhere the screened blocks, grain-unit rows and the rows of the simplex
-pass, or of a small product, with each row's determinant, singular and
-trusted tests and solve matrix.  A pass (``_DualScreen`` or
-``_FloatScreen``) adds one lifting.  Coefficient vectors on one support
-are this solver's natural traffic (the certificate lives in the
-coefficient space of a fixed support), so plans are cached, keyed by the
-configuration's value, its points included; only plans of at most
-SCREEN_CHUNK pairs are, which bounds the cache's memory, and larger ones
-are built per solve.  That LRU cache is the screens' only one: a plan
-built cold builds its own pair tables and simplex rows.  Cells themselves
-are not memoized: a cell depends on the lifting.
-
-Survivors leave the screens as one array of rows of pair indices, one column
+Survivors leave the screen as one array of rows of pair indices, one column
 per block, and stay arrays up to the circuit table: the plan's pair tables
 give each edge's Cayley endpoints, one comparison of the lifting puts the
 lower-lifted one first, and the plan's exact points and the lifting give the
@@ -93,7 +87,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,11 +103,6 @@ TIE_RTOL = 1e-12
 # Candidates per float-screen batch: the screens' arrays have about this
 # many rows whatever the candidate count.
 SCREEN_CHUNK = 4096
-# At n != 2, a configuration whose whole pair product has at most this many
-# candidates screens no block: its plan holds the product's rows and their
-# factors, and a solve screens them in one batch.  Set by measurement on
-# fresh supports.
-SMALL_PRODUCT = 512
 _EPS = float(np.finfo(float).eps)
 
 
@@ -258,44 +247,6 @@ def _pair_tables(sizes: tuple[int, ...]) -> tuple:
     return starts[:-1], first, second, pair_starts
 
 
-def _simplex_rows(
-    sizes: Sequence[int],
-    screened: Sequence[int],
-    starts: np.ndarray,
-    pair_starts: np.ndarray,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (n+1)-point simplices of the ``screened`` blocks, a chunk at a time.
-
-    ``starts`` (each block's first point) and ``pair_starts`` are the plan's,
-    from ``_pair_tables``.  Yields at most SCREEN_CHUNK rows at a time, each
-    with its block (a column).  Rows follow ``combinations(range(t), n + 1)``
-    block by block and hold the index of each pair of the simplex among all
-    pairs (blocks' pairs stacked as in ``_pair_tables``), pairs in
-    combinations order, so the first n pairs join the simplex's smallest
-    point to each of its other points.
-    """
-    k = len(sizes) + 1
-    firsts, seconds = map(list, zip(*itertools.combinations(range(k), 2)))
-    # Simplices of flat point indices, so that a row's first point gives
-    # its block; streamed as plain ints for np.fromiter.
-    points = itertools.chain.from_iterable(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(starts[i], starts[i] + sizes[i]), k)
-        )
-        for i in screened
-    )
-    while True:
-        flat = np.fromiter(itertools.islice(points, SCREEN_CHUNK * k), np.intp)
-        if not flat.size:
-            return
-        table = flat.reshape(-1, k)
-        owner = np.searchsorted(starts, table[:, :1], side="right") - 1
-        table -= starts[owner]
-        a, b = table[:, firsts], table[:, seconds]
-        t = np.asarray(sizes)[owner]
-        yield a * (2 * t - a - 1) // 2 + (b - a - 1) + pair_starts[owner], owner
-
-
 def _exact_dtype(n: int, largest: int) -> type:
     """The dtype of the exact arrays for base points in Z^n whose
     coordinates are at most ``largest`` in size: int64 when
@@ -322,43 +273,102 @@ def _exact_dtype(n: int, largest: int) -> type:
     return object
 
 
-def _spans_space(points: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether the points affinely span R^n, decided exactly.
+def _minors(rows: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Every maximal minor of a stack of r x n integer matrices, exactly.
 
-    The difference rows D (``p_k - p_0``) have rank n exactly when their
-    n x n Gram matrix ``D^T D`` is nonsingular, as ``rank D = rank D^T D``;
-    its Python-int determinant holds at any coordinate size.
+    Keyed by an r-subset of the columns in increasing order, each value is
+    the determinant of the r rows on those columns, one per matrix, in the
+    arrays' dtype.  The minors of the first i rows give those of the first
+    i + 1 by Laplace expansion along row i: ``n 2^(n-1)`` products of an
+    entry and a minor at r = n - 1.
     """
-    origin = points[0]
-    rows = [[c - o for c, o in zip(p, origin)] for p in points[1:]]
-    gram = [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
-    return det_adjugate(gram)[0] != 0
+    count, r, n = rows.shape
+    if not r:
+        return {(): np.ones(count, dtype=rows.dtype)}
+    level = {(j,): rows[:, 0, j] for j in range(n)}
+    for i in range(1, r):
+        grown: dict[tuple[int, ...], np.ndarray] = {}
+        for cols, minor in level.items():
+            for j in range(n):
+                if j in cols:
+                    continue
+                term = minor * rows[:, i, j]
+                # Row i's entry in column j takes the parity of the
+                # subset's columns after j.
+                if sum(c > j for c in cols) % 2:
+                    term = -term
+                key = tuple(sorted((*cols, j)))
+                grown[key] = grown[key] + term if key in grown else term
+        level = grown
+    return level
 
 
-class _Factors(NamedTuple):
-    """The coefficient-free half of ``_FloatScreen._witness`` for a batch.
+def _frames(units: np.ndarray) -> np.ndarray:
+    """The frame of each line, from the edges U (n - 1 rows in grain units)
+    of the pairs it levels, exactly: one n x n integer matrix per line.
 
-    ``matrix`` holds each row's matrix U (the grain-unit rows of its n
-    pairs), as ``np.linalg.solve`` takes it, an identity standing in for
-    each untrusted one.  ``singular``, ``trusted`` and ``inverse`` (the
-    bound on ``||U^-1||_2``) are per row.
+    Row n - 1 is the direction d, the signed (n-1)-minors of U, so that
+    ``<d, x> = det [U; x]``; d is 0 exactly when the pairs are dependent,
+    and ``(-u_1, u_0)`` at n = 2.  Row i < n - 1 is ``cof_i``, so that
+    ``<cof_i, x>`` is the determinant of ``M = [U; d]`` with row i replaced
+    by x (Cramer's numerator).  As ``U d = 0``, ``adj M = [U^T adj G, d]``
+    with ``G = U U^T`` and ``det G = |d|^2 = det M`` (Cauchy-Binet), so
+    ``cof_i = U^T adj(G) e_i``: u itself at n = 2.
     """
-
-    matrix: np.ndarray
-    singular: np.ndarray
-    trusted: np.ndarray
-    inverse: np.ndarray
+    count, k, n = units.shape
+    everything, inner = tuple(range(n)), tuple(range(k))
+    frame = np.empty((count, n, n), dtype=units.dtype)
+    top = _minors(units)
+    for j in range(n):
+        minor = top[everything[:j] + everything[j + 1 :]]
+        frame[:, -1, j] = -minor if (n - 1 - j) % 2 else minor
+    if k == 1:
+        # The adjugate of a 1 x 1 Gram matrix is 1.
+        frame[:, 0] = units[:, 0]
+        return frame
+    gram = units @ units.transpose(0, 2, 1)
+    for i in range(k):
+        minors = _minors(gram[:, inner[:i] + inner[i + 1 :]])
+        terms = []
+        for j in range(k):
+            # adj(G)[j, i] is (-1)^(i+j) times the minor of G without row i
+            # and column j.
+            term = minors[inner[:j] + inner[j + 1 :]][:, None] * units[:, j]
+            terms.append(-term if (i + j) % 2 else term)
+        frame[:, i] = sum(terms[1:], terms[0])
+    return frame
 
 
 class _Plan:
-    """What every plan holds of a configuration: the pair tables (each
-    pair's Cayley endpoints ``first`` and ``second``, each block's first
-    point ``starts`` and first pair ``pair_starts``), each point's block,
-    the base points as ``ints`` in the exact dtype (``_exact_dtype``), and
-    the grain, the gcd of all differences (taken from each point's
-    difference to its block's first point).  The circuit table reads these
-    too.  One plan serves every coefficient vector on its support (``_plan``
-    caches it), so every array a plan holds is read only.
+    """What the screen reads of a configuration, whatever its lifting.
+
+    The pair tables (each pair's Cayley endpoints ``first`` and ``second``,
+    each block's first point ``starts`` and first pair ``pair_starts``),
+    each point's block, the base points as ``ints`` in the exact dtype
+    (``_exact_dtype``), and the grain, the gcd of all differences (taken
+    from each point's difference to its block's first point).  The circuit
+    table reads these too.  Each pair's edge in grain units, ``u = (a - b)
+    / grain``, is in ``units``; with floats, ``norm`` holds each ``|u|`` and
+    ``reach`` each block's largest.  At n = 2 the plan also holds
+    ``lines``, the line of every pair (``_Lines``), and ``cut``, those
+    lines cut by their blocks (``_Cut``): the lifting-free half of the
+    whole screen.  One plan serves every
+    coefficient vector on its support (``_plan`` caches it), so every array
+    a plan holds is read only.
+
+    Every integer of a line is at most ``n^2 reach^(2n-2)`` in size, with
+    reach the largest ``|u|``: by Hadamard's inequality d's entries, its
+    (n-1)-minors, are at most ``reach^(n-1)``, the entries of its other
+    frame rows, (n-1)-minors of ``[U; d]``, at most ``reach^(2n-3)``, and
+    their products with a difference (slopes, projections, D and the
+    P_i) and every partial sum of the expansions that make them at most
+    ``n^2 reach^(2n-2)``.  Below 2^62, ``units``
+    and every integer computed from them are int64, exact, and their floats
+    within a relative half ulp of the integers; otherwise they are Python
+    ints in object arrays.  Where that bound reaches 2^1000, exponents near
+    10^150 among them, the floats would leave the float range: such a plan
+    holds no floats (``floats`` is False) and its screen drops only exactly
+    singular candidates.
     """
 
     def __init__(self, config: CayleyConfig) -> None:
@@ -368,357 +378,475 @@ class _Plan:
         sizes = self.sizes = tuple(config.block.count(i) for i in range(n))
         self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
         self.block = np.array(config.block, dtype=np.intp)
-        largest = self.largest = max(abs(c) for point in base for c in point)
+        largest = max(abs(c) for point in base for c in point)
         ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest)).reshape(-1, n)
         to_first = ints - ints[np.repeat(self.starts, sizes)]
         self.grain = math.gcd(*to_first.ravel().tolist())
-
-    def _freeze(self, *arrays: np.ndarray) -> None:
-        """Make the plan's arrays, and ``arrays`` beside them, read only."""
-        for array in itertools.chain(vars(self).values(), arrays):
+        units = (ints[self.first] - ints[self.second]) // self.grain
+        square = (units * units).sum(axis=1)
+        bound = n * n * int(square.max()) ** (n - 1)
+        self.units = units.astype(np.int64 if bound < 2**62 else object, copy=False)
+        self.floats = bound < 2**1000
+        if self.floats:
+            square = square.astype(float)
+            self.norm = np.sqrt(square)
+            self.reach = np.sqrt(np.maximum.reduceat(square, self.pair_starts[:-1]))
+        if n == 2:
+            # Blocks of fewer points than the largest pad their rows with
+            # a's own column, a point of slope and projection 0 that the
+            # rule of the line's own points leaves out.
+            owner = self.block[self.first]
+            local = np.arange(max(sizes))
+            inside = local < np.asarray(sizes)[owner][:, None]
+            cols = np.where(inside, self.starts[owner][:, None] + local, self.first[:, None])
+            pairs = np.arange(len(self.first))
+            self.lines = _Lines(self, pairs[:, None], 1 - owner)
+            self.cut = _Cut(self, self.lines, slice(None), cols, pairs[:, None])
+        parts = (self, self.lines, self.cut) if n == 2 else (self,)
+        for array in itertools.chain(*(vars(part).values() for part in parts)):
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
 
+    def screen(self, lifting: Sequence[float]) -> _Screen:
+        return _Screen(self, lifting)
 
-class _DualPlan(_Plan):
-    """What the n = 2 screen reads of a configuration, whatever its lifting.
 
-    At n = 2 the mixed cells of a lifting are the points where the two
-    tropical curves cross, each curve dual to the subdivision the lifting
-    induces on its block (Huber and Sturmfels 1995).  A pair p = (a, b) of
-    a block is an edge of that subdivision when the gammas that level a and
-    b, a line, keep a segment below which no other point of the block
-    rises: the dual edge.  Everything is in grain units: ``frame`` holds
-    each pair's edge ``u = (a - b) / grain`` and the direction ``d = (-u_1,
-    u_0)`` of its line in the exact dtype, and per pair and point k of its
-    block, ``cols`` holds k's Cayley index and ``proj`` the integer ``<u,
-    v>``, with ``v = (k - a) / grain``; ``up`` and ``down`` mark the points
-    of positive and negative slope, the integer ``<d, v> = det(u, v)``, and
-    ``recip`` holds ``-1 / slope``.  Blocks of fewer points than the largest
-    pad their rows with a's own column, a point of slope and projection 0,
-    as a itself is.  ``n2`` holds ``|u|^2``.  ``slack`` and ``level`` are
-    the per-point factors of the screen's tolerance (``_DualScreen``),
-    lifting-free.
+class _Lines:
+    """Lines of gammas, each levelling n - 1 point pairs.
 
-    Integers are exact floats wherever the base points fit int64
-    (``_exact_dtype``: every entry here is then below 2^51), and floats
-    within a relative half ulp of the exact integer otherwise.  Where
-    ``8 * largest^2`` reaches 2^1000, exponents near 10^200 among them,
-    those floats would leave the float range: such a plan holds no floats
-    (``floats`` is False) and its screen drops only exactly singular
-    candidates.
+    Line l levels the pairs ``rows[l]`` (pair indices).  In grain units,
+    with U the line's edges, d its direction and ``cof_i`` the rows of its
+    ``frame`` (``_frames``), the gammas that level the pairs are ``gamma(s)
+    = g0 + s d``, with g0 the solution of ``U g0 = r`` and ``<d, g0> = 0``,
+    where ``r_i = (w_b - w_a) / grain`` for pair i = (a, b).  By Cramer's
+    rule on ``M = [U; d]``, whose determinant is ``|d|^2``, ``<g0, x> =
+    sum_i rho_i <cof_i, x>`` with ``rho = r / |d|^2`` (``rho``).  ``det``
+    holds ``|d|^2`` exactly, 0 for a line of dependent pairs, and ``n2`` it
+    as a float.  Lines that a crossing test reads are made with ``far``,
+    the block whose pair its candidates add, and hold ``spread``, that
+    block's largest ``|u|`` times ``sum_i prod_{j != i} |u_j|`` over the
+    line's pairs (1 at n = 2), a factor of their tolerance (``_Screen``).
     """
 
-    def __init__(self, config: CayleyConfig) -> None:
-        super().__init__(config)
-        sizes, grain = self.sizes, self.grain
-        ints = self.ints
-        width = max(sizes)
-        owner = self.block[self.first]
-        local = np.arange(width)
-        inside = local < np.asarray(sizes)[owner][:, None]
-        cols = self.starts[owner][:, None] + local
-        self.cols = np.where(inside, cols, self.first[:, None])
-        units = (ints[self.first] - ints[self.second]) // grain
-        # Each pair's edge u and the direction d of its line, so that one
-        # product with the edges of the other block gives <u_p, u_q> and
-        # det(u_p, u_q) = <d_p, u_q>.
-        self.frame = np.stack((units, units[:, ::-1] * np.array([-1, 1])), axis=1)
-        diffs = (ints[self.cols] - ints[self.first][:, None, :]) // grain
-        slope = (self.frame[:, None, 1] * diffs).sum(axis=2)
-        proj = (self.frame[:, None, 0] * diffs).sum(axis=2)
-        self.floats = 8 * self.largest**2 < 2**1000
-        if self.floats:
-            slope = slope.astype(float)
-            self.proj = proj.astype(float)
-            self.n2 = (units * units).sum(axis=1).astype(float)
-            reach = np.sqrt(np.maximum.reduceat(self.n2, self.pair_starts[:-1]))
-            far = reach[1 - owner]
-            self.up, self.down = slope > 0, slope < 0
-            # -1 / slope, which takes beta from c, and 0 at slope 0.
-            flat = slope == 0
-            self.recip = -1.0 / np.where(flat, -np.inf, slope)
-            # The tolerance of ``_DualScreen`` over ``scale / grain``: for a
-            # point of nonzero slope, how far it widens the end the point
-            # binds, in s; for a point of slope 0 other than a and b (and
-            # the padding, a's own column), the bound on its c.
-            size = np.abs(slope)
-            norm = np.sqrt(self.n2)[:, None]
-            head = TIE_RTOL + 64 * _EPS * (1.0 + np.abs(self.proj) / self.n2[:, None])
-            length = np.hypot(slope, self.proj) / norm
-            lean = 64 * _EPS * (size + length + norm) * far[:, None]
+    def __init__(self, plan: _Plan, rows: np.ndarray, far=None) -> None:
+        self.rows = rows
+        self.frame = _frames(plan.units[rows])
+        self.det = (self.frame[:, -1] * self.frame[:, -1]).sum(axis=1)
+        self.spread = None
+        if plan.floats:
+            self.n2 = self.det.astype(float)
+            if far is not None:
+                # sum_i prod_{l != i} |u_l|, the elementary symmetric
+                # polynomial of degree k - 1 in the norms: 1 at k = 1.
+                k = rows.shape[1]
+                sums = [1.0] + [0.0] * k
+                for norm in plan.norm[rows].T:
+                    for j in range(k, 0, -1):
+                        sums[j] = sums[j] + sums[j - 1] * norm
+                self.spread = sums[k - 1] * plan.reach[far]
+
+    def rho(self, screen: _Screen) -> np.ndarray:
+        return screen.r[self.rows] / self.n2[:, None]
+
+
+class _Cut:
+    """The points that cut lines to intervals, and the lifting-free half of
+    the intervals' ends.
+
+    Lines ``index`` of ``lines`` are cut by the Cayley points ``cols``
+    (a row per line, or one row for all), each measured against ``ref``,
+    the first point of the pair ``own`` of its block on the line.  For a
+    point k, with ``v = (k - ref) / grain``, the frame gives the integers
+    ``proj_i = <cof_i, v>`` and ``slope = <d, v>``.  Along the line k has
+    margin (ref's lifted value less k's) ``grain * (slope * (beta - s))``
+    where ``slope != 0``, with ``beta = -c / slope`` and the intercept ``c
+    = sum_i rho_i proj_i + (w_k - w_ref) / grain``, and ``-grain * c`` at
+    every s where ``slope = 0``.  So the points cut the line to ``[lo,
+    hi]``: hi the least beta of the points of positive slope, lo the
+    greatest of those of negative slope (``ends``).  The line's own points,
+    the ends of its pairs, have margin 0 on it and are left out of the test
+    of the points of slope 0.  At n = 2 a line is one pair, ``cof_0 = u``,
+    ``d = (-u_1, u_0)``, and its interval is the pair's dual edge, a
+    segment of the tropical curve of its block (Huber and Sturmfels 1995).
+
+    With floats, ``proj``, ``up`` and ``down`` (the points of positive and
+    negative slope) and ``recip = -1 / slope`` (0 at slope 0) are floats,
+    and ``slack`` and ``level`` are the per-point factors of the tolerance:
+    over ``scale / grain`` (``scale = 1 + max |w|``), ``slack`` is how far
+    a point of nonzero slope widens the end it binds, in s, and ``level``
+    bounds the c of a point of slope 0 other than the line's own.  They are
+    the crossing test's on lines with a ``spread``, the block pass's on
+    the others; ``_Screen`` holds both arguments.
+    """
+
+    def __init__(self, plan: _Plan, lines: _Lines, index, cols, own) -> None:
+        n = plan.n
+        rows = lines.rows[index]
+        self.cols, self.ref = cols, plan.first[own]
+        # Lines of dependent pairs, or None when there are none.
+        self.singular = lines.det[index] == 0
+        if not self.singular.any():
+            self.singular = None
+        if not plan.floats:
+            return
+        diffs = plan.ints[cols] - plan.ints[self.ref]
+        if plan.grain != 1:
+            diffs //= plan.grain
+        diffs = diffs.astype(plan.units.dtype, copy=False)
+        products = diffs @ lines.frame[index].transpose(0, 2, 1)
+        slope = products[..., -1].astype(float)
+        self.proj = products[..., :-1].transpose(2, 0, 1).astype(float, order="C")
+        self.up, self.down = slope > 0, slope < 0
+        # -1 / slope, which takes beta from c, and 0 at slope 0.
+        flat = slope == 0
+        self.recip = -1.0 / np.where(flat, -np.inf, slope)
+        ends = np.concatenate((plan.first[rows], plan.second[rows]), axis=1)
+        edge = cols == ends[:, :1]
+        for j in range(1, ends.shape[1]):
+            edge |= cols == ends[:, j : j + 1]
+        size = np.abs(slope)
+        with np.errstate(all="ignore"):
+            # A line of dependent pairs (|d| = 0) gets NaNs here, and
+            # ``ends`` calls it empty.
+            weight = np.abs(self.proj).sum(axis=0) / lines.n2[index, None]
+            if lines.spread is None:
+                exact = 1.0 + n * float(plan.reach.max()) ** n
+                head = (2.0 + weight) * (TIE_RTOL + 8 * (n + 2) * _EPS * exact)
+                lean = 0.0
+            else:
+                head = TIE_RTOL + 16 * (n + 2) * _EPS * (1.0 + weight)
+                length = diffs.astype(float)
+                length = np.sqrt(np.einsum("lwj,lwj->lw", length, length))
+                lean = 16 * (n + 2) * _EPS * (size + length + plan.norm[own])
+                lean = lean * lines.spread[index, None]
             self.slack = (head + lean) / np.maximum(size, 1.0)
-            edge = self.cols == self.first[:, None]
-            edge |= self.cols == self.second[:, None]
-            self.level = np.where(flat & ~edge, head, np.inf)
-        self._freeze()
+        self.level = np.where(flat & ~edge, head, np.inf)
 
-    def screen(self, lifting: Sequence[float]) -> _DualScreen:
-        return _DualScreen(self, lifting)
+    def ends(self, screen: _Screen, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The widened ends hi and lo of each line's interval on the
+        screen's lifting, from the lines' ``rho``, and whether the interval
+        is empty."""
+        rows = np.arange(len(self.recip))
+        unit, over = screen.unit, screen.over
+        c = over[self.cols] - over[self.ref]
+        for r, proj in zip(rho.T, self.proj):
+            c += r[:, None] * proj
+        beta = c * self.recip
+        highs = np.where(self.up, beta, np.inf)
+        lows = np.where(self.down, beta, -np.inf)
+        top, bottom = highs.argmin(axis=1), lows.argmax(axis=1)
+        hi = highs[rows, top] + unit * self.slack[rows, top]
+        lo = lows[rows, bottom] - unit * self.slack[rows, bottom]
+        empty = (lo > hi) | (c > unit * self.level).any(axis=1)
+        if self.singular is not None:
+            empty |= self.singular
+        return hi, lo, empty
 
 
-class _DualScreen:
-    """The n = 2 screen of one lifting: one interval per point pair, one
-    O(1) test per candidate.
+class _Side(NamedTuple):
+    """The lines on one side of the crossing test: their pairs, frames and,
+    with floats, ``ends``, a column per line: a row per pair of ``rho``,
+    the widened ends hi and lo of the line's interval, and r of the pair
+    the crossing test reads (block 0's on side a, block n-1's on side
+    b)."""
 
-    Notation as in ``_DualPlan``, with ``r = (w_b - w_a) / grain`` for a
-    pair p = (a, b), and ``scale = 1 + max |w|``.  The gammas that level a
-    and b form the line ``gamma(s) = u r / |u|^2 + s d``.  Along it a point
-    k of the block has margin (a's lifted value less k's) ``grain * (slope *
-    (beta - s))`` where ``slope != 0``, with ``beta = -c / slope`` and the
-    intercept ``c = r proj / |u|^2 + (w_k - w_a) / grain``, and ``-grain *
-    c`` at every s where ``slope = 0``.  So p's dual edge is the interval
-    ``I_p = [lo, hi]``: hi the least beta of the points of positive slope,
-    lo the greatest of those of negative slope.  An empty interval, or a
-    point of slope 0 above the line, means p is no upper edge.  a and b are
-    points of slope 0 that bound no end, and the test of the points of
-    slope 0 leaves them out.
+    rows: np.ndarray
+    frame: np.ndarray
+    ends: np.ndarray | None
 
-    A candidate takes a pair p of block 0 and q of block 1.  Its integer
-    determinant ``D = det(u_p, u_q)`` is computed exactly, and D = 0 drops
-    it as singular: the exact test skips it too.  Otherwise, with ``P =
-    <u_p, u_q>``, Cramer's rule puts the crossing of the two lines at ``s_p
-    = (r_q - r_p P / |u_p|^2) / D`` on p's line and ``s_q = (r_q P /
-    |u_q|^2 - r_p) / D`` on q's.  The candidate survives when s_p lies in
-    I_p and s_q in I_q, each end widened by the tolerance below.  Survivors
-    leave as rows of pair indices in ``itertools.product`` order.
+
+class _Screen:
+    """The screen of one lifting: one interval per line, one O(1) test per
+    candidate.
+
+    Notation as in ``_Lines`` and ``_Cut``, with ``scale = 1 + max |w|``,
+    ``T = TIE_RTOL * scale`` and reach the largest ``|u|`` of all pairs.
+
+    Block pass (n >= 3).  Each n-point subset S of a block gives the line
+    that levels the pairs joining S's first point s0 to its others, cut by
+    the block's points against s0.  A pair is kept when some affinely
+    independent S that holds it (d != 0) has a nonempty interval, and when
+    no such S holds it; the others are dropped.  At n = 2 the subsets are
+    the pairs, and a pair is kept when its dual edge, the plan's interval,
+    is not empty.  ``kept`` holds the kept pairs' indices.
+
+    Crossing test.  Per middle, side a holds the lines through the middle
+    and a kept pair p of block 0, cut by blocks 0..n-2 one at a time (each
+    block cuts only the lines the blocks before it left nonempty), and side
+    b the lines through the middle and a kept pair q of block n-1, cut by
+    block n-1, for the middles with a line on side a.  A candidate pairs a
+    nonempty line of side a with one of side b on the same middle; the
+    candidate's gamma lies on both.  Its integer determinant ``D = <d_a,
+    u_q>``, the determinant of its n edges, is computed exactly, and D = 0
+    drops it as singular: the exact test skips it too.  Otherwise, with
+    ``P_i = <cof_i, u_q>`` on side a, Cramer's rule puts the gamma at ``s_a
+    = (r_q - sum_i rho_i P_i) / D`` on a's line, and likewise at ``s_b`` on
+    b's line, from ``<cof_i, u_p>`` and ``<d_b, u_p> = +-D``; at n = 2
+    those are P_0 and -D.  The candidate
+    survives when s_a lies in a's interval and s_b in b's.  Survivors leave
+    as rows of pair indices in ``itertools.product`` order.
 
     Rounding.  The screen drops a nonsingular candidate only when it shows
-    that the point k that binds an end of an interval (or a point of slope
-    0) has exact margin below ``-(T + e_k)``, with ``T = TIE_RTOL * scale``
-    and ``e_k`` the bound on the exact test's float reading of that margin:
-    the exact test then reads it below -T and rejects.  The exact test
-    reads ``zeta . w / |zeta_k|`` from k's circuit zeta, five products of
-    an integer and a lifting value, within ``e_k = 8 eps scale |zeta|_1 /
-    |zeta_k|``.  Up to sign zeta / |zeta_k| is ``lam_i`` on ``a_i``,
+    that some point k, one that binds an end of an interval or one of slope
+    0, has exact margin below ``-(T + e_k)`` at the candidate's gamma, with
+    ``e_k`` the bound on the exact test's float reading of that margin: the
+    exact test then reads it below -T and rejects.  The exact test reads
+    ``zeta . w / |zeta_k|`` from k's circuit zeta, 2n + 1 products of an
+    integer and a lifting value, within ``2 (n + 2) eps scale |zeta|_1 /
+    |zeta_k|``.  Up to sign ``zeta / |zeta_k|`` is ``lam_i`` on ``a_i``,
     ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with lam the coordinates of
-    ``(k - b_j) / grain`` in the basis of the edges, ``b_j`` whichever end
-    of p's edge the exact test puts second.  So lam is ``det(k - b_j,
-    u_q) / D`` on p's edge, at most ``(|v| + |u_p|) |u_q| / |D|``, and
-    ``slope / D`` on q's, and ``e_k <= 16 eps scale (1 + (|slope| + (|v| +
-    |u_p|) |u_q|) / |D|)``.  For a point of slope 0, v is parallel to u_p,
-    lam is 0 on q's edge and at most ``|v| / |u_p| + 1 = |proj| / |u_p|^2
-    + 1`` on p's: ``e_k <= 16 eps scale (2 + |proj| / |u_p|^2)``.
+    ``v' = (k - b_j) / grain`` in the basis of the candidate's edges, b_j
+    whichever end of block j's edge the exact test puts second, so ``e_k <=
+    4 (n + 2) eps scale (1 + sum_i |lam_i|)``.  By Cramer, lam_i is the
+    determinant of the edges with row i replaced by v', over D.
 
-    The screen's own rounding, to first order, with ``B = 2 scale /
-    grain`` bounding ``|r|`` and ``|w_k - w_a| / grain``, and every integer
-    (the grain included) converted within a relative half ulp.  The pass
-    divides the lifting by the grain once, so r is off by at most 3 half
-    ulps of B, ``r / |u|^2`` by 5 of ``B / |u|^2``, and c by at most 8 half
-    ulps of ``B (1 + |proj| / |u|^2)``: ``grain * c`` by at most ``8 eps
-    scale (1 + |proj| / |u|^2)``.  beta (``c * recip``, ``recip`` rounded)
-    and the sum that widens its end add 3 half ulps of ``|beta|``, ``3 eps
-    scale (1 + |proj| / |u|^2)`` once multiplied by ``grain * |slope|``.
-    s_p is off by at most 10 half ulps of ``B (1 + |P| / |u_p|^2) / |D|``,
-    and since ``|P| <= |u_p| |u_q|`` and both norms are at least 1,
-    ``grain * |slope| * |ds_p| <= 20 eps scale |slope| |u_q| / |D|``.
-    Added up, a drop at an interval end is sound when its tolerance in
-    margin units is at least ``T + eps scale (27 + 11 |proj| / |u_p|^2 +
-    (36 |slope| + 16 |v| + 16 |u_p|) |u_q| / |D|)``, and for a point of
-    slope 0 ``T + eps scale (40 + 24 |proj| / |u_p|^2)``.  Since ``|D| >=
-    1``, ``|u_q| / |D|`` is at most ``far``, the largest ``|u|`` of the
-    other block.  The screen takes
+    Crossing test.  Take a point k of block j on a line whose pairs the
+    candidate completes with a pair o of the far block.  ``lam_o = <d, v'>
+    / D = slope / D``, as d is orthogonal to ``u_j``: at most ``|slope|``.
+    Every other lam_i is at most ``|v'| prod_{l != i} |u_l| / |D| <= (|v| +
+    |u_j|) pi far``, with ``pi = sum_i prod_{l != i} |u_l|`` over the line's
+    pairs, ``far`` the largest ``|u|`` of the far block and ``|D| >= 1``
+    (``_Lines.spread`` is ``pi far``).  So ``e_k <= 4 (n + 2) eps scale
+    (1 + |slope| + (|v| + |u_j|) pi far)``.  At slope 0, v lies in the span
+    of the line's edges, ``v = sum_i (proj_i / |d|^2) u_i``, so ``lam_o =
+    0`` and ``sum_i |lam_i| <= 1 + sum_i |proj_i| / |d|^2``: ``e_k <= 4 (n
+    + 2) eps scale (2 + sum_i |proj_i| / |d|^2)``.
 
-        ``T + 64 eps scale (1 + |proj| / |u_p|^2)``
-        ``  + 64 eps scale (|slope| + |v| + |u_p|) far``,
+    The screen's own rounding, to first order, with ``B = 2 scale / grain``
+    bounding ``|r|`` and ``|w_k - w_ref| / grain``, and every integer
+    (``|d|^2`` and the grain included) converted within a relative half
+    ulp.  The pass divides the lifting by the grain once, so r is off by at
+    most 3 half ulps of B, ``rho_i`` by 5 of ``B / |d|^2``, and c, a sum of
+    n terms, by at most n + 6 half ulps of ``B (1 + sum_i |proj_i| /
+    |d|^2)``: ``grain * c`` by ``(n + 6) eps scale (1 + sum_i |proj_i| /
+    |d|^2)``.  beta (``c * recip``, ``recip`` rounded) and the sum that
+    widens its end add 3 half ulps of ``|beta|``, ``3 eps scale (1 + sum_i
+    |proj_i| / |d|^2)`` once multiplied by ``grain * |slope|``.  s_a is off
+    by at most n + 8 half ulps of ``B (1 + sum_i |P_i| / |d|^2) / |D|``,
+    and since ``|P_i| <= |d| |u_q| prod_{l != i} |u_l|`` (Hadamard) and
+    ``|d| >= 1``, ``grain * |slope| * |ds_a| <= 2 (n + 8) eps scale |slope|
+    pi far``; s_b alike.  Added up, with ``W = sum_i |proj_i| / |d|^2``, a
+    drop at an interval end is sound when its tolerance in margin units is
+    at least ``T + eps scale ((5n + 17) + (n + 9) W + (6n + 24) |slope| pi
+    far + 4 (n + 2) (|v| + |u_j|) pi far)``, and for a point of slope 0
+    ``T + eps scale ((9n + 22) + (5n + 14) W)``.  The crossing test takes
+
+        ``T + 16 (n + 2) eps scale (1 + W)``
+        ``  + 16 (n + 2) eps scale (|slope| + |v| + |u_j|) pi far``,
 
     the first line alone at slope 0, with every coefficient at least 1.6
-    times the bound's, which covers second-order terms and the tolerance's
-    own rounding; ``|v| = hypot(slope, proj) / |u_p|``.  Over ``grain *
-    |slope|`` this widens an end by ``scale / grain`` times the plan's
-    ``slack`` in s, and at slope 0 it bounds c by ``scale / grain`` times
-    ``level``.  One widening serves every candidate of the pair, so a pair
-    whose widened ends cross drops every candidate it is in: its interval
-    is empty, and ``kept`` holds the other pairs' indices.  Underflow,
-    possible only for lifting differences below 2^-1022, adds far less
-    than the TIE_RTOL term.  Every comparison that drops is False on NaN,
-    so a value beyond the float range keeps its candidate.
+    times the bound's (64 against 40 for the constant at n = 2 and slope
+    0), which covers second-order terms and the tolerance's own rounding.
+    At n = 2, ``pi = 1`` and this is the dual edges' tolerance.  Over
+    ``grain * |slope|`` it widens an end by ``scale / grain`` times the
+    cut's ``slack`` in s, and at slope 0 it bounds c by ``scale / grain``
+    times ``level``.  One widening serves every candidate on the line, so a
+    line whose widened ends cross drops every candidate on it.
+
+    Block pass.  Take a candidate the exact test accepts or raises
+    TieDegenerate on, its pair p = (a, b) of a block and its gamma g.  With
+    ``|v'|`` and every ``|u_l|`` at most reach and ``|D| >= 1``, each
+    ``|lam_i| <= reach^n``, so every exact margin at g is above ``-delta``,
+    ``delta = T + 4 (n + 2) eps scale (1 + n reach^n)``.  So g lies in Q,
+    the gammas that level p and leave every point of the block at margin at
+    least -delta.  Where the block has an affinely independent n-point
+    subset, its differences span at least n - 1 dimensions, so along Q at
+    most one direction changes no margin, and Q has a minimal face on which
+    n - 2 more points k_j are at margin exactly -delta, with ``u_p`` and
+    the ``a - k_j`` independent: ``S = {a, b, k_1, ...}`` is an affinely
+    independent n-point subset, and some v of Q levels p and puts each k_j
+    at -delta.  Shift v by Delta, with ``<Delta, d> = 0`` and ``<Delta, x -
+    s0>`` each S point's lift against s0 at v, at most delta in size: at ``v
+    - Delta`` the points of S are level, so it lies on S's line, and a point
+    k's lift moves by ``sum_j lam_j(k) <Delta, s_j - s0>``, with ``lam_j(k)
+    = proj_j / |d|^2`` its coordinates in the basis of S's line.  Its
+    margin against S there is at least ``-delta (2 + W)``.  So S's interval,
+    each point widened by that and by the rounding of c and beta, ``(n + 9)
+    eps scale (1 + W)`` as above, is not empty, and S keeps p.  The block
+    pass takes
+
+        ``(2 + W) (TIE_RTOL + 8 (n + 2) eps (1 + n reach^n)) scale``,
+
+    over ``delta (2 + W)`` by ``4 (n + 2) eps scale (1 + n reach^n) (2 +
+    W)``, at least 1.6 times that rounding for n >= 3.  A pair in no
+    affinely independent subset, of a block spanning at most n - 2
+    dimensions, is kept.
+
+    Underflow, possible only for lifting differences below 2^-1022, adds
+    far less than the TIE_RTOL term.  Every comparison that drops is False
+    on NaN, and an infinite tolerance drops nothing, so a value beyond the
+    float range keeps its candidate.
     """
 
-    def __init__(self, plan: _DualPlan, lifting: Sequence[float]) -> None:
+    def __init__(self, plan: _Plan, lifting: Sequence[float]) -> None:
         self.plan = plan
         self.lift = lift = np.array(lifting, dtype=float)
         self.scale = 1.0 + float(np.abs(lift).max())
-        if not plan.floats:
+        if not plan.floats or plan.n == 1:
             self.kept = np.arange(len(plan.first))
             return
-        rows = np.arange(len(plan.first))
+        # Every float step of the screen runs with warnings off: values
+        # beyond the float range only keep candidates (see Rounding).
         with np.errstate(all="ignore"):
-            unit = self.scale / plan.grain
-            over = lift / plan.grain
-            base = over[plan.first]
-            r = over[plan.second] - base
-            rho = r / plan.n2
-            c = rho[:, None] * plan.proj + (over[plan.cols] - base[:, None])
-            beta = c * plan.recip
-            highs = np.where(plan.up, beta, np.inf)
-            lows = np.where(plan.down, beta, -np.inf)
-            top, bottom = highs.argmin(axis=1), lows.argmax(axis=1)
-            hi = highs[rows, top] + unit * plan.slack[rows, top]
-            lo = lows[rows, bottom] - unit * plan.slack[rows, bottom]
-            empty = (lo > hi) | (c > unit * plan.level).any(axis=1)
-        # Per pair: r, r / |u|^2 and the widened ends.
-        self.ends = np.array((r, rho, hi, lo))
-        self.kept = np.flatnonzero(~empty)
+            self.unit = self.scale / plan.grain
+            self.over = lift / plan.grain
+            self.r = self.over[plan.second] - self.over[plan.first]
+            if plan.n == 2:
+                rho = plan.lines.rho(self)
+                hi, lo, empty = plan.cut.ends(self, rho)
+                self.ends = np.array((rho[:, 0], hi, lo, self.r))
+                self.kept = np.flatnonzero(~empty)
+            else:
+                self.kept = self._block_pass()
+
+    def _block_pass(self) -> np.ndarray:
+        """The pairs the block pass keeps (n >= 3): each in an affinely
+        independent n-point subset of its block whose line has a nonempty
+        interval, and each in no such subset; a chunk of subsets at a
+        time."""
+        plan, n = self.plan, self.plan.n
+        witnessed = np.zeros(len(plan.first), dtype=bool)
+        covered = np.zeros(len(plan.first), dtype=bool)
+        firsts, seconds = map(list, zip(*itertools.combinations(range(n), 2)))
+        for i, t in enumerate(plan.sizes):
+            start = plan.starts[i]
+            cols = start + np.arange(t)[None]
+            subsets = itertools.chain.from_iterable(itertools.combinations(range(t), n))
+            while True:
+                local = np.fromiter(itertools.islice(subsets, SCREEN_CHUNK * n), np.intp)
+                if not local.size:
+                    break
+                local = local.reshape(-1, n)
+                a, b = local[:, firsts], local[:, seconds]
+                # Every pair of each subset; the first n - 1 join its first
+                # point to the others, and its line levels those.
+                pairs = a * (2 * t - a - 1) // 2 + (b - a - 1) + plan.pair_starts[i]
+                lines = _Lines(plan, pairs[:, : n - 1])
+                cut = _Cut(plan, lines, slice(None), cols, pairs[:, :1])
+                covered[pairs[lines.det != 0]] = True
+                witnessed[pairs[~cut.ends(self, lines.rho(self))[-1]]] = True
+        return np.flatnonzero(witnessed | ~covered)
+
+    def _side(self, lines: _Lines, blocks: Sequence[int], end: int) -> tuple[_Side, np.ndarray]:
+        """Lines as a side of the crossing test, and those that take part:
+        the lines whose interval, cut by ``blocks`` (the pair of each at the
+        same place on the line), is not empty, or without floats those of
+        independent pairs; ``end`` is the place of the pair whose r the
+        crossing test reads.  The blocks cut one at a time, each the lines
+        the ones before left nonempty; the ends of an interval are the
+        least hi and the greatest lo of the blocks'."""
+        plan = self.plan
+        index = np.flatnonzero(lines.det != 0)
+        if not plan.floats:
+            return _Side(lines.rows, lines.frame, None), index
+        rho = lines.rho(self)
+        hi, lo = np.full(len(rho), np.inf), np.full(len(rho), -np.inf)
+        for place, i in zip(range(-len(blocks), 0), blocks):
+            cols = plan.starts[i] + np.arange(plan.sizes[i])[None]
+            cut = _Cut(plan, lines, index, cols, lines.rows[index, place, None])
+            top, bottom, empty = cut.ends(self, rho[index])
+            hi[index] = np.minimum(hi[index], top)
+            lo[index] = np.maximum(lo[index], bottom)
+            index = index[~(empty | (lo[index] > hi[index]))]
+        ends = np.vstack((rho.T, hi, lo, self.r[lines.rows[:, end]]))
+        return _Side(lines.rows, lines.frame, ends), index
+
+    def _middles(self, kept: list[np.ndarray]) -> Iterator[tuple]:
+        """The lines of the crossing test, one middle at a time: side a,
+        the lines of a that take part, side b and those of b.
+
+        A middle is one kept pair of each of blocks 1..n-2, middles in
+        product order; at n = 2 the one middle is empty.  Side a holds the
+        lines through a middle and a kept pair of block 0, cut by blocks
+        0..n-2, and side b those through it and a kept pair of block n-1,
+        cut by block n-1.  At n = 2 both sides are the plan's lines, and
+        the kept pairs' take part.  At n >= 3 the lines are built a chunk
+        of middles at a time, side b's only for the middles with a line on
+        side a.
+        """
+        plan, n = self.plan, self.plan.n
+        if n == 2:
+            side = _Side(plan.lines.rows, plan.lines.frame, getattr(self, "ends", None))
+            yield side, kept[0], side, kept[1]
+            return
+        first, middle, last = kept[0], kept[1:-1], kept[-1]
+        shape = tuple(len(pairs) for pairs in middle)
+        total = math.prod(shape) if len(first) and len(last) else 0
+        step = max(1, SCREEN_CHUNK // len(first)) if total else 1
+        for start in range(0, total, step):
+            idx = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+            mids = np.stack([pairs[i] for pairs, i in zip(middle, idx)], axis=1)
+            rows = np.empty((len(mids), len(first), n - 1), dtype=np.intp)
+            rows[..., 0], rows[..., 1:] = first, mids[:, None]
+            a, ia = self._side(_Lines(plan, rows.reshape(-1, n - 1), n - 1), range(n - 1), 0)
+            live = np.unique(ia // len(first))
+            rows = np.empty((len(live), len(last), n - 1), dtype=np.intp)
+            rows[..., :-1], rows[..., -1] = mids[live, None], last
+            b, ib = self._side(_Lines(plan, rows.reshape(-1, n - 1), 0), [n - 1], -1)
+            # Lines are in middle-major order, so each middle's lines are a run.
+            a_runs = np.searchsorted(ia // len(first), live, side="right")
+            b_runs = np.searchsorted(ib // len(last), np.arange(len(live)), side="right")
+            for ia_m, ib_m in zip(np.split(ia, a_runs[:-1]), np.split(ib, b_runs[:-1])):
+                yield a, ia_m, b, ib_m
 
     def survivors(self) -> np.ndarray:
-        """The candidates from pairs with nonempty intervals that pass the
-        crossing test, as rows of pair indices (column i block i's pair) in
-        ``itertools.product`` order, at most SCREEN_CHUNK candidates tested
-        at a time."""
-        split = np.searchsorted(self.kept, self.plan.pair_starts[1])
-        ps, qs = self.kept[:split], self.kept[split:]
-        step = max(1, SCREEN_CHUNK // max(len(qs), 1))
-        keep = np.empty((len(ps), len(qs)), dtype=bool)
-        for start in range(0, len(ps), step):
-            keep[start : start + step] = self._crossings(ps[start : start + step], qs)
-        i, j = np.nonzero(keep)
-        rows = np.empty((len(i), 2), dtype=np.intp)
-        rows[:, 0], rows[:, 1] = ps[i], qs[j]
-        return rows
+        """The candidates that pass the crossing test, as rows of pair
+        indices (column i block i's pair) in ``itertools.product`` order.
+        Per middle, each line of side a meets each line of side b, at most
+        about SCREEN_CHUNK candidates tested at a time."""
+        plan, n = self.plan, self.plan.n
+        if n == 1:
+            return self.kept[:, None]
+        cuts = np.searchsorted(self.kept, plan.pair_starts)
+        kept = [self.kept[cuts[i] : cuts[i + 1]] for i in range(n)]
+        found = []
+        with np.errstate(all="ignore"):
+            for a, ia, b, ib in self._middles(kept):
+                q = b.rows[ib, -1]
+                step = SCREEN_CHUNK // max(len(ib), 1) or 1
+                for start in range(0, len(ia), step):
+                    lines = ia[start : start + step]
+                    i, j = np.nonzero(self._crossings(a, lines, b, ib, q))
+                    rows = np.empty((len(i), n), dtype=np.intp)
+                    rows[:, :-1], rows[:, -1] = a.rows[lines[i]], q[j]
+                    found.append(rows)
+        if not found:
+            return np.empty((0, n), dtype=np.intp)
+        rows = np.concatenate(found) if len(found) > 1 else found[0]
+        # Middle by middle, rows leave in product order at n = 2 alone.
+        return rows if n == 2 else rows[np.lexsort(rows.T[::-1])]
 
-    def _crossings(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """Which candidates of pairs ``ps`` by ``qs`` (rows by columns) the
-        crossing test keeps."""
-        frame = self.plan.frame
-        products = frame[ps] @ frame[qs, 0].T
-        dot, det = products[:, 0], products[:, 1]
-        singular = det == 0
+    def _crossings(self, a: _Side, ia, b: _Side, ib, q) -> np.ndarray:
+        """Which candidates the crossing test keeps, lines ``ia`` of side a
+        (rows) by lines ``ib`` of side b (columns) on one middle: each takes
+        its pair p of block 0 from a and q (the pairs ``q``) of block n-1
+        from b."""
+        units = self.plan.units
+        # (P_0, ..., P_{n-2}, D) of each candidate on side a.
+        on_a = a.frame[ia].transpose(1, 0, 2) @ units[q].T
+        singular = on_a[-1] == 0
         if not self.plan.floats:
             return ~singular
-        r_p, rho_p, hi_p, lo_p = self.ends[:, ps, None]
-        r_q, rho_q, hi_q, lo_q = self.ends[:, None, qs]
-        with np.errstate(all="ignore"):
-            det, dot = det.astype(float), dot.astype(float)
-            s_p = (r_q - rho_p * dot) / det
-            s_q = (rho_q * dot - r_p) / det
-            out = (s_p > hi_p) | (s_p < lo_p) | (s_q > hi_q) | (s_q < lo_q)
+        on_a = on_a.astype(float)
+        *rho_a, hi_a, lo_a, r_p = a.ends[:, ia, None]
+        *rho_b, hi_b, lo_b, r_q = b.ends[:, None, ib]
+        s_a = r_q - rho_a[0] * on_a[0]
+        for i in range(1, len(rho_a)):
+            s_a -= rho_a[i] * on_a[i]
+        s_a /= on_a[-1]
+        if self.plan.n == 2:
+            # A line is one pair and cof_0 its edge, so side b's P_0 is side
+            # a's and its determinant is -D.
+            s_b = (rho_b[0] * on_a[0] - r_p) / on_a[-1]
+        else:
+            on_b = units[a.rows[ia, 0]] @ b.frame[ib].transpose(1, 2, 0)
+            on_b = on_b.astype(float)
+            s_b = r_p - rho_b[0] * on_b[0]
+            for i in range(1, len(rho_b)):
+                s_b -= rho_b[i] * on_b[i]
+            s_b /= on_b[-1]
+        out = (s_a > hi_a) | (s_a < lo_a) | (s_b > hi_b) | (s_b < lo_b)
         return ~(singular | out)
-
-
-class _ScreenPlan(_Plan):
-    """What the float screens of n != 2 read of a configuration, whatever
-    its lifting.
-
-    Beside ``_Plan``'s tables it holds the blocks the simplex pass screens
-    (``screened``), and each pair once in grain units: ``unit``, the row's
-    2-norm ``norm`` and their largest, ``reach``.  Blocks of at most n + 1
-    points, blocks that do not affinely span R^n, and blocks whose
-    simplices outnumber the candidates they could cut keep every pair, and
-    so does every block of a configuration whose pair product has at most
-    SMALL_PRODUCT candidates.  Such a plan holds that product instead
-    (``product``: its rows of pair indices in ``itertools.product`` order
-    and their ``_Factors``), and makes no ``_spans_space`` call and no
-    simplex row.  The simplex pass's rows come with their ``_Factors``: the
-    plan holds them when they fit in one chunk (an empty list when no block
-    is screened) and streams them per solve, a chunk at a time, when they
-    do not.  A plan builds all of this itself, pair tables and simplex rows
-    included: the one cache is ``_plan``'s, of whole plans.
-    """
-
-    def __init__(self, config: CayleyConfig) -> None:
-        super().__init__(config)
-        n, sizes, ints = self.n, self.sizes, self.ints
-        # Screening a block costs one float test per (n+1)-point simplex and
-        # saves at most the product screen's candidates, so blocks are
-        # screened, fewest points first, only while their simplices add up to
-        # no more than that product.  A block of at most n + 1 points keeps
-        # every pair: it spans less than R^n, or it is one simplex, all of
-        # whose pairs are edges.  A product of at most SMALL_PRODUCT
-        # candidates screens no block: one batch over all of them costs a
-        # solve less than a simplex pass and a second batch.
-        product = budget = math.prod(math.comb(t, 2) for t in sizes)
-        screened = []
-        if product > SMALL_PRODUCT:
-            for i in sorted(range(n), key=sizes.__getitem__):
-                cost = math.comb(sizes[i], n + 1)
-                if cost > budget:
-                    break
-                start = self.starts[i]
-                block = ints[start : start + sizes[i]].tolist()
-                if sizes[i] > n + 1 and _spans_space(block, n):
-                    screened.append(i)
-                    budget -= cost
-        self.screened = tuple(sorted(screened))
-        # Per pair one row U in grain units: the exact integer difference
-        # over the grain, rounded once.  A lifting's right-hand sides over
-        # the grain then make ``U gamma = rhs`` hold the equalities' gamma.
-        self.unit = ((ints[self.first] - ints[self.second]) // self.grain).astype(float)
-        self.coords = ints.astype(float)
-        self.max_coord = float(np.abs(self.coords).max())
-        # A square beyond the float range (exponents near 10**200) makes a
-        # norm inf.  That only makes the screens keep more rows: an inf
-        # Hadamard bound, reach or tau proves no row singular, trusted or
-        # infeasible, and every comparison that drops a row is False on NaN.
-        with np.errstate(over="ignore"):
-            self.norm = np.sqrt(np.sum(self.unit * self.unit, axis=1))
-        self.reach = float(self.norm.max())
-        # The simplex pass has ``product - budget`` rows.
-        self._simplices = None
-        if product - budget <= SCREEN_CHUNK:
-            self._simplices = list(self._simplex_batches()) if screened else []
-        # A small product's candidates, every pair kept, in product order.
-        self.product = None
-        if product <= SMALL_PRODUCT:
-            shape = tuple(math.comb(t, 2) for t in sizes)
-            rows = np.stack(np.unravel_index(np.arange(product), shape), axis=1)
-            rows += self.pair_starts[:-1]
-            self.product = rows, self.factors(rows)
-        batches = [(rows, blk, *factors) for rows, blk, factors in self._simplices or ()]
-        batches += [(self.product[0], *self.product[1])] if self.product else []
-        self._freeze(*itertools.chain(*batches))
-
-    def screen(self, lifting: Sequence[float]) -> _FloatScreen:
-        return _FloatScreen(self, lifting)
-
-    def simplices(self) -> Iterable[tuple[np.ndarray, np.ndarray, _Factors]]:
-        """The simplex pass's rows and block column (``_simplex_rows``), a
-        chunk at a time, each with the factors of its first n pairs."""
-        if self._simplices is None:
-            return self._simplex_batches()
-        return self._simplices
-
-    def _simplex_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, _Factors]]:
-        chunks = _simplex_rows(self.sizes, self.screened, self.starts, self.pair_starts)
-        for rows, blk in chunks:
-            yield rows, blk, self.factors(rows[:, : self.n])
-
-    def factors(self, pairs: np.ndarray) -> _Factors:
-        """The coefficient-free half of ``_FloatScreen._witness`` for rows of
-        pair indices: each row's determinant, singular and trusted tests, and
-        the matrix its gamma is solved from."""
-        n = self.n
-        with np.errstate(all="ignore"):
-            # The rows of U are integers, so these tests hold at any scale.
-            unit = self.unit[pairs]
-            row_norm = self.norm[pairs]
-            hadamard = np.prod(row_norm, axis=1)
-            det = np.abs(np.linalg.det(unit))
-            growth = n * 2.0**n
-            # Singular, with H the Hadamard bound, when H * n * 2^n <= 2^33
-            # and |det| < 0.5: the integer determinant is then 0.  LU with
-            # partial pivoting gives the determinant of an integer matrix
-            # within about n * 2^n * eps * H, below 2^-19.
-            singular = (det < 0.5) & (hadamard * growth <= 2.0**33)
-            # Margins are trusted only for well-conditioned matrices.  Every
-            # cofactor of an integer matrix is at most H / (smallest row
-            # norm), so cond_2 <= n^1.5 * H * (largest row norm) / (|det| *
-            # smallest row norm); asking cond_2 * n * 2^n * eps <= 1e-9 keeps
-            # LAPACK's gamma within 1e-9 * |gamma| of the exact-path gamma.
-            # Rows of U are nonzero integer rows, so the smallest norm is at
-            # least 1.
-            min_norm = np.min(row_norm, axis=1)
-            spread = np.max(row_norm, axis=1) / min_norm
-            cond_det = n**1.5 * hadamard * spread
-            trusted = cond_det * (growth * _EPS) <= 1e-9 * det
-            # Untrusted matrices may be singular, which would make the
-            # batched solve raise; an identity stands in and their margins
-            # go unused.
-            unit[~trusted] = np.eye(n)
-            # ||U^-1||_2 <= n H / (|det| * smallest row norm), by the
-            # cofactor bound above.
-            inverse = n * hadamard / (det * min_norm)
-        return _Factors(unit, singular, trusted, inverse)
 
 
 def _plan(config: CayleyConfig) -> _Plan:
@@ -727,14 +855,12 @@ def _plan(config: CayleyConfig) -> _Plan:
     Plans of at most SCREEN_CHUNK pairs are cached, keyed by the
     configuration's value (its points, so supports with equal block sizes
     but other points get plans of their own); larger plans are built per
-    solve.  An n = 2 plan holds 50 bytes per pair and point of its block,
-    at most about 19 MB, for SCREEN_CHUNK pairs of a 91-point block, and
-    under 60 kB for two 10-point blocks.  Other plans keep their simplex rows
-    only when they fit in one chunk, and their product rows only up to
-    SMALL_PRODUCT, so they hold at most SCREEN_CHUNK pairs and simplices
-    and SMALL_PRODUCT product rows.  That bounds the memory the cache
-    keeps.  This LRU cache is the screens' only one: a cold plan builds its
-    own pair tables and simplex rows.
+    solve.  An n = 2 plan holds about 50 bytes per pair and point of its
+    block, at most about 19 MB, for SCREEN_CHUNK pairs of a 91-point block,
+    and under 60 kB for two 10-point blocks.  Other plans hold their tables,
+    points and edges, a few arrays of at most SCREEN_CHUNK rows.  That
+    bounds the memory the cache keeps.  This LRU cache is the screen's only
+    one.
     """
     sizes = [config.block.count(i) for i in range(config.n)]
     for i, t in enumerate(sizes):
@@ -746,182 +872,26 @@ def _plan(config: CayleyConfig) -> _Plan:
 
 
 def _build_plan(config: CayleyConfig) -> _Plan:
-    return (_DualPlan if config.n == 2 else _ScreenPlan)(config)
+    return _Plan(config)
 
 
 _cached_plan = functools.lru_cache(maxsize=32)(_build_plan)
 
 
-class _FloatScreen:
-    """Batched float tests of one lifting, at n != 2, that discard what the
-    exact test would reject.
-
-    Two passes share one test (``_witness``), which takes the coefficient-
-    free half of each row from ``plan`` (``_ScreenPlan.factors``).  The
-    first runs over the plan's simplices of the ``screened`` blocks and
-    keeps a block's point pair only if some simplex through it witnesses
-    it; other blocks keep every pair.  The second runs over the product of
-    the kept pairs, one pair per block, in ``itertools.product`` order: in
-    one batch from the plan's ``product`` when it holds one, so such a
-    solve makes one ``_witness`` call and builds no factors, else a chunk
-    at a time.
-    ``kept`` holds the indices of the kept pairs, blocks in order, and
-    ``total`` the size of their product; a screen on a plan that holds its
-    product has neither.  Each pair's right-hand side is held once, in grain
-    units (``rhs``), and every bound reads the plan's ``reach``.
-    """
-
-    def __init__(self, plan: _ScreenPlan, lifting: Sequence[float]) -> None:
-        self.plan = plan
-        n = plan.n
-        self.lift = np.array(lifting, dtype=float)
-        self.rhs = (self.lift[plan.second] - self.lift[plan.first]) / plan.grain
-        self.scale = 1.0 + float(np.abs(self.lift).max())
-        if plan.product:
-            return
-
-        # Simplex pass.  Take a candidate the exact test accepts or raises
-        # TieDegenerate on, and its pair p, q of a block that spans R^n.  Its
-        # exact gamma levels p and q and leaves every other point of the
-        # block at most e = ``_tie_slack`` above (lowering those points by at
-        # most e makes p, q an upper edge).  The gammas that level p, q with
-        # all lowered points on or below form a polyhedron without lines, as
-        # the block spans R^n, so it has a vertex: there n independent
-        # constraints hold with equality, p - q and n - 1 rows k_j - p.  The
-        # simplex S = {p, q, k_1, ..., k_{n-1}} is affinely independent, so
-        # never flagged singular, and its gamma for the lowered lifting is
-        # that vertex.  Undoing the lowering moves S's right-hand sides by at
-        # most e / grain, hence its gamma by at most ||U_S^-1||_2 * sqrt(n) *
-        # e / grain.  A margin is a lift difference plus gamma times grain
-        # times a row of norm at most reach, so it moves by at most e * (1 +
-        # sqrt(n) * reach * ||U_S^-1||_2), the slack ``_witness`` adds to
-        # tau.  So S is untrusted, or its float margins are within that
-        # widened tau, and either way S keeps p, q.
-        kept = np.ones(len(plan.first), dtype=bool)
-        if plan.screened:
-            slack = self._tie_slack()
-            for i in plan.screened:
-                kept[plan.pair_starts[i] : plan.pair_starts[i + 1]] = False
-            for rows, blk, factors in plan.simplices():
-                pairs = rows[:, :n]
-                kept[rows[self._witness(pairs, rows[:, :1], blk, slack, factors)]] = True
-        self.kept = np.flatnonzero(kept)
-        self.cuts = np.searchsorted(self.kept, plan.pair_starts)
-        self.shape = tuple(np.diff(self.cuts).tolist())
-        self.total = math.prod(self.shape)
-
-    def _tie_slack(self) -> float:
-        """Bound on how far above its face the exact test lets a point sit.
-
-        The exact test rejects a candidate only when some excluded point k
-        has ``float(zeta . w) / |zeta[k]| <= -TIE_RTOL * scale``, zeta its
-        circuit; exactly, that quotient is k's margin.  The sum has 2n + 1
-        products of an integer and a lifting value below ``scale``, so with
-        the division the quotient is off by at most ``2 (n + 2) eps scale
-        |zeta|_1 / |zeta[k]|``.  Up to sign, zeta over ``|zeta[k]|`` is
-        ``lam_i`` on ``a_i``, ``[i = j] - lam_i`` on ``b_i`` and 1 on k, with
-        ``lam_i`` (Cramer) the determinant of the edge rows in grain units, U,
-        with row i replaced by ``(k - b_j) / grain``, at most ``reach^n``,
-        over ``det U``, a nonzero integer, so at least 1 in size.  So the
-        ratio is at most ``2 + 2 n reach^n``, and a candidate the test accepts
-        or raises TieDegenerate on has every exact margin above minus the
-        returned bound.
-        """
-        n = self.plan.n
-        ratio = 2.0 + 2.0 * n * self.plan.reach**n
-        return self.scale * (TIE_RTOL + 2 * (n + 2) * _EPS * ratio)
-
-    def survivors(self) -> np.ndarray:
-        """The product screen's survivors as one array of rows of pair
-        indices, column i block i's pair, in ``itertools.product`` order."""
-        plan = self.plan
-        blocks = np.arange(plan.n)[None, :]
-        batches = [plan.product] if plan.product else self._product_chunks()
-        kept = [rows[self._witness(rows, rows, blocks, 0.0, f)] for rows, f in batches]
-        return np.concatenate([np.empty((0, plan.n), np.intp), *kept])
-
-    def _product_chunks(self) -> Iterator[tuple[np.ndarray, _Factors]]:
-        """The product of the kept pairs a chunk at a time, as rows of pair
-        indices with their factors."""
-        offsets = self.cuts[:-1]
-        for start in range(0, self.total, SCREEN_CHUNK):
-            flat = np.arange(start, min(start + SCREEN_CHUNK, self.total))
-            idx = np.stack(np.unravel_index(flat, self.shape), axis=1)
-            pairs = self.kept[idx + offsets]
-            yield pairs, self.plan.factors(pairs)
-
-    def _witness(
-        self,
-        pairs: np.ndarray,
-        faces: np.ndarray,
-        blocks: np.ndarray,
-        slack: float,
-        factors: _Factors,
-    ) -> np.ndarray:
-        """Rows of pair indices the float test cannot rule out.
-
-        Row r takes one gamma from the equality constraints of its n pairs
-        and asks, for each column j of ``faces`` and ``blocks``, whether a
-        point of block ``blocks[r, j]`` lies above the face through the first
-        point of pair ``faces[r, j]`` by more than tau.  A row is ruled out
-        when its matrix is provably singular, or when it is trusted and some
-        such point lies above.  ``slack`` widens tau for the simplex pass.
-        ``factors`` is the rows' coefficient-free half (``_ScreenPlan.
-        factors``), which holds the singular and trusted tests; this half
-        adds the right-hand sides, gamma and the margins.
-
-        Each row's determinant and gamma come from ``np.linalg.det`` and
-        ``np.linalg.solve``, whose rounding the bounds in ``_ScreenPlan.
-        factors`` and below cover.
-        """
-        # Every comparison that drops a row is False on NaN, so values that
-        # overflow the float range leave the row to the exact test.
-        plan = self.plan
-        n = plan.n
-        count = len(pairs)
-        with np.errstate(all="ignore"):
-            rhs = self.rhs[pairs]
-            rhs[~factors.trusted] = 0.0
-            gamma = np.linalg.solve(factors.matrix, rhs[:, :, None])[:, :, 0]
-            # A margin is a difference of two lifted values, each at most
-            # scale * (1 + |gamma|_1 * max|coord|) in size.  Their rounding,
-            # the 1e-9 relative error of gamma spread over 2n * max|coord|
-            # and the tie tolerance 1e-12 * scale fit well inside tau's first
-            # term.  The exact test's own rounding is at most 2 (n + 2) eps
-            # scale (2 + 2 sum_i |lam_i|) (``_tie_slack``), and by Cramer and
-            # Hadamard |lam_i| <= reach * H / (|det| * norm of row i).  So the
-            # second term covers it, and a float margin below -tau is one the
-            # exact test reads below the tie tolerance: it rejects, no tie.
-            inverse = factors.inverse
-            gamma_l1 = np.sum(np.abs(gamma), axis=1)
-            tau = 1e-6 * self.scale * (1.0 + gamma_l1 * (1.0 + plan.max_coord))
-            tau += 4 * (n + 2) * _EPS * self.scale * (1.0 + plan.reach * inverse)
-            if slack:
-                tau += slack * (1.0 + math.sqrt(n) * plan.reach * inverse)
-            # The face points sit within rounding of the face, far inside
-            # tau, so the highest lifted value of each block decides.
-            lifted = self.lift + gamma @ plan.coords.T
-            top = np.maximum.reduceat(lifted, plan.starts, axis=1)
-            rows = np.arange(count)[:, None]
-            excess = top[rows, blocks] - lifted[rows, plan.first[faces]]
-            infeasible = np.any(excess > tau[:, None], axis=1)
-        return ~(factors.singular | (factors.trusted & infeasible))
-
-
 def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSet:
     """All mixed cells of the subdivision induced by ``lifting``.
 
-    The float screen (``_DualScreen`` at n = 2, ``_FloatScreen`` elsewhere)
-    only discards; it and the circuit table read the configuration's cached
-    plan (``_plan``), so a second coefficient vector on a support pays only
-    the lifting's share of the screen.  Survivors leave the screen as rows
-    of pair indices (``survivors``) and stay arrays: the plan's
-    pair tables give their Cayley endpoints, the lower-lifted point of each
-    edge first (a tie keeps the lower index first), and ``plan.ints`` and
-    the lifting their edge matrices and right-hand sides, each converted to
-    Python numbers once.  Each survivor's n x n edge matrix is eliminated
-    once, by ``det_adjugate``: a zero determinant skips the survivor, and
-    the adjugate gives its float gamma (the negated normal, by
+    The float screen (``_Screen``) only discards; it and the circuit table
+    read the configuration's cached plan (``_plan``), so a second
+    coefficient vector on a support pays only the lifting's share of the
+    screen.  Survivors leave the screen as rows of pair indices
+    (``survivors``) and stay arrays: the plan's pair tables give their
+    Cayley endpoints, the lower-lifted point of each edge first (a tie keeps
+    the lower index first), and ``plan.ints`` and the lifting their edge
+    matrices and right-hand sides, each converted to Python numbers once.
+    Each survivor's n x n edge matrix is eliminated once, by
+    ``det_adjugate``: a zero determinant skips the survivor, and the
+    adjugate gives its float gamma (the negated normal, by
     ``lattice.apply_adjugate``) and, in one ``_circuit_table`` pass over
     every survivor's endpoints, its exact circuit inequalities, one per
     excluded point.  The table is evaluated on the float lifting: a row's
@@ -996,7 +966,7 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
 
 
 def _circuit_table(
-    plan: _ScreenPlan,
+    plan: _Plan,
     ends: np.ndarray,
     dets: Sequence[int],
     adjs: Sequence[IntMatrix],

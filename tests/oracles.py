@@ -6,8 +6,9 @@ one block by ``lp_upper_edges``), binomial systems by per-orthant grid search
 with Newton polish, quadratic root counts by the closed formula, and a zero
 given as signs and ``log|x|`` by its residual in 50-digit decimal arithmetic
 (``log_residual``), and the mixed volume of two supports in the plane by
-integer convex hulls (``mixed_volume_2d``), which reads no lifting and no
-solver code.
+integer convex hulls (``mixed_volume_2d``), and at any n by the
+inclusion-exclusion of Minkowski sums' volumes (``mixed_volume``); neither
+reads a lifting or solver code.
 
 The loop references are the plain versions that faster code must reproduce
 exactly: ``brute_force_mixed_cells`` runs the exact per-candidate test on every
@@ -38,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from realhomotopy import (
     CayleyConfig,
@@ -384,6 +386,40 @@ def mixed_volume_2d(system) -> int:
     doubled = _doubled_area(total) - _doubled_area(first) - _doubled_area(second)
     assert doubled % 2 == 0, doubled
     return doubled // 2
+
+
+def _hull_vertices(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """The vertices of the convex hull of integer points in R^n and its
+    volume; a hull that spans less than R^n has volume 0 and keeps every
+    point."""
+    points = np.unique(points, axis=0)
+    n = points.shape[1]
+    if len(points) <= n or np.linalg.matrix_rank(points[1:] - points[0]) < n:
+        return points, 0.0
+    hull = ConvexHull(points)
+    return points[hull.vertices], float(hull.volume)
+
+
+def mixed_volume(system) -> int:
+    """The mixed volume of a system's n supports in Z^n: the sum over the
+    nonempty sets S of supports of ``(-1)^(n - |S|) vol(sum_{i in S} P_i)``,
+    each Minkowski sum's volume from scipy's convex hull of the sums of
+    the summands' hull vertices, and a flat sum's volume 0.  The alternating
+    sum is an integer, so it is rounded.  By Bernstein's theorem and Huber
+    and Sturmfels' mixed subdivisions, the volumes of the mixed cells of
+    any generic lifting add up to it."""
+    polytopes = [np.array(s.points, dtype=np.int64) for s in system.supports]
+    n = len(polytopes)
+    sums = {(): (np.zeros((1, n), dtype=np.int64), 0.0)}
+    total = 0.0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            vertices = sums[subset[:-1]][0]
+            summand = _hull_vertices(polytopes[subset[-1]])[0]
+            points = (vertices[:, None, :] + summand[None, :, :]).reshape(-1, n)
+            sums[subset] = _hull_vertices(points)
+            total += (-1) ** (n - size) * sums[subset][1]
+    return round(total)
 
 
 def quadratic_real_roots(c0: float, c1: float, c2: float) -> list[float]:

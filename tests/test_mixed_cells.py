@@ -24,6 +24,7 @@ from helpers import (
 from oracles import (
     LP_MARGIN,
     adjugate_solve,
+    bareiss_det,
     brute_force_mixed_cells,
     exact_edge_test,
     lp_mixed_cells,
@@ -46,7 +47,7 @@ from realhomotopy import (
 from reference_reports import reference_solves
 from realhomotopy import lattice, mixed_cells
 from realhomotopy.lattice import Lifting, int_det
-from realhomotopy.mixed_cells import TIE_RTOL, _DualPlan, _DualScreen, _FloatScreen, _ScreenPlan
+from realhomotopy.mixed_cells import TIE_RTOL, _Plan, _Screen
 import workloads
 
 
@@ -151,28 +152,29 @@ class TestSmallCases:
             assert cells.total_volume() == d1 * d2
 
 
+def _assert_matches_lp(system):
+    config = build_cayley(system)
+    lifting = log_abs_lifting(system)
+    cells = enumerate_mixed_cells(config, lifting)
+    expected = lp_mixed_cells(config, lifting)
+    got = {tuple(tuple(sorted(e)) for e in c.edges): c for c in cells.cells}
+    assert set(got) == {e for e, _, _ in expected}
+    for edges, gamma, volume in expected:
+        cell = got[edges]
+        assert cell.volume == volume
+        ours = np.array([float(v) for v in cell.normal])
+        ref = -gamma
+        assert np.allclose(ours / np.linalg.norm(ours), ref / np.linalg.norm(ref), atol=1e-7)
+
+
 class TestOracleAgreement:
     def test_random_systems_match_lp(self, rng):
         for _ in range(30):
-            system = random_sparse_system(rng)
-            config = build_cayley(system)
-            lifting = log_abs_lifting(system)
-            cells = enumerate_mixed_cells(config, lifting)
-            expected = lp_mixed_cells(config, lifting)
-            got = {
-                tuple(tuple(sorted(e)) for e in c.edges): c for c in cells.cells
-            }
-            assert set(got) == {e for e, _, _ in expected}
-            for edges, gamma, volume in expected:
-                cell = got[edges]
-                assert cell.volume == volume
-                ours = np.array([float(v) for v in cell.normal])
-                ref = -gamma
-                assert np.allclose(
-                    ours / np.linalg.norm(ours),
-                    ref / np.linalg.norm(ref),
-                    atol=1e-7,
-                )
+            _assert_matches_lp(random_sparse_system(rng))
+
+    def test_random_n3_systems_match_lp(self, rng):
+        for _ in range(12):
+            _assert_matches_lp(random_sparse_system(rng, n=3, max_terms=4))
 
 
 def _outcome(fn, *args):
@@ -193,6 +195,14 @@ def _assert_matches_brute_force(system, lifting=None):
         seen = got
     assert seen == _outcome(brute_force_mixed_cells, config, lifting)
     return got
+
+
+def _random_coefficients(rng, supports):
+    """Log-uniform coefficients of random signs, one list per support."""
+    return [
+        (rng.choice([-1.0, 1.0], len(points)) * np.exp(rng.uniform(-3, 3, len(points)))).tolist()
+        for points in supports
+    ]
 
 
 def _scaled(system, factor):
@@ -216,6 +226,49 @@ class TestScreenEquivalence:
             _assert_matches_brute_force(
                 random_sparse_system(rng, n=3, min_terms=3, max_terms=5)
             )
+
+    def test_random_sparse_n1(self, rng):
+        for _ in range(25):
+            _assert_matches_brute_force(random_sparse_system(rng, n=1, min_terms=3, max_terms=4))
+
+    def test_random_sparse_n4(self, rng):
+        # 3-4 terms per support: at most 6^4 = 1,296 candidates.
+        for _ in range(4):
+            _assert_matches_brute_force(random_sparse_system(rng, n=4, min_terms=3, max_terms=4))
+
+    def test_exact_liftings_n3(self, rng):
+        # Integer-valued and dyadic float liftings in three variables, with
+        # many ties.
+        for _ in range(12):
+            system = random_sparse_system(rng, n=3, min_terms=4, max_terms=6)
+            m = sum(len(s) for s in system.supports)
+            ints = tuple(float(v) for v in rng.integers(-3, 4, size=m))
+            nums = rng.integers(-50, 51, size=m)
+            shifts = rng.integers(0, 3, size=m)
+            _assert_matches_brute_force(system, Lifting(values=ints))
+            _assert_matches_brute_force(system, Lifting(values=dyadic(nums, shifts)))
+
+    def test_collinear_tie_n3(self, rng):
+        # Block 0 starts with a = 0, b = (2, 2, 2) and k = (1, 1, 1) midway,
+        # k lifted 0.3 * TIE_RTOL * scale above the midpoint of a's and b's
+        # lifts: (a, b), the block's first pair, is an edge only within the
+        # tie tolerance, so the first cell on it raises TieDegenerate, and a
+        # screen that drops the pair or the cell's candidate reads
+        # otherwise.  (On the line through a and k, b sits twice as far
+        # from the face, still inside the tie tolerance.)
+        raised = 0
+        for _ in range(30):
+            system = random_sparse_system(rng, n=3, min_terms=3, max_terms=5)
+            supports = [s.points for s in system.supports]
+            extra = [p for p in supports[0] if p not in [(0, 0, 0), (1, 1, 1), (2, 2, 2)]][:2]
+            supports[0] = [(0, 0, 0), (2, 2, 2), (1, 1, 1), *extra]
+            system = support_system(supports, _random_coefficients(rng, supports))
+            values = list(log_abs_lifting(system).values)
+            scale = 1.0 + max(abs(v) for v in values)
+            values[2] = (values[0] + values[1]) / 2 + 0.3 * TIE_RTOL * scale
+            got = _assert_matches_brute_force(system, Lifting(values=tuple(values)))
+            raised += not isinstance(got, MixedCellSet)
+        assert raised >= 5
 
     def test_dense_3_3(self, rng):
         for _ in range(3):
@@ -270,18 +323,21 @@ class TestScreenEquivalence:
         assert [c.edges for c in cells] == [c.edges for c in unscaled.cells]
         assert [c.volume for c in cells] == [c.volume * 2**80 for c in unscaled.cells]
 
-    def test_more_candidates_than_one_chunk(self, rng, monkeypatch, simplex_chunks):
-        # A small prime chunk makes both passes of the general screen span
-        # several chunks on dense (2, 2, 2), the last partial, and the n = 2
-        # screen test its dense (4, 4) candidates in several batches of
-        # ``11 // (pairs kept in block 1)`` pairs of block 0.
+    def test_more_candidates_than_one_chunk(self, rng, monkeypatch, lines_made):
+        # A small prime chunk splits the block pass on dense (2, 2, 2) into
+        # chunks of 11 subsets per block, the last partial, and its crossing
+        # test into chunks of middles, and makes the n = 2 screen test its
+        # dense (4, 4) candidates in several batches of ``11 // (pairs kept
+        # in block 1)`` pairs of block 0.
         monkeypatch.setattr(mixed_cells, "SCREEN_CHUNK", 11)
         system = dense_system_n((2, 2, 2), rng)
         screen = _screen(build_cayley(system), log_abs_lifting(system))
-        simplices = 3 * math.comb(len(dense_support(2, 3)), 4)
-        for rows in (screen.total, simplices):
-            assert rows > 11 and rows % 11 != 0
-        assert len(simplex_chunks) > 1 and sum(simplex_chunks) == simplices
+        subsets = math.comb(len(dense_support(2, 3)), 3)
+        assert subsets % 11 != 0
+        assert lines_made == ([11] * (subsets // 11) + [subsets % 11]) * 3
+        lines_made.clear()
+        screen.survivors()
+        assert len(lines_made) >= 4
         assert _assert_matches_brute_force(system).total_volume() == 8
         system = dense_system(4, 4, rng)
         kept = _kept_pairs(_screen(build_cayley(system), log_abs_lifting(system)))
@@ -303,7 +359,7 @@ def _dual_screen(points, values):
     the set of those it keeps."""
     sizes = [len(blk) for blk in points]
     config = build_cayley(support_system(points, [[1.0] * t for t in sizes]))
-    screen = _DualPlan(config).screen([v for row in values for v in row])
+    screen = _Plan(config).screen([v for row in values for v in row])
     cands = list(itertools.product(*(itertools.combinations(range(t), 2) for t in sizes)))
     return screen, cands, _survivor_pairs(screen)
 
@@ -400,17 +456,18 @@ def _adversarial_blocks(rng, aligned):
 
 
 def _tie_only(plan):
-    """A copy of a ``_DualPlan`` whose tolerance keeps only its TIE_RTOL
+    """A copy of an n = 2 ``_Plan`` whose tolerance keeps only its TIE_RTOL
     term, every rounding term dropped."""
-    bare = copy.copy(plan)
-    bare.slack = TIE_RTOL * np.where(plan.recip == 0, 1.0, np.abs(plan.recip))
-    bare.level = np.where(np.isinf(plan.level), np.inf, TIE_RTOL)
+    bare, cut = copy.copy(plan), copy.copy(plan.cut)
+    cut.slack = TIE_RTOL * np.where(cut.recip == 0, 1.0, np.abs(cut.recip))
+    cut.level = np.where(np.isinf(cut.level), np.inf, TIE_RTOL)
+    bare.cut = cut
     return bare
 
 
 class TestClosedFormWitness:
     """At n = 2 the closed-form crossing test (Cramer's rule on two dual
-    lines, ``_DualScreen``) drops only candidates that the exact test
+    lines, ``_Screen``) drops only candidates that the exact test
     rejects, and every exactly singular one."""
 
     def test_small_integer_rows(self, rng):
@@ -473,7 +530,8 @@ class TestClosedFormWitness:
             screen, cands, _ = _dual_screen(points, values)
             screen.kept = np.arange(len(screen.plan.first))
             screen.ends = screen.ends.copy()
-            screen.ends[2], screen.ends[3] = np.inf, -np.inf
+            # Rows rho, hi, lo and r: every interval the whole line.
+            screen.ends[1], screen.ends[2] = np.inf, -np.inf
             kept = _survivor_pairs(screen)
             singular = {c for c in cands if not exact_edge_test(points, values, c)[0]}
             assert len(singular) >= 3
@@ -522,27 +580,25 @@ def _exclusion_margin(config, values, cell, k):
 @pytest.fixture
 def fresh_plans():
     """Clear the plan cache before and after a test that patches what a
-    cached plan would hold or skip (``SCREEN_CHUNK``, ``SMALL_PRODUCT``,
-    ``_simplex_rows``, ``_FloatScreen._witness``, ``_DualScreen.
-    survivors``), so that no plan outlives its patch."""
+    cached plan would hold or skip (``SCREEN_CHUNK``, ``_Lines``, ``_Plan``,
+    ``_Screen.survivors``), so that no plan outlives its patch."""
     mixed_cells._cached_plan.cache_clear()
     yield
     mixed_cells._cached_plan.cache_clear()
 
 
 @pytest.fixture
-def simplex_chunks(monkeypatch, fresh_plans):
-    """The row count of each chunk that ``_simplex_rows`` yields."""
-    chunks = []
-    simplex_rows = mixed_cells._simplex_rows
+def lines_made(monkeypatch, fresh_plans):
+    """The line count of each ``_Lines`` the screens build, in order."""
+    counts = []
 
-    def counting(*args):
-        for chunk in simplex_rows(*args):
-            chunks.append(len(chunk[0]))
-            yield chunk
+    class Counting(mixed_cells._Lines):
+        def __init__(self, plan, rows, far=None):
+            counts.append(len(rows))
+            super().__init__(plan, rows, far)
 
-    monkeypatch.setattr(mixed_cells, "_simplex_rows", counting)
-    return chunks
+    monkeypatch.setattr(mixed_cells, "_Lines", Counting)
+    return counts
 
 
 def _whole_product(plan):
@@ -558,10 +614,7 @@ def screened(request, monkeypatch, fresh_plans):
     product so that the exact test sees every candidate, as the brute-force
     loop does."""
     if not request.param:
-        monkeypatch.setattr(
-            _FloatScreen, "_witness", lambda self, rows, *_: np.ones(len(rows), bool)
-        )
-        monkeypatch.setattr(_DualScreen, "survivors", lambda self: _whole_product(self.plan))
+        monkeypatch.setattr(_Screen, "survivors", lambda self: _whole_product(self.plan))
     return request.param
 
 
@@ -678,13 +731,8 @@ class TestScreenExactness:
 
 
 def _screen(config, lifting):
-    """The screen of a lifting on a fresh plan: the n = 2 screen at n = 2,
-    else the general one with ``SMALL_PRODUCT`` at 0, so that the simplex
-    pass runs on small supports too."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mixed_cells, "SMALL_PRODUCT", 0)
-        plan = mixed_cells._build_plan(config)
-    return plan.screen(lifting.values)
+    """The screen of a lifting on a fresh plan."""
+    return mixed_cells._build_plan(config).screen(lifting.values)
 
 
 def _local_pairs(plan, pairs):
@@ -783,8 +831,8 @@ class TestUpperEdgeScreen:
                 )
 
     def test_collinear_block_keeps_every_pair(self):
-        # The general screen keeps every pair of a block that does not span
-        # R^n: block 0 lies on a line in R^3.
+        # The block pass keeps every pair of a block that has no affinely
+        # independent 3-point subset: block 0 lies on a line in R^3.
         system = support_system(
             [
                 [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4], [5, 5, 5]],
@@ -797,8 +845,6 @@ class TestUpperEdgeScreen:
                 [-1.2, 0.6, 2.2, -0.8, 3.1, 0.35],
             ],
         )
-        screen = _screen(build_cayley(system), log_abs_lifting(system))
-        assert screen.plan.screened == (1, 2)
         kept = _assert_keeps_upper_edges(system)
         assert kept[0] == list(itertools.combinations(range(6), 2))
         assert len(kept[1]) < math.comb(6, 2)
@@ -825,26 +871,39 @@ class TestUpperEdgeScreen:
         assert kept == [list(itertools.combinations(range(4), 2))]
 
 
+def _assert_cramer(rows, frame, rng):
+    """A frame's rows are Cramer's numerators, by ``oracles.bareiss_det``:
+    ``<d, x> = det [U; x]`` and ``<cof_i, x>`` the determinant of ``[U; d]``
+    with row i replaced by x, for random integer x."""
+    *cofs, d = frame
+    for x in rng.integers(-5, 6, size=(3, len(d))).tolist():
+        assert sum(a * b for a, b in zip(d, x)) == bareiss_det([*rows, x])
+        for i, cof in enumerate(cofs):
+            matrix = [*rows[:i], x, *rows[i + 1 :], d]
+            assert sum(a * b for a, b in zip(cof, x)) == bareiss_det(matrix)
+
+
 class TestSpansSpace:
-    """``_spans_space`` against an independent rank: numpy's on small
-    integers, and answers known by construction where coordinates leave the
-    integers that a float holds exactly."""
+    """Whether n - 1 pairs span an (n-1)-space, decided exactly: the
+    direction d of their line (``_frames``) is 0 exactly when they do not.
+    Checked against numpy's rank on small integers, and against answers
+    known by construction where coordinates leave the integers that a float
+    holds exactly; every frame's rows are Cramer's numerators."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_matrix_rank_on_small_integers(self, rng, n):
-        # Every third block lies on a line (n = 2) or a plane (n = 3): n - 1
-        # integer directions, more than n + 1 points.
+        # Every third set of rows lies in an (n-2)-space.
         answers = set()
         for trial in range(300):
-            size = int(rng.integers(n + 2, n + 6))
             if trial % 3:
-                points = rng.integers(-3, 4, size=(size, n))
+                rows = rng.integers(-3, 4, size=(n - 1, n))
             else:
-                directions = rng.integers(-3, 4, size=(n - 1, n))
-                weights = rng.integers(-3, 4, size=(size, n - 1))
-                points = rng.integers(-3, 4, size=n) + weights @ directions
-            want = np.linalg.matrix_rank(points[1:] - points[0]) == n
-            assert mixed_cells._spans_space(points.tolist(), n) == want
+                directions = rng.integers(-3, 4, size=(n - 2, n))
+                rows = rng.integers(-3, 4, size=(n - 1, n - 2)) @ directions
+            want = np.linalg.matrix_rank(rows) == n - 1
+            frame = mixed_cells._frames(rows[None].astype(np.int64))[0].tolist()
+            assert any(frame[-1]) == want
+            _assert_cramer(rows.tolist(), frame, rng)
             answers.add((trial % 3 == 0, bool(want)))
         assert {(False, True), (True, False)} <= answers
 
@@ -852,30 +911,20 @@ class TestSpansSpace:
     @pytest.mark.parametrize("n", [2, 3])
     def test_known_answers_at_large_coordinates(self, rng, n, scale):
         # Directions d_i = scale * (1, ..., 1) + e_i have determinant
-        # 1 + n * scale, so they span R^n, yet round to one float direction.
-        # Points at integer weights on the first n - 1 of them lie on an
-        # (n - 1)-flat; a weight on d_{n-1}, or a unit step e_{n-1} off the
-        # flat, spans R^n.
-        offset = [scale + int(v) for v in rng.integers(-9, 10, size=n)]
+        # 1 + n * scale, yet round to one float direction.  The first n - 1
+        # span an (n-1)-space; the first n - 2 and an integer combination of
+        # them do not.
         directions = [[scale + (i == j) for j in range(n)] for i in range(n)]
-
-        def block(weights):
-            # offset + sum_i w_i d_i per weight vector, in Python ints.
-            exact = np.array(weights, dtype=object) @ np.array(directions, dtype=object)
-            return (exact + offset).tolist()
-
-        unit = [[int(i == j) for j in range(n)] for i in range(n)]
-        flat = [[0] * n] + unit[: n - 1]
-        extra = rng.integers(-5, 6, size=(3, n - 1)).tolist()
-        flat += [ws + [0] for ws in extra]
-        assert not mixed_cells._spans_space(block(flat), n)
-        assert mixed_cells._spans_space(block(flat + unit[n - 1 :]), n)
-        step = [o + (j == n - 1) for j, o in enumerate(offset)]
-        assert mixed_cells._spans_space(block(flat) + [step], n)
-        # A float rank misses the spanning block's rank.
-        simplex = np.array(block([[0] * n] + unit), dtype=object)
-        assert mixed_cells._spans_space(simplex.tolist(), n)
-        assert np.linalg.matrix_rank((simplex[1:] - simplex[0]).astype(float)) < n
+        weights = rng.integers(-5, 6, size=n - 2).tolist()
+        combo = [sum(w * d[j] for w, d in zip(weights, directions)) for j in range(n)]
+        cases = ((directions[: n - 1], True), ([*directions[: n - 2], combo], False))
+        for rows, want in cases:
+            frame = mixed_cells._frames(np.array([rows], dtype=object))[0].tolist()
+            assert any(frame[-1]) == want
+            _assert_cramer(rows, frame, rng)
+        if n > 2:
+            # A float rank misses the spanning rows' rank.
+            assert np.linalg.matrix_rank(np.array(directions[: n - 1], dtype=float)) < n - 1
 
 
 def _unbalanced(rng, large, small):
@@ -906,20 +955,24 @@ def _unbalanced_n3(rng, large, small):
 
 
 class TestScreenCost:
-    """A block is screened only while its simplices cost no more than the
-    candidates they could cut."""
+    """The block pass builds one line per n-point subset of each block, and
+    the crossing test builds side b's lines only for middles that have a
+    line on side a."""
 
-    def test_unbalanced_supports(self, rng, simplex_chunks):
-        rows = simplex_chunks
-        # 14 points have C(14, 4) = 1,001 simplices, more than the 91 and
-        # 910 candidates; the spanning 5-point block has 5.
-        for small, screened in ((2, ()), (5, (2,))):
+    def test_unbalanced_supports(self, rng, lines_made):
+        # 14 points have C(14, 3) = 364 subsets, a 2-point block none (it
+        # keeps its one pair) and a 5-point block C(5, 3) = 10.
+        for small in (2, 5):
             system = _unbalanced_n3(rng, 14, small)
-            rows.clear()
+            lines_made.clear()
             screen = _screen(build_cayley(system), log_abs_lifting(system))
-            assert screen.plan.screened == screened
-            assert sum(rows) == sum(math.comb(5, 4) for _ in screened)
-            assert sum(rows) <= math.comb(14, 2) * math.comb(small, 2)
+            assert sum(lines_made) == math.comb(14, 3) + math.comb(small, 3)
+            kept = _kept_pairs(screen)
+            assert kept[1] == [(0, 1)]
+            lines_made.clear()
+            screen.survivors()
+            assert lines_made[0] == len(kept[0])
+            assert sum(lines_made[1:]) <= len(kept[2])
             _assert_matches_brute_force(system)
 
 
@@ -994,20 +1047,17 @@ class TestScreenPlan:
         assert warm[0] != warm[1]
 
     def test_plan_arrays_are_read_only(self, rng):
-        # DIAMOND's n = 2 plan holds its edges, slopes, projections and
-        # tolerance factors.  At n = 3 a 4-term support's plan holds its
-        # 216-candidate product and the product's factors, and dense
-        # (2, 2, 2), with 3,375 candidates, holds simplices.
+        # DIAMOND's n = 2 plan holds its pairs' lines and their cut: edges,
+        # frames, slopes, projections and tolerance factors.  An n = 3 plan
+        # holds its tables, points and edges.
         small = random_sparse_system(rng, n=3, min_terms=4, max_terms=4)
-        cases = ((DIAMOND, 15), (small, 14), (dense_system_n((2, 2, 2), rng), 15))
-        for system, count in cases:
+        for system, count in ((DIAMOND, 20), (small, 9)):
             plan = mixed_cells._plan(build_cayley(system))
             assert plan.ints.dtype == np.int64
-            product = getattr(plan, "product", None)
-            assert (product is not None) == (system is small)
-            arrays = list(_plan_arrays(list(vars(plan).values())))
+            parts = [plan, getattr(plan, "lines", None), getattr(plan, "cut", None)]
+            held = [value for part in parts if part for value in vars(part).values()]
+            arrays = list(_plan_arrays(held))
             assert len(arrays) >= count
-            assert all(any(a is b for b in arrays) for a in _plan_arrays(product))
             for array in arrays:
                 first = (0,) * array.ndim
                 with pytest.raises(ValueError):
@@ -1039,63 +1089,46 @@ class TestScreenPlan:
         ]
         assert rows.tolist() == kept and len(kept) < len(everything)
 
-    def test_second_solve_builds_no_plan(self, rng, monkeypatch, simplex_chunks):
-        # Dense (2, 2, 2) runs the simplex pass: a cold plan decides its
-        # blocks' spans and builds simplex rows, a warm one neither.
-        spans = []
-        spans_space = mixed_cells._spans_space
+    def test_second_solve_builds_no_plan(self, rng, monkeypatch, fresh_plans):
+        # Dense (2, 2, 2): a cold solve builds its plan, a warm one on the
+        # same support builds none and reads as a cold one does.
+        built = []
 
-        def counting(*args):
-            spans.append(args)
-            return spans_space(*args)
+        class Counting(mixed_cells._Plan):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
 
-        monkeypatch.setattr(mixed_cells, "_spans_space", counting)
+        monkeypatch.setattr(mixed_cells, "_Plan", Counting)
         first, second = dense_system_n((2, 2, 2), rng), dense_system_n((2, 2, 2), rng)
         _enumeration(first)
-        calls = len(spans), len(simplex_chunks)
-        assert min(calls) > 0
+        assert len(built) == 1
         got = _enumeration(second)
-        assert (len(spans), len(simplex_chunks)) == calls
+        assert len(built) == 1
         mixed_cells._cached_plan.cache_clear()
-        assert _enumeration(second) == got
+        assert _enumeration(second) == got and len(built) == 2
 
-    def test_small_support_screens_once(self, rng, monkeypatch, simplex_chunks):
-        # A 4-term n = 3 support's pair product has 216 candidates, at most
-        # SMALL_PRODUCT: its cold plan decides no block's span, builds no
-        # simplex row and takes the product's factors once, and a second
-        # solve on the support builds no factors and makes one ``_witness``
-        # call.
-        calls = []
+    def test_small_support_screens_once(self, rng, lines_made):
+        # The n = 2 plan holds every pair's line and their cut: a cold solve
+        # on DIAMOND's support builds its 10 + 6 lines once, and a warm one
+        # builds none.  Each n = 3 solve on a 4-term support builds the
+        # lines of its block pass, the 4 subsets of each block, and then
+        # those of its crossing test.
+        small = random_sparse_system(rng, n=3, min_terms=4, max_terms=4)
+        for system, first, again in ((DIAMOND, [16], []), (small, [4] * 3, [4] * 3)):
+            supports = [s.points for s in system.supports]
+            for want in (first, again):
+                coeffs = _random_coefficients(rng, supports)
+                lines_made.clear()
+                assert not isinstance(_enumeration(support_system(supports, coeffs)), str)
+                assert lines_made[: len(want)] == want
+                assert len(lines_made) == len(want) or system is small
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return wrapper
-
-        spans_space = counting("spans", mixed_cells._spans_space)
-        monkeypatch.setattr(mixed_cells, "_spans_space", spans_space)
-        monkeypatch.setattr(_ScreenPlan, "factors", counting("factors", _ScreenPlan.factors))
-        monkeypatch.setattr(_FloatScreen, "_witness", counting("witness", _FloatScreen._witness))
-        system = random_sparse_system(rng, n=3, min_terms=4, max_terms=4)
-        supports = [s.points for s in system.supports]
-        solves = []
-        for _ in range(2):
-            signs = rng.choice([-1.0, 1.0], 12) * np.exp(rng.uniform(-3, 3, 12))
-            system = support_system(supports, signs.reshape(3, 4).tolist())
-            calls.clear()
-            solves.append(_enumeration(system))
-            assert not isinstance(solves[-1], str)
-            assert simplex_chunks == [] and "spans" not in calls
-        assert calls == ["witness"]
-
-    def test_small_product_bound_changes_no_enumeration(self, rng, monkeypatch, fresh_plans):
-        # At SMALL_PRODUCT 0 every n = 3 support runs the simplex pass; at
-        # the default a small one screens its whole product in one batch.
-        # Cells, tables, values and TieDegenerate messages are the same
-        # either way.  The bound leaves n = 2 alone: DIAMOND's cases and its
-        # planted tie read the same.
+    def test_screen_chunk_changes_no_enumeration(self, rng, monkeypatch, fresh_plans):
+        # A chunk of 7 splits the n = 3 block pass and crossing test into
+        # many chunks, and the n = 2 crossing test into many batches.
+        # Cells, tables, values and TieDegenerate messages read the same,
+        # DIAMOND's cases and its planted tie among them.
         cases = [(random_sparse_system(rng, n=3, min_terms=3, max_terms=5), None) for _ in range(8)]
         cases += [(DIAMOND, Lifting(values=DIAMOND_VALUES)), (DIAMOND, _planted_tie())]
         for _ in range(24):
@@ -1104,7 +1137,7 @@ class TestScreenPlan:
             coeffs = [rng.choice(small, len(points)).tolist() for points in supports]
             cases.append((support_system(supports, coeffs), None))
         default = [_enumeration(*case) for case in cases]
-        monkeypatch.setattr(mixed_cells, "SMALL_PRODUCT", 0)
+        monkeypatch.setattr(mixed_cells, "SCREEN_CHUNK", 7)
         mixed_cells._cached_plan.cache_clear()
         assert [_enumeration(*case) for case in cases] == default
         ties = [got for got in default if isinstance(got, str)]
@@ -1192,8 +1225,47 @@ class TestDenseHigherDimension:
         system = dense_system_n((3, 3, 3), rng)
         product = math.comb(len(dense_support(3, 3)), 2) ** 3
         assert product == 6_859_000
-        screen = _screen(build_cayley(system), log_abs_lifting(system))
-        assert screen.total < product // 100
+        config, lifting = build_cayley(system), log_abs_lifting(system)
+        cells = enumerate_mixed_cells(config, lifting).cells
+        assert len(_screen(config, lifting).survivors()) <= 2 * len(cells)
+
+
+def _substituted_n3(system, k):
+    """The system under ``x = y^M``, ``M = [[K+1, K, 0], [K, K-1, 0], [0, 0,
+    1]]`` (determinant -1): each exponent vector a becomes ``a M``."""
+    m = [[k + 1, k, 0], [k, k - 1, 0], [0, 0, 1]]
+    supports = [
+        [[sum(p[i] * m[i][j] for i in range(3)) for j in range(3)] for p in s.points]
+        for s in system.supports
+    ]
+    return support_system(supports, system.coefficients)
+
+
+class TestUnimodularSubstitution:
+    """A unimodular substitution maps each support linearly onto one of the
+    same lattice volume and keeps the lifting, so it keeps every cell: the
+    same edges and volumes.  Exponents near 10^3 leave the n = 3 screen as
+    selective as small ones do; the test prints its survivor counts."""
+
+    @pytest.mark.parametrize("k", [10, 10**3], ids=["K=10", "K=10^3"])
+    def test_dense_and_random_n3(self, k):
+        rng = np.random.default_rng(39)
+        systems = [dense_system_n((2, 2, 2), rng), dense_system_n((3, 3, 3), rng)]
+        systems += [random_sparse_system(rng, n=3, min_terms=3, max_terms=5) for _ in range(4)]
+        for index, system in enumerate(systems):
+            original = enumerate_mixed_cells(build_cayley(system), log_abs_lifting(system))
+            moved = _substituted_n3(system, k)
+            config, lifting = build_cayley(moved), log_abs_lifting(moved)
+            if index < 2:
+                got = enumerate_mixed_cells(config, lifting)
+            else:
+                got = _assert_matches_brute_force(moved)
+            assert [(c.edges, c.volume) for c in got.cells] == [
+                (c.edges, c.volume) for c in original.cells
+            ]
+            survivors = len(_screen(config, lifting).survivors())
+            print(f"system {index} at K = {k}: {survivors} survivors, {len(got.cells)} cells")
+            assert survivors <= 2 * len(got.cells)
 
 
 class TestOneEliminationPerSurvivor:
