@@ -9,9 +9,10 @@ Input documents are JSON objects with:
 
 Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
 
-Exit codes: 0 success, 1 input error (a number too large for a float, such
-as an exponent near 10**200, included), 2 certificate fail (a system with
-no mixed cell included), 3 degenerate lifting, 4 tracking failures present.
+Exit codes: 0 success, 1 input error (JSON nested too deeply to parse, and
+a number too large for a float, such as an exponent near 10**200, included),
+2 certificate fail (a system with no mixed cell included), 3 degenerate
+lifting, 4 tracking failures present.
 On a system with no mixed cell ``certify`` and ``solve`` also say on stderr
 that its mixed volume is 0, so it has no isolated zero in the torus.
 
@@ -59,7 +60,10 @@ def _parse_coefficient(raw: object) -> Scalar:
 def load_system(path: str | Path) -> SupportSystem:
     """Parse an input document; a malformed one raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("input nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("input must be a JSON object")
     n, supports, coefficients = doc["n"], doc["supports"], doc["coefficients"]

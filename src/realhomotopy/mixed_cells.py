@@ -46,9 +46,10 @@ the exact test.
 
 The screen is split in two.  A plan (``_Plan``) holds all it reads of the
 configuration alone: the base points in the exact dtype, the pair tables,
-each pair's edge in grain units, and at n = 2 every pair's line and its cut
-by its block.  A screen adds one lifting; at n >= 3 it builds the lines of
-both passes per solve, a chunk at a time, as they depend on the pairs the
+each pair's edge in grain units and its squared length, and at n = 2 every
+pair's line and its cut by its block, 43-55 bytes per pair and point of its
+block (``_plan``).  A screen adds one lifting; at n >= 3 it builds the lines
+of both passes per solve, a chunk at a time, as they depend on the pairs the
 lifting keeps.  Coefficient vectors on one support are this solver's
 natural traffic (the certificate lives in the coefficient space of a fixed
 support), so plans are cached, keyed by the configuration's value, its
@@ -316,16 +317,18 @@ def _frames(units: np.ndarray) -> np.ndarray:
     ``cof_i = U^T adj(G) e_i``: u itself at n = 2.
     """
     count, k, n = units.shape
+    if k == 1:
+        # One pair: the adjugate of a 1 x 1 Gram matrix is 1, and d is u
+        # turned a quarter.
+        frame = np.concatenate((units, units[..., ::-1]), axis=1)
+        frame[:, 1, 0] *= -1
+        return frame
     everything, inner = tuple(range(n)), tuple(range(k))
     frame = np.empty((count, n, n), dtype=units.dtype)
     top = _minors(units)
     for j in range(n):
         minor = top[everything[:j] + everything[j + 1 :]]
         frame[:, -1, j] = -minor if (n - 1 - j) % 2 else minor
-    if k == 1:
-        # The adjugate of a 1 x 1 Gram matrix is 1.
-        frame[:, 0] = units[:, 0]
-        return frame
     gram = units @ units.transpose(0, 2, 1)
     for i in range(k):
         minors = _minors(gram[:, inner[:i] + inner[i + 1 :]])
@@ -345,16 +348,18 @@ class _Plan:
     The pair tables (each pair's Cayley endpoints ``first`` and ``second``,
     each block's first point ``starts`` and first pair ``pair_starts``),
     each point's block, the base points as ``ints`` in the exact dtype
-    (``_exact_dtype``), and the grain, the gcd of all differences (taken
-    from each point's difference to its block's first point).  The circuit
-    table reads these too.  Each pair's edge in grain units, ``u = (a - b)
-    / grain``, is in ``units``; with floats, ``norm`` holds each ``|u|`` and
+    (``_exact_dtype``), and the grain, the gcd of all differences (that of
+    the pairs' differences, which span the others).  The circuit table
+    reads these too.  Each pair's edge in grain units, ``u = (a - b) /
+    grain``, is in ``units`` and its exact ``|u|^2`` in ``square``, in the
+    dtype of ``units``; with floats, ``norm`` holds each ``|u|`` and
     ``reach`` each block's largest.  At n = 2 the plan also holds
-    ``lines``, the line of every pair (``_Lines``), and ``cut``, those
-    lines cut by their blocks (``_Cut``): the lifting-free half of the
-    whole screen.  One plan serves every
-    coefficient vector on its support (``_plan`` caches it), so every array
-    a plan holds is read only.
+    ``lines``, the line of every pair (``_Lines``, which reads its ``|d|^2
+    = |u|^2`` from ``square``), and ``cut``, those lines cut by their
+    blocks (``_Cut``): the lifting-free half of the whole screen, 23 arrays
+    in all, most of them the cut's, a row per pair and a column per point
+    of its block.  One plan serves every coefficient vector on its support
+    (``_plan`` caches it), so every array a plan holds is read only.
 
     Every integer of a line is at most ``n^2 reach^(2n-2)`` in size, with
     reach the largest ``|u|``: by Hadamard's inequality d's entries, its
@@ -374,23 +379,28 @@ class _Plan:
     def __init__(self, config: CayleyConfig) -> None:
         n = config.n
         self.n, self.m = n, config.m
-        base = [config.base_point(k) for k in range(config.m)]
+        base = [point[:n] for point in config.points]
         sizes = self.sizes = tuple(config.block.count(i) for i in range(n))
         self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
         self.block = np.array(config.block, dtype=np.intp)
-        largest = max(abs(c) for point in base for c in point)
-        ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest)).reshape(-1, n)
-        to_first = ints - ints[np.repeat(self.starts, sizes)]
-        self.grain = math.gcd(*to_first.ravel().tolist())
-        units = (ints[self.first] - ints[self.second]) // self.grain
-        square = (units * units).sum(axis=1)
-        bound = n * n * int(square.max()) ** (n - 1)
-        self.units = units.astype(np.int64 if bound < 2**62 else object, copy=False)
+        largest = max(map(abs, itertools.chain.from_iterable(base)))
+        ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest))
+        # The pairs' differences span every difference within a block, so
+        # their gcd is the grain.
+        units = ints.take(self.first, 0) - ints.take(self.second, 0)
+        self.grain = int(np.gcd.reduce(units, axis=None))
+        if self.grain != 1:
+            units //= self.grain
+        square = np.add.reduce(units * units, 1)
+        bound = n * n * int(np.maximum.reduce(square)) ** (n - 1)
+        exact = np.int64 if bound < 2**62 else object
+        self.units = units.astype(exact, copy=False)
+        self.square = square.astype(exact, copy=False)
         self.floats = bound < 2**1000
         if self.floats:
-            square = square.astype(float)
-            self.norm = np.sqrt(square)
-            self.reach = np.sqrt(np.maximum.reduceat(square, self.pair_starts[:-1]))
+            self.norm = np.sqrt(square.astype(float))
+            self.reach = np.maximum.reduceat(self.norm, self.pair_starts[:-1])
+        parts = [self]
         if n == 2:
             # Blocks of fewer points than the largest pad their rows with
             # a's own column, a point of slope and projection 0 that the
@@ -399,13 +409,14 @@ class _Plan:
             local = np.arange(max(sizes))
             inside = local < np.asarray(sizes)[owner][:, None]
             cols = np.where(inside, self.starts[owner][:, None] + local, self.first[:, None])
-            pairs = np.arange(len(self.first))
-            self.lines = _Lines(self, pairs[:, None], 1 - owner)
-            self.cut = _Cut(self, self.lines, slice(None), cols, pairs[:, None])
-        parts = (self, self.lines, self.cut) if n == 2 else (self,)
-        for array in itertools.chain(*(vars(part).values() for part in parts)):
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
+            pairs = np.arange(len(self.first))[:, None]
+            self.lines = _Lines(self, pairs, 1 - owner)
+            self.cut = _Cut(self, self.lines, slice(None), cols, 0)
+            parts += [self.lines, self.cut]
+        for part in parts:
+            for array in vars(part).values():
+                if type(array) is np.ndarray:
+                    array.setflags(False)  # write=False; numpy parses the keyword slowly
 
     def screen(self, lifting: Sequence[float]) -> _Screen:
         return _Screen(self, lifting)
@@ -430,23 +441,31 @@ class _Lines:
 
     def __init__(self, plan: _Plan, rows: np.ndarray, far=None) -> None:
         self.rows = rows
-        self.frame = _frames(plan.units[rows])
-        self.det = (self.frame[:, -1] * self.frame[:, -1]).sum(axis=1)
+        self.frame = _frames(plan.units.take(rows, 0))
+        k = rows.shape[1]
+        if k == 1:
+            # One pair: d is u turned a quarter, so |d|^2 is the plan's |u|^2.
+            self.det = plan.square[rows[:, 0]]
+        else:
+            self.det = (self.frame[:, -1] * self.frame[:, -1]).sum(axis=1)
         self.spread = None
         if plan.floats:
             self.n2 = self.det.astype(float)
             if far is not None:
                 # sum_i prod_{l != i} |u_l|, the elementary symmetric
                 # polynomial of degree k - 1 in the norms: 1 at k = 1.
-                k = rows.shape[1]
-                sums = [1.0] + [0.0] * k
-                for norm in plan.norm[rows].T:
-                    for j in range(k, 0, -1):
-                        sums[j] = sums[j] + sums[j - 1] * norm
-                self.spread = sums[k - 1] * plan.reach[far]
+                self.spread = plan.reach[far]
+                if k > 1:
+                    sums = [1.0] + [0.0] * (k - 1)
+                    for norm in plan.norm[rows].T:
+                        for j in range(k - 1, 0, -1):
+                            sums[j] = sums[j] + sums[j - 1] * norm
+                    self.spread = sums[-1] * self.spread
 
     def rho(self, screen: _Screen) -> np.ndarray:
-        return screen.r[self.rows] / self.n2[:, None]
+        """``rho`` on the screen's lifting, a row per pair and a column per
+        line."""
+        return screen.r[self.rows.T] / self.n2
 
 
 class _Cut:
@@ -455,7 +474,7 @@ class _Cut:
 
     Lines ``index`` of ``lines`` are cut by the Cayley points ``cols``
     (a row per line, or one row for all), each measured against ``ref``,
-    the first point of the pair ``own`` of its block on the line.  For a
+    the first point of the line's pair at ``place`` (its block's).  For a
     point k, with ``v = (k - ref) / grain``, the frame gives the integers
     ``proj_i = <cof_i, v>`` and ``slope = <d, v>``.  Along the line k has
     margin (ref's lifted value less k's) ``grain * (slope * (beta - s))``
@@ -479,17 +498,18 @@ class _Cut:
     the others; ``_Screen`` holds both arguments.
     """
 
-    def __init__(self, plan: _Plan, lines: _Lines, index, cols, own) -> None:
+    def __init__(self, plan: _Plan, lines: _Lines, index, cols, place: int) -> None:
         n = plan.n
         rows = lines.rows[index]
-        self.cols, self.ref = cols, plan.first[own]
+        # The line's own points, the ends of its pairs.
+        own = plan.first[rows], plan.second[rows]
+        self.cols, self.ref = cols, own[0][:, place, None]
         # Lines of dependent pairs, or None when there are none.
-        self.singular = lines.det[index] == 0
-        if not self.singular.any():
-            self.singular = None
+        det = lines.det[index]
+        self.singular = det == 0 if np.count_nonzero(det) < len(det) else None
         if not plan.floats:
             return
-        diffs = plan.ints[cols] - plan.ints[self.ref]
+        diffs = plan.ints.take(cols, 0) - plan.ints.take(self.ref, 0)
         if plan.grain != 1:
             diffs //= plan.grain
         diffs = diffs.astype(plan.units.dtype, copy=False)
@@ -500,43 +520,59 @@ class _Cut:
         # -1 / slope, which takes beta from c, and 0 at slope 0.
         flat = slope == 0
         self.recip = -1.0 / np.where(flat, -np.inf, slope)
-        ends = np.concatenate((plan.first[rows], plan.second[rows]), axis=1)
-        edge = cols == ends[:, :1]
-        for j in range(1, ends.shape[1]):
-            edge |= cols == ends[:, j : j + 1]
+        # The points of slope 0 the rule applies to: not the line's own.
+        for points in own:
+            for j in range(points.shape[1]):
+                flat &= cols != points[:, j, None]
         size = np.abs(slope)
         with np.errstate(all="ignore"):
             # A line of dependent pairs (|d| = 0) gets NaNs here, and
             # ``ends`` calls it empty.
-            weight = np.abs(self.proj).sum(axis=0) / lines.n2[index, None]
+            head = np.abs(self.proj[0])
+            for proj in self.proj[1:]:
+                head += np.abs(proj)
+            head /= lines.n2[index, None]
             if lines.spread is None:
                 exact = 1.0 + n * float(plan.reach.max()) ** n
-                head = (2.0 + weight) * (TIE_RTOL + 8 * (n + 2) * _EPS * exact)
-                lean = 0.0
+                head += 2.0
+                head *= TIE_RTOL + 8 * (n + 2) * _EPS * exact
+                self.slack = head / np.maximum(size, 1.0)
             else:
-                head = TIE_RTOL + 16 * (n + 2) * _EPS * (1.0 + weight)
+                head += 1.0
+                head *= 16 * (n + 2) * _EPS
+                head += TIE_RTOL
+                # |v|, its squares summed in column order.
                 length = diffs.astype(float)
-                length = np.sqrt(np.einsum("lwj,lwj->lw", length, length))
-                lean = 16 * (n + 2) * _EPS * (size + length + plan.norm[own])
-                lean = lean * lines.spread[index, None]
-            self.slack = (head + lean) / np.maximum(size, 1.0)
-        self.level = np.where(flat & ~edge, head, np.inf)
+                length *= length
+                total = length[..., 0] + length[..., 1]
+                for j in range(2, n):
+                    total += length[..., j]
+                lean = size + np.sqrt(total)
+                lean += plan.norm[rows[:, place, None]]
+                lean *= 16 * (n + 2) * _EPS
+                lean *= lines.spread[index, None]
+                lean += head
+                lean /= np.maximum(size, 1.0)
+                self.slack = lean
+        self.level = np.where(flat, head, np.inf)
 
     def ends(self, screen: _Screen, rho: np.ndarray) -> tuple[np.ndarray, ...]:
         """The widened ends hi and lo of each line's interval on the
         screen's lifting, from the lines' ``rho``, and whether the interval
         is empty."""
-        rows = np.arange(len(self.recip))
         unit, over = screen.unit, screen.over
         c = over[self.cols] - over[self.ref]
-        for r, proj in zip(rho.T, self.proj):
+        for r, proj in zip(rho, self.proj):
             c += r[:, None] * proj
         beta = c * self.recip
         highs = np.where(self.up, beta, np.inf)
         lows = np.where(self.down, beta, -np.inf)
-        top, bottom = highs.argmin(axis=1), lows.argmax(axis=1)
-        hi = highs[rows, top] + unit * self.slack[rows, top]
-        lo = lows[rows, bottom] - unit * self.slack[rows, bottom]
+        # Flat indices of the points that bind each line's ends.
+        step = np.arange(0, beta.size, beta.shape[1])
+        top, bottom = highs.argmin(axis=1) + step, lows.argmax(axis=1) + step
+        slack = self.slack.ravel()
+        hi = highs.ravel()[top] + unit * slack[top]
+        lo = lows.ravel()[bottom] - unit * slack[bottom]
         empty = (lo > hi) | (c > unit * self.level).any(axis=1)
         if self.singular is not None:
             empty |= self.singular
@@ -681,7 +717,7 @@ class _Screen:
     def __init__(self, plan: _Plan, lifting: Sequence[float]) -> None:
         self.plan = plan
         self.lift = lift = np.array(lifting, dtype=float)
-        self.scale = 1.0 + float(np.abs(lift).max())
+        self.scale = 1.0 + float(np.maximum.reduce(np.abs(lift)))
         if not plan.floats or plan.n == 1:
             self.kept = np.arange(len(plan.first))
             return
@@ -694,8 +730,8 @@ class _Screen:
             if plan.n == 2:
                 rho = plan.lines.rho(self)
                 hi, lo, empty = plan.cut.ends(self, rho)
-                self.ends = np.array((rho[:, 0], hi, lo, self.r))
-                self.kept = np.flatnonzero(~empty)
+                self.ends = np.array((*rho, hi, lo, self.r))
+                self.kept = (~empty).nonzero()[0]
             else:
                 self.kept = self._block_pass()
 
@@ -722,10 +758,10 @@ class _Screen:
                 # point to the others, and its line levels those.
                 pairs = a * (2 * t - a - 1) // 2 + (b - a - 1) + plan.pair_starts[i]
                 lines = _Lines(plan, pairs[:, : n - 1])
-                cut = _Cut(plan, lines, slice(None), cols, pairs[:, :1])
+                cut = _Cut(plan, lines, slice(None), cols, 0)
                 covered[pairs[lines.det != 0]] = True
                 witnessed[pairs[~cut.ends(self, lines.rho(self))[-1]]] = True
-        return np.flatnonzero(witnessed | ~covered)
+        return (witnessed | ~covered).nonzero()[0]
 
     def _side(self, lines: _Lines, blocks: Sequence[int], end: int) -> tuple[_Side, np.ndarray]:
         """Lines as a side of the crossing test, and those that take part:
@@ -736,19 +772,19 @@ class _Screen:
         the ones before left nonempty; the ends of an interval are the
         least hi and the greatest lo of the blocks'."""
         plan = self.plan
-        index = np.flatnonzero(lines.det != 0)
+        index = (lines.det != 0).nonzero()[0]
         if not plan.floats:
             return _Side(lines.rows, lines.frame, None), index
         rho = lines.rho(self)
-        hi, lo = np.full(len(rho), np.inf), np.full(len(rho), -np.inf)
+        hi, lo = np.full(len(lines.rows), np.inf), np.full(len(lines.rows), -np.inf)
         for place, i in zip(range(-len(blocks), 0), blocks):
             cols = plan.starts[i] + np.arange(plan.sizes[i])[None]
-            cut = _Cut(plan, lines, index, cols, lines.rows[index, place, None])
-            top, bottom, empty = cut.ends(self, rho[index])
+            cut = _Cut(plan, lines, index, cols, place)
+            top, bottom, empty = cut.ends(self, rho[:, index])
             hi[index] = np.minimum(hi[index], top)
             lo[index] = np.maximum(lo[index], bottom)
             index = index[~(empty | (lo[index] > hi[index]))]
-        ends = np.vstack((rho.T, hi, lo, self.r[lines.rows[:, end]]))
+        ends = np.vstack((rho, hi, lo, self.r[lines.rows[:, end]]))
         return _Side(lines.rows, lines.frame, ends), index
 
     def _middles(self, kept: list[np.ndarray]) -> Iterator[tuple]:
@@ -797,18 +833,18 @@ class _Screen:
         plan, n = self.plan, self.plan.n
         if n == 1:
             return self.kept[:, None]
-        cuts = np.searchsorted(self.kept, plan.pair_starts)
-        kept = [self.kept[cuts[i] : cuts[i + 1]] for i in range(n)]
+        cuts = self.kept.searchsorted(plan.pair_starts).tolist()
+        kept = [self.kept[start:stop] for start, stop in zip(cuts, cuts[1:])]
         found = []
         with np.errstate(all="ignore"):
             for a, ia, b, ib in self._middles(kept):
-                q = b.rows[ib, -1]
+                q = b.rows[:, -1][ib]
                 step = SCREEN_CHUNK // max(len(ib), 1) or 1
                 for start in range(0, len(ia), step):
                     lines = ia[start : start + step]
-                    i, j = np.nonzero(self._crossings(a, lines, b, ib, q))
+                    i, j = self._crossings(a, lines, b, ib, q).nonzero()
                     rows = np.empty((len(i), n), dtype=np.intp)
-                    rows[:, :-1], rows[:, -1] = a.rows[lines[i]], q[j]
+                    rows[:, :-1], rows[:, -1] = a.rows.take(lines[i], 0), q[j]
                     found.append(rows)
         if not found:
             return np.empty((0, n), dtype=np.intp)
@@ -822,14 +858,16 @@ class _Screen:
         its pair p of block 0 from a and q (the pairs ``q``) of block n-1
         from b."""
         units = self.plan.units
-        # (P_0, ..., P_{n-2}, D) of each candidate on side a.
-        on_a = a.frame[ia].transpose(1, 0, 2) @ units[q].T
+        # (P_0, ..., P_{n-2}, D) of each candidate on side a.  Gathers along
+        # an axis go through ``take``, which numpy runs faster than fancy
+        # indexing of a multi-dimensional array.
+        on_a = a.frame.take(ia, 0).transpose(1, 0, 2) @ units.take(q, 0).T
         singular = on_a[-1] == 0
         if not self.plan.floats:
             return ~singular
         on_a = on_a.astype(float)
-        *rho_a, hi_a, lo_a, r_p = a.ends[:, ia, None]
-        *rho_b, hi_b, lo_b, r_q = b.ends[:, None, ib]
+        *rho_a, hi_a, lo_a, r_p = a.ends.take(ia, 1)[..., None]
+        *rho_b, hi_b, lo_b, r_q = b.ends.take(ib, 1)[:, None]
         s_a = r_q - rho_a[0] * on_a[0]
         for i in range(1, len(rho_a)):
             s_a -= rho_a[i] * on_a[i]
@@ -839,7 +877,7 @@ class _Screen:
             # a's and its determinant is -D.
             s_b = (rho_b[0] * on_a[0] - r_p) / on_a[-1]
         else:
-            on_b = units[a.rows[ia, 0]] @ b.frame[ib].transpose(1, 2, 0)
+            on_b = units.take(a.rows[ia, 0], 0) @ b.frame.take(ib, 0).transpose(1, 2, 0)
             on_b = on_b.astype(float)
             s_b = r_p - rho_b[0] * on_b[0]
             for i in range(1, len(rho_b)):
@@ -855,9 +893,9 @@ def _plan(config: CayleyConfig) -> _Plan:
     Plans of at most SCREEN_CHUNK pairs are cached, keyed by the
     configuration's value (its points, so supports with equal block sizes
     but other points get plans of their own); larger plans are built per
-    solve.  An n = 2 plan holds about 50 bytes per pair and point of its
-    block, at most about 19 MB, for SCREEN_CHUNK pairs of a 91-point block,
-    and under 60 kB for two 10-point blocks.  Other plans hold their tables,
+    solve.  An n = 2 plan holds 43-55 bytes per pair and point of its
+    block, about 16 MB for SCREEN_CHUNK pairs of a 91-point block and 49 kB
+    for two 10-point blocks.  Other plans hold their tables,
     points and edges, a few arrays of at most SCREEN_CHUNK rows.  That
     bounds the memory the cache keeps.  This LRU cache is the screen's only
     one.

@@ -105,7 +105,13 @@ def random_sparse_system(
     max_terms: int = 5,
     box: int = 4,
 ) -> SupportSystem:
-    """Random square system with log-uniform coefficients, distinct supports."""
+    """Random square system with log-uniform coefficients, distinct supports.
+
+    Each support draws distinct points of the box ``[0, box]^n``, so more
+    than ``(box + 1)^n`` terms raise ValueError before any draw.
+    """
+    if max_terms > (box + 1) ** n:
+        raise ValueError(f"max_terms {max_terms} exceeds the {(box + 1) ** n} points of the box")
     supports = []
     for _ in range(n):
         k = int(rng.integers(min_terms, max_terms + 1))

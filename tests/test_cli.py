@@ -84,11 +84,16 @@ class TestMixedCellsCommand:
         out = capsys.readouterr().out
         assert json.loads(out) == json.loads(json.dumps(json.loads(out)))
 
-    def test_malformed_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 1000 + "]" * 1000], ids=["not_json", "deep_nesting"]
+    )
+    def test_malformed_json(self, tmp_path, capsys, text):
+        # Nesting past the recursion limit is an input error as well.
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["mixed-cells", str(path)]) == 1
-        assert capsys.readouterr().err
+        path.write_text(text)
+        for command in ("mixed-cells", "certify", "solve"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_key(self, tmp_path):
         assert main(["mixed-cells", _write(tmp_path, {"n": 1})]) == 1

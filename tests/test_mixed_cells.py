@@ -718,16 +718,21 @@ class TestScreenExactness:
     """On the benchmark corpora the n = 2 screen passes the cells alone."""
 
     def test_survivors_are_the_cells(self):
+        # Seeds 1-3 of every workload, each screened on the plan that
+        # ``_plan`` returns (cached or not) and on a cold build.
         count = 0
         for family, label, system, _ in reference_solves():
-            if family not in workloads.WORKLOADS or not label.endswith("@1"):
+            if family not in workloads.WORKLOADS:
                 continue
             config, lifting = build_cayley(system), log_abs_lifting(system)
-            survivors = _survivor_pairs(mixed_cells._plan(config).screen(lifting.values))
+            warm = mixed_cells._plan(config).screen(lifting.values)
+            cold = _screen(config, lifting)
+            assert np.array_equal(warm.survivors(), cold.survivors()), label
             cells = enumerate_mixed_cells(config, lifting).cells
-            assert survivors == {tuple(tuple(sorted(e)) for e in c.edges) for c in cells}, label
+            edges = {tuple(tuple(sorted(e)) for e in c.edges) for c in cells}
+            assert _survivor_pairs(warm) == edges == _survivor_pairs(cold), label
             count += 1
-        assert count == 93
+        assert count == 279
 
 
 def _screen(config, lifting):
@@ -1048,10 +1053,11 @@ class TestScreenPlan:
 
     def test_plan_arrays_are_read_only(self, rng):
         # DIAMOND's n = 2 plan holds its pairs' lines and their cut: edges,
-        # frames, slopes, projections and tolerance factors.  An n = 3 plan
-        # holds its tables, points and edges.
+        # squared lengths, frames, slopes, projections and tolerance
+        # factors, 23 arrays.  An n = 3 plan holds its tables, points,
+        # edges and their lengths, 10 arrays.
         small = random_sparse_system(rng, n=3, min_terms=4, max_terms=4)
-        for system, count in ((DIAMOND, 20), (small, 9)):
+        for system, count in ((DIAMOND, 23), (small, 10)):
             plan = mixed_cells._plan(build_cayley(system))
             assert plan.ints.dtype == np.int64
             parts = [plan, getattr(plan, "lines", None), getattr(plan, "cut", None)]
