@@ -51,10 +51,23 @@ EXIT_DEGENERATE = 3
 EXIT_TRACKING = 4
 
 
+def _echo(value: object) -> str:
+    """``repr(value)``, cut to its first 60 characters when longer, so that
+    an error about any input value stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _parse_coefficient(raw: object) -> Scalar:
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
-        raise ValueError(f"bad coefficient {raw!r}")
-    return raw if isinstance(raw, float) else Fraction(raw)
+        raise ValueError(f"bad coefficient {_echo(raw)}")
+    if isinstance(raw, float):
+        return raw
+    try:
+        return Fraction(raw)
+    except ValueError:
+        # Fraction's own message quotes the whole string.
+        raise ValueError(f"bad coefficient {_echo(raw)}") from None
 
 
 def load_system(path: str | Path) -> SupportSystem:
@@ -68,7 +81,7 @@ def load_system(path: str | Path) -> SupportSystem:
         raise ValueError("input must be a JSON object")
     n, supports, coefficients = doc["n"], doc["supports"], doc["coefficients"]
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise ValueError(f"n must be an integer, got {_echo(n)}")
     try:
         if len(supports) != n or len(coefficients) != n:
             raise ValueError("need exactly n supports and n coefficient lists")

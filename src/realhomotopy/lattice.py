@@ -1,12 +1,13 @@
 """Supports, coefficients, liftings, the Cayley embedding, and exact lattice arithmetic.
 
-Everything combinatorial downstream (cell enumeration, circuit vectors,
-binomial start systems) routes its integer linear algebra through this
-module.  All of it runs on Python ints, so exponent arithmetic is exact at any
-magnitude; numpy never touches these code paths.  Determinants, adjugates,
-ranks and exact solves all come from one fraction-free Gauss-Jordan
-elimination (``det_adjugate``), and every float solve from its adjugate
-rounds as ``apply_adjugate`` does.
+The integer linear algebra here runs on Python ints, so exponent arithmetic
+is exact at any magnitude.  Determinants, adjugates and exact solves of one
+matrix come from one fraction-free Gauss-Jordan elimination
+(``det_adjugate``), and every float solve from its adjugate rounds as
+``apply_adjugate`` does; the binomial start systems use them.  Cell
+enumeration and its circuits eliminate every survivor's edge matrix at once
+in numpy arrays (``mixed_cells._det_adjugate``), with the same values, and
+round their gammas by the same running sums.
 """
 
 from __future__ import annotations
@@ -282,7 +283,15 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[float]) -> list[f
 def apply_adjugate(det: int, adj: IntMatrix, rhs: Sequence[float]) -> list[float]:
     """``adj @ rhs / det`` for a nonzero ``det`` and its exact adjugate.
 
-    Each entry sums its products in column order from 0 and divides once,
-    so every solve from a ``det_adjugate`` pass rounds alike.
+    Each entry adds its products one at a time in column order to a running
+    sum from 0.0 and divides once, so every solve from a ``det_adjugate``
+    pass rounds alike, on every Python: the builtin ``sum`` of floats is
+    compensated from Python 3.12 on.  A sum from 0.0 is never -0.0.
     """
-    return [sum(a * x for a, x in zip(row, rhs)) / det for row in adj]
+    gamma = []
+    for row in adj:
+        acc = 0.0
+        for a, x in zip(row, rhs):
+            acc += a * x
+        gamma.append(acc / det)
+    return gamma

@@ -59,22 +59,24 @@ the screen's only one.  Cells themselves are not memoized: a cell depends
 on the lifting.
 
 Survivors leave the screen as one array of rows of pair indices, one column
-per block, and stay arrays up to the circuit table: the plan's pair tables
-give each edge's Cayley endpoints, one comparison of the lifting puts the
-lower-lifted one first, and the plan's exact points and the lifting give the
-edge matrices and right-hand sides, each converted to Python numbers once.
-Each survivor's n x n edge matrix is eliminated once, by the fraction-free
-``det_adjugate``, which gives its determinant, its gamma and its circuits.
-The circuits of all survivors of a solve are built in one pass from their
-endpoint arrays as one exact table (``CircuitTable``, one row per circuit)
-and evaluated on the float lifting once; one ``np.lexsort`` of the
-endpoints puts the cells in the order of their edges.  The table's integers
-are int64 wherever a Hadamard bound on the base points proves every entry
-and every intermediate below 2^53 (``_exact_dtype``), and Python ints in
-object arrays elsewhere; one code path serves both.  The table is the only
-form of a circuit inequality: the returned ``MixedCellSet`` keeps the
-cells' rows, their values and the lifting, which is all the certificate
-reads.
+per block, and the exact stage after it is a handful of array passes with no
+loop over survivors: the plan's pair tables give each edge's Cayley
+endpoints, one comparison of the lifting puts the lower-lifted one first,
+and the plan's exact points stack the edge matrices as one ``(s, n, n)``
+array.  One batched elimination (``_det_adjugate``, the Laplace expansion
+of ``_minors``, which the screen's line frames use too) gives every
+determinant and adjugate, one mask drops the singular survivors, and the
+gammas are one float array rounded as ``lattice.apply_adjugate`` rounds a
+single solve.  The circuits of all survivors of a solve are built from
+those arrays in one pass as one exact table (``CircuitTable``, one row per
+circuit) and evaluated on the float lifting once; one ``np.lexsort`` of the
+endpoints puts the cells in the order of their edges, and ``MixedCell``
+objects are made for the kept cells alone.  The table's integers are int64
+wherever a Hadamard bound on the base points proves every entry and every
+intermediate below 2^53 (``_exact_dtype``), and Python ints in object
+arrays elsewhere; one code path serves both.  The table is the only form of
+a circuit inequality: the returned ``MixedCellSet`` keeps the cells' rows,
+their values and the lifting, which is all the certificate reads.
 
 The stored ``normal`` is the negated gamma.  That orientation makes the normal
 double as the branch exponent vector of the toric deformation: the start curve
@@ -93,10 +95,11 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SingularExponentMatrix, TieDegenerate
-from .lattice import CayleyConfig, IntMatrix, Lifting, apply_adjugate, det_adjugate
+from .lattice import CayleyConfig, Lifting
 
-# Unused here: perfbench/tracing.py's LEAVES wraps these names in this module
-# until ROADMAP item 1a wraps ``det_adjugate`` instead.
+# Unused here: the enumeration calls no elimination of lattice.py, but
+# perfbench/tracing.py's LEAVES wraps these names in this module, whose
+# counters then read 0 (ROADMAP item 1a deletes those shims).
 from .lattice import int_det, solve_exact  # noqa: F401
 
 TIE_RTOL = 1e-12
@@ -152,19 +155,15 @@ class CircuitTable:
         """``zeta . w`` per row in float64, a new array on every call.
 
         Each row sums from 0.0 one column at a time, so a value is bit for
-        bit ``sum(c * w[k])`` over the row's nonzero coefficients in column
-        order, each integer coefficient rounded to a float as Python does.
+        bit the running sum from 0.0 of ``c * w[k]`` over the row's nonzero
+        coefficients in column order, each integer coefficient rounded to a
+        float as Python does.
         A zero coefficient adds a zero of either sign, which changes no bit:
         a running sum that starts at 0.0 is never -0.0.  ``terms.sum(axis=1)``
         would not do: numpy's pairwise, unrolled reduction sums rows of 9 or
         more columns (n >= 4) in another order.
         """
-        w = np.array(lifting.values, dtype=float)
-        terms = self.coeffs.astype(float) * w[self.points]
-        values = np.zeros(len(terms))
-        for column in terms.T:
-            values += column
-        return values
+        return _values(self.points, self.coeffs, np.array(lifting.values, dtype=float))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -261,7 +260,8 @@ def _exact_dtype(n: int, largest: int) -> type:
     ``2 largest``, so rows of 2-norm at most ``R = 2 largest sqrt(n)``, and by
     Hadamard's inequality its determinant is at most ``H = R^n``.  An entry
     of ``adj D`` is an (n-1)-minor, at most ``R^(n-1)``, so every partial sum
-    of ``v @ adj D`` is at most ``|v|_1 R^(n-1) <= sqrt(n) H``.  A row puts
+    of ``v @ adj D`` is at most ``|v|_1 R^(n-1) <= sqrt(n) H``, and so is
+    every partial sum of ``(k - a_j) @ adj D``, ``lam - d e_j``.  A row puts
     ``lam_i`` on ``a_i``, ``-lam_i`` on ``b_i`` (i != j), ``d - lam_j`` on
     ``b_j`` and ``-d`` on k, so ``|zeta|_1 <= (2n + 1) H``; dividing by the
     gcd only shrinks it.  The bound says ``(2n + 1) H < 2^53``, so every
@@ -302,6 +302,40 @@ def _minors(rows: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
                 grown[key] = grown[key] + term if key in grown else term
         level = grown
     return level
+
+
+def _det_adjugate(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The determinant and the adjugate of every matrix of an ``(s, n, n)``
+    integer stack, exactly and in the stack's dtype, with no pivoting.
+
+    ``adj[j, i]`` is ``(-1)^(i + j)`` times the minor without row i and
+    column j, read from the ``_minors`` of the n - 1 rows other than i (at
+    n = 1 those of no rows, all 1).  The determinant expands along row 0,
+    ``sum_j M[0, j] adj[j, 0]``.  A singular matrix gets determinant 0 and
+    its adjugate all the same.
+
+    On an int64 stack of edge matrices of base points under ``_exact_dtype``'s
+    bound nothing wraps.  Their entries are at most ``2 largest``, so their
+    rows have 2-norm at most ``R = 2 largest sqrt(n)``, and the bound says
+    ``(2n + 1) R^n < 2^53``.  By Hadamard's inequality a minor on k rows is
+    at most ``R^k``, and the Laplace step that makes a minor on k + 1 <= n
+    rows, the determinant's included, sums at most n products of an entry
+    and such a minor.  So each of its partial sums is at most ``n 2 largest
+    R^k = sqrt(n) R^(k+1) <= sqrt(n) R^n``, below 2^53.  Object stacks of
+    Python ints are exact at any size.
+    """
+    n = matrices.shape[1]
+    adj = np.empty_like(matrices)
+    everything = tuple(range(n))
+    for i in range(n):
+        minors = _minors(matrices[:, list(everything[:i] + everything[i + 1 :])])
+        for j in range(n):
+            minor = minors[everything[:j] + everything[j + 1 :]]
+            adj[:, j, i] = -minor if (i + j) % 2 else minor
+    det = matrices[:, 0, 0] * adj[:, 0, 0]
+    for j in range(1, n):
+        det += matrices[:, 0, j] * adj[:, j, 0]
+    return det, adj
 
 
 def _frames(units: np.ndarray) -> np.ndarray:
@@ -345,21 +379,24 @@ def _frames(units: np.ndarray) -> np.ndarray:
 class _Plan:
     """What the screen reads of a configuration, whatever its lifting.
 
-    The pair tables (each pair's Cayley endpoints ``first`` and ``second``,
-    each block's first point ``starts`` and first pair ``pair_starts``),
-    each point's block, the base points as ``ints`` in the exact dtype
-    (``_exact_dtype``), and the grain, the gcd of all differences (that of
-    the pairs' differences, which span the others).  The circuit table
-    reads these too.  Each pair's edge in grain units, ``u = (a - b) /
-    grain``, is in ``units`` and its exact ``|u|^2`` in ``square``, in the
-    dtype of ``units``; with floats, ``norm`` holds each ``|u|`` and
-    ``reach`` each block's largest.  At n = 2 the plan also holds
-    ``lines``, the line of every pair (``_Lines``, which reads its ``|d|^2
-    = |u|^2`` from ``square``), and ``cut``, those lines cut by their
-    blocks (``_Cut``): the lifting-free half of the whole screen, 23 arrays
-    in all, most of them the cut's, a row per pair and a column per point
-    of its block.  One plan serves every coefficient vector on its support
-    (``_plan`` caches it), so every array a plan holds is read only.
+    The pair tables (each pair's Cayley endpoints as a row of ``pairs``,
+    whose columns ``first`` and ``second`` view, each block's first point
+    ``starts`` and first pair ``pair_starts``), each point's ``block``, the
+    blocks of a cell's excluded points in the order of its circuit table's
+    rows (``rest``: block j's ``t_j - 2``), the base points as ``ints`` in
+    the exact dtype (``_exact_dtype``), and the grain, the gcd of all
+    differences (that of the pairs' differences, which span the others).
+    The exact stage and the circuit table read these too.  Each pair's edge
+    in grain units, ``u = (a - b) / grain``, is in ``units`` and its exact
+    ``|u|^2`` in ``square``, in the dtype of ``units``; with floats,
+    ``norm`` holds each ``|u|`` and ``reach`` each block's largest.  At
+    n = 2 the plan also holds ``lines``, the line of every pair
+    (``_Lines``, which reads its ``|d|^2 = |u|^2`` from ``square``), and
+    ``cut``, those lines cut by their blocks (``_Cut``): the lifting-free
+    half of the whole screen, 25 arrays in all, most of them the cut's, a
+    row per pair and a column per point of its block.  One plan serves
+    every coefficient vector on its support (``_plan`` caches it), so every
+    array a plan holds is read only.
 
     Every integer of a line is at most ``n^2 reach^(2n-2)`` in size, with
     reach the largest ``|u|``: by Hadamard's inequality d's entries, its
@@ -381,7 +418,10 @@ class _Plan:
         self.n, self.m = n, config.m
         base = [point[:n] for point in config.points]
         sizes = self.sizes = tuple(config.block.count(i) for i in range(n))
-        self.starts, self.first, self.second, self.pair_starts = _pair_tables(sizes)
+        self.starts, first, second, self.pair_starts = _pair_tables(sizes)
+        self.pairs = np.stack((first, second), axis=1)
+        self.first, self.second = self.pairs.T
+        self.rest = np.repeat(np.arange(n), np.subtract(sizes, 2))
         self.block = np.array(config.block, dtype=np.intp)
         largest = max(map(abs, itertools.chain.from_iterable(base)))
         ints = self.ints = np.array(base, dtype=_exact_dtype(n, largest))
@@ -925,154 +965,172 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     screen.  Survivors leave the screen as rows of pair indices
     (``survivors``) and stay arrays: the plan's pair tables give their
     Cayley endpoints, the lower-lifted point of each edge first (a tie keeps
-    the lower index first), and ``plan.ints`` and the lifting their edge
-    matrices and right-hand sides, each converted to Python numbers once.
-    Each survivor's n x n edge matrix is eliminated once, by
-    ``det_adjugate``: a zero determinant skips the survivor, and the
-    adjugate gives its float gamma (the negated normal, by
-    ``lattice.apply_adjugate``) and, in one ``_circuit_table`` pass over
-    every survivor's endpoints, its exact circuit inequalities, one per
-    excluded point.  The table is evaluated on the float lifting: a row's
-    value over ``|zeta[witness]|`` is the witness's exclusion margin.  A
-    survivor is a cell when all its margins are positive, and the returned
-    set keeps its rows and their values, cells ordered by their edges.  A
-    negative margin rejects it; otherwise a margin within ``TIE_RTOL * (1 +
-    max|w|)`` of zero raises TieDegenerate for the first such survivor.
+    the lower index first), and ``plan.ints`` their stacked edge matrices.
+    One ``_det_adjugate`` of the stack eliminates every survivor at once: a
+    zero determinant drops the survivor, and the adjugates give the float
+    gammas (the negated normals) and, in one ``_circuit_table`` pass, the
+    exact circuit inequalities, one per excluded point.  The table is
+    evaluated on the float lifting: a row's value over ``|zeta[witness]|``
+    is the witness's exclusion margin.  A survivor is a cell when all its
+    margins are positive, and the returned set keeps its rows and their
+    values, cells ordered by their edges.  A negative margin rejects it;
+    otherwise a margin within ``TIE_RTOL * (1 + max|w|)`` of zero raises
+    TieDegenerate for the first such survivor.
     """
     if len(lifting) != config.m:
         raise ValueError("lifting length must equal the Cayley point count")
     plan = _plan(config)
     n = plan.n
     screen = plan.screen(lifting.values)
-    rows = screen.survivors()
+    lift = screen.lift
     # Each survivor's Cayley edges, ends[s, i] = (a_i, b_i) for block i, the
-    # lower-lifted point first; a tie keeps the lower index first.
-    ends = np.empty((len(rows), n, 2), dtype=np.intp)
-    ends[..., 0], ends[..., 1] = plan.first[rows], plan.second[rows]
-    swap = screen.lift[ends[..., 1]] < screen.lift[ends[..., 0]]
-    ends[swap] = ends[swap, ::-1]
-    matrices = (plan.ints[ends[..., 0]] - plan.ints[ends[..., 1]]).tolist()
-    rhs = (screen.lift[ends[..., 1]] - screen.lift[ends[..., 0]]).tolist()
-    local = (ends - plan.starts[:, None]).tolist()
-    # The survivors with a nonsingular edge matrix, with its determinant
-    # and adjugate, the one elimination the circuit table reads too.
-    nonsingular, dets, adjs, cells = [], [], [], []
-    for s, (matrix, r, edges) in enumerate(zip(matrices, rhs, local)):
-        det, adj = det_adjugate(matrix)
-        if det == 0:
-            continue
-        gamma = apply_adjugate(det, adj, r)
-        nonsingular.append(s)
-        dets.append(det)
-        adjs.append(adj)
-        normal = tuple(-g for g in gamma)
-        cells.append(MixedCell(tuple(map(tuple, edges)), normal, abs(det)))
-    ends = ends[nonsingular]
+    # lower-lifted point first (a tie keeps the lower index first), and its
+    # right-hand side r_i = w(b_i) - w(a_i), never negative.
+    pairs = plan.pairs.take(screen.survivors(), 0)
+    lifted = lift[pairs]
+    ends = np.where((lifted[..., 1] < lifted[..., 0])[..., None], pairs[..., ::-1], pairs)
+    rhs = np.abs(lifted[..., 1] - lifted[..., 0])
+    points = plan.ints.take(ends, 0)
+    dets, adjs = _det_adjugate(points[:, :, 0] - points[:, :, 1])
+    if not dets.all():
+        live = dets != 0
+        ends, rhs, dets, adjs = ends[live], rhs[live], dets[live], adjs[live]
+    # gamma = adj @ r / det, as ``lattice.apply_adjugate`` rounds it: each
+    # entry adds its products to a running sum from 0.0 in column order
+    # (which turns a leading -0.0 into 0.0) and divides once.
+    terms = adjs.astype(float) * rhs[:, None]
+    gammas = terms[..., 0] + 0.0
+    for j in range(1, n):
+        gammas += terms[..., j]
+    gammas /= dets.astype(float)[:, None]
 
-    table = _circuit_table(plan, ends, dets, adjs)
-    row_values = table.values(lifting)
-    with np.errstate(all="ignore"):
-        margin = row_values / -table.coeffs[:, -1].astype(float)
-        margin[np.abs(margin) < TIE_RTOL * screen.scale] = 0.0
-    per_cell = plan.m - 2 * n
-    margin = margin.reshape(len(cells), per_cell)
-    # A violated margin rejects the candidate outright; a tie only makes the
-    # lifting degenerate when the candidate is otherwise a cell, i.e. the
-    # tied point sits exactly on the candidate's face.
-    kept = ~np.any(margin < 0, axis=1)
-    tied = margin == 0
-    degenerate = np.flatnonzero(kept & np.any(tied, axis=1))
+    points, coeffs, witness = _circuit_table(plan, ends, dets, adjs)
+    row_values = _values(points, coeffs, lift)
+    # A row's value over its witness entry |zeta_k| >= 1 is k's margin, so no
+    # division here overflows or divides by zero.  A margin within the
+    # tolerance of zero is a tie, and one below it a violation: that rejects
+    # the candidate outright, while a tie only makes the lifting degenerate
+    # when the candidate is otherwise a cell, i.e. the tied point sits
+    # exactly on the candidate's face.
+    margin = row_values / witness.astype(float)
+    tolerance = TIE_RTOL * screen.scale
+    tied = np.abs(margin) < tolerance
+    kept = ~(margin <= -tolerance).any(axis=1)
+    degenerate = np.flatnonzero(kept & tied.any(axis=1))
     if degenerate.size:
         s = degenerate[0]
-        point = int(table.points[s * per_cell + np.flatnonzero(tied[s])[-1], -1])
+        point = int(points[s, np.flatnonzero(tied[s])[-1], -1])
         edges = tuple(map(tuple, ends[s].tolist()))
         raise TieDegenerate(f"lifting ties on point {point} against cell {edges}")
 
     # Cells in the order of their edges.  Block i's local indices are its
     # Cayley indices less ``starts[i]``, so both sort alike.
-    order = np.flatnonzero(kept)
-    order = order[np.lexsort(ends[order].reshape(len(order), 2 * n).T[::-1])]
-    rows = np.add.outer(order * per_cell, np.arange(per_cell)).ravel()
-    kept_values = row_values[rows]
-    kept_values.flags.writeable = False
+    order = np.lexsort(ends.reshape(len(ends), 2 * n).T[::-1])
+    order = order[kept[order]]
+    local = (ends.take(order, 0) - plan.starts[:, None]).tolist()
+    normals = (-gammas.take(order, 0)).tolist()
+    volumes = np.abs(dets[order]).tolist()
+    values = row_values.take(order, 0).ravel()
+    values.setflags(False)  # write=False; numpy parses the keyword slowly
+    width = 2 * n + 1
     return MixedCellSet(
-        cells=tuple(cells[s] for s in order),
-        inequalities=CircuitTable(table.points[rows], table.coeffs[rows]),
+        cells=tuple(
+            MixedCell(tuple(map(tuple, edges)), tuple(normal), volume)
+            for edges, normal, volume in zip(local, normals, volumes)
+        ),
+        inequalities=CircuitTable(
+            points.take(order, 0).reshape(-1, width), coeffs.take(order, 0).reshape(-1, width)
+        ),
         lifting=lifting,
-        values=kept_values,
+        values=values,
     )
 
 
+def _values(points: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``zeta . w`` of each circuit (the last axis of ``points`` and
+    ``coeffs``) on the float lifting ``w``, summed from 0.0 one column at a
+    time (``CircuitTable.values``)."""
+    # Columns of a two-dimensional array add faster than those of more.
+    terms = (coeffs.astype(float) * w[points]).reshape(-1, points.shape[-1])
+    values = terms[:, 0] + 0.0
+    for column in terms.T[1:]:
+        values += column
+    return values.reshape(points.shape[:-1])
+
+
 def _circuit_table(
-    plan: _Plan,
-    ends: np.ndarray,
-    dets: Sequence[int],
-    adjs: Sequence[IntMatrix],
-) -> CircuitTable:
+    plan: _Plan, ends: np.ndarray, dets: np.ndarray, adjs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The circuit inequalities of cells given by their Cayley endpoints,
     ``ends[c, i] = (a_i, b_i)`` the edge of block i in cell c, each cell
-    with the nonzero determinant and the adjugate of its edge matrix.
+    with the nonzero determinant ``dets[c]`` and the adjugate ``adjs[c]``
+    of its edge matrix (``_det_adjugate``): a ``CircuitTable``'s points and
+    coefficients with a leading axis per cell, and each row's witness entry
+    negated, ``-coeffs[..., -1]``.
 
-    Rows go cell by cell in the arrays' order and, within a cell, one per
-    excluded point in block-major order.  Each is the unique affine
-    dependence of the 2n cell points plus the excluded point, reduced to a
-    primitive integer vector and oriented so the excluded point's entry is
-    negative.  The Cayley tags and the homogenizing coordinate make each
-    block's coefficients sum to zero, so the n x n edge matrix D (rows
-    ``a_i - b_i``) is all the caller eliminates: for a point k of block j,
-    with ``d = det D`` and ``l = (k - b_j) @ adj D``, the rows of D weighted
-    by l sum to ``d * (k - b_j)``, and the dependence is ``l_i`` on ``a_i``,
-    ``d * [i = j] - l_i`` on ``b_i`` and ``-d`` on k.  All rows are
-    assembled at once, in the plan's exact dtype: int64 under the bound of
-    ``_exact_dtype``, else object arrays of Python ints.  On a lifting a row
-    evaluates to ``|zeta[k]|`` times k's exclusion margin: weighted by it,
-    the cell points' lifted values are their faces' heights, and the gamma
-    terms cancel.
+    A cell's rows, one per excluded point, go in block-major order, block
+    j's ``t_j - 2`` points (``plan.rest`` holds their blocks).  Each is the
+    unique affine dependence of the 2n cell points plus the excluded point,
+    reduced to a primitive integer vector and oriented so the excluded
+    point's entry is negative.  The Cayley tags and the homogenizing
+    coordinate make each block's coefficients sum to zero, so the n x n edge
+    matrix D (rows ``a_i - b_i``) is all the caller eliminates: for a point
+    k of block j, with ``d = det D`` and ``l = (k - b_j) @ adj D``, the rows
+    of D weighted by l sum to ``d * (k - b_j)``, and the dependence is
+    ``l_i`` on ``a_i``, ``d * [i = j] - l_i`` on ``b_i`` and ``-d`` on k.
+    As ``(a_j - b_j) @ adj D = d e_j``, the entries on the b_i are ``-(k -
+    a_j) @ adj D``.  All rows are assembled at once, in the plan's exact
+    dtype: int64 under the bound of ``_exact_dtype``, else object arrays of
+    Python ints.  On a lifting a row evaluates to ``|zeta[k]|`` times k's
+    exclusion margin: weighted by it, the cell points' lifted values are
+    their faces' heights, and the gamma terms cancel.
     """
     n, count = plan.n, len(dets)
-    width = 2 * n + 1
-    exact = plan.ints.dtype
-    # One row per (cell, excluded point), cells in order, points ascending.
-    cell = ends.reshape(count, 2 * n)
+    cell = ends.reshape(count, 1, 2 * n)
     outside = np.ones((count, plan.m), dtype=bool)
-    outside[np.arange(count)[:, None], cell] = False
-    owner, point = np.nonzero(outside)
-    b_col = 2 * plan.block[point] + 1
-    diff = plan.ints[point] - plan.ints[cell[owner, b_col]]
-    adj = np.array(adjs, dtype=exact).reshape(count, n, n)
-    lam = (diff[:, None, :] @ adj[owner])[:, 0, :]
-    d = np.array(dets, dtype=exact)[owner]
+    outside[np.arange(count)[:, None], cell[:, 0]] = False
+    point = outside.nonzero()[1].reshape(count, len(plan.rest))
+    # ((k - a_j) @ adj D, (k - b_j) @ adj D), that is (l - d e_j, l), with
+    # (a_j, b_j) the cell's edge in the block of each row's point k.
+    ints = plan.ints
+    own = ints.take(ends.take(plan.rest, 1), 0)
+    both = (ints.take(point, 0)[:, :, None] - own) @ adjs[:, None]
     # The gcd of the dependence is that of l and d.  Dividing by it, negated
     # where d is negative, makes the dependence primitive and its entry -d
-    # on the excluded point negative.
-    g = np.gcd(np.gcd.reduce(lam, axis=1), d)
-    g[d < 0] *= -1
-    lam //= g[:, None]
-    d //= g
-    rows = len(point)
-    dep = np.empty((rows, width), dtype=exact)
-    dep[:, :-1:2] = lam
-    dep[:, 1::2] = -lam
-    dep[np.arange(rows), b_col] += d
-    dep[:, -1] = -d
-    points = np.empty((rows, width), dtype=np.intp)
-    points[:, :-1] = cell[owner]
-    points[:, -1] = point
-    return CircuitTable(points, dep)
+    # on the excluded point negative.  l is a view of ``both``, so the one
+    # division reduces it too.
+    lam = both[:, :, 1]
+    g = np.gcd(lam[..., 0], dets[:, None])
+    for j in range(1, n):
+        g = np.gcd(g, lam[..., j])
+    g *= np.sign(dets)[:, None]
+    both //= g[..., None, None]
+    d = dets[:, None] // g
+    coeffs = np.empty((*point.shape, 2 * n + 1), dtype=ints.dtype)
+    coeffs[..., :-1:2] = lam
+    coeffs[..., 1::2] = -both[:, :, 0]
+    coeffs[..., -1] = -d
+    points = np.empty(coeffs.shape, dtype=np.intp)
+    points[..., :-1] = cell
+    points[..., -1] = point
+    return points, coeffs, d
 
 
 def circuit_inequalities(cell: MixedCell, config: CayleyConfig) -> CircuitTable:
     """The cell's circuit table, one row per Cayley point excluded from it.
 
-    The one-cell entry to ``_circuit_table``: the cell's local edges offset
-    by the plan's ``starts`` give its Cayley endpoints, and one
-    ``det_adjugate`` of its edge matrix the determinant and adjugate; see
-    there for the dependence and its orientation.  A singular edge matrix
-    raises SingularExponentMatrix.
+    The one-cell entry to the enumeration's exact stage: the cell's local
+    edges offset by the plan's ``starts`` give its Cayley endpoints, a stack
+    of one edge matrix goes through ``_det_adjugate`` and the determinant
+    and adjugate through ``_circuit_table``; see there for the dependence
+    and its orientation.  A singular edge matrix raises
+    SingularExponentMatrix.
     """
     plan = _plan(config)
-    ends = np.array(cell.edges, dtype=np.intp) + plan.starts[:, None]
-    det, adj = det_adjugate((plan.ints[ends[:, 0]] - plan.ints[ends[:, 1]]).tolist())
-    if det == 0:
+    ends = np.array(cell.edges, dtype=np.intp)[None] + plan.starts[:, None]
+    points = plan.ints.take(ends, 0)
+    dets, adjs = _det_adjugate(points[:, :, 0] - points[:, :, 1])
+    if dets[0] == 0:
         raise SingularExponentMatrix("cell points are affinely dependent")
-    return _circuit_table(plan, ends[None], [det], [adj])
+    points, coeffs, _ = _circuit_table(plan, ends, dets, adjs)
+    return CircuitTable(points[0], coeffs[0])

@@ -178,7 +178,11 @@ def adjugate_solve(matrix: list[list[int]], rhs: list) -> list:
     adj = cofactor_adjugate(matrix)
     out = []
     for row in adj:
-        acc = sum(a * r for a, r in zip(row, rhs))
+        # A running sum from 0, not the builtin ``sum``, which compensates
+        # floats from Python 3.12 on.
+        acc = 0
+        for a, r in zip(row, rhs):
+            acc += a * r
         out.append(Fraction(acc, det) if isinstance(acc, (int, Fraction)) else acc / det)
     return out
 

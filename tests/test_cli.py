@@ -104,6 +104,45 @@ class TestMixedCellsCommand:
         assert "degenerate" in capsys.readouterr().err
 
 
+def _deep_coefficient(depth):
+    """The cubic/conic input with its first coefficient nested ``depth``
+    lists deep, as JSON text (json.dumps would recurse as deep)."""
+    nested = "[" * depth + "]" * depth
+    doc = json.dumps(_cubic_conic_doc())
+    first = json.dumps(_cubic_conic_doc()["coefficients"][0][0])
+    return doc.replace(first, nested, 1)
+
+
+class TestShortInputErrors:
+    """A bad value is echoed cut short: one "error:" line of at most 200
+    characters, and exit 1, whatever the value's size."""
+
+    @pytest.mark.parametrize("command", ["mixed-cells", "certify", "solve"])
+    @pytest.mark.parametrize(
+        "case", ["deep_coefficient", "dict_coefficient", "string_coefficient", "dict_n"]
+    )
+    def test_long_values_exit_1(self, tmp_path, capsys, command, case):
+        path = tmp_path / "bad.json"
+        if case == "deep_coefficient":
+            # 300 deep parses under pytest's own stack depth and echoes 600
+            # characters uncut.
+            path.write_text(_deep_coefficient(300))
+        else:
+            doc = _cubic_conic_doc()
+            value = {"k": "x" * 5000} if case.startswith("dict") else "x" * 5000
+            if case == "dict_n":
+                doc["n"] = value
+            else:
+                doc["coefficients"][0][0] = value
+            path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and len(line) <= 200
+        assert "characters)" in line
+
+
 class TestCertifyCommand:
     def test_pass_exit_0(self, tmp_path, capsys):
         code = main(["certify", _write(tmp_path, _quadratic_doc(1, 10, 1))])

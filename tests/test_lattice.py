@@ -17,6 +17,7 @@ from realhomotopy import (
 )
 from realhomotopy.lattice import (
     _embed,
+    apply_adjugate,
     det_adjugate,
     int_det,
     log_abs,
@@ -185,6 +186,29 @@ class TestExactLinearAlgebra:
         # Each entry is the exact rational solution rounded once.
         sol = solve_exact([[2, 0], [1, 3]], [4.0, 7.0])
         assert sol == [float(Fraction(2)), float(Fraction(5, 3))]
+
+    def test_apply_adjugate_rounds_by_running_sums(self, rng):
+        # Each entry is the running sum from 0.0 of its products in column
+        # order, divided once: 1e16 + 1.0 rounds back to 1e16, so the row
+        # [1, 1, 1] reads 0.0 where a compensated sum, the builtin ``sum``'s
+        # from Python 3.12 on, reads 1.0.  A leading -0.0 product adds to
+        # +0.0.  ``mixed_cells``' batched gammas round by the same rule.
+        assert apply_adjugate(1, [[1, 1, 1]], [1e16, 1.0, -1e16]) == [0.0]
+        (zero,) = apply_adjugate(1, [[1]], [-0.0])
+        assert math.copysign(1.0, zero) == 1.0
+        for _ in range(500):
+            n = int(rng.integers(1, 5))
+            adj = [[int(v) for v in rng.integers(-(10**6), 10**6, size=n)] for _ in range(n)]
+            scales = 10.0 ** rng.integers(-4, 5, size=n)
+            rhs = [float(v) for v in rng.uniform(0, 50, size=n) * scales]
+            det = int(rng.integers(1, 10**4))
+            want = []
+            for row in adj:
+                acc = 0.0
+                for a, x in zip(row, rhs):
+                    acc = acc + a * x
+                want.append((acc / det).hex())
+            assert [v.hex() for v in apply_adjugate(det, adj, rhs)] == want
 
     def test_solve_exact_floats(self):
         sol = solve_exact([[2, 0], [0, 4]], [1.0, 2.0])

@@ -26,6 +26,7 @@ from oracles import (
     adjugate_solve,
     bareiss_det,
     brute_force_mixed_cells,
+    cofactor_adjugate,
     exact_edge_test,
     lp_mixed_cells,
     lp_upper_edges,
@@ -1274,38 +1275,173 @@ class TestUnimodularSubstitution:
             assert survivors <= 2 * len(got.cells)
 
 
-class TestOneEliminationPerSurvivor:
-    """Each screen survivor's edge matrix is eliminated once: the
-    determinant, the normal and the circuits share one ``det_adjugate``."""
+def _stack_agrees(matrices):
+    """Hold ``mixed_cells._det_adjugate`` of an (s, n, n) stack, matrix by
+    matrix, to ``oracles.bareiss_det`` and ``lattice.det_adjugate`` (the
+    adjugate of a singular matrix to ``oracles.cofactor_adjugate``).
+    Returns how many matrices are singular."""
+    dets, adjs = mixed_cells._det_adjugate(matrices)
+    assert dets.shape == matrices.shape[:1] and adjs.shape == matrices.shape
+    assert dets.dtype == adjs.dtype == matrices.dtype
+    singular = 0
+    for matrix, det, adj in zip(matrices.tolist(), dets.tolist(), adjs.tolist()):
+        assert type(det) is int and det == bareiss_det(matrix)
+        want_det, want_adj = lattice.det_adjugate(matrix)
+        assert det == want_det
+        if det == 0:
+            singular += 1
+            want_adj = cofactor_adjugate(matrix)
+        assert adj == want_adj
+    return singular
+
+
+def _singular_rows(rng, matrix):
+    """``matrix`` with its last row made a combination of the others, or
+    zero at n = 1."""
+    combination = rng.integers(-3, 4, size=len(matrix) - 1)
+    matrix[-1] = combination @ matrix[:-1] if len(matrix) > 1 else 0
+    return matrix
+
+
+class TestBatchedElimination:
+    """``_det_adjugate``, the exact stage's one elimination, matrix by matrix
+    against the package's single-matrix Bareiss pass and the oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_stacks(self, rng, n):
+        matrices = rng.integers(-9, 10, size=(60, n, n))
+        # A third sparse, so many minors vanish, and every fourth singular.
+        matrices[::3] *= rng.random((20, n, n)) < 0.4
+        for matrix in matrices[::4]:
+            _singular_rows(rng, matrix)
+        assert _stack_agrees(matrices) >= 15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_int64_at_the_exact_dtype_bound(self, rng, n):
+        # Edge matrices of base points as large as _exact_dtype lets int64
+        # hold: every partial sum of the expansion stays exact.
+        largest, above = 1, 2**64
+        while above - largest > 1:
+            middle = (largest + above) // 2
+            if mixed_cells._exact_dtype(n, middle) is np.int64:
+                largest = middle
+            else:
+                above = middle
+        edge = 2 * largest
+        matrices = rng.choice([-edge, -edge + 1, edge - 1, edge], size=(40, n, n))
+        for matrix in matrices[::5]:
+            _singular_rows(rng, matrix)
+        _stack_agrees(matrices.astype(np.int64))
+
+    @pytest.mark.parametrize("top", [2**60, 10**30], ids=["2^60", "10^30"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_object_stacks(self, rng, n, top):
+        matrices = np.empty((24, n, n), dtype=object)
+        for index in np.ndindex(matrices.shape):
+            matrices[index] = top - int(rng.integers(0, 1000)) if rng.random() < 0.7 else 0
+            matrices[index] *= int(rng.choice([-1, 1]))
+        for matrix in matrices[::4]:
+            _singular_rows(rng, matrix)
+        assert _stack_agrees(matrices) >= 6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_stack(self, n):
+        for dtype in (np.int64, object):
+            dets, adjs = mixed_cells._det_adjugate(np.empty((0, n, n), dtype=dtype))
+            assert dets.shape == (0,) and adjs.shape == (0, n, n)
+            assert dets.dtype == adjs.dtype == dtype
+
+
+class TestSingularSurvivors:
+    """With every candidate a survivor, the exact stage skips exactly those
+    whose edge matrix is singular and reads the rest as the screened
+    enumeration does."""
+
+    def _every_candidate(self, system, monkeypatch):
+        config, lifting = build_cayley(system), log_abs_lifting(system)
+        screened = enumerate_mixed_cells(config, lifting)
+        seen = []
+        det_adjugate = mixed_cells._det_adjugate
+
+        def recorded(matrices):
+            dets, adjs = det_adjugate(matrices)
+            seen.append((matrices.tolist(), dets.tolist()))
+            return dets, adjs
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Screen, "survivors", lambda self: _whole_product(self.plan))
+            patch.setattr(mixed_cells, "_det_adjugate", recorded)
+            every = enumerate_mixed_cells(config, lifting)
+        ((matrices, dets),) = seen
+        assert len(matrices) == math.prod(math.comb(len(s), 2) for s in system.supports)
+        assert [det == 0 for det in dets] == [bareiss_det(m) == 0 for m in matrices]
+        assert every.cells == screened.cells
+        for name in ("points", "coeffs"):
+            got, want = getattr(every.inequalities, name), getattr(screened.inequalities, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert every.values.tobytes() == screened.values.tobytes()
+        return dets.count(0)
+
+    def test_no_float_plan(self, monkeypatch, fresh_plans):
+        # The shape of test_huge_exponents_plan_holds_no_floats' supports at
+        # 10^151: the plan holds no floats, its screen drops the singular
+        # candidates alone, and the determinants' floats stay in range.  At
+        # 10^200 determinants reach 10^399, and enumeration raises
+        # OverflowError converting them to floats for the gammas.
+        big = 10**151
+        system = support_system(
+            [[[0, 0], [big, 1], [1, 0]], [[0, 0], [0, 1], [1, big], [1, 1]]],
+            [[1.0, -2.0, 3.0], [1.0, -3.0, 2.0, 0.5]],
+        )
+        plan = mixed_cells._plan(build_cayley(system))
+        assert not plan.floats and plan.ints.dtype == object
+        assert self._every_candidate(system, monkeypatch) > 0
+
+    def test_small_exponents(self, rng, monkeypatch, fresh_plans):
+        singular = 0
+        for system in [random_sparse_system(rng, n=2, max_terms=6) for _ in range(6)]:
+            singular += self._every_candidate(system, monkeypatch)
+        system = random_sparse_system(rng, n=3, max_terms=4)
+        singular += self._every_candidate(system, monkeypatch)
+        assert singular > 0
+
+    def test_one_variable(self, monkeypatch, fresh_plans):
+        # At n = 1 every candidate reaches the exact stage, and none is
+        # singular: the points of a block are distinct.
+        system = support_system([[[0], [3], [1], [7], [4]]], [[1.0, -2.0, 0.5, 3.0, -1.0]])
+        assert self._every_candidate(system, monkeypatch) == 0
+
+
+class TestOneBatchedElimination:
+    """The exact stage eliminates every survivor's edge matrix at once, in
+    ``_det_adjugate``: enumeration calls none of ``lattice``'s single-matrix
+    eliminations, and its normals and volumes are theirs."""
 
     def test_random_systems(self, rng, monkeypatch):
         calls = []
 
-        def counted(fn):
-            def wrapper(matrix):
-                calls.append(matrix)
-                return fn(matrix)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
             return wrapper
 
-        def unused(*args):
-            raise AssertionError("the enumeration eliminates only by det_adjugate")
-
-        monkeypatch.setattr(lattice, "det_adjugate", counted(lattice.det_adjugate))
-        monkeypatch.setattr(
-            mixed_cells, "det_adjugate", counted(mixed_cells.det_adjugate)
-        )
-        monkeypatch.setattr(mixed_cells, "int_det", unused)
-        monkeypatch.setattr(mixed_cells, "solve_exact", unused)
         systems = [random_sparse_system(rng, n=2, max_terms=6) for _ in range(10)]
         systems += [random_sparse_system(rng, n=3, max_terms=4) for _ in range(4)]
-        for system in systems:
-            config = build_cayley(system)
-            lifting = log_abs_lifting(system)
-            survivors = len(_screen(config, lifting).survivors())
-            calls.clear()
-            cells = enumerate_mixed_cells(config, lifting)
-            assert survivors and len(calls) == survivors
+        systems += [random_sparse_system(rng, n=1, max_terms=5) for _ in range(2)]
+        results = []
+        with monkeypatch.context() as patch:
+            for module in (lattice, mixed_cells):
+                for name in ("det_adjugate", "int_det", "solve_exact"):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, counted(name, getattr(module, name)))
+            for system in systems:
+                config, lifting = build_cayley(system), log_abs_lifting(system)
+                results.append((config, lifting, enumerate_mixed_cells(config, lifting)))
+        assert calls == []
+        for config, lifting, cells in results:
+            assert cells.cells
             values = lifting.values
             for cell in cells.cells:
                 ends = [
@@ -1318,7 +1454,8 @@ class TestOneEliminationPerSurvivor:
                 ]
                 rhs = [values[b] - values[a] for a, b in ends]
                 gamma = lattice.solve_exact(rows, rhs)
-                assert cell.normal == tuple(-g for g in gamma)
+                assert [v.hex() for v in cell.normal] == [(-g).hex() for g in gamma]
+                assert type(cell.volume) is int and cell.volume == abs(bareiss_det(rows))
 
 
 def _ordered(rows):
