@@ -1,6 +1,13 @@
-"""Exception types shared across the solver."""
+"""Exception types shared across the solver, and how messages echo values."""
 
 from __future__ import annotations
+
+
+def echo(value: object) -> str:
+    """``repr(value)``, cut to its first 60 characters when longer, so that
+    an error about any input value stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 class RealHomotopyError(Exception):

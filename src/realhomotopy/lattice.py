@@ -6,8 +6,9 @@ matrix come from one fraction-free Gauss-Jordan elimination
 (``det_adjugate``), and every float solve from its adjugate rounds as
 ``apply_adjugate`` does; the binomial start systems use them.  Cell
 enumeration and its circuits eliminate every survivor's edge matrix at once
-in numpy arrays (``mixed_cells._det_adjugate``), with the same values, and
-round their gammas by the same running sums.
+in numpy arrays (``mixed_cells._det_adjugate``), with the same values.
+Every float sum of integer-weighted terms, those gammas, ``apply_adjugate``
+and the circuits' values on a lifting, adds by one rule, ``column_sums``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import SingularExponentMatrix
+import numpy as np
+
+from .errors import SingularExponentMatrix, echo
 
 Scalar = Union[int, float, Fraction]
 
@@ -69,9 +72,9 @@ class SupportSet:
             raise ValueError("support must contain at least one point")
         for p in self.points:
             if len(p) != self.n:
-                raise ValueError(f"point {p} does not have dimension {self.n}")
+                raise ValueError(f"point {echo(p)} does not have dimension {self.n}")
             if not all(isinstance(c, int) for c in p):
-                raise ValueError(f"point {p} has non-integer coordinates")
+                raise ValueError(f"point {echo(p)} has non-integer coordinates")
         if len(set(self.points)) != len(self.points):
             raise ValueError("support points must be distinct")
 
@@ -136,13 +139,12 @@ def support_system(
 class CayleyConfig:
     """The Cayley embedding of n supports into Z^(2n-1) with block provenance.
 
-    Point k originates from support ``block[k]`` at position ``origin_index[k]``;
-    ordering is block-major and preserves the input order inside each block.
+    Point k originates from support ``block[k]``; ordering is block-major
+    and preserves the input order inside each block.
     """
 
     points: tuple[tuple[int, ...], ...]
     block: tuple[int, ...]
-    origin_index: tuple[int, ...]
     n: int
 
     @property
@@ -202,16 +204,9 @@ def build_cayley(system: SupportSystem) -> CayleyConfig:
     n = system.n
     points = _embed([s.points for s in system.supports])
     block: list[int] = []
-    origin: list[int] = []
     for i, s in enumerate(system.supports):
         block.extend([i] * len(s))
-        origin.extend(range(len(s)))
-    return CayleyConfig(
-        points=tuple(points),
-        block=tuple(block),
-        origin_index=tuple(origin),
-        n=n,
-    )
+    return CayleyConfig(points=tuple(points), block=tuple(block), n=n)
 
 
 def log_abs_lifting(system: SupportSystem) -> Lifting:
@@ -281,17 +276,23 @@ def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[float]) -> list[f
 
 
 def apply_adjugate(det: int, adj: IntMatrix, rhs: Sequence[float]) -> list[float]:
-    """``adj @ rhs / det`` for a nonzero ``det`` and its exact adjugate.
+    """``adj @ rhs / det`` for a nonzero ``det`` and its exact adjugate:
+    each entry the ``column_sums`` of its products, divided once.  Past the
+    float range a product or a sum is inf, as in Python floats, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.array(adj, dtype=float) * np.array(rhs, dtype=float)
+        return (column_sums(terms) / float(det)).tolist()
 
-    Each entry adds its products one at a time in column order to a running
-    sum from 0.0 and divides once, so every solve from a ``det_adjugate``
-    pass rounds alike, on every Python: the builtin ``sum`` of floats is
-    compensated from Python 3.12 on.  A sum from 0.0 is never -0.0.
-    """
-    gamma = []
-    for row in adj:
-        acc = 0.0
-        for a, x in zip(row, rhs):
-            acc += a * x
-        gamma.append(acc / det)
-    return gamma
+
+def column_sums(terms: np.ndarray) -> np.ndarray:
+    """``terms`` summed over its last axis, one column at a time from 0.0:
+    the one rounding rule of ``apply_adjugate`` and of the enumeration's
+    gammas and circuit values.  A sum from 0.0 is never -0.0.  Neither
+    Python's ``sum`` of floats (compensated from 3.12 on) nor numpy's
+    (pairwise over 9 or more columns) adds in this order."""
+    # Columns of a two-dimensional array add faster than those of more.
+    flat = terms.reshape(-1, terms.shape[-1])
+    total = flat[:, 0] + 0.0
+    for column in flat.T[1:]:
+        total += column
+    return total.reshape(terms.shape[:-1])

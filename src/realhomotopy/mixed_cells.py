@@ -40,9 +40,12 @@ line of each: an exactly zero integer determinant drops it as singular, and
 otherwise Cramer's rule puts its gamma on both lines, and it survives when
 both parameters lie in their intervals.  That is O(1) per candidate, and
 with exponents near 10^5 at n = 2, or 10^3 at n = 3, it keeps about as
-few candidates as with small ones (ROADMAP items 9 and 17).  At n = 1 the gammas
-that level a pair form a point, no line exists, and every candidate reaches
-the exact test.
+few candidates as with small ones (ROADMAP items 9 and 17).  Where the
+screen cannot run, it keeps the whole candidate product: at n = 1, where
+the gammas that level a pair form a point and no line exists, and on a plan
+whose line integers would leave the float range (``_Plan``).  Such a plan
+is not screened; every candidate reaches the exact stage, whose mask of
+zero determinants drops the singular ones.
 
 The screen is split in two.  A plan (``_Plan``) holds all it reads of the
 configuration alone: the base points in the exact dtype, the pair tables,
@@ -66,10 +69,11 @@ and the plan's exact points stack the edge matrices as one ``(s, n, n)``
 array.  One batched elimination (``_det_adjugate``, the Laplace expansion
 of ``_minors``, which the screen's line frames use too) gives every
 determinant and adjugate, one mask drops the singular survivors, and the
-gammas are one float array rounded as ``lattice.apply_adjugate`` rounds a
-single solve.  The circuits of all survivors of a solve are built from
-those arrays in one pass as one exact table (``CircuitTable``, one row per
-circuit) and evaluated on the float lifting once; one ``np.lexsort`` of the
+gammas are one float array summed by ``lattice.column_sums``, the rule
+``lattice.apply_adjugate`` rounds a single solve by.  The circuits of all
+survivors of a solve are built from those arrays in one pass as one exact
+table (``CircuitTable``, one row per circuit) and evaluated on the float
+lifting once, by the same sums; one ``np.lexsort`` of the
 endpoints puts the cells in the order of their edges, and ``MixedCell``
 objects are made for the kept cells alone.  The table's integers are int64
 wherever a Hadamard bound on the base points proves every entry and every
@@ -95,7 +99,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SingularExponentMatrix, TieDegenerate
-from .lattice import CayleyConfig, Lifting
+from .lattice import CayleyConfig, Lifting, column_sums
 
 # Unused here: the enumeration calls no elimination of lattice.py, but
 # perfbench/tracing.py's LEAVES wraps these names in this module, whose
@@ -154,14 +158,10 @@ class CircuitTable:
     def values(self, lifting: Lifting) -> np.ndarray:
         """``zeta . w`` per row in float64, a new array on every call.
 
-        Each row sums from 0.0 one column at a time, so a value is bit for
-        bit the running sum from 0.0 of ``c * w[k]`` over the row's nonzero
-        coefficients in column order, each integer coefficient rounded to a
-        float as Python does.
-        A zero coefficient adds a zero of either sign, which changes no bit:
-        a running sum that starts at 0.0 is never -0.0.  ``terms.sum(axis=1)``
-        would not do: numpy's pairwise, unrolled reduction sums rows of 9 or
-        more columns (n >= 4) in another order.
+        Each row is the ``lattice.column_sums`` of its products ``c * w[k]``,
+        so a value is bit for bit the running sum from 0.0 of the products
+        of the row's nonzero coefficients in column order: a zero
+        coefficient adds a zero of either sign, which changes no bit.
         """
         return _values(self.points, self.coeffs, np.array(lifting.values, dtype=float))
 
@@ -390,7 +390,7 @@ class _Plan:
     in grain units, ``u = (a - b) / grain``, is in ``units`` and its exact
     ``|u|^2`` in ``square``, in the dtype of ``units``; with floats,
     ``norm`` holds each ``|u|`` and ``reach`` each block's largest.  At
-    n = 2 the plan also holds ``lines``, the line of every pair
+    n = 2 with floats the plan also holds ``lines``, the line of every pair
     (``_Lines``, which reads its ``|d|^2 = |u|^2`` from ``square``), and
     ``cut``, those lines cut by their blocks (``_Cut``): the lifting-free
     half of the whole screen, 25 arrays in all, most of them the cut's, a
@@ -408,9 +408,10 @@ class _Plan:
     and every integer computed from them are int64, exact, and their floats
     within a relative half ulp of the integers; otherwise they are Python
     ints in object arrays.  Where that bound reaches 2^1000, exponents near
-    10^150 among them, the floats would leave the float range: such a plan
-    holds no floats (``floats`` is False) and its screen drops only exactly
-    singular candidates.
+    10^150 at n = 2 or 10^75 at n = 3 among them, the floats would leave the
+    float range: such a plan holds no floats (``floats`` is False) and no
+    lines.  Such a plan is not screened; every candidate reaches the exact
+    stage.
     """
 
     def __init__(self, config: CayleyConfig) -> None:
@@ -441,7 +442,7 @@ class _Plan:
             self.norm = np.sqrt(square.astype(float))
             self.reach = np.maximum.reduceat(self.norm, self.pair_starts[:-1])
         parts = [self]
-        if n == 2:
+        if n == 2 and self.floats:
             # Blocks of fewer points than the largest pad their rows with
             # a's own column, a point of slope and projection 0 that the
             # rule of the line's own points leaves out.
@@ -488,19 +489,18 @@ class _Lines:
             self.det = plan.square[rows[:, 0]]
         else:
             self.det = (self.frame[:, -1] * self.frame[:, -1]).sum(axis=1)
+        self.n2 = self.det.astype(float)
         self.spread = None
-        if plan.floats:
-            self.n2 = self.det.astype(float)
-            if far is not None:
-                # sum_i prod_{l != i} |u_l|, the elementary symmetric
-                # polynomial of degree k - 1 in the norms: 1 at k = 1.
-                self.spread = plan.reach[far]
-                if k > 1:
-                    sums = [1.0] + [0.0] * (k - 1)
-                    for norm in plan.norm[rows].T:
-                        for j in range(k - 1, 0, -1):
-                            sums[j] = sums[j] + sums[j - 1] * norm
-                    self.spread = sums[-1] * self.spread
+        if far is not None:
+            # sum_i prod_{l != i} |u_l|, the elementary symmetric
+            # polynomial of degree k - 1 in the norms: 1 at k = 1.
+            self.spread = plan.reach[far]
+            if k > 1:
+                sums = [1.0] + [0.0] * (k - 1)
+                for norm in plan.norm[rows].T:
+                    for j in range(k - 1, 0, -1):
+                        sums[j] = sums[j] + sums[j - 1] * norm
+                self.spread = sums[-1] * self.spread
 
     def rho(self, screen: _Screen) -> np.ndarray:
         """``rho`` on the screen's lifting, a row per pair and a column per
@@ -528,7 +528,7 @@ class _Cut:
     ``d = (-u_1, u_0)``, and its interval is the pair's dual edge, a
     segment of the tropical curve of its block (Huber and Sturmfels 1995).
 
-    With floats, ``proj``, ``up`` and ``down`` (the points of positive and
+    ``proj``, ``up`` and ``down`` (the points of positive and
     negative slope) and ``recip = -1 / slope`` (0 at slope 0) are floats,
     and ``slack`` and ``level`` are the per-point factors of the tolerance:
     over ``scale / grain`` (``scale = 1 + max |w|``), ``slack`` is how far
@@ -544,11 +544,6 @@ class _Cut:
         # The line's own points, the ends of its pairs.
         own = plan.first[rows], plan.second[rows]
         self.cols, self.ref = cols, own[0][:, place, None]
-        # Lines of dependent pairs, or None when there are none.
-        det = lines.det[index]
-        self.singular = det == 0 if np.count_nonzero(det) < len(det) else None
-        if not plan.floats:
-            return
         diffs = plan.ints.take(cols, 0) - plan.ints.take(self.ref, 0)
         if plan.grain != 1:
             diffs //= plan.grain
@@ -566,8 +561,8 @@ class _Cut:
                 flat &= cols != points[:, j, None]
         size = np.abs(slope)
         with np.errstate(all="ignore"):
-            # A line of dependent pairs (|d| = 0) gets NaNs here, and
-            # ``ends`` calls it empty.
+            # An inf tolerance drops nothing; the block pass masks the NaNs
+            # of lines of dependent pairs (|d| = 0).
             head = np.abs(self.proj[0])
             for proj in self.proj[1:]:
                 head += np.abs(proj)
@@ -614,21 +609,19 @@ class _Cut:
         hi = highs.ravel()[top] + unit * slack[top]
         lo = lows.ravel()[bottom] - unit * slack[bottom]
         empty = (lo > hi) | (c > unit * self.level).any(axis=1)
-        if self.singular is not None:
-            empty |= self.singular
         return hi, lo, empty
 
 
 class _Side(NamedTuple):
-    """The lines on one side of the crossing test: their pairs, frames and,
-    with floats, ``ends``, a column per line: a row per pair of ``rho``,
-    the widened ends hi and lo of the line's interval, and r of the pair
-    the crossing test reads (block 0's on side a, block n-1's on side
-    b)."""
+    """The lines on one side of the crossing test: their pairs, frames and
+    ``ends``, a column per line: a row per pair of ``rho``, the widened
+    ends hi and lo of the line's interval, and r of the pair the crossing
+    test reads (block 0's on side a, block n-1's on side b).  A plan with
+    no floats is not screened; every candidate reaches the exact stage."""
 
     rows: np.ndarray
     frame: np.ndarray
-    ends: np.ndarray | None
+    ends: np.ndarray
 
 
 class _Screen:
@@ -758,7 +751,11 @@ class _Screen:
         self.plan = plan
         self.lift = lift = np.array(lifting, dtype=float)
         self.scale = 1.0 + float(np.maximum.reduce(np.abs(lift)))
-        if not plan.floats or plan.n == 1:
+        # The line screen cannot run at n = 1, where no line exists, nor on
+        # a plan without floats: such a screen keeps every pair, and every
+        # candidate reaches the exact stage.
+        self.screened = plan.n > 1 and plan.floats
+        if not self.screened:
             self.kept = np.arange(len(plan.first))
             return
         # Every float step of the screen runs with warnings off: values
@@ -799,22 +796,22 @@ class _Screen:
                 pairs = a * (2 * t - a - 1) // 2 + (b - a - 1) + plan.pair_starts[i]
                 lines = _Lines(plan, pairs[:, : n - 1])
                 cut = _Cut(plan, lines, slice(None), cols, 0)
-                covered[pairs[lines.det != 0]] = True
-                witnessed[pairs[~cut.ends(self, lines.rho(self))[-1]]] = True
+                # Lines of dependent pairs (|d| = 0) read NaNs; only others count.
+                independent = lines.det != 0
+                covered[pairs[independent]] = True
+                empty = cut.ends(self, lines.rho(self))[-1]
+                witnessed[pairs[independent & ~empty]] = True
         return (witnessed | ~covered).nonzero()[0]
 
     def _side(self, lines: _Lines, blocks: Sequence[int], end: int) -> tuple[_Side, np.ndarray]:
         """Lines as a side of the crossing test, and those that take part:
-        the lines whose interval, cut by ``blocks`` (the pair of each at the
-        same place on the line), is not empty, or without floats those of
-        independent pairs; ``end`` is the place of the pair whose r the
-        crossing test reads.  The blocks cut one at a time, each the lines
+        the lines of independent pairs whose interval, cut by ``blocks``
+        (the pair of each at the same place on the line), is not empty;
+        ``end`` is the place of the pair whose r the crossing test reads.  The blocks cut one at a time, each the lines
         the ones before left nonempty; the ends of an interval are the
         least hi and the greatest lo of the blocks'."""
         plan = self.plan
         index = (lines.det != 0).nonzero()[0]
-        if not plan.floats:
-            return _Side(lines.rows, lines.frame, None), index
         rho = lines.rho(self)
         hi, lo = np.full(len(lines.rows), np.inf), np.full(len(lines.rows), -np.inf)
         for place, i in zip(range(-len(blocks), 0), blocks):
@@ -842,7 +839,7 @@ class _Screen:
         """
         plan, n = self.plan, self.plan.n
         if n == 2:
-            side = _Side(plan.lines.rows, plan.lines.frame, getattr(self, "ends", None))
+            side = _Side(plan.lines.rows, plan.lines.frame, self.ends)
             yield side, kept[0], side, kept[1]
             return
         first, middle, last = kept[0], kept[1:-1], kept[-1]
@@ -869,10 +866,12 @@ class _Screen:
         """The candidates that pass the crossing test, as rows of pair
         indices (column i block i's pair) in ``itertools.product`` order.
         Per middle, each line of side a meets each line of side b, at most
-        about SCREEN_CHUNK candidates tested at a time."""
+        about SCREEN_CHUNK candidates tested at a time.  A screen that
+        cannot run returns the whole product."""
         plan, n = self.plan, self.plan.n
-        if n == 1:
-            return self.kept[:, None]
+        if not self.screened:
+            shape = tuple(np.diff(plan.pair_starts).tolist())
+            return np.indices(shape).reshape(n, -1).T + plan.pair_starts[:-1]
         cuts = self.kept.searchsorted(plan.pair_starts).tolist()
         kept = [self.kept[start:stop] for start, stop in zip(cuts, cuts[1:])]
         found = []
@@ -903,8 +902,6 @@ class _Screen:
         # indexing of a multi-dimensional array.
         on_a = a.frame.take(ia, 0).transpose(1, 0, 2) @ units.take(q, 0).T
         singular = on_a[-1] == 0
-        if not self.plan.floats:
-            return ~singular
         on_a = on_a.astype(float)
         *rho_a, hi_a, lo_a, r_p = a.ends.take(ia, 1)[..., None]
         *rho_b, hi_b, lo_b, r_q = b.ends.take(ib, 1)[:, None]
@@ -995,13 +992,9 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
     if not dets.all():
         live = dets != 0
         ends, rhs, dets, adjs = ends[live], rhs[live], dets[live], adjs[live]
-    # gamma = adj @ r / det, as ``lattice.apply_adjugate`` rounds it: each
-    # entry adds its products to a running sum from 0.0 in column order
-    # (which turns a leading -0.0 into 0.0) and divides once.
-    terms = adjs.astype(float) * rhs[:, None]
-    gammas = terms[..., 0] + 0.0
-    for j in range(1, n):
-        gammas += terms[..., j]
+    # gamma = adj @ r / det, as ``lattice.apply_adjugate`` rounds it: the
+    # ``column_sums`` of each entry's products, divided once.
+    gammas = column_sums(adjs.astype(float) * rhs[:, None])
     gammas /= dets.astype(float)[:, None]
 
     points, coeffs, witness = _circuit_table(plan, ends, dets, adjs)
@@ -1048,14 +1041,9 @@ def enumerate_mixed_cells(config: CayleyConfig, lifting: Lifting) -> MixedCellSe
 
 def _values(points: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``zeta . w`` of each circuit (the last axis of ``points`` and
-    ``coeffs``) on the float lifting ``w``, summed from 0.0 one column at a
-    time (``CircuitTable.values``)."""
-    # Columns of a two-dimensional array add faster than those of more.
-    terms = (coeffs.astype(float) * w[points]).reshape(-1, points.shape[-1])
-    values = terms[:, 0] + 0.0
-    for column in terms.T[1:]:
-        values += column
-    return values.reshape(points.shape[:-1])
+    ``coeffs``) on the float lifting ``w``, by ``lattice.column_sums``
+    (``CircuitTable.values``)."""
+    return column_sums(coeffs.astype(float) * w[points])
 
 
 def _circuit_table(

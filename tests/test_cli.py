@@ -119,7 +119,8 @@ class TestShortInputErrors:
 
     @pytest.mark.parametrize("command", ["mixed-cells", "certify", "solve"])
     @pytest.mark.parametrize(
-        "case", ["deep_coefficient", "dict_coefficient", "string_coefficient", "dict_n"]
+        "case",
+        ["deep_coefficient", "dict_coefficient", "string_coefficient", "dict_n", "long_point"],
     )
     def test_long_values_exit_1(self, tmp_path, capsys, command, case):
         path = tmp_path / "bad.json"
@@ -127,6 +128,12 @@ class TestShortInputErrors:
             # 300 deep parses under pytest's own stack depth and echoes 600
             # characters uncut.
             path.write_text(_deep_coefficient(300))
+        elif case == "long_point":
+            # A point of 5000 zeros in a system of 2 variables, 15,000
+            # characters uncut.
+            doc = _cubic_conic_doc()
+            doc["supports"][0] = [CUBIC_SUPPORT[0], [0] * 5000, *CUBIC_SUPPORT[2:]]
+            path.write_text(json.dumps(doc))
         else:
             doc = _cubic_conic_doc()
             value = {"k": "x" * 5000} if case.startswith("dict") else "x" * 5000

@@ -34,7 +34,6 @@ class TestCayley:
         # Block tags: first support gets 0, second gets 1.
         assert [p[2] for p in config.points] == [0] * 10 + [1] * 6
         assert config.block == tuple([0] * 10 + [1] * 6)
-        assert config.origin_index == tuple(list(range(10)) + list(range(6)))
 
     def test_single_support_is_identity(self):
         system = support_system([[[0], [1], [3]]], [[1.0, 2.0, -1.0]])

@@ -30,6 +30,7 @@ from oracles import (
     exact_edge_test,
     lp_mixed_cells,
     lp_upper_edges,
+    mixed_volume,
     reference_circuit_inequalities,
 )
 from realhomotopy import (
@@ -1072,7 +1073,8 @@ class TestScreenPlan:
 
     def test_huge_exponents_plan_holds_no_floats(self):
         # Exponents near 10^200 put the slopes' floats out of range: the
-        # plan holds none, and its screen keeps every nonsingular candidate.
+        # plan holds none, and its screen keeps the whole product, singular
+        # candidates included, for the exact stage to decide.
         big = 10**200
         system = support_system(
             [[[0, 0], [big, 1], [1, 0]], [[0, 0], [0, 1], [1, big], [1, 1]]],
@@ -1081,20 +1083,10 @@ class TestScreenPlan:
         config = build_cayley(system)
         plan = mixed_cells._plan(config)
         assert not plan.floats and plan.ints.dtype == object
+        assert not hasattr(plan, "lines") and not hasattr(plan, "cut")
         with np.errstate(all="raise"):
             rows = plan.screen(log_abs_lifting(system).values).survivors()
-        everything = _whole_product(plan).tolist()
-        kept = [
-            row
-            for row in everything
-            if int_det(
-                [
-                    [x - y for x, y in zip(config.base_point(a), config.base_point(b))]
-                    for a, b in zip(plan.first[row], plan.second[row])
-                ]
-            )
-        ]
-        assert rows.tolist() == kept and len(kept) < len(everything)
+        assert rows.tolist() == _whole_product(plan).tolist() and len(rows) == 18
 
     def test_second_solve_builds_no_plan(self, rng, monkeypatch, fresh_plans):
         # Dense (2, 2, 2): a cold solve builds its plan, a warm one on the
@@ -1352,6 +1344,18 @@ class TestBatchedElimination:
             assert dets.dtype == adjs.dtype == dtype
 
 
+def _huge_n3(big, rng):
+    """Three blocks of 4 points in Z^3, one exponent ``big`` in each, with
+    random coefficients."""
+    supports = [
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [big, 0, 1]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 1], [1, big, 0]],
+        [[0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, big]],
+    ]
+    signs = rng.choice([-1.0, 1.0], size=(3, 4))
+    return support_system(supports, (signs * rng.uniform(0.5, 4.0, size=(3, 4))).tolist())
+
+
 class TestSingularSurvivors:
     """With every candidate a survivor, the exact stage skips exactly those
     whose edge matrix is singular and reads the rest as the screened
@@ -1396,6 +1400,31 @@ class TestSingularSurvivors:
         plan = mixed_cells._plan(build_cayley(system))
         assert not plan.floats and plan.ints.dtype == object
         assert self._every_candidate(system, monkeypatch) > 0
+
+    def test_no_float_plan_three_variables(self, rng, monkeypatch, fresh_plans):
+        # Three blocks of 4 points, each with one exponent 10^80: the plan
+        # holds no floats, its screen keeps all 6^3 candidates, and the
+        # exact stage reads them as the every-candidate run does.  The
+        # float loop of ``brute_force_mixed_cells`` misjudges margins at
+        # these exponents, so the judge is the total volume, the mixed
+        # volume on every lifting: K^3 + 3K + 1 at exponent K, as the
+        # scipy oracle reads it at small K.
+        for small in (2, 5, 9):
+            assert mixed_volume(_huge_n3(small, rng)) == small**3 + 3 * small + 1
+        big = 10**80
+        system = _huge_n3(big, rng)
+        config, lifting = build_cayley(system), log_abs_lifting(system)
+        plan = mixed_cells._plan(config)
+        assert not plan.floats and plan.ints.dtype == object
+        rows = plan.screen(lifting.values).survivors()
+        assert rows.tolist() == _whole_product(plan).tolist() and len(rows) == 216
+        assert self._every_candidate(system, monkeypatch) > 0
+        volume = enumerate_mixed_cells(config, lifting).total_volume()
+        assert volume == big**3 + 3 * big + 1
+        for _ in range(4):
+            moved = np.array(lifting.values) + rng.uniform(-1.0, 1.0, config.m)
+            cells = enumerate_mixed_cells(config, Lifting(values=tuple(moved.tolist())))
+            assert cells.total_volume() == volume
 
     def test_small_exponents(self, rng, monkeypatch, fresh_plans):
         singular = 0
