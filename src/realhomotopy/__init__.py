@@ -39,7 +39,7 @@ from .mixed_cells import (
     mixed_cell_count_bound,
 )
 from .pipeline import SolveReport, SolverConfig, solve
-from .tracker import TrackedSolution, make_homotopy, make_path, track
+from .tracker import make_homotopy, make_path, track
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "SupportSet",
     "SupportSystem",
     "TieDegenerate",
-    "TrackedSolution",
     "binomial_from_cell",
     "build_cayley",
     "certify",

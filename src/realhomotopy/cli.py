@@ -9,8 +9,10 @@ Input documents are JSON objects with:
 
 Commands: ``mixed-cells``, ``certify`` and ``solve [--tol TOL] [--force]``.
 
-Exit codes: 0 success, 1 input error (JSON nested too deeply to parse, and
-a number too large for a float, such as an exponent near 10**200, included),
+Exit codes: 0 success, 1 input error (JSON nested too deeply to parse, a
+number too large for a float, such as an exponent near 10**200, and a
+coefficient string that would expand past Python's integer digit limit,
+such as "1e1000000", included),
 2 certificate fail (a system with no mixed cell included), 3 degenerate
 lifting, 4 tracking failures present.
 On a system with no mixed cell ``certify`` and ``solve`` also say on stderr
@@ -42,7 +44,7 @@ from .lattice import (
 )
 from .mixed_cells import MixedCell, MixedCellSet, enumerate_mixed_cells
 from .pipeline import SolverConfig, solve
-from .tracker import TrackedSolution
+from .tracker import PathState
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,11 +53,28 @@ EXIT_DEGENERATE = 3
 EXIT_TRACKING = 4
 
 
+def _expanded_digits(raw: str) -> int:
+    """Digits of the larger integer ``Fraction`` forms from an exponent-form
+    string before it reduces, ``m * 10**e`` or ``10**-e``: ``m`` is the
+    mantissa's digits, ``e`` the exponent less those after the point."""
+    mantissa, _, exponent = raw.lower().rpartition("e")
+    whole, _, decimals = mantissa.partition(".")
+    try:
+        m, e = int(whole + decimals), int(exponent) - len(decimals.replace("_", ""))
+    except ValueError:  # not in exponent form; Fraction decides
+        return 0
+    return max(len(str(abs(m))) + e, 1 - e)
+
+
 def _parse_coefficient(raw: object) -> Scalar:
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise ValueError(f"bad coefficient {echo(raw)}")
     if isinstance(raw, float):
         return raw
+    # Python's limit on a written-out integer (0: none) bounds expanded ones.
+    limit = sys.get_int_max_str_digits()
+    if isinstance(raw, str) and limit and _expanded_digits(raw) > limit:
+        raise ValueError(f"bad coefficient {echo(raw)}: expands past {limit} digits")
     try:
         return Fraction(raw)
     except ValueError:
@@ -144,7 +163,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.verdict else EXIT_CERTIFICATE
 
 
-def _solution_doc(s: TrackedSolution) -> dict:
+def _solution_doc(s: PathState) -> dict:
     if all(math.isfinite(v) and v != 0.0 for v in s.point):
         zero = {"point": list(s.point)}
     else:

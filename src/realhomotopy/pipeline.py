@@ -16,14 +16,7 @@ from .certificate import Certificate, certify
 from .errors import RealHomotopyError
 from .lattice import SupportSystem, build_cayley, log_abs_lifting
 from .mixed_cells import MixedCellSet, enumerate_mixed_cells, mixed_cell_count_bound
-from .tracker import (
-    PathState,
-    TrackedSolution,
-    make_homotopy,
-    make_path,
-    select_t0,
-    track,
-)
+from .tracker import PathState, make_homotopy, make_path, select_t0, track
 
 # Unused here: perfbench/tracing.py's SPANS wraps these names in this module
 # until ROADMAP item 1a wraps ``real_orthants`` instead.
@@ -43,22 +36,16 @@ class SolverConfig:
 
 
 @dataclass
-class PathFailure:
-    cell_index: int
-    path_index: int
-    status: str
-    message: str
-
-
-@dataclass
 class SolveReport:
-    """Structured outcome of one solve, stage by stage."""
+    """Structured outcome of one solve, stage by stage.  ``solutions`` and
+    ``failures`` hold the converged and the failed ``tracker.PathState``
+    records, each in path order: together every path once."""
 
     cells: MixedCellSet | None = None
     certificate: Certificate | None = None
     start_solutions: list[int] = field(default_factory=list)
-    solutions: list[TrackedSolution] = field(default_factory=list)
-    failures: list[PathFailure] = field(default_factory=list)
+    solutions: list[PathState] = field(default_factory=list)
+    failures: list[PathState] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     uncertified: bool = False
 
@@ -115,17 +102,12 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     if any(cell_orthants):
         homotopy = make_homotopy(system, lifting)
         t0 = select_t0(report.verdict)
-        paths: list[tuple[int, PathState]] = [
-            (ci, make_path(cell, signs, t0))
-            for ci, (cell, orthants) in enumerate(zip(cells.cells, cell_orthants))
-            for signs in orthants
-        ]
-        report.solutions = track(homotopy, [p for _, p in paths], tol=cfg.tol)
-        report.failures = [
-            PathFailure(ci, pi, p.status, p.message)
-            for pi, (ci, p) in enumerate(paths)
-            if p.status != "converged"
-        ]
+        paths: list[PathState] = []
+        for ci, (cell, orthants) in enumerate(zip(cells.cells, cell_orthants)):
+            for signs in orthants:
+                paths.append(make_path(cell, signs, t0, ci, len(paths)))
+        report.solutions = track(homotopy, paths, tol=cfg.tol)
+        report.failures = [p for p in paths if p.status != "converged"]
     report.timings["tracking"] = clock() - t
 
     n = system.n

@@ -20,11 +20,11 @@ so ``log|sol| = -normal``: the truncated branch is the line
 ``u = -(1 + lam) * normal``.  A path starts on it at ``lam = -log t0``
 (``make_path``, from the orthant that ``binomial.real_orthants`` gives), so
 no start is ever formed in x and one whose x would overflow or underflow is
-tracked like any other.  A path ends in the same form: a ``TrackedSolution``
-carries the orthant ``signs`` and ``logs = log|x|``, and ``track`` tells
-endpoints apart by these.  x itself is formed
-once, for ``TrackedSolution.point``, where it is ``inf`` or ``0.0`` if the
-zero lies beyond the float range.
+tracked like any other.  A path ends in the same form, its endpoint
+``logs = log|x|`` in the orthant ``signs``, by which ``track`` tells
+endpoints apart; x itself is formed once, for ``point``, where it is ``inf``
+or ``0.0`` if the zero lies beyond the float range.  One ``PathState`` is a
+path's record from ``make_path`` to the solve's report.
 
 ``select_t0`` is the one rule for t0.  A certificate pass keeps each
 orthant's real-zero count from the toric limit to the target, so certified
@@ -183,37 +183,35 @@ def make_homotopy(system: SupportSystem, lifting: Lifting) -> HomotopySystem:
 
 @dataclass
 class PathState:
-    """Mutable tracking state of one start solution.
+    """One path of a solve, from its start to its outcome.
 
     The path starts at ``lam`` from ``u = log|x|`` in the orthant ``signs``.
-    ``normal`` is the float normal of the start's cell: the truncated branch
-    moves u by ``-normal`` per unit lam.
+    ``normal`` is the float normal of its cell: the truncated branch moves u
+    by ``-normal`` per unit lam.  ``cell_index`` and ``path_index`` number
+    the cell and the path in the solve.  ``track`` sets ``status`` and, on
+    failure, ``message``; on convergence the accepted ``steps``, the
+    endpoint ``residual`` and the zero ``x_j = signs[j] * exp(logs[j])``,
+    whose ``point`` is that x in floats (``inf`` or ``0.0`` past their range).
     """
 
     lam: float
     u: np.ndarray
     signs: tuple[int, ...]
     normal: np.ndarray
+    cell_index: int = 0
+    path_index: int = 0
     status: str = "tracking"
     message: str = ""
+    steps: int = 0
+    residual: float = math.nan
+    logs: tuple[float, ...] = ()
+    point: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class TrackedSolution:
-    """A converged endpoint with its scaled residual and accepted step count.
-
-    The zero is ``x_j = signs[j] * exp(logs[j])``; ``point`` is that x in
-    floats, with ``inf`` or ``0.0`` where it leaves the float range.
-    """
-
-    point: tuple[float, ...]
-    residual: float
-    steps: int
-    signs: tuple[int, ...]
-    logs: tuple[float, ...]
-
-
-def make_path(cell: MixedCell, signs: tuple[int, ...], t0: float) -> PathState:
+def make_path(
+    cell: MixedCell, signs: tuple[int, ...], t0: float,
+    cell_index: int = 0, path_index: int = 0,
+) -> PathState:
     """The path of a real start of ``cell`` at t0: the truncated branch point
     ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant ``signs``.
 
@@ -221,7 +219,8 @@ def make_path(cell: MixedCell, signs: tuple[int, ...], t0: float) -> PathState:
     ``-normal`` (see the module docstring)."""
     normal = np.array(cell.normal, dtype=np.float64)
     lam = -math.log(t0)
-    return PathState(lam=lam, u=-(1.0 + lam) * normal, signs=signs, normal=normal)
+    u = -(1.0 + lam) * normal
+    return PathState(lam, u, signs, normal, cell_index, path_index)
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
@@ -440,10 +439,11 @@ class _PathFailed(Exception):
     otherwise) and the message, which ``track`` records on the path."""
 
 
-def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolution:
+def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
     """Continue one path from its start at ``path.lam`` to lam = 0; at lam = 0
     (a certified path) only the endpoint polish runs.  The endpoint is the
-    polish's lowest-residual iterate, which must be below ``tol``.
+    polish's lowest-residual iterate, which must be below ``tol``; it is
+    recorded on the path with its residual and accepted steps.
 
     Each step doubles the last accepted one, bounded by the remaining lam and
     by its predicted move in the cell's frame, ``step * max|udot + normal|``.
@@ -545,16 +545,18 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> TrackedSolutio
         raise _PathFailed("failed", message)
     with np.errstate(over="ignore", under="ignore"):
         x = np.array(path.signs, dtype=np.float64) * np.exp(u)
-    return TrackedSolution(tuple(x.tolist()), res, steps, path.signs, tuple(u.tolist()))
+    path.status, path.steps, path.residual = "converged", steps, res
+    path.logs, path.point = tuple(u.tolist()), tuple(x.tolist())
 
 
-def _coinciding(solutions: Sequence[TrackedSolution]):
-    """Pairs (a, b), a < b, of solutions with equal ``signs`` whose ``logs``
-    agree within ``DISTINCT_LOG_TOL`` in every coordinate, on Python floats: a
-    solve has a few endpoints, and numpy's calls per row cost more than the
-    comparisons."""
-    for a, sa in enumerate(solutions):
-        for b, sb in enumerate(solutions[a + 1 :], a + 1):
+def _coinciding(paths: Sequence[PathState]):
+    """Indices (a, b), a < b, of converged paths with equal ``signs`` whose
+    ``logs`` agree within ``DISTINCT_LOG_TOL`` in every coordinate, on Python
+    floats: a solve has a few endpoints, and numpy's calls per row cost more
+    than the comparisons."""
+    ends = [(k, p) for k, p in enumerate(paths) if p.status == "converged"]
+    for i, (a, sa) in enumerate(ends):
+        for b, sb in ends[i + 1 :]:
             if sa.signs == sb.signs and all(
                 abs(p - q) <= DISTINCT_LOG_TOL for p, q in zip(sa.logs, sb.logs)
             ):
@@ -563,31 +565,28 @@ def _coinciding(solutions: Sequence[TrackedSolution]):
 
 def track(
     h: HomotopySystem, paths: Sequence[PathState], tol: float = 1e-8
-) -> list[TrackedSolution]:
+) -> list[PathState]:
     """Continue the paths to t = 1 one by one; failures are recorded, never raised.
 
-    Each path's status (and, on failure, message) is set in place; the
-    converged endpoints are returned in path order.  Two paths whose
-    endpoints coincide have jumped onto one branch: both are recorded as
-    failed and neither endpoint is returned.
+    Each path's outcome is set in place (see ``PathState``); the converged
+    paths are returned in path order.  Two paths whose endpoints coincide
+    have jumped onto one branch: both are recorded as failed, with the
+    endpoint they reached, and neither is returned.
     """
-    converged: list[tuple[int, TrackedSolution]] = []
     # Where ``exps . u`` leaves the float range (exponents near 10**200), the
     # kernels give inf or NaN, which ``_max_norm`` reads as an infinite
     # residual and the path records as a failure; numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, path in enumerate(paths):
+        for path in paths:
             try:
-                converged.append((k, _track_one(h, path, tol)))
-                path.status = "converged"
+                _track_one(h, path, tol)
             except _PathFailed as exc:
                 path.status, path.message = exc.args
     clashes: dict[int, int] = {}
-    for a, b in _coinciding([s for _, s in converged]):
-        ka, kb = converged[a][0], converged[b][0]
-        clashes.setdefault(ka, kb)
-        clashes.setdefault(kb, ka)
+    for a, b in _coinciding(paths):
+        clashes.setdefault(a, b)
+        clashes.setdefault(b, a)
     for k, other in clashes.items():
         paths[k].status = "failed"
         paths[k].message = f"endpoint coincides with path {other}"
-    return [s for k, s in converged if k not in clashes]
+    return [path for path in paths if path.status == "converged"]

@@ -10,8 +10,9 @@ workloads of ``perfbench/workloads.py`` at seeds 1-3), the 224 held-out
 forced systems of ``helpers.held_out_forced`` and the 63 certified systems
 of ``helpers.at_scale_systems``, whose zeros lie up to about ``exp(+-2000)``.
 ``dump`` records, per solve, the raised exception if any, the start-solution
-counts, every converged endpoint as its signs and ``log|x|`` with its
-accepted steps and residual, and every failed path's status and message.
+counts and the report's path records (``tracker.PathState``): every converged
+path's endpoint as its signs and ``log|x|`` with its accepted steps and
+residual, and every failed path's cell and path index, status and message.
 Floats keep their exact value in JSON.
 
 ``dump`` also counts each solve's ``_kernels.jac_dlam`` calls, by wrapping
@@ -141,9 +142,9 @@ def _relative(a: float, b: float) -> float:
 
 
 def _in_x(record: dict) -> dict:
-    """``record`` with each endpoint as x, formed as ``track`` forms
-    ``TrackedSolution.point``: how a record of signs and ``log|x|`` compares
-    with one from an older dump, which recorded x alone."""
+    """``record`` with each endpoint as x, formed as ``track`` forms a path's
+    ``point``: how a record of signs and ``log|x|`` compares with one from an
+    older dump, which recorded x alone."""
     if "solutions" not in record:
         return record
     solutions = []

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -148,6 +149,40 @@ class TestShortInputErrors:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and len(line) <= 200
         assert "characters)" in line
+
+    @pytest.mark.parametrize("command", ["mixed-cells", "certify", "solve"])
+    @pytest.mark.parametrize("value", ["1e1000000", "1e-5000", "2.5e4301"])
+    def test_exponent_past_the_digit_limit_exits_1(
+        self, tmp_path, capsys, command, value
+    ):
+        # Fraction would expand each into an integer of more digits than
+        # Python's 4300-digit limit on one written out: "1e1000000" into a
+        # 3.3-million-bit numerator, which then solved.
+        doc = _cubic_conic_doc()
+        doc["coefficients"][0][0] = value
+        assert main([command, _write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        reason = f"expands past {limit} digits"
+        assert captured.err == f"error: bad coefficient {value!r}: {reason}\n"
+
+    def test_exponent_digit_limit_is_pythons(self):
+        # At Python's limit an exponent-form string parses as before, one
+        # digit past it does not, and a limit of 0 is no limit.
+        from realhomotopy.cli import _parse_coefficient
+
+        limit = sys.get_int_max_str_digits()
+        assert _parse_coefficient(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert _parse_coefficient(f"-2.5e-{limit - 2}") == Fraction(-25, 10 ** (limit - 1))
+        for value in (f"1e{limit}", f"2.5e-{limit - 1}", f"0.1e{limit + 1}"):
+            with pytest.raises(ValueError, match="expands past"):
+                _parse_coefficient(value)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _parse_coefficient("1e-5000") == Fraction(1, 10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestCertifyCommand:
@@ -306,20 +341,24 @@ class TestSolveCommand:
 
     def test_tracking_failures_exit_4(self, tmp_path, capsys, monkeypatch):
         import realhomotopy.cli as cli_mod
-        from realhomotopy.pipeline import PathFailure
+        from realhomotopy.tracker import PathState
 
         real_solve = cli_mod.solve
 
         def failing_solve(system, cfg):
             report = real_solve(system, cfg)
-            report.failures.append(PathFailure(0, 0, "diverged", "synthetic"))
+            failed = PathState(0.0, np.zeros(1), (1,), np.zeros(1), 0, 2)
+            failed.status, failed.message = "diverged", "synthetic"
+            report.failures.append(failed)
             return report
 
         monkeypatch.setattr(cli_mod, "solve", failing_solve)
         code = main(["solve", _write(tmp_path, _quadratic_doc(1, 10, 1))])
         assert code == 4
         doc = json.loads(capsys.readouterr().out)
-        assert doc["failures"][0]["status"] == "diverged"
+        assert doc["failures"] == [
+            {"cell": 0, "path": 2, "status": "diverged", "message": "synthetic"}
+        ]
 
     def test_start_point_underflow_solves(self, tmp_path, capsys):
         # x^3 - 10^-320 from the exact string: the start sol * t0**normal

@@ -195,8 +195,15 @@ class TestExactLinearAlgebra:
         assert apply_adjugate(1, [[1, 1, 1]], [1e16, 1.0, -1e16]) == [0.0]
         (zero,) = apply_adjugate(1, [[1]], [-0.0])
         assert math.copysign(1.0, zero) == 1.0
-        for _ in range(500):
-            n = int(rng.integers(1, 5))
+        # From 9 columns on numpy's own sum adds pairwise: each + 1.0 after
+        # 1e16 rounds back to 1e16 in the running sum, while numpy's sum
+        # of the same row reads 1e16 + 8.
+        row = [1e16] + [1.0] * 8
+        assert np.array([row]).sum(axis=-1).tolist() == [1e16 + 8]
+        assert apply_adjugate(1, [[1] * 9], row) == [1e16]
+        for k in range(600):
+            # Every third system has 9 to 16 columns, the rest 1 to 4.
+            n = int(rng.integers(9, 17) if k % 3 == 0 else rng.integers(1, 5))
             adj = [[int(v) for v in rng.integers(-(10**6), 10**6, size=n)] for _ in range(n)]
             scales = 10.0 ** rng.integers(-4, 5, size=n)
             rhs = [float(v) for v in rng.uniform(0, 50, size=n) * scales]

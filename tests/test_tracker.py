@@ -35,7 +35,7 @@ from realhomotopy import (
 )
 from realhomotopy import _kernels, pipeline, tracker
 from realhomotopy.lattice import log_abs
-from realhomotopy.tracker import FORCED_T0, TrackedSolution, select_t0, term_signs
+from realhomotopy.tracker import FORCED_T0, PathState, select_t0, term_signs
 
 
 def _cells_and_homotopy(system):
@@ -292,8 +292,8 @@ class TestStartT0:
         assert (select_t0(True), select_t0(False)) == (1.0, 1e-8)
         make_path_, started = pipeline.make_path, []
 
-        def recording(cell, signs, t0):
-            path = make_path_(cell, signs, t0)
+        def recording(cell, signs, t0, *indices):
+            path = make_path_(cell, signs, t0, *indices)
             started.append(path.lam)
             return path
 
@@ -373,6 +373,46 @@ class TestCertifiedPaths:
             assert all(s.point in genuine for s in mutated.solutions), label
             checked += 1
         assert checked == 36
+
+
+def _reported_once(report, label):
+    """Assert that each start of ``report`` is one path record, in
+    ``solutions`` or in ``failures``, each list in path order, and that the
+    records' (cell, path) indices together enumerate the starts in order."""
+    starts = [ci for ci, k in enumerate(report.start_solutions) for _ in range(k)]
+    records = [*report.solutions, *report.failures]
+    assert len(report.solutions) + len(report.failures) == len(starts), label
+    for part in (report.solutions, report.failures):
+        assert [p.path_index for p in part] == sorted(p.path_index for p in part)
+    indices = sorted((p.path_index, p.cell_index) for p in records)
+    assert indices == list(enumerate(starts)), label
+
+
+class TestPathRecords:
+    def test_every_path_is_reported_once(self, monkeypatch):
+        # The track_forced corpus at seed 1, with 6 failed paths, then the
+        # 22 certified cubic/conic systems as they are and with their first
+        # start repeated, so that two paths end on one zero and clash.
+        failed = 0
+        for family, label, system, config in reference_solves():
+            if family == "track_forced" and label.endswith("@1"):
+                report = solve(system, config)
+                _reported_once(report, label)
+                failed += len(report.failures)
+        clashed = 0
+        for label, system in _certified_candidates():
+            report = solve(system)
+            if not label.startswith("cubic_conic") or not report.verdict:
+                continue
+            _reported_once(report, label)
+            with monkeypatch.context() as patch:
+                _mutated_first_cell(patch, lambda starts: starts + starts[:1])
+                report = solve(system)
+            _reported_once(report, label)
+            clashed += sum(
+                f.message.startswith("endpoint coincides") for f in report.failures
+            )
+        assert (failed, clashed) == (6, 44)
 
 
 class TestPredictor:
@@ -643,7 +683,9 @@ class TestTracking:
                 )
             ]
             ends = [
-                TrackedSolution((), 0.0, 0, signs=tuple(s), logs=tuple(v))
+                PathState(
+                    0.0, np.zeros(2), tuple(s), np.zeros(2), status="converged", logs=tuple(v)
+                )
                 for s, v in zip(signs.tolist(), logs.tolist())
             ]
             assert list(tracker._coinciding(ends)) == want
