@@ -189,6 +189,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "path": f.path_index,
                 "status": f.status,
                 "message": f.message,
+                "steps": f.steps,
             }
             for f in report.failures
         ],

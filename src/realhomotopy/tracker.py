@@ -41,6 +41,22 @@ with that drift taken out.  A path that follows its truncated branch then
 takes the same few steps at any coefficient scale, and steps shrink only where
 the path bends away from its branch.
 
+A forced path's first step is sized from its cell.  On the branch each term
+of the cell's edges weighs the same in its equation, and an excluded term k
+weighs ``exp(-(1 + lam) * margin_k)`` against them, ``margin_k`` its
+exclusion margin (``MixedCellSet.smallest_margins``), so the branch stays the
+path down to where the nearest excluded term, of the cell's smallest margin
+``delta``, is no longer negligible.  The first step runs to
+``lam1 = BRANCH_LOG_WEIGHT / delta``, where that term still weighs under
+``exp(-BRANCH_LOG_WEIGHT)``: ``dlam = max(0.1 * lam0, lam0 - lam1)``, bounded
+like every step by the lam left and the predicted move cap, and later steps
+double from it.  ``BRANCH_LOG_WEIGHT = 5`` is the middle of the values 4, 5
+and 6 that keep every reference solve's counts, statuses and messages; at 2,
+3 and 8 one held-out fold gives up after 3 halvings instead.  The
+``0.1 * lam0`` floor is the first step of a path whose margin is unknown
+(``margin = 0``) and of one whose cell's margin is so small that ``lam1``
+lies above ``0.9 * lam0``, or above the start itself.
+
 No corrector work is spent where it cannot succeed.  A step corrector stops
 on its own contraction: as soon as an iterate after the first fails to cut
 the residual fourfold, the step is halved; one that keeps contracting has
@@ -117,6 +133,10 @@ DISTINCT_LOG_TOL = 1e-6
 # The t of every forced path's start (``select_t0``): small enough that the
 # toric limit holds, ``lam0 = -log FORCED_T0`` of about 18.4.
 FORCED_T0 = 1e-8
+# A forced path's first step runs down to ``lam = BRANCH_LOG_WEIGHT / margin``,
+# where its cell's nearest excluded term still weighs under
+# ``exp(-BRANCH_LOG_WEIGHT)``, 0.7%, of the cell's terms (``_track_one``).
+BRANCH_LOG_WEIGHT = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +208,11 @@ class PathState:
     The path starts at ``lam`` from ``u = log|x|`` in the orthant ``signs``.
     ``normal`` is the float normal of its cell: the truncated branch moves u
     by ``-normal`` per unit lam.  ``cell_index`` and ``path_index`` number
-    the cell and the path in the solve.  ``track`` sets ``status`` and, on
-    failure, ``message``; on convergence the accepted ``steps``, the
+    the cell and the path in the solve.  ``margin`` is the cell's smallest
+    exclusion margin, by which the first step leaves the toric limit (see
+    the module docstring); 0.0 leaves that step at a tenth of ``lam``.
+    ``track`` sets ``status``, the accepted ``steps`` whether the path
+    converges or not and, on failure, ``message``; on convergence the
     endpoint ``residual`` and the zero ``x_j = signs[j] * exp(logs[j])``,
     whose ``point`` is that x in floats (``inf`` or ``0.0`` past their range).
     """
@@ -200,6 +223,7 @@ class PathState:
     normal: np.ndarray
     cell_index: int = 0
     path_index: int = 0
+    margin: float = 0.0
     status: str = "tracking"
     message: str = ""
     steps: int = 0
@@ -210,17 +234,18 @@ class PathState:
 
 def make_path(
     cell: MixedCell, signs: tuple[int, ...], t0: float,
-    cell_index: int = 0, path_index: int = 0,
+    cell_index: int = 0, path_index: int = 0, margin: float = 0.0,
 ) -> PathState:
     """The path of a real start of ``cell`` at t0: the truncated branch point
-    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant ``signs``.
+    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant ``signs``,
+    with the cell's smallest exclusion ``margin`` for its first step.
 
     The orthant is all a start adds to its cell: the start's ``log|x|`` is
     ``-normal`` (see the module docstring)."""
     normal = np.array(cell.normal, dtype=np.float64)
     lam = -math.log(t0)
     u = -(1.0 + lam) * normal
-    return PathState(lam, u, signs, normal, cell_index, path_index)
+    return PathState(lam, u, signs, normal, cell_index, path_index, margin)
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
@@ -443,10 +468,16 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
     """Continue one path from its start at ``path.lam`` to lam = 0; at lam = 0
     (a certified path) only the endpoint polish runs.  The endpoint is the
     polish's lowest-residual iterate, which must be below ``tol``; it is
-    recorded on the path with its residual and accepted steps.
+    recorded on the path with its residual.  ``path.steps`` counts the
+    accepted steps on every exit, a failure's included.
 
-    Each step doubles the last accepted one, bounded by the remaining lam and
-    by its predicted move in the cell's frame, ``step * max|udot + normal|``.
+    The first step is ``max(0.1 * lam0, lam0 - BRANCH_LOG_WEIGHT / margin)``
+    for the start's ``lam0`` and the path's ``margin`` (the floor alone when
+    the margin is 0), where the nearest excluded term of the cell still
+    weighs under ``exp(-BRANCH_LOG_WEIGHT)`` on the branch; each later step
+    doubles the last accepted one.  Every step is bounded by the remaining
+    lam and by its predicted move in the cell's frame,
+    ``step * max|udot + normal|``.
     A step is accepted when the corrector converges and
     ``max|corrected - u - step * normal|`` stays within ``MAX_LOG_MOVE``.  A
     singular or non-finite tangent, or a fourth corrector failure in one
@@ -462,7 +493,6 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
     weights = term_signs(h, path.signs)[:, None] * h.weights
     lam, u, normal = path.lam, path.u, path.normal
     drift = normal.tolist()
-    steps = 0
     table = None
     # Pull the truncated branch point onto the actual path before stepping.
     if lam > 0.0:
@@ -470,6 +500,8 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
         if res >= CORRECTOR_TOL:
             raise _PathFailed("failed", "start point correction failed")
     dlam = 0.1 * lam
+    if path.margin > 0.0:
+        dlam = max(dlam, lam - BRANCH_LOG_WEIGHT / path.margin)
     prev = None
     while lam > 0.0:
         # The tangent at (lam, u) comes from the last correction's Jacobian
@@ -530,8 +562,8 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
         u = corrected
         lam = lam_new
         table = corrected_table
-        steps += 1
-        if steps > MAX_STEPS:
+        path.steps += 1
+        if path.steps > MAX_STEPS:
             raise _PathFailed("failed", "step budget exhausted")
         dlam = 2.0 * step
     # Polish toward well below tol; the endpoint is the polish's best iterate.
@@ -545,7 +577,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
         raise _PathFailed("failed", message)
     with np.errstate(over="ignore", under="ignore"):
         x = np.array(path.signs, dtype=np.float64) * np.exp(u)
-    path.status, path.steps, path.residual = "converged", steps, res
+    path.status, path.residual = "converged", res
     path.logs, path.point = tuple(u.tolist()), tuple(x.tolist())
 
 

@@ -29,9 +29,10 @@ the tracker's arithmetic that moves only last bits shows as differing
 reports with every other column zero.  A family that only one dump holds is
 named as such, and the endpoints of an older dump, which recorded x alone,
 are compared in x.  A second table gives both sides, as ``A -> B``, of the
-``jac_dlam`` calls, of the cut step correctors and of the failed paths by
-kind: fold, halvings (``corrector failed after 3 halvings``), start
-(``start point correction failed``) and other.
+``jac_dlam`` calls, of the accepted steps summed over converged paths, of
+the cut step correctors and of the failed paths by kind: fold, halvings
+(``corrector failed after 3 halvings``), start (``start point correction
+failed``) and other.
 """
 
 from __future__ import annotations
@@ -184,13 +185,14 @@ def _kind(message: str) -> str:
 
 def _new_row() -> dict:
     row = dict.fromkeys(("solves", "differ", "count", "status", "steps", "message"), 0)
-    row.update(endpoint=0.0, calls=[0, 0], cut=[0, 0], only=None)
+    row.update(endpoint=0.0, calls=[0, 0], accepted=[0, 0], cut=[0, 0], only=None)
     row["kinds"] = {kind: [0, 0] for kind in KINDS}
     return row
 
 
 def _tally(row: dict, side: int, record: dict) -> None:
     row["calls"][side] += record.get("calls", 0)
+    row["accepted"][side] += sum(s["steps"] for s in record.get("solutions", ()))
     row["cut"][side] += record.get("cut", 0)
     for f in record.get("failures", ()):
         row["kinds"][_kind(f[3])][side] += 1
@@ -198,8 +200,8 @@ def _tally(row: dict, side: int, record: dict) -> None:
 
 def compare_records(a_records: list[dict], b_records: list[dict]) -> dict[str, dict]:
     """Per family, the report changes from ``a_records`` to ``b_records``, and
-    each side's ``jac_dlam`` calls, cut step correctors and failed paths by
-    ``KINDS``, as the pair ``[a, b]``.
+    each side's ``jac_dlam`` calls, accepted steps of converged paths, cut
+    step correctors and failed paths by ``KINDS``, as the pair ``[a, b]``.
 
     A family that both dumps hold must hold the same solves in both.  A
     family that only one holds gets a row of its own: ``only`` names that
@@ -217,7 +219,7 @@ def compare_records(a_records: list[dict], b_records: list[dict]) -> dict[str, d
             row["solves"] = len(a_side or b_side)
             for r in a_side or b_side:
                 _tally(row, side, r)
-            for pair in (row["calls"], row["cut"], *row["kinds"].values()):
+            for pair in (row["calls"], row["accepted"], row["cut"], *row["kinds"].values()):
                 pair[1 - side] = None
             continue
         if [r["label"] for r in a_side] != [r["label"] for r in b_side]:
@@ -276,11 +278,14 @@ def compare(path_a: Path, path_b: Path) -> None:
         )
     print()
     kinds = "".join(f"{k:>14}" for k in ("cut", *KINDS))
-    print(f"{'family':<18}{'jac_dlam calls':>20}" + kinds)
+    print(f"{'family':<18}{'jac_dlam calls':>20}{'accepted steps':>18}" + kinds)
     for family, row in rows.items():
-        pairs = (row["calls"], row["cut"], *row["kinds"].values())
+        pairs = (row["calls"], row["accepted"], row["cut"], *row["kinds"].values())
         sides = [f"{_side(a)} -> {_side(b)}" for a, b in pairs]
-        print(f"{family:<18}{sides[0]:>20}" + "".join(f"{v:>14}" for v in sides[1:]))
+        print(
+            f"{family:<18}{sides[0]:>20}{sides[1]:>18}"
+            + "".join(f"{v:>14}" for v in sides[2:])
+        )
 
 
 def main(argv=None) -> None:

@@ -357,8 +357,25 @@ class TestSolveCommand:
         assert code == 4
         doc = json.loads(capsys.readouterr().out)
         assert doc["failures"] == [
-            {"cell": 0, "path": 2, "status": "diverged", "message": "synthetic"}
+            {
+                "cell": 0,
+                "path": 2,
+                "status": "diverged",
+                "message": "synthetic",
+                "steps": 0,
+            }
         ]
+
+    def test_fold_failures_show_their_steps(self, tmp_path, capsys):
+        # Both forced paths of 2 - 2x + x**2 step from the toric limit down
+        # to the fold at lam = 1, where they fail: each failure's JSON gives
+        # the accepted steps it took.
+        path = _write(tmp_path, _quadratic_doc(2, -2, 1))
+        assert main(["solve", path, "--force"]) == 4
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert [f["status"] for f in failures] == ["failed", "failed"]
+        assert all(f["message"].startswith("fold at lam=") for f in failures)
+        assert all(f["steps"] > 0 for f in failures)
 
     def test_start_point_underflow_solves(self, tmp_path, capsys):
         # x^3 - 10^-320 from the exact string: the start sol * t0**normal
@@ -518,6 +535,7 @@ class TestOverflowingInput:
                 "path": 0,
                 "status": "failed",
                 "message": "endpoint residual inf above tol 1e-08",
+                "steps": 0,
             }
         ]
         assert "error" not in captured.err

@@ -14,8 +14,9 @@ START = ("failed", "start point correction failed")
 UNDERFLOW = ("diverged", "step size underflow")
 
 
-def _record(label, points, failures, calls, cut=0, family="forced"):
-    """A dump's record of one solve, each endpoint given by its x."""
+def _record(label, points, failures, calls, cut=0, steps=4, family="forced"):
+    """A dump's record of one solve, each endpoint given by its x and
+    reached in ``steps`` accepted steps."""
     return {
         "family": family,
         "label": label,
@@ -26,7 +27,7 @@ def _record(label, points, failures, calls, cut=0, family="forced"):
             {
                 "signs": [1 if v > 0 else -1 for v in p],
                 "logs": [math.log(abs(v)) for v in p],
-                "steps": 4,
+                "steps": steps,
                 "residual": 1e-12,
             }
             for p in points
@@ -59,6 +60,8 @@ def _sides():
         # Two cut step correctors fewer, and nothing else changes: the
         # report does not differ.
         "cut": (([(3.0, 1.0)], [], 10, 2), ([(3.0, 1.0)], [], 10, 0)),
+        # The same endpoint in 3 accepted steps instead of 6.
+        "steps": (([(2.0, 3.0)], [], 12, 0, 6), ([(2.0, 3.0)], [], 9, 0, 3)),
     }
     a = [_record(label, *before) for label, (before, _) in pairs.items()]
     b = [_record(label, *after) for label, (_, after) in pairs.items()]
@@ -69,11 +72,13 @@ def test_compare_records_tells_each_change_apart():
     a, b = _sides()
     [(family, row)] = compare_records(a, b).items()
     assert family == "forced"
-    assert row["solves"] == 5
-    assert row["differ"] == 4
-    assert (row["count"], row["status"], row["steps"], row["message"]) == (0, 1, 0, 1)
+    assert row["solves"] == 6
+    assert row["differ"] == 5
+    assert (row["count"], row["status"], row["steps"], row["message"]) == (0, 1, 1, 1)
     assert row["endpoint"] == pytest.approx(2e-12, rel=1e-3)
-    assert row["calls"] == [150, 110]
+    assert row["calls"] == [162, 119]
+    # Four converged paths of 4 steps each, and one of 6, then 3.
+    assert row["accepted"] == [22, 19]
     assert row["cut"] == [2, 0]
     assert row["kinds"] == {
         "fold": [1, 3],
@@ -87,7 +92,8 @@ def test_compare_records_of_a_dump_with_itself_is_quiet():
     a, _ = _sides()
     [row] = compare_records(a, a).values()
     assert (row["differ"], row["endpoint"]) == (0, 0.0)
-    assert row["calls"] == [150, 150]
+    assert row["calls"] == [162, 162]
+    assert row["accepted"] == [22, 22]
     assert row["cut"] == [2, 2]
 
 
@@ -107,7 +113,12 @@ def test_compare_records_names_a_family_of_one_side():
         row = rows["at_scale"]
         assert (row["only"], row["solves"], row["differ"]) == (side, 1, 0)
         mine, other = (0, 1) if side == "A" else (1, 0)
-        counts = ((row["calls"], 7), (row["cut"], 0), (row["kinds"]["fold"], 1))
+        counts = (
+            (row["calls"], 7),
+            (row["accepted"], 4),
+            (row["cut"], 0),
+            (row["kinds"]["fold"], 1),
+        )
         for pair, count in counts:
             assert (pair[mine], pair[other]) == (count, None)
 
@@ -139,8 +150,9 @@ def test_compare_prints_both_sides(tmp_path, capsys):
         path.write_text(json.dumps(records))
     main(["compare", *map(str, paths)])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split() == ["forced", "5", "4", "0", "1", "0", "1", "2e-12"]
-    sides = "150 -> 110 2 -> 0 1 -> 3 1 -> 0 1 -> 1 1 -> 0"
+    assert lines[1].split() == ["forced", "6", "5", "0", "1", "1", "1", "2e-12"]
+    assert lines[-2].split()[:5] == ["family", "jac_dlam", "calls", "accepted", "steps"]
+    sides = "162 -> 119 22 -> 19 2 -> 0 1 -> 3 1 -> 0 1 -> 1 1 -> 0"
     assert lines[-1].split() == ["forced", *sides.split()]
 
 
@@ -153,5 +165,5 @@ def test_compare_prints_a_family_of_one_side(tmp_path, capsys):
     main(["compare", *map(str, paths)])
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].split() == ["at_scale", "1", "only", "in", "B"]
-    sides = "- -> 7 - -> 0 - -> 0 - -> 0 - -> 0 - -> 0"
+    sides = "- -> 7 - -> 4 - -> 0 - -> 0 - -> 0 - -> 0 - -> 0"
     assert lines[-1].split() == ["at_scale", *sides.split()]

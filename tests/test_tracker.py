@@ -56,13 +56,12 @@ FORCED_EXACT_COUNTS = (6, 3, 3, 4, 2, 3, 4, 1, 4, 2, 2, 1, 1, 2, 2, 2, 2, 2, 2, 
 
 
 # Upper bound on the jac_dlam calls of forced solves of _forced_corpus().
-# Measured with numpy 2.4: 1,620 when step correctors had 3 iterates and the
-# fold test ran once, at a step's second failed corrector, from that
-# attempt's last iterate; 1,285 with 4 iterates and the fold test also at the
-# fourth failure, each time from the step's lowest-residual failed attempt.
-# The bound leaves 5% for kernels that round differently on other numpy
-# versions (CI also runs numpy 1.24).
-FORCED_CORPUS_CALLS = 1_350
+# Measured with numpy 2.4: 1,207 calls (243 accepted steps) while every
+# forced path's first step was a tenth of its start's lam, and 1,057 (156
+# steps) since it runs to lam = BRANCH_LOG_WEIGHT / margin, the cell's
+# smallest exclusion margin.  The bound leaves 5% for kernels that round
+# differently on other numpy versions (CI also runs numpy 1.24).
+FORCED_CORPUS_CALLS = 1_110
 
 
 def _forced_corpus():
@@ -413,6 +412,18 @@ class TestPathRecords:
                 f.message.startswith("endpoint coincides") for f in report.failures
             )
         assert (failed, clashed) == (6, 44)
+
+    def test_failed_paths_keep_their_accepted_steps(self):
+        # A path that fails at a fold has stepped from its start down to the
+        # fold: its record keeps the steps it took, as a converged one does.
+        folds = []
+        for family, label, system, config in reference_solves():
+            if family == "track_forced" and label.endswith("@1"):
+                folds += solve(system, config).failures
+        assert len(folds) == 6
+        for failure in folds:
+            assert failure.message.startswith("fold at lam=")
+            assert failure.steps > 0
 
 
 class TestPredictor:
@@ -778,8 +789,9 @@ class TestTracking:
         assert set(kinds) <= {"fold", "start point correction failed"}
 
     def test_forced_corpus_kernel_call_budget(self, monkeypatch):
-        # The step correctors' fourth iterate and the fold test's second run
-        # cut the corpus's kernel calls by a fifth; see FORCED_CORPUS_CALLS.
+        # The step correctors' fourth iterate, the fold test's second run and
+        # the first step sized from the cell's margin keep the corpus's kernel
+        # calls within FORCED_CORPUS_CALLS.
         kernel, calls = _kernels.jac_dlam, []
 
         def counted(*args):
@@ -959,6 +971,78 @@ class TestTracking:
             here_lam, here, here_table = lam, u, table
         assert steps > 0
         assert accepted >= steps
+
+    def test_first_step_ends_where_the_toric_limit_does(self, monkeypatch):
+        # On the branch u = -(1 + lam) * normal an excluded term k weighs
+        # exp(-(1 + lam) * margin_k) against its equation's cell terms, so a
+        # forced path's first step corrector runs at lam0 - dlam with
+        # dlam = max(0.1 * lam0, lam0 - BRANCH_LOG_WEIGHT / margin) for the
+        # cell's smallest margin, then bounded by lam0 and by the predicted
+        # move cap.  Each margin here is read off the branch: the gap
+        # (w_a - e_a . normal) - (w_k - e_k . normal) between a cell point a
+        # and an excluded point k of one support, on the log|c| lifting w.
+        # The corpus has cells with witness entries |zeta_k| > 1 and cells
+        # whose margin is small enough that the 0.1 * lam0 floor decides.
+        newton, track_one = tracker._newton, tracker._track_one
+        calls = []
+
+        def recording(*args, contract=False, **kwargs):
+            out = newton(*args, contract=contract, **kwargs)
+            calls.append((args[2], contract, out))
+            return out
+
+        def recording_path(h, path, tol):
+            calls.append(path)
+            return track_one(h, path, tol)
+
+        monkeypatch.setattr(tracker, "_newton", recording)
+        monkeypatch.setattr(tracker, "_track_one", recording_path)
+        weight = tracker.BRANCH_LOG_WEIGHT
+        cap = 0.9 * tracker.MAX_LOG_MOVE
+        checked = floors = capped = 0
+        for system, _ in _forced_corpus():
+            calls.clear()
+            report = solve(system, SolverConfig(force=True))
+            lifting = log_abs_lifting(system).values
+            offsets = np.cumsum([0] + [len(s) for s in system.supports])
+            margins = []
+            for cell in report.cells.cells:
+                gaps = []
+                for sup, offset, edge in zip(system.supports, offsets, cell.edges):
+                    heights = [
+                        lifting[offset + k] - float(np.dot(p, cell.normal))
+                        for k, p in enumerate(sup.points)
+                    ]
+                    gaps += [
+                        heights[edge[0]] - h
+                        for k, h in enumerate(heights)
+                        if k not in edge
+                    ]
+                margins.append(min(gaps))
+            paths = [k for k, call in enumerate(calls) if isinstance(call, PathState)]
+            for k, end in zip(paths, paths[1:] + [len(calls)]):
+                path, lam0 = calls[k], calls[k].lam
+                margin = margins[path.cell_index]
+                assert margin > 0.0
+                assert path.margin == pytest.approx(margin, rel=1e-9, abs=1e-12)
+                start, *attempts = calls[k + 1 : end]
+                lam, contract, (res, _, table) = start
+                assert (lam, contract) == (lam0, False)
+                if res >= tracker.CORRECTOR_TOL:
+                    continue  # the start correction failed: no step
+                dlam = min(max(0.1 * lam0, lam0 - weight / margin), lam0)
+                floors += 0.1 * lam0 > lam0 - weight / margin
+                udot = np.linalg.solve(table[:, 1:-1], -table[:, -1])
+                speed = float(np.abs(udot + path.normal).max())
+                if dlam * speed > cap:
+                    dlam = cap / speed
+                    capped += 1
+                first = next(lam for lam, contract, _ in attempts if contract)
+                assert first == pytest.approx(lam0 - dlam, rel=1e-9, abs=1e-12)
+                checked += 1
+        assert checked >= 50
+        assert floors > 0
+        assert capped < checked
 
     @pytest.mark.parametrize(
         "coefficients, roots",
