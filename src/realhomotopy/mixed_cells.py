@@ -188,18 +188,6 @@ class MixedCellSet:
     def total_volume(self) -> int:
         return sum(c.volume for c in self.cells)
 
-    def smallest_margins(self) -> np.ndarray:
-        """Each cell's smallest exclusion margin, in cell order: the least of
-        its rows' ``values`` over their witness entries ``|zeta_k|``, the
-        margins as enumeration forms them, and ``inf`` for a cell that
-        excludes no point (a binomial system).  Every cell has one row per
-        point it excludes, so every cell has as many rows."""
-        if not len(self.values):
-            return np.full(len(self.cells), math.inf)
-        witness = -self.inequalities.coeffs[:, -1]
-        margins = self.values / witness.astype(float)
-        return margins.reshape(len(self.cells), -1).min(axis=1)
-
 
 def mixed_cell_count_bound(n: int, t: int) -> int:
     """Cap on real zeros of a patchworked system: ``2^(n+1) * C(tn-n, n)``."""

@@ -102,15 +102,10 @@ def solve(system: SupportSystem, config: SolverConfig | None = None) -> SolveRep
     if any(cell_orthants):
         homotopy = make_homotopy(system, lifting)
         t0 = select_t0(report.verdict)
-        # Forced paths size their first step from their cell's smallest
-        # exclusion margin; certified ones take no step.
-        margins = [0.0] * len(cell_orthants)
-        if not report.verdict:
-            margins = cells.smallest_margins().tolist()
         paths: list[PathState] = []
         for ci, (cell, orthants) in enumerate(zip(cells.cells, cell_orthants)):
             for signs in orthants:
-                paths.append(make_path(cell, signs, t0, ci, len(paths), margins[ci]))
+                paths.append(make_path(cell, signs, t0, ci, len(paths)))
         report.solutions = track(homotopy, paths, tol=cfg.tol)
         report.failures = [p for p in paths if p.status != "converged"]
     report.timings["tracking"] = clock() - t

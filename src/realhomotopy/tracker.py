@@ -41,20 +41,21 @@ with that drift taken out.  A path that follows its truncated branch then
 takes the same few steps at any coefficient scale, and steps shrink only where
 the path bends away from its branch.
 
-A forced path's first step is sized from its cell.  On the branch each term
-of the cell's edges weighs the same in its equation, and an excluded term k
-weighs ``exp(-(1 + lam) * margin_k)`` against them, ``margin_k`` its
-exclusion margin (``MixedCellSet.smallest_margins``), so the branch stays the
-path down to where the nearest excluded term, of the cell's smallest margin
-``delta``, is no longer negligible.  The first step runs to
-``lam1 = BRANCH_LOG_WEIGHT / delta``, where that term still weighs under
-``exp(-BRANCH_LOG_WEIGHT)``: ``dlam = max(0.1 * lam0, lam0 - lam1)``, bounded
-like every step by the lam left and the predicted move cap, and later steps
-double from it.  ``BRANCH_LOG_WEIGHT = 5`` is the middle of the values 4, 5
-and 6 that keep every reference solve's counts, statuses and messages; at 2,
-3 and 8 one held-out fold gives up after 3 halvings instead.  The
-``0.1 * lam0`` floor is the first step of a path whose margin is unknown
-(``margin = 0``) and of one whose cell's margin is so small that ``lam1``
+A forced path's first step is sized from its cell.  On the branch, term k
+of an equation weighs ``exp((1 + lam) * (w_k - e_k . normal))`` over the
+common factor ``exp(-lam * w_max)``, so the two terms of the cell's edge tie
+at the top height ``w - e . normal`` and an excluded term k weighs
+``exp(-(1 + lam) * margin_k)`` against them, ``margin_k`` its gap below that
+height: its exclusion margin.  The branch stays the path down to where the
+nearest excluded term, of the cell's smallest margin ``delta``, is no longer
+negligible.  The first step runs to ``lam1 = BRANCH_LOG_WEIGHT / delta``,
+where that term still weighs under ``exp(-BRANCH_LOG_WEIGHT)``:
+``dlam = max(0.1 * lam0, lam0 - lam1)``, bounded like every step by the lam
+left and the predicted move cap, and later steps double from it.
+``BRANCH_LOG_WEIGHT = 5`` is the middle of the values 4, 5 and 6 that keep
+every reference solve's counts, statuses and messages; at 2, 3 and 8 one
+held-out fold gives up after 3 halvings instead.  The ``0.1 * lam0`` floor
+is the first step of a path whose cell's margin is so small that ``lam1``
 lies above ``0.9 * lam0``, or above the start itself.
 
 No corrector work is spent where it cannot succeed.  A step corrector stops
@@ -133,9 +134,9 @@ DISTINCT_LOG_TOL = 1e-6
 # The t of every forced path's start (``select_t0``): small enough that the
 # toric limit holds, ``lam0 = -log FORCED_T0`` of about 18.4.
 FORCED_T0 = 1e-8
-# A forced path's first step runs down to ``lam = BRANCH_LOG_WEIGHT / margin``,
-# where its cell's nearest excluded term still weighs under
-# ``exp(-BRANCH_LOG_WEIGHT)``, 0.7%, of the cell's terms (``_track_one``).
+# A forced path's first step runs down to ``lam = BRANCH_LOG_WEIGHT / delta``,
+# where its cell's nearest excluded term, of margin delta, still weighs under
+# ``exp(-BRANCH_LOG_WEIGHT)``, 0.7%, of the cell's terms (``_branch_end``).
 BRANCH_LOG_WEIGHT = 5.0
 
 
@@ -208,13 +209,13 @@ class PathState:
     The path starts at ``lam`` from ``u = log|x|`` in the orthant ``signs``.
     ``normal`` is the float normal of its cell: the truncated branch moves u
     by ``-normal`` per unit lam.  ``cell_index`` and ``path_index`` number
-    the cell and the path in the solve.  ``margin`` is the cell's smallest
-    exclusion margin, by which the first step leaves the toric limit (see
-    the module docstring); 0.0 leaves that step at a tenth of ``lam``.
-    ``track`` sets ``status``, the accepted ``steps`` whether the path
-    converges or not and, on failure, ``message``; on convergence the
-    endpoint ``residual`` and the zero ``x_j = signs[j] * exp(logs[j])``,
-    whose ``point`` is that x in floats (``inf`` or ``0.0`` past their range).
+    the cell and the path in the solve; the cell's smallest exclusion margin,
+    by which the first step leaves the toric limit, is read off ``normal``
+    (``_branch_end``).  ``track`` sets ``status``, the accepted ``steps``
+    whether the path converges or not and, on failure, ``message``; on
+    convergence the endpoint ``residual`` and the zero
+    ``x_j = signs[j] * exp(logs[j])``, whose ``point`` is that x in floats
+    (``inf`` or ``0.0`` past their range).
     """
 
     lam: float
@@ -223,7 +224,6 @@ class PathState:
     normal: np.ndarray
     cell_index: int = 0
     path_index: int = 0
-    margin: float = 0.0
     status: str = "tracking"
     message: str = ""
     steps: int = 0
@@ -234,18 +234,17 @@ class PathState:
 
 def make_path(
     cell: MixedCell, signs: tuple[int, ...], t0: float,
-    cell_index: int = 0, path_index: int = 0, margin: float = 0.0,
+    cell_index: int = 0, path_index: int = 0,
 ) -> PathState:
     """The path of a real start of ``cell`` at t0: the truncated branch point
-    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant ``signs``,
-    with the cell's smallest exclusion ``margin`` for its first step.
+    ``u = -(1 + lam) * normal`` at ``lam = -log t0``, in the orthant ``signs``.
 
     The orthant is all a start adds to its cell: the start's ``log|x|`` is
     ``-normal`` (see the module docstring)."""
     normal = np.array(cell.normal, dtype=np.float64)
     lam = -math.log(t0)
     u = -(1.0 + lam) * normal
-    return PathState(lam, u, signs, normal, cell_index, path_index, margin)
+    return PathState(lam, u, signs, normal, cell_index, path_index)
 
 
 def term_signs(h: HomotopySystem, orthant) -> np.ndarray:
@@ -458,6 +457,28 @@ def _fold(h, weights, start, lam, u, lam_low, normal):
     return mu
 
 
+def _branch_end(h: HomotopySystem, normal: np.ndarray) -> float:
+    """``BRANCH_LOG_WEIGHT / delta``, the lam down to which the truncated
+    branch of the cell with this ``normal`` stays its path, for the cell's
+    smallest exclusion margin ``delta`` (see the module docstring).
+
+    In each equation the cell's two edge terms tie at the top height
+    ``w - e . normal`` and each excluded term's margin is its gap below
+    them, so the equation's smallest margin is the gap between its second
+    and third heights.  ``0.0`` when the cell excludes no term (the branch
+    is the path), ``inf`` when a margin is 0 (none is, on an enumerated
+    cell).  Python floats: an equation has a few terms."""
+    heights = (h.logc - h.exps @ normal).tolist()
+    bounds = h.starts.tolist() + [len(heights)]
+    end = 0.0
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 2:
+            _, second, third = sorted(heights[a:b], reverse=True)[:3]
+            gap = second - third
+            end = max(end, BRANCH_LOG_WEIGHT / gap if gap > 0.0 else math.inf)
+    return end
+
+
 class _PathFailed(Exception):
     """How ``_track_one`` ends a path that does not converge: its ``args``
     are the status ("diverged" on a step size underflow, "failed"
@@ -471,13 +492,12 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
     recorded on the path with its residual.  ``path.steps`` counts the
     accepted steps on every exit, a failure's included.
 
-    The first step is ``max(0.1 * lam0, lam0 - BRANCH_LOG_WEIGHT / margin)``
-    for the start's ``lam0`` and the path's ``margin`` (the floor alone when
-    the margin is 0), where the nearest excluded term of the cell still
-    weighs under ``exp(-BRANCH_LOG_WEIGHT)`` on the branch; each later step
-    doubles the last accepted one.  Every step is bounded by the remaining
-    lam and by its predicted move in the cell's frame,
-    ``step * max|udot + normal|``.
+    The first step is ``max(0.1 * lam0, lam0 - lam1)`` for the start's
+    ``lam0`` and ``lam1 = _branch_end(h, normal)``, where the nearest
+    excluded term of the cell still weighs under ``exp(-BRANCH_LOG_WEIGHT)``
+    on the branch; each later step doubles the last accepted one.  Every
+    step is bounded by the remaining lam and by its predicted move in the
+    cell's frame, ``step * max|udot + normal|``.
     A step is accepted when the corrector converges and
     ``max|corrected - u - step * normal|`` stays within ``MAX_LOG_MOVE``.  A
     singular or non-finite tangent, or a fourth corrector failure in one
@@ -499,9 +519,7 @@ def _track_one(h: HomotopySystem, path: PathState, tol: float) -> None:
         res, u, table = _newton(h, weights, lam, u, CORRECTOR_TOL, 12)
         if res >= CORRECTOR_TOL:
             raise _PathFailed("failed", "start point correction failed")
-    dlam = 0.1 * lam
-    if path.margin > 0.0:
-        dlam = max(dlam, lam - BRANCH_LOG_WEIGHT / path.margin)
+        dlam = max(0.1 * lam, lam - _branch_end(h, normal))
     prev = None
     while lam > 0.0:
         # The tangent at (lam, u) comes from the last correction's Jacobian
